@@ -170,7 +170,7 @@ impl Blocker for AttrEquivalenceBlocker {
 
 /// Tokenizes the blocking column of each table through the shared cache.
 /// The pass is sequential so id assignment stays deterministic.
-fn tokenize_columns(
+pub(crate) fn tokenize_columns(
     cache: &TokenCache,
     a: &Table,
     left_attr: &str,

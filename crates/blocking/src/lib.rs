@@ -41,6 +41,8 @@ pub use blockers::{
 };
 pub use candidate::{CandidateSet, Pair};
 pub use debugger::{debug_blocking, BlockingDebugger, DebugPair};
+#[doc(hidden)]
+pub use debugger::{debug_blocking_counted, DebugWork};
 pub use error::BlockError;
 pub use incremental::{IncrementalIndex, ProbeScratch};
 pub use join::{

@@ -12,11 +12,13 @@
 //! `C = C1 ∪ C2 ∪ C3`, with the footnote-3 accounting preserved.
 
 use crate::error::CoreError;
-use em_blocking::{AttrEquivalenceBlocker, Blocker, CandidateSet, OverlapBlocker, SetSimBlocker};
+use em_blocking::{
+    join_stats, AttrEquivalenceBlocker, Blocker, CandidateSet, JoinIndex, OverlapBlocker,
+    SetSimBlocker,
+};
 use em_rules::award::award_suffix;
 use em_table::{DataType, Table, Value};
-use em_text::TokenCache;
-use std::sync::Arc;
+use em_text::{TokenCache, TokenCorpus};
 
 /// Parameters of the blocking plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -139,16 +141,23 @@ pub fn overlap_threshold_sweep(
     usda: &Table,
     thresholds: &[usize],
 ) -> Result<Vec<(usize, usize)>, CoreError> {
-    // One cache across the sweep: the column tokenizes once, each K only
-    // re-probes the interned ids.
-    let cache = Arc::new(TokenCache::for_blocking());
-    let mut out = Vec::with_capacity(thresholds.len());
-    for &k in thresholds {
-        let blocker = OverlapBlocker::new("AwardTitle", "AwardTitle", k)
-            .with_cache(Arc::clone(&cache));
-        out.push((k, blocker.block(umetrics, usda)?.len()));
-    }
-    Ok(out)
+    umetrics.schema().require("AwardTitle")?;
+    usda.schema().require("AwardTitle")?;
+    // The sweep only reports sizes: tokenize and index the column once and
+    // count each K's admissions on the streaming join, never materializing
+    // a candidate set.
+    let cache = TokenCache::for_blocking();
+    let titles =
+        |t: &Table| TokenCorpus::from_column(&cache, t.iter().map(|r| r.str("AwardTitle")));
+    let left = titles(umetrics);
+    let index = JoinIndex::build(titles(usda));
+    thresholds
+        .iter()
+        .map(|&k| {
+            let spec = OverlapBlocker::new("AwardTitle", "AwardTitle", k).join_spec()?;
+            Ok((k, join_stats(&left, &index, &spec, |_, _| false).pairs as usize))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -242,6 +251,21 @@ mod tests {
         assert!(sweep[0].1 >= sweep[1].1);
         assert!(sweep[1].1 >= sweep[2].1);
         assert!(sweep[0].1 > sweep[2].1, "K=1 must admit more than K=7");
+    }
+
+    #[test]
+    fn sweep_counts_equal_materialized_blocker_sizes() {
+        let (u, d, _) = projected();
+        let ks = [1, 2, 3, 4, 5, 6, 7];
+        let blocked: Vec<(usize, usize)> = ks
+            .iter()
+            .map(|&k| {
+                let c = OverlapBlocker::new("AwardTitle", "AwardTitle", k).block(&u, &d).unwrap();
+                (k, c.len())
+            })
+            .collect();
+        assert_eq!(overlap_threshold_sweep(&u, &d, &ks).unwrap(), blocked);
+        assert!(overlap_threshold_sweep(&u, &d, &[0]).is_err(), "K = 0 stays a typed error");
     }
 
     #[test]

@@ -19,6 +19,12 @@ cargo build "${CARGO_FLAGS[@]}" --release
 echo "==> cargo test"
 cargo test "${CARGO_FLAGS[@]}" -q
 
+echo "==> cargo test --release -p em-blocking (debugger/join/incremental equivalence proptests)"
+# Tier-1 `cargo test` covers the root package only; the exact-top-k debugger
+# is pinned to its naive reference, and the join and incremental indexes to
+# their scans, by this crate's own property suites.
+cargo test "${CARGO_FLAGS[@]}" --release -q -p em-blocking
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy "${CARGO_FLAGS[@]}" --all-targets -- -D warnings
 
@@ -96,6 +102,20 @@ for f in crates/label/src/*.rs; do
     fi
 done
 echo "    label modules panic-free"
+
+echo "==> blocking debugger panic hygiene (no unwrap/expect/panic! outside tests)"
+# The audit sits in the interactive block -> debug -> adjust loop: a bad
+# attribute or an odd table must come back as a typed BlockError.
+if awk '/#\[cfg\(test\)\]/{exit} {print}' crates/blocking/src/debugger.rs \
+    | grep -nE '\.unwrap\(|\.expect\(|panic!'; then
+    echo "    FAIL: panic path in crates/blocking/src/debugger.rs" >&2
+    exit 1
+fi
+echo "    blocking debugger panic-free"
+
+echo "==> debugger criterion bench (smoke)"
+EM_BENCH_SMOKE=1 cargo bench "${CARGO_FLAGS[@]}" -p em-bench --bench debugger >/dev/null
+echo "    debugger bench ran"
 
 echo "==> feature_kernels criterion bench (smoke)"
 EM_BENCH_SMOKE=1 cargo bench "${CARGO_FLAGS[@]}" -p em-bench --bench feature_kernels >/dev/null

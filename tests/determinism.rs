@@ -9,7 +9,11 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use umetrics_em::blocking::{Blocker, OverlapBlocker, SetSimBlocker};
+use umetrics_em::blocking::{
+    debug_blocking, Blocker, BlockingDebugger, OverlapBlocker, SetSimBlocker,
+};
+use umetrics_em::core::blocking_plan::{run_blocking, BlockingPlan};
+use umetrics_em::core::labeling::{accession_of, award_of};
 use umetrics_em::core::pipeline::{CaseStudy, CaseStudyConfig, CaseStudyReport};
 use umetrics_em::core::{project_umetrics, project_usda};
 use umetrics_em::datagen::{Scenario, ScenarioConfig};
@@ -102,6 +106,41 @@ fn forest_probabilities_are_thread_count_invariant() {
         let got: Vec<u64> = probe.iter().map(|row| model.predict_proba(row).to_bits()).collect();
         assert_eq!(got, base, "forest probabilities diverged at {threads} threads");
     }
+}
+
+/// The Section 7 MatchCatcher audit at the paper's scale and seed: the
+/// bound-pruned top-k join fans left rows out over per-chunk heaps, so the
+/// pruning threshold each chunk sees moves with the thread count — the
+/// ranked list must not. The audit also has to keep telling the story the
+/// pinned paper-scale report tells.
+#[test]
+fn paper_scale_debugger_audit_is_thread_count_invariant() {
+    let _guard = thread_lock();
+    let study = CaseStudy::new(CaseStudyConfig::paper());
+    let (u, d, scenario) = study.prepare_tables().unwrap();
+    let candidates = run_blocking(&u, &d, &BlockingPlan::default()).unwrap().consolidated;
+    let debugger = BlockingDebugger::new("AwardTitle", "AwardTitle");
+    let audit = |threads| {
+        let list = at_threads(threads, || debug_blocking(&debugger, &u, &d, &candidates).unwrap());
+        list.iter().map(|p| (p.pair, p.score.to_bits())).collect::<Vec<_>>()
+    };
+    let base = audit(1);
+    assert_eq!(base.len(), 100, "paper's top-100 audit");
+    for threads in [2, 4] {
+        assert_eq!(audit(threads), base, "debugger audit diverged at {threads} threads");
+    }
+
+    let true_matches = base
+        .iter()
+        .filter(|(p, _)| scenario.truth.is_match(&award_of(&u, p.left), &accession_of(&d, p.right)))
+        .count();
+    let report = study.run().unwrap();
+    assert_eq!((report.debugger_inspected, report.debugger_true_matches), (100, true_matches));
+    let line = format!("\n  {true_matches} of top 100 excluded pairs were true matches\n");
+    assert!(
+        include_str!("../reproduce_paper_output.txt").contains(&line),
+        "audit no longer matches the pinned reproduce_paper_output.txt: {line:?}"
+    );
 }
 
 /// Strips per-run wall-clock noise so reports compare on content alone.
