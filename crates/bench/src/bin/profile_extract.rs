@@ -1,15 +1,177 @@
-//! Quick breakdown of where feature-extraction time goes: per feature
-//! kind, at the small-scale bench fixture. Development aid for the
-//! similarity-kernel engine; not part of the reproduction output.
+//! Quick breakdown of where feature-extraction time goes. Development aid
+//! for the similarity-kernel engine; not part of the reproduction output.
+//!
+//! - no arguments: per feature kind, at the small-scale bench fixture;
+//! - `--stream <factor>`: the fused stream's extraction at corpus scale —
+//!   the frozen x1 workflow (as `reproduce --scaling-match` trains it) over
+//!   the `<factor>`-scaled tables, one thread: `StreamMatcher::new` broken
+//!   into its set-up legs, then per live feature ns/pair over the stream's
+//!   own candidate order, with sequence-kernel calls vs reused values.
+//!
+//! Everything goes to stderr; timers sit outside every checksum.
 
 use em_bench::fixtures_cfg;
-use em_blocking::Pair;
-use em_core::blocking_plan::{run_blocking, BlockingPlan};
+use em_blocking::{JoinIndex, Pair};
+use em_core::blocking_plan::{c1_scheme, run_blocking, BlockingPlan};
+use em_core::pipeline::{CaseStudy, CaseStudyConfig};
+use em_core::stream::StreamMatcher;
 use em_datagen::ScenarioConfig;
-use em_features::{auto_features, extract_vectors, FeatureOptions};
+use em_features::{auto_features, extract_vectors, BatchExtractor, FeatureMask, FeatureOptions};
+use em_text::{TokenCache, TokenCorpus};
+use std::time::Instant;
+
+/// The committed bench seed (`reproduce --seed 20190326`).
+const SEED: u64 = 20190326;
+
+fn ms(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64() * 1e3
+}
+
+/// FNV-style fold of one value's bits, so a run's values can be compared
+/// with another build's without printing them.
+fn fold(h: u64, v: f64) -> u64 {
+    h.wrapping_mul(31).wrapping_add(v.to_bits())
+}
+
+fn stream(factor: f64) -> Result<(), Box<dyn std::error::Error>> {
+    let mut cs = CaseStudyConfig::small();
+    cs.scenario = ScenarioConfig::scaled(1.0).with_seed(SEED);
+    let art = CaseStudy::new(cs).train_serving_artifacts()?;
+    // Auxiliary tables capped at paper size, as in `--scaling-match`.
+    let mut cfg = ScenarioConfig::scaled(factor).with_seed(SEED);
+    let paper = ScenarioConfig::paper();
+    cfg.n_employees = paper.n_employees;
+    cfg.n_vendors = paper.n_vendors;
+    cfg.n_subawards = paper.n_subawards;
+    cfg.n_object_codes = paper.n_object_codes;
+    let fx = fixtures_cfg(cfg);
+    let (u, d) = (&fx.umetrics, &fx.usda);
+    let feats = &art.matcher.features;
+
+    for _ in 0..3 {
+        let t0 = Instant::now();
+        let sm = StreamMatcher::new(u, d, &art.matcher, &art.rule_descs, &art.plan)?;
+        let new_ms = ms(t0);
+        let t0 = Instant::now();
+        let out = sm.run();
+        eprintln!(
+            "stream x{factor}: new {new_ms:.1} ms, run {:.1} ms, {} candidates, checksum {:#018x}",
+            ms(t0),
+            out.candidates,
+            out.checksum
+        );
+    }
+    let sm = StreamMatcher::new(u, d, &art.matcher, &art.rule_descs, &art.plan)?;
+    let mask = sm.mask().clone();
+    let pairs: Vec<Pair> = sm.run_collecting().1.iter().map(|(p, _)| *p).collect();
+    drop(sm);
+    eprintln!("{} pairs in stream order, mask {}/{}", pairs.len(), mask.n_live(), mask.len());
+
+    eprintln!("\nStreamMatcher::new, leg by leg (each leg alone, one thread):");
+    let rules = art.rule_descs.build();
+    let t0 = Instant::now();
+    let sure = rules.sure_matches(u, d)?;
+    eprintln!("  sure matches          {:8.1} ms ({} pairs)", ms(t0), sure.len());
+    let t0 = Instant::now();
+    let c1 = c1_scheme(u, d)?;
+    eprintln!("  C1 scheme             {:8.1} ms ({} pairs)", ms(t0), c1.len());
+    let t0 = Instant::now();
+    let bound = rules.bind_negative(u, d);
+    eprintln!("  negative rules bound  {:8.1} ms", ms(t0));
+    std::hint::black_box(&bound);
+    let t0 = Instant::now();
+    let cache = TokenCache::for_blocking();
+    let left = TokenCorpus::from_column(&cache, u.iter().map(|r| r.str("AwardTitle")));
+    let right = TokenCorpus::from_column(&cache, d.iter().map(|r| r.str("AwardTitle")));
+    let index = JoinIndex::build(right);
+    eprintln!("  corpora + JoinIndex   {:8.1} ms", ms(t0));
+    std::hint::black_box((&left, &index));
+    let plan = BatchExtractor::plan(feats, u, d, &mask, Some(("AwardTitle", "AwardTitle")))?;
+    let mut legs = Vec::new();
+    for i in 0..plan.n_legs() {
+        let t0 = Instant::now();
+        legs.push(plan.build_leg(i));
+        let what = match i {
+            0 => "sequence caches".to_string(),
+            1 => "typed columns".to_string(),
+            _ => format!("set plan {}", i - 2),
+        };
+        eprintln!("  extractor leg {i}: {what:<18} {:8.1} ms", ms(t0));
+    }
+    let t0 = Instant::now();
+    let ex = plan.assemble(legs, None)?;
+    eprintln!("  extractor assembly    {:8.1} ms", ms(t0));
+
+    let mut out = vec![0.0; feats.len()];
+    for _ in 0..2 {
+        let mut scratch = ex.scratch();
+        let t0 = Instant::now();
+        for p in &pairs {
+            ex.extract_into(*p, &mut scratch, &mut out);
+            std::hint::black_box(&out);
+        }
+        let s = t0.elapsed().as_secs_f64();
+        let (calls, reused) = scratch.seq_counts();
+        eprintln!(
+            "\nall {} live features: {:.1} ms, {:.0} ns/pair; sequence kernels: {calls} calls, \
+             {reused} values reused ({:.1} %)",
+            mask.n_live(),
+            s * 1e3,
+            s * 1e9 / pairs.len() as f64,
+            100.0 * reused as f64 / (calls + reused).max(1) as f64
+        );
+    }
+    drop(ex);
+
+    eprintln!("\nper live feature (alone in its extractor; best of 2 passes):");
+    eprintln!(
+        "  {:<30} {:>9} {:>8} {:>9} {:>9} {:>9}  values",
+        "feature", "ms", "ns/pair", "calls", "reused", "build ms"
+    );
+    for k in mask.live_indices() {
+        let only = FeatureMask::from_live_indices(feats.len(), [k]);
+        let t0 = Instant::now();
+        let ex = BatchExtractor::new(feats, u, d, &only, None)?;
+        let build_ms = ms(t0);
+        let (mut best, mut counts) = (f64::INFINITY, (0, 0));
+        for _ in 0..2 {
+            let mut scratch = ex.scratch();
+            let t0 = Instant::now();
+            for p in &pairs {
+                ex.extract_into(*p, &mut scratch, &mut out);
+                std::hint::black_box(&out);
+            }
+            best = best.min(t0.elapsed().as_secs_f64());
+            counts = scratch.seq_counts();
+        }
+        // Untimed pass for the value fold.
+        let mut scratch = ex.scratch();
+        let mut h = 0u64;
+        for p in &pairs {
+            ex.extract_into(*p, &mut scratch, &mut out);
+            h = fold(h, out[k]);
+        }
+        eprintln!(
+            "  {:<30} {:>9.1} {:>8.0} {:>9} {:>9} {:>9.1}  {h:#018x}",
+            feats.features[k].name,
+            best * 1e3,
+            best * 1e9 / pairs.len() as f64,
+            counts.0,
+            counts.1,
+            build_ms
+        );
+    }
+    Ok(())
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     em_parallel::set_threads(1);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [] => {}
+        [flag, factor] if flag == "--stream" => return stream(factor.parse()?),
+        _ => return Err("usage: profile_extract [--stream <factor>]".into()),
+    }
     let fx = fixtures_cfg(ScenarioConfig::small());
     let (u, s) = (&fx.umetrics, &fx.usda);
     let pairs: Vec<Pair> = run_blocking(u, s, &BlockingPlan::default())?.consolidated.to_vec();

@@ -38,11 +38,13 @@ use crate::blocking_plan::{c1_scheme, BlockingPlan};
 use crate::error::CoreError;
 use crate::matcher::TrainedMatcher;
 use em_blocking::{fnv_u64, CandidateSet, JoinIndex, JoinScratch, JoinSpec, Pair, FNV_OFFSET};
-use em_features::{BatchExtractor, BatchScratch, FeatureMask, FeatureSet, SharedWordColumns};
+use em_features::{
+    BatchExtractor, BatchScratch, CacheLeg, FeatureMask, FeatureSet, SharedWordColumns,
+};
 use em_ml::dataset::Imputer;
 use em_ml::{BlockScorer, FittedModel};
 use em_parallel::Executor;
-use em_rules::{RuleSet, RuleSetDesc};
+use em_rules::{BoundNegativeRules, RuleSetDesc};
 use em_table::Table;
 use em_text::{TokenCache, TokenCorpus};
 
@@ -101,16 +103,17 @@ pub struct StreamOutcome {
 /// (reused by both the join probes and the word-level set features),
 /// build the join index, derive the model+rule feature mask, build the
 /// masked [`BatchExtractor`], flatten the fitted model into a
-/// [`BlockScorer`], and materialize the two *small* per-left-row
-/// adjacencies (C1 scheme, rule sure matches) as CSR. [`run`] then
-/// streams the unbounded part.
+/// [`BlockScorer`], bind the negative rules' keys to the rows, and
+/// materialize the two *small* per-left-row adjacencies (C1 scheme, rule
+/// sure matches) as CSR — the independent pieces forked over
+/// `em_parallel`. [`run`] then streams the unbounded part.
 ///
 /// [`run`]: StreamMatcher::run
 pub struct StreamMatcher<'a> {
     u: &'a Table,
     s: &'a Table,
     imputer: &'a Imputer,
-    rules: RuleSet,
+    negatives: BoundNegativeRules,
     scorer: BlockScorer,
     extractor: BatchExtractor,
     join: JoinIndex,
@@ -277,8 +280,10 @@ impl StreamMatcher<'_> {
         let StreamScratch { pending, block, scores, batch, kept, .. } = ws;
         for slab in pending.chunks(SCORE_SLAB) {
             let n = slab.len();
+            // The slab is grouped by left row: the extractor prepares each
+            // left row once and scores its candidates against it.
             for (row, &(i, j)) in block.chunks_exact_mut(nf).zip(slab.iter()) {
-                self.extractor.extract_into(self.u, self.s, Pair::new(i as usize, j as usize), batch, row);
+                self.extractor.extract_into(Pair::new(i as usize, j as usize), batch, row);
                 self.imputer.transform_row(row);
             }
             self.scorer.score_block(&block[..n * nf], nf, &mut scores[..n]);
@@ -290,11 +295,7 @@ impl StreamMatcher<'_> {
                 }
                 if p >= MATCH_THRESHOLD {
                     res.predicted += 1;
-                    let neg = match (self.u.row(i as usize), self.s.row(j as usize)) {
-                        (Some(ra), Some(rb)) => self.rules.any_negative_fires(ra, rb),
-                        _ => false,
-                    };
-                    if neg {
+                    if self.negatives.any_fires(i as usize, j as usize) {
                         res.flipped += 1;
                     } else {
                         kept.push((i, j));
@@ -306,7 +307,7 @@ impl StreamMatcher<'_> {
     }
 }
 
-// ---- scratch construction (allocations are confined below this line) ----
+// ---- set-up and scratch construction: everything below may allocate ----
 
 impl<'a> StreamMatcher<'a> {
     /// Fuses a frozen workflow (tables + trained matcher + rules + plan)
@@ -323,25 +324,65 @@ impl<'a> StreamMatcher<'a> {
         if matcher.features.is_empty() {
             return Err(CoreError::Pipeline("streaming matcher needs a non-empty feature set".to_string()));
         }
+        check_row_ids(umetrics.n_rows(), usda.n_rows())?;
         umetrics.schema().require(BLOCK_COL)?;
         usda.schema().require(BLOCK_COL)?;
         let rules = rule_descs.build();
-        let sure = Csr::from_set(&rules.sure_matches(umetrics, usda)?, umetrics.n_rows());
-        let c1 = Csr::from_set(&c1_scheme(umetrics, usda)?, umetrics.n_rows());
         let mask = derive_feature_mask(&matcher.features, &matcher.model, rule_descs);
-        // One tokenization pass per column feeds both the join probes and
-        // the word-level set features (shared-corpus satellite): ids are
-        // interned once, and the extractor keeps only Arc clones.
-        let cache = TokenCache::for_blocking();
-        let left_corpus =
-            TokenCorpus::from_column(&cache, umetrics.iter().map(|r| r.str(BLOCK_COL)));
-        let right_corpus = TokenCorpus::from_column(&cache, usda.iter().map(|r| r.str(BLOCK_COL)));
-        let join = JoinIndex::build(right_corpus);
-        let extractor = BatchExtractor::new(
+        // The set-up legs share nothing but the tables, so they fork: the
+        // extractor's cache legs (heaviest first), the two small CSR
+        // adjacencies, the negative rules' per-row keys, and the blocking
+        // column's tokenization + join index.
+        // Each leg is a pure function of the tables — ids are assigned
+        // inside one leg, never across legs — so what comes back does not
+        // depend on the thread count.
+        let cache_plan = BatchExtractor::plan(
             &matcher.features,
             umetrics,
             usda,
             &mask,
+            Some((BLOCK_COL, BLOCK_COL)),
+        )?;
+        let n_cache = cache_plan.n_legs();
+        let legs = Executor::current().map_tasks(n_cache + 4, |t| -> Result<SetUp, CoreError> {
+            Ok(match t.checked_sub(n_cache) {
+                None => SetUp::Cache(cache_plan.build_leg(t)),
+                Some(0) => {
+                    SetUp::Sure(Csr::from_set(&rules.sure_matches(umetrics, usda)?, umetrics.n_rows()))
+                }
+                Some(1) => SetUp::C1(Csr::from_set(&c1_scheme(umetrics, usda)?, umetrics.n_rows())),
+                Some(2) => SetUp::Negatives(rules.bind_negative(umetrics, usda)),
+                Some(_) => {
+                    // One tokenization pass per column feeds both the join
+                    // probes and the word-level set features, which copy
+                    // the id arenas at assembly.
+                    let cache = TokenCache::for_blocking();
+                    let left =
+                        TokenCorpus::from_column(&cache, umetrics.iter().map(|r| r.str(BLOCK_COL)));
+                    let right =
+                        TokenCorpus::from_column(&cache, usda.iter().map(|r| r.str(BLOCK_COL)));
+                    SetUp::Join(left, JoinIndex::build(right))
+                }
+            })
+        });
+        let mut cache_legs = Vec::with_capacity(n_cache);
+        let (mut sure, mut c1, mut negatives, mut joined) = (None, None, None, None);
+        for leg in legs {
+            match leg? {
+                SetUp::Cache(leg) => cache_legs.push(leg),
+                SetUp::Sure(csr) => sure = Some(csr),
+                SetUp::C1(csr) => c1 = Some(csr),
+                SetUp::Negatives(bound) => negatives = Some(bound),
+                SetUp::Join(left, index) => joined = Some((left, index)),
+            }
+        }
+        let (Some(sure), Some(c1), Some(negatives), Some((left_corpus, join))) =
+            (sure, c1, negatives, joined)
+        else {
+            return Err(CoreError::Pipeline("a streaming set-up leg went missing".to_string()));
+        };
+        let extractor = cache_plan.assemble(
+            cache_legs,
             Some(SharedWordColumns {
                 left_attr: BLOCK_COL,
                 right_attr: BLOCK_COL,
@@ -353,7 +394,7 @@ impl<'a> StreamMatcher<'a> {
             u: umetrics,
             s: usda,
             imputer: &matcher.imputer,
-            rules,
+            negatives,
             scorer: matcher.model.block_scorer(),
             n_features: matcher.features.len(),
             extractor,
@@ -427,6 +468,31 @@ impl<'a> StreamMatcher<'a> {
     }
 }
 
+/// What one forked set-up leg of [`StreamMatcher::new`] produces.
+enum SetUp {
+    Cache(CacheLeg),
+    Sure(Csr),
+    C1(Csr),
+    Negatives(BoundNegativeRules),
+    Join(TokenCorpus, JoinIndex),
+}
+
+/// Row indices travel as `u32` through the CSR adjacencies, the pending
+/// slab and the join index: a table of `u32::MAX` rows or more is refused
+/// up front instead of having its indices truncated.
+fn check_row_ids(n_left: usize, n_right: usize) -> Result<(), CoreError> {
+    for (side, n) in [("left", n_left), ("right", n_right)] {
+        if u32::try_from(n).map_or(true, |n| n == u32::MAX) {
+            return Err(CoreError::Pipeline(format!(
+                "streaming matcher indexes rows as u32: the {side} table has {n} rows, \
+                 the limit is {}",
+                u32::MAX - 1
+            )));
+        }
+    }
+    Ok(())
+}
+
 impl Csr {
     /// Builds the adjacency from a materialized candidate set;
     /// [`CandidateSet::iter`] yields `(left, right)` order, so each row's
@@ -461,7 +527,7 @@ impl StreamScratch {
             block: vec![0.0; SCORE_SLAB * m.n_features],
             scores: vec![0.0; SCORE_SLAB],
             kept: Vec::new(),
-            batch: BatchScratch::new(),
+            batch: m.extractor.scratch(),
         }
     }
 }
@@ -512,6 +578,15 @@ mod tests {
         let set: BTreeSet<u32> = v.into_iter().collect();
         let flat = set.iter().copied().collect();
         (set, flat)
+    }
+
+    #[test]
+    fn tables_past_u32_row_ids_are_a_typed_error() {
+        assert!(check_row_ids(0, 0).is_ok());
+        assert!(check_row_ids(u32::MAX as usize - 1, 7).is_ok());
+        for (l, r) in [(u32::MAX as usize, 7), (7, u32::MAX as usize), (usize::MAX, 7)] {
+            assert!(matches!(check_row_ids(l, r), Err(CoreError::Pipeline(_))), "({l}, {r})");
+        }
     }
 
     proptest! {

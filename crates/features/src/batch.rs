@@ -1,30 +1,53 @@
 //! Batched, maskable feature extraction — the match path's workhorse.
 //!
-//! [`BatchExtractor`] builds the call-wide interned caches of
-//! [`extract_vectors`](crate::extract::extract_vectors) (set-feature token
-//! columns, sequence-feature normalization columns, the word table) **once**
-//! and then extracts any number of pairs through them, restricted to a
-//! [`FeatureMask`]'s live subset: dead features get no cache plan, their
-//! columns are never tokenized, and their output slots are `NaN` — exactly
-//! what downstream mean imputation replaces with the column mean, so a
-//! tree-shaped model that never reads those columns scores bit-identically
-//! to full extraction (the PR 5 serving argument, now available to batch).
+//! [`BatchExtractor`] builds the flat interned caches of [`crate::extract`]
+//! (set-feature token arenas, the global sequence-feature string table,
+//! typed scalar columns) **once** and then extracts any number of pairs
+//! through them, restricted to a [`FeatureMask`]'s live subset: dead
+//! features get no cache plan, their columns are never tokenized, and their
+//! output slots are `NaN` — exactly what downstream mean imputation
+//! replaces with the column mean, so a tree-shaped model that never reads
+//! those columns scores bit-identically to full extraction.
 //!
-//! Memory is bounded by design: the per-worker [`BatchScratch`] carries the
-//! `(feature, sid, sid)` pair memo and the Monge-Elkan word-pair
-//! Jaro-Winkler memo with **size-capped epoch eviction** (the maps clear
-//! wholesale at their cap), so streaming millions of candidates holds RSS
-//! flat. Memoized values are pure functions of their keys; eviction can
-//! only cost recomputation, never change a bit.
+//! **Row-grouped kernel.** Candidates arrive grouped by left row (the
+//! stream probes one left row at a time; a materialized candidate set is
+//! sorted), so [`BatchExtractor::extract_into`] prepares the left row once
+//! — per set plan it stamps the row's token ids into an epoch-stamped array
+//! over the plan's id space — and every candidate of that row then costs:
 //!
+//! - per set plan, one branch-free pass `inter += (stamp[id] == epoch)`
+//!   over the right row's ids, shared by every set measure on the plan and
+//!   fed to [`SetOp::score_counts`] — the expression the sorted-merge
+//!   measures reduce to, on the same three integers;
+//! - per sequence measure, one kernel call per distinct
+//!   `(left sid, right sid)`: sids are global, so a case-folded feature
+//!   whose cells lowercase to themselves reuses its case-sensitive twin's
+//!   value, as does a later pair with the same two strings (recurring
+//!   titles). The values live in a fixed direct-mapped table
+//!   ([`REUSE_SLOTS`] 16-byte slots per measure, overwritten on collision —
+//!   no growth, no clearing); exact match is the sid comparison itself;
+//! - per numeric/date/boolean feature, two loads from typed columns.
+//!
+//! Any pair order is correct — a shuffled order merely re-stamps more
+//! often. Every value is a pure function of the two cells and bit-equal to
+//! [`Feature::compute`](crate::Feature::compute); a reused value is the
+//! value the kernel returned for the same two strings.
+//!
+//! A [`BatchScratch`] is created by, and only accepted by, its extractor:
+//! stamps, sids and reuse slots of one extractor mean nothing to another.
+//!
+//! **Set-up legs.** The caches are independent by construction — every set
+//! plan owns a private interner, the sequence plans share one sid space
+//! and form a single leg, typed columns a third kind — so
+//! [`ExtractorPlan`] exposes them as separately buildable legs. Ids, and
+//! with them every output bit, do not depend on which thread built what.
 //! The extractor can also *borrow* the blocking join's [`TokenCorpus`]
 //! pair for lowercase word-level set features (one tokenization pass per
-//! column per run, shared across stages) — see
-//! [`BatchExtractor::with_shared_word_corpora`].
+//! column per run, shared across stages) — see [`SharedWordColumns`].
 
 use crate::extract::{
-    build_seq_caches, build_set_caches, BoundedMemo, CacheBuild, SeqCaches, SetCaches,
-    SharedWordCorpora,
+    borrow_set_plan, build_seq_caches, build_set_plan, seq_op, set_op, typed_op, BoundedMemo,
+    SeqCaches, SeqKey, SeqOp, SetKey, SetOp, SetPlan, TypedColumn, TypedOp, NULL_SID,
     PARALLEL_THRESHOLD,
 };
 use crate::generate::FeatureSet;
@@ -32,16 +55,11 @@ use crate::serve::FeatureMask;
 use em_blocking::Pair;
 use em_parallel::Executor;
 use em_table::{Table, TableError};
-use em_text::TokenCorpus;
-
-/// Default cap on the `(feature, left sid, right sid)` pair memo of one
-/// [`BatchScratch`]. At ~28 bytes a slot this bounds the memo near 30 MB
-/// per worker before an epoch clears it.
-pub const PAIR_MEMO_CAP: usize = 1 << 20;
+use em_text::{seq, KernelScratch, TokenCorpus};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default cap on the word-pair Jaro-Winkler memo (Monge-Elkan inner
-/// measure). Distinct word pairs grow much slower than distinct cell
-/// pairs, so a smaller cap suffices.
+/// measure) of one [`BatchScratch`].
 pub const JW_MEMO_CAP: usize = 1 << 18;
 
 /// Fixed pair-chunk width of [`BatchExtractor::extract_matrix`]. Chunks
@@ -49,64 +67,323 @@ pub const JW_MEMO_CAP: usize = 1 << 18;
 /// count; per-pair values are pure, so output is bit-identical regardless.
 pub const BATCH_CHUNK: usize = 1024;
 
-/// Per-worker extraction memos with size-capped epoch eviction.
-///
-/// One scratch per worker (or one reused across sequential calls): the
-/// memos exploit value repetition — recurring titles cost one kernel call,
-/// recurring words one Jaro-Winkler — and clear wholesale when they hit
-/// their cap, holding memory flat on unbounded candidate streams.
+/// Slots per sequence measure in a scratch's reuse table: 64 KiB a
+/// measure, under half a MiB for the full feature menu.
+const REUSE_SLOTS: usize = 1 << 12;
+
+/// Source of [`BatchExtractor`] identities (a scratch remembers its
+/// owner's). Relaxed: the counter publishes nothing but itself.
+static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+
+/// One set plan's left-row state: which ids the current left row holds.
+struct Stamps {
+    /// `stamp[id] == epoch` ⇔ the current left row contains token `id`.
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// `|left ids|`; `None` when the current left cell is null.
+    left_len: Option<usize>,
+}
+
+/// Per-worker extraction state: the prepared left row, the fixed-size
+/// sequence-value reuse table, the Monge-Elkan word-pair memo and the
+/// kernels' working memory. Create one per worker with
+/// [`BatchExtractor::scratch`] and reuse it across any number of pairs.
 pub struct BatchScratch {
-    pub(crate) pairs: BoundedMemo<(u32, u32, u32)>,
-    pub(crate) jw_words: BoundedMemo<(u32, u32)>,
+    owner: u64,
+    /// The left row `stamps` and `left_sids` describe (`usize::MAX`: none).
+    left: usize,
+    stamps: Vec<Stamps>,
+    left_sids: Vec<u32>,
+    /// `[!(left sid << 32 | right sid), value bits]` per slot; all-zero is
+    /// empty (no lookup ever carries two null sids).
+    reuse: Vec<[u64; 2]>,
+    reuse_mask: usize,
+    jw_words: BoundedMemo<(u32, u32)>,
+    kernel: KernelScratch,
+    kernel_calls: u64,
+    reused: u64,
 }
 
 impl BatchScratch {
-    /// A scratch with the default [`PAIR_MEMO_CAP`] / [`JW_MEMO_CAP`] caps.
-    pub fn new() -> BatchScratch {
-        BatchScratch::with_caps(PAIR_MEMO_CAP, JW_MEMO_CAP)
+    /// `(kernel calls, reused values)` of the sequence measures so far —
+    /// where the per-pair work went, for profiling.
+    #[doc(hidden)]
+    pub fn seq_counts(&self) -> (u64, u64) {
+        (self.kernel_calls, self.reused)
     }
 
-    /// A scratch with explicit caps (tests pin eviction behavior with tiny
-    /// caps; 0 disables a memo entirely).
-    pub fn with_caps(pair_cap: usize, jw_cap: usize) -> BatchScratch {
-        BatchScratch {
-            pairs: BoundedMemo::with_cap(pair_cap),
-            jw_words: BoundedMemo::with_cap(jw_cap),
+    /// Ages every stamp epoch to its last value, so the next left-row
+    /// switch wraps — test hook for the wrap path, which otherwise needs
+    /// 2³² switches.
+    #[doc(hidden)]
+    pub fn force_epoch_wrap(&mut self) {
+        for st in &mut self.stamps {
+            st.epoch = u32::MAX;
         }
-    }
-
-    /// How many times the pair memo hit its cap and was cleared.
-    pub fn pair_memo_epochs(&self) -> u64 {
-        self.pairs.epochs()
-    }
-
-    /// Current pair-memo occupancy (always ≤ its cap).
-    pub fn pair_memo_len(&self) -> usize {
-        self.pairs.len()
+        self.left = usize::MAX;
     }
 }
 
-impl Default for BatchScratch {
-    fn default() -> BatchScratch {
-        BatchScratch::new()
-    }
+/// The sequence features computing one measure, each with its
+/// normalization plan, and the reuse-table partition their values share.
+struct SeqGroup {
+    op: SeqOp,
+    partition: usize,
+    members: Vec<(usize, usize)>,
+}
+
+/// Which rows the caches cover and which live feature reads which cache —
+/// resolved by [`ExtractorPlan`], carried unchanged into the extractor.
+struct Routes {
+    n_features: usize,
+    used_left: Vec<bool>,
+    used_right: Vec<bool>,
+    /// Per set plan: the live `(feature, measure)`s reading it.
+    set_ops: Vec<Vec<(usize, SetOp)>>,
+    seq_groups: Vec<SeqGroup>,
+    /// Reuse-table partitions the sequence groups address.
+    n_partitions: usize,
+    /// `(feature, typed column pair, measure)`.
+    typed_ops: Vec<(usize, usize, TypedOp)>,
 }
 
 /// A reusable batched extractor: caches built once, pairs extracted many
 /// times (optionally restricted to a live-feature mask).
 pub struct BatchExtractor {
-    features: FeatureSet,
-    live: Vec<bool>,
-    left_idx: Vec<usize>,
-    right_idx: Vec<usize>,
-    set_caches: SetCaches,
-    seq_caches: SeqCaches,
+    id: u64,
+    routes: Routes,
+    set_plans: Vec<SetPlan>,
+    seq: SeqCaches,
+    typed_cols: Vec<(TypedColumn, TypedColumn)>,
 }
 
-/// Builder input distinguishing "every row" from "rows these pairs touch".
-enum UsedRows<'p> {
-    All,
-    FromPairs(&'p [Pair]),
+/// A resolved cache-build plan for one extractor: which plans the live
+/// features need, split into independently buildable legs. Build every leg
+/// `0..n_legs()` — in any order, on any thread — and hand them to
+/// [`assemble`](ExtractorPlan::assemble) in leg order.
+/// [`BatchExtractor::new`] does exactly that; the streaming matcher forks
+/// the legs alongside its own set-up work.
+pub struct ExtractorPlan<'t> {
+    a: &'t Table,
+    b: &'t Table,
+    routes: Routes,
+    set_keys: Vec<SetKey>,
+    /// The set plan that copies the shared corpora instead of tokenizing.
+    borrowing: Option<usize>,
+    seq_keys: Vec<SeqKey>,
+    typed_keys: Vec<(usize, usize, TypedOp)>,
+}
+
+/// One built leg of an [`ExtractorPlan`].
+pub struct CacheLeg(Leg);
+
+enum Leg {
+    Seq(SeqCaches),
+    Typed(Vec<(TypedColumn, TypedColumn)>),
+    /// `None`: left to [`ExtractorPlan::assemble`], which holds the corpora.
+    Set(Option<SetPlan>),
+}
+
+/// Legs ahead of the per-set-plan legs: sequence caches, typed columns.
+const FIXED_LEGS: usize = 2;
+
+fn leg_mismatch() -> TableError {
+    TableError::KeyViolation {
+        column: "cache legs".to_string(),
+        detail: "legs must be build_leg(0..n_legs()) in order".to_string(),
+    }
+}
+
+impl<'t> ExtractorPlan<'t> {
+    fn new(
+        features: &FeatureSet,
+        a: &'t Table,
+        b: &'t Table,
+        mask: &FeatureMask,
+        (used_left, used_right): (Vec<bool>, Vec<bool>),
+        shared_attrs: Option<(&str, &str)>,
+    ) -> Result<ExtractorPlan<'t>, TableError> {
+        let mut plan = ExtractorPlan {
+            a,
+            b,
+            routes: Routes {
+                n_features: features.len(),
+                used_left,
+                used_right,
+                set_ops: Vec::new(),
+                seq_groups: Vec::new(),
+                n_partitions: 0,
+                typed_ops: Vec::new(),
+            },
+            set_keys: Vec::new(),
+            borrowing: None,
+            seq_keys: Vec::new(),
+            typed_keys: Vec::new(),
+        };
+        let routes = &mut plan.routes;
+        for (k, f) in features.features.iter().enumerate() {
+            // Resolve every feature's columns, live or not: a feature set
+            // that does not fit the tables is an error either way.
+            let lcol = a.schema().require(&f.left_attr)?;
+            let rcol = b.schema().require(&f.right_attr)?;
+            if !mask.is_live(k) {
+                continue;
+            }
+            if let Some((qgram, op)) = set_op(f.kind) {
+                let key = (lcol, rcol, qgram, f.lowercase);
+                let p = position_or_push(&mut plan.set_keys, |have| *have == key, key);
+                if p == routes.set_ops.len() {
+                    routes.set_ops.push(Vec::new());
+                    if !qgram
+                        && f.lowercase
+                        && shared_attrs == Some((f.left_attr.as_str(), f.right_attr.as_str()))
+                    {
+                        plan.borrowing = Some(p);
+                    }
+                }
+                routes.set_ops[p].push((k, op));
+            } else if let Some(op) = seq_op(f.kind) {
+                let key = (lcol, rcol, f.lowercase);
+                let c = position_or_push(&mut plan.seq_keys, |have| *have == key, key);
+                let g = match routes.seq_groups.iter().position(|g| g.op == op) {
+                    Some(g) => g,
+                    None => {
+                        routes.seq_groups.push(SeqGroup { op, partition: 0, members: Vec::new() });
+                        routes.seq_groups.len() - 1
+                    }
+                };
+                routes.seq_groups[g].members.push((k, c));
+            } else if let Some(op) = typed_op(f.kind) {
+                let c = position_or_push(
+                    &mut plan.typed_keys,
+                    |&(l, r, o)| l == lcol && r == rcol && o.shares_column_with(op),
+                    (lcol, rcol, op),
+                );
+                routes.typed_ops.push((k, c, op));
+            }
+        }
+        // Jaro-Winkler is Jaro plus a prefix boost: both read one
+        // partition of Jaro values. Exact match never touches the table.
+        let cached = |op: SeqOp| if op == SeqOp::JaroWinkler { SeqOp::Jaro } else { op };
+        let mut partitions: Vec<SeqOp> = Vec::new();
+        for g in &mut routes.seq_groups {
+            if g.op != SeqOp::Exact {
+                let c = cached(g.op);
+                g.partition = position_or_push(&mut partitions, |&op| op == c, c);
+            }
+        }
+        routes.n_partitions = partitions.len();
+        Ok(plan)
+    }
+
+    /// How many legs [`build_leg`](ExtractorPlan::build_leg) accepts.
+    pub fn n_legs(&self) -> usize {
+        FIXED_LEGS + self.set_keys.len()
+    }
+
+    /// Builds leg `i` (a pure function of the tables and `i`). Leg 0, the
+    /// sequence caches, is usually the heaviest.
+    ///
+    /// # Panics
+    /// If `i >= n_legs()`.
+    pub fn build_leg(&self, i: usize) -> CacheLeg {
+        let tables = (self.a, self.b);
+        let used = (self.routes.used_left.as_slice(), self.routes.used_right.as_slice());
+        CacheLeg(match i {
+            0 => {
+                let with_words = self.routes.seq_groups.iter().any(|g| g.op.needs_words());
+                Leg::Seq(build_seq_caches(&self.seq_keys, with_words, tables, used))
+            }
+            1 => Leg::Typed(
+                self.typed_keys
+                    .iter()
+                    .map(|&(lcol, rcol, op)| {
+                        (op.column(self.a, lcol, used.0), op.column(self.b, rcol, used.1))
+                    })
+                    .collect(),
+            ),
+            _ if self.borrowing == Some(i - FIXED_LEGS) => Leg::Set(None),
+            _ => Leg::Set(Some(build_set_plan(self.set_keys[i - FIXED_LEGS], tables, used))),
+        })
+    }
+
+    /// Assembles the extractor from its built legs. `shared` supplies the
+    /// corpora for the plan [`BatchExtractor::plan`] was told it may
+    /// borrow; without them (or when a referenced cell is not a string)
+    /// that plan is tokenized here instead.
+    pub fn assemble(
+        self,
+        legs: Vec<CacheLeg>,
+        shared: Option<SharedWordColumns<'_>>,
+    ) -> Result<BatchExtractor, TableError> {
+        if let Some(sh) = &shared {
+            if sh.left.len() != self.a.n_rows() || sh.right.len() != self.b.n_rows() {
+                return Err(TableError::KeyViolation {
+                    column: "shared word corpus".to_string(),
+                    detail: format!(
+                        "corpus rows ({}, {}) do not match table rows ({}, {})",
+                        sh.left.len(),
+                        sh.right.len(),
+                        self.a.n_rows(),
+                        self.b.n_rows()
+                    ),
+                });
+            }
+        }
+        if legs.len() != self.n_legs() {
+            return Err(leg_mismatch());
+        }
+        let tables = (self.a, self.b);
+        let used = (self.routes.used_left.as_slice(), self.routes.used_right.as_slice());
+        let mut legs = legs.into_iter();
+        let (Some(CacheLeg(Leg::Seq(seq))), Some(CacheLeg(Leg::Typed(typed_cols)))) =
+            (legs.next(), legs.next())
+        else {
+            return Err(leg_mismatch());
+        };
+        let mut set_plans = Vec::with_capacity(self.set_keys.len());
+        for (leg, &key) in legs.zip(&self.set_keys) {
+            let CacheLeg(Leg::Set(built)) = leg else {
+                return Err(leg_mismatch());
+            };
+            set_plans.push(match built {
+                Some(plan) => plan,
+                None => shared
+                    .as_ref()
+                    .and_then(|sh| borrow_set_plan((key.0, key.1), tables, (sh.left, sh.right), used))
+                    .unwrap_or_else(|| build_set_plan(key, tables, used)),
+            });
+        }
+        Ok(BatchExtractor {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            routes: self.routes,
+            set_plans,
+            seq,
+            typed_cols,
+        })
+    }
+
+    /// Builds the legs over `em_parallel` (inline when the referenced rows
+    /// are too few to pay for threads) and assembles them.
+    fn build(self, shared: Option<SharedWordColumns<'_>>) -> Result<BatchExtractor, TableError> {
+        let routes = &self.routes;
+        let rows = routes.used_left.iter().chain(&routes.used_right).filter(|&&u| u).count();
+        let executor = if rows * self.n_legs() >= PARALLEL_THRESHOLD {
+            Executor::current()
+        } else {
+            Executor::new(1)
+        };
+        let legs = executor.map_tasks(self.n_legs(), |i| self.build_leg(i));
+        self.assemble(legs, shared)
+    }
+}
+
+/// Index of the first element matching `same`, pushing `new` if none does.
+fn position_or_push<T>(items: &mut Vec<T>, same: impl Fn(&T) -> bool, new: T) -> usize {
+    items.iter().position(same).unwrap_or_else(|| {
+        items.push(new);
+        items.len() - 1
+    })
 }
 
 impl BatchExtractor {
@@ -123,7 +400,22 @@ impl BatchExtractor {
         mask: &FeatureMask,
         shared: Option<SharedWordColumns<'_>>,
     ) -> Result<BatchExtractor, TableError> {
-        BatchExtractor::build(features, a, b, mask, UsedRows::All, shared)
+        let attrs = shared.as_ref().map(|sh| (sh.left_attr, sh.right_attr));
+        BatchExtractor::plan(features, a, b, mask, attrs)?.build(shared)
+    }
+
+    /// The cache-build plan of [`BatchExtractor::new`], for callers that
+    /// run the legs themselves. `shared_attrs` names the attribute pair
+    /// whose corpora [`assemble`](ExtractorPlan::assemble) will be given.
+    pub fn plan<'t>(
+        features: &FeatureSet,
+        a: &'t Table,
+        b: &'t Table,
+        mask: &FeatureMask,
+        shared_attrs: Option<(&str, &str)>,
+    ) -> Result<ExtractorPlan<'t>, TableError> {
+        let used = (vec![true; a.n_rows()], vec![true; b.n_rows()]);
+        ExtractorPlan::new(features, a, b, mask, used, shared_attrs)
     }
 
     /// An extractor whose caches cover only the rows `pairs` reference —
@@ -137,155 +429,184 @@ impl BatchExtractor {
         mask: &FeatureMask,
         pairs: &[Pair],
     ) -> Result<BatchExtractor, TableError> {
+        // Caches are built only for rows some candidate pair actually
+        // references — after blocking, that is often a small slice of
+        // either table.
+        let mut used = (vec![false; a.n_rows()], vec![false; b.n_rows()]);
         for p in pairs {
-            if p.left >= a.n_rows() || p.right >= b.n_rows() {
-                return Err(TableError::KeyViolation {
-                    column: "pair".to_string(),
-                    detail: format!("pair ({}, {}) out of range", p.left, p.right),
-                });
-            }
-        }
-        BatchExtractor::build(features, a, b, mask, UsedRows::FromPairs(pairs), None)
-    }
-
-    fn build(
-        features: &FeatureSet,
-        a: &Table,
-        b: &Table,
-        mask: &FeatureMask,
-        used: UsedRows<'_>,
-        shared: Option<SharedWordColumns<'_>>,
-    ) -> Result<BatchExtractor, TableError> {
-        // Pre-resolve column indices so the hot loop is index math only.
-        let mut left_idx = Vec::with_capacity(features.len());
-        let mut right_idx = Vec::with_capacity(features.len());
-        for f in &features.features {
-            left_idx.push(a.schema().require(&f.left_attr)?);
-            right_idx.push(b.schema().require(&f.right_attr)?);
-        }
-        let live: Vec<bool> = (0..features.len()).map(|k| mask.is_live(k)).collect();
-        let (used_left, used_right) = match used {
-            UsedRows::All => (vec![true; a.n_rows()], vec![true; b.n_rows()]),
-            UsedRows::FromPairs(pairs) => {
-                // Caches are built only for rows some candidate pair
-                // actually references — after blocking, that is often a
-                // small slice of either table.
-                let mut ul = vec![false; a.n_rows()];
-                let mut ur = vec![false; b.n_rows()];
-                for p in pairs {
-                    ul[p.left] = true;
-                    ur[p.right] = true;
-                }
-                (ul, ur)
-            }
-        };
-        let shared = match &shared {
-            Some(sh) => {
-                if sh.left.len() != a.n_rows() || sh.right.len() != b.n_rows() {
+            match (used.0.get_mut(p.left), used.1.get_mut(p.right)) {
+                (Some(l), Some(r)) => (*l, *r) = (true, true),
+                _ => {
                     return Err(TableError::KeyViolation {
-                        column: "shared word corpus".to_string(),
-                        detail: format!(
-                            "corpus rows ({}, {}) do not match table rows ({}, {})",
-                            sh.left.len(),
-                            sh.right.len(),
-                            a.n_rows(),
-                            b.n_rows()
-                        ),
-                    });
+                        column: "pair".to_string(),
+                        detail: format!("pair ({}, {}) out of range", p.left, p.right),
+                    })
                 }
-                Some(SharedWordCorpora {
-                    left_attr: sh.left_attr,
-                    right_attr: sh.right_attr,
-                    left: sh.left,
-                    right: sh.right,
-                })
             }
-            None => None,
-        };
-        let cb = CacheBuild {
-            features,
-            a,
-            b,
-            left_idx: &left_idx,
-            right_idx: &right_idx,
-            used_left: &used_left,
-            used_right: &used_right,
-            live: &live,
-        };
-        let set_caches = build_set_caches(&cb, shared.as_ref());
-        let seq_caches = build_seq_caches(&cb);
-        Ok(BatchExtractor {
-            features: features.clone(),
-            live,
-            left_idx,
-            right_idx,
-            set_caches,
-            seq_caches,
-        })
+        }
+        ExtractorPlan::new(features, a, b, mask, used, None)?.build(None)
     }
 
     /// Number of feature slots (live and dead).
     pub fn n_features(&self) -> usize {
-        self.features.len()
+        self.routes.n_features
+    }
+
+    /// A scratch for this extractor (and no other).
+    pub fn scratch(&self) -> BatchScratch {
+        self.scratch_with(REUSE_SLOTS, JW_MEMO_CAP)
+    }
+
+    /// [`scratch`](BatchExtractor::scratch) with an explicit reuse-table
+    /// width per measure (a power of two) and word-memo cap — tests pin
+    /// that neither can change a value.
+    pub(crate) fn scratch_with(&self, reuse_slots: usize, jw_cap: usize) -> BatchScratch {
+        debug_assert!(reuse_slots.is_power_of_two());
+        BatchScratch {
+            owner: self.id,
+            left: usize::MAX,
+            stamps: self
+                .set_plans
+                .iter()
+                .map(|p| Stamps { stamp: vec![0; p.id_space], epoch: 0, left_len: None })
+                .collect(),
+            left_sids: vec![NULL_SID; self.seq.columns.len()],
+            reuse: vec![[0; 2]; self.routes.n_partitions * reuse_slots],
+            reuse_mask: reuse_slots - 1,
+            jw_words: BoundedMemo::with_cap(jw_cap),
+            kernel: KernelScratch::new(),
+            kernel_calls: 0,
+            reused: 0,
+        }
+    }
+
+    /// Makes `i` the scratch's prepared left row.
+    fn prepare_left(&self, i: usize, scratch: &mut BatchScratch) {
+        for (plan, st) in self.set_plans.iter().zip(&mut scratch.stamps) {
+            let span = plan.left[i];
+            st.left_len = span.len();
+            if st.left_len.is_none() {
+                continue;
+            }
+            st.epoch = st.epoch.wrapping_add(1);
+            if st.epoch == 0 {
+                // Wrapped: a stamp from 2³² rows ago would read as current.
+                st.stamp.fill(0);
+                st.epoch = 1;
+            }
+            for &id in plan.ids(span) {
+                st.stamp[id as usize] = st.epoch;
+            }
+        }
+        for (sid, col) in scratch.left_sids.iter_mut().zip(&self.seq.columns) {
+            *sid = col.left[i];
+        }
+        scratch.left = i;
+    }
+
+    /// The value of a non-exact sequence measure on two non-null strings:
+    /// from the reuse table when this scratch already computed it for the
+    /// same two sids, else from the kernel.
+    fn seq_value(&self, g: &SeqGroup, sids: (u32, u32), scratch: &mut BatchScratch) -> f64 {
+        let winkler = g.op == SeqOp::JaroWinkler;
+        let tag = !(u64::from(sids.0) << 32 | u64::from(sids.1));
+        let hash = (tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize;
+        let slot = g.partition * (scratch.reuse_mask + 1) + (hash & scratch.reuse_mask);
+        let v = if scratch.reuse[slot][0] == tag {
+            scratch.reused += 1;
+            f64::from_bits(scratch.reuse[slot][1])
+        } else {
+            let op = if winkler { SeqOp::Jaro } else { g.op };
+            let v = op.score(
+                &self.seq.cells,
+                sids,
+                &self.seq.words,
+                &mut scratch.jw_words,
+                &mut scratch.kernel,
+            );
+            scratch.kernel_calls += 1;
+            scratch.reuse[slot] = [tag, v.to_bits()];
+            v
+        };
+        if winkler {
+            seq::jaro_winkler_boost(v, self.seq.cells.chars(sids.0), self.seq.cells.chars(sids.1))
+        } else {
+            v
+        }
     }
 
     /// Extracts one pair into `out` (length must equal
     /// [`n_features`](BatchExtractor::n_features)): live features get
-    /// their value, dead features `NaN`. Allocation-free apart from memo
-    /// growth inside `scratch`.
+    /// their value, dead features `NaN`. Allocation-free apart from
+    /// Monge-Elkan word-memo growth inside `scratch`. Fastest when
+    /// consecutive pairs share their left row; correct in any order.
+    ///
+    /// A row [`for_pairs`](BatchExtractor::for_pairs) was not given is not
+    /// covered by the caches: debug builds assert coverage; release builds
+    /// read such a row as all-null, so its string and typed features come
+    /// out `NaN`.
     ///
     /// # Panics
-    /// If `pair` indexes past a table or a referenced row was not covered
-    /// by the constructor's `pairs`.
+    /// If `pair` indexes past a table, `out` is shorter than the feature
+    /// set, or `scratch` was created by another extractor.
     #[inline]
-    pub fn extract_into(
-        &self,
-        a: &Table,
-        b: &Table,
-        p: Pair,
-        scratch: &mut BatchScratch,
-        out: &mut [f64],
-    ) {
-        debug_assert_eq!(out.len(), self.features.len());
-        let ra = &a.rows()[p.left];
-        let rb = &b.rows()[p.right];
-        for (k, f) in self.features.features.iter().enumerate() {
-            out[k] = if !self.live[k] {
-                f64::NAN
-            } else if let Some((plan, op)) = self.set_caches.feature_plan[k] {
-                let col = &self.set_caches.columns[plan];
-                match (&col.left[p.left], &col.right[p.right]) {
-                    (Some(ta), Some(tb)) => op.score(ta, tb),
-                    _ => f64::NAN,
+    pub fn extract_into(&self, p: Pair, scratch: &mut BatchScratch, out: &mut [f64]) {
+        assert_eq!(scratch.owner, self.id, "scratch belongs to another extractor");
+        debug_assert_eq!(out.len(), self.routes.n_features);
+        debug_assert!(
+            self.routes.used_left[p.left] && self.routes.used_right[p.right],
+            "pair ({}, {}) is outside the rows this extractor was built for",
+            p.left,
+            p.right
+        );
+        if scratch.left != p.left {
+            self.prepare_left(p.left, scratch);
+        }
+        out.fill(f64::NAN);
+        for ((plan, ops), st) in self.set_plans.iter().zip(&self.routes.set_ops).zip(&scratch.stamps)
+        {
+            let right = plan.right[p.right];
+            let (Some(la), Some(lb)) = (st.left_len, right.len()) else { continue };
+            let mut inter = 0usize;
+            for &id in plan.ids(right) {
+                inter += usize::from(st.stamp[id as usize] == st.epoch);
+            }
+            for &(k, op) in ops {
+                out[k] = op.score_counts(inter, la, lb);
+            }
+        }
+        for g in &self.routes.seq_groups {
+            for &(k, c) in &g.members {
+                let sids = (scratch.left_sids[c], self.seq.columns[c].right[p.right]);
+                if sids.0 == NULL_SID || sids.1 == NULL_SID {
+                    continue;
                 }
-            } else if let Some((plan, op)) = self.seq_caches.feature_plan[k] {
-                let col = &self.seq_caches.columns[plan];
-                match (&col.left[p.left], &col.right[p.right]) {
-                    (Some(ca), Some(cb)) => {
-                        let key = (k as u32, ca.sid, cb.sid);
-                        if let Some(v) = scratch.pairs.get(&key) {
-                            v
-                        } else {
-                            let v =
-                                op.score(ca, cb, &self.seq_caches.words, &mut scratch.jw_words);
-                            scratch.pairs.insert(key, v);
-                            v
-                        }
-                    }
-                    _ => f64::NAN,
-                }
-            } else {
-                f.compute(&ra[self.left_idx[k]], &rb[self.right_idx[k]])
-            };
+                out[k] = if g.op == SeqOp::Exact {
+                    // Cells are interned: equal sids ⇔ equal strings.
+                    f64::from(sids.0 == sids.1)
+                } else {
+                    self.seq_value(g, sids, scratch)
+                };
+            }
+        }
+        for &(k, c, op) in &self.routes.typed_ops {
+            let (left, right) = &self.typed_cols[c];
+            out[k] = op.score(left, right, p.left, p.right);
         }
     }
 
     /// Extracts every pair into one row-major matrix
     /// (`pairs.len() × n_features`), fanned out over fixed
     /// [`BATCH_CHUNK`]-pair chunks with a per-worker scratch. Bit-identical
-    /// at any thread count.
+    /// at any thread count. `a` and `b` must be the tables the extractor
+    /// was built over (their row counts are checked).
     pub fn extract_matrix(&self, a: &Table, b: &Table, pairs: &[Pair]) -> Vec<f64> {
-        let nf = self.features.len();
+        assert_eq!(
+            (a.n_rows(), b.n_rows()),
+            (self.routes.used_left.len(), self.routes.used_right.len()),
+            "extract_matrix called with other tables than the extractor was built over"
+        );
+        let nf = self.routes.n_features;
         if nf == 0 || pairs.is_empty() {
             return Vec::new();
         }
@@ -296,13 +617,13 @@ impl BatchExtractor {
         let blocks = Executor::current().map_indexed_with(
             chunks,
             grain,
-            BatchScratch::new,
+            || self.scratch(),
             |scratch, c| {
                 let lo = c * BATCH_CHUNK;
                 let hi = (lo + BATCH_CHUNK).min(pairs.len());
                 let mut block = vec![0.0; (hi - lo) * nf];
-                for (i, p) in pairs[lo..hi].iter().enumerate() {
-                    self.extract_into(a, b, *p, scratch, &mut block[i * nf..(i + 1) * nf]);
+                for (row, p) in block.chunks_exact_mut(nf).zip(&pairs[lo..hi]) {
+                    self.extract_into(*p, scratch, row);
                 }
                 block
             },
@@ -354,6 +675,29 @@ mod tests {
             .collect()
     }
 
+    /// `auto_features` plus every string measure on `Title` in both cases —
+    /// the short test titles would otherwise never see Monge-Elkan.
+    fn every_measure(a: &Table, b: &Table) -> FeatureSet {
+        use crate::feature::{Feature, FeatureKind::*};
+        let mut fs = auto_features(a, b, &FeatureOptions::default().with_case_insensitive());
+        for kind in [
+            ExactStr, LevSim, Jaro, JaroWinkler, NeedlemanWunsch, SmithWaterman, JaccardQgram3,
+            JaccardWord, CosineWord, OverlapCoeffWord, DiceQgram3, MongeElkanJw, MongeElkanSoundex,
+        ] {
+            for lowercase in [false, true] {
+                let f = Feature::new("Title", "Title", kind, lowercase);
+                if !fs.features.contains(&f) {
+                    fs.push(f);
+                }
+            }
+        }
+        fs
+    }
+
+    fn same(u: f64, v: f64) -> bool {
+        u.to_bits() == v.to_bits() || (u.is_nan() && v.is_nan())
+    }
+
     #[test]
     fn full_mask_matches_extract_vectors_bitwise() {
         let (a, b) = tables();
@@ -362,14 +706,13 @@ mod tests {
         let reference = extract_vectors(&fs, &a, &b, &pairs).unwrap();
         let ex =
             BatchExtractor::new(&fs, &a, &b, &FeatureMask::full(fs.len()), None).unwrap();
-        let mut scratch = BatchScratch::new();
+        let mut scratch = ex.scratch();
         let mut out = vec![0.0; fs.len()];
         for (r, p) in pairs.iter().enumerate() {
-            ex.extract_into(&a, &b, *p, &mut scratch, &mut out);
+            ex.extract_into(*p, &mut scratch, &mut out);
             for k in 0..fs.len() {
                 assert!(
-                    out[k].to_bits() == reference[r][k].to_bits()
-                        || (out[k].is_nan() && reference[r][k].is_nan()),
+                    same(out[k], reference[r][k]),
                     "{} on {:?}: {} vs {}",
                     fs.features[k].name,
                     p,
@@ -399,16 +742,13 @@ mod tests {
         let live: Vec<usize> = (0..fs.len()).step_by(3).collect();
         let mask = FeatureMask::from_live_indices(fs.len(), live.iter().copied());
         let ex = BatchExtractor::for_pairs(&fs, &a, &b, &mask, &pairs).unwrap();
-        let mut scratch = BatchScratch::new();
+        let mut scratch = ex.scratch();
         let mut out = vec![0.0; fs.len()];
         for (r, p) in pairs.iter().enumerate() {
-            ex.extract_into(&a, &b, *p, &mut scratch, &mut out);
+            ex.extract_into(*p, &mut scratch, &mut out);
             for k in 0..fs.len() {
                 if mask.is_live(k) {
-                    assert!(
-                        out[k].to_bits() == reference[r][k].to_bits()
-                            || (out[k].is_nan() && reference[r][k].is_nan())
-                    );
+                    assert!(same(out[k], reference[r][k]));
                 } else {
                     assert!(out[k].is_nan(), "dead slot must be NaN");
                 }
@@ -417,38 +757,95 @@ mod tests {
     }
 
     #[test]
-    fn tiny_memo_caps_change_nothing_but_cycle_epochs() {
+    fn tiny_reuse_table_and_word_memo_change_nothing() {
         let (a, b) = tables();
-        let fs = auto_features(&a, &b, &FeatureOptions::default().with_case_insensitive());
+        let fs = every_measure(&a, &b);
         let pairs = all_pairs(&a, &b);
         let ex =
             BatchExtractor::for_pairs(&fs, &a, &b, &FeatureMask::full(fs.len()), &pairs).unwrap();
-        let mut big = BatchScratch::new();
-        let mut tiny = BatchScratch::with_caps(2, 1);
-        let mut off = BatchScratch::with_caps(0, 0);
+        let mut big = ex.scratch();
+        // One slot a measure: every new string pair evicts the last one.
+        let mut tiny = ex.scratch_with(1, 1);
+        let mut no_memo = ex.scratch_with(2, 0);
         let mut o1 = vec![0.0; fs.len()];
         let mut o2 = vec![0.0; fs.len()];
         let mut o3 = vec![0.0; fs.len()];
         for _ in 0..3 {
             for p in &pairs {
-                ex.extract_into(&a, &b, *p, &mut big, &mut o1);
-                ex.extract_into(&a, &b, *p, &mut tiny, &mut o2);
-                ex.extract_into(&a, &b, *p, &mut off, &mut o3);
-                for k in 0..fs.len() {
+                ex.extract_into(*p, &mut big, &mut o1);
+                ex.extract_into(*p, &mut tiny, &mut o2);
+                ex.extract_into(*p, &mut no_memo, &mut o3);
+                for (k, f) in fs.features.iter().enumerate() {
+                    let direct = f.compute(
+                        a.get(p.left, &f.left_attr).unwrap(),
+                        b.get(p.right, &f.right_attr).unwrap(),
+                    );
                     assert!(
-                        (o1[k].to_bits() == o2[k].to_bits()
-                            || (o1[k].is_nan() && o2[k].is_nan()))
-                            && (o1[k].to_bits() == o3[k].to_bits()
-                                || (o1[k].is_nan() && o3[k].is_nan())),
-                        "memo caps must be value-neutral ({})",
-                        fs.features[k].name
+                        same(o1[k], direct) && same(o2[k], direct) && same(o3[k], direct),
+                        "reuse must be value-neutral ({} on {p:?})",
+                        f.name
                     );
                 }
             }
         }
-        assert!(tiny.pair_memo_epochs() > 0, "tiny cap must have evicted");
-        assert!(tiny.pair_memo_len() <= 2);
-        assert_eq!(off.pair_memo_len(), 0);
+        // Passes two and three find everything in the full-width table and
+        // next to nothing in the one-slot table; neither table grows.
+        let ((big_calls, big_reused), (tiny_calls, _)) = (big.seq_counts(), tiny.seq_counts());
+        assert!(big_reused > 2 * big_calls, "{big_reused} reused vs {big_calls} calls");
+        assert!(tiny_calls > 2 * big_calls, "one slot must keep evicting");
+        assert_eq!(tiny.reuse.len(), ex.routes.n_partitions);
+        assert_eq!(big.reuse.len(), ex.routes.n_partitions * REUSE_SLOTS);
+        assert!(tiny.jw_words.epochs() > 0, "word memo of one entry must have cycled");
+        assert!(tiny.jw_words.len() <= 1);
+        assert_eq!(no_memo.jw_words.len(), 0);
+    }
+
+    #[test]
+    fn epoch_wrap_clears_stale_stamps() {
+        let (a, b) = tables();
+        let fs = every_measure(&a, &b);
+        // Reversed, so the last left row (and the last wrap) has a title.
+        let pairs: Vec<Pair> = all_pairs(&a, &b).into_iter().rev().collect();
+        let ex = BatchExtractor::new(&fs, &a, &b, &FeatureMask::full(fs.len()), None).unwrap();
+        let mut fresh = ex.scratch();
+        let mut aged = ex.scratch();
+        let (mut o1, mut o2) = (vec![0.0; fs.len()], vec![0.0; fs.len()]);
+        for (n, p) in pairs.iter().enumerate() {
+            if n % 2 == 0 {
+                // Every left row gets stamped with epoch 1 — the epoch the
+                // rows before it left behind.
+                aged.force_epoch_wrap();
+            }
+            ex.extract_into(*p, &mut fresh, &mut o1);
+            ex.extract_into(*p, &mut aged, &mut o2);
+            for k in 0..fs.len() {
+                assert!(same(o1[k], o2[k]), "{} on {:?}", fs.features[k].name, p);
+            }
+        }
+        assert!(aged.stamps.iter().all(|st| st.epoch < 8), "epochs restarted after the wrap");
+    }
+
+    #[test]
+    #[should_panic(expected = "another extractor")]
+    fn scratch_of_another_extractor_is_refused() {
+        let (a, b) = tables();
+        let fs = auto_features(&a, &b, &FeatureOptions::default());
+        let mask = FeatureMask::full(fs.len());
+        let ex1 = BatchExtractor::new(&fs, &a, &b, &mask, None).unwrap();
+        let ex2 = BatchExtractor::new(&fs, &a, &b, &mask, None).unwrap();
+        let mut scratch = ex1.scratch();
+        ex2.extract_into(Pair::new(0, 0), &mut scratch, &mut vec![0.0; fs.len()]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside the rows")]
+    fn uncovered_row_is_caught_in_debug_builds() {
+        let (a, b) = tables();
+        let fs = auto_features(&a, &b, &FeatureOptions::default());
+        let mask = FeatureMask::full(fs.len());
+        let ex = BatchExtractor::for_pairs(&fs, &a, &b, &mask, &[Pair::new(0, 0)]).unwrap();
+        ex.extract_into(Pair::new(1, 1), &mut ex.scratch(), &mut vec![0.0; fs.len()]);
     }
 
     #[test]
@@ -474,13 +871,15 @@ mod tests {
         let mask = FeatureMask::full(fs.len());
         let owned = BatchExtractor::new(&fs, &a, &b, &mask, None).unwrap();
         let borrowed = BatchExtractor::new(&fs, &a, &b, &mask, Some(shared)).unwrap();
+        // A plan told to expect corpora it is then not given tokenizes.
+        let promised = BatchExtractor::plan(&fs, &a, &b, &mask, Some(("Title", "Title"))).unwrap();
+        let legs = (0..promised.n_legs()).map(|i| promised.build_leg(i)).collect();
+        let fell_back = promised.assemble(legs, None).unwrap();
         let mo = owned.extract_matrix(&a, &b, &pairs);
         let mb = borrowed.extract_matrix(&a, &b, &pairs);
-        for (k, (u, v)) in mo.iter().zip(&mb).enumerate() {
-            assert!(
-                u.to_bits() == v.to_bits() || (u.is_nan() && v.is_nan()),
-                "slot {k}: owned {u} vs shared {v}"
-            );
+        let mf = fell_back.extract_matrix(&a, &b, &pairs);
+        for (k, ((u, v), w)) in mo.iter().zip(&mb).zip(&mf).enumerate() {
+            assert!(same(*u, *v) && same(*u, *w), "slot {k}: owned {u}, shared {v}, fallback {w}");
         }
     }
 
@@ -498,5 +897,15 @@ mod tests {
         };
         assert!(BatchExtractor::new(&fs, &a, &b, &FeatureMask::full(fs.len()), Some(shared))
             .is_err());
+    }
+
+    #[test]
+    fn legs_out_of_order_are_an_error() {
+        let (a, b) = tables();
+        let fs = auto_features(&a, &b, &FeatureOptions::default());
+        let plan = BatchExtractor::plan(&fs, &a, &b, &FeatureMask::full(fs.len()), None).unwrap();
+        let mut legs: Vec<CacheLeg> = (0..plan.n_legs()).map(|i| plan.build_leg(i)).collect();
+        legs.swap(0, 1);
+        assert!(plan.assemble(legs, None).is_err());
     }
 }

@@ -1,37 +1,40 @@
 //! Feature-vector extraction: turning candidate pairs into the matrix the
 //! matchers consume.
 //!
-//! Three layers of the performance engine meet here. First, every set-based
-//! string feature (word/q-gram Jaccard, cosine, overlap coefficient, Dice)
-//! is rewired onto interned token ids: each referenced column is tokenized
-//! **once** up front into sorted distinct `u32` id lists (shared across
-//! features that use the same column/tokenizer/case plan), and the hot loop
-//! compares integers. Second, every sequence (character-level) feature runs
-//! through a **row-level normalization cache**: each referenced column is
-//! rendered and lowercased once into interned [`NormCell`]s — pre-decoded
-//! `Arc<[char]>` slices plus word tokens — so per-pair work feeds the
-//! allocation-free `*_chars` kernels of `em_text::seq` and never touches
-//! `to_lowercase()` or `chars().collect()`; a per-thread **pair memo**
-//! keyed on `(feature, left string id, right string id)` skips kernels
-//! entirely for the heavy value repetition real tables exhibit. Third,
-//! extraction is embarrassingly parallel across pairs, so it fans out over
-//! [`em_parallel::Executor`] when the workload is large enough to pay for
-//! threads. All layers are bit-for-bit neutral: the `*_sorted` id measures
-//! reproduce `em_text::set` exactly, the `*_chars` kernels are
-//! property-tested equal to the naive reference, and chunked results join
-//! in pair order.
+//! This module owns the **cache plans** the batch kernel
+//! ([`crate::batch`]) scores against, and [`extract_vectors`], the
+//! materializing driver over that kernel. Every referenced column is
+//! prepared exactly once per extractor, into flat arenas:
+//!
+//! - a [`SetPlan`] per `(left column, right column, tokenizer, case)` —
+//!   sorted distinct interned token ids of every distinct cell string in one
+//!   `u32` arena, rows pointing into it by [`Span`] (repeated strings share
+//!   a span);
+//! - the [`SeqCaches`] — one **global** string-id (`sid`) space across both
+//!   tables and every `(left column, right column, case)` plan, with the
+//!   decoded chars (and, when a Monge-Elkan feature is live, interned word
+//!   ids) of each distinct string in a [`CellTable`]; sid equality ⇔
+//!   string equality everywhere, so a case-folded plan whose cells lowercase
+//!   to themselves shares its sids with its case-sensitive twin;
+//! - a [`TypedColumns`] pair per numeric/date/boolean attribute pair.
+//!
+//! All of it is bit-for-bit neutral: the set measures evaluate the
+//! `*_counts` expressions `em_text::set` reduces to, the `*_chars` kernels
+//! are property-tested equal to the naive reference, typed features apply
+//! [`Feature::compute`](crate::Feature::compute)'s own arithmetic to the
+//! same parsed scalars, and chunked results join in pair order.
 
-use crate::batch::{BatchExtractor, BatchScratch};
+use crate::batch::BatchExtractor;
 use crate::feature::FeatureKind;
 use crate::generate::FeatureSet;
 use crate::serve::FeatureMask;
 use em_blocking::Pair;
 use em_parallel::Executor;
-use em_table::{Table, TableError, Value};
-use em_text::intern::{self, TokenIds};
+use em_table::{Date, Table, TableError, Value};
+use em_text::intern;
 use em_text::tokenize::{AlphanumericTokenizer, Tokenizer};
-use em_text::{phonetic, seq, with_scratch, FastMap};
-use std::collections::HashMap;
+use em_text::{phonetic, seq, FastMap, KernelScratch, TokenCorpus};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Below this many (pair × feature) computations, extraction stays
@@ -72,16 +75,18 @@ impl<K: std::hash::Hash + Eq> BoundedMemo<K> {
         self.map.insert(k, v);
     }
 
+    #[cfg(test)]
     pub(crate) fn epochs(&self) -> u64 {
         self.epochs
     }
 
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 }
 
-/// The set measure an interned feature computes on sorted id lists.
+/// The set measure an interned feature computes from intersection counts.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum SetOp {
     Jaccard,
@@ -91,20 +96,12 @@ pub(crate) enum SetOp {
 }
 
 impl SetOp {
-    pub(crate) fn score(self, a: &[u32], b: &[u32]) -> f64 {
-        match self {
-            SetOp::Jaccard => intern::jaccard_sorted(a, b),
-            SetOp::Cosine => intern::cosine_sorted(a, b),
-            SetOp::OverlapCoeff => intern::overlap_coefficient_sorted(a, b),
-            SetOp::Dice => intern::dice_sorted(a, b),
-        }
-    }
-
-    /// Same measure from `(|A∩B|, |A|, |B|)` counts. The `*_sorted`
-    /// functions delegate to the `*_counts` functions, so this is the
-    /// identical f64 expression [`SetOp::score`] evaluates — the serve
-    /// extractor scores candidates against probe cells whose unknown tokens
-    /// only contribute to `|A|`.
+    /// The measure from `(|A∩B|, |A|, |B|)` counts. The `*_sorted`
+    /// functions of `em_text::intern` delegate to the same `*_counts`
+    /// functions, so this is the identical f64 expression a sorted-merge
+    /// score evaluates — the batch kernel counts the intersection by stamp
+    /// lookups, the serve extractor against probe cells whose unknown
+    /// tokens only contribute to `|A|`.
     pub(crate) fn score_counts(self, inter: usize, la: usize, lb: usize) -> f64 {
         match self {
             SetOp::Jaccard => intern::jaccard_counts(inter, la, lb),
@@ -130,7 +127,7 @@ pub(crate) fn set_op(kind: FeatureKind) -> Option<(bool, SetOp)> {
 
 /// The character-level measure a sequence feature computes on cached,
 /// pre-decoded cells.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SeqOp {
     Exact,
     LevSim,
@@ -168,36 +165,45 @@ pub(crate) fn monge_elkan_sym_ids(a: &[u32], b: &[u32], mut inner: impl FnMut(u3
 }
 
 impl SeqOp {
+    /// The measure on two distinct-string cells of a [`CellTable`].
+    /// [`SeqOp::Exact`] never gets here — it is the sid comparison itself.
     pub(crate) fn score(
         self,
-        ca: &NormCell,
-        cb: &NormCell,
+        cells: &CellTable,
+        (sa, sb): (u32, u32),
         words: &[WordData],
         jw_memo: &mut BoundedMemo<(u32, u32)>,
+        ks: &mut KernelScratch,
     ) -> f64 {
         use SeqOp::*;
+        let (ca, cb) = (cells.chars(sa), cells.chars(sb));
         match self {
             // Cells are interned: equal string ids ⇔ equal strings.
-            Exact => f64::from(ca.sid == cb.sid),
+            Exact => f64::from(sa == sb),
+            LevSim => seq::levenshtein_sim_chars(ks, ca, cb),
+            Jaro => seq::jaro_chars(ks, ca, cb),
+            JaroWinkler => seq::jaro_winkler_chars(ks, ca, cb),
+            NeedlemanWunsch => seq::needleman_wunsch_sim_chars(ks, ca, cb),
+            SmithWaterman => seq::smith_waterman_sim_chars(ks, ca, cb),
             // Monge-Elkan runs on interned word ids: the inner
             // Jaro-Winkler reads pre-decoded word chars (memoized per
             // ordered word pair), the inner Soundex compares codes
             // precomputed once per distinct word.
-            MongeElkanJw => with_scratch(|s| {
-                let mut inner = |x: u32, y: u32| {
+            MongeElkanJw => {
+                let inner = |x: u32, y: u32| {
                     if let Some(v) = jw_memo.get(&(x, y)) {
                         return v;
                     }
                     let v = seq::jaro_winkler_chars(
-                        s,
+                        ks,
                         &words[x as usize].chars,
                         &words[y as usize].chars,
                     );
                     jw_memo.insert((x, y), v);
                     v
                 };
-                monge_elkan_sym_ids(&ca.word_ids, &cb.word_ids, &mut inner)
-            }),
+                monge_elkan_sym_ids(cells.words(sa), cells.words(sb), inner)
+            }
             MongeElkanSoundex => {
                 // Exactly `phonetic::soundex_sim`: 1.0 iff both words have
                 // a code and the codes agree.
@@ -205,17 +211,14 @@ impl SeqOp {
                     (Some(cx), Some(cy)) if cx == cy => 1.0,
                     _ => 0.0,
                 };
-                monge_elkan_sym_ids(&ca.word_ids, &cb.word_ids, inner)
+                monge_elkan_sym_ids(cells.words(sa), cells.words(sb), inner)
             }
-            _ => with_scratch(|s| match self {
-                LevSim => seq::levenshtein_sim_chars(s, &ca.chars, &cb.chars),
-                Jaro => seq::jaro_chars(s, &ca.chars, &cb.chars),
-                JaroWinkler => seq::jaro_winkler_chars(s, &ca.chars, &cb.chars),
-                NeedlemanWunsch => seq::needleman_wunsch_sim_chars(s, &ca.chars, &cb.chars),
-                SmithWaterman => seq::smith_waterman_sim_chars(s, &ca.chars, &cb.chars),
-                _ => unreachable!("handled above"),
-            }),
         }
+    }
+
+    /// True for the measures that read a cell's word ids.
+    pub(crate) fn needs_words(self) -> bool {
+        matches!(self, SeqOp::MongeElkanJw | SeqOp::MongeElkanSoundex)
     }
 }
 
@@ -234,10 +237,10 @@ pub(crate) fn seq_op(kind: FeatureKind) -> Option<SeqOp> {
     }
 }
 
-/// One normalized cell: the rendered (and possibly lowercased) string,
-/// decoded exactly once. `sid` is a call-wide interned string id — equal
-/// ids mean equal normalized strings across both tables and all plans —
-/// so it doubles as the exact-match answer and the pair-memo key.
+/// One normalized cell of the serve extractor: the rendered (and possibly
+/// lowercased) string, decoded exactly once. `sid` is an interned string id
+/// — equal ids mean equal normalized strings across all plans — so it
+/// doubles as the exact-match answer.
 #[derive(Clone)]
 pub(crate) struct NormCell {
     pub(crate) sid: u32,
@@ -282,27 +285,10 @@ impl WordTable {
     }
 }
 
-/// One normalization plan's cells for both tables; `None` marks a null
-/// cell (feature value `NaN`, as always).
-pub(crate) struct NormColumns {
-    pub(crate) left: Vec<Option<NormCell>>,
-    pub(crate) right: Vec<Option<NormCell>>,
-}
-
-/// Per-feature routing of sequence measures into the shared normalized
-/// columns. Features sharing a `(left column, right column, case)` plan
-/// share one entry, so every seq measure on the same attribute decodes it
-/// exactly once.
-pub(crate) struct SeqCaches {
-    pub(crate) feature_plan: Vec<Option<(usize, SeqOp)>>,
-    pub(crate) columns: Vec<NormColumns>,
-    pub(crate) words: Vec<WordData>,
-}
-
 /// Memoized normalization of one already-rendered (and lowercased, when the
-/// plan asks) string: string id, decoded chars, interned word ids. Shared
-/// by the batch cache build and the serve extractor's corpus-push path so
-/// both produce the same cells for the same memo/word-table state.
+/// plan asks) string: string id, decoded chars, interned word ids — the
+/// serve extractor's corpus-push path. (The batch caches intern the same
+/// strings into a flat [`CellTable`] instead.)
 pub(crate) fn norm_cell(
     s: String,
     memo: &mut FastMap<String, NormCell>,
@@ -320,110 +306,180 @@ pub(crate) fn norm_cell(
     cell
 }
 
-fn normalize_col(
-    t: &Table,
-    col: usize,
-    lowercase: bool,
-    used: &[bool],
-    memo: &mut FastMap<String, NormCell>,
-    words: &mut WordTable,
-) -> Vec<Option<NormCell>> {
-    t.rows()
-        .iter()
-        .enumerate()
-        .map(|(i, row)| {
-            // Rows no candidate pair references are never read in the hot
-            // loop, so they are not normalized at all.
-            if !used[i] {
-                return None;
-            }
-            let v: &Value = &row[col];
-            if v.is_null() {
-                return None;
-            }
-            let mut s = v.render();
-            if lowercase {
-                // Allow-listed cache-build site: this runs once per row, not
-                // per pair.
-                #[allow(clippy::disallowed_methods)]
-                {
-                    s = s.to_lowercase();
-                }
-            }
-            Some(norm_cell(s, memo, words))
-        })
-        .collect()
+/// Arena offset as `u32` (every arena here is indexed by `u32`).
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("cache arena exceeds u32::MAX entries")
 }
 
-/// Shared inputs to the cache builders: the feature set, both tables,
-/// pre-resolved column indices, the used-row masks, and the live-feature
-/// mask — one context instead of eight parallel arguments.
-pub(crate) struct CacheBuild<'a> {
-    pub(crate) features: &'a FeatureSet,
-    pub(crate) a: &'a Table,
-    pub(crate) b: &'a Table,
-    pub(crate) left_idx: &'a [usize],
-    pub(crate) right_idx: &'a [usize],
-    pub(crate) used_left: &'a [bool],
-    pub(crate) used_right: &'a [bool],
-    pub(crate) live: &'a [bool],
-}
-
-/// Builds the sequence-measure caches for the features marked live;
-/// dead features get no plan (their slots extract as `NaN`), and columns
-/// only dead features reference are never normalized at all.
-pub(crate) fn build_seq_caches(cb: &CacheBuild<'_>) -> SeqCaches {
-    let CacheBuild { features, a, b, left_idx, right_idx, used_left, used_right, live } = *cb;
-    let mut plan_index: HashMap<(usize, usize, bool), usize> = HashMap::new();
-    let mut columns: Vec<NormColumns> = Vec::new();
-    let mut feature_plan = Vec::with_capacity(features.len());
-    // One memo spans both tables and every plan so string ids are global to
-    // the call: sid equality ⇔ string equality everywhere.
-    let mut memo: FastMap<String, NormCell> = FastMap::default();
-    let mut words = WordTable::default();
-    for (k, f) in features.features.iter().enumerate() {
-        if !live[k] {
-            feature_plan.push(None);
-            continue;
-        }
-        let Some(op) = seq_op(f.kind) else {
-            feature_plan.push(None);
-            continue;
-        };
-        let key = (left_idx[k], right_idx[k], f.lowercase);
-        let plan = match plan_index.get(&key) {
-            Some(&p) => p,
-            None => {
-                let left =
-                    normalize_col(a, left_idx[k], f.lowercase, used_left, &mut memo, &mut words);
-                let right =
-                    normalize_col(b, right_idx[k], f.lowercase, used_right, &mut memo, &mut words);
-                columns.push(NormColumns { left, right });
-                let p = columns.len() - 1;
-                plan_index.insert(key, p);
-                p
-            }
-        };
-        feature_plan.push(Some((plan, op)));
+/// The string a string measure sees for one non-null cell: its rendering,
+/// lowercased when the plan asks. Borrows the cell's own text whenever that
+/// is already the answer — `str::to_lowercase` maps an ASCII string exactly
+/// as `to_ascii_lowercase` does, and one without uppercase to itself — so
+/// most cells cost no allocation.
+fn normalized(v: &Value, lowercase: bool) -> Cow<'_, str> {
+    let s: Cow<'_, str> = match v.as_str() {
+        Some(s) => Cow::Borrowed(s),
+        None => Cow::Owned(v.render()),
+    };
+    if !lowercase {
+        return s;
     }
-    SeqCaches { feature_plan, columns, words: words.data }
+    if s.is_ascii() {
+        if s.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(s.to_ascii_lowercase())
+        } else {
+            s
+        }
+    } else {
+        // Allow-listed cache-build site: runs once per row, not per pair.
+        #[allow(clippy::disallowed_methods)]
+        let lower = s.to_lowercase();
+        Cow::Owned(lower)
+    }
 }
 
-/// One tokenization plan's id lists for both tables; `None` marks a null
-/// cell (feature value `NaN`, as always).
-pub(crate) struct ColumnIds {
-    pub(crate) left: Vec<Option<TokenIds>>,
-    pub(crate) right: Vec<Option<TokenIds>>,
+/// Marks a null (or never-referenced) row in a sid column.
+pub(crate) const NULL_SID: u32 = u32::MAX;
+
+/// Decoded chars and interned word ids of every distinct normalized
+/// string, indexed by sid: two flat arenas with `n + 1` offsets each
+/// instead of two `Arc` slices per string.
+#[derive(Default)]
+pub(crate) struct CellTable {
+    char_starts: Vec<u32>,
+    chars: Vec<char>,
+    word_starts: Vec<u32>,
+    word_ids: Vec<u32>,
 }
 
-/// Per-feature routing into the shared tokenized columns. Features sharing
-/// a `(left column, right column, tokenizer, case)` plan share one entry,
-/// so e.g. word Jaccard/cosine/overlap-coefficient on the same attribute
-/// tokenize that attribute exactly once.
-pub(crate) struct SetCaches {
-    pub(crate) feature_plan: Vec<Option<(usize, SetOp)>>,
-    pub(crate) columns: Vec<ColumnIds>,
+impl CellTable {
+    /// Decoded chars of string `sid`.
+    #[inline]
+    pub(crate) fn chars(&self, sid: u32) -> &[char] {
+        let s = sid as usize;
+        &self.chars[self.char_starts[s] as usize..self.char_starts[s + 1] as usize]
+    }
+
+    /// Word ids of string `sid` in token order (empty unless the caches
+    /// were built with words).
+    #[inline]
+    pub(crate) fn words(&self, sid: u32) -> &[u32] {
+        let s = sid as usize;
+        &self.word_ids[self.word_starts[s] as usize..self.word_starts[s + 1] as usize]
+    }
 }
+
+/// One normalization plan's sid columns; [`NULL_SID`] marks a null cell
+/// (feature value `NaN`, as always) or a row no pair references.
+pub(crate) struct SeqColumns {
+    pub(crate) left: Vec<u32>,
+    pub(crate) right: Vec<u32>,
+}
+
+/// The sequence-measure caches: per-plan sid columns over one global
+/// [`CellTable`] and word table.
+pub(crate) struct SeqCaches {
+    pub(crate) columns: Vec<SeqColumns>,
+    pub(crate) cells: CellTable,
+    pub(crate) words: Vec<WordData>,
+}
+
+/// Key of a normalization plan: `(left column, right column, lowercase)`.
+pub(crate) type SeqKey = (usize, usize, bool);
+
+/// Interns sids for the sequence plans in `keys`. One memo spans both
+/// tables and every plan, so the pass is sequential by construction — it
+/// is one set-up leg, however many plans it serves.
+pub(crate) fn build_seq_caches(
+    keys: &[SeqKey],
+    with_words: bool,
+    (a, b): (&Table, &Table),
+    (used_left, used_right): (&[bool], &[bool]),
+) -> SeqCaches {
+    let mut memo: FastMap<String, u32> = FastMap::default();
+    let mut words = WordTable::default();
+    let mut cells = CellTable { char_starts: vec![0], word_starts: vec![0], ..CellTable::default() };
+    let mut column = |t: &Table, col: usize, lowercase: bool, used: &[bool]| -> Vec<u32> {
+        t.rows()
+            .iter()
+            .zip(used)
+            .map(|(row, &used)| {
+                // Rows no candidate pair references are never read in the
+                // hot loop, so they are not normalized at all.
+                let v = &row[col];
+                if !used || v.is_null() {
+                    return NULL_SID;
+                }
+                let s = normalized(v, lowercase);
+                if let Some(&sid) = memo.get(s.as_ref()) {
+                    return sid;
+                }
+                let sid = offset(memo.len());
+                cells.chars.extend(s.chars());
+                cells.char_starts.push(offset(cells.chars.len()));
+                if with_words {
+                    AlphanumericTokenizer
+                        .for_each_token(&s, |w| cells.word_ids.push(words.intern(w)));
+                }
+                cells.word_starts.push(offset(cells.word_ids.len()));
+                memo.insert(s.into_owned(), sid);
+                sid
+            })
+            .collect()
+    };
+    let columns = keys
+        .iter()
+        .map(|&(lcol, rcol, lowercase)| SeqColumns {
+            left: column(a, lcol, lowercase, used_left),
+            right: column(b, rcol, lowercase, used_right),
+        })
+        .collect();
+    SeqCaches { columns, cells, words: words.data }
+}
+
+/// One row's slice of a [`SetPlan`] arena.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    /// A null cell (feature value `NaN`) or a row no pair references.
+    const NULL: Span = Span { start: 0, len: u32::MAX };
+
+    /// `|ids|`, or `None` for a null cell.
+    #[inline]
+    pub(crate) fn len(self) -> Option<usize> {
+        (self.len != u32::MAX).then_some(self.len as usize)
+    }
+}
+
+/// One tokenization plan: sorted distinct token ids per cell for both
+/// tables in a single arena. Ids come from the plan's private interner
+/// (or, for a borrowed plan, the blocking join's token cache) and are all
+/// below `id_space`; set measures are invariant to the id assignment.
+pub(crate) struct SetPlan {
+    ids: Vec<u32>,
+    pub(crate) left: Vec<Span>,
+    pub(crate) right: Vec<Span>,
+    pub(crate) id_space: usize,
+}
+
+impl SetPlan {
+    /// The ids `span` covers (empty for a null span).
+    #[inline]
+    pub(crate) fn ids(&self, span: Span) -> &[u32] {
+        match span.len() {
+            Some(len) => &self.ids[span.start as usize..span.start as usize + len],
+            None => &[],
+        }
+    }
+}
+
+/// Key of a tokenization plan:
+/// `(left column, right column, qgram, lowercase)`.
+pub(crate) type SetKey = (usize, usize, bool, bool);
 
 /// Token-id assignment for one tokenization plan. Grams are keyed by their
 /// three chars directly — no heap key, no per-gram string building — while
@@ -469,81 +525,97 @@ impl PlanInterner {
 }
 
 /// Tokenizes one normalized string under a plan (`qgram` → 3-gram windows,
-/// else word tokens) into **sorted distinct** interned ids — the exact
-/// token stream `tokenize_col` produces per row. `cbuf` is a reusable char
-/// buffer. Shared with the serve extractor's corpus-push path.
-pub(crate) fn plan_tokenize(
+/// else word tokens) and appends its **sorted distinct** interned ids to
+/// `out`. `cbuf` is a reusable char buffer.
+fn plan_tokenize_into(
     s: &str,
     qgram: bool,
     interner: &mut PlanInterner,
     cbuf: &mut Vec<char>,
-) -> Vec<u32> {
-    let mut ids: Vec<u32> = if qgram {
+    out: &mut Vec<u32>,
+) {
+    let start = out.len();
+    if qgram {
         // The exact token stream of `QgramTokenizer::new(3)` (empty → none,
         // shorter than q → the whole string, else char windows), with each
         // gram interned straight from its window — no `String` is ever
         // built per gram.
         cbuf.clear();
         cbuf.extend(s.chars());
-        if cbuf.is_empty() {
-            Vec::new()
-        } else if cbuf.len() < 3 {
-            vec![interner.string(s)]
-        } else {
-            cbuf.windows(3).map(|w| interner.gram([w[0], w[1], w[2]])).collect()
+        if cbuf.len() >= 3 {
+            out.extend(cbuf.windows(3).map(|w| interner.gram([w[0], w[1], w[2]])));
+        } else if !cbuf.is_empty() {
+            out.push(interner.string(s));
         }
     } else {
-        AlphanumericTokenizer.tokenize(s).iter().map(|tok| interner.string(tok)).collect()
-    };
-    ids.sort_unstable();
-    ids.dedup();
+        AlphanumericTokenizer.for_each_token(s, |tok| out.push(interner.string(tok)));
+    }
+    out[start..].sort_unstable();
+    let mut kept = start;
+    for i in start..out.len() {
+        if kept == start || out[kept - 1] != out[i] {
+            out[kept] = out[i];
+            kept += 1;
+        }
+    }
+    out.truncate(kept);
+}
+
+/// [`plan_tokenize_into`] into a fresh list — the serve extractor's
+/// corpus-push path.
+pub(crate) fn plan_tokenize(
+    s: &str,
+    qgram: bool,
+    interner: &mut PlanInterner,
+    cbuf: &mut Vec<char>,
+) -> Vec<u32> {
+    let mut ids = Vec::new();
+    plan_tokenize_into(s, qgram, interner, cbuf, &mut ids);
     ids
 }
 
-fn tokenize_col(
-    t: &Table,
-    col: usize,
-    qgram: bool,
-    lowercase: bool,
-    used: &[bool],
-    interner: &mut PlanInterner,
-    memo: &mut FastMap<String, TokenIds>,
-) -> Vec<Option<TokenIds>> {
-    // Reused across rows: the decoded chars of the current string.
+/// Tokenizes both columns of one plan through a private interner. One
+/// interner + memo spans both columns so ids compare across tables; plans
+/// share nothing, so each is an independent set-up leg.
+pub(crate) fn build_set_plan(
+    (lcol, rcol, qgram, lowercase): SetKey,
+    (a, b): (&Table, &Table),
+    (used_left, used_right): (&[bool], &[bool]),
+) -> SetPlan {
+    let mut interner = PlanInterner::default();
+    let mut memo: FastMap<String, Span> = FastMap::default();
+    let mut ids: Vec<u32> = Vec::new();
     let mut cbuf: Vec<char> = Vec::new();
-    t.rows()
-        .iter()
-        .enumerate()
-        .map(|(i, row)| {
-            // Rows no candidate pair references are never read in the hot
-            // loop, so they are not tokenized at all.
-            if !used[i] {
-                return None;
-            }
-            let v: &Value = &row[col];
-            if v.is_null() {
-                return None;
-            }
-            let mut s = v.render();
-            if lowercase {
-                // Allow-listed cache-build site: runs once per row.
-                #[allow(clippy::disallowed_methods)]
-                {
-                    s = s.to_lowercase();
+    let mut column = |t: &Table, col: usize, used: &[bool]| -> Vec<Span> {
+        t.rows()
+            .iter()
+            .zip(used)
+            .map(|(row, &used)| {
+                // Rows no candidate pair references are never read in the
+                // hot loop, so they are not tokenized at all.
+                let v = &row[col];
+                if !used || v.is_null() {
+                    return Span::NULL;
                 }
-            }
-            if let Some(ids) = memo.get(&s) {
-                return Some(Arc::clone(ids));
-            }
-            let ids: TokenIds = Arc::from(plan_tokenize(&s, qgram, interner, &mut cbuf));
-            memo.insert(s, Arc::clone(&ids));
-            Some(ids)
-        })
-        .collect()
+                let s = normalized(v, lowercase);
+                if let Some(&span) = memo.get(s.as_ref()) {
+                    return span;
+                }
+                let start = ids.len();
+                plan_tokenize_into(&s, qgram, &mut interner, &mut cbuf, &mut ids);
+                let span = Span { start: offset(start), len: offset(ids.len() - start) };
+                memo.insert(s.into_owned(), span);
+                span
+            })
+            .collect()
+    };
+    let left = column(a, lcol, used_left);
+    let right = column(b, rcol, used_right);
+    SetPlan { ids, left, right, id_space: interner.next as usize }
 }
 
-/// Borrows an already-tokenized [`TokenCorpus`] pair as a set-feature
-/// plan's id columns, instead of re-tokenizing the column from scratch.
+/// Copies an already-tokenized [`TokenCorpus`] pair into a plan's arena
+/// instead of re-tokenizing the columns from scratch.
 ///
 /// Eligibility and bit-safety: the corpus rows are sorted distinct ids of
 /// the `AlphanumericTokenizer` stream over `Normalizer::for_blocking`
@@ -556,130 +628,145 @@ fn tokenize_col(
 /// under either interner's id space.
 ///
 /// Nullness comes from the *table* (the corpus maps null and empty rows
-/// both to an empty slice): a null cell stays `None` → `NaN`, a non-null
-/// cell with no tokens stays `Some(empty)`. Returns `None` (caller falls
+/// both to an empty slice): a null cell stays null → `NaN`, a non-null
+/// cell with no tokens stays an empty span. Returns `None` (caller falls
 /// back to owned tokenization) if any used non-null cell is not a string —
 /// `render()` would tokenize the formatted value, which the corpus never
 /// saw.
-fn shared_column_ids(
-    t: &Table,
-    col: usize,
-    corpus: &em_text::TokenCorpus,
-    used: &[bool],
-) -> Option<Vec<Option<TokenIds>>> {
-    let rows = t.rows();
-    debug_assert_eq!(corpus.len(), rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        if used[i] && !row[col].is_null() && row[col].as_str().is_none() {
-            return None;
+pub(crate) fn borrow_set_plan(
+    (lcol, rcol): (usize, usize),
+    (a, b): (&Table, &Table),
+    (left, right): (&TokenCorpus, &TokenCorpus),
+    (used_left, used_right): (&[bool], &[bool]),
+) -> Option<SetPlan> {
+    let mut ids: Vec<u32> = Vec::with_capacity(left.n_tokens_total() + right.n_tokens_total());
+    let mut column = |t: &Table, col: usize, corpus: &TokenCorpus, used: &[bool]| {
+        debug_assert_eq!(corpus.len(), t.n_rows());
+        let mut spans = Vec::with_capacity(t.n_rows());
+        for (i, (row, &used)) in t.rows().iter().zip(used).enumerate() {
+            let v = &row[col];
+            if !used || v.is_null() {
+                spans.push(Span::NULL);
+                continue;
+            }
+            v.as_str()?;
+            let start = ids.len();
+            ids.extend_from_slice(corpus.row(i));
+            spans.push(Span { start: offset(start), len: offset(ids.len() - start) });
+        }
+        Some(spans)
+    };
+    let left_spans = column(a, lcol, left, used_left)?;
+    let right_spans = column(b, rcol, right, used_right)?;
+    let id_space = left.max_id().max(right.max_id()).map_or(0, |m| m as usize + 1);
+    Some(SetPlan { ids, left: left_spans, right: right_spans, id_space })
+}
+
+/// The scalar view a non-string feature reads, parsed once per cell.
+/// `None` is a null cell, a cell of another type, or a row no pair
+/// references — all `NaN`, as in [`Feature::compute`](crate::Feature).
+pub(crate) enum TypedColumn {
+    /// `Value::as_f64` (the `Num*` features).
+    Num(Vec<Option<f64>>),
+    /// `Date::day_number` (`DateYearGap` subtracts day numbers).
+    Day(Vec<Option<i64>>),
+    /// The date itself (`DateExact` compares fields: dirty dates such as
+    /// `2/30/09` share a day number with a valid neighbour).
+    Date(Vec<Option<Date>>),
+    /// `Value::as_bool`.
+    Bool(Vec<Option<bool>>),
+}
+
+/// The measure a non-string feature computes on [`TypedColumn`] scalars.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum TypedOp {
+    NumExact,
+    NumAbsDiff,
+    NumRelSim,
+    DateYearGap,
+    DateExact,
+    BoolExact,
+}
+
+/// Which feature kinds run on typed columns.
+pub(crate) fn typed_op(kind: FeatureKind) -> Option<TypedOp> {
+    match kind {
+        FeatureKind::NumExact => Some(TypedOp::NumExact),
+        FeatureKind::NumAbsDiff => Some(TypedOp::NumAbsDiff),
+        FeatureKind::NumRelSim => Some(TypedOp::NumRelSim),
+        FeatureKind::DateYearGap => Some(TypedOp::DateYearGap),
+        FeatureKind::DateExact => Some(TypedOp::DateExact),
+        FeatureKind::BoolExact => Some(TypedOp::BoolExact),
+        _ => None,
+    }
+}
+
+impl TypedOp {
+    /// Parses one column into the view this measure reads.
+    pub(crate) fn column(self, t: &Table, col: usize, used: &[bool]) -> TypedColumn {
+        fn parse<T>(
+            t: &Table,
+            col: usize,
+            used: &[bool],
+            f: impl Fn(&Value) -> Option<T>,
+        ) -> Vec<Option<T>> {
+            t.rows().iter().zip(used).map(|(row, &u)| if u { f(&row[col]) } else { None }).collect()
+        }
+        match self {
+            TypedOp::NumExact | TypedOp::NumAbsDiff | TypedOp::NumRelSim => {
+                TypedColumn::Num(parse(t, col, used, Value::as_f64))
+            }
+            TypedOp::DateYearGap => {
+                TypedColumn::Day(parse(t, col, used, |v| v.as_date().map(|d| d.day_number())))
+            }
+            TypedOp::DateExact => TypedColumn::Date(parse(t, col, used, Value::as_date)),
+            TypedOp::BoolExact => TypedColumn::Bool(parse(t, col, used, Value::as_bool)),
         }
     }
-    Some(
-        rows.iter()
-            .enumerate()
-            .map(|(i, row)| {
-                if !used[i] || row[col].is_null() {
-                    return None;
-                }
-                Some(Arc::from(corpus.row(i)))
-            })
-            .collect(),
-    )
-}
 
-/// An already-tokenized column pair offered to [`build_set_caches`]:
-/// lowercase word-level set features on `(left_attr, right_attr)` borrow
-/// these corpora instead of re-tokenizing — sharing one tokenization pass
-/// between the blocking join and set-feature extraction.
-pub(crate) struct SharedWordCorpora<'c> {
-    pub(crate) left_attr: &'c str,
-    pub(crate) right_attr: &'c str,
-    pub(crate) left: &'c em_text::TokenCorpus,
-    pub(crate) right: &'c em_text::TokenCorpus,
-}
+    /// True when `self` and `other` read the same [`TypedColumn`] view.
+    pub(crate) fn shares_column_with(self, other: TypedOp) -> bool {
+        use TypedOp::*;
+        let num = |op| matches!(op, NumExact | NumAbsDiff | NumRelSim);
+        self == other || (num(self) && num(other))
+    }
 
-/// Builds the set-measure caches for the features marked `live`; dead
-/// features get no plan, and columns only dead features reference are
-/// never tokenized. When `shared` matches a plan's attributes (lowercase
-/// word-level only), the plan borrows the corpora instead of tokenizing.
-pub(crate) fn build_set_caches(
-    cb: &CacheBuild<'_>,
-    shared: Option<&SharedWordCorpora<'_>>,
-) -> SetCaches {
-    let CacheBuild { features, a, b, left_idx, right_idx, used_left, used_right, live } = *cb;
-    let mut plan_index: HashMap<(usize, usize, bool, bool), usize> = HashMap::new();
-    let mut columns: Vec<ColumnIds> = Vec::new();
-    let mut feature_plan = Vec::with_capacity(features.len());
-    for (k, f) in features.features.iter().enumerate() {
-        if !live[k] {
-            feature_plan.push(None);
-            continue;
-        }
-        let Some((qgram, op)) = set_op(f.kind) else {
-            feature_plan.push(None);
-            continue;
-        };
-        let key = (left_idx[k], right_idx[k], qgram, f.lowercase);
-        let plan = match plan_index.get(&key) {
-            Some(&p) => p,
-            None => {
-                let borrowed = match shared {
-                    Some(sh)
-                        if !qgram
-                            && f.lowercase
-                            && f.left_attr == sh.left_attr
-                            && f.right_attr == sh.right_attr
-                            && sh.left.len() == a.n_rows()
-                            && sh.right.len() == b.n_rows() =>
-                    {
-                        match (
-                            shared_column_ids(a, left_idx[k], sh.left, used_left),
-                            shared_column_ids(b, right_idx[k], sh.right, used_right),
-                        ) {
-                            (Some(left), Some(right)) => Some(ColumnIds { left, right }),
-                            _ => None,
+    /// The feature value on rows `(i, j)` — each arm is the expression
+    /// [`Feature::compute`](crate::Feature::compute) evaluates on the same
+    /// scalars.
+    #[inline]
+    pub(crate) fn score(self, left: &TypedColumn, right: &TypedColumn, i: usize, j: usize) -> f64 {
+        match (left, right) {
+            (TypedColumn::Num(l), TypedColumn::Num(r)) => match (l[i], r[j]) {
+                (Some(x), Some(y)) => match self {
+                    TypedOp::NumExact => f64::from(x == y),
+                    TypedOp::NumAbsDiff => (x - y).abs(),
+                    _ => {
+                        let denom = x.abs().max(y.abs());
+                        if denom == 0.0 {
+                            1.0
+                        } else {
+                            1.0 - ((x - y).abs() / denom).min(1.0)
                         }
                     }
-                    _ => None,
-                };
-                let cols = match borrowed {
-                    Some(cols) => cols,
-                    None => {
-                        // One interner + memo spans both columns so ids
-                        // compare across tables; the pass is sequential and
-                        // runs once per distinct plan.
-                        let mut interner = PlanInterner::default();
-                        let mut memo: FastMap<String, TokenIds> = FastMap::default();
-                        let left = tokenize_col(
-                            a,
-                            left_idx[k],
-                            qgram,
-                            f.lowercase,
-                            used_left,
-                            &mut interner,
-                            &mut memo,
-                        );
-                        let right = tokenize_col(
-                            b,
-                            right_idx[k],
-                            qgram,
-                            f.lowercase,
-                            used_right,
-                            &mut interner,
-                            &mut memo,
-                        );
-                        ColumnIds { left, right }
-                    }
-                };
-                columns.push(cols);
-                let p = columns.len() - 1;
-                plan_index.insert(key, p);
-                p
-            }
-        };
-        feature_plan.push(Some((plan, op)));
+                },
+                _ => f64::NAN,
+            },
+            (TypedColumn::Day(l), TypedColumn::Day(r)) => match (l[i], r[j]) {
+                (Some(x), Some(y)) => ((x - y).abs() as f64) / 365.25,
+                _ => f64::NAN,
+            },
+            (TypedColumn::Date(l), TypedColumn::Date(r)) => match (l[i], r[j]) {
+                (Some(x), Some(y)) => f64::from(x == y),
+                _ => f64::NAN,
+            },
+            (TypedColumn::Bool(l), TypedColumn::Bool(r)) => match (l[i], r[j]) {
+                (Some(x), Some(y)) => f64::from(x == y),
+                _ => f64::NAN,
+            },
+            _ => unreachable!("both columns of a typed plan are parsed by the same op"),
+        }
     }
-    SetCaches { feature_plan, columns }
 }
 
 /// Extracts the feature matrix for `pairs`: one row per pair, one column
@@ -687,10 +774,10 @@ pub(crate) fn build_set_caches(
 ///
 /// Implemented on [`BatchExtractor`] with a full feature mask: caches are
 /// built once for the rows `pairs` actually reference, then extraction
-/// fans out over [`em_parallel::Executor`] with an explicit per-worker
-/// [`BatchScratch`] (size-capped pair/word memos). Per-pair values are
+/// fans out over [`em_parallel::Executor`] with one
+/// [`BatchScratch`](crate::BatchScratch) per worker. Per-pair values are
 /// pure functions of the cell contents, so results are bit-identical at
-/// any thread count — and to the pre-batched implementation.
+/// any thread count — and to [`Feature::compute`](crate::Feature::compute).
 ///
 /// Fails fast if any feature references a column absent from its table or
 /// any pair indexes past a table.
@@ -707,10 +794,10 @@ pub fn extract_vectors(
     let rows = Executor::current().map_indexed_with(
         pairs.len(),
         grain,
-        BatchScratch::new,
+        || ex.scratch(),
         |scratch, i| {
             let mut out = vec![0.0; features.len()];
-            ex.extract_into(a, b, pairs[i], scratch, &mut out);
+            ex.extract_into(pairs[i], scratch, &mut out);
             out
         },
     );
@@ -816,11 +903,11 @@ mod tests {
     }
 
     #[test]
-    fn pair_memo_invalidated_between_calls() {
-        // String ids are assigned per call; a stale memo entry from a prior
-        // extraction must never leak into the next one. Run two extractions
-        // whose sid spaces collide but whose strings differ, then check both
-        // against the direct compute path.
+    fn string_ids_never_leak_between_calls() {
+        // String ids are assigned per extractor; nothing keyed on them may
+        // survive into the next one. Run extractions whose sid spaces
+        // collide but whose strings differ, then check each against the
+        // direct compute path.
         let (a, b) = tables();
         let a2 = read_str("A", "Title,Amount\nZebra Grazing Study,10\nRiver Silt Survey,2\n")
             .unwrap();

@@ -32,7 +32,8 @@ pub mod serve;
 pub mod types;
 
 pub use batch::{
-    BatchExtractor, BatchScratch, SharedWordColumns, BATCH_CHUNK, JW_MEMO_CAP, PAIR_MEMO_CAP,
+    BatchExtractor, BatchScratch, CacheLeg, ExtractorPlan, SharedWordColumns, BATCH_CHUNK,
+    JW_MEMO_CAP,
 };
 pub use extract::extract_vectors;
 pub use feature::{Feature, FeatureKind};

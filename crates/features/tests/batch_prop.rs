@@ -1,0 +1,209 @@
+//! Property tests for the row-grouped batch kernel: whatever the tables,
+//! the mask and the pair order, [`BatchExtractor`] must return exactly the
+//! bits [`Feature::compute`] returns (`NaN == NaN`), with dead slots `NaN`.
+//!
+//! Tables mix nulls, case, multi-byte scripts, strings shorter than a
+//! 3-gram, dirty dates that share a day number, ints stored where strings
+//! are measured and strings stored where numbers are. One scratch serves a
+//! whole case — grouped order, then shuffled, across many left-row
+//! switches and forced stamp-epoch wraps.
+
+use em_blocking::Pair;
+use em_features::{BatchExtractor, Feature, FeatureKind, FeatureMask, FeatureSet};
+use em_table::{DataType, Date, Schema, Table, Value};
+use proptest::prelude::*;
+
+const STRING_KINDS: [FeatureKind; 13] = [
+    FeatureKind::ExactStr,
+    FeatureKind::LevSim,
+    FeatureKind::Jaro,
+    FeatureKind::JaroWinkler,
+    FeatureKind::NeedlemanWunsch,
+    FeatureKind::SmithWaterman,
+    FeatureKind::JaccardQgram3,
+    FeatureKind::JaccardWord,
+    FeatureKind::CosineWord,
+    FeatureKind::OverlapCoeffWord,
+    FeatureKind::DiceQgram3,
+    FeatureKind::MongeElkanJw,
+    FeatureKind::MongeElkanSoundex,
+];
+
+const TYPED_KINDS: [FeatureKind; 6] = [
+    FeatureKind::NumExact,
+    FeatureKind::NumAbsDiff,
+    FeatureKind::NumRelSim,
+    FeatureKind::DateYearGap,
+    FeatureKind::DateExact,
+    FeatureKind::BoolExact,
+];
+
+const COLUMNS: [&str; 4] = ["Title", "Code", "When", "Flag"];
+
+/// Every measure on every column, string measures in both cases: typed
+/// measures meet strings and string measures meet ints, as in real tables.
+fn features() -> FeatureSet {
+    let mut fs = FeatureSet::default();
+    for col in COLUMNS {
+        for kind in STRING_KINDS {
+            fs.push(Feature::new(col, col, kind, false));
+            fs.push(Feature::new(col, col, kind, true));
+        }
+        for kind in TYPED_KINDS {
+            fs.push(Feature::new(col, col, kind, false));
+        }
+    }
+    fs
+}
+
+/// Titles over a small vocabulary so cells, words and grams recur within
+/// and across rows (the reuse paths), in mixed case and scripts, including
+/// one- and two-char cells and punctuation-only ones.
+fn title() -> impl Strategy<Value = Value> {
+    let word = proptest::sample::select(vec![
+        "Corn", "corn", "CORN", "fungicide", "Guidelines", "café", "CAFÉ", "Σίτος", "σίτος",
+        "İpm", "玉米", "x", "Ab", "ab", "42", "-", "  ", "",
+    ]);
+    prop_oneof![
+        Just(Value::Null),
+        proptest::collection::vec(word, 0..5).prop_map(|ws| Value::Str(ws.join(" "))),
+    ]
+}
+
+/// Identifier-like cells: short strings in both cases, and the same
+/// numbers as ints, floats and digit strings.
+fn code() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        proptest::sample::select(vec!["WIS01040", "wis01040", "2008-34103", "7", "a", ""])
+            .prop_map(Value::from),
+        (0i64..12).prop_map(Value::Int),
+        (0i64..12).prop_map(|n| Value::Float(n as f64 / 2.0)),
+        Just(Value::Float(f64::NAN)),
+    ]
+}
+
+/// Dates a few days apart, including `2009-02-30` — structurally valid,
+/// and on the same day number as `2009-03-02`.
+fn when() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        Just(Value::from("2009-03-02")),
+        (2008i32..2011, 2u8..4, 1u8..32)
+            .prop_map(|(y, m, d)| Date::new(y, m, d).map_or(Value::Null, Value::Date)),
+    ]
+}
+
+fn flag() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
+        Just(Value::from("true")),
+    ]
+}
+
+fn table() -> impl Strategy<Value = Table> {
+    proptest::collection::vec((title(), code(), when(), flag()), 1..7).prop_map(|rows| {
+        let schema = Schema::of(&COLUMNS.map(|c| (c, DataType::Any)));
+        let rows = rows.into_iter().map(|(t, c, w, f)| vec![t, c, w, f]).collect();
+        Table::from_rows("t", schema, rows).expect("every value fits an Any column")
+    })
+}
+
+fn same_bits(got: f64, want: f64) -> bool {
+    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
+}
+
+/// `Err(description)` for the first slot of `p` that is not what
+/// `Feature::compute` (live) or `NaN` (dead) says.
+fn check_pair(
+    fs: &FeatureSet,
+    (a, b): (&Table, &Table),
+    mask: &FeatureMask,
+    p: Pair,
+    out: &[f64],
+) -> Result<(), String> {
+    for (k, f) in fs.features.iter().enumerate() {
+        let want = if mask.is_live(k) {
+            let va = a.get(p.left, &f.left_attr).expect("column exists");
+            let vb = b.get(p.right, &f.right_attr).expect("column exists");
+            f.compute(va, vb)
+        } else {
+            f64::NAN
+        };
+        if !same_bits(out[k], want) {
+            return Err(format!("{} on {p:?}: got {}, want {want}", f.name, out[k]));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// All-rows extractor, one scratch: grouped pairs, then the same pairs
+    /// shuffled (every pair a left-row switch), with epoch wraps forced at
+    /// random points.
+    #[test]
+    fn batch_equals_feature_compute_in_any_order(
+        a in table(),
+        b in table(),
+        live in proptest::collection::vec(any::<bool>(), 128),
+        order in proptest::collection::vec(any::<u32>(), 36),
+        wraps in proptest::collection::vec(0usize..72, 0..4),
+    ) {
+        let fs = features();
+        let mask = FeatureMask::from_live_indices(fs.len(), (0..fs.len()).filter(|&k| live[k]));
+        let ex = BatchExtractor::new(&fs, &a, &b, &mask, None).expect("columns exist");
+        let grouped: Vec<Pair> = (0..a.n_rows())
+            .flat_map(|i| (0..b.n_rows()).map(move |j| Pair::new(i, j)))
+            .collect();
+        let mut shuffled = grouped.clone();
+        shuffled.sort_by_key(|p| order[p.left * 6 + p.right]);
+        let mut scratch = ex.scratch();
+        let mut out = vec![0.0; fs.len()];
+        for (n, p) in grouped.iter().chain(&shuffled).enumerate() {
+            if wraps.contains(&n) {
+                scratch.force_epoch_wrap();
+            }
+            ex.extract_into(*p, &mut scratch, &mut out);
+            if let Err(why) = check_pair(&fs, (&a, &b), &mask, *p, &out) {
+                prop_assert!(false, "pair #{n}: {why}");
+            }
+        }
+        // The chunked matrix form is the same kernel.
+        let matrix = ex.extract_matrix(&a, &b, &shuffled);
+        for (p, row) in shuffled.iter().zip(matrix.chunks_exact(fs.len())) {
+            if let Err(why) = check_pair(&fs, (&a, &b), &mask, *p, row) {
+                prop_assert!(false, "matrix: {why}");
+            }
+        }
+    }
+
+    /// An extractor built for a subset of pairs covers exactly those rows.
+    #[test]
+    fn for_pairs_covers_the_rows_it_was_given(
+        a in table(),
+        b in table(),
+        picks in proptest::collection::vec((0usize..6, 0usize..6), 0..12),
+    ) {
+        let fs = features();
+        let mask = FeatureMask::full(fs.len());
+        let pairs: Vec<Pair> = picks
+            .into_iter()
+            .filter(|&(i, j)| i < a.n_rows() && j < b.n_rows())
+            .map(|(i, j)| Pair::new(i, j))
+            .collect();
+        let ex = BatchExtractor::for_pairs(&fs, &a, &b, &mask, &pairs).expect("pairs in range");
+        let mut scratch = ex.scratch();
+        let mut out = vec![0.0; fs.len()];
+        for p in &pairs {
+            ex.extract_into(*p, &mut scratch, &mut out);
+            if let Err(why) = check_pair(&fs, (&a, &b), &mask, *p, &out) {
+                prop_assert!(false, "{why}");
+            }
+        }
+        let beyond = [Pair::new(a.n_rows(), 0)];
+        prop_assert!(BatchExtractor::for_pairs(&fs, &a, &b, &mask, &beyond).is_err());
+    }
+}

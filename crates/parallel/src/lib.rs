@@ -183,6 +183,50 @@ impl Executor {
         results.into_iter().flatten().collect()
     }
 
+    /// Maps `f` over `0..n` for a **handful of coarse tasks of unequal
+    /// cost** (set-up legs, not rows): workers pull the next index from a
+    /// shared counter instead of owning a contiguous range, so one long
+    /// task does not strand the tasks queued behind it. Results come back
+    /// in index order, and — `f` being a pure function of its index — are
+    /// the same at any thread count.
+    pub fn map_tasks<R, F>(&self, n: usize, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize) -> R + Sync,
+    {
+        let workers = self.threads.min(n);
+        if workers < 2 {
+            return (0..n).map(f).collect();
+        }
+        // Relaxed: the counter only hands out indices; results travel
+        // through the joins.
+        let next = AtomicUsize::new(0);
+        let (f, next) = (&f, &next);
+        let mut done: Vec<(usize, R)> = Vec::with_capacity(n);
+        crossbeam::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(move |_| {
+                        let mut mine = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                return mine;
+                            }
+                            mine.push((i, f(i)));
+                        }
+                    })
+                })
+                .collect();
+            for h in handles {
+                done.extend(h.join().expect("parallel worker panicked"));
+            }
+        })
+        .expect("crossbeam scope");
+        done.sort_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
+    }
+
     /// Maps `f` over a slice, returning results in element order. Chunking
     /// semantics are those of [`Executor::map_indexed`].
     pub fn map_slice<'a, T, R, F>(&self, items: &'a [T], grain: usize, f: F) -> Vec<R>
@@ -221,6 +265,16 @@ mod tests {
         // 10 items at grain 100 → one worker, no spawn; result still correct.
         let out = Executor::new(8).map_indexed(10, 100, |i| i + 1);
         assert_eq!(out, (1..=10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn map_tasks_returns_index_order_at_any_thread_count() {
+        for threads in [1, 2, 3, 8] {
+            let out = Executor::new(threads).map_tasks(7, |i| i * 3);
+            assert_eq!(out, (0..7).map(|i| i * 3).collect::<Vec<_>>(), "threads={threads}");
+        }
+        let none: Vec<usize> = Executor::new(4).map_tasks(0, |i| i);
+        assert!(none.is_empty());
     }
 
     #[test]

@@ -31,5 +31,5 @@ pub mod spec;
 pub use error::RuleError;
 pub use iris::IrisMatcher;
 pub use pattern::{comparable, infer, Pattern, PatternSet};
-pub use rules::{EqualityRule, KeyFn, NegativeRule, RuleSet};
+pub use rules::{BoundNegativeRules, EqualityRule, KeyFn, NegativeRule, RuleSet};
 pub use spec::{RuleDesc, RuleKeyKind, RulePolarity, RuleSetDesc};

@@ -14,11 +14,12 @@
 
 use crate::award::award_suffix;
 use crate::error::RuleError;
-use crate::pattern::comparable;
+use crate::pattern::{comparable, infer};
 use em_blocking::{CandidateSet, Pair};
 use em_parallel::Executor;
 use em_table::{RowRef, Table};
 use em_text::intern::Interner;
+use em_text::FastMap;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -184,6 +185,37 @@ impl NegativeRule {
     }
 }
 
+/// One side of a bound negative rule, per row: the interned pattern of the
+/// trimmed key and the interned key itself; `None` when the row has no key
+/// or only whitespace (never comparable, so the rule cannot fire).
+type BoundKeys = Vec<Option<(u32, u32)>>;
+
+/// The negative rules of a [`RuleSet`] bound to one table pair: every key
+/// is derived, pattern-inferred and interned **once per row**, so the
+/// per-pair check of a long candidate stream is two loads and two integer
+/// comparisons — no key strings, no pattern strings.
+/// [`any_fires`](BoundNegativeRules::any_fires) equals
+/// [`RuleSet::any_negative_fires`] on the same rows.
+#[derive(Debug, Clone)]
+pub struct BoundNegativeRules {
+    rules: Vec<(BoundKeys, BoundKeys)>,
+}
+
+impl BoundNegativeRules {
+    /// True when any negative rule fires on rows `(left, right)`: the two
+    /// keys are comparable (same pattern) but different.
+    ///
+    /// # Panics
+    /// If a row index is past the table it was bound to.
+    #[inline]
+    pub fn any_fires(&self, left: usize, right: usize) -> bool {
+        self.rules.iter().any(|(l, r)| match (l[left], r[right]) {
+            (Some((lp, lk)), Some((rp, rk))) => lp == rp && lk != rk,
+            _ => false,
+        })
+    }
+}
+
 /// A bundle of positive and negative rules, applied the way the final
 /// workflow of Figure 10 applies them.
 #[derive(Debug, Clone, Default)]
@@ -214,6 +246,40 @@ impl RuleSet {
     /// True when any negative rule fires on the pair.
     pub fn any_negative_fires(&self, a: RowRef<'_>, b: RowRef<'_>) -> bool {
         self.negative.iter().any(|r| r.fires(a, b))
+    }
+
+    /// Binds the negative rules to a table pair (see
+    /// [`BoundNegativeRules`]) — the set-up step of a streaming matcher,
+    /// which asks about far more pairs than the tables have rows.
+    pub fn bind_negative(&self, a: &Table, b: &Table) -> BoundNegativeRules {
+        let rules = self
+            .negative
+            .iter()
+            .map(|rule| {
+                // One id space per rule, shared by both sides, so ids
+                // compare across tables. A key's pattern is inferred the
+                // first time the key is seen.
+                let mut patterns = Interner::new();
+                let mut keys: FastMap<String, Option<(u32, u32)>> = FastMap::default();
+                let mut side = |t: &Table, key: &KeyFn| -> BoundKeys {
+                    t.iter()
+                        .map(|row| {
+                            let k = key(row)?;
+                            let next = u32::try_from(keys.len())
+                                .expect("more than u32::MAX distinct rule keys");
+                            *keys.entry(k).or_insert_with_key(|k| {
+                                let trimmed = k.trim();
+                                (!trimmed.is_empty())
+                                    .then(|| (patterns.intern(&infer(trimmed)), next))
+                            })
+                        })
+                        .collect()
+                };
+                let left = side(a, &rule.left_key);
+                (left, side(b, &rule.right_key))
+            })
+            .collect();
+        BoundNegativeRules { rules }
     }
 
     /// Applies the negative rules to a set of predicted matches, splitting
@@ -342,6 +408,46 @@ mod tests {
         let (u, s) = (umetrics(), usda());
         // USDA row 1 has empty AwardNumber → no firing possible.
         assert!(!neg.fires(u.row(1).unwrap(), s.row(1).unwrap()));
+    }
+
+    #[test]
+    fn bound_negative_rules_equal_pairwise_checks() {
+        // Padded, blank, missing, equal and merely comparable keys.
+        let u = read_str(
+            "U",
+            "AwardNumber,Other\n10.203 WIS01040,WIS01040\n10.203 WIS09999, WIS09999 \nbare,\n,\" \"\n10.200 2008-34103-19449,2008-34103-19449\n",
+        )
+        .unwrap();
+        let s = read_str(
+            "S",
+            "AwardNumber,Other\nWIS01040,WIS01040\nWIS09999,WIS09999\n,2009-11111-22222\n\" \",\n2008-34103-19449, WIS01040\n",
+        )
+        .unwrap();
+        let rules = RuleSet {
+            positive: vec![],
+            negative: vec![
+                NegativeRule::comparable_suffix("neg-suffix", "AwardNumber", "AwardNumber"),
+                NegativeRule::comparable_attrs("neg-attr", "Other", "Other"),
+                NegativeRule::new("neg-raw", raw_key("Other"), raw_key("Other")),
+            ],
+        };
+        let bound = rules.bind_negative(&u, &s);
+        let mut fired = 0;
+        for i in 0..u.n_rows() {
+            for j in 0..s.n_rows() {
+                let want = rules.any_negative_fires(u.row(i).unwrap(), s.row(j).unwrap());
+                assert_eq!(bound.any_fires(i, j), want, "({i},{j})");
+                fired += usize::from(want);
+            }
+        }
+        assert!(fired > 0 && fired < u.n_rows() * s.n_rows());
+        assert!(!RuleSet::default().bind_negative(&u, &s).any_fires(0, 0));
+    }
+
+    /// The attribute as stored: padding and blanks reach the rule.
+    fn raw_key(attr: &str) -> KeyFn {
+        let attr = attr.to_string();
+        Arc::new(move |r: RowRef<'_>| r.str(&attr).map(str::to_string))
     }
 
     #[test]

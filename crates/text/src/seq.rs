@@ -187,7 +187,13 @@ pub fn jaro_winkler_with(scratch: &mut KernelScratch, a: &str, b: &str) -> f64 {
 
 /// [`jaro_winkler`] on pre-decoded char slices.
 pub fn jaro_winkler_chars(scratch: &mut KernelScratch, a: &[char], b: &[char]) -> f64 {
-    let j = jaro_chars(scratch, a, b);
+    jaro_winkler_boost(jaro_chars(scratch, a, b), a, b)
+}
+
+/// The Winkler prefix boost applied to `j`, the Jaro similarity of `a` and
+/// `b` — the second half of [`jaro_winkler_chars`], for callers that
+/// already hold the Jaro value.
+pub fn jaro_winkler_boost(j: f64, a: &[char], b: &[char]) -> f64 {
     let prefix = a
         .iter()
         .zip(b.iter())

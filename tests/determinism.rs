@@ -15,6 +15,7 @@ use umetrics_em::blocking::{
 use umetrics_em::core::blocking_plan::{run_blocking, BlockingPlan};
 use umetrics_em::core::labeling::{accession_of, award_of};
 use umetrics_em::core::pipeline::{CaseStudy, CaseStudyConfig, CaseStudyReport};
+use umetrics_em::core::stream::StreamMatcher;
 use umetrics_em::core::{project_umetrics, project_usda};
 use umetrics_em::datagen::{Scenario, ScenarioConfig};
 use umetrics_em::features::{auto_features, extract_vectors, FeatureOptions};
@@ -141,6 +142,45 @@ fn paper_scale_debugger_audit_is_thread_count_invariant() {
         include_str!("../reproduce_paper_output.txt").contains(&line),
         "audit no longer matches the pinned reproduce_paper_output.txt: {line:?}"
     );
+}
+
+/// `StreamMatcher::new` forks its set-up legs (extractor caches, sure-match
+/// and C1 adjacencies, bound negative rules, token corpora + join index)
+/// and `run` fans chunks out: the frozen x1 workflow streamed over the x1
+/// and x4 corpora must give the same accounting — counts, histogram,
+/// checksum — and the same feature mask however many threads built and
+/// drove it.
+#[test]
+fn stream_setup_and_run_are_thread_count_invariant() {
+    let _guard = thread_lock();
+    let mut cfg = CaseStudyConfig::small();
+    cfg.scenario = ScenarioConfig::scaled(1.0);
+    let art = CaseStudy::new(cfg).train_serving_artifacts().unwrap();
+    for factor in [1.0, 4.0] {
+        // Auxiliary tables at paper size, as `reproduce --scaling-match`
+        // caps them: they never feed the matcher's columns.
+        let paper = ScenarioConfig::paper();
+        let mut scaled = ScenarioConfig::scaled(factor);
+        scaled.n_employees = paper.n_employees;
+        scaled.n_vendors = paper.n_vendors;
+        scaled.n_subawards = paper.n_subawards;
+        scaled.n_object_codes = paper.n_object_codes;
+        let s = Scenario::generate(scaled).unwrap();
+        let u = project_umetrics(&s.award_agg, &s.employees).unwrap();
+        let d = project_usda(&s.usda, true).unwrap();
+        let stream = |threads| {
+            at_threads(threads, || {
+                let sm = StreamMatcher::new(&u, &d, &art.matcher, &art.rule_descs, &art.plan)
+                    .unwrap();
+                (sm.run(), sm.mask().live_indices().collect::<Vec<_>>())
+            })
+        };
+        let base = stream(1);
+        assert!(base.0.candidates > 0 && base.0.matched > 0, "x{factor} streamed nothing");
+        for threads in [2, 4] {
+            assert_eq!(stream(threads), base, "x{factor} stream diverged at {threads} threads");
+        }
+    }
 }
 
 /// Strips per-run wall-clock noise so reports compare on content alone.
