@@ -647,7 +647,7 @@ fn bench_pipeline(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         let (mask_live, mask_total) = (mask.n_live(), mask.len());
 
         // Cold latency: the very first request against a fresh service and
-        // a fresh scratch — index probes, extractor probe cells, and
+        // a fresh scratch — index probes, the extractor's prepared row, and
         // scratch buffers all start empty. Everything after this is warm.
         let mut scratch = ProbeScratch::new();
         let t_cold = std::time::Instant::now();

@@ -1,19 +1,22 @@
-//! Batched, maskable feature extraction — the match path's workhorse.
+//! The one scoring kernel: flat corpus-side caches, a prepared left row,
+//! and every candidate of that row scored against it.
 //!
-//! [`BatchExtractor`] builds the flat interned caches of [`crate::extract`]
+//! [`FeatureCaches`] holds the flat interned caches of [`crate::extract`]
 //! (set-feature token arenas, the global sequence-feature string table,
-//! typed scalar columns) **once** and then extracts any number of pairs
-//! through them, restricted to a [`FeatureMask`]'s live subset: dead
-//! features get no cache plan, their columns are never tokenized, and their
-//! output slots are `NaN` — exactly what downstream mean imputation
+//! typed scalar columns), restricted to a [`FeatureMask`]'s live subset:
+//! dead features get no cache plan, their columns are never tokenized, and
+//! their output slots are `NaN` — exactly what downstream mean imputation
 //! replaces with the column mean, so a tree-shaped model that never reads
 //! those columns scores bit-identically to full extraction.
 //!
-//! **Row-grouped kernel.** Candidates arrive grouped by left row (the
-//! stream probes one left row at a time; a materialized candidate set is
-//! sorted), so [`BatchExtractor::extract_into`] prepares the left row once
-//! — per set plan it stamps the row's token ids into an epoch-stamped array
-//! over the plan's id space — and every candidate of that row then costs:
+//! **Two probe sides, one kernel.** The *prepared left row* in a
+//! [`BatchScratch`] is either a left-table row ([`BatchExtractor`]: the
+//! fused stream, [`BatchExtractor::extract_matrix`], [`extract_vectors`]
+//! (crate::extract_vectors)) or one arriving record prepared read-only
+//! against a growable corpus ([`ServeExtractor`](crate::ServeExtractor)).
+//! Preparing stamps the row's token ids into an epoch-stamped array over
+//! each set plan's id space and notes its sids and typed scalars; every
+//! candidate of that row then goes through [`FeatureCaches::score`]:
 //!
 //! - per set plan, one branch-free pass `inter += (stamp[id] == epoch)`
 //!   over the right row's ids, shared by every set measure on the plan and
@@ -24,17 +27,25 @@
 //!   whose cells lowercase to themselves reuses its case-sensitive twin's
 //!   value, as does a later pair with the same two strings (recurring
 //!   titles). The values live in a fixed direct-mapped table
-//!   ([`REUSE_SLOTS`] 16-byte slots per measure, overwritten on collision —
-//!   no growth, no clearing); exact match is the sid comparison itself;
-//! - per numeric/date/boolean feature, two loads from typed columns.
+//!   ([`REUSE_SLOTS`] slots per measure, overwritten on collision — no
+//!   growth, no clearing); exact match is the sid comparison itself;
+//! - per numeric/date/boolean feature, one load from a typed column.
 //!
 //! Any pair order is correct — a shuffled order merely re-stamps more
 //! often. Every value is a pure function of the two cells and bit-equal to
 //! [`Feature::compute`](crate::Feature::compute); a reused value is the
 //! value the kernel returned for the same two strings.
 //!
-//! A [`BatchScratch`] is created by, and only accepted by, its extractor:
-//! stamps, sids and reuse slots of one extractor mean nothing to another.
+//! **Scratch rebinding.** One [`BatchScratch`] serves any number of
+//! caches, one after another (a serving thread's scratch meets every shard
+//! and every epoch). It remembers the caches it last prepared a row for;
+//! meeting others, it drops the prepared row, resizes its per-plan state
+//! and starts a new *generation*. Reuse-table slots and word-pair memo
+//! entries carry the generation they were written in and are dead in any
+//! other, so ids that collide across caches never meet — and nothing is
+//! wiped. An arriving row starts a generation of its own for the same
+//! reason: the request-local ids of what the corpus has never produced
+//! restart with every request.
 //!
 //! **Set-up legs.** The caches are independent by construction — every set
 //! plan owns a private interner, the sequence plans share one sid space
@@ -47,14 +58,14 @@
 
 use crate::extract::{
     borrow_set_plan, build_seq_caches, build_set_plan, seq_op, set_op, typed_op, BoundedMemo,
-    SeqCaches, SeqKey, SeqOp, SetKey, SetOp, SetPlan, TypedColumn, TypedOp, NULL_SID,
+    Scalar, SeqCaches, SeqKey, SeqOp, SeqSpace, SetKey, SetOp, SetPlan, Tiers, TypedOp, NULL_SID,
     PARALLEL_THRESHOLD,
 };
 use crate::generate::FeatureSet;
-use crate::serve::FeatureMask;
+use crate::mask::FeatureMask;
 use em_blocking::Pair;
 use em_parallel::Executor;
-use em_table::{Table, TableError};
+use em_table::{Schema, Table, TableError};
 use em_text::{seq, KernelScratch, TokenCorpus};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -67,44 +78,154 @@ pub const JW_MEMO_CAP: usize = 1 << 18;
 /// count; per-pair values are pure, so output is bit-identical regardless.
 pub const BATCH_CHUNK: usize = 1024;
 
-/// Slots per sequence measure in a scratch's reuse table: 64 KiB a
-/// measure, under half a MiB for the full feature menu.
+/// Slots per sequence measure in a scratch's reuse table: 96 KiB a
+/// measure, a little over half a MiB for the full feature menu.
 const REUSE_SLOTS: usize = 1 << 12;
 
-/// Source of [`BatchExtractor`] identities (a scratch remembers its
-/// owner's). Relaxed: the counter publishes nothing but itself.
+/// Source of [`FeatureCaches`] identities (a scratch remembers the last
+/// one it met). Relaxed: the counter publishes nothing but itself.
 static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 
-/// One set plan's left-row state: which ids the current left row holds.
-struct Stamps {
-    /// `stamp[id] == epoch` ⇔ the current left row contains token `id`.
+/// `BatchScratch::left` when no left-table row is prepared.
+const NO_ROW: usize = usize::MAX;
+
+/// One set plan's left-row state: which ids the prepared left row holds.
+#[derive(Debug, Default)]
+pub(crate) struct Stamps {
+    /// `stamp[id] == epoch` ⇔ the prepared left row contains token `id`.
     stamp: Vec<u32>,
     epoch: u32,
-    /// `|left ids|`; `None` when the current left cell is null.
-    left_len: Option<usize>,
+    /// `|left tokens|`; `None` when the prepared left cell is null.
+    pub(crate) left_len: Option<usize>,
+}
+
+impl Stamps {
+    /// Starts a new left row over `id_space` ids, none of them stamped.
+    pub(crate) fn begin(&mut self, id_space: usize) {
+        if self.stamp.len() < id_space {
+            // The first row, or the corpus has produced new tokens since.
+            self.stamp.resize(id_space, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: a stamp from 2³² rows ago would read as current.
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Stamps `id`; true when the row did not hold it yet.
+    #[inline]
+    pub(crate) fn mark(&mut self, id: u32) -> bool {
+        let stamp = &mut self.stamp[id as usize];
+        let new = *stamp != self.epoch;
+        *stamp = self.epoch;
+        new
+    }
+}
+
+/// One reuse-table entry: the value a sequence measure returned for two
+/// sids, live only in the generation it was written in (0: never).
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    generation: u32,
+    sids: (u32, u32),
+    bits: u64,
+}
+
+/// Working buffers of [`ServeExtractor::prepare`](crate::ServeExtractor::prepare).
+#[derive(Debug, Default)]
+pub(crate) struct ArrivalBuffers {
+    /// Per left attribute: its column in the arrival table's schema.
+    pub(crate) left_cols: Vec<usize>,
+    /// Tokens of the cell being prepared that have no corpus id: grams as
+    /// they are, words as byte ranges of `text`.
+    pub(crate) grams: Vec<[char; 3]>,
+    pub(crate) words: Vec<(usize, usize)>,
+    pub(crate) text: String,
 }
 
 /// Per-worker extraction state: the prepared left row, the fixed-size
 /// sequence-value reuse table, the Monge-Elkan word-pair memo and the
-/// kernels' working memory. Create one per worker with
-/// [`BatchExtractor::scratch`] and reuse it across any number of pairs.
+/// kernels' working memory. Create one per worker and reuse it across any
+/// number of pairs, requests and extractors (see the module docs for the
+/// rebinding rule).
+#[derive(Debug)]
 pub struct BatchScratch {
+    /// The caches the prepared row, and the current generation, belong to.
     owner: u64,
-    /// The left row `stamps` and `left_sids` describe (`usize::MAX`: none).
+    /// The left-table row prepared ([`NO_ROW`]: none, or an arriving row).
     left: usize,
-    stamps: Vec<Stamps>,
-    left_sids: Vec<u32>,
-    /// `[!(left sid << 32 | right sid), value bits]` per slot; all-zero is
-    /// empty (no lookup ever carries two null sids).
-    reuse: Vec<[u64; 2]>,
+    pub(crate) stamps: Vec<Stamps>,
+    pub(crate) left_sids: Vec<u32>,
+    pub(crate) left_scalars: Vec<Scalar>,
+    /// What the prepared arriving row holds that the corpus never produced.
+    pub(crate) local: SeqSpace,
+    pub(crate) arrival: ArrivalBuffers,
+    reuse: Vec<Slot>,
     reuse_mask: usize,
+    generation: u32,
     jw_words: BoundedMemo<(u32, u32)>,
     kernel: KernelScratch,
     kernel_calls: u64,
     reused: u64,
 }
 
+impl Default for BatchScratch {
+    fn default() -> BatchScratch {
+        BatchScratch::with_sizes(REUSE_SLOTS, JW_MEMO_CAP)
+    }
+}
+
 impl BatchScratch {
+    /// An empty scratch; it sizes itself to the first caches it meets.
+    pub fn new() -> BatchScratch {
+        BatchScratch::default()
+    }
+
+    /// [`new`](BatchScratch::new) with an explicit reuse-table width per
+    /// measure (a power of two) and word-memo cap — tests pin that neither
+    /// can change a value.
+    pub(crate) fn with_sizes(reuse_slots: usize, jw_cap: usize) -> BatchScratch {
+        debug_assert!(reuse_slots.is_power_of_two());
+        BatchScratch {
+            owner: u64::MAX,
+            left: NO_ROW,
+            stamps: Vec::new(),
+            left_sids: Vec::new(),
+            left_scalars: Vec::new(),
+            local: SeqSpace::default(),
+            arrival: ArrivalBuffers::default(),
+            reuse: Vec::new(),
+            reuse_mask: reuse_slots - 1,
+            generation: 0,
+            jw_words: BoundedMemo::with_cap(jw_cap),
+            kernel: KernelScratch::new(),
+            kernel_calls: 0,
+            reused: 0,
+        }
+    }
+
+    /// Kills every reuse-table slot and word-memo entry: the ids they are
+    /// keyed on are about to change meaning.
+    fn next_generation(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Wrapped: a slot from 2³² generations ago would read as live.
+            self.reuse.fill(Slot::default());
+            self.generation = 1;
+        }
+        self.jw_words.clear();
+    }
+
+    /// Starts an arriving row: no table row is prepared, nothing is local
+    /// yet, and nothing keyed on the last arrival's local ids is live.
+    pub(crate) fn begin_arrival(&mut self) {
+        self.left = NO_ROW;
+        self.local.clear();
+        self.next_generation();
+    }
+
     /// `(kernel calls, reused values)` of the sequence measures so far —
     /// where the per-pair work went, for profiling.
     #[doc(hidden)]
@@ -112,15 +233,16 @@ impl BatchScratch {
         (self.kernel_calls, self.reused)
     }
 
-    /// Ages every stamp epoch to its last value, so the next left-row
-    /// switch wraps — test hook for the wrap path, which otherwise needs
-    /// 2³² switches.
+    /// Ages every stamp epoch and the generation to their last value, so
+    /// the next left-row switch (and the next generation) wraps — test
+    /// hook for the wrap paths, which otherwise need 2³² switches.
     #[doc(hidden)]
     pub fn force_epoch_wrap(&mut self) {
         for st in &mut self.stamps {
             st.epoch = u32::MAX;
         }
-        self.left = usize::MAX;
+        self.generation = u32::MAX;
+        self.left = NO_ROW;
     }
 }
 
@@ -132,12 +254,10 @@ struct SeqGroup {
     members: Vec<(usize, usize)>,
 }
 
-/// Which rows the caches cover and which live feature reads which cache —
-/// resolved by [`ExtractorPlan`], carried unchanged into the extractor.
+/// Which live feature reads which cache.
+#[derive(Default)]
 struct Routes {
     n_features: usize,
-    used_left: Vec<bool>,
-    used_right: Vec<bool>,
     /// Per set plan: the live `(feature, measure)`s reading it.
     set_ops: Vec<Vec<(usize, SetOp)>>,
     seq_groups: Vec<SeqGroup>,
@@ -147,14 +267,263 @@ struct Routes {
     typed_ops: Vec<(usize, usize, TypedOp)>,
 }
 
-/// A reusable batched extractor: caches built once, pairs extracted many
-/// times (optionally restricted to a live-feature mask).
-pub struct BatchExtractor {
+/// The cache plans a feature set needs under a mask, one key per distinct
+/// plan. A key's left column is whatever `left_col` resolved the feature's
+/// left attribute to: a left-table column for a batch extractor, a slot of
+/// the arriving record's attribute list for a growable corpus.
+#[derive(Default)]
+pub(crate) struct PlanKeys {
+    pub(crate) set_keys: Vec<SetKey>,
+    /// The set plan that copies the shared corpora instead of tokenizing.
+    borrowing: Option<usize>,
+    pub(crate) seq_keys: Vec<SeqKey>,
+    pub(crate) typed_keys: Vec<(usize, usize, TypedOp)>,
+    /// Whether a live measure reads word ids.
+    pub(crate) with_words: bool,
+}
+
+impl PlanKeys {
+    /// The plans `features` needs under `mask`, and the routes from its
+    /// live features to them.
+    fn resolve(
+        features: &FeatureSet,
+        mask: &FeatureMask,
+        mut left_col: impl FnMut(&str) -> Result<usize, TableError>,
+        right: &Schema,
+        shared_attrs: Option<(&str, &str)>,
+    ) -> Result<(PlanKeys, Routes), TableError> {
+        let mut keys = PlanKeys::default();
+        let mut routes = Routes { n_features: features.len(), ..Routes::default() };
+        for (k, f) in features.features.iter().enumerate() {
+            // Resolve every feature's columns, live or not: a feature set
+            // that does not fit the tables is an error either way.
+            let lcol = left_col(&f.left_attr)?;
+            let rcol = right.require(&f.right_attr)?;
+            if !mask.is_live(k) {
+                continue;
+            }
+            if let Some((qgram, op)) = set_op(f.kind) {
+                let key = (lcol, rcol, qgram, f.lowercase);
+                let p = position_or_push(&mut keys.set_keys, |have| *have == key, key);
+                if p == routes.set_ops.len() {
+                    routes.set_ops.push(Vec::new());
+                    if !qgram
+                        && f.lowercase
+                        && shared_attrs == Some((f.left_attr.as_str(), f.right_attr.as_str()))
+                    {
+                        keys.borrowing = Some(p);
+                    }
+                }
+                routes.set_ops[p].push((k, op));
+            } else if let Some(op) = seq_op(f.kind) {
+                let key = (lcol, rcol, f.lowercase);
+                let c = position_or_push(&mut keys.seq_keys, |have| *have == key, key);
+                let g = match routes.seq_groups.iter().position(|g| g.op == op) {
+                    Some(g) => g,
+                    None => {
+                        routes.seq_groups.push(SeqGroup { op, partition: 0, members: Vec::new() });
+                        routes.seq_groups.len() - 1
+                    }
+                };
+                routes.seq_groups[g].members.push((k, c));
+                keys.with_words |= op.needs_words();
+            } else if let Some(op) = typed_op(f.kind) {
+                let c = position_or_push(
+                    &mut keys.typed_keys,
+                    |&(l, r, o)| l == lcol && r == rcol && o.shares_column_with(op),
+                    (lcol, rcol, op),
+                );
+                routes.typed_ops.push((k, c, op));
+            }
+        }
+        // Jaro-Winkler is Jaro plus a prefix boost: both read one
+        // partition of Jaro values. Exact match never touches the table.
+        let cached = |op: SeqOp| if op == SeqOp::JaroWinkler { SeqOp::Jaro } else { op };
+        let mut partitions: Vec<SeqOp> = Vec::new();
+        for g in &mut routes.seq_groups {
+            if g.op != SeqOp::Exact {
+                let c = cached(g.op);
+                g.partition = position_or_push(&mut partitions, |&op| op == c, c);
+            }
+        }
+        routes.n_partitions = partitions.len();
+        Ok((keys, routes))
+    }
+}
+
+/// Index of the first element matching `same`, pushing `new` if none does.
+pub(crate) fn position_or_push<T>(items: &mut Vec<T>, same: impl Fn(&T) -> bool, new: T) -> usize {
+    items.iter().position(same).unwrap_or_else(|| {
+        items.push(new);
+        items.len() - 1
+    })
+}
+
+/// The corpus-side caches of the live features and the one routine that
+/// scores a candidate against a prepared left row. Built once by a
+/// [`BatchExtractor`]; built empty and grown by a
+/// [`ServeExtractor`](crate::ServeExtractor).
+pub(crate) struct FeatureCaches {
     id: u64,
     routes: Routes,
-    set_plans: Vec<SetPlan>,
-    seq: SeqCaches,
-    typed_cols: Vec<(TypedColumn, TypedColumn)>,
+    pub(crate) set_plans: Vec<SetPlan>,
+    pub(crate) seq: SeqCaches,
+    pub(crate) typed_cols: Vec<(Vec<Scalar>, Vec<Scalar>)>,
+}
+
+impl FeatureCaches {
+    /// Caches for the live features of `features` under `mask` over no
+    /// rows yet, and the keys of their plans: plan `p` of a kind reads the
+    /// columns `keys` names at `p`.
+    pub(crate) fn empty(
+        features: &FeatureSet,
+        mask: &FeatureMask,
+        left_col: impl FnMut(&str) -> Result<usize, TableError>,
+        right: &Schema,
+    ) -> Result<(FeatureCaches, PlanKeys), TableError> {
+        let (keys, routes) = PlanKeys::resolve(features, mask, left_col, right, None)?;
+        let caches = FeatureCaches {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            routes,
+            set_plans: keys.set_keys.iter().map(|_| SetPlan::default()).collect(),
+            seq: SeqCaches::empty(keys.seq_keys.len(), keys.with_words),
+            typed_cols: keys.typed_keys.iter().map(|_| Default::default()).collect(),
+        };
+        Ok((caches, keys))
+    }
+
+    /// Number of feature slots (live and dead).
+    pub(crate) fn n_features(&self) -> usize {
+        self.routes.n_features
+    }
+
+    /// Points `scratch` at these caches (a no-op when it already is).
+    #[inline]
+    pub(crate) fn bind(&self, scratch: &mut BatchScratch) {
+        if scratch.owner != self.id {
+            self.rebind(scratch);
+        }
+    }
+
+    #[cold]
+    fn rebind(&self, scratch: &mut BatchScratch) {
+        scratch.owner = self.id;
+        scratch.left = NO_ROW;
+        scratch.next_generation();
+        // Per-plan state only ever grows: a plan beyond these caches' own
+        // is never read, a stamp array is sized when its row begins.
+        if scratch.stamps.len() < self.set_plans.len() {
+            scratch.stamps.resize_with(self.set_plans.len(), Stamps::default);
+        }
+        scratch.left_sids.resize(self.seq.columns.len(), NULL_SID);
+        scratch.left_scalars.resize(self.typed_cols.len(), Scalar::Null);
+        let slots = self.routes.n_partitions * (scratch.reuse_mask + 1);
+        if scratch.reuse.len() < slots {
+            scratch.reuse.resize(slots, Slot::default());
+        }
+    }
+
+    /// Makes left-table row `i` the scratch's prepared left row.
+    fn prepare_left(&self, i: usize, scratch: &mut BatchScratch) {
+        for (plan, st) in self.set_plans.iter().zip(&mut scratch.stamps) {
+            let span = plan.left[i];
+            st.left_len = span.len();
+            if st.left_len.is_none() {
+                continue;
+            }
+            st.begin(plan.id_space);
+            for &id in plan.ids(span) {
+                st.mark(id);
+            }
+        }
+        for (sid, col) in scratch.left_sids.iter_mut().zip(&self.seq.columns) {
+            *sid = col.left[i];
+        }
+        for (scalar, (left, _)) in scratch.left_scalars.iter_mut().zip(&self.typed_cols) {
+            *scalar = left[i];
+        }
+        scratch.left = i;
+    }
+
+    /// The value of a non-exact sequence measure on two non-null strings:
+    /// from the reuse table when this scratch already computed it for the
+    /// same two sids in this generation, else from the kernel.
+    fn seq_value(&self, g: &SeqGroup, sids: (u32, u32), scratch: &mut BatchScratch) -> f64 {
+        let BatchScratch {
+            reuse, reuse_mask, generation, local, jw_words, kernel, kernel_calls, reused, ..
+        } = scratch;
+        let tiers = Tiers { corpus: &self.seq.space, local };
+        let winkler = g.op == SeqOp::JaroWinkler;
+        let key = u64::from(sids.0) << 32 | u64::from(sids.1);
+        let hash = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize;
+        let slot = &mut reuse[g.partition * (*reuse_mask + 1) + (hash & *reuse_mask)];
+        let v = if slot.generation == *generation && slot.sids == sids {
+            *reused += 1;
+            f64::from_bits(slot.bits)
+        } else {
+            let op = if winkler { SeqOp::Jaro } else { g.op };
+            let v = op.score(tiers, sids, jw_words, kernel);
+            *kernel_calls += 1;
+            *slot = Slot { generation: *generation, sids, bits: v.to_bits() };
+            v
+        };
+        if winkler {
+            seq::jaro_winkler_boost(v, tiers.chars(sids.0), tiers.chars(sids.1))
+        } else {
+            v
+        }
+    }
+
+    /// Scores right row `j` against the scratch's prepared left row into
+    /// `out` (length [`n_features`](FeatureCaches::n_features)): live
+    /// features get their value, dead features `NaN`. Allocation-free
+    /// apart from Monge-Elkan word-memo growth inside `scratch`.
+    #[inline]
+    pub(crate) fn score(&self, j: usize, scratch: &mut BatchScratch, out: &mut [f64]) {
+        debug_assert_eq!(scratch.owner, self.id, "no left row prepared against these caches");
+        debug_assert_eq!(out.len(), self.routes.n_features);
+        out.fill(f64::NAN);
+        for ((plan, ops), st) in self.set_plans.iter().zip(&self.routes.set_ops).zip(&scratch.stamps)
+        {
+            let right = plan.right[j];
+            let (Some(la), Some(lb)) = (st.left_len, right.len()) else { continue };
+            let mut inter = 0usize;
+            for &id in plan.ids(right) {
+                // An id the corpus produced after the row was prepared is
+                // beyond the stamps, and not in the row.
+                inter += usize::from(st.stamp.get(id as usize) == Some(&st.epoch));
+            }
+            for &(k, op) in ops {
+                out[k] = op.score_counts(inter, la, lb);
+            }
+        }
+        for g in &self.routes.seq_groups {
+            for &(k, c) in &g.members {
+                let sids = (scratch.left_sids[c], self.seq.columns[c].right[j]);
+                if sids.0 == NULL_SID || sids.1 == NULL_SID {
+                    continue;
+                }
+                out[k] = if g.op == SeqOp::Exact {
+                    // Cells are interned: equal sids ⇔ equal strings.
+                    f64::from(sids.0 == sids.1)
+                } else {
+                    self.seq_value(g, sids, scratch)
+                };
+            }
+        }
+        for &(k, c, op) in &self.routes.typed_ops {
+            out[k] = op.score(scratch.left_scalars[c], self.typed_cols[c].1[j]);
+        }
+    }
+}
+
+/// A reusable batched extractor over two tables: caches built once, pairs
+/// extracted many times (optionally restricted to a live-feature mask).
+pub struct BatchExtractor {
+    caches: FeatureCaches,
+    /// Which rows the caches cover.
+    used_left: Vec<bool>,
+    used_right: Vec<bool>,
 }
 
 /// A resolved cache-build plan for one extractor: which plans the live
@@ -166,12 +535,10 @@ pub struct BatchExtractor {
 pub struct ExtractorPlan<'t> {
     a: &'t Table,
     b: &'t Table,
+    used_left: Vec<bool>,
+    used_right: Vec<bool>,
+    keys: PlanKeys,
     routes: Routes,
-    set_keys: Vec<SetKey>,
-    /// The set plan that copies the shared corpora instead of tokenizing.
-    borrowing: Option<usize>,
-    seq_keys: Vec<SeqKey>,
-    typed_keys: Vec<(usize, usize, TypedOp)>,
 }
 
 /// One built leg of an [`ExtractorPlan`].
@@ -179,7 +546,7 @@ pub struct CacheLeg(Leg);
 
 enum Leg {
     Seq(SeqCaches),
-    Typed(Vec<(TypedColumn, TypedColumn)>),
+    Typed(Vec<(Vec<Scalar>, Vec<Scalar>)>),
     /// `None`: left to [`ExtractorPlan::assemble`], which holds the corpora.
     Set(Option<SetPlan>),
 }
@@ -203,82 +570,15 @@ impl<'t> ExtractorPlan<'t> {
         (used_left, used_right): (Vec<bool>, Vec<bool>),
         shared_attrs: Option<(&str, &str)>,
     ) -> Result<ExtractorPlan<'t>, TableError> {
-        let mut plan = ExtractorPlan {
-            a,
-            b,
-            routes: Routes {
-                n_features: features.len(),
-                used_left,
-                used_right,
-                set_ops: Vec::new(),
-                seq_groups: Vec::new(),
-                n_partitions: 0,
-                typed_ops: Vec::new(),
-            },
-            set_keys: Vec::new(),
-            borrowing: None,
-            seq_keys: Vec::new(),
-            typed_keys: Vec::new(),
-        };
-        let routes = &mut plan.routes;
-        for (k, f) in features.features.iter().enumerate() {
-            // Resolve every feature's columns, live or not: a feature set
-            // that does not fit the tables is an error either way.
-            let lcol = a.schema().require(&f.left_attr)?;
-            let rcol = b.schema().require(&f.right_attr)?;
-            if !mask.is_live(k) {
-                continue;
-            }
-            if let Some((qgram, op)) = set_op(f.kind) {
-                let key = (lcol, rcol, qgram, f.lowercase);
-                let p = position_or_push(&mut plan.set_keys, |have| *have == key, key);
-                if p == routes.set_ops.len() {
-                    routes.set_ops.push(Vec::new());
-                    if !qgram
-                        && f.lowercase
-                        && shared_attrs == Some((f.left_attr.as_str(), f.right_attr.as_str()))
-                    {
-                        plan.borrowing = Some(p);
-                    }
-                }
-                routes.set_ops[p].push((k, op));
-            } else if let Some(op) = seq_op(f.kind) {
-                let key = (lcol, rcol, f.lowercase);
-                let c = position_or_push(&mut plan.seq_keys, |have| *have == key, key);
-                let g = match routes.seq_groups.iter().position(|g| g.op == op) {
-                    Some(g) => g,
-                    None => {
-                        routes.seq_groups.push(SeqGroup { op, partition: 0, members: Vec::new() });
-                        routes.seq_groups.len() - 1
-                    }
-                };
-                routes.seq_groups[g].members.push((k, c));
-            } else if let Some(op) = typed_op(f.kind) {
-                let c = position_or_push(
-                    &mut plan.typed_keys,
-                    |&(l, r, o)| l == lcol && r == rcol && o.shares_column_with(op),
-                    (lcol, rcol, op),
-                );
-                routes.typed_ops.push((k, c, op));
-            }
-        }
-        // Jaro-Winkler is Jaro plus a prefix boost: both read one
-        // partition of Jaro values. Exact match never touches the table.
-        let cached = |op: SeqOp| if op == SeqOp::JaroWinkler { SeqOp::Jaro } else { op };
-        let mut partitions: Vec<SeqOp> = Vec::new();
-        for g in &mut routes.seq_groups {
-            if g.op != SeqOp::Exact {
-                let c = cached(g.op);
-                g.partition = position_or_push(&mut partitions, |&op| op == c, c);
-            }
-        }
-        routes.n_partitions = partitions.len();
-        Ok(plan)
+        let left_col = |attr: &str| a.schema().require(attr);
+        let (keys, routes) =
+            PlanKeys::resolve(features, mask, left_col, b.schema(), shared_attrs)?;
+        Ok(ExtractorPlan { a, b, used_left, used_right, keys, routes })
     }
 
     /// How many legs [`build_leg`](ExtractorPlan::build_leg) accepts.
     pub fn n_legs(&self) -> usize {
-        FIXED_LEGS + self.set_keys.len()
+        FIXED_LEGS + self.keys.set_keys.len()
     }
 
     /// Builds leg `i` (a pure function of the tables and `i`). Leg 0, the
@@ -288,22 +588,20 @@ impl<'t> ExtractorPlan<'t> {
     /// If `i >= n_legs()`.
     pub fn build_leg(&self, i: usize) -> CacheLeg {
         let tables = (self.a, self.b);
-        let used = (self.routes.used_left.as_slice(), self.routes.used_right.as_slice());
+        let used = (self.used_left.as_slice(), self.used_right.as_slice());
+        let keys = &self.keys;
         CacheLeg(match i {
-            0 => {
-                let with_words = self.routes.seq_groups.iter().any(|g| g.op.needs_words());
-                Leg::Seq(build_seq_caches(&self.seq_keys, with_words, tables, used))
-            }
+            0 => Leg::Seq(build_seq_caches(&keys.seq_keys, keys.with_words, tables, used)),
             1 => Leg::Typed(
-                self.typed_keys
+                keys.typed_keys
                     .iter()
                     .map(|&(lcol, rcol, op)| {
                         (op.column(self.a, lcol, used.0), op.column(self.b, rcol, used.1))
                     })
                     .collect(),
             ),
-            _ if self.borrowing == Some(i - FIXED_LEGS) => Leg::Set(None),
-            _ => Leg::Set(Some(build_set_plan(self.set_keys[i - FIXED_LEGS], tables, used))),
+            _ if keys.borrowing == Some(i - FIXED_LEGS) => Leg::Set(None),
+            _ => Leg::Set(Some(build_set_plan(keys.set_keys[i - FIXED_LEGS], tables, used))),
         })
     }
 
@@ -334,15 +632,15 @@ impl<'t> ExtractorPlan<'t> {
             return Err(leg_mismatch());
         }
         let tables = (self.a, self.b);
-        let used = (self.routes.used_left.as_slice(), self.routes.used_right.as_slice());
+        let used = (self.used_left.as_slice(), self.used_right.as_slice());
         let mut legs = legs.into_iter();
         let (Some(CacheLeg(Leg::Seq(seq))), Some(CacheLeg(Leg::Typed(typed_cols)))) =
             (legs.next(), legs.next())
         else {
             return Err(leg_mismatch());
         };
-        let mut set_plans = Vec::with_capacity(self.set_keys.len());
-        for (leg, &key) in legs.zip(&self.set_keys) {
+        let mut set_plans = Vec::with_capacity(self.keys.set_keys.len());
+        for (leg, &key) in legs.zip(&self.keys.set_keys) {
             let CacheLeg(Leg::Set(built)) = leg else {
                 return Err(leg_mismatch());
             };
@@ -354,20 +652,18 @@ impl<'t> ExtractorPlan<'t> {
                     .unwrap_or_else(|| build_set_plan(key, tables, used)),
             });
         }
+        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
         Ok(BatchExtractor {
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            routes: self.routes,
-            set_plans,
-            seq,
-            typed_cols,
+            caches: FeatureCaches { id, routes: self.routes, set_plans, seq, typed_cols },
+            used_left: self.used_left,
+            used_right: self.used_right,
         })
     }
 
     /// Builds the legs over `em_parallel` (inline when the referenced rows
     /// are too few to pay for threads) and assembles them.
     fn build(self, shared: Option<SharedWordColumns<'_>>) -> Result<BatchExtractor, TableError> {
-        let routes = &self.routes;
-        let rows = routes.used_left.iter().chain(&routes.used_right).filter(|&&u| u).count();
+        let rows = self.used_left.iter().chain(&self.used_right).filter(|&&u| u).count();
         let executor = if rows * self.n_legs() >= PARALLEL_THRESHOLD {
             Executor::current()
         } else {
@@ -376,14 +672,6 @@ impl<'t> ExtractorPlan<'t> {
         let legs = executor.map_tasks(self.n_legs(), |i| self.build_leg(i));
         self.assemble(legs, shared)
     }
-}
-
-/// Index of the first element matching `same`, pushing `new` if none does.
-fn position_or_push<T>(items: &mut Vec<T>, same: impl Fn(&T) -> bool, new: T) -> usize {
-    items.iter().position(same).unwrap_or_else(|| {
-        items.push(new);
-        items.len() - 1
-    })
 }
 
 impl BatchExtractor {
@@ -449,90 +737,15 @@ impl BatchExtractor {
 
     /// Number of feature slots (live and dead).
     pub fn n_features(&self) -> usize {
-        self.routes.n_features
+        self.caches.n_features()
     }
 
-    /// A scratch for this extractor (and no other).
+    /// A scratch sized for this extractor (any [`BatchScratch`] will do;
+    /// this one has already met it).
     pub fn scratch(&self) -> BatchScratch {
-        self.scratch_with(REUSE_SLOTS, JW_MEMO_CAP)
-    }
-
-    /// [`scratch`](BatchExtractor::scratch) with an explicit reuse-table
-    /// width per measure (a power of two) and word-memo cap — tests pin
-    /// that neither can change a value.
-    pub(crate) fn scratch_with(&self, reuse_slots: usize, jw_cap: usize) -> BatchScratch {
-        debug_assert!(reuse_slots.is_power_of_two());
-        BatchScratch {
-            owner: self.id,
-            left: usize::MAX,
-            stamps: self
-                .set_plans
-                .iter()
-                .map(|p| Stamps { stamp: vec![0; p.id_space], epoch: 0, left_len: None })
-                .collect(),
-            left_sids: vec![NULL_SID; self.seq.columns.len()],
-            reuse: vec![[0; 2]; self.routes.n_partitions * reuse_slots],
-            reuse_mask: reuse_slots - 1,
-            jw_words: BoundedMemo::with_cap(jw_cap),
-            kernel: KernelScratch::new(),
-            kernel_calls: 0,
-            reused: 0,
-        }
-    }
-
-    /// Makes `i` the scratch's prepared left row.
-    fn prepare_left(&self, i: usize, scratch: &mut BatchScratch) {
-        for (plan, st) in self.set_plans.iter().zip(&mut scratch.stamps) {
-            let span = plan.left[i];
-            st.left_len = span.len();
-            if st.left_len.is_none() {
-                continue;
-            }
-            st.epoch = st.epoch.wrapping_add(1);
-            if st.epoch == 0 {
-                // Wrapped: a stamp from 2³² rows ago would read as current.
-                st.stamp.fill(0);
-                st.epoch = 1;
-            }
-            for &id in plan.ids(span) {
-                st.stamp[id as usize] = st.epoch;
-            }
-        }
-        for (sid, col) in scratch.left_sids.iter_mut().zip(&self.seq.columns) {
-            *sid = col.left[i];
-        }
-        scratch.left = i;
-    }
-
-    /// The value of a non-exact sequence measure on two non-null strings:
-    /// from the reuse table when this scratch already computed it for the
-    /// same two sids, else from the kernel.
-    fn seq_value(&self, g: &SeqGroup, sids: (u32, u32), scratch: &mut BatchScratch) -> f64 {
-        let winkler = g.op == SeqOp::JaroWinkler;
-        let tag = !(u64::from(sids.0) << 32 | u64::from(sids.1));
-        let hash = (tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize;
-        let slot = g.partition * (scratch.reuse_mask + 1) + (hash & scratch.reuse_mask);
-        let v = if scratch.reuse[slot][0] == tag {
-            scratch.reused += 1;
-            f64::from_bits(scratch.reuse[slot][1])
-        } else {
-            let op = if winkler { SeqOp::Jaro } else { g.op };
-            let v = op.score(
-                &self.seq.cells,
-                sids,
-                &self.seq.words,
-                &mut scratch.jw_words,
-                &mut scratch.kernel,
-            );
-            scratch.kernel_calls += 1;
-            scratch.reuse[slot] = [tag, v.to_bits()];
-            v
-        };
-        if winkler {
-            seq::jaro_winkler_boost(v, self.seq.cells.chars(sids.0), self.seq.cells.chars(sids.1))
-        } else {
-            v
-        }
+        let mut scratch = BatchScratch::new();
+        self.caches.bind(&mut scratch);
+        scratch
     }
 
     /// Extracts one pair into `out` (length must equal
@@ -547,52 +760,21 @@ impl BatchExtractor {
     /// out `NaN`.
     ///
     /// # Panics
-    /// If `pair` indexes past a table, `out` is shorter than the feature
-    /// set, or `scratch` was created by another extractor.
+    /// If `pair` indexes past a table or `out` is shorter than the feature
+    /// set.
     #[inline]
     pub fn extract_into(&self, p: Pair, scratch: &mut BatchScratch, out: &mut [f64]) {
-        assert_eq!(scratch.owner, self.id, "scratch belongs to another extractor");
-        debug_assert_eq!(out.len(), self.routes.n_features);
         debug_assert!(
-            self.routes.used_left[p.left] && self.routes.used_right[p.right],
+            self.used_left[p.left] && self.used_right[p.right],
             "pair ({}, {}) is outside the rows this extractor was built for",
             p.left,
             p.right
         );
+        self.caches.bind(scratch);
         if scratch.left != p.left {
-            self.prepare_left(p.left, scratch);
+            self.caches.prepare_left(p.left, scratch);
         }
-        out.fill(f64::NAN);
-        for ((plan, ops), st) in self.set_plans.iter().zip(&self.routes.set_ops).zip(&scratch.stamps)
-        {
-            let right = plan.right[p.right];
-            let (Some(la), Some(lb)) = (st.left_len, right.len()) else { continue };
-            let mut inter = 0usize;
-            for &id in plan.ids(right) {
-                inter += usize::from(st.stamp[id as usize] == st.epoch);
-            }
-            for &(k, op) in ops {
-                out[k] = op.score_counts(inter, la, lb);
-            }
-        }
-        for g in &self.routes.seq_groups {
-            for &(k, c) in &g.members {
-                let sids = (scratch.left_sids[c], self.seq.columns[c].right[p.right]);
-                if sids.0 == NULL_SID || sids.1 == NULL_SID {
-                    continue;
-                }
-                out[k] = if g.op == SeqOp::Exact {
-                    // Cells are interned: equal sids ⇔ equal strings.
-                    f64::from(sids.0 == sids.1)
-                } else {
-                    self.seq_value(g, sids, scratch)
-                };
-            }
-        }
-        for &(k, c, op) in &self.routes.typed_ops {
-            let (left, right) = &self.typed_cols[c];
-            out[k] = op.score(left, right, p.left, p.right);
-        }
+        self.caches.score(p.right, scratch, out);
     }
 
     /// Extracts every pair into one row-major matrix
@@ -603,10 +785,10 @@ impl BatchExtractor {
     pub fn extract_matrix(&self, a: &Table, b: &Table, pairs: &[Pair]) -> Vec<f64> {
         assert_eq!(
             (a.n_rows(), b.n_rows()),
-            (self.routes.used_left.len(), self.routes.used_right.len()),
+            (self.used_left.len(), self.used_right.len()),
             "extract_matrix called with other tables than the extractor was built over"
         );
-        let nf = self.routes.n_features;
+        let nf = self.n_features();
         if nf == 0 || pairs.is_empty() {
             return Vec::new();
         }
@@ -765,8 +947,8 @@ mod tests {
             BatchExtractor::for_pairs(&fs, &a, &b, &FeatureMask::full(fs.len()), &pairs).unwrap();
         let mut big = ex.scratch();
         // One slot a measure: every new string pair evicts the last one.
-        let mut tiny = ex.scratch_with(1, 1);
-        let mut no_memo = ex.scratch_with(2, 0);
+        let mut tiny = BatchScratch::with_sizes(1, 1);
+        let mut no_memo = BatchScratch::with_sizes(2, 0);
         let mut o1 = vec![0.0; fs.len()];
         let mut o2 = vec![0.0; fs.len()];
         let mut o3 = vec![0.0; fs.len()];
@@ -793,8 +975,8 @@ mod tests {
         let ((big_calls, big_reused), (tiny_calls, _)) = (big.seq_counts(), tiny.seq_counts());
         assert!(big_reused > 2 * big_calls, "{big_reused} reused vs {big_calls} calls");
         assert!(tiny_calls > 2 * big_calls, "one slot must keep evicting");
-        assert_eq!(tiny.reuse.len(), ex.routes.n_partitions);
-        assert_eq!(big.reuse.len(), ex.routes.n_partitions * REUSE_SLOTS);
+        assert_eq!(tiny.reuse.len(), ex.caches.routes.n_partitions);
+        assert_eq!(big.reuse.len(), ex.caches.routes.n_partitions * REUSE_SLOTS);
         assert!(tiny.jw_words.epochs() > 0, "word memo of one entry must have cycled");
         assert!(tiny.jw_words.len() <= 1);
         assert_eq!(no_memo.jw_words.len(), 0);
@@ -826,15 +1008,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "another extractor")]
-    fn scratch_of_another_extractor_is_refused() {
+    fn one_scratch_serves_two_extractors_in_turn() {
+        // Same features, other tables: every id space collides.
         let (a, b) = tables();
-        let fs = auto_features(&a, &b, &FeatureOptions::default());
+        let fs = every_measure(&a, &b);
         let mask = FeatureMask::full(fs.len());
         let ex1 = BatchExtractor::new(&fs, &a, &b, &mask, None).unwrap();
-        let ex2 = BatchExtractor::new(&fs, &a, &b, &mask, None).unwrap();
+        let ex2 = BatchExtractor::new(&fs, &b, &a, &mask, None).unwrap();
         let mut scratch = ex1.scratch();
-        ex2.extract_into(Pair::new(0, 0), &mut scratch, &mut vec![0.0; fs.len()]);
+        let mut out = vec![0.0; fs.len()];
+        for _ in 0..2 {
+            for p in all_pairs(&a, &b) {
+                for (ex, (l, r), p) in [(&ex1, (&a, &b), p), (&ex2, (&b, &a), Pair::new(p.right, p.left))] {
+                    ex.extract_into(p, &mut scratch, &mut out);
+                    for (k, f) in fs.features.iter().enumerate() {
+                        let direct = f.compute(
+                            l.get(p.left, &f.left_attr).unwrap(),
+                            r.get(p.right, &f.right_attr).unwrap(),
+                        );
+                        assert!(same(out[k], direct), "{} on {p:?}", f.name);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

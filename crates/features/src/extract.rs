@@ -1,7 +1,7 @@
 //! Feature-vector extraction: turning candidate pairs into the matrix the
 //! matchers consume.
 //!
-//! This module owns the **cache plans** the batch kernel
+//! This module owns the **cache plans** the one scoring kernel
 //! ([`crate::batch`]) scores against, and [`extract_vectors`], the
 //! materializing driver over that kernel. Every referenced column is
 //! prepared exactly once per extractor, into flat arenas:
@@ -13,10 +13,17 @@
 //! - the [`SeqCaches`] — one **global** string-id (`sid`) space across both
 //!   tables and every `(left column, right column, case)` plan, with the
 //!   decoded chars (and, when a Monge-Elkan feature is live, interned word
-//!   ids) of each distinct string in a [`CellTable`]; sid equality ⇔
+//!   ids) of each distinct string in a [`SeqSpace`]; sid equality ⇔
 //!   string equality everywhere, so a case-folded plan whose cells lowercase
 //!   to themselves shares its sids with its case-sensitive twin;
-//! - a [`TypedColumns`] pair per numeric/date/boolean attribute pair.
+//! - a [`Scalar`] column pair per numeric/date/boolean attribute pair.
+//!
+//! Every cache grows one cell at a time through its interner
+//! ([`SetPlan::intern`], [`SeqCaches::intern`], [`TypedOp::parse`]). The
+//! batch constructors run a whole column through that path and then drop
+//! the interner; a growable corpus ([`crate::serve`]) keeps it, appends
+//! rows as they are admitted and reads it to recognise an arriving row's
+//! strings.
 //!
 //! All of it is bit-for-bit neutral: the set measures evaluate the
 //! `*_counts` expressions `em_text::set` reduces to, the `*_chars` kernels
@@ -27,15 +34,14 @@
 use crate::batch::BatchExtractor;
 use crate::feature::FeatureKind;
 use crate::generate::FeatureSet;
-use crate::serve::FeatureMask;
+use crate::mask::FeatureMask;
 use em_blocking::Pair;
 use em_parallel::Executor;
 use em_table::{Date, Table, TableError, Value};
 use em_text::intern;
-use em_text::tokenize::{AlphanumericTokenizer, Tokenizer};
+use em_text::tokenize::AlphanumericTokenizer;
 use em_text::{phonetic, seq, FastMap, KernelScratch, TokenCorpus};
 use std::borrow::Cow;
-use std::sync::Arc;
 
 /// Below this many (pair × feature) computations, extraction stays
 /// single-threaded — thread setup would dominate.
@@ -47,6 +53,7 @@ pub(crate) const PARALLEL_THRESHOLD: usize = 20_000;
 /// number of distinct keys. Values must be pure functions of their key
 /// (every memo here is), so eviction can only cost recomputation — never
 /// change a result. A cap of 0 disables memoization entirely.
+#[derive(Debug)]
 pub(crate) struct BoundedMemo<K> {
     map: FastMap<K, f64>,
     cap: usize,
@@ -75,6 +82,11 @@ impl<K: std::hash::Hash + Eq> BoundedMemo<K> {
         self.map.insert(k, v);
     }
 
+    /// Forgets every entry (the keys are about to change meaning).
+    pub(crate) fn clear(&mut self) {
+        self.map.clear();
+    }
+
     #[cfg(test)]
     pub(crate) fn epochs(&self) -> u64 {
         self.epochs
@@ -99,9 +111,9 @@ impl SetOp {
     /// The measure from `(|A∩B|, |A|, |B|)` counts. The `*_sorted`
     /// functions of `em_text::intern` delegate to the same `*_counts`
     /// functions, so this is the identical f64 expression a sorted-merge
-    /// score evaluates — the batch kernel counts the intersection by stamp
-    /// lookups, the serve extractor against probe cells whose unknown
-    /// tokens only contribute to `|A|`.
+    /// score evaluates — the kernel counts the intersection by stamp
+    /// lookups; tokens of an arriving row that the corpus has never
+    /// produced only contribute to `|A|`.
     pub(crate) fn score_counts(self, inter: usize, la: usize, lb: usize) -> f64 {
         match self {
             SetOp::Jaccard => intern::jaccard_counts(inter, la, lb),
@@ -165,18 +177,17 @@ pub(crate) fn monge_elkan_sym_ids(a: &[u32], b: &[u32], mut inner: impl FnMut(u3
 }
 
 impl SeqOp {
-    /// The measure on two distinct-string cells of a [`CellTable`].
+    /// The measure on the two strings `sa` and `sb` name in `t`.
     /// [`SeqOp::Exact`] never gets here — it is the sid comparison itself.
     pub(crate) fn score(
         self,
-        cells: &CellTable,
+        t: Tiers<'_>,
         (sa, sb): (u32, u32),
-        words: &[WordData],
         jw_memo: &mut BoundedMemo<(u32, u32)>,
         ks: &mut KernelScratch,
     ) -> f64 {
         use SeqOp::*;
-        let (ca, cb) = (cells.chars(sa), cells.chars(sb));
+        let (ca, cb) = (t.chars(sa), t.chars(sb));
         match self {
             // Cells are interned: equal string ids ⇔ equal strings.
             Exact => f64::from(sa == sb),
@@ -194,24 +205,20 @@ impl SeqOp {
                     if let Some(v) = jw_memo.get(&(x, y)) {
                         return v;
                     }
-                    let v = seq::jaro_winkler_chars(
-                        ks,
-                        &words[x as usize].chars,
-                        &words[y as usize].chars,
-                    );
+                    let v = seq::jaro_winkler_chars(ks, t.word_chars(x), t.word_chars(y));
                     jw_memo.insert((x, y), v);
                     v
                 };
-                monge_elkan_sym_ids(cells.words(sa), cells.words(sb), inner)
+                monge_elkan_sym_ids(t.word_ids(sa), t.word_ids(sb), inner)
             }
             MongeElkanSoundex => {
                 // Exactly `phonetic::soundex_sim`: 1.0 iff both words have
                 // a code and the codes agree.
-                let inner = |x: u32, y: u32| match (words[x as usize].sdx, words[y as usize].sdx) {
+                let inner = |x: u32, y: u32| match (t.word_sdx(x), t.word_sdx(y)) {
                     (Some(cx), Some(cy)) if cx == cy => 1.0,
                     _ => 0.0,
                 };
-                monge_elkan_sym_ids(cells.words(sa), cells.words(sb), inner)
+                monge_elkan_sym_ids(t.word_ids(sa), t.word_ids(sb), inner)
             }
         }
     }
@@ -237,78 +244,166 @@ pub(crate) fn seq_op(kind: FeatureKind) -> Option<SeqOp> {
     }
 }
 
-/// One normalized cell of the serve extractor: the rendered (and possibly
-/// lowercased) string, decoded exactly once. `sid` is an interned string id
-/// — equal ids mean equal normalized strings across all plans — so it
-/// doubles as the exact-match answer.
-#[derive(Clone)]
-pub(crate) struct NormCell {
-    pub(crate) sid: u32,
-    pub(crate) chars: Arc<[char]>,
-    pub(crate) word_ids: Arc<[u32]>,
-}
-
-/// One distinct word across the whole call: chars decoded once for the
-/// Monge-Elkan inner Jaro-Winkler, Soundex code computed once for the inner
-/// phonetic measure (`None` = no letters, scores 0 against everything).
-pub(crate) struct WordData {
-    pub(crate) chars: Arc<[char]>,
-    pub(crate) sdx: Option<[u8; 4]>,
-}
-
-/// Word-level Soundex code in the fixed-width form [`WordTable`] stores:
-/// `None` when the word has no letters (scores 0 against everything).
-pub(crate) fn soundex_code(w: &str) -> Option<[u8; 4]> {
-    phonetic::soundex(w).map(|code| {
-        let b = code.into_bytes();
-        [b[0], b[1], b[2], b[3]]
-    })
-}
-
-/// Call-wide word interner: every distinct word token is decoded and
-/// Soundex-encoded exactly once, shared by all Monge-Elkan features.
-#[derive(Default)]
-pub(crate) struct WordTable {
-    pub(crate) index: FastMap<String, u32>,
-    pub(crate) data: Vec<WordData>,
-}
-
-impl WordTable {
-    fn intern(&mut self, w: &str) -> u32 {
-        if let Some(&id) = self.index.get(w) {
-            return id;
-        }
-        let id = u32::try_from(self.data.len()).expect("more than u32::MAX distinct words");
-        self.data.push(WordData { chars: w.chars().collect(), sdx: soundex_code(w) });
-        self.index.insert(w.to_string(), id);
-        id
-    }
-}
-
-/// Memoized normalization of one already-rendered (and lowercased, when the
-/// plan asks) string: string id, decoded chars, interned word ids — the
-/// serve extractor's corpus-push path. (The batch caches intern the same
-/// strings into a flat [`CellTable`] instead.)
-pub(crate) fn norm_cell(
-    s: String,
-    memo: &mut FastMap<String, NormCell>,
-    words: &mut WordTable,
-) -> NormCell {
-    if let Some(cell) = memo.get(&s) {
-        return cell.clone();
-    }
-    let sid = u32::try_from(memo.len()).expect("more than u32::MAX distinct strings");
-    let chars: Arc<[char]> = s.chars().collect();
-    let word_ids: Arc<[u32]> =
-        AlphanumericTokenizer.tokenize(&s).iter().map(|w| words.intern(w)).collect();
-    let cell = NormCell { sid, chars, word_ids };
-    memo.insert(s, cell.clone());
-    cell
-}
-
 /// Arena offset as `u32` (every arena here is indexed by `u32`).
 fn offset(len: usize) -> u32 {
     u32::try_from(len).expect("cache arena exceeds u32::MAX entries")
+}
+
+/// The id of the next string or word of a space holding `len`: below
+/// [`LOCAL_BIT`], which tells the two tiers of ids apart.
+fn next_id(len: usize) -> u32 {
+    let id = offset(len);
+    assert!(id < LOCAL_BIT, "more than 2^31 distinct strings or words");
+    id
+}
+
+/// Variable-length rows in one flat vector — row `i` is
+/// `items[starts[i]..starts[i + 1]]` — instead of one heap slice per row.
+#[derive(Debug)]
+pub(crate) struct Arena<T> {
+    starts: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> Default for Arena<T> {
+    fn default() -> Arena<T> {
+        Arena { starts: vec![0], items: Vec::new() }
+    }
+}
+
+impl<T> Arena<T> {
+    pub(crate) fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    #[inline]
+    pub(crate) fn row(&self, i: u32) -> &[T] {
+        let i = i as usize;
+        &self.items[self.starts[i] as usize..self.starts[i + 1] as usize]
+    }
+
+    /// Closes the row the items pushed since the last call make up.
+    fn end_row(&mut self) {
+        self.starts.push(offset(self.items.len()));
+    }
+
+    fn clear(&mut self) {
+        self.starts.truncate(1);
+        self.items.clear();
+    }
+}
+
+/// The strings of one id space, indexed by sid — decoded chars and interned
+/// word ids of every distinct normalized string — and its words, indexed by
+/// word id: chars decoded once for the Monge-Elkan inner Jaro-Winkler,
+/// Soundex code computed once for the inner phonetic measure. The corpus
+/// caches hold one; a scratch holds another for what only the arriving row
+/// has produced (see [`Tiers`]).
+#[derive(Debug, Default)]
+pub(crate) struct SeqSpace {
+    chars: Arena<char>,
+    /// Word ids per string in token order (empty rows unless a Monge-Elkan
+    /// feature is live).
+    word_ids: Arena<u32>,
+    word_chars: Arena<char>,
+    word_sdx: Vec<Option<[u8; 4]>>,
+}
+
+impl SeqSpace {
+    /// Number of distinct strings.
+    pub(crate) fn len(&self) -> usize {
+        self.chars.len()
+    }
+
+    /// Decoded chars of string `sid`.
+    pub(crate) fn chars(&self, sid: u32) -> &[char] {
+        self.chars.row(sid)
+    }
+
+    /// Appends string `s`, its words resolved by `word_id` (which may
+    /// [`push_word`](SeqSpace::push_word) new ones), and returns its sid.
+    pub(crate) fn push_string(
+        &mut self,
+        s: &str,
+        with_words: bool,
+        mut word_id: impl FnMut(&mut SeqSpace, &str) -> u32,
+    ) -> u32 {
+        let sid = next_id(self.len());
+        self.chars.items.extend(s.chars());
+        self.chars.end_row();
+        if with_words {
+            AlphanumericTokenizer.for_each_token(s, |w| {
+                let id = word_id(self, w);
+                self.word_ids.items.push(id);
+            });
+        }
+        self.word_ids.end_row();
+        sid
+    }
+
+    /// Appends word `w` and returns its id.
+    pub(crate) fn push_word(&mut self, w: &str) -> u32 {
+        let id = next_id(self.word_sdx.len());
+        self.word_chars.items.extend(w.chars());
+        self.word_chars.end_row();
+        self.word_sdx.push(phonetic::soundex_code(w));
+        id
+    }
+
+    /// Forgets every string and word, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.chars.clear();
+        self.word_ids.clear();
+        self.word_chars.clear();
+        self.word_sdx.clear();
+    }
+}
+
+/// Sids and word ids with this bit set index the request-local tier: what
+/// an arriving row holds that the corpus has never produced. A local id
+/// equals no corpus id, which is exactly what an unknown string or word
+/// must do.
+pub(crate) const LOCAL_BIT: u32 = 1 << 31;
+
+/// The two id tiers a scoring call can name: the corpus caches' own, and
+/// the prepared arriving row's (empty when the left row is a table row).
+#[derive(Clone, Copy)]
+pub(crate) struct Tiers<'a> {
+    pub(crate) corpus: &'a SeqSpace,
+    pub(crate) local: &'a SeqSpace,
+}
+
+impl<'a> Tiers<'a> {
+    #[inline]
+    fn of(self, id: u32) -> (&'a SeqSpace, u32) {
+        if id & LOCAL_BIT != 0 {
+            (self.local, id ^ LOCAL_BIT)
+        } else {
+            (self.corpus, id)
+        }
+    }
+
+    /// Decoded chars of string `sid`.
+    #[inline]
+    pub(crate) fn chars(self, sid: u32) -> &'a [char] {
+        let (space, i) = self.of(sid);
+        space.chars.row(i)
+    }
+
+    fn word_ids(self, sid: u32) -> &'a [u32] {
+        let (space, i) = self.of(sid);
+        space.word_ids.row(i)
+    }
+
+    fn word_chars(self, word: u32) -> &'a [char] {
+        let (space, i) = self.of(word);
+        space.word_chars.row(i)
+    }
+
+    fn word_sdx(self, word: u32) -> Option<[u8; 4]> {
+        let (space, i) = self.of(word);
+        space.word_sdx[i as usize]
+    }
 }
 
 /// The string a string measure sees for one non-null cell: its rendering,
@@ -316,7 +411,7 @@ fn offset(len: usize) -> u32 {
 /// is already the answer — `str::to_lowercase` maps an ASCII string exactly
 /// as `to_ascii_lowercase` does, and one without uppercase to itself — so
 /// most cells cost no allocation.
-fn normalized(v: &Value, lowercase: bool) -> Cow<'_, str> {
+pub(crate) fn normalized(v: &Value, lowercase: bool) -> Cow<'_, str> {
     let s: Cow<'_, str> = match v.as_str() {
         Some(s) => Cow::Borrowed(s),
         None => Cow::Owned(v.render()),
@@ -341,34 +436,6 @@ fn normalized(v: &Value, lowercase: bool) -> Cow<'_, str> {
 /// Marks a null (or never-referenced) row in a sid column.
 pub(crate) const NULL_SID: u32 = u32::MAX;
 
-/// Decoded chars and interned word ids of every distinct normalized
-/// string, indexed by sid: two flat arenas with `n + 1` offsets each
-/// instead of two `Arc` slices per string.
-#[derive(Default)]
-pub(crate) struct CellTable {
-    char_starts: Vec<u32>,
-    chars: Vec<char>,
-    word_starts: Vec<u32>,
-    word_ids: Vec<u32>,
-}
-
-impl CellTable {
-    /// Decoded chars of string `sid`.
-    #[inline]
-    pub(crate) fn chars(&self, sid: u32) -> &[char] {
-        let s = sid as usize;
-        &self.chars[self.char_starts[s] as usize..self.char_starts[s + 1] as usize]
-    }
-
-    /// Word ids of string `sid` in token order (empty unless the caches
-    /// were built with words).
-    #[inline]
-    pub(crate) fn words(&self, sid: u32) -> &[u32] {
-        let s = sid as usize;
-        &self.word_ids[self.word_starts[s] as usize..self.word_starts[s + 1] as usize]
-    }
-}
-
 /// One normalization plan's sid columns; [`NULL_SID`] marks a null cell
 /// (feature value `NaN`, as always) or a row no pair references.
 pub(crate) struct SeqColumns {
@@ -377,17 +444,57 @@ pub(crate) struct SeqColumns {
 }
 
 /// The sequence-measure caches: per-plan sid columns over one global
-/// [`CellTable`] and word table.
+/// [`SeqSpace`].
 pub(crate) struct SeqCaches {
     pub(crate) columns: Vec<SeqColumns>,
-    pub(crate) cells: CellTable,
-    pub(crate) words: Vec<WordData>,
+    pub(crate) space: SeqSpace,
+    /// Whether strings carry word ids (a Monge-Elkan feature is live).
+    pub(crate) with_words: bool,
+}
+
+/// Which strings and words of a [`SeqCaches`] have ids. One spans both
+/// tables and every plan, so sids are global.
+#[derive(Default)]
+pub(crate) struct SeqInterner {
+    pub(crate) strings: FastMap<String, u32>,
+    pub(crate) words: FastMap<String, u32>,
 }
 
 /// Key of a normalization plan: `(left column, right column, lowercase)`.
 pub(crate) type SeqKey = (usize, usize, bool);
 
-/// Interns sids for the sequence plans in `keys`. One memo spans both
+impl SeqCaches {
+    /// Caches for `n_plans` plans over no rows yet.
+    pub(crate) fn empty(n_plans: usize, with_words: bool) -> SeqCaches {
+        let columns = (0..n_plans).map(|_| SeqColumns { left: Vec::new(), right: Vec::new() });
+        SeqCaches { columns: columns.collect(), space: SeqSpace::default(), with_words }
+    }
+
+    /// The sid of cell `v` ([`NULL_SID`] for a null), interning its
+    /// normalized string if it is new.
+    pub(crate) fn intern(&mut self, v: &Value, lowercase: bool, known: &mut SeqInterner) -> u32 {
+        if v.is_null() {
+            return NULL_SID;
+        }
+        let s = normalized(v, lowercase);
+        if let Some(&sid) = known.strings.get(s.as_ref()) {
+            return sid;
+        }
+        let words = &mut known.words;
+        let sid = self.space.push_string(&s, self.with_words, |space, w| match words.get(w) {
+            Some(&id) => id,
+            None => {
+                let id = space.push_word(w);
+                words.insert(w.to_string(), id);
+                id
+            }
+        });
+        known.strings.insert(s.into_owned(), sid);
+        sid
+    }
+}
+
+/// Interns sids for the sequence plans in `keys`. One interner spans both
 /// tables and every plan, so the pass is sequential by construction — it
 /// is one set-up leg, however many plans it serves.
 pub(crate) fn build_seq_caches(
@@ -396,45 +503,26 @@ pub(crate) fn build_seq_caches(
     (a, b): (&Table, &Table),
     (used_left, used_right): (&[bool], &[bool]),
 ) -> SeqCaches {
-    let mut memo: FastMap<String, u32> = FastMap::default();
-    let mut words = WordTable::default();
-    let mut cells = CellTable { char_starts: vec![0], word_starts: vec![0], ..CellTable::default() };
-    let mut column = |t: &Table, col: usize, lowercase: bool, used: &[bool]| -> Vec<u32> {
-        t.rows()
-            .iter()
-            .zip(used)
-            .map(|(row, &used)| {
-                // Rows no candidate pair references are never read in the
-                // hot loop, so they are not normalized at all.
-                let v = &row[col];
-                if !used || v.is_null() {
-                    return NULL_SID;
+    let mut caches = SeqCaches::empty(keys.len(), with_words);
+    let mut known = SeqInterner::default();
+    for (c, &(lcol, rcol, lowercase)) in keys.iter().enumerate() {
+        // Rows no candidate pair references are never read in the hot
+        // loop, so they are not normalized at all.
+        let mut column = |t: &Table, col: usize, used: &[bool]| -> Vec<u32> {
+            let rows = t.rows().iter().zip(used);
+            rows.map(|(row, &used)| {
+                if used {
+                    caches.intern(&row[col], lowercase, &mut known)
+                } else {
+                    NULL_SID
                 }
-                let s = normalized(v, lowercase);
-                if let Some(&sid) = memo.get(s.as_ref()) {
-                    return sid;
-                }
-                let sid = offset(memo.len());
-                cells.chars.extend(s.chars());
-                cells.char_starts.push(offset(cells.chars.len()));
-                if with_words {
-                    AlphanumericTokenizer
-                        .for_each_token(&s, |w| cells.word_ids.push(words.intern(w)));
-                }
-                cells.word_starts.push(offset(cells.word_ids.len()));
-                memo.insert(s.into_owned(), sid);
-                sid
             })
             .collect()
-    };
-    let columns = keys
-        .iter()
-        .map(|&(lcol, rcol, lowercase)| SeqColumns {
-            left: column(a, lcol, lowercase, used_left),
-            right: column(b, rcol, lowercase, used_right),
-        })
-        .collect();
-    SeqCaches { columns, cells, words: words.data }
+        };
+        let (left, right) = (column(a, lcol, used_left), column(b, rcol, used_right));
+        caches.columns[c] = SeqColumns { left, right };
+    }
+    caches
 }
 
 /// One row's slice of a [`SetPlan`] arena.
@@ -459,11 +547,84 @@ impl Span {
 /// tables in a single arena. Ids come from the plan's private interner
 /// (or, for a borrowed plan, the blocking join's token cache) and are all
 /// below `id_space`; set measures are invariant to the id assignment.
+#[derive(Default)]
 pub(crate) struct SetPlan {
     ids: Vec<u32>,
     pub(crate) left: Vec<Span>,
     pub(crate) right: Vec<Span>,
     pub(crate) id_space: usize,
+}
+
+/// Key of a tokenization plan:
+/// `(left column, right column, qgram, lowercase)`.
+pub(crate) type SetKey = (usize, usize, bool, bool);
+
+/// Token-id assignment for one tokenization plan, and the spans of the
+/// strings it has tokenized. Grams are keyed by their three chars directly
+/// — no heap key, no per-gram string building — while words and
+/// shorter-than-q whole strings key by string. The namespaces can't collide
+/// (a gram is exactly 3 chars, a short string fewer), so ids from one
+/// shared counter preserve token identity exactly as a single string
+/// interner would. One interner spans both columns, so ids compare across
+/// tables.
+#[derive(Default)]
+pub(crate) struct SetInterner {
+    grams: FastMap<[char; 3], u32>,
+    strings: FastMap<String, u32>,
+    next: u32,
+    spans: FastMap<String, Span>,
+}
+
+/// One token of a set plan's stream.
+#[derive(Clone, Copy)]
+pub(crate) enum Token<'a> {
+    Gram([char; 3]),
+    Str(&'a str),
+}
+
+/// The token stream of one normalized string under a plan. `qgram` is the
+/// exact stream of `QgramTokenizer::new(3)` — empty → none, shorter than q
+/// → the whole string, else char windows — with no `String` built per
+/// gram; otherwise the word tokens.
+pub(crate) fn for_each_token<'a>(s: &'a str, qgram: bool, mut f: impl FnMut(Token<'a>)) {
+    if !qgram {
+        return AlphanumericTokenizer.for_each_token(s, |w| f(Token::Str(w)));
+    }
+    let (mut window, mut n_chars) = (['\0'; 3], 0usize);
+    for c in s.chars() {
+        window = [window[1], window[2], c];
+        n_chars += 1;
+        if n_chars >= 3 {
+            f(Token::Gram(window));
+        }
+    }
+    if n_chars == 1 || n_chars == 2 {
+        f(Token::Str(s));
+    }
+}
+
+impl SetInterner {
+    /// The id of `token`, assigning the next one if it is new.
+    fn id(&mut self, token: Token<'_>) -> u32 {
+        if let Some(id) = self.get(token) {
+            return id;
+        }
+        let id = self.next;
+        self.next += 1;
+        match token {
+            Token::Gram(g) => self.grams.insert(g, id),
+            Token::Str(s) => self.strings.insert(s.to_string(), id),
+        };
+        id
+    }
+
+    /// Read-only lookup (an arriving row never grows the interner).
+    pub(crate) fn get(&self, token: Token<'_>) -> Option<u32> {
+        match token {
+            Token::Gram(g) => self.grams.get(&g).copied(),
+            Token::Str(s) => self.strings.get(s).copied(),
+        }
+    }
 }
 
 impl SetPlan {
@@ -475,143 +636,66 @@ impl SetPlan {
             None => &[],
         }
     }
-}
 
-/// Key of a tokenization plan:
-/// `(left column, right column, qgram, lowercase)`.
-pub(crate) type SetKey = (usize, usize, bool, bool);
-
-/// Token-id assignment for one tokenization plan. Grams are keyed by their
-/// three chars directly — no heap key, no per-gram string building — while
-/// words and shorter-than-q whole strings key by string. The namespaces
-/// can't collide (a gram is exactly 3 chars, a short string fewer), so ids
-/// from one shared counter preserve token identity exactly as a single
-/// string interner would.
-#[derive(Default)]
-pub(crate) struct PlanInterner {
-    grams: FastMap<[char; 3], u32>,
-    strings: FastMap<String, u32>,
-    next: u32,
-}
-
-impl PlanInterner {
-    fn gram(&mut self, g: [char; 3]) -> u32 {
-        *self.grams.entry(g).or_insert_with(|| {
-            let id = self.next;
-            self.next += 1;
-            id
-        })
-    }
-
-    fn string(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.strings.get(s) {
-            return id;
+    /// The span of cell `v` ([`Span::NULL`] for a null). A string new to
+    /// `known` is tokenized and its **sorted distinct** interned ids
+    /// appended to the arena.
+    pub(crate) fn intern(
+        &mut self,
+        v: &Value,
+        (qgram, lowercase): (bool, bool),
+        known: &mut SetInterner,
+    ) -> Span {
+        if v.is_null() {
+            return Span::NULL;
         }
-        let id = self.next;
-        self.next += 1;
-        self.strings.insert(s.to_string(), id);
-        id
-    }
-
-    /// Read-only gram lookup (serve probe cells never grow the interner).
-    pub(crate) fn get_gram(&self, g: [char; 3]) -> Option<u32> {
-        self.grams.get(&g).copied()
-    }
-
-    /// Read-only string/word lookup.
-    pub(crate) fn get_string(&self, s: &str) -> Option<u32> {
-        self.strings.get(s).copied()
-    }
-}
-
-/// Tokenizes one normalized string under a plan (`qgram` → 3-gram windows,
-/// else word tokens) and appends its **sorted distinct** interned ids to
-/// `out`. `cbuf` is a reusable char buffer.
-fn plan_tokenize_into(
-    s: &str,
-    qgram: bool,
-    interner: &mut PlanInterner,
-    cbuf: &mut Vec<char>,
-    out: &mut Vec<u32>,
-) {
-    let start = out.len();
-    if qgram {
-        // The exact token stream of `QgramTokenizer::new(3)` (empty → none,
-        // shorter than q → the whole string, else char windows), with each
-        // gram interned straight from its window — no `String` is ever
-        // built per gram.
-        cbuf.clear();
-        cbuf.extend(s.chars());
-        if cbuf.len() >= 3 {
-            out.extend(cbuf.windows(3).map(|w| interner.gram([w[0], w[1], w[2]])));
-        } else if !cbuf.is_empty() {
-            out.push(interner.string(s));
+        let s = normalized(v, lowercase);
+        if let Some(&span) = known.spans.get(s.as_ref()) {
+            return span;
         }
-    } else {
-        AlphanumericTokenizer.for_each_token(s, |tok| out.push(interner.string(tok)));
-    }
-    out[start..].sort_unstable();
-    let mut kept = start;
-    for i in start..out.len() {
-        if kept == start || out[kept - 1] != out[i] {
-            out[kept] = out[i];
-            kept += 1;
+        let start = self.ids.len();
+        let ids = &mut self.ids;
+        for_each_token(&s, qgram, |token| ids.push(known.id(token)));
+        ids[start..].sort_unstable();
+        let mut kept = start;
+        for i in start..ids.len() {
+            if kept == start || ids[kept - 1] != ids[i] {
+                ids[kept] = ids[i];
+                kept += 1;
+            }
         }
+        ids.truncate(kept);
+        let span = Span { start: offset(start), len: offset(kept - start) };
+        known.spans.insert(s.into_owned(), span);
+        self.id_space = known.next as usize;
+        span
     }
-    out.truncate(kept);
 }
 
-/// [`plan_tokenize_into`] into a fresh list — the serve extractor's
-/// corpus-push path.
-pub(crate) fn plan_tokenize(
-    s: &str,
-    qgram: bool,
-    interner: &mut PlanInterner,
-    cbuf: &mut Vec<char>,
-) -> Vec<u32> {
-    let mut ids = Vec::new();
-    plan_tokenize_into(s, qgram, interner, cbuf, &mut ids);
-    ids
-}
-
-/// Tokenizes both columns of one plan through a private interner. One
-/// interner + memo spans both columns so ids compare across tables; plans
+/// Tokenizes both columns of one plan through a private interner. Plans
 /// share nothing, so each is an independent set-up leg.
 pub(crate) fn build_set_plan(
     (lcol, rcol, qgram, lowercase): SetKey,
     (a, b): (&Table, &Table),
     (used_left, used_right): (&[bool], &[bool]),
 ) -> SetPlan {
-    let mut interner = PlanInterner::default();
-    let mut memo: FastMap<String, Span> = FastMap::default();
-    let mut ids: Vec<u32> = Vec::new();
-    let mut cbuf: Vec<char> = Vec::new();
+    let mut plan = SetPlan::default();
+    let mut known = SetInterner::default();
+    // Rows no candidate pair references are never read in the hot loop, so
+    // they are not tokenized at all.
     let mut column = |t: &Table, col: usize, used: &[bool]| -> Vec<Span> {
-        t.rows()
-            .iter()
-            .zip(used)
-            .map(|(row, &used)| {
-                // Rows no candidate pair references are never read in the
-                // hot loop, so they are not tokenized at all.
-                let v = &row[col];
-                if !used || v.is_null() {
-                    return Span::NULL;
-                }
-                let s = normalized(v, lowercase);
-                if let Some(&span) = memo.get(s.as_ref()) {
-                    return span;
-                }
-                let start = ids.len();
-                plan_tokenize_into(&s, qgram, &mut interner, &mut cbuf, &mut ids);
-                let span = Span { start: offset(start), len: offset(ids.len() - start) };
-                memo.insert(s.into_owned(), span);
-                span
-            })
-            .collect()
+        let rows = t.rows().iter().zip(used);
+        rows.map(|(row, &used)| {
+            if used {
+                plan.intern(&row[col], (qgram, lowercase), &mut known)
+            } else {
+                Span::NULL
+            }
+        })
+        .collect()
     };
-    let left = column(a, lcol, used_left);
-    let right = column(b, rcol, used_right);
-    SetPlan { ids, left, right, id_space: interner.next as usize }
+    let (left, right) = (column(a, lcol, used_left), column(b, rcol, used_right));
+    SetPlan { left, right, ..plan }
 }
 
 /// Copies an already-tokenized [`TokenCorpus`] pair into a plan's arena
@@ -662,22 +746,24 @@ pub(crate) fn borrow_set_plan(
     Some(SetPlan { ids, left: left_spans, right: right_spans, id_space })
 }
 
-/// The scalar view a non-string feature reads, parsed once per cell.
-/// `None` is a null cell, a cell of another type, or a row no pair
-/// references — all `NaN`, as in [`Feature::compute`](crate::Feature).
-pub(crate) enum TypedColumn {
+/// The scalar a non-string feature reads, parsed once per cell. `Null` is
+/// a null cell, a cell of another type, or a row no pair references — all
+/// `NaN`, as in [`Feature::compute`](crate::Feature).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Scalar {
+    Null,
     /// `Value::as_f64` (the `Num*` features).
-    Num(Vec<Option<f64>>),
+    Num(f64),
     /// `Date::day_number` (`DateYearGap` subtracts day numbers).
-    Day(Vec<Option<i64>>),
+    Day(i64),
     /// The date itself (`DateExact` compares fields: dirty dates such as
     /// `2/30/09` share a day number with a valid neighbour).
-    Date(Vec<Option<Date>>),
+    Date(Date),
     /// `Value::as_bool`.
-    Bool(Vec<Option<bool>>),
+    Bool(bool),
 }
 
-/// The measure a non-string feature computes on [`TypedColumn`] scalars.
+/// The measure a non-string feature computes on [`Scalar`]s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum TypedOp {
     NumExact,
@@ -702,69 +788,55 @@ pub(crate) fn typed_op(kind: FeatureKind) -> Option<TypedOp> {
 }
 
 impl TypedOp {
-    /// Parses one column into the view this measure reads.
-    pub(crate) fn column(self, t: &Table, col: usize, used: &[bool]) -> TypedColumn {
-        fn parse<T>(
-            t: &Table,
-            col: usize,
-            used: &[bool],
-            f: impl Fn(&Value) -> Option<T>,
-        ) -> Vec<Option<T>> {
-            t.rows().iter().zip(used).map(|(row, &u)| if u { f(&row[col]) } else { None }).collect()
-        }
+    /// Parses one cell into the scalar this measure reads.
+    pub(crate) fn parse(self, v: &Value) -> Scalar {
         match self {
             TypedOp::NumExact | TypedOp::NumAbsDiff | TypedOp::NumRelSim => {
-                TypedColumn::Num(parse(t, col, used, Value::as_f64))
+                v.as_f64().map_or(Scalar::Null, Scalar::Num)
             }
             TypedOp::DateYearGap => {
-                TypedColumn::Day(parse(t, col, used, |v| v.as_date().map(|d| d.day_number())))
+                v.as_date().map_or(Scalar::Null, |d| Scalar::Day(d.day_number()))
             }
-            TypedOp::DateExact => TypedColumn::Date(parse(t, col, used, Value::as_date)),
-            TypedOp::BoolExact => TypedColumn::Bool(parse(t, col, used, Value::as_bool)),
+            TypedOp::DateExact => v.as_date().map_or(Scalar::Null, Scalar::Date),
+            TypedOp::BoolExact => v.as_bool().map_or(Scalar::Null, Scalar::Bool),
         }
     }
 
-    /// True when `self` and `other` read the same [`TypedColumn`] view.
+    /// Parses the referenced rows of one column.
+    pub(crate) fn column(self, t: &Table, col: usize, used: &[bool]) -> Vec<Scalar> {
+        let rows = t.rows().iter().zip(used);
+        rows.map(|(row, &u)| if u { self.parse(&row[col]) } else { Scalar::Null }).collect()
+    }
+
+    /// True when `self` and `other` parse cells into the same scalar.
     pub(crate) fn shares_column_with(self, other: TypedOp) -> bool {
         use TypedOp::*;
         let num = |op| matches!(op, NumExact | NumAbsDiff | NumRelSim);
         self == other || (num(self) && num(other))
     }
 
-    /// The feature value on rows `(i, j)` — each arm is the expression
-    /// [`Feature::compute`](crate::Feature::compute) evaluates on the same
-    /// scalars.
+    /// The feature value on two scalars this measure parsed — each arm is
+    /// the expression [`Feature::compute`](crate::Feature::compute)
+    /// evaluates on the same scalars.
     #[inline]
-    pub(crate) fn score(self, left: &TypedColumn, right: &TypedColumn, i: usize, j: usize) -> f64 {
+    pub(crate) fn score(self, left: Scalar, right: Scalar) -> f64 {
         match (left, right) {
-            (TypedColumn::Num(l), TypedColumn::Num(r)) => match (l[i], r[j]) {
-                (Some(x), Some(y)) => match self {
-                    TypedOp::NumExact => f64::from(x == y),
-                    TypedOp::NumAbsDiff => (x - y).abs(),
-                    _ => {
-                        let denom = x.abs().max(y.abs());
-                        if denom == 0.0 {
-                            1.0
-                        } else {
-                            1.0 - ((x - y).abs() / denom).min(1.0)
-                        }
+            (Scalar::Num(x), Scalar::Num(y)) => match self {
+                TypedOp::NumExact => f64::from(x == y),
+                TypedOp::NumAbsDiff => (x - y).abs(),
+                _ => {
+                    let denom = x.abs().max(y.abs());
+                    if denom == 0.0 {
+                        1.0
+                    } else {
+                        1.0 - ((x - y).abs() / denom).min(1.0)
                     }
-                },
-                _ => f64::NAN,
+                }
             },
-            (TypedColumn::Day(l), TypedColumn::Day(r)) => match (l[i], r[j]) {
-                (Some(x), Some(y)) => ((x - y).abs() as f64) / 365.25,
-                _ => f64::NAN,
-            },
-            (TypedColumn::Date(l), TypedColumn::Date(r)) => match (l[i], r[j]) {
-                (Some(x), Some(y)) => f64::from(x == y),
-                _ => f64::NAN,
-            },
-            (TypedColumn::Bool(l), TypedColumn::Bool(r)) => match (l[i], r[j]) {
-                (Some(x), Some(y)) => f64::from(x == y),
-                _ => f64::NAN,
-            },
-            _ => unreachable!("both columns of a typed plan are parsed by the same op"),
+            (Scalar::Day(x), Scalar::Day(y)) => ((x - y).abs() as f64) / 365.25,
+            (Scalar::Date(x), Scalar::Date(y)) => f64::from(x == y),
+            (Scalar::Bool(x), Scalar::Bool(y)) => f64::from(x == y),
+            _ => f64::NAN,
         }
     }
 }

@@ -28,6 +28,7 @@ pub mod batch;
 pub mod extract;
 pub mod feature;
 pub mod generate;
+pub mod mask;
 pub mod serve;
 pub mod types;
 
@@ -38,5 +39,6 @@ pub use batch::{
 pub use extract::extract_vectors;
 pub use feature::{Feature, FeatureKind};
 pub use generate::{auto_features, FeatureOptions, FeatureSet};
-pub use serve::{ExtractScratch, FeatureMask, ServeExtractor};
+pub use mask::FeatureMask;
+pub use serve::ServeExtractor;
 pub use types::{infer_attr_type, joint_attr_type, AttrType};

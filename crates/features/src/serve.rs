@@ -1,306 +1,92 @@
-//! Serve-path feature extraction: persistent corpus caches, model-aware
-//! feature masks, and per-request scratch.
+//! A growable corpus and one arriving record: the serve-side driver of
+//! the scoring kernel.
 //!
-//! [`extract_vectors`](crate::extract_vectors) is built for batch calls: it
-//! (re)builds its tokenization and normalization caches for **every** call,
-//! walking all rows of both tables per plan. That amortizes beautifully over
+//! [`extract_vectors`](crate::extract_vectors) builds its caches per call,
+//! walking the referenced rows of both tables per plan. That amortizes over
 //! tens of thousands of candidate pairs and is catastrophic for an online
-//! service extracting ~a dozen candidates per arriving record — per-record
-//! cost becomes `O(corpus × plans)` regardless of how few pairs survive
-//! blocking.
+//! service extracting ~a dozen candidates per arriving record.
+//! [`ServeExtractor`] flips the lifecycle and nothing else: it holds the
+//! same [`FeatureCaches`] a [`BatchExtractor`](crate::BatchExtractor)
+//! does, with an empty left side, *keeps* the interners the batch
+//! constructors drop, and grows the right side row by row
+//! ([`push_right_row`](ServeExtractor::push_right_row)) as the corpus
+//! evolves. A request prepares the one arriving record as the scratch's
+//! left row ([`prepare`](ServeExtractor::prepare), read-only on the
+//! corpus) and scores each surviving candidate through the kernel the
+//! batch paths use ([`extract_into`](ServeExtractor::extract_into)).
 //!
-//! [`ServeExtractor`] flips the lifecycle: the corpus-side caches (interned
-//! token-id lists per set plan, normalized cells + the word table for the
-//! sequence plans) are built **once** and grown row-by-row via
-//! [`push_right_row`](ServeExtractor::push_right_row) as the corpus evolves.
-//! A request then only normalizes the single arriving record into a
-//! [`ExtractScratch`]-backed probe cell ([`prepare`](ServeExtractor::prepare),
-//! once per record), and each surviving candidate is scored against the
-//! pre-tokenized corpus row with zero allocations
-//! ([`extract_into`](ServeExtractor::extract_into)).
+//! What the corpus has never produced stays **request-local**, and that is
+//! bit-neutral feature by feature:
 //!
-//! Bit-identity with the batch path holds feature-by-feature:
+//! - Set measures depend only on `(|A∩B|, |A|, |B|)`. A token without a
+//!   corpus id can intersect nothing, so it is counted into `|A|` and never
+//!   stamped.
+//! - A string without a corpus sid gets a local sid (and its chars a place
+//!   in the scratch): it equals no corpus string, which is the exact-match
+//!   answer, and the kernels read the same decoded chars either way.
+//! - Monge-Elkan folds over word ids; a word without a corpus id gets a
+//!   local one, resolved to its chars and Soundex code in the scratch.
 //!
-//! - Set measures depend only on `(|A∩B|, |A|, |B|)`. Probe tokens are
-//!   looked up **read-only** in the persistent per-plan interner; a token
-//!   the corpus has never produced can intersect nothing, so it contributes
-//!   to `|A|` only. The score then runs through the same `*_counts`
-//!   functions the batch `*_sorted` measures delegate to — the identical
-//!   f64 expression on identical integers.
-//! - Sequence kernels run on the same decoded `&[char]` content through the
-//!   same `em_text::seq` kernels; exact-match compares interned string ids,
-//!   where a probe string absent from the persistent memo equals no corpus
-//!   string by construction.
-//! - Monge-Elkan folds through the same
-//!   [`monge_elkan_sym_ids`](crate::extract::monge_elkan_sym_ids) shape with
-//!   inner measures resolved over the persistent word table (probe-only
-//!   words get request-local entries).
-//!
-//! A [`FeatureMask`] (derived from the fitted model's split walk plus the
-//! rule-referenced attribute pairs — see `em-serve`) prunes extraction to
-//! the features the downstream scorer can actually read; dead slots are
-//! filled with `NaN`, which mean-imputation maps to an unread column mean.
+//! The [`FeatureMask`] (derived from the fitted model's split walk plus the
+//! rule-referenced attribute pairs — see `em-serve`) is bound at
+//! construction: dead features get no plan, so nothing is built, pushed or
+//! prepared for them.
 
+use crate::batch::{position_or_push, BatchScratch, FeatureCaches, PlanKeys};
 use crate::extract::{
-    monge_elkan_sym_ids, norm_cell, plan_tokenize, set_op, seq_op, soundex_code, NormCell,
-    PlanInterner, SeqOp, SetOp, WordTable,
+    for_each_token, normalized, SeqInterner, SetInterner, Token, LOCAL_BIT, NULL_SID,
 };
 use crate::generate::FeatureSet;
+use crate::mask::FeatureMask;
 use em_table::{Table, TableError, Value};
-use em_text::intern::{overlap_size_sorted, TokenIds};
-use em_text::tokenize::{AlphanumericTokenizer, Tokenizer};
-use em_text::{seq, with_scratch, FastMap};
-use std::collections::HashMap;
-use std::sync::Arc;
-
-/// Which features of a plan are *live* — actually read by the fitted model
-/// or a rule-referenced attribute pair. Dead features are skipped at serve
-/// time and their slots filled with `NaN`.
-#[derive(Debug, Clone)]
-pub struct FeatureMask {
-    live: Vec<bool>,
-    n_live: usize,
-}
-
-impl FeatureMask {
-    /// A mask over `n_features` slots with exactly the given indices live.
-    /// Out-of-range indices are ignored.
-    pub fn from_live_indices(
-        n_features: usize,
-        indices: impl IntoIterator<Item = usize>,
-    ) -> FeatureMask {
-        let mut live = vec![false; n_features];
-        for i in indices {
-            if let Some(slot) = live.get_mut(i) {
-                *slot = true;
-            }
-        }
-        let n_live = live.iter().filter(|&&b| b).count();
-        FeatureMask { live, n_live }
-    }
-
-    /// The mask that keeps every feature — batch semantics.
-    pub fn full(n_features: usize) -> FeatureMask {
-        FeatureMask { live: vec![true; n_features], n_live: n_features }
-    }
-
-    /// True when feature `k` must be computed.
-    pub fn is_live(&self, k: usize) -> bool {
-        self.live.get(k).copied().unwrap_or(false)
-    }
-
-    /// Number of live features.
-    pub fn n_live(&self) -> usize {
-        self.n_live
-    }
-
-    /// Total number of feature slots.
-    pub fn len(&self) -> usize {
-        self.live.len()
-    }
-
-    /// True when the mask has no slots at all.
-    pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
-    }
-
-    /// True when at least one feature is dead — masking actually prunes.
-    pub fn is_strict_subset(&self) -> bool {
-        self.n_live < self.live.len()
-    }
-
-    /// Iterates the live feature indices in ascending order.
-    pub fn live_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.live.iter().enumerate().filter(|(_, &b)| b).map(|(i, _)| i)
-    }
-}
-
-/// Encoded word reference: plain ids index the persistent word table;
-/// ids with [`LOCAL_BIT`] set index the request-local words of the probe
-/// cell (words the corpus has never produced).
-const LOCAL_BIT: u32 = 1 << 31;
-
-/// A probe-only word: decoded chars + Soundex code, request-local.
-#[derive(Debug, Default, Clone)]
-struct LocalWord {
-    chars: Vec<char>,
-    sdx: Option<[u8; 4]>,
-}
-
-/// Per-request probe cell of one set plan.
-#[derive(Debug, Default)]
-struct SetProbeCell {
-    present: bool,
-    /// Sorted distinct *known* token ids (plan-interner space).
-    ids: Vec<u32>,
-    /// Distinct probe tokens, known + unknown — `|A|` for the measures.
-    la: usize,
-}
-
-/// Per-request probe cell of one sequence plan.
-#[derive(Debug, Default)]
-struct SeqProbeCell {
-    present: bool,
-    /// Persistent string id when the normalized probe string is one the
-    /// corpus has produced; `None` means it equals no corpus string.
-    sid: Option<u32>,
-    chars: Vec<char>,
-    /// Encoded word ids ([`LOCAL_BIT`] marks request-local words).
-    word_ids: Vec<u32>,
-    locals: Vec<LocalWord>,
-}
-
-/// Reusable per-request buffers for [`ServeExtractor`]. All contained
-/// collections retain capacity across requests (`clear()`, not drop), so a
-/// warmed-up serving loop prepares probes and extracts candidates without
-/// allocating.
-#[derive(Default)]
-pub struct ExtractScratch {
-    set_left: Vec<SetProbeCell>,
-    seq_left: Vec<SeqProbeCell>,
-    /// Per-feature left column index in the arrival table's schema.
-    fallback_left: Vec<usize>,
-    /// Request-scoped inner Jaro-Winkler memo, keyed on ordered encoded
-    /// word-id pairs (cleared per request: local ids are request-scoped).
-    jw: FastMap<(u32, u32), f64>,
-    cbuf: Vec<char>,
-    ugrams: Vec<[char; 3]>,
-    ustrings: Vec<String>,
-}
-
-impl ExtractScratch {
-    /// Fresh scratch with empty buffers.
-    pub fn new() -> ExtractScratch {
-        ExtractScratch::default()
-    }
-}
-
-impl std::fmt::Debug for ExtractScratch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExtractScratch")
-            .field("set_plans", &self.set_left.len())
-            .field("seq_plans", &self.seq_left.len())
-            .field("jw_memo", &self.jw.len())
-            .finish()
-    }
-}
-
-/// Persistent state of one tokenization plan (set features).
-struct SetPlan {
-    left_attr: String,
-    right_col: usize,
-    qgram: bool,
-    lowercase: bool,
-    interner: PlanInterner,
-    memo: FastMap<String, TokenIds>,
-    /// Per corpus row: sorted distinct token ids, `None` for null cells.
-    right: Vec<Option<TokenIds>>,
-}
-
-/// Persistent state of one normalization plan (sequence features).
-struct SeqPlan {
-    left_attr: String,
-    right_col: usize,
-    lowercase: bool,
-    /// Per corpus row: normalized cell, `None` for null cells.
-    right: Vec<Option<NormCell>>,
-}
 
 /// Persistent serve-side feature extractor over an evolving corpus.
 ///
-/// Construction tokenizes/normalizes every corpus row once;
-/// [`push_right_row`](ServeExtractor::push_right_row) grows the caches in
-/// place as records are admitted. Requests are read-only (`&self`), so a
-/// service can extract from multiple threads without locking.
+/// Construction runs every corpus row through
+/// [`push_right_row`](ServeExtractor::push_right_row), which also grows the
+/// caches in place as records are admitted. Requests are read-only
+/// (`&self`), so a service can extract from multiple threads without
+/// locking.
 pub struct ServeExtractor {
     features: FeatureSet,
-    /// Per feature: column index in the corpus schema.
-    right_idx: Vec<usize>,
-    set_route: Vec<Option<(usize, SetOp)>>,
-    seq_route: Vec<Option<(usize, SeqOp)>>,
-    set_plans: Vec<SetPlan>,
-    seq_plans: Vec<SeqPlan>,
-    /// One memo + word table spans all sequence plans, so string ids are
-    /// global: sid equality ⇔ string equality everywhere.
-    seq_memo: FastMap<String, NormCell>,
-    words: WordTable,
+    caches: FeatureCaches,
+    /// The columns each cache plan reads; a key's left column indexes
+    /// `left_attrs`, the distinct left attributes.
+    keys: PlanKeys,
+    left_attrs: Vec<String>,
+    /// Per set plan: its token ids and tokenized strings.
+    set_known: Vec<SetInterner>,
+    seq_known: SeqInterner,
     n_rows: usize,
-    /// Push-side char buffer.
-    cbuf: Vec<char>,
-}
-
-impl std::fmt::Debug for ServeExtractor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeExtractor")
-            .field("n_features", &self.features.len())
-            .field("set_plans", &self.set_plans.len())
-            .field("seq_plans", &self.seq_plans.len())
-            .field("n_rows", &self.n_rows)
-            .finish()
-    }
 }
 
 impl ServeExtractor {
-    /// Builds the extractor for `features` over the current `corpus`
-    /// (right-side) rows. Fails if a feature references a column absent
-    /// from the corpus schema.
+    /// Builds the extractor for every feature of `features` over the
+    /// current `corpus` (right-side) rows. Fails if a feature references a
+    /// column absent from the corpus schema.
     pub fn new(features: &FeatureSet, corpus: &Table) -> Result<ServeExtractor, TableError> {
-        let mut right_idx = Vec::with_capacity(features.len());
-        for f in &features.features {
-            right_idx.push(corpus.schema().require(&f.right_attr)?);
-        }
-        let mut set_index: HashMap<(String, usize, bool, bool), usize> = HashMap::new();
-        let mut seq_index: HashMap<(String, usize, bool), usize> = HashMap::new();
-        let mut set_plans: Vec<SetPlan> = Vec::new();
-        let mut seq_plans: Vec<SeqPlan> = Vec::new();
-        let mut set_route = Vec::with_capacity(features.len());
-        let mut seq_route = Vec::with_capacity(features.len());
-        for (k, f) in features.features.iter().enumerate() {
-            if let Some((qgram, op)) = set_op(f.kind) {
-                let key = (f.left_attr.clone(), right_idx[k], qgram, f.lowercase);
-                let plan = *set_index.entry(key).or_insert_with(|| {
-                    set_plans.push(SetPlan {
-                        left_attr: f.left_attr.clone(),
-                        right_col: right_idx[k],
-                        qgram,
-                        lowercase: f.lowercase,
-                        interner: PlanInterner::default(),
-                        memo: FastMap::default(),
-                        right: Vec::new(),
-                    });
-                    set_plans.len() - 1
-                });
-                set_route.push(Some((plan, op)));
-            } else {
-                set_route.push(None);
-            }
-            if let Some(op) = seq_op(f.kind) {
-                let key = (f.left_attr.clone(), right_idx[k], f.lowercase);
-                let plan = *seq_index.entry(key).or_insert_with(|| {
-                    seq_plans.push(SeqPlan {
-                        left_attr: f.left_attr.clone(),
-                        right_col: right_idx[k],
-                        lowercase: f.lowercase,
-                        right: Vec::new(),
-                    });
-                    seq_plans.len() - 1
-                });
-                seq_route.push(Some((plan, op)));
-            } else {
-                seq_route.push(None);
-            }
-        }
+        ServeExtractor::with_mask(features, corpus, &FeatureMask::full(features.len()))
+    }
+
+    /// [`new`](ServeExtractor::new) restricted to `mask`'s live features.
+    pub fn with_mask(
+        features: &FeatureSet,
+        corpus: &Table,
+        mask: &FeatureMask,
+    ) -> Result<ServeExtractor, TableError> {
+        let mut left_attrs: Vec<String> = Vec::new();
+        let left_col = |attr: &str| {
+            Ok(position_or_push(&mut left_attrs, |have| have == attr, attr.to_string()))
+        };
+        let (caches, keys) = FeatureCaches::empty(features, mask, left_col, corpus.schema())?;
         let mut ex = ServeExtractor {
             features: features.clone(),
-            right_idx,
-            set_route,
-            seq_route,
-            set_plans,
-            seq_plans,
-            seq_memo: FastMap::default(),
-            words: WordTable::default(),
+            caches,
+            set_known: keys.set_keys.iter().map(|_| SetInterner::default()).collect(),
+            keys,
+            left_attrs,
+            seq_known: SeqInterner::default(),
             n_rows: 0,
-            cbuf: Vec::new(),
         };
         for row in corpus.rows() {
             ex.push_right_row(row);
@@ -318,307 +104,136 @@ impl ServeExtractor {
         &self.features
     }
 
-    /// Tokenizes/normalizes one newly-admitted corpus row into every plan's
-    /// cache. Must be called for corpus rows in order (row `n_rows` next).
+    /// Tokenizes/normalizes/parses one newly-admitted corpus row into every
+    /// live plan's cache. Must be called for corpus rows in order (row
+    /// `n_rows` next).
     pub fn push_right_row(&mut self, row: &[Value]) {
-        for plan in &mut self.set_plans {
-            let v: &Value = &row[plan.right_col];
-            let cell = if v.is_null() {
-                None
-            } else {
-                let mut s = v.render();
-                if plan.lowercase {
-                    // Allow-listed cache-build site: once per admitted row.
-                    #[allow(clippy::disallowed_methods)]
-                    {
-                        s = s.to_lowercase();
-                    }
-                }
-                Some(match plan.memo.get(&s) {
-                    Some(ids) => Arc::clone(ids),
-                    None => {
-                        let ids: TokenIds =
-                            Arc::from(plan_tokenize(&s, plan.qgram, &mut plan.interner, &mut self.cbuf));
-                        plan.memo.insert(s, Arc::clone(&ids));
-                        ids
-                    }
-                })
-            };
-            plan.right.push(cell);
+        let caches = &mut self.caches;
+        for ((plan, &(_, rcol, qgram, lowercase)), known) in
+            caches.set_plans.iter_mut().zip(&self.keys.set_keys).zip(&mut self.set_known)
+        {
+            let span = plan.intern(&row[rcol], (qgram, lowercase), known);
+            plan.right.push(span);
         }
-        for plan in &mut self.seq_plans {
-            let v: &Value = &row[plan.right_col];
-            let cell = if v.is_null() {
-                None
-            } else {
-                let mut s = v.render();
-                if plan.lowercase {
-                    // Allow-listed cache-build site: once per admitted row.
-                    #[allow(clippy::disallowed_methods)]
-                    {
-                        s = s.to_lowercase();
-                    }
-                }
-                Some(norm_cell(s, &mut self.seq_memo, &mut self.words))
-            };
-            plan.right.push(cell);
+        for (c, &(_, rcol, lowercase)) in self.keys.seq_keys.iter().enumerate() {
+            let sid = caches.seq.intern(&row[rcol], lowercase, &mut self.seq_known);
+            caches.seq.columns[c].right.push(sid);
+        }
+        for ((_, right), &(_, rcol, op)) in caches.typed_cols.iter_mut().zip(&self.keys.typed_keys) {
+            right.push(op.parse(&row[rcol]));
         }
         self.n_rows += 1;
     }
 
-    /// Normalizes the arriving record `arrivals[i]` into `scratch`'s probe
-    /// cells — once per request, before any candidate is scored. Persistent
-    /// state is only *read*: probe tokens and words absent from the corpus
-    /// caches become request-local entries. Fails if a feature's left
-    /// column is absent from the arrival schema or `i` is out of range.
+    /// Makes the arriving record `arrivals[i]` the prepared left row of
+    /// `scratch` — once per request, before any candidate is scored. The
+    /// corpus caches are only *read*: tokens they have no id for are
+    /// counted, strings and words they have no id for get request-local
+    /// ones. Allocation-free once the scratch has warmed up. Fails if a
+    /// feature's left column is absent from the arrival schema or `i` is
+    /// out of range.
     pub fn prepare(
         &self,
         arrivals: &Table,
         i: usize,
-        scratch: &mut ExtractScratch,
+        scratch: &mut BatchScratch,
     ) -> Result<(), TableError> {
         let row = arrivals.rows().get(i).ok_or_else(|| TableError::KeyViolation {
             column: "arrival".to_string(),
             detail: format!("row {i} out of range"),
         })?;
-        scratch.set_left.resize_with(self.set_plans.len(), SetProbeCell::default);
-        scratch.seq_left.resize_with(self.seq_plans.len(), SeqProbeCell::default);
-        scratch.fallback_left.clear();
-        for f in &self.features.features {
-            scratch.fallback_left.push(arrivals.schema().require(&f.left_attr)?);
-        }
-        scratch.jw.clear();
-
-        for (p, plan) in self.set_plans.iter().enumerate() {
-            let cell = &mut scratch.set_left[p];
-            cell.ids.clear();
-            cell.la = 0;
-            let col = arrivals.schema().require(&plan.left_attr)?;
-            let v: &Value = &row[col];
-            if v.is_null() {
-                cell.present = false;
-                continue;
-            }
-            cell.present = true;
-            let mut s = v.render();
-            if plan.lowercase {
-                // Allow-listed probe-normalization site: once per request.
-                #[allow(clippy::disallowed_methods)]
-                {
-                    s = s.to_lowercase();
-                }
-            }
-            if plan.qgram {
-                scratch.cbuf.clear();
-                scratch.cbuf.extend(s.chars());
-                if scratch.cbuf.is_empty() {
-                    // Empty string tokenizes to nothing: |A| = 0.
-                } else if scratch.cbuf.len() < 3 {
-                    // Whole-string token (the QgramTokenizer short-string
-                    // convention): known or not, it is one distinct token.
-                    if let Some(id) = plan.interner.get_string(&s) {
-                        cell.ids.push(id);
-                    }
-                    cell.la = 1;
-                } else {
-                    scratch.ugrams.clear();
-                    for w in scratch.cbuf.windows(3) {
-                        match plan.interner.get_gram([w[0], w[1], w[2]]) {
-                            Some(id) => cell.ids.push(id),
-                            None => scratch.ugrams.push([w[0], w[1], w[2]]),
-                        }
-                    }
-                    cell.ids.sort_unstable();
-                    cell.ids.dedup();
-                    scratch.ugrams.sort_unstable();
-                    scratch.ugrams.dedup();
-                    cell.la = cell.ids.len() + scratch.ugrams.len();
-                }
-            } else {
-                scratch.ustrings.clear();
-                for tok in AlphanumericTokenizer.tokenize(&s) {
-                    match plan.interner.get_string(&tok) {
-                        Some(id) => cell.ids.push(id),
-                        None => scratch.ustrings.push(tok),
-                    }
-                }
-                cell.ids.sort_unstable();
-                cell.ids.dedup();
-                scratch.ustrings.sort_unstable();
-                scratch.ustrings.dedup();
-                cell.la = cell.ids.len() + scratch.ustrings.len();
-            }
+        self.caches.bind(scratch);
+        scratch.begin_arrival();
+        let BatchScratch { stamps, left_sids, left_scalars, local, arrival: buf, .. } = scratch;
+        buf.left_cols.clear();
+        for attr in &self.left_attrs {
+            buf.left_cols.push(arrivals.schema().require(attr)?);
         }
 
-        for (p, plan) in self.seq_plans.iter().enumerate() {
-            let cell = &mut scratch.seq_left[p];
-            cell.chars.clear();
-            cell.word_ids.clear();
-            cell.locals.clear();
-            cell.sid = None;
-            let col = arrivals.schema().require(&plan.left_attr)?;
-            let v: &Value = &row[col];
+        for (((plan, &(lcol, _, qgram, lowercase)), known), st) in
+            self.caches.set_plans.iter().zip(&self.keys.set_keys).zip(&self.set_known).zip(stamps)
+        {
+            let v = &row[buf.left_cols[lcol]];
             if v.is_null() {
-                cell.present = false;
+                st.left_len = None;
                 continue;
             }
-            cell.present = true;
-            let mut s = v.render();
-            if plan.lowercase {
-                // Allow-listed probe-normalization site: once per request.
-                #[allow(clippy::disallowed_methods)]
+            let s = normalized(v, lowercase);
+            st.begin(plan.id_space);
+            buf.grams.clear();
+            buf.words.clear();
+            buf.text.clear();
+            // Known tokens are stamped (and counted once); the others can
+            // intersect nothing and only count towards |A|.
+            let mut distinct = 0usize;
+            for_each_token(&s, qgram, |token| match (known.get(token), token) {
+                (Some(id), _) => distinct += usize::from(st.mark(id)),
+                (None, Token::Gram(g)) => buf.grams.push(g),
+                (None, Token::Str(w)) => {
+                    buf.words.push((buf.text.len(), buf.text.len() + w.len()));
+                    buf.text.push_str(w);
+                }
+            });
+            let text = &buf.text;
+            buf.grams.sort_unstable();
+            buf.grams.dedup();
+            buf.words.sort_unstable_by_key(|&(from, to)| &text[from..to]);
+            buf.words.dedup_by_key(|&mut (from, to)| &text[from..to]);
+            st.left_len = Some(distinct + buf.grams.len() + buf.words.len());
+        }
+
+        let with_words = self.caches.seq.with_words;
+        for (sid, &(lcol, _, lowercase)) in left_sids.iter_mut().zip(&self.keys.seq_keys) {
+            let v = &row[buf.left_cols[lcol]];
+            if v.is_null() {
+                *sid = NULL_SID;
+                continue;
+            }
+            let s = normalized(v, lowercase);
+            *sid = match self.seq_known.strings.get(s.as_ref()) {
+                Some(&known) => known,
+                // Two plans often normalize to one string: one local sid.
+                None => match (0..local.len() as u32)
+                    .find(|&n| local.chars(n).iter().copied().eq(s.chars()))
                 {
-                    s = s.to_lowercase();
-                }
-            }
-            if let Some(known) = self.seq_memo.get(&s) {
-                cell.sid = Some(known.sid);
-                cell.chars.extend_from_slice(&known.chars);
-                cell.word_ids.extend_from_slice(&known.word_ids);
-            } else {
-                cell.chars.extend(s.chars());
-                for w in AlphanumericTokenizer.tokenize(&s) {
-                    match self.words.index.get(&w) {
-                        Some(&id) => cell.word_ids.push(id),
-                        None => {
-                            let local = u32::try_from(cell.locals.len())
-                                .ok()
-                                .filter(|&n| n < LOCAL_BIT)
-                                .unwrap_or(LOCAL_BIT - 1);
-                            cell.word_ids.push(LOCAL_BIT | local);
-                            cell.locals
-                                .push(LocalWord { sdx: soundex_code(&w), chars: w.chars().collect() });
-                        }
+                    Some(n) => LOCAL_BIT | n,
+                    None => {
+                        LOCAL_BIT
+                            | local.push_string(&s, with_words, |local, w| {
+                                match self.seq_known.words.get(w) {
+                                    Some(&id) => id,
+                                    None => LOCAL_BIT | local.push_word(w),
+                                }
+                            })
                     }
-                }
-            }
+                },
+            };
+        }
+
+        for (scalar, &(lcol, _, op)) in left_scalars.iter_mut().zip(&self.keys.typed_keys) {
+            *scalar = op.parse(&row[buf.left_cols[lcol]]);
         }
         Ok(())
     }
 
-    /// Chars of an encoded word id (persistent table or request-local).
-    fn word_chars<'a>(&'a self, locals: &'a [LocalWord], enc: u32) -> &'a [char] {
-        if enc & LOCAL_BIT != 0 {
-            &locals[(enc ^ LOCAL_BIT) as usize].chars
-        } else {
-            &self.words.data[enc as usize].chars
-        }
-    }
-
-    /// Soundex code of an encoded word id.
-    fn word_sdx(&self, locals: &[LocalWord], enc: u32) -> Option<[u8; 4]> {
-        if enc & LOCAL_BIT != 0 {
-            locals[(enc ^ LOCAL_BIT) as usize].sdx
-        } else {
-            self.words.data[enc as usize].sdx
-        }
-    }
-
-    /// Extracts the feature vector of candidate pair
-    /// `(arrivals[i], corpus[right_key])` into `out`: live features get the
-    /// batch-identical value, dead features `NaN`. The probe cells of
-    /// `scratch` must have been [`prepare`](ServeExtractor::prepare)d for
-    /// this arrival. This is the allocation-free per-candidate path.
-    #[allow(clippy::too_many_arguments)] // one hot-path entry point: tables, pair, mask, buffers
-    pub fn extract_into(
-        &self,
-        arrivals: &Table,
-        i: usize,
-        corpus: &Table,
-        right_key: usize,
-        mask: &FeatureMask,
-        scratch: &mut ExtractScratch,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        let ra = &arrivals.rows()[i];
-        let rb = &corpus.rows()[right_key];
-        let ExtractScratch { set_left, seq_left, fallback_left, jw, .. } = scratch;
-        for (k, f) in self.features.features.iter().enumerate() {
-            if !mask.is_live(k) {
-                out.push(f64::NAN);
-                continue;
-            }
-            if let Some((p, op)) = self.set_route[k] {
-                let cell = &set_left[p];
-                let val = match (cell.present, &self.set_plans[p].right[right_key]) {
-                    (true, Some(rids)) => {
-                        op.score_counts(overlap_size_sorted(&cell.ids, rids), cell.la, rids.len())
-                    }
-                    _ => f64::NAN,
-                };
-                out.push(val);
-                continue;
-            }
-            if let Some((p, op)) = self.seq_route[k] {
-                let cell = &seq_left[p];
-                let val = match (cell.present, &self.seq_plans[p].right[right_key]) {
-                    (true, Some(rc)) => self.seq_score(op, cell, rc, jw),
-                    _ => f64::NAN,
-                };
-                out.push(val);
-                continue;
-            }
-            out.push(f.compute(&ra[fallback_left[k]], &rb[self.right_idx[k]]));
-        }
-    }
-
-    /// One sequence-feature value against a cached corpus cell — the same
-    /// kernels and fold shapes as the batch path, with probe-only words
-    /// resolved through the request-local table.
-    fn seq_score(
-        &self,
-        op: SeqOp,
-        lc: &SeqProbeCell,
-        rc: &NormCell,
-        jw: &mut FastMap<(u32, u32), f64>,
-    ) -> f64 {
-        match op {
-            // Cells are interned: equal string ids ⇔ equal strings; a probe
-            // string the memo has never seen equals no corpus string.
-            SeqOp::Exact => f64::from(lc.sid == Some(rc.sid)),
-            SeqOp::MongeElkanJw => with_scratch(|s| {
-                let mut inner = |x: u32, y: u32| {
-                    if let Some(&v) = jw.get(&(x, y)) {
-                        return v;
-                    }
-                    let v = seq::jaro_winkler_chars(
-                        s,
-                        self.word_chars(&lc.locals, x),
-                        self.word_chars(&lc.locals, y),
-                    );
-                    jw.insert((x, y), v);
-                    v
-                };
-                monge_elkan_sym_ids(&lc.word_ids, &rc.word_ids, &mut inner)
-            }),
-            SeqOp::MongeElkanSoundex => {
-                let inner = |x: u32, y: u32| match (
-                    self.word_sdx(&lc.locals, x),
-                    self.word_sdx(&lc.locals, y),
-                ) {
-                    (Some(cx), Some(cy)) if cx == cy => 1.0,
-                    _ => 0.0,
-                };
-                monge_elkan_sym_ids(&lc.word_ids, &rc.word_ids, inner)
-            }
-            _ => with_scratch(|s| match op {
-                SeqOp::LevSim => seq::levenshtein_sim_chars(s, &lc.chars, &rc.chars),
-                SeqOp::Jaro => seq::jaro_chars(s, &lc.chars, &rc.chars),
-                SeqOp::JaroWinkler => seq::jaro_winkler_chars(s, &lc.chars, &rc.chars),
-                SeqOp::NeedlemanWunsch => seq::needleman_wunsch_sim_chars(s, &lc.chars, &rc.chars),
-                SeqOp::SmithWaterman => seq::smith_waterman_sim_chars(s, &lc.chars, &rc.chars),
-                _ => unreachable!("handled above"),
-            }),
-        }
+    /// Extracts the feature vector of the prepared arrival against corpus
+    /// row `right_key` into `out` (one slot per feature of the plan): live
+    /// features get the batch-identical value, dead features `NaN`.
+    /// `scratch` must have been [`prepare`](ServeExtractor::prepare)d by
+    /// this extractor for the arrival. This is the allocation-free
+    /// per-candidate path — the kernel every batch path scores through.
+    #[inline]
+    pub fn extract_into(&self, right_key: usize, scratch: &mut BatchScratch, out: &mut [f64]) {
+        self.caches.score(right_key, scratch, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extract_vectors;
+    use crate::feature::{Feature, FeatureKind};
     use crate::generate::{auto_features, FeatureOptions};
+    use crate::BatchExtractor;
     use em_blocking::Pair;
     use em_table::csv::read_str;
 
@@ -651,14 +266,23 @@ mod tests {
         .unwrap()
     }
 
-    fn all_pairs(a: &Table, b: &Table) -> Vec<Pair> {
-        let mut pairs = Vec::new();
-        for i in 0..a.n_rows() {
-            for j in 0..b.n_rows() {
-                pairs.push(Pair::new(i, j));
+    /// `auto_features` plus every string measure on `Title` in both cases —
+    /// the menu alone would never see Monge-Elkan on titles this short.
+    fn every_measure(a: &Table, b: &Table) -> FeatureSet {
+        use FeatureKind::*;
+        let mut fs = auto_features(a, b, &FeatureOptions::default().with_case_insensitive());
+        for kind in [
+            ExactStr, LevSim, Jaro, JaroWinkler, NeedlemanWunsch, SmithWaterman, JaccardQgram3,
+            JaccardWord, CosineWord, OverlapCoeffWord, DiceQgram3, MongeElkanJw, MongeElkanSoundex,
+        ] {
+            for lowercase in [false, true] {
+                let f = Feature::new("Title", "Title", kind, lowercase);
+                if !fs.features.contains(&f) {
+                    fs.push(f);
+                }
             }
         }
-        pairs
+        fs
     }
 
     fn assert_bits_eq(got: f64, want: f64, what: &str) {
@@ -668,61 +292,67 @@ mod tests {
         );
     }
 
-    #[test]
-    fn full_mask_matches_batch_extraction_bitwise() {
-        let (a, b) = (arrivals(), corpus());
-        let fs = auto_features(&a, &b, &FeatureOptions::default().with_case_insensitive());
-        let pairs = all_pairs(&a, &b);
-        let batch = extract_vectors(&fs, &a, &b, &pairs).unwrap();
-        let ex = ServeExtractor::new(&fs, &b).unwrap();
-        let mask = FeatureMask::full(fs.len());
-        let mut scratch = ExtractScratch::new();
-        let mut out = Vec::new();
-        for (r, p) in pairs.iter().enumerate() {
-            ex.prepare(&a, p.left, &mut scratch).unwrap();
-            ex.extract_into(&a, p.left, &b, p.right, &mask, &mut scratch, &mut out);
-            assert_eq!(out.len(), fs.len());
-            for k in 0..fs.len() {
-                assert_bits_eq(
-                    out[k],
-                    batch[r][k],
-                    &format!("pair ({},{}) feature {}", p.left, p.right, fs.features[k].name),
-                );
+    /// Prepares `a[i]` and checks every corpus row's vector against
+    /// `Feature::compute` (live slots) and `NaN` (dead slots).
+    fn check_arrival(
+        ex: &ServeExtractor,
+        mask: &FeatureMask,
+        (a, b): (&Table, &Table),
+        i: usize,
+        scratch: &mut BatchScratch,
+    ) {
+        assert_eq!(ex.n_rows(), b.n_rows());
+        let fs = ex.features();
+        let mut out = vec![0.0; fs.len()];
+        ex.prepare(a, i, scratch).unwrap();
+        for j in 0..b.n_rows() {
+            ex.extract_into(j, scratch, &mut out);
+            for (k, f) in fs.features.iter().enumerate() {
+                let want = if mask.is_live(k) {
+                    f.compute(a.get(i, &f.left_attr).unwrap(), b.get(j, &f.right_attr).unwrap())
+                } else {
+                    f64::NAN
+                };
+                assert_bits_eq(out[k], want, &format!("pair ({i},{j}) feature {}", f.name));
             }
+        }
+    }
+
+    #[test]
+    fn full_mask_matches_feature_compute_bitwise() {
+        let (a, b) = (arrivals(), corpus());
+        let fs = every_measure(&a, &b);
+        let ex = ServeExtractor::new(&fs, &b).unwrap();
+        let mut scratch = BatchScratch::new();
+        for i in 0..a.n_rows() {
+            check_arrival(&ex, &FeatureMask::full(fs.len()), (&a, &b), i, &mut scratch);
         }
     }
 
     #[test]
     fn masked_extraction_nans_dead_slots_and_preserves_live() {
         let (a, b) = (arrivals(), corpus());
-        let fs = auto_features(&a, &b, &FeatureOptions::default().with_case_insensitive());
-        let pairs = all_pairs(&a, &b);
-        let batch = extract_vectors(&fs, &a, &b, &pairs).unwrap();
+        let fs = every_measure(&a, &b);
         // Every third feature live.
         let mask =
             FeatureMask::from_live_indices(fs.len(), (0..fs.len()).filter(|k| k % 3 == 0));
         assert!(mask.is_strict_subset());
         assert!(mask.n_live() > 0);
-        let ex = ServeExtractor::new(&fs, &b).unwrap();
-        let mut scratch = ExtractScratch::new();
-        let mut out = Vec::new();
-        for (r, p) in pairs.iter().enumerate() {
-            ex.prepare(&a, p.left, &mut scratch).unwrap();
-            ex.extract_into(&a, p.left, &b, p.right, &mask, &mut scratch, &mut out);
-            for k in 0..fs.len() {
-                if mask.is_live(k) {
-                    assert_bits_eq(out[k], batch[r][k], &format!("live feature {k}"));
-                } else {
-                    assert!(out[k].is_nan(), "dead feature {k} must be NaN, got {}", out[k]);
-                }
-            }
+        let ex = ServeExtractor::with_mask(&fs, &b, &mask).unwrap();
+        // Dead features get no plan: one live feature, one cache.
+        let one = FeatureMask::from_live_indices(fs.len(), [0]);
+        let one = ServeExtractor::with_mask(&fs, &b, &one).unwrap();
+        assert_eq!(one.keys.set_keys.len() + one.keys.seq_keys.len() + one.keys.typed_keys.len(), 1);
+        let mut scratch = BatchScratch::new();
+        for i in 0..a.n_rows() {
+            check_arrival(&ex, &mask, (&a, &b), i, &mut scratch);
         }
     }
 
     #[test]
     fn incremental_growth_equals_fresh_construction() {
         let (a, b) = (arrivals(), corpus());
-        let fs = auto_features(&a, &b, &FeatureOptions::default().with_case_insensitive());
+        let fs = every_measure(&a, &b);
         // Grow from the first two rows to all rows one by one.
         let head = read_str("B", "Title,Amount\ncorn fungicide guidelines,10\nTotally Different,5\n")
             .unwrap();
@@ -732,15 +362,14 @@ mod tests {
         }
         assert_eq!(grown.n_rows(), b.n_rows());
         let fresh = ServeExtractor::new(&fs, &b).unwrap();
-        let mask = FeatureMask::full(fs.len());
-        let (mut s1, mut s2) = (ExtractScratch::new(), ExtractScratch::new());
-        let (mut o1, mut o2) = (Vec::new(), Vec::new());
+        let (mut s1, mut s2) = (BatchScratch::new(), BatchScratch::new());
+        let (mut o1, mut o2) = (vec![0.0; fs.len()], vec![0.0; fs.len()]);
         for i in 0..a.n_rows() {
             grown.prepare(&a, i, &mut s1).unwrap();
             fresh.prepare(&a, i, &mut s2).unwrap();
             for j in 0..b.n_rows() {
-                grown.extract_into(&a, i, &b, j, &mask, &mut s1, &mut o1);
-                fresh.extract_into(&a, i, &b, j, &mask, &mut s2, &mut o2);
+                grown.extract_into(j, &mut s1, &mut o1);
+                fresh.extract_into(j, &mut s2, &mut o2);
                 for k in 0..fs.len() {
                     assert_bits_eq(o1[k], o2[k], &format!("pair ({i},{j}) feature {k}"));
                 }
@@ -749,28 +378,111 @@ mod tests {
     }
 
     #[test]
-    fn mask_accessors_are_consistent() {
-        let mask = FeatureMask::from_live_indices(5, [0, 3, 3, 9]);
-        assert_eq!(mask.len(), 5);
-        assert_eq!(mask.n_live(), 2);
-        assert!(mask.is_live(0) && mask.is_live(3));
-        assert!(!mask.is_live(1) && !mask.is_live(9));
-        assert!(mask.is_strict_subset());
-        assert_eq!(mask.live_indices().collect::<Vec<_>>(), vec![0, 3]);
-        let full = FeatureMask::full(4);
-        assert!(!full.is_strict_subset());
-        assert_eq!(full.n_live(), 4);
-        assert!(!full.is_empty());
-    }
-
-    #[test]
     fn prepare_rejects_bad_inputs() {
         let (a, b) = (arrivals(), corpus());
         let fs = auto_features(&a, &b, &FeatureOptions::default());
         let ex = ServeExtractor::new(&fs, &b).unwrap();
-        let mut scratch = ExtractScratch::new();
+        let mut scratch = BatchScratch::new();
         assert!(ex.prepare(&a, 999, &mut scratch).is_err());
         let wrong = read_str("A", "Other\nx\n").unwrap();
         assert!(ex.prepare(&wrong, 0, &mut scratch).is_err());
+        // A refused request leaves the scratch fit for the next one.
+        check_arrival(&ex, &FeatureMask::full(fs.len()), (&a, &b), 0, &mut scratch);
+    }
+
+    #[test]
+    fn one_scratch_alternates_between_extractors_with_colliding_ids() {
+        // Two corpora whose sids, word ids and token ids all start at 0 and
+        // name different things; a batch extractor over a third pair of
+        // tables shares the scratch too.
+        let (a, b) = (arrivals(), corpus());
+        let b2 = read_str(
+            "B",
+            "Title,Amount\nZebra Grazing Study,10\ncorn dodder xylophone,2\nab,\n\
+             Quixotic Jargon Zebra,4\n,\n",
+        )
+        .unwrap();
+        let fs = every_measure(&a, &b);
+        let mask = FeatureMask::full(fs.len());
+        let ex1 = ServeExtractor::new(&fs, &b).unwrap();
+        let ex2 = ServeExtractor::new(&fs, &b2).unwrap();
+        let batch = BatchExtractor::new(&fs, &b2, &b, &mask, None).unwrap();
+        let mut scratch = BatchScratch::new();
+        let mut out = vec![0.0; fs.len()];
+        for round in 0..3 {
+            for i in 0..a.n_rows() {
+                check_arrival(&ex1, &mask, (&a, &b), i, &mut scratch);
+                check_arrival(&ex2, &mask, (&a, &b2), i, &mut scratch);
+                let p = Pair::new(i % b2.n_rows(), (i + round) % b.n_rows());
+                batch.extract_into(p, &mut scratch, &mut out);
+                for (k, f) in fs.features.iter().enumerate() {
+                    let want = f.compute(
+                        b2.get(p.left, &f.left_attr).unwrap(),
+                        b.get(p.right, &f.right_attr).unwrap(),
+                    );
+                    assert_bits_eq(out[k], want, &format!("batch {p:?} feature {}", f.name));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn local_ids_do_not_outlive_their_request() {
+        // Consecutive arrivals whose unknown strings and words differ but
+        // get the same request-local ids (local sid 0, local words 0..3),
+        // scored against the same corpus rows — through a reuse table and
+        // a word memo of any size, across a generation wrap.
+        let b = corpus();
+        let a = read_str(
+            "A",
+            "Title,Amount\n\
+             zebra quixotic jargon,1\n\
+             yak quixotic jargon,1\n\
+             zebra quixotic jargon,1\n\
+             corn fungicide guidelinez,1\n\
+             xx,1\n\
+             yy,1\n",
+        )
+        .unwrap();
+        let fs = every_measure(&a, &b);
+        let mask = FeatureMask::full(fs.len());
+        let ex = ServeExtractor::new(&fs, &b).unwrap();
+        for mut scratch in
+            [BatchScratch::new(), BatchScratch::with_sizes(1, 1), BatchScratch::with_sizes(2, 0)]
+        {
+            for round in 0..2 {
+                for i in 0..a.n_rows() {
+                    if round == 1 && i == 2 {
+                        scratch.force_epoch_wrap();
+                    }
+                    check_arrival(&ex, &mask, (&a, &b), i, &mut scratch);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn warmed_scratch_survives_corpus_growth() {
+        // The scratch is sized against a two-row corpus; the rows pushed
+        // afterwards bring new tokens, strings and words — ids beyond
+        // every stamp array the scratch has.
+        let (a, b) = (arrivals(), corpus());
+        let fs = every_measure(&a, &b);
+        let mask = FeatureMask::full(fs.len());
+        let mut head = Table::new("B", b.schema().clone());
+        head.push_row(b.rows()[0].clone()).unwrap();
+        head.push_row(b.rows()[1].clone()).unwrap();
+        let mut ex = ServeExtractor::new(&fs, &head).unwrap();
+        let mut scratch = BatchScratch::new();
+        for i in 0..a.n_rows() {
+            check_arrival(&ex, &mask, (&a, &head), i, &mut scratch);
+        }
+        for j in 2..b.n_rows() {
+            ex.push_right_row(&b.rows()[j]);
+            head.push_row(b.rows()[j].clone()).unwrap();
+            for i in 0..a.n_rows() {
+                check_arrival(&ex, &mask, (&a, &head), i, &mut scratch);
+            }
+        }
     }
 }

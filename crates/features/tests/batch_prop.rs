@@ -1,15 +1,21 @@
-//! Property tests for the row-grouped batch kernel: whatever the tables,
-//! the mask and the pair order, [`BatchExtractor`] must return exactly the
-//! bits [`Feature::compute`] returns (`NaN == NaN`), with dead slots `NaN`.
+//! Property tests for the row-grouped kernel: whatever the tables, the
+//! mask and the pair order, [`BatchExtractor`] — and [`ServeExtractor`],
+//! the same kernel with an arriving record for a left row and a corpus
+//! grown row by row — must return exactly the bits [`Feature::compute`]
+//! returns (`NaN == NaN`), with dead slots `NaN`.
 //!
 //! Tables mix nulls, case, multi-byte scripts, strings shorter than a
 //! 3-gram, dirty dates that share a day number, ints stored where strings
 //! are measured and strings stored where numbers are. One scratch serves a
 //! whole case — grouped order, then shuffled, across many left-row
-//! switches and forced stamp-epoch wraps.
+//! switches and forced stamp-epoch wraps, then every left row again as an
+//! arrival against the grown corpus, which has never seen most of its
+//! tokens, words and strings.
 
 use em_blocking::Pair;
-use em_features::{BatchExtractor, Feature, FeatureKind, FeatureMask, FeatureSet};
+use em_features::{
+    BatchExtractor, Feature, FeatureKind, FeatureMask, FeatureSet, ServeExtractor,
+};
 use em_table::{DataType, Date, Schema, Table, Value};
 use proptest::prelude::*;
 
@@ -56,14 +62,20 @@ fn features() -> FeatureSet {
     fs
 }
 
-/// Titles over a small vocabulary so cells, words and grams recur within
-/// and across rows (the reuse paths), in mixed case and scripts, including
-/// one- and two-char cells and punctuation-only ones.
-fn title() -> impl Strategy<Value = Value> {
-    let word = proptest::sample::select(vec![
-        "Corn", "corn", "CORN", "fungicide", "Guidelines", "café", "CAFÉ", "Σίτος", "σίτος",
-        "İpm", "玉米", "x", "Ab", "ab", "42", "-", "  ", "",
-    ]);
+/// Words both tables draw their titles from, so cells, words and grams
+/// recur within and across rows (the reuse paths): mixed case and scripts,
+/// one- and two-char cells, punctuation-only ones.
+const SHARED_WORDS: [&str; 18] = [
+    "Corn", "corn", "CORN", "fungicide", "Guidelines", "café", "CAFÉ", "Σίτος", "σίτος", "İpm",
+    "玉米", "x", "Ab", "ab", "42", "-", "  ", "",
+];
+
+/// Words only left rows use: whatever the right table holds, an arriving
+/// row brings tokens, words and strings its caches have never produced.
+const LEFT_WORDS: [&str; 5] = ["Zebra", "quixotic", "ΣΊΤΟΣ", "İ", "yz"];
+
+fn title(words: Vec<&'static str>) -> impl Strategy<Value = Value> {
+    let word = proptest::sample::select(words);
     prop_oneof![
         Just(Value::Null),
         proptest::collection::vec(word, 0..5).prop_map(|ws| Value::Str(ws.join(" "))),
@@ -102,8 +114,8 @@ fn flag() -> impl Strategy<Value = Value> {
     ]
 }
 
-fn table() -> impl Strategy<Value = Table> {
-    proptest::collection::vec((title(), code(), when(), flag()), 1..7).prop_map(|rows| {
+fn table(words: Vec<&'static str>) -> impl Strategy<Value = Table> {
+    proptest::collection::vec((title(words), code(), when(), flag()), 1..7).prop_map(|rows| {
         let schema = Schema::of(&COLUMNS.map(|c| (c, DataType::Any)));
         let rows = rows.into_iter().map(|(t, c, w, f)| vec![t, c, w, f]).collect();
         Table::from_rows("t", schema, rows).expect("every value fits an Any column")
@@ -146,11 +158,12 @@ proptest! {
     /// random points.
     #[test]
     fn batch_equals_feature_compute_in_any_order(
-        a in table(),
-        b in table(),
+        a in table([&SHARED_WORDS[..], &LEFT_WORDS[..]].concat()),
+        b in table(SHARED_WORDS.to_vec()),
         live in proptest::collection::vec(any::<bool>(), 128),
         order in proptest::collection::vec(any::<u32>(), 36),
         wraps in proptest::collection::vec(0usize..72, 0..4),
+        prefix in 0usize..7,
     ) {
         let fs = features();
         let mask = FeatureMask::from_live_indices(fs.len(), (0..fs.len()).filter(|&k| live[k]));
@@ -178,13 +191,40 @@ proptest! {
                 prop_assert!(false, "matrix: {why}");
             }
         }
+        // The arriving-row side of the same kernel, on the same scratch:
+        // the corpus is a prefix of `b` grown to all of it, every row of
+        // `a` arrives once, in shuffled order.
+        let prefix = prefix.min(b.n_rows());
+        let mut head = Table::new("t", b.schema().clone());
+        for row in &b.rows()[..prefix] {
+            head.push_row(row.clone()).expect("same schema");
+        }
+        let mut serve = ServeExtractor::with_mask(&fs, &head, &mask).expect("columns exist");
+        for row in &b.rows()[prefix..] {
+            serve.push_right_row(row);
+        }
+        let mut prepared = usize::MAX;
+        for (n, p) in shuffled.iter().enumerate() {
+            if wraps.contains(&n) {
+                scratch.force_epoch_wrap();
+                prepared = usize::MAX;
+            }
+            if prepared != p.left {
+                serve.prepare(&a, p.left, &mut scratch).expect("row in range");
+                prepared = p.left;
+            }
+            serve.extract_into(p.right, &mut scratch, &mut out);
+            if let Err(why) = check_pair(&fs, (&a, &b), &mask, *p, &out) {
+                prop_assert!(false, "arrival #{n}: {why}");
+            }
+        }
     }
 
     /// An extractor built for a subset of pairs covers exactly those rows.
     #[test]
     fn for_pairs_covers_the_rows_it_was_given(
-        a in table(),
-        b in table(),
+        a in table(SHARED_WORDS.to_vec()),
+        b in table(SHARED_WORDS.to_vec()),
         picks in proptest::collection::vec((0usize..6, 0usize..6), 0..12),
     ) {
         let fs = features();

@@ -15,12 +15,14 @@
 //!   unfiltered probes the service previously unioned.
 //! - **Features** go through the service's persistent
 //!   [`ServeExtractor`](em_features::ServeExtractor): the arriving record
-//!   is normalized once ([`prepare`](em_features::ServeExtractor::prepare)),
-//!   then each surviving candidate is scored against pre-tokenized corpus
-//!   rows. A [`FeatureMask`] derived from the fitted model and the rule
-//!   set ([`derive_feature_mask`]) skips features nothing downstream can
-//!   read; dead slots carry `NaN`, which mean-imputation replaces with an
-//!   unread column mean.
+//!   is prepared once as the kernel's left row
+//!   ([`prepare`](em_features::ServeExtractor::prepare)), then each
+//!   surviving candidate is scored against the corpus caches by the
+//!   routine the batch paths use. A [`FeatureMask`](em_features::FeatureMask) derived from the
+//!   fitted model and the rule set ([`derive_feature_mask`]), bound when
+//!   the extractor is built, leaves features nothing downstream can read
+//!   without a cache; dead slots carry `NaN`, which mean-imputation
+//!   replaces with an unread column mean.
 //! - **Scoring** imputes and predicts in place over one reused feature
 //!   buffer; negative rules and id rendering run only for predicted
 //!   matches.
@@ -28,7 +30,7 @@
 //! Bit-identity with the batch pipeline is preserved stage by stage: the
 //! filtered probe admits exactly the candidate set of the unfiltered scan
 //! (proptested in `em-blocking`), live features are extracted bit-equal to
-//! `extract_vectors` (pinned in `em-features`), and tree/forest models
+//! `Feature::compute` (pinned in `em-features`), and tree/forest models
 //! never read a masked slot by construction. Debug builds additionally
 //! sample candidates and assert the masked vector equals the full
 //! per-feature recomputation on every live slot.
@@ -38,28 +40,16 @@ use crate::overload::ServeMode;
 use crate::service::{MatchOutcome, MatchService, RequestTimings, ACCESSION_COL, AWARD_COL, TITLE_COL};
 use em_blocking::SetMeasure;
 use em_core::MatchIds;
-use em_features::{ExtractScratch, FeatureMask, FeatureSet};
-use em_ml::{FittedModel, Model};
+use em_features::BatchScratch;
+use em_ml::Model;
 use em_rules::award::award_suffix;
-use em_rules::RuleSetDesc;
 use em_table::{Table, Value};
 use std::time::{Duration, Instant};
 
-/// Derives the serve-time [`FeatureMask`] from a frozen workflow: a
-/// feature stays live when the fitted model can read it (a split in some
-/// tree of the forest) **or** its attribute pair is referenced by a rule
-/// predicate. Models that read every feature densely (linear, bayes —
-/// [`FittedModel::referenced_features`] returns `None`) keep the full
-/// plan, preserving batch semantics exactly. The definition lives in
-/// [`em_core::stream`] (shared with the streaming match executor); this
-/// re-export keeps the serve tier's established entry point.
-pub fn derive_feature_mask(
-    features: &FeatureSet,
-    model: &FittedModel,
-    rules: &RuleSetDesc,
-) -> FeatureMask {
-    em_core::stream::derive_feature_mask(features, model, rules)
-}
+/// Derives the serve-time [`FeatureMask`](em_features::FeatureMask) from a
+/// frozen workflow. The definition is shared with the streaming match
+/// executor; this re-export keeps the serve tier's established entry point.
+pub use em_core::stream::derive_feature_mask;
 
 impl MatchService {
     /// Matches one arriving record through the allocation-free hot loop,
@@ -159,21 +149,14 @@ impl MatchService {
         scratch.kept.clear();
         if mode == ServeMode::Full {
             self.extractor.prepare(arrivals, i, &mut scratch.extract)?;
+            scratch.feats.resize(self.extractor.features().len(), f64::NAN);
         }
         for (c, &j) in scratch.candidates.iter().enumerate() {
             if mode == ServeMode::RulesOnly {
                 break;
             }
             let t_pair = Instant::now();
-            self.extractor.extract_into(
-                arrivals,
-                i,
-                &self.corpus,
-                j,
-                &self.mask,
-                &mut scratch.extract,
-                &mut scratch.feats,
-            );
+            self.extractor.extract_into(j, &mut scratch.extract, &mut scratch.feats);
             #[cfg(debug_assertions)]
             if c % 64 == 0 {
                 self.debug_assert_masked_matches_full(arrivals, i, j, &scratch.feats);
@@ -270,7 +253,7 @@ impl MatchService {
     }
 }
 
-// ---- scratch construction (allocations are confined below this line) ----
+// ---- scratch construction ----
 
 /// Reusable per-request buffers for the serve hot loop — the service-level
 /// mirror of `em_text`'s `KernelScratch`. One instance serves any number
@@ -280,8 +263,8 @@ impl MatchService {
 pub struct ProbeScratch {
     /// Postings-walk state of the filtered index probe.
     probe: em_blocking::ProbeScratch,
-    /// Per-arrival probe cells + per-request memos of the extractor.
-    extract: ExtractScratch,
+    /// The extractor's prepared arrival, value reuse table and kernel memory.
+    extract: BatchScratch,
     /// Output of the C2 ∪ C3 union probe.
     union_hits: Vec<usize>,
     /// Blocked corpus rows (sorted, deduped).
@@ -310,6 +293,8 @@ mod tests {
     use crate::snapshot::WorkflowSnapshot;
     use crate::MatchService;
     use em_core::pipeline::{CaseStudy, CaseStudyConfig};
+    use em_ml::FittedModel;
+    use em_rules::RuleSetDesc;
 
     fn artifacts() -> em_core::pipeline::ServingArtifacts {
         CaseStudy::new(CaseStudyConfig::small()).train_serving_artifacts().unwrap()

@@ -291,7 +291,7 @@ impl MatchService {
         let rules = rule_descs.build();
         let cache = Arc::new(TokenCache::for_blocking());
         let empty_corpus = Table::new(corpus.name(), corpus.schema().clone());
-        let extractor = ServeExtractor::new(&features, &empty_corpus)?;
+        let extractor = ServeExtractor::with_mask(&features, &empty_corpus, &mask)?;
         let mut service = MatchService {
             title_index: IncrementalIndex::with_cache(Arc::clone(&cache)),
             ae_index: HashMap::new(),

@@ -10,6 +10,12 @@
 /// Standard rules: adjacent same-coded letters collapse; `H`/`W` are
 /// transparent between same-coded letters; vowels (and `Y`) separate codes.
 pub fn soundex(word: &str) -> Option<String> {
+    soundex_code(word).map(|code| String::from_utf8(code.to_vec()).expect("ASCII by construction"))
+}
+
+/// [`soundex`] as its four ASCII bytes, without allocating — what a cache
+/// stores per distinct word.
+pub fn soundex_code(word: &str) -> Option<[u8; 4]> {
     fn code(c: u8) -> u8 {
         match c {
             b'B' | b'F' | b'P' | b'V' => b'1',
@@ -21,19 +27,17 @@ pub fn soundex(word: &str) -> Option<String> {
             _ => 0, // vowels, H, W, Y
         }
     }
-    let letters: Vec<u8> = word
-        .chars()
-        .filter(|c| c.is_ascii_alphabetic())
-        .map(|c| c.to_ascii_uppercase() as u8)
-        .collect();
-    let (&first, rest) = letters.split_first()?;
-    let mut out = vec![first];
+    let mut letters =
+        word.chars().filter(|c| c.is_ascii_alphabetic()).map(|c| c.to_ascii_uppercase() as u8);
+    let first = letters.next()?;
+    let (mut out, mut len) = ([first, b'0', b'0', b'0'], 1);
     let mut last_code = code(first);
-    for &c in rest {
+    for c in letters {
         let k = code(c);
         if k != 0 && k != last_code {
-            out.push(k);
-            if out.len() == 4 {
+            out[len] = k;
+            len += 1;
+            if len == 4 {
                 break;
             }
         }
@@ -42,10 +46,7 @@ pub fn soundex(word: &str) -> Option<String> {
             last_code = k;
         }
     }
-    while out.len() < 4 {
-        out.push(b'0');
-    }
-    Some(String::from_utf8(out).expect("ASCII by construction"))
+    Some(out)
 }
 
 /// 0/1 similarity: do the two words share a Soundex code? Inputs with no

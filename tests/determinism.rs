@@ -16,11 +16,12 @@ use umetrics_em::core::blocking_plan::{run_blocking, BlockingPlan};
 use umetrics_em::core::labeling::{accession_of, award_of};
 use umetrics_em::core::pipeline::{CaseStudy, CaseStudyConfig, CaseStudyReport};
 use umetrics_em::core::stream::StreamMatcher;
-use umetrics_em::core::{project_umetrics, project_usda};
+use umetrics_em::core::{project_umetrics, project_usda, standard_rules, EmWorkflow, MatchIds};
 use umetrics_em::datagen::{Scenario, ScenarioConfig};
 use umetrics_em::features::{auto_features, extract_vectors, FeatureOptions};
 use umetrics_em::ml::forest::RandomForestLearner;
 use umetrics_em::ml::{impute_mean, Dataset, Model};
+use umetrics_em::serve::{MatchService, ShardedMatchService, WorkflowSnapshot};
 use umetrics_em::table::Table;
 
 /// `set_threads` is process-global, so tests that flip it must not
@@ -179,6 +180,38 @@ fn stream_setup_and_run_are_thread_count_invariant() {
         assert!(base.0.candidates > 0 && base.0.matched > 0, "x{factor} streamed nothing");
         for threads in [2, 4] {
             assert_eq!(stream(threads), base, "x{factor} stream diverged at {threads} threads");
+        }
+    }
+}
+
+/// The serve tier scores an arriving record through the kernel the batch
+/// paths use: a single instance and a 1- and 2-shard tier must return the
+/// batch patch stage's match ids for the extra records, however many
+/// threads drive the micro-batch.
+#[test]
+fn serving_equals_the_batch_patch_stage_at_any_thread_count() {
+    let _guard = thread_lock();
+    let art = CaseStudy::new(CaseStudyConfig::small()).train_serving_artifacts().unwrap();
+    let extra = &art.extra_umetrics;
+    let workflow = EmWorkflow {
+        rules: standard_rules(),
+        plan: art.plan,
+        matcher: &art.matcher,
+        apply_negative: true,
+    };
+    let (_original, patch) = workflow.run_patched(&art.umetrics, extra, &art.usda).unwrap();
+    let batch_ids = MatchIds::from_candidates(extra, &art.usda, &patch.matches).unwrap();
+    assert!(!batch_ids.is_empty(), "the patch stage matched nothing");
+
+    let snapshot = WorkflowSnapshot::from_artifacts(&art);
+    let single = MatchService::from_snapshot(snapshot.clone()).unwrap();
+    let tiers = [1, 2].map(|n| ShardedMatchService::from_snapshot(snapshot.clone(), n).unwrap());
+    for threads in [1, 2, 4] {
+        let ids = at_threads(threads, || single.match_batch(extra).unwrap().ids);
+        assert_eq!(ids, batch_ids, "single instance diverged at {threads} threads");
+        for (tier, shards) in tiers.iter().zip([1, 2]) {
+            let ids = at_threads(threads, || tier.match_batch(extra).unwrap().ids);
+            assert_eq!(ids, batch_ids, "{shards}-shard tier diverged at {threads} threads");
         }
     }
 }
