@@ -5,13 +5,15 @@
 //! - `--stream <factor>`: the fused stream's extraction at corpus scale —
 //!   the frozen x1 workflow (as `reproduce --scaling-match` trains it) over
 //!   the `<factor>`-scaled tables, one thread: `StreamMatcher::new` broken
-//!   into its set-up legs, then per live feature ns/pair over the stream's
-//!   own candidate order, with sequence-kernel calls vs reused values.
+//!   into its set-up legs, the join probe on its own (rows enumerated vs
+//!   admitted, the index's dense/sparse split, slice widths), then per live
+//!   feature ns/pair over the stream's own candidate order, with
+//!   sequence-kernel calls vs reused values.
 //!
 //! Everything goes to stderr; timers sit outside every checksum.
 
 use em_bench::fixtures_cfg;
-use em_blocking::{JoinIndex, Pair};
+use em_blocking::{JoinIndex, JoinScratch, JoinSpec, Pair};
 use em_core::blocking_plan::{c1_scheme, run_blocking, BlockingPlan};
 use em_core::pipeline::{CaseStudy, CaseStudyConfig};
 use em_core::stream::StreamMatcher;
@@ -85,7 +87,7 @@ fn stream(factor: f64) -> Result<(), Box<dyn std::error::Error>> {
     let right = TokenCorpus::from_column(&cache, d.iter().map(|r| r.str("AwardTitle")));
     let index = JoinIndex::build(right);
     eprintln!("  corpora + JoinIndex   {:8.1} ms", ms(t0));
-    std::hint::black_box((&left, &index));
+    probe(&left, &index, &art.plan.union_spec());
     let plan = BatchExtractor::plan(feats, u, d, &mask, Some(("AwardTitle", "AwardTitle")))?;
     let mut legs = Vec::new();
     for i in 0..plan.n_legs() {
@@ -162,6 +164,50 @@ fn stream(factor: f64) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     Ok(())
+}
+
+/// The stream's blocking stage alone: every left row probed under the
+/// plan's spec, one thread, on the footing of the feature lines.
+fn probe(left: &TokenCorpus, index: &JoinIndex, spec: &JoinSpec) {
+    let layout = index.layout();
+    eprintln!(
+        "\njoin probe alone ({} left rows x {} right rows in {} size runs; dense tokens {} \
+         carrying {} postings, sparse tokens {} carrying {}):",
+        left.len(),
+        layout.positions,
+        layout.size_runs,
+        layout.dense_tokens,
+        layout.dense_postings,
+        layout.sparse_tokens,
+        layout.sparse_postings
+    );
+    let mut hits = Vec::new();
+    for _ in 0..3 {
+        let mut scratch = JoinScratch::for_index(index);
+        let mut admitted = 0usize;
+        let t0 = Instant::now();
+        for (_, query) in left.iter() {
+            index.probe_into(query, spec, &mut scratch, &mut hits);
+            admitted += hits.len();
+        }
+        let s = t0.elapsed().as_secs_f64();
+        let counters = scratch.counters();
+        let widths: Vec<String> = counters
+            .slice_widths
+            .iter()
+            .enumerate()
+            .filter(|(_, &n)| n > 0)
+            .map(|(w, n)| format!("{w}:{n}"))
+            .collect();
+        eprintln!(
+            "  {:8.1} ms, {:.2} us/left row; {} rows enumerated, {admitted} admitted; \
+             probes by slice width {}",
+            s * 1e3,
+            s * 1e6 / left.len().max(1) as f64,
+            counters.enumerated,
+            widths.join(" ")
+        );
+    }
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

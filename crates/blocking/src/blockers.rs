@@ -11,9 +11,10 @@
 //! is tokenized **once** into interned `u32` id lists through a memoizing
 //! [`TokenCache`] (shareable across blockers, so a whole blocking plan
 //! tokenizes each column a single time), and table-level blocking runs the
-//! batch set-similarity join of [`crate::join`] — df-ordered, size-bucketed
-//! postings over the right column, prefix + length filtered probes, exact
-//! verification — fanned out over left-row chunks on
+//! batch set-similarity join of [`crate::join`] — frequent tokens as
+//! bitsets over the size-ordered right rows, counted 64 rows per word,
+//! length-filtered, exact intersection sizes — fanned out over left-row
+//! chunks on
 //! [`em_parallel::Executor`]. Candidate sets are ordered maps and every
 //! probe is a pure function of its row index, so output is bit-identical at
 //! any thread count.
@@ -262,10 +263,10 @@ fn pair_tokens(
 /// at least `threshold` distinct word tokens (Section 7, step 2; the paper
 /// used threshold 3 after sweeping 1 and 7).
 ///
-/// Table-level blocking runs the [`crate::join`] engine — the "string
-/// filtering techniques" of footnote 4 (prefix + length filters over
-/// df-ordered postings) with exact verification, so the result equals the
-/// unfiltered scan bit for bit.
+/// Table-level blocking runs the [`crate::join`] engine — in place of the
+/// "string filtering techniques" of footnote 4, a length filter over a
+/// bit-sliced exact count — so the result equals the unfiltered scan bit
+/// for bit.
 #[derive(Debug, Clone)]
 pub struct OverlapBlocker {
     /// Blocking attribute in the left table.
@@ -274,9 +275,9 @@ pub struct OverlapBlocker {
     pub right_attr: String,
     /// Minimum number of shared distinct tokens (≥ 1).
     pub threshold: usize,
-    /// Retained for API compatibility; the join engine always applies
-    /// prefix + length filtering, so this flag no longer changes the
-    /// execution path (and never changed results).
+    /// Retained for API compatibility; the join engine has one execution
+    /// path, so this flag no longer changes it (and never changed
+    /// results).
     pub use_prefix_filter: bool,
     cache: Arc<TokenCache>,
     validated: OnceLock<Result<(), String>>,

@@ -1,43 +1,75 @@
 //! Batch set-similarity join: the corpus-scale engine behind the token
-//! blockers.
+//! blockers, the blocking debugger and the fused match stream.
 //!
-//! [`OverlapBlocker`](crate::OverlapBlocker) and
-//! [`SetSimBlocker`](crate::SetSimBlocker) used to probe a plain inverted
-//! index with a per-row `HashMap` counter — O(total postings touched) hash
-//! traffic per left row, and the slowest batch stage at x4. This module is
-//! the batch analogue of the serve tier's
-//! [`IncrementalIndex`](crate::IncrementalIndex) filtered probes: postings
-//! over the **right** table are built once, bucketed by row token count and
-//! walked in ascending document-frequency order, so two classic filters
-//! prune almost all of that traffic:
+//! A probe answers, for one left row's token set, which right rows the
+//! unfiltered nested-loop scan admits under a [`JoinSpec`]. It does so with
+//! a **bit-sliced count**: 64 right rows are counted per machine word.
 //!
-//! - **Length filter**: a posting run whose row size `lb` can never satisfy
-//!   the predicate (e.g. `lb < k` for overlap-`k`) is skipped outright.
-//! - **Prefix filter**: query tokens are walked rarest-first. A row first
-//!   encountered at filtered-walk position `p` shares at most `lq - p`
-//!   query tokens (`lq` = query tokens that occur in the right corpus at
-//!   all), so late walk positions stop admitting new rows from runs whose
-//!   upper bound fails.
+//! # Layout
 //!
-//! The walk keeps an **exact** shared-token count for every admitted row
-//! (dense epoch-stamped arrays, O(1) per posting visit), then the final
-//! filter evaluates the same [`JoinSpec::admits`] predicate on those
-//! counts. Because `admits` is monotone nondecreasing in the intersection
-//! size and the admission bound is a true upper bound that only shrinks as
-//! the walk advances, a row skipped by either filter provably fails the
-//! exact predicate, and a row admitted anywhere was tracked from its first
-//! shared token — filtered output equals the unfiltered nested-loop scan
-//! **exactly**, float boundaries included (pinned by
-//! `tests/join_prop.rs`).
+//! [`JoinIndex::build`] orders the right rows that have tokens by
+//! (token count, row index). A row's rank in that order is its **bit
+//! position**, so the rows of one token count — a *size run* — are one
+//! contiguous range of positions. Every token is then stored one of two
+//! ways, by a fixed rule on its document frequency (`DENSE_DF_RATIO`):
 //!
-//! Layout is columnar throughout: postings are one flat `u64` arena
-//! (`size << 32 | row`, so a per-token slice sorts by size then row with a
-//! plain integer sort) indexed by a token-offset table, and the right
-//! corpus rides along as the [`TokenCorpus`] id arena verification merges
-//! run over. Probes reuse a [`JoinScratch`] whose epoch-stamped `seen`
-//! array dedups admissions without clearing; the steady-state probe loop
-//! performs no heap allocation (gated by the purity grep in
-//! `scripts/check.sh`).
+//! - a **dense** token (df ≥ positions / 64) is a bitset over the positions,
+//!   bit `p` set when the row at `p` contains it;
+//! - a **sparse** token is the plain list of the positions containing it.
+//!
+//! The right corpus rides along as the [`TokenCorpus`] the positions were
+//! derived from.
+//!
+//! # Probe
+//!
+//! A probe splits the query's tokens by that rule. Each sparse token's
+//! list is walked into a per-position count in the [`JoinScratch`] (plus
+//! one bit per touched position). The dense tokens are *added*, not
+//! walked: for a block of words, each dense bitset is added into
+//! ⌈log₂(d+1)⌉ *slice* words — slice `s` holds bit `s` of every position's
+//! running count — by a ripple-carry add, two word operations per slice
+//! for 64 rows at once.
+//!
+//! Then, per size run (`la` query tokens, `lb` row tokens, `lq` query
+//! tokens that occur in the right corpus at all):
+//!
+//! 1. `JoinSpec::min_admitted` finds `t`, the smallest intersection size
+//!    in `1..=min(lq, lb)` that [`JoinSpec::admits`]. None means no row of
+//!    that size can be admitted — the **length filter** — and the run's
+//!    words are never touched.
+//! 2. A bit-sliced compare extracts the positions whose dense count is
+//!    `≥ t`; the run's sparse-touched positions are or-ed in.
+//! 3. Each extracted position's **exact** intersection size is read back —
+//!    its bit of every slice plus its sparse count — and the unchanged
+//!    `admits` predicate decides, per spec.
+//!
+//! # Why the output is exact
+//!
+//! `admits` is monotone nondecreasing in the intersection size, so a row
+//! is admitted iff its intersection is `≥ t`. A row with intersection
+//! `≥ t` either has dense count `≥ t` (step 2 extracts it) or shares a
+//! sparse token (it is sparse-touched): the extracted set contains every
+//! admissible row. Every extracted row's count is its exact intersection
+//! with the query — all dense and all sparse query tokens were counted,
+//! nothing is bounded or estimated — so step 3 is the nested-loop
+//! predicate verbatim, float boundaries included (pinned by
+//! `tests/join_prop.rs`). With several specs the smallest `t` over specs
+//! extracts a superset for each, and each spec's own `admits` filters it.
+//!
+//! # Why there is no prefix filter
+//!
+//! The previous probe walked postings rarest token first and stopped
+//! admitting new rows once too few query tokens remained. Award titles
+//! give that filter nothing to hold on to: at x16 (30 640 right rows) 248
+//! of the 1 067 title words have df ≥ n/64 and carry all but 3 878 of the
+//! ~196 k postings, so every query's "rare" prefix is still frequent. One
+//! pass over the 21 376 left rows visited 106 M postings and touched
+//! 68.6 M rows to admit 0.35 M (a both-sided prefix-filter prototype still
+//! touched 58.6 M). Counting those same frequent tokens 64 rows per word
+//! examines 0.43 M rows instead, about five times faster on one thread.
+//!
+//! Probes reuse a [`JoinScratch`]; a warmed probe loop performs no heap
+//! allocation (counted by `tests/join_allocations.rs`).
 //!
 //! Table-scale drivers fan left rows out over
 //! [`em_parallel::Executor::map_indexed_with`] — scratch per worker,
@@ -85,9 +117,10 @@ impl JoinSpec {
 
     /// True when a pair with `inter` shared tokens (of `la` query / `lb`
     /// row tokens) satisfies at least one predicate. This is the *exact*
-    /// final filter; admission bounds call it with an upper bound on
-    /// `inter`, which is conservative because both predicates are monotone
-    /// nondecreasing in `inter`.
+    /// final filter. Both predicates are monotone nondecreasing in `inter`
+    /// (an integer compare; a correctly rounded quotient whose numerator
+    /// grows while its denominator does not), which is what
+    /// [`JoinSpec::min_admitted`] searches on.
     pub fn admits(&self, inter: usize, la: usize, lb: usize) -> bool {
         if let Some(k) = self.overlap_k {
             if inter >= k {
@@ -101,32 +134,108 @@ impl JoinSpec {
         }
         false
     }
+
+    /// The smallest intersection size in `1..=cap` that [`JoinSpec::admits`]
+    /// for a `la`-token query and a `lb`-token row, or `None` when not even
+    /// `cap` is admitted. A pair is admitted iff its intersection reaches
+    /// this: `admits` is monotone in `inter`, so the first admitted size is
+    /// found by bisection and every larger one is admitted too. Zero is
+    /// never returned — rows sharing no token are not join output.
+    fn min_admitted(&self, la: usize, lb: usize, cap: usize) -> Option<usize> {
+        if cap == 0 || !self.admits(cap, la, lb) {
+            return None;
+        }
+        // Invariant: `admits(hi)`, and nothing below `lo` is admitted.
+        let (mut lo, mut hi) = (1, cap);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.admits(mid, la, lb) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        Some(lo)
+    }
 }
 
-/// Df-ordered, size-bucketed postings over one tokenized column of the
-/// right table, built once per join. Owns the right [`TokenCorpus`] so
-/// verification merges always run against the rows the postings describe.
+/// A token is stored **dense** (a bitset over the bit positions) when
+/// `df * DENSE_DF_RATIO >= positions`, else **sparse** (a list of `u32`
+/// positions). 64 is the memory-parity point against the 8-byte
+/// `(size, row)` postings this layout replaced: a bitset is `positions / 8`
+/// bytes, those postings were `8 * df`, equal at `df = positions / 64`. So
+/// the index is never larger than the postings were, and a dense token
+/// costs a probe `positions / 64` word adds where walking it cost at least
+/// as many posting visits.
+const DENSE_DF_RATIO: usize = 64;
+
+/// Marks a token without a dense bitset in [`JoinIndex::dense_slot`].
+const NOT_DENSE: u32 = u32::MAX;
+
+/// Words a probe adds and compares at a time: the slices of one block
+/// (`width * BLOCK` words, 2 KiB for counts up to 15) stay in L1 however
+/// large the index is, and a block is long enough that the per-token
+/// set-up of an add is small beside its words.
+const BLOCK: usize = 64;
+
+/// Slice words a [`JoinScratch`] holds: an intersection size is a `u32`.
+const MAX_SLICES: usize = u32::BITS as usize;
+
+/// The right rows of one token count: bit positions `start..end`.
+#[derive(Debug, Clone, Copy)]
+struct SizeRun {
+    /// Tokens per row (≥ 1: rows without tokens have no position).
+    size: u32,
+    start: u32,
+    end: u32,
+}
+
+/// Bit-sliced index over one tokenized column of the right table, built
+/// once per join (see the module docs for the layout). Owns the right
+/// [`TokenCorpus`] so callers verify against the rows the index describes.
 #[derive(Debug, Clone)]
 pub struct JoinIndex {
-    /// Token id → number of right rows containing it (ids are distinct per
-    /// row, so this is a document frequency).
-    df: Vec<u32>,
-    /// Token id → postings range: token `t` owns
-    /// `postings[starts[t] as usize..starts[t + 1] as usize]`.
-    starts: Vec<u32>,
-    /// Packed `(row token count << 32) | row index`, sorted ascending per
-    /// token — i.e. by (size, row), which is what the length filter walks.
-    postings: Vec<u64>,
-    /// The indexed corpus; `postings` row indices point into it.
+    /// Size runs in ascending token count; their position ranges tile
+    /// `0..row_at.len()` in order.
+    runs: Vec<SizeRun>,
+    /// Bit position → right row index.
+    row_at: Vec<u32>,
+    /// Words per bitset: `row_at.len().div_ceil(64)`.
+    words: usize,
+    /// Token id → index of its bitset in `dense`, or [`NOT_DENSE`].
+    dense_slot: Vec<u32>,
+    /// Dense bitsets back to back, `words` each.
+    dense: Vec<u64>,
+    /// Token id → its positions, `sparse[sparse_starts[t]..sparse_starts[t + 1]]`
+    /// (empty for dense tokens and for ids no right row contains).
+    sparse_starts: Vec<u32>,
+    sparse: Vec<u32>,
+    /// The indexed corpus; `row_at` entries point into it.
     right: TokenCorpus,
 }
 
+/// What a [`JoinIndex`] holds, for profiling output.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JoinLayout {
+    /// Right rows with at least one token (= bit positions).
+    pub positions: usize,
+    /// Distinct row token counts.
+    pub size_runs: usize,
+    /// Tokens stored as bitsets.
+    pub dense_tokens: usize,
+    /// Set bits over all bitsets: the postings they stand for.
+    pub dense_postings: usize,
+    /// Tokens stored as position lists.
+    pub sparse_tokens: usize,
+    /// Entries over all position lists.
+    pub sparse_postings: usize,
+}
+
 impl JoinIndex {
-    /// Streams `query` (sorted distinct token ids of one left row) through
-    /// the postings, collecting into `out` (ascending row order) exactly
-    /// the right rows the unfiltered scan admits under `spec`. `out` and
-    /// `scratch` are caller-owned so a warmed-up probe loop allocates
-    /// nothing.
+    /// Collects into `out` (ascending row order) exactly the right rows the
+    /// unfiltered scan admits for `query` (sorted distinct token ids of one
+    /// left row) under `spec`. `out` and `scratch` are caller-owned so a
+    /// warmed-up probe loop allocates nothing.
     pub fn probe_into(
         &self,
         query: &[u32],
@@ -142,14 +251,13 @@ impl JoinIndex {
         );
     }
 
-    /// Fused multi-predicate probe: **one** postings walk answers every
-    /// spec in `specs`, writing each spec's admissions to the matching
-    /// entry of `outs`. The walk admits a run when *any* spec could accept
-    /// it (the union predicate), so the exact counts cover every row any
-    /// spec needs; the per-spec final filters then apply each exact
-    /// predicate independently — each `outs[s]` equals a standalone
-    /// [`JoinIndex::probe_into`] under `specs[s]` bit for bit. This is how
-    /// a C2 ∪ C3-style plan shares the dominant walk cost across blockers.
+    /// Fused multi-predicate probe: **one** count answers every spec in
+    /// `specs`, writing each spec's admissions to the matching entry of
+    /// `outs`. Rows are extracted at the smallest threshold any spec has
+    /// for their size run, and each spec's own exact predicate filters
+    /// them — each `outs[s]` equals a standalone [`JoinIndex::probe_into`]
+    /// under `specs[s]` bit for bit. This is how a C2 ∪ C3-style plan
+    /// shares the count across blockers.
     pub fn probe_multi_into(
         &self,
         query: &[u32],
@@ -161,128 +269,216 @@ impl JoinIndex {
         for out in outs.iter_mut() {
             out.clear();
         }
+        scratch.fit(self);
+        let JoinScratch { dense, slices, carry, ge, rare_count, rare_mask, touched, counters } =
+            scratch;
         let la = query.len();
-        if la == 0 {
-            // No postings to walk: rows sharing zero tokens are never
-            // admitted by either predicate's postings semantics.
-            return;
-        }
-        scratch.epoch += 1;
-        let epoch = scratch.epoch;
-        scratch.order.clear();
-        scratch.touched.clear();
-        for &t in query {
-            let df = self.df.get(t as usize).copied().unwrap_or(0);
-            if df > 0 {
-                scratch.order.push((df, t));
+
+        // Split the query: dense tokens are queued for the block adds,
+        // sparse lists are counted now. Tokens no right row contains (or
+        // that the right corpus never interned) only count toward `la`.
+        dense.clear();
+        let mut lq = 0;
+        for &token in query {
+            let token = token as usize;
+            let Some(&slot) = self.dense_slot.get(token) else { continue };
+            if slot != NOT_DENSE {
+                dense.push(slot);
+                lq += 1;
+                continue;
+            }
+            let list = &self.sparse
+                [self.sparse_starts[token] as usize..self.sparse_starts[token + 1] as usize];
+            lq += usize::from(!list.is_empty());
+            for &pos in list {
+                let pos = pos as usize;
+                if rare_count[pos] == 0 {
+                    touched.push(pos as u32);
+                    rare_mask[pos / 64] |= 1 << (pos % 64);
+                }
+                rare_count[pos] += 1;
             }
         }
-        // Prefix filter order: rarest token first, id tie break. Query
-        // tokens absent from the right corpus are dropped up front, which
-        // *tightens* the positional bound: a row first seen at position
-        // `p` of this filtered order shares none of the `p` earlier (or
-        // any dropped) query tokens, so at most `lq - p` remain.
-        scratch.order.sort_unstable();
-        let lq = scratch.order.len();
-        for p in 0..lq {
-            let (_, token) = scratch.order[p];
-            let s = self.starts[token as usize] as usize;
-            let e = self.starts[token as usize + 1] as usize;
-            let remaining = lq - p;
-            // Postings sort by (size, row), so the filters resolve once per
-            // size run; a fully-skipped run is *jumped* with a binary
-            // search for the next size instead of walked entry by entry.
-            //
-            // Counts stay exact under the prefix filter because the
-            // admission bound is antitone in `p`: if a row's first
-            // containing run failed admission, every later bound for that
-            // row is smaller still, so the row can never be admitted with
-            // missed increments — a row is either tracked from its first
-            // containing token or provably fails the predicate.
-            let slice = &self.postings[s..e];
-            let mut i = 0;
-            while i < slice.len() {
-                let size = slice[i] >> 32;
-                let run_end = i + slice[i..].partition_point(|&q| q >> 32 == size);
-                let lb = size as usize;
-                if specs.iter().any(|spec| spec.admits(remaining.min(lb), la, lb)) {
-                    // Admitting run: first sight epoch-stamps the row into
-                    // `touched`; every sight counts one shared token.
-                    for &packed in &slice[i..run_end] {
-                        let row = packed as u32;
-                        if scratch.seen[row as usize] == epoch {
-                            scratch.counts[row as usize] += 1;
-                        } else {
-                            scratch.seen[row as usize] = epoch;
-                            scratch.counts[row as usize] = 1;
-                            scratch.touched.push(row);
-                        }
+        // The largest dense count is `dense.len()`: its bit length is the
+        // number of slices the adds fill.
+        let width = (usize::BITS - dense.len().leading_zeros()) as usize;
+        counters.slice_widths[width] += 1;
+
+        for run in &self.runs {
+            let lb = run.size as usize;
+            // Length filter: no intersection this run's rows can reach is
+            // admitted by any spec.
+            let Some(t) = specs.iter().filter_map(|s| s.min_admitted(la, lb, lq.min(lb))).min()
+            else {
+                continue;
+            };
+            let (first, last) = (run.start as usize / 64, (run.end as usize - 1) / 64);
+            let first_mask = !0u64 << (run.start % 64);
+            let last_mask = !0u64 >> (63 - (run.end - 1) % 64);
+            let mut w0 = first;
+            while w0 <= last {
+                let len = BLOCK.min(last + 1 - w0);
+                self.add_block(dense, w0, len, slices, carry);
+                count_at_least(&slices[..width], t, &mut ge[..len]);
+                for b in 0..len {
+                    let w = w0 + b;
+                    let rare = rare_mask[w];
+                    let mut hits = ge[b] | rare;
+                    // A word on a run boundary also holds the neighbouring
+                    // run's rows, which have another `lb` and `t`.
+                    if w == first {
+                        hits &= first_mask;
                     }
-                } else if specs.iter().any(|spec| spec.admits(la.min(lb), la, lb)) {
-                    // Prefix filter: too late to admit new rows of this
-                    // size, but earlier admissions keep accumulating.
-                    for &packed in &slice[i..run_end] {
-                        let row = packed as u32;
-                        if scratch.seen[row as usize] == epoch {
-                            scratch.counts[row as usize] += 1;
+                    if w == last {
+                        hits &= last_mask;
+                    }
+                    counters.enumerated += u64::from(hits.count_ones());
+                    while hits != 0 {
+                        let bit = hits.trailing_zeros() as usize;
+                        hits &= hits - 1;
+                        let pos = w * 64 + bit;
+                        // Exact intersection size: this position's bit of
+                        // every slice, plus its sparse count.
+                        let mut inter =
+                            if rare >> bit & 1 == 1 { rare_count[pos] as usize } else { 0 };
+                        for (s, slice) in slices[..width].iter().enumerate() {
+                            inter += ((slice[b] >> bit & 1) as usize) << s;
+                        }
+                        for (spec, out) in specs.iter().zip(outs.iter_mut()) {
+                            if spec.admits(inter, la, lb) {
+                                out.push(self.row_at[pos]);
+                            }
                         }
                     }
                 }
-                // Length filter: a size failing even at full intersection
-                // admits nothing and counts toward nothing — jumped.
-                i = run_end;
+                w0 += len;
             }
         }
-        // Final filter: counts are exact intersection sizes for every
-        // tracked row, so this is the unfiltered predicate verbatim —
-        // applied per spec, since a row tracked for one predicate's sake
-        // may fail another's.
-        for &row in &scratch.touched {
-            let inter = scratch.counts[row as usize] as usize;
-            let lb = self.right.row(row as usize).len();
-            for (spec, out) in specs.iter().zip(outs.iter_mut()) {
-                if spec.admits(inter, la, lb) {
-                    out.push(row);
-                }
-            }
+
+        // Leave the sparse counts zeroed for the next probe.
+        for &pos in touched.iter() {
+            rare_count[pos as usize] = 0;
+            rare_mask[pos as usize / 64] = 0;
         }
+        touched.clear();
         for out in outs.iter_mut() {
             out.sort_unstable();
         }
     }
 
+    /// Adds words `w0..w0 + len` of every queued dense bitset into
+    /// `slices`: afterwards bit `i` of `slices[s][b]` is bit `s` of the
+    /// number of queued tokens the row at position `(w0 + b) * 64 + i`
+    /// contains. `carry` is working space.
+    fn add_block(
+        &self,
+        dense: &[u32],
+        w0: usize,
+        len: usize,
+        slices: &mut [[u64; BLOCK]],
+        carry: &mut [u64; BLOCK],
+    ) {
+        let mut width = 0;
+        for (j, &slot) in dense.iter().enumerate() {
+            // After this add a count can be `j + 1`: one more slice each
+            // time that gains a bit.
+            if (j + 1).is_power_of_two() {
+                slices[width][..len].fill(0);
+                width += 1;
+            }
+            // Ripple-carry add of a one-bit number into the sliced counts,
+            // 64 positions per word: the token's bits enter slice 0, each
+            // slice's carry out enters the next. The last carry out is
+            // zero: the sum fits `width` bits.
+            let bits = &self.dense[slot as usize * self.words + w0..][..len];
+            let (lowest, higher) = slices[..width].split_at_mut(1);
+            for ((sum, c), &bit) in lowest[0][..len].iter_mut().zip(&mut carry[..len]).zip(bits) {
+                let held = *sum;
+                *sum = held ^ bit;
+                *c = held & bit;
+            }
+            for slice in higher {
+                for (sum, c) in slice[..len].iter_mut().zip(&mut carry[..len]) {
+                    let held = *sum;
+                    *sum = held ^ *c;
+                    *c &= held;
+                }
+            }
+        }
+    }
+
     // ---- scratch construction and index building (cold path) ------------
 
-    /// Builds the index over the tokenized right column. Two counting
-    /// passes fill the flat postings arena, then each per-token slice is
-    /// sorted — packed values order by (size, row) natively.
+    /// Builds the index over the tokenized right column: a counting sort of
+    /// the rows by token count assigns the bit positions, one pass over the
+    /// tokens counts document frequencies, and a second sets bitset bits
+    /// and fills position lists.
     pub fn build(right: TokenCorpus) -> JoinIndex {
-        let width = right.max_id().map_or(0, |m| m as usize + 1);
-        let mut df = vec![0u32; width];
+        let max_size = right.iter().map(|(_, ids)| ids.len()).max().unwrap_or(0);
+        let mut rows_of_size = vec![0u32; max_size + 1];
         for (_, ids) in right.iter() {
+            rows_of_size[ids.len()] += 1;
+        }
+        let mut runs = Vec::new();
+        // Next free position per size.
+        let mut cursor = vec![0u32; max_size + 1];
+        let mut positions = 0u32;
+        for size in 1..=max_size {
+            if rows_of_size[size] > 0 {
+                cursor[size] = positions;
+                let end = positions + rows_of_size[size];
+                runs.push(SizeRun { size: size as u32, start: positions, end });
+                positions = end;
+            }
+        }
+        let positions = positions as usize;
+        let words = positions.div_ceil(64);
+
+        let n_tokens = right.max_id().map_or(0, |m| m as usize + 1);
+        let mut df = vec![0u32; n_tokens];
+        let mut row_at = vec![0u32; positions];
+        let mut pos_of = vec![0u32; right.len()];
+        // Rows arrive in ascending index, so positions ascend with the row
+        // inside each run.
+        for (j, ids) in right.iter().filter(|(_, ids)| !ids.is_empty()) {
+            let pos = &mut cursor[ids.len()];
+            row_at[*pos as usize] = j as u32;
+            pos_of[j] = *pos;
+            *pos += 1;
             for &t in ids {
                 df[t as usize] += 1;
             }
         }
+
+        let mut dense_slot = vec![NOT_DENSE; n_tokens];
         // Offsets are u32 like the corpus arena's: a 4G-token corpus is two
         // orders of magnitude past the x256 target.
-        let mut starts = vec![0u32; width + 1];
-        for t in 0..width {
-            starts[t + 1] = starts[t] + df[t];
+        let mut sparse_starts = vec![0u32; n_tokens + 1];
+        let mut n_dense = 0u32;
+        for t in 0..n_tokens {
+            let is_dense = df[t] > 0 && df[t] as usize * DENSE_DF_RATIO >= positions;
+            if is_dense {
+                dense_slot[t] = n_dense;
+                n_dense += 1;
+            }
+            sparse_starts[t + 1] = sparse_starts[t] + if is_dense { 0 } else { df[t] };
         }
-        let mut cursor = starts.clone();
-        let mut postings = vec![0u64; right.n_tokens_total()];
+        let mut dense = vec![0u64; n_dense as usize * words];
+        let mut sparse = vec![0u32; sparse_starts[n_tokens] as usize];
+        let mut fill = sparse_starts.clone();
         for (j, ids) in right.iter() {
-            let packed_base = (ids.len() as u64) << 32;
+            let pos = pos_of[j] as usize;
             for &t in ids {
-                postings[cursor[t as usize] as usize] = packed_base | j as u64;
-                cursor[t as usize] += 1;
+                let t = t as usize;
+                if dense_slot[t] == NOT_DENSE {
+                    sparse[fill[t] as usize] = pos as u32;
+                    fill[t] += 1;
+                } else {
+                    dense[dense_slot[t] as usize * words + pos / 64] |= 1 << (pos % 64);
+                }
             }
         }
-        for t in 0..width {
-            postings[starts[t] as usize..starts[t + 1] as usize].sort_unstable();
-        }
-        JoinIndex { df, starts, postings, right }
+        JoinIndex { runs, row_at, words, dense_slot, dense, sparse_starts, sparse, right }
     }
 
     /// The indexed right corpus.
@@ -307,36 +503,110 @@ impl JoinIndex {
         self.probe_into(query, spec, &mut scratch, &mut out);
         out
     }
+
+    /// Token and posting counts on each side of the dense rule.
+    pub fn layout(&self) -> JoinLayout {
+        JoinLayout {
+            positions: self.row_at.len(),
+            size_runs: self.runs.len(),
+            dense_tokens: self.dense_slot.iter().filter(|&&slot| slot != NOT_DENSE).count(),
+            dense_postings: self.dense.iter().map(|w| w.count_ones() as usize).sum(),
+            sparse_tokens: self.sparse_starts.windows(2).filter(|r| r[0] < r[1]).count(),
+            sparse_postings: self.sparse.len(),
+        }
+    }
 }
 
-/// Reusable probe buffers for one worker thread. The `seen` array is
-/// epoch-stamped: bumping `epoch` invalidates every stamp (and thereby
-/// every count) at once, so probes never pay an O(rows) clear.
+/// Sets bit `i` of `out[b]` when the count sliced across `slices` (bit `i`
+/// of `slices[s][b]` is bit `s` of the count) is at least `t`.
+fn count_at_least(slices: &[[u64; BLOCK]], t: usize, out: &mut [u64]) {
+    out.fill(0);
+    if t >> slices.len() != 0 {
+        // `t` needs more bits than any count has.
+        return;
+    }
+    // `below` = count < t, decided from the low bit up: a higher bit
+    // overrides where count and `t` differ there, and keeps the verdict of
+    // the lower bits where they agree.
+    for (s, slice) in slices.iter().enumerate() {
+        if t >> s & 1 == 1 {
+            for (below, bits) in out.iter_mut().zip(slice) {
+                *below |= !bits;
+            }
+        } else {
+            for (below, bits) in out.iter_mut().zip(slice) {
+                *below &= !bits;
+            }
+        }
+    }
+    for below in out.iter_mut() {
+        *below = !*below;
+    }
+}
+
+/// Work one [`JoinScratch`] has done since it was made, for profiling
+/// output (never read by a probe).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProbeCounters {
+    /// Rows whose exact intersection size was read and put to `admits`.
+    pub enumerated: u64,
+    /// `slice_widths[w]` probes counted their dense tokens in `w` slices
+    /// (the entries sum to the probes run).
+    pub slice_widths: [u64; MAX_SLICES + 1],
+}
+
+/// Reusable probe buffers for one worker thread. Between probes the sparse
+/// counts are all zero, so a scratch serves any index: it grows to the
+/// largest one it has met.
 #[derive(Debug)]
 pub struct JoinScratch {
-    /// Per right row, the epoch it was last admitted in.
-    seen: Vec<u64>,
-    /// Per right row, shared-token count — valid only while
-    /// `seen[row] == epoch`.
-    counts: Vec<u32>,
-    /// Current probe epoch (strictly increasing, one per probe).
-    epoch: u64,
-    /// Query tokens as (document frequency, token id), sorted ascending.
-    order: Vec<(u32, u32)>,
-    /// Rows admitted by the current probe, in admission order.
+    /// Bitset slots of the current query's dense tokens.
+    dense: Vec<u32>,
+    /// Sliced dense counts of the current block.
+    slices: Vec<[u64; BLOCK]>,
+    /// Carries between the slices of one add.
+    carry: [u64; BLOCK],
+    /// Compare output of the current block.
+    ge: [u64; BLOCK],
+    /// Per bit position, how many of the query's sparse tokens its row
+    /// contains.
+    rare_count: Vec<u32>,
+    /// Bit per position with a nonzero `rare_count`.
+    rare_mask: Vec<u64>,
+    /// Positions with a nonzero `rare_count`, in first-touch order.
     touched: Vec<u32>,
+    counters: ProbeCounters,
 }
 
 impl JoinScratch {
-    /// Scratch sized for `index` (the `seen`/`counts` arrays span its rows).
+    /// Scratch pre-sized for `index`, so its first probe allocates only
+    /// for lists that grow with the query.
     pub fn for_index(index: &JoinIndex) -> JoinScratch {
-        JoinScratch {
-            seen: vec![0; index.len()],
-            counts: vec![0; index.len()],
-            epoch: 0,
-            order: Vec::new(),
+        let mut scratch = JoinScratch {
+            dense: Vec::new(),
+            slices: vec![[0; BLOCK]; MAX_SLICES],
+            carry: [0; BLOCK],
+            ge: [0; BLOCK],
+            rare_count: Vec::new(),
+            rare_mask: Vec::new(),
             touched: Vec::new(),
+            counters: ProbeCounters { enumerated: 0, slice_widths: [0; MAX_SLICES + 1] },
+        };
+        scratch.fit(index);
+        scratch
+    }
+
+    /// Grows the per-position arrays to span `index`.
+    fn fit(&mut self, index: &JoinIndex) {
+        if self.rare_count.len() < index.row_at.len() {
+            self.rare_count.resize(index.row_at.len(), 0);
+            self.rare_mask.resize(index.words, 0);
         }
+    }
+
+    /// Work done by the probes this scratch has served.
+    pub fn counters(&self) -> &ProbeCounters {
+        &self.counters
     }
 }
 
@@ -604,6 +874,95 @@ mod tests {
     }
 
     #[test]
+    fn one_scratch_serves_indexes_of_different_sizes() {
+        // A scratch made for the small index meets the large one (more
+        // positions than it was sized for) and goes back and forth; every
+        // probe must equal a standalone one. The `r*` words are sparse in
+        // the large index, so the per-position counts are in play.
+        let cache = TokenCache::for_blocking();
+        let (l, small) = sample();
+        let l = corpus_with(&cache, &["corn guidelines r3", "swamp dodder ecology", "r7 r3 corn"])
+            .iter()
+            .chain(l.iter())
+            .map(|(_, q)| q.to_vec())
+            .collect::<Vec<_>>();
+        let titles: Vec<String> = (0..300)
+            .map(|i| format!("corn {} r{}", ["guidelines", "ecology", "dodder"][i % 3], i % 100))
+            .collect();
+        let large = corpus_with(&cache, &titles.iter().map(String::as_str).collect::<Vec<_>>());
+        let (small, large) = (JoinIndex::build(small), JoinIndex::build(large));
+        assert!(small.len() < large.len());
+        let spec = JoinSpec::union(2, SetMeasure::Jaccard, 0.5);
+        let mut scratch = JoinScratch::for_index(&small);
+        let mut out = Vec::new();
+        for _ in 0..2 {
+            for q in &l {
+                for index in [&large, &small, &large] {
+                    index.probe_into(q, &spec, &mut scratch, &mut out);
+                    assert_eq!(out, index.probe(q, &spec));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_size_run_longer_than_a_block() {
+        // 9 000 three-word rows: one size run of 141 words — two full
+        // blocks and a part of one — plus a short run of two-word rows.
+        let cache = TokenCache::for_blocking();
+        let titles: Vec<String> = (0..9100usize)
+            .map(|i| match i % 91 {
+                0 => format!("w{} w{}", i % 7, 7 + i % 5),
+                _ => format!("w{} w{} w{}", i % 7, 7 + i % 5, 12 + (i / 3) % 11),
+            })
+            .collect();
+        let r = corpus_with(&cache, &titles.iter().map(String::as_str).collect::<Vec<_>>());
+        let l = corpus_with(
+            &cache,
+            &["w0 w7 w12", "w1 w8", "w6 w11 w22 w3", "w2 w2 w9 w13 nowhere", "w5"],
+        );
+        let index = JoinIndex::build(r.clone());
+        assert!(index.runs.iter().any(|run| (run.end - run.start) as usize > 2 * 64 * BLOCK));
+        for spec in [
+            JoinSpec::overlap(2),
+            JoinSpec::overlap(3),
+            JoinSpec::set_sim(SetMeasure::Jaccard, 0.5),
+            JoinSpec::union(3, SetMeasure::OverlapCoefficient, 0.7),
+        ] {
+            assert_eq!(join_pairs(&l, &index, &spec), scan(&l, &r, &spec), "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn min_admitted_is_the_brute_force_minimum() {
+        // Thresholds on float boundaries: 0.7 * 10 is 7.000000000000001 in
+        // f64, 2/3 of 3, 6, 9, 12 lands on an integer exactly.
+        let thresholds = [0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.7, 0.75, 1.0];
+        let mut specs: Vec<JoinSpec> = (0..=6).map(JoinSpec::overlap).collect();
+        for measure in [SetMeasure::OverlapCoefficient, SetMeasure::Jaccard] {
+            for threshold in thresholds {
+                specs.push(JoinSpec::set_sim(measure, threshold));
+                specs.push(JoinSpec::union(3, measure, threshold));
+            }
+        }
+        for spec in &specs {
+            for la in 0..=12 {
+                for lb in 0..=12 {
+                    for cap in 0..=la.min(lb) {
+                        let brute = (1..=cap).find(|&t| spec.admits(t, la, lb));
+                        assert_eq!(spec.min_admitted(la, lb, cap), brute, "{spec:?} {la} {lb}");
+                        // The search is only as good as the monotonicity
+                        // it rests on.
+                        if let Some(t) = brute {
+                            assert!((t..=cap).all(|i| spec.admits(i, la, lb)), "{spec:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn join_is_thread_count_invariant() {
         let (l, r) = sample();
         let index = JoinIndex::build(r);
@@ -655,7 +1014,7 @@ mod tests {
     #[test]
     fn left_only_tokens_are_ignored() {
         // Left tokenized first: its ids exceed anything in the right
-        // corpus, exercising the df bounds check.
+        // corpus, exercising the token-table bounds check.
         let cache = TokenCache::for_blocking();
         let l = corpus_with(&cache, &["zig zag zog corn"]);
         let r = corpus_with(&cache, &["corn maze", "zag only here"]);

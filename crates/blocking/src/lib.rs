@@ -9,9 +9,10 @@
 //!   overlap-coefficient and Jaccard set-similarity blockers (all three
 //!   token blockers run on the [`join`] engine), and a black-box predicate
 //!   blocker.
-//! - [`join`]: the batch set-similarity join — df-ordered, size-bucketed
-//!   postings with prefix + length filtering and exact verification, the
-//!   corpus-scale path behind the token blockers.
+//! - [`join`]: the batch set-similarity join — frequent tokens as bitsets
+//!   over size-ordered rows, counted 64 rows per word, with a length filter
+//!   and exact intersection sizes; the corpus-scale path behind the token
+//!   blockers.
 //! - [`debugger`]: a MatchCatcher-style audit that ranks the most
 //!   match-like pairs *excluded* by blocking.
 //!
@@ -46,6 +47,6 @@ pub use debugger::{debug_blocking_counted, DebugWork};
 pub use error::BlockError;
 pub use incremental::{IncrementalIndex, ProbeScratch};
 pub use join::{
-    fnv_u64, join_pairs, join_pairs_multi, join_stats, JoinIndex, JoinScratch, JoinSpec,
-    JoinStats, FNV_OFFSET, JOIN_CHUNK,
+    fnv_u64, join_pairs, join_pairs_multi, join_stats, JoinIndex, JoinLayout, JoinScratch, JoinSpec,
+    JoinStats, ProbeCounters, FNV_OFFSET, JOIN_CHUNK,
 };
