@@ -6,9 +6,11 @@
 //!   the frozen x1 workflow (as `reproduce --scaling-match` trains it) over
 //!   the `<factor>`-scaled tables, one thread: `StreamMatcher::new` broken
 //!   into its set-up legs, the join probe on its own (rows enumerated vs
-//!   admitted, the index's dense/sparse split, slice widths), then per live
-//!   feature ns/pair over the stream's own candidate order, with
-//!   sequence-kernel calls vs reused values.
+//!   admitted, the index's dense/sparse split, slice widths), what the
+//!   scorer pulled (features computed per pair: mean, histogram, each
+//!   model-live feature's share), then per model-live feature ns/pair over
+//!   the stream's own candidate order, with sequence-kernel calls vs
+//!   reused values.
 //!
 //! Everything goes to stderr; timers sit outside every checksum.
 
@@ -66,8 +68,39 @@ fn stream(factor: f64) -> Result<(), Box<dyn std::error::Error>> {
     let sm = StreamMatcher::new(u, d, &art.matcher, &art.rule_descs, &art.plan)?;
     let mask = sm.mask().clone();
     let pairs: Vec<Pair> = sm.run_collecting().1.iter().map(|(p, _)| *p).collect();
+    let pulled = sm.run_profiled().1;
     drop(sm);
-    eprintln!("{} pairs in stream order, mask {}/{}", pairs.len(), mask.n_live(), mask.len());
+    eprintln!(
+        "{} pairs in stream order, mask {}/{} (what the model can read)",
+        pairs.len(),
+        mask.n_live(),
+        mask.len()
+    );
+    let total: u64 = pulled.pulls.iter().sum();
+    let n_pairs = pulled.pairs().max(1) as f64;
+    let by_pulled: Vec<String> = pulled
+        .by_pulled
+        .iter()
+        .enumerate()
+        .filter(|(_, &n)| n > 0)
+        .map(|(k, n)| format!("{k}:{n}"))
+        .collect();
+    eprintln!(
+        "features computed per pair: mean {:.2} over {} pairs; pairs by features computed {}; \
+         {} set-plan intersection passes",
+        total as f64 / n_pairs,
+        pulled.pairs(),
+        by_pulled.join(" "),
+        pulled.set_passes
+    );
+    for k in mask.live_indices() {
+        eprintln!(
+            "  {:<30} computed for {:>9} pairs ({:5.1} %)",
+            feats.features[k].name,
+            pulled.pulls[k],
+            100.0 * pulled.pulls[k] as f64 / n_pairs
+        );
+    }
 
     eprintln!("\nStreamMatcher::new, leg by leg (each leg alone, one thread):");
     let rules = art.rule_descs.build();

@@ -605,7 +605,7 @@ fn bench_pipeline(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     };
     let mask = em_core::derive_feature_mask(&features, mask_model, &rule_descs);
     println!(
-        "  feature_extraction mask: {}/{} features live (model splits + rule attributes)",
+        "  feature_extraction mask: {}/{} features live (model splits)",
         mask.n_live(),
         mask.len()
     );

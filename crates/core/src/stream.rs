@@ -6,24 +6,32 @@
 //! the feature matrix, and the prediction vector — before a single match
 //! emerges. At corpus scale (x64–x256) the candidate set alone dominates
 //! memory. [`StreamMatcher`] fuses the stages instead: each left row's
-//! candidates come straight off the [`join`] index probe, flow through
-//! masked batch feature extraction into a reusable SoA block, get mean
-//! imputed and forest-scored in place, and only the above-threshold
-//! survivors (minus negative-rule flips, plus the rule-driven sure
-//! matches) are counted into the streamed accounting. Nothing
-//! proportional to the candidate count is ever resident.
+//! candidates come straight off the [`join`] index probe and are scored one
+//! by one through [`score_pair`] — the scorer walks the model and *pulls*
+//! the features its path tests from the masked extraction kernel, imputed
+//! as they are read — and only the above-threshold survivors (minus
+//! negative-rule flips, plus the rule-driven sure matches) are counted
+//! into the streamed accounting. Nothing proportional to the candidate
+//! count is ever resident, and no feature the model does not read for a
+//! pair is ever computed for it.
 //!
 //! **Bit identity.** The stream is not an approximation: every stage
 //! reuses the exact batch kernels, so counts, per-pair probabilities, and
 //! the final match set equal the materialized workflow bit for bit.
 //! Candidate equality holds because the join-spec union is proptested
 //! equal to `C2 ∪ C3` in `em-blocking` and `C1`/sure sets come from the
-//! same code paths ([`c1_scheme`], [`RuleSet::sure_matches`]); feature
-//! equality because [`BatchExtractor`] is pinned bit-equal to
-//! `extract_vectors` in `em-features` and dead (masked) slots are imputed
-//! to the same column means the batch path imputes; score equality
-//! because [`BlockScorer`] flattens the fitted model without reordering
-//! its float accumulation.
+//! same code paths ([`c1_scheme`], [`RuleSet::sure_matches`]). Score
+//! equality rests on one argument: *a value no traversed node tests cannot
+//! reach the score*. A pulled feature is the bits [`BatchExtractor`] is
+//! pinned to (`extract_vectors`, `Feature::compute`), imputed by the
+//! [`Imputer`]'s own test; the walk ([`BlockScorer::score_with`]) makes the
+//! comparisons of `predict_proba` in the same order, with the same left
+//! fold and single division for a forest; what it never asks for — a
+//! feature off its paths, or one the [mask](derive_feature_mask) left
+//! without a cache — would have been read by no comparison of the
+//! materialized path either. Rules never read a feature vector: they work
+//! on row keys. A dense model (linear, Bayes) reads everything, so it pulls
+//! everything and scores the same imputed row the batch path builds.
 //!
 //! **Thread invariance.** Left rows are processed in fixed
 //! [`STREAM_CHUNK`]-row chunks — the chunk grid is the parallel index
@@ -39,7 +47,8 @@ use crate::error::CoreError;
 use crate::matcher::TrainedMatcher;
 use em_blocking::{fnv_u64, CandidateSet, JoinIndex, JoinScratch, JoinSpec, Pair, FNV_OFFSET};
 use em_features::{
-    BatchExtractor, BatchScratch, CacheLeg, FeatureMask, FeatureSet, SharedWordColumns,
+    BatchExtractor, BatchScratch, CacheLeg, FeatureMask, FeatureSet, PairView, PullCounts,
+    SharedWordColumns,
 };
 use em_ml::dataset::Imputer;
 use em_ml::{BlockScorer, FittedModel};
@@ -52,11 +61,6 @@ use em_text::{TokenCache, TokenCorpus};
 /// count) so the chunk grid — and therefore every per-chunk digest — is
 /// identical at any parallelism.
 pub const STREAM_CHUNK: usize = 1024;
-
-/// Candidate pairs extracted + scored per SoA slab. Bounds the feature
-/// block at `SCORE_SLAB × n_live_features` doubles per worker regardless
-/// of how many candidates a chunk emits.
-pub const SCORE_SLAB: usize = 4096;
 
 /// Score histogram resolution: bin `b` covers `[b/20, (b+1)/20)`.
 pub const HIST_BINS: usize = 20;
@@ -101,7 +105,7 @@ pub struct StreamOutcome {
 /// Construction does all sizable work that is *not* proportional to the
 /// candidate count: tokenize the blocking column once into shared corpora
 /// (reused by both the join probes and the word-level set features),
-/// build the join index, derive the model+rule feature mask, build the
+/// build the join index, derive the model's feature mask, build the
 /// masked [`BatchExtractor`], flatten the fitted model into a
 /// [`BlockScorer`], bind the negative rules' keys to the rows, and
 /// materialize the two *small* per-left-row adjacencies (C1 scheme, rule
@@ -122,7 +126,6 @@ pub struct StreamMatcher<'a> {
     c1: Csr,
     sure: Csr,
     mask: FeatureMask,
-    n_features: usize,
 }
 
 /// Per-left-row sorted adjacency (compressed sparse rows over right-row
@@ -133,16 +136,13 @@ struct Csr {
 }
 
 /// Per-worker reusable state: join probe scratch, the row-merge buffers,
-/// the pending pair slab with its SoA feature block, and the extraction
-/// memos.
+/// the row a dense model reads, and the extraction scratch.
 struct StreamScratch {
     probe: JoinScratch,
     hits: Vec<u32>,
     blocked: Vec<u32>,
     candidates: Vec<u32>,
-    pending: Vec<(u32, u32)>,
-    block: Vec<f64>,
-    scores: Vec<f64>,
+    dense_row: Vec<f64>,
     kept: Vec<(u32, u32)>,
     batch: BatchScratch,
 }
@@ -158,6 +158,21 @@ struct ChunkResult {
     histogram: [u64; HIST_BINS],
     scored: Vec<(Pair, f64)>,
     matches: Vec<Pair>,
+}
+
+/// The one pull-and-score step the fused stream and the serve hot loop
+/// both end in: `scorer` walks its model over `pair`, pulling each feature
+/// it tests from the extraction kernel and imputing it as it is read.
+/// `dense_row` (one slot per feature) is where a dense model's row is
+/// assembled; tree-shaped models leave it alone.
+#[inline]
+pub fn score_pair(
+    scorer: &BlockScorer,
+    imputer: &Imputer,
+    mut pair: PairView<'_>,
+    dense_row: &mut [f64],
+) -> f64 {
+    scorer.score_with(dense_row, |k| imputer.impute(k, pair.pull(k)))
 }
 
 impl Csr {
@@ -208,15 +223,14 @@ fn merge_difference(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 }
 
 impl StreamMatcher<'_> {
-    /// Streams one [`STREAM_CHUNK`] of left rows: probe, merge, extract,
-    /// impute, score, apply negative rules, digest. Pure function of the
-    /// chunk index (given the frozen matcher), which is what makes the
+    /// Streams one [`STREAM_CHUNK`] of left rows: probe, merge, pull and
+    /// score, apply negative rules, digest. Pure function of the chunk
+    /// index (given the frozen matcher), which is what makes the
     /// chunk-ordered fold thread-invariant.
     fn run_chunk(&self, c: usize, ws: &mut StreamScratch, collect: bool) -> ChunkResult {
         let lo = c * STREAM_CHUNK;
         let hi = ((c + 1) * STREAM_CHUNK).min(self.u.n_rows());
         let mut res = ChunkResult { digest: FNV_OFFSET, ..ChunkResult::default() };
-        ws.pending.clear();
         ws.kept.clear();
         for i in lo..hi {
             // blocked(i) = C1(i) ∪ join-probe(i); candidates = blocked − sure.
@@ -224,12 +238,8 @@ impl StreamMatcher<'_> {
             merge_union(self.c1.row(i), &ws.hits, &mut ws.blocked);
             merge_difference(&ws.blocked, self.sure.row(i), &mut ws.candidates);
             res.candidates += ws.candidates.len();
-            ws.pending.extend(ws.candidates.iter().map(|&j| (i as u32, j)));
-            if ws.pending.len() >= SCORE_SLAB {
-                self.flush_pending(ws, &mut res, collect);
-            }
+            self.score_candidates(i, ws, &mut res, collect);
         }
-        self.flush_pending(ws, &mut res, collect);
         // Digest the chunk's final matches — sure ∪ kept, merged per left
         // row in (left, right) order. The two streams are disjoint (kept ⊆
         // blocked − sure) and each is sorted, so this is a plain merge.
@@ -273,37 +283,29 @@ impl StreamMatcher<'_> {
         res
     }
 
-    /// Extracts, imputes, and scores the pending slab, folding verdicts
-    /// into `res` and surviving matches into the worker's `kept` list.
-    fn flush_pending(&self, ws: &mut StreamScratch, res: &mut ChunkResult, collect: bool) {
-        let nf = self.n_features;
-        let StreamScratch { pending, block, scores, batch, kept, .. } = ws;
-        for slab in pending.chunks(SCORE_SLAB) {
-            let n = slab.len();
-            // The slab is grouped by left row: the extractor prepares each
-            // left row once and scores its candidates against it.
-            for (row, &(i, j)) in block.chunks_exact_mut(nf).zip(slab.iter()) {
-                self.extractor.extract_into(Pair::new(i as usize, j as usize), batch, row);
-                self.imputer.transform_row(row);
+    /// Scores left row `i`'s candidates against it — the extractor prepares
+    /// the row once, each candidate is one [`score_pair`] — folding
+    /// verdicts into `res` and surviving matches into the worker's `kept`
+    /// list.
+    fn score_candidates(&self, i: usize, ws: &mut StreamScratch, res: &mut ChunkResult, collect: bool) {
+        let StreamScratch { candidates, dense_row, batch, kept, .. } = ws;
+        for &j in candidates.iter() {
+            let pair = Pair::new(i, j as usize);
+            let p = score_pair(&self.scorer, self.imputer, self.extractor.pair(pair, batch), dense_row);
+            let bin = ((p * HIST_BINS as f64) as usize).min(HIST_BINS - 1);
+            res.histogram[bin] += 1;
+            if collect {
+                res.scored.push((pair, p));
             }
-            self.scorer.score_block(&block[..n * nf], nf, &mut scores[..n]);
-            for (&(i, j), &p) in slab.iter().zip(scores.iter()) {
-                let bin = ((p * HIST_BINS as f64) as usize).min(HIST_BINS - 1);
-                res.histogram[bin] += 1;
-                if collect {
-                    res.scored.push((Pair::new(i as usize, j as usize), p));
-                }
-                if p >= MATCH_THRESHOLD {
-                    res.predicted += 1;
-                    if self.negatives.any_fires(i as usize, j as usize) {
-                        res.flipped += 1;
-                    } else {
-                        kept.push((i, j));
-                    }
+            if p >= MATCH_THRESHOLD {
+                res.predicted += 1;
+                if self.negatives.any_fires(pair.left, pair.right) {
+                    res.flipped += 1;
+                } else {
+                    kept.push((i as u32, j));
                 }
             }
         }
-        pending.clear();
     }
 }
 
@@ -396,7 +398,6 @@ impl<'a> StreamMatcher<'a> {
             imputer: &matcher.imputer,
             negatives,
             scorer: matcher.model.block_scorer(),
-            n_features: matcher.features.len(),
             extractor,
             join,
             left_corpus,
@@ -407,14 +408,14 @@ impl<'a> StreamMatcher<'a> {
         })
     }
 
-    /// The derived feature mask (model splits ∪ rule attributes).
+    /// The derived feature mask (what the model's splits can read).
     pub fn mask(&self) -> &FeatureMask {
         &self.mask
     }
 
     /// Runs the fused stream, returning only the accounting — memory
-    /// stays bounded by `workers × (scratch + slab)` regardless of how
-    /// many candidates the blocking admits.
+    /// stays bounded by `workers × scratch` regardless of how many
+    /// candidates the blocking admits.
     pub fn run(&self) -> StreamOutcome {
         self.run_inner(false).0
     }
@@ -429,18 +430,32 @@ impl<'a> StreamMatcher<'a> {
         self.run_inner(true)
     }
 
-    /// Chunked parallel drive + chunk-ordered merge.
+    /// [`run`](StreamMatcher::run) on the calling thread, additionally
+    /// reporting which features the scorer pulled — profiling only, outside
+    /// the outcome and its checksum.
+    #[doc(hidden)]
+    pub fn run_profiled(&self) -> (StreamOutcome, PullCounts) {
+        let mut ws = StreamScratch::for_matcher(self);
+        let chunks = self.u.n_rows().div_ceil(STREAM_CHUNK);
+        let results = (0..chunks).map(|c| self.run_chunk(c, &mut ws, false)).collect();
+        (self.merge(results).0, ws.batch.pull_counts().clone())
+    }
+
+    /// Chunked parallel drive.
     fn run_inner(&self, collect: bool) -> (StreamOutcome, Vec<(Pair, f64)>, Vec<Pair>) {
-        let n_left = self.u.n_rows();
-        let chunks = n_left.div_ceil(STREAM_CHUNK);
-        let results = Executor::current().map_indexed_with(
+        let chunks = self.u.n_rows().div_ceil(STREAM_CHUNK);
+        self.merge(Executor::current().map_indexed_with(
             chunks,
             1,
             || StreamScratch::for_matcher(self),
             |ws, c| self.run_chunk(c, ws, collect),
-        );
+        ))
+    }
+
+    /// Chunk-ordered merge.
+    fn merge(&self, results: Vec<ChunkResult>) -> (StreamOutcome, Vec<(Pair, f64)>, Vec<Pair>) {
         let mut out = StreamOutcome {
-            left_rows: n_left,
+            left_rows: self.u.n_rows(),
             right_rows: self.s.n_rows(),
             sure: self.sure.rows.len(),
             candidates: 0,
@@ -477,8 +492,8 @@ enum SetUp {
     Join(TokenCorpus, JoinIndex),
 }
 
-/// Row indices travel as `u32` through the CSR adjacencies, the pending
-/// slab and the join index: a table of `u32::MAX` rows or more is refused
+/// Row indices travel as `u32` through the CSR adjacencies, the kept-match
+/// list and the join index: a table of `u32::MAX` rows or more is refused
 /// up front instead of having its indices truncated.
 fn check_row_ids(n_left: usize, n_right: usize) -> Result<(), CoreError> {
     for (side, n) in [("left", n_left), ("right", n_right)] {
@@ -523,9 +538,7 @@ impl StreamScratch {
             hits: Vec::new(),
             blocked: Vec::new(),
             candidates: Vec::new(),
-            pending: Vec::with_capacity(SCORE_SLAB),
-            block: vec![0.0; SCORE_SLAB * m.n_features],
-            scores: vec![0.0; SCORE_SLAB],
+            dense_row: vec![0.0; m.extractor.n_features()],
             kept: Vec::new(),
             batch: m.extractor.scratch(),
         }
@@ -533,30 +546,22 @@ impl StreamScratch {
 }
 
 /// Derives the streaming/serving [`FeatureMask`] from a frozen workflow:
-/// a feature stays live when the fitted model can read it (a split in
-/// some tree of the forest) **or** its attribute pair is referenced by a
-/// rule predicate. Models that read every feature densely (linear, bayes
-/// — [`FittedModel::referenced_features`] returns `None`) keep the full
-/// plan, preserving batch semantics exactly. (Moved here from `em-serve`,
-/// which re-exports it, so the batch and serve tiers share one
-/// definition.)
+/// a feature is live exactly when the fitted model can read it — a split in
+/// some tree of the forest. A constant model reads nothing; models that
+/// read every feature densely (linear, bayes —
+/// [`FittedModel::referenced_features`] returns `None`) keep the full plan,
+/// preserving batch semantics exactly. `rules` is unused — no rule
+/// evaluator reads a feature vector; positive and negative rules alike work
+/// on row keys — and stays in the signature for its callers. (`em-serve`
+/// re-exports this, so the batch and serve tiers share one definition.)
 pub fn derive_feature_mask(
     features: &FeatureSet,
     model: &FittedModel,
-    rules: &RuleSetDesc,
+    _rules: &RuleSetDesc,
 ) -> FeatureMask {
     match model.referenced_features() {
         None => FeatureMask::full(features.len()),
-        Some(mut live) => {
-            for (left, right) in rules.referenced_attr_pairs() {
-                for (k, f) in features.features.iter().enumerate() {
-                    if f.left_attr == left && f.right_attr == right {
-                        live.insert(k);
-                    }
-                }
-            }
-            FeatureMask::from_live_indices(features.len(), live)
-        }
+        Some(live) => FeatureMask::from_live_indices(features.len(), live),
     }
 }
 

@@ -1,7 +1,9 @@
 //! The fused streaming executor is the materialized workflow, bit for bit:
 //! same counts, same per-pair probabilities (`f64::to_bits` equality),
 //! same final match list — and all of it thread-invariant, checksum
-//! included.
+//! included. And it computes no feature the model does not read for the
+//! pair: what the scorer pulled is exactly the distinct split features on
+//! the traversed paths.
 
 use em_core::blocking_plan::{run_blocking, BlockingPlan};
 use em_core::labeling::run_labeling;
@@ -11,8 +13,9 @@ use em_core::preprocess::{project_umetrics, project_usda};
 use em_core::stream::StreamMatcher;
 use em_core::workflow::EmWorkflow;
 use em_datagen::{Oracle, OracleConfig, Scenario, ScenarioConfig};
-use em_features::auto_features;
+use em_features::{auto_features, extract_vectors};
 use em_table::Table;
+use std::collections::BTreeSet;
 
 /// Tests that flip the global `em_parallel` thread override must not run
 /// concurrently with each other.
@@ -39,9 +42,10 @@ fn fixture(learner: &str) -> (Table, Table, TrainedMatcher) {
 #[test]
 fn fused_stream_matches_materialized_workflow_bitwise() {
     let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // Random Forest exercises the masked extraction + flattened block
-    // scorer; Logistic Regression exercises the dense (full-mask) path.
-    for learner in ["Random Forest", "Logistic Regression"] {
+    // Decision Tree and Random Forest exercise the masked extraction + the
+    // flattened walk that pulls from it; Logistic Regression exercises the
+    // dense (full-mask, pull-everything) path.
+    for learner in ["Decision Tree", "Random Forest", "Logistic Regression"] {
         let (u, s, matcher) = fixture(learner);
         let descs = standard_rule_descs();
         let plan = BlockingPlan::default();
@@ -101,5 +105,35 @@ fn fused_stream_matches_materialized_workflow_bitwise() {
 
         // The final match list is the workflow's, pair for pair.
         assert_eq!(matches1, r.matches.to_vec(), "[{learner}] match list");
+
+        // Features computed per pair: walk the model over each pair's full,
+        // imputed row and note which features the walk asks for. The stream
+        // must have computed those and no others — per feature over all
+        // pairs, and pair by pair in how many.
+        let pairs: Vec<_> = scored1.iter().map(|(p, _)| *p).collect();
+        let mut rows = extract_vectors(&matcher.features, &u, &s, &pairs).unwrap();
+        matcher.imputer.transform(&mut rows);
+        let nf = matcher.features.len();
+        let scorer = matcher.model.block_scorer();
+        let (mut pulls, mut by_pulled) = (vec![0u64; nf], vec![0u64; nf + 1]);
+        for (row, (_, p)) in rows.iter().zip(&scored1) {
+            let mut read = BTreeSet::new();
+            let walked = scorer.score_with(&mut vec![0.0; nf], |k| {
+                read.insert(k);
+                row[k]
+            });
+            assert_eq!(walked.to_bits(), p.to_bits());
+            for &k in &read {
+                pulls[k] += 1;
+            }
+            by_pulled[read.len()] += 1;
+        }
+        let (o, counts) = sm.run_profiled();
+        assert_eq!(o, o1, "[{learner}] profiled outcome");
+        assert_eq!(counts.pulls, pulls, "[{learner}] pairs computing each feature");
+        assert_eq!(counts.by_pulled, by_pulled, "[{learner}] features computed per pair");
+        let can_read = matcher.model.referenced_features().map_or(nf, |live| live.len());
+        assert_eq!(sm.mask().n_live(), can_read, "[{learner}] mask is what the model can read");
+        assert!(by_pulled[can_read + 1..].iter().all(|&n| n == 0));
     }
 }

@@ -1,13 +1,13 @@
 //! The one scoring kernel: flat corpus-side caches, a prepared left row,
-//! and every candidate of that row scored against it.
+//! and every candidate of that row seen through a lazy [`PairView`].
 //!
 //! [`FeatureCaches`] holds the flat interned caches of [`crate::extract`]
 //! (set-feature token arenas, the global sequence-feature string table,
 //! typed scalar columns), restricted to a [`FeatureMask`]'s live subset:
 //! dead features get no cache plan, their columns are never tokenized, and
-//! their output slots are `NaN` — exactly what downstream mean imputation
-//! replaces with the column mean, so a tree-shaped model that never reads
-//! those columns scores bit-identically to full extraction.
+//! they read as `NaN` — exactly what downstream mean imputation replaces
+//! with the column mean, so a tree-shaped model that never reads those
+//! columns scores bit-identically to full extraction.
 //!
 //! **Two probe sides, one kernel.** The *prepared left row* in a
 //! [`BatchScratch`] is either a left-table row ([`BatchExtractor`]: the
@@ -15,26 +15,33 @@
 //! (crate::extract_vectors)) or one arriving record prepared read-only
 //! against a growable corpus ([`ServeExtractor`](crate::ServeExtractor)).
 //! Preparing stamps the row's token ids into an epoch-stamped array over
-//! each set plan's id space and notes its sids and typed scalars; every
-//! candidate of that row then goes through [`FeatureCaches::score`]:
+//! each set plan's id space and notes its sids and typed scalars; a
+//! candidate of that row is then a [`PairView`], which computes feature `k`
+//! the first time it is [pulled](PairView::pull) and keeps it in a per-pair
+//! slot (epoch-stamped like the token stamps: beginning a pair is one
+//! counter bump, never a wipe). A scorer that walks a tree pulls the
+//! features on its path and nothing else; [`PairView::fill`] — behind
+//! `extract_into`, `extract_matrix` and `extract_vectors` — pulls every
+//! live feature. Either way a value comes from the same three routes:
 //!
-//! - per set plan, one branch-free pass `inter += (stamp[id] == epoch)`
-//!   over the right row's ids, shared by every set measure on the plan and
-//!   fed to [`SetOp::score_counts`] — the expression the sorted-merge
-//!   measures reduce to, on the same three integers;
-//! - per sequence measure, one kernel call per distinct
+//! - set measures: per set plan, one branch-free pass
+//!   `inter += (stamp[id] == epoch)` over the right row's ids, run at most
+//!   once per pair however many of the plan's measures are pulled, and fed
+//!   to [`SetOp::score_counts`] — the expression the sorted-merge measures
+//!   reduce to, on the same three integers;
+//! - sequence measures: one kernel call per distinct
 //!   `(left sid, right sid)`: sids are global, so a case-folded feature
 //!   whose cells lowercase to themselves reuses its case-sensitive twin's
 //!   value, as does a later pair with the same two strings (recurring
 //!   titles). The values live in a fixed direct-mapped table
 //!   ([`REUSE_SLOTS`] slots per measure, overwritten on collision — no
 //!   growth, no clearing); exact match is the sid comparison itself;
-//! - per numeric/date/boolean feature, one load from a typed column.
+//! - numeric/date/boolean features: one load from a typed column.
 //!
-//! Any pair order is correct — a shuffled order merely re-stamps more
-//! often. Every value is a pure function of the two cells and bit-equal to
-//! [`Feature::compute`](crate::Feature::compute); a reused value is the
-//! value the kernel returned for the same two strings.
+//! Any pair order and any pull order is correct — a shuffled pair order
+//! merely re-stamps more often. Every value is a pure function of the two
+//! cells and bit-equal to [`Feature::compute`](crate::Feature::compute); a
+//! reused value is the value the kernel returned for the same two strings.
 //!
 //! **Scratch rebinding.** One [`BatchScratch`] serves any number of
 //! caches, one after another (a serving thread's scratch meets every shard
@@ -97,6 +104,9 @@ pub(crate) struct Stamps {
     epoch: u32,
     /// `|left tokens|`; `None` when the prepared left cell is null.
     pub(crate) left_len: Option<usize>,
+    /// `inter` is `|left ∩ right|` of the pair begun at epoch `pair`.
+    pair: u32,
+    inter: usize,
 }
 
 impl Stamps {
@@ -133,6 +143,34 @@ struct Slot {
     bits: u64,
 }
 
+/// One per-pair value slot: `value` is the feature of the pair begun at
+/// epoch `pair` (0: never).
+#[derive(Debug, Clone, Copy, Default)]
+struct PairSlot {
+    pair: u32,
+    value: f64,
+}
+
+/// Where a scratch's per-pair work went: which features its pairs pulled.
+/// Profiling only — outside every checksum.
+#[doc(hidden)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PullCounts {
+    /// Per feature slot: pairs that computed it.
+    pub pulls: Vec<u64>,
+    /// `by_pulled[n]`: pairs that computed `n` features.
+    pub by_pulled: Vec<u64>,
+    /// Set-plan intersection passes run.
+    pub set_passes: u64,
+}
+
+impl PullCounts {
+    /// Pairs seen.
+    pub fn pairs(&self) -> u64 {
+        self.by_pulled.iter().sum()
+    }
+}
+
 /// Working buffers of [`ServeExtractor::prepare`](crate::ServeExtractor::prepare).
 #[derive(Debug, Default)]
 pub(crate) struct ArrivalBuffers {
@@ -145,11 +183,11 @@ pub(crate) struct ArrivalBuffers {
     pub(crate) text: String,
 }
 
-/// Per-worker extraction state: the prepared left row, the fixed-size
-/// sequence-value reuse table, the Monge-Elkan word-pair memo and the
-/// kernels' working memory. Create one per worker and reuse it across any
-/// number of pairs, requests and extractors (see the module docs for the
-/// rebinding rule).
+/// Per-worker extraction state: the prepared left row, the current pair's
+/// value slots, the fixed-size sequence-value reuse table, the Monge-Elkan
+/// word-pair memo and the kernels' working memory. Create one per worker
+/// and reuse it across any number of pairs, requests and extractors (see
+/// the module docs for the rebinding rule).
 #[derive(Debug)]
 pub struct BatchScratch {
     /// The caches the prepared row, and the current generation, belong to.
@@ -162,6 +200,14 @@ pub struct BatchScratch {
     /// What the prepared arriving row holds that the corpus never produced.
     pub(crate) local: SeqSpace,
     pub(crate) arrival: ArrivalBuffers,
+    /// The right row of the current pair, and what has been computed of it:
+    /// `slots[k]` holds feature `k` iff `slots[k].pair == pair_epoch`.
+    right: usize,
+    slots: Vec<PairSlot>,
+    pair_epoch: u32,
+    /// Features the current pair has computed so far.
+    pulled: usize,
+    counts: PullCounts,
     reuse: Vec<Slot>,
     reuse_mask: usize,
     generation: u32,
@@ -196,6 +242,11 @@ impl BatchScratch {
             left_scalars: Vec::new(),
             local: SeqSpace::default(),
             arrival: ArrivalBuffers::default(),
+            right: 0,
+            slots: Vec::new(),
+            pair_epoch: 0,
+            pulled: 0,
+            counts: PullCounts::default(),
             reuse: Vec::new(),
             reuse_mask: reuse_slots - 1,
             generation: 0,
@@ -233,38 +284,47 @@ impl BatchScratch {
         (self.kernel_calls, self.reused)
     }
 
-    /// Ages every stamp epoch and the generation to their last value, so
-    /// the next left-row switch (and the next generation) wraps — test
-    /// hook for the wrap paths, which otherwise need 2³² switches.
+    /// Which features this scratch's pairs pulled so far.
+    #[doc(hidden)]
+    pub fn pull_counts(&self) -> &PullCounts {
+        &self.counts
+    }
+
+    /// Ages every stamp epoch, the pair epoch and the generation to their
+    /// last value, so the next left-row switch, pair and generation wrap —
+    /// test hook for the wrap paths, which otherwise need 2³² of each.
     #[doc(hidden)]
     pub fn force_epoch_wrap(&mut self) {
         for st in &mut self.stamps {
             st.epoch = u32::MAX;
         }
+        self.pair_epoch = u32::MAX;
         self.generation = u32::MAX;
         self.left = NO_ROW;
     }
 }
 
-/// The sequence features computing one measure, each with its
-/// normalization plan, and the reuse-table partition their values share.
-struct SeqGroup {
-    op: SeqOp,
-    partition: usize,
-    members: Vec<(usize, usize)>,
+/// Which cache a feature's value comes from.
+#[derive(Clone, Copy)]
+enum Route {
+    /// Masked out: no cache, reads `NaN`.
+    Dead,
+    Set { plan: usize, op: SetOp },
+    /// `partition`: the part of the reuse table the measure's values live
+    /// in (unused by exact match, which never touches the table).
+    Seq { column: usize, op: SeqOp, partition: usize },
+    Typed { column: usize, op: TypedOp },
 }
 
-/// Which live feature reads which cache.
+/// Which feature reads which cache.
 #[derive(Default)]
 struct Routes {
-    n_features: usize,
-    /// Per set plan: the live `(feature, measure)`s reading it.
-    set_ops: Vec<Vec<(usize, SetOp)>>,
-    seq_groups: Vec<SeqGroup>,
-    /// Reuse-table partitions the sequence groups address.
+    /// Per feature slot, live or dead.
+    by_feature: Vec<Route>,
+    /// The live slots, ascending.
+    live: Vec<usize>,
+    /// Reuse-table partitions the sequence measures address.
     n_partitions: usize,
-    /// `(feature, typed column pair, measure)`.
-    typed_ops: Vec<(usize, usize, TypedOp)>,
 }
 
 /// The cache plans a feature set needs under a mask, one key per distinct
@@ -293,60 +353,56 @@ impl PlanKeys {
         shared_attrs: Option<(&str, &str)>,
     ) -> Result<(PlanKeys, Routes), TableError> {
         let mut keys = PlanKeys::default();
-        let mut routes = Routes { n_features: features.len(), ..Routes::default() };
+        let mut routes = Routes::default();
+        // The measures whose values the reuse table holds, one partition
+        // each. Jaro-Winkler is Jaro plus a prefix boost: both read one
+        // partition of Jaro values.
+        let mut cached: Vec<SeqOp> = Vec::new();
         for (k, f) in features.features.iter().enumerate() {
             // Resolve every feature's columns, live or not: a feature set
             // that does not fit the tables is an error either way.
             let lcol = left_col(&f.left_attr)?;
             let rcol = right.require(&f.right_attr)?;
-            if !mask.is_live(k) {
-                continue;
-            }
-            if let Some((qgram, op)) = set_op(f.kind) {
+            let route = if !mask.is_live(k) {
+                Route::Dead
+            } else if let Some((qgram, op)) = set_op(f.kind) {
                 let key = (lcol, rcol, qgram, f.lowercase);
-                let p = position_or_push(&mut keys.set_keys, |have| *have == key, key);
-                if p == routes.set_ops.len() {
-                    routes.set_ops.push(Vec::new());
-                    if !qgram
-                        && f.lowercase
-                        && shared_attrs == Some((f.left_attr.as_str(), f.right_attr.as_str()))
-                    {
-                        keys.borrowing = Some(p);
-                    }
+                let known = keys.set_keys.len();
+                let plan = position_or_push(&mut keys.set_keys, |have| *have == key, key);
+                if plan == known
+                    && !qgram
+                    && f.lowercase
+                    && shared_attrs == Some((f.left_attr.as_str(), f.right_attr.as_str()))
+                {
+                    keys.borrowing = Some(plan);
                 }
-                routes.set_ops[p].push((k, op));
+                Route::Set { plan, op }
             } else if let Some(op) = seq_op(f.kind) {
                 let key = (lcol, rcol, f.lowercase);
-                let c = position_or_push(&mut keys.seq_keys, |have| *have == key, key);
-                let g = match routes.seq_groups.iter().position(|g| g.op == op) {
-                    Some(g) => g,
-                    None => {
-                        routes.seq_groups.push(SeqGroup { op, partition: 0, members: Vec::new() });
-                        routes.seq_groups.len() - 1
-                    }
+                let column = position_or_push(&mut keys.seq_keys, |have| *have == key, key);
+                let table_op = if op == SeqOp::JaroWinkler { SeqOp::Jaro } else { op };
+                let partition = match op {
+                    SeqOp::Exact => 0,
+                    _ => position_or_push(&mut cached, |&c| c == table_op, table_op),
                 };
-                routes.seq_groups[g].members.push((k, c));
                 keys.with_words |= op.needs_words();
+                Route::Seq { column, op, partition }
             } else if let Some(op) = typed_op(f.kind) {
-                let c = position_or_push(
+                let column = position_or_push(
                     &mut keys.typed_keys,
                     |&(l, r, o)| l == lcol && r == rcol && o.shares_column_with(op),
                     (lcol, rcol, op),
                 );
-                routes.typed_ops.push((k, c, op));
+                Route::Typed { column, op }
+            } else {
+                Route::Dead
+            };
+            if !matches!(route, Route::Dead) {
+                routes.live.push(k);
             }
+            routes.by_feature.push(route);
         }
-        // Jaro-Winkler is Jaro plus a prefix boost: both read one
-        // partition of Jaro values. Exact match never touches the table.
-        let cached = |op: SeqOp| if op == SeqOp::JaroWinkler { SeqOp::Jaro } else { op };
-        let mut partitions: Vec<SeqOp> = Vec::new();
-        for g in &mut routes.seq_groups {
-            if g.op != SeqOp::Exact {
-                let c = cached(g.op);
-                g.partition = position_or_push(&mut partitions, |&op| op == c, c);
-            }
-        }
-        routes.n_partitions = partitions.len();
+        routes.n_partitions = cached.len();
         Ok((keys, routes))
     }
 }
@@ -360,7 +416,8 @@ pub(crate) fn position_or_push<T>(items: &mut Vec<T>, same: impl Fn(&T) -> bool,
 }
 
 /// The corpus-side caches of the live features and the one routine that
-/// scores a candidate against a prepared left row. Built once by a
+/// computes a feature of a candidate against a prepared left row. Built
+/// once by a
 /// [`BatchExtractor`]; built empty and grown by a
 /// [`ServeExtractor`](crate::ServeExtractor).
 pub(crate) struct FeatureCaches {
@@ -394,7 +451,7 @@ impl FeatureCaches {
 
     /// Number of feature slots (live and dead).
     pub(crate) fn n_features(&self) -> usize {
-        self.routes.n_features
+        self.routes.by_feature.len()
     }
 
     /// Points `scratch` at these caches (a no-op when it already is).
@@ -417,6 +474,14 @@ impl FeatureCaches {
         }
         scratch.left_sids.resize(self.seq.columns.len(), NULL_SID);
         scratch.left_scalars.resize(self.typed_cols.len(), Scalar::Null);
+        // A slot another caches' pair filled is older than any pair begun
+        // from here on.
+        let n = self.n_features();
+        if scratch.slots.len() < n {
+            scratch.slots.resize(n, PairSlot::default());
+            scratch.counts.pulls.resize(n, 0);
+            scratch.counts.by_pulled.resize(n + 1, 0);
+        }
         let slots = self.routes.n_partitions * (scratch.reuse_mask + 1);
         if scratch.reuse.len() < slots {
             scratch.reuse.resize(slots, Slot::default());
@@ -448,21 +513,26 @@ impl FeatureCaches {
     /// The value of a non-exact sequence measure on two non-null strings:
     /// from the reuse table when this scratch already computed it for the
     /// same two sids in this generation, else from the kernel.
-    fn seq_value(&self, g: &SeqGroup, sids: (u32, u32), scratch: &mut BatchScratch) -> f64 {
+    fn seq_value(
+        &self,
+        (op, partition): (SeqOp, usize),
+        sids: (u32, u32),
+        scratch: &mut BatchScratch,
+    ) -> f64 {
         let BatchScratch {
             reuse, reuse_mask, generation, local, jw_words, kernel, kernel_calls, reused, ..
         } = scratch;
         let tiers = Tiers { corpus: &self.seq.space, local };
-        let winkler = g.op == SeqOp::JaroWinkler;
+        let winkler = op == SeqOp::JaroWinkler;
         let key = u64::from(sids.0) << 32 | u64::from(sids.1);
         let hash = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize;
-        let slot = &mut reuse[g.partition * (*reuse_mask + 1) + (hash & *reuse_mask)];
+        let slot = &mut reuse[partition * (*reuse_mask + 1) + (hash & *reuse_mask)];
         let v = if slot.generation == *generation && slot.sids == sids {
             *reused += 1;
             f64::from_bits(slot.bits)
         } else {
-            let op = if winkler { SeqOp::Jaro } else { g.op };
-            let v = op.score(tiers, sids, jw_words, kernel);
+            let kernel_op = if winkler { SeqOp::Jaro } else { op };
+            let v = kernel_op.score(tiers, sids, jw_words, kernel);
             *kernel_calls += 1;
             *slot = Slot { generation: *generation, sids, bits: v.to_bits() };
             v
@@ -474,45 +544,117 @@ impl FeatureCaches {
         }
     }
 
-    /// Scores right row `j` against the scratch's prepared left row into
-    /// `out` (length [`n_features`](FeatureCaches::n_features)): live
-    /// features get their value, dead features `NaN`. Allocation-free
-    /// apart from Monge-Elkan word-memo growth inside `scratch`.
+    /// Right row `j` against the scratch's prepared left row, nothing of
+    /// it computed yet.
     #[inline]
-    pub(crate) fn score(&self, j: usize, scratch: &mut BatchScratch, out: &mut [f64]) {
+    pub(crate) fn view<'s>(&'s self, j: usize, scratch: &'s mut BatchScratch) -> PairView<'s> {
         debug_assert_eq!(scratch.owner, self.id, "no left row prepared against these caches");
-        debug_assert_eq!(out.len(), self.routes.n_features);
-        out.fill(f64::NAN);
-        for ((plan, ops), st) in self.set_plans.iter().zip(&self.routes.set_ops).zip(&scratch.stamps)
-        {
-            let right = plan.right[j];
-            let (Some(la), Some(lb)) = (st.left_len, right.len()) else { continue };
-            let mut inter = 0usize;
-            for &id in plan.ids(right) {
-                // An id the corpus produced after the row was prepared is
-                // beyond the stamps, and not in the row.
-                inter += usize::from(st.stamp.get(id as usize) == Some(&st.epoch));
+        scratch.right = j;
+        scratch.pulled = 0;
+        scratch.pair_epoch = scratch.pair_epoch.wrapping_add(1);
+        if scratch.pair_epoch == 0 {
+            // Wrapped: a slot from 2³² pairs ago would read as this pair's.
+            scratch.slots.fill(PairSlot::default());
+            for st in &mut scratch.stamps {
+                st.pair = 0;
             }
-            for &(k, op) in ops {
-                out[k] = op.score_counts(inter, la, lb);
-            }
+            scratch.pair_epoch = 1;
         }
-        for g in &self.routes.seq_groups {
-            for &(k, c) in &g.members {
-                let sids = (scratch.left_sids[c], self.seq.columns[c].right[j]);
-                if sids.0 == NULL_SID || sids.1 == NULL_SID {
-                    continue;
+        PairView { caches: self, scratch }
+    }
+
+    /// Computes feature `k` of the scratch's current pair into its slot.
+    fn compute(&self, k: usize, scratch: &mut BatchScratch) -> f64 {
+        let j = scratch.right;
+        let value = match self.routes.by_feature[k] {
+            Route::Dead => f64::NAN,
+            Route::Set { plan, op } => {
+                let (plan, st) = (&self.set_plans[plan], &mut scratch.stamps[plan]);
+                let right = plan.right[j];
+                match (st.left_len, right.len()) {
+                    (Some(la), Some(lb)) => {
+                        if st.pair != scratch.pair_epoch {
+                            let mut inter = 0usize;
+                            for &id in plan.ids(right) {
+                                // An id the corpus produced after the row
+                                // was prepared is beyond the stamps, and
+                                // not in the row.
+                                inter += usize::from(st.stamp.get(id as usize) == Some(&st.epoch));
+                            }
+                            (st.pair, st.inter) = (scratch.pair_epoch, inter);
+                            scratch.counts.set_passes += 1;
+                        }
+                        op.score_counts(st.inter, la, lb)
+                    }
+                    _ => f64::NAN,
                 }
-                out[k] = if g.op == SeqOp::Exact {
+            }
+            Route::Seq { column, op, partition } => {
+                let sids = (scratch.left_sids[column], self.seq.columns[column].right[j]);
+                if sids.0 == NULL_SID || sids.1 == NULL_SID {
+                    f64::NAN
+                } else if op == SeqOp::Exact {
                     // Cells are interned: equal sids ⇔ equal strings.
                     f64::from(sids.0 == sids.1)
                 } else {
-                    self.seq_value(g, sids, scratch)
-                };
+                    self.seq_value((op, partition), sids, scratch)
+                }
             }
+            Route::Typed { column, op } => {
+                op.score(scratch.left_scalars[column], self.typed_cols[column].1[j])
+            }
+        };
+        scratch.slots[k] = PairSlot { pair: scratch.pair_epoch, value };
+        scratch.counts.pulls[k] += 1;
+        scratch.pulled += 1;
+        value
+    }
+}
+
+/// One candidate pair seen through the kernel: the scratch's prepared left
+/// row against one right row, each feature computed the first time it is
+/// pulled. Allocation-free apart from Monge-Elkan word-memo growth inside
+/// the scratch.
+pub struct PairView<'s> {
+    caches: &'s FeatureCaches,
+    scratch: &'s mut BatchScratch,
+}
+
+impl PairView<'_> {
+    /// Feature `k` of the pair, as [`Feature::compute`]
+    /// (crate::Feature::compute) returns it: computed on first touch, kept
+    /// for the pair's later pulls. A dead feature — and a slot the feature
+    /// set does not have — reads `NaN`.
+    #[inline]
+    pub fn pull(&mut self, k: usize) -> f64 {
+        if k >= self.caches.n_features() {
+            return f64::NAN;
         }
-        for &(k, c, op) in &self.routes.typed_ops {
-            out[k] = op.score(scratch.left_scalars[c], self.typed_cols[c].1[j]);
+        let slot = self.scratch.slots[k];
+        if slot.pair == self.scratch.pair_epoch {
+            slot.value
+        } else {
+            self.caches.compute(k, self.scratch)
+        }
+    }
+
+    /// Pulls every live feature into `out` (one slot per feature of the
+    /// plan); dead features get `NaN`.
+    #[inline]
+    pub fn fill(mut self, out: &mut [f64]) {
+        debug_assert_eq!(out.len(), self.caches.n_features());
+        out.fill(f64::NAN);
+        for &k in &self.caches.routes.live {
+            out[k] = self.pull(k);
+        }
+    }
+}
+
+impl Drop for PairView<'_> {
+    /// The pair is over: its pull count is final.
+    fn drop(&mut self) {
+        if let Some(pairs) = self.scratch.counts.by_pulled.get_mut(self.scratch.pulled) {
+            *pairs += 1;
         }
     }
 }
@@ -748,11 +890,9 @@ impl BatchExtractor {
         scratch
     }
 
-    /// Extracts one pair into `out` (length must equal
-    /// [`n_features`](BatchExtractor::n_features)): live features get
-    /// their value, dead features `NaN`. Allocation-free apart from
-    /// Monge-Elkan word-memo growth inside `scratch`. Fastest when
-    /// consecutive pairs share their left row; correct in any order.
+    /// Pair `p` as a lazy view over `scratch`: nothing is computed until a
+    /// feature is pulled. Fastest when consecutive pairs share their left
+    /// row (it is prepared once); correct in any order.
     ///
     /// A row [`for_pairs`](BatchExtractor::for_pairs) was not given is not
     /// covered by the caches: debug builds assert coverage; release builds
@@ -760,10 +900,9 @@ impl BatchExtractor {
     /// out `NaN`.
     ///
     /// # Panics
-    /// If `pair` indexes past a table or `out` is shorter than the feature
-    /// set.
+    /// If `p` indexes past a table.
     #[inline]
-    pub fn extract_into(&self, p: Pair, scratch: &mut BatchScratch, out: &mut [f64]) {
+    pub fn pair<'s>(&'s self, p: Pair, scratch: &'s mut BatchScratch) -> PairView<'s> {
         debug_assert!(
             self.used_left[p.left] && self.used_right[p.right],
             "pair ({}, {}) is outside the rows this extractor was built for",
@@ -774,7 +913,20 @@ impl BatchExtractor {
         if scratch.left != p.left {
             self.caches.prepare_left(p.left, scratch);
         }
-        self.caches.score(p.right, scratch, out);
+        self.caches.view(p.right, scratch)
+    }
+
+    /// Extracts one pair into `out` (length must equal
+    /// [`n_features`](BatchExtractor::n_features)): live features get
+    /// their value, dead features `NaN` — [`pair`](BatchExtractor::pair)
+    /// with every live feature pulled.
+    ///
+    /// # Panics
+    /// If `p` indexes past a table or `out` is shorter than the feature
+    /// set.
+    #[inline]
+    pub fn extract_into(&self, p: Pair, scratch: &mut BatchScratch, out: &mut [f64]) {
+        self.pair(p, scratch).fill(out);
     }
 
     /// Extracts every pair into one row-major matrix
@@ -1005,6 +1157,24 @@ mod tests {
             }
         }
         assert!(aged.stamps.iter().all(|st| st.epoch < 8), "epochs restarted after the wrap");
+    }
+
+    #[test]
+    fn pair_epoch_wrap_forgets_the_first_pairs_intersection() {
+        // The first pair of a scratch runs its intersection pass at pair
+        // epoch 1; after a wrap the next pair is epoch 1 again and must
+        // not take that count for its own.
+        let (a, b) = tables();
+        let fs = every_measure(&a, &b);
+        let ex = BatchExtractor::new(&fs, &a, &b, &FeatureMask::full(fs.len()), None).unwrap();
+        let k = fs.names().iter().position(|n| n == "Title_jac_q3_lc").unwrap();
+        let mut scratch = ex.scratch();
+        assert_eq!(ex.pair(Pair::new(0, 0), &mut scratch).pull(k), 1.0);
+        scratch.force_epoch_wrap();
+        let direct = fs.features[k].compute(a.get(0, "Title").unwrap(), b.get(1, "Title").unwrap());
+        assert!(direct < 1.0);
+        assert!(same(ex.pair(Pair::new(0, 1), &mut scratch).pull(k), direct));
+        assert_eq!(scratch.pull_counts().set_passes, 2);
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub mod serve;
 pub mod types;
 
 pub use batch::{
-    BatchExtractor, BatchScratch, CacheLeg, ExtractorPlan, SharedWordColumns, BATCH_CHUNK,
-    JW_MEMO_CAP,
+    BatchExtractor, BatchScratch, CacheLeg, ExtractorPlan, PairView, PullCounts,
+    SharedWordColumns, BATCH_CHUNK, JW_MEMO_CAP,
 };
 pub use extract::extract_vectors;
 pub use feature::{Feature, FeatureKind};

@@ -1,10 +1,10 @@
-//! Model-aware feature masks: which features of a plan an extractor
-//! computes. Dead features get no cache plan and their output slots are
-//! `NaN` — what mean imputation replaces with an unread column mean.
+//! Model-aware feature masks: which features of a plan an extractor can
+//! compute. Dead features get no cache plan and read as `NaN` — what mean
+//! imputation replaces with an unread column mean.
 
-/// Which features of a plan are *live* — actually read by the fitted model
-/// or a rule-referenced attribute pair. Dead features are skipped at serve
-/// time and their slots filled with `NaN`.
+/// Which features of a plan are *live* — the ones the fitted model can
+/// read (rules work on row keys, never on a feature vector). Dead features
+/// get no cache and read as `NaN`.
 #[derive(Debug, Clone)]
 pub struct FeatureMask {
     live: Vec<bool>,

@@ -12,8 +12,9 @@
 //! ([`push_right_row`](ServeExtractor::push_right_row)) as the corpus
 //! evolves. A request prepares the one arriving record as the scratch's
 //! left row ([`prepare`](ServeExtractor::prepare), read-only on the
-//! corpus) and scores each surviving candidate through the kernel the
-//! batch paths use ([`extract_into`](ServeExtractor::extract_into)).
+//! corpus) and sees each surviving candidate through the kernel the batch
+//! paths use ([`candidate`](ServeExtractor::candidate): a lazy
+//! [`PairView`], of which [`fill`](PairView::fill) pulls everything).
 //!
 //! What the corpus has never produced stays **request-local**, and that is
 //! bit-neutral feature by feature:
@@ -27,12 +28,11 @@
 //! - Monge-Elkan folds over word ids; a word without a corpus id gets a
 //!   local one, resolved to its chars and Soundex code in the scratch.
 //!
-//! The [`FeatureMask`] (derived from the fitted model's split walk plus the
-//! rule-referenced attribute pairs — see `em-serve`) is bound at
-//! construction: dead features get no plan, so nothing is built, pushed or
-//! prepared for them.
+//! The [`FeatureMask`] (what the fitted model's split walk can read — see
+//! `em_core::derive_feature_mask`) is bound at construction: dead features
+//! get no plan, so nothing is built, pushed or prepared for them.
 
-use crate::batch::{position_or_push, BatchScratch, FeatureCaches, PlanKeys};
+use crate::batch::{position_or_push, BatchScratch, FeatureCaches, PairView, PlanKeys};
 use crate::extract::{
     for_each_token, normalized, SeqInterner, SetInterner, Token, LOCAL_BIT, NULL_SID,
 };
@@ -216,15 +216,18 @@ impl ServeExtractor {
         Ok(())
     }
 
-    /// Extracts the feature vector of the prepared arrival against corpus
-    /// row `right_key` into `out` (one slot per feature of the plan): live
-    /// features get the batch-identical value, dead features `NaN`.
-    /// `scratch` must have been [`prepare`](ServeExtractor::prepare)d by
-    /// this extractor for the arrival. This is the allocation-free
-    /// per-candidate path — the kernel every batch path scores through.
+    /// The prepared arrival against corpus row `right_key`, as a lazy view:
+    /// nothing is computed until a feature is pulled. `scratch` must have
+    /// been [`prepare`](ServeExtractor::prepare)d by this extractor for the
+    /// arrival. This is the allocation-free per-candidate path — the kernel
+    /// every batch path scores through.
     #[inline]
-    pub fn extract_into(&self, right_key: usize, scratch: &mut BatchScratch, out: &mut [f64]) {
-        self.caches.score(right_key, scratch, out);
+    pub fn candidate<'s>(
+        &'s self,
+        right_key: usize,
+        scratch: &'s mut BatchScratch,
+    ) -> PairView<'s> {
+        self.caches.view(right_key, scratch)
     }
 }
 
@@ -306,7 +309,7 @@ mod tests {
         let mut out = vec![0.0; fs.len()];
         ex.prepare(a, i, scratch).unwrap();
         for j in 0..b.n_rows() {
-            ex.extract_into(j, scratch, &mut out);
+            ex.candidate(j, scratch).fill(&mut out);
             for (k, f) in fs.features.iter().enumerate() {
                 let want = if mask.is_live(k) {
                     f.compute(a.get(i, &f.left_attr).unwrap(), b.get(j, &f.right_attr).unwrap())
@@ -368,8 +371,8 @@ mod tests {
             grown.prepare(&a, i, &mut s1).unwrap();
             fresh.prepare(&a, i, &mut s2).unwrap();
             for j in 0..b.n_rows() {
-                grown.extract_into(j, &mut s1, &mut o1);
-                fresh.extract_into(j, &mut s2, &mut o2);
+                grown.candidate(j, &mut s1).fill(&mut o1);
+                fresh.candidate(j, &mut s2).fill(&mut o2);
                 for k in 0..fs.len() {
                     assert_bits_eq(o1[k], o2[k], &format!("pair ({i},{j}) feature {k}"));
                 }

@@ -10,11 +10,14 @@
 //! whole case — grouped order, then shuffled, across many left-row
 //! switches and forced stamp-epoch wraps, then every left row again as an
 //! arrival against the grown corpus, which has never seen most of its
-//! tokens, words and strings.
+//! tokens, words and strings. Every pair is also seen through the lazy
+//! [`PairView`] first: a random subset of its features pulled in a random
+//! order, some twice, on the scratch the pair before left its values in.
 
 use em_blocking::Pair;
 use em_features::{
-    BatchExtractor, Feature, FeatureKind, FeatureMask, FeatureSet, ServeExtractor,
+    BatchExtractor, BatchScratch, Feature, FeatureKind, FeatureMask, FeatureSet, PairView,
+    ServeExtractor,
 };
 use em_table::{DataType, Date, Schema, Table, Value};
 use proptest::prelude::*;
@@ -150,6 +153,79 @@ fn check_pair(
     Ok(())
 }
 
+/// The slots of `picks` (reduced into the feature set) in that order:
+/// a subset with repeats, so some features are pulled twice.
+fn pull_order(fs: &FeatureSet, picks: &[u32], salt: usize) -> Vec<usize> {
+    picks.iter().map(|&r| (r as usize).wrapping_add(salt * 7) % fs.len()).collect()
+}
+
+/// Pulls `order` from `view` and checks every value against
+/// `Feature::compute` (live) or `NaN` (dead).
+fn check_pulls(
+    fs: &FeatureSet,
+    (a, b): (&Table, &Table),
+    mask: &FeatureMask,
+    p: Pair,
+    mut view: PairView<'_>,
+    order: &[usize],
+) -> Result<(), String> {
+    for &k in order {
+        let f = &fs.features[k];
+        let want = if mask.is_live(k) {
+            let va = a.get(p.left, &f.left_attr).expect("column exists");
+            let vb = b.get(p.right, &f.right_attr).expect("column exists");
+            f.compute(va, vb)
+        } else {
+            f64::NAN
+        };
+        let got = view.pull(k);
+        if !same_bits(got, want) {
+            return Err(format!("pulled {} on {p:?}: got {got}, want {want}", f.name));
+        }
+    }
+    // A slot the feature set does not have reads as a dead one.
+    if !view.pull(fs.len()).is_nan() {
+        return Err(format!("slot {} of {} is not NaN", fs.len(), fs.len()));
+    }
+    Ok(())
+}
+
+/// The set-plan intersection passes pulling `order` on `p` must run: one
+/// per distinct tokenization plan among the live set measures pulled,
+/// when neither cell is null — however many measures share the plan.
+fn expected_set_passes(
+    fs: &FeatureSet,
+    (a, b): (&Table, &Table),
+    mask: &FeatureMask,
+    p: Pair,
+    order: &[usize],
+) -> u64 {
+    use FeatureKind::*;
+    let mut plans: Vec<(&str, bool, bool)> = Vec::new();
+    for &k in order {
+        let f = &fs.features[k];
+        let qgram = match f.kind {
+            JaccardQgram3 | DiceQgram3 => true,
+            JaccardWord | CosineWord | OverlapCoeffWord => false,
+            _ => continue,
+        };
+        let null = |t: &Table, row, attr| t.get(row, attr).expect("column exists").is_null();
+        let plan = (f.left_attr.as_str(), qgram, f.lowercase);
+        if mask.is_live(k)
+            && !null(a, p.left, &f.left_attr)
+            && !null(b, p.right, &f.right_attr)
+            && !plans.contains(&plan)
+        {
+            plans.push(plan);
+        }
+    }
+    plans.len() as u64
+}
+
+fn set_passes(scratch: &BatchScratch) -> u64 {
+    scratch.pull_counts().set_passes
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -164,6 +240,7 @@ proptest! {
         order in proptest::collection::vec(any::<u32>(), 36),
         wraps in proptest::collection::vec(0usize..72, 0..4),
         prefix in 0usize..7,
+        picks in proptest::collection::vec(any::<u32>(), 0..24),
     ) {
         let fs = features();
         let mask = FeatureMask::from_live_indices(fs.len(), (0..fs.len()).filter(|&k| live[k]));
@@ -179,6 +256,20 @@ proptest! {
             if wraps.contains(&n) {
                 scratch.force_epoch_wrap();
             }
+            // The lazy view first: its slots still hold the last pair's
+            // values, all of them, stamped by the `extract_into` below.
+            let pulls = pull_order(&fs, &picks, n);
+            let passes = set_passes(&scratch);
+            if let Err(why) =
+                check_pulls(&fs, (&a, &b), &mask, *p, ex.pair(*p, &mut scratch), &pulls)
+            {
+                prop_assert!(false, "pair #{n}: {why}");
+            }
+            prop_assert_eq!(
+                set_passes(&scratch) - passes,
+                expected_set_passes(&fs, (&a, &b), &mask, *p, &pulls),
+                "pair #{}: one intersection pass per set plan pulled", n
+            );
             ex.extract_into(*p, &mut scratch, &mut out);
             if let Err(why) = check_pair(&fs, (&a, &b), &mask, *p, &out) {
                 prop_assert!(false, "pair #{n}: {why}");
@@ -213,9 +304,24 @@ proptest! {
                 serve.prepare(&a, p.left, &mut scratch).expect("row in range");
                 prepared = p.left;
             }
-            serve.extract_into(p.right, &mut scratch, &mut out);
+            let pulls = pull_order(&fs, &picks, n);
+            let view = serve.candidate(p.right, &mut scratch);
+            if let Err(why) = check_pulls(&fs, (&a, &b), &mask, *p, view, &pulls) {
+                prop_assert!(false, "arrival #{n}: {why}");
+            }
+            serve.candidate(p.right, &mut scratch).fill(&mut out);
             if let Err(why) = check_pair(&fs, (&a, &b), &mask, *p, &out) {
                 prop_assert!(false, "arrival #{n}: {why}");
+            }
+            if order[n] % 3 == 0 {
+                // The scratch goes to the table-row extractor and back:
+                // a rebind between two pulls of the arriving-row side.
+                if let Err(why) =
+                    check_pulls(&fs, (&a, &b), &mask, *p, ex.pair(*p, &mut scratch), &pulls)
+                {
+                    prop_assert!(false, "rebound #{n}: {why}");
+                }
+                prepared = usize::MAX;
             }
         }
     }

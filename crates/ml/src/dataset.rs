@@ -119,12 +119,21 @@ impl Imputer {
         Imputer { means }
     }
 
+    /// What a model reads for value `v` of column `c`: `v` itself when it
+    /// is finite, else the fitted mean.
+    #[inline]
+    pub fn impute(&self, c: usize, v: f64) -> f64 {
+        if v.is_finite() {
+            v
+        } else {
+            self.means[c]
+        }
+    }
+
     /// Replaces non-finite values in a single row with the fitted means.
     pub fn transform_row(&self, row: &mut [f64]) {
         for (c, v) in row.iter_mut().enumerate() {
-            if !v.is_finite() {
-                *v = self.means[c];
-            }
+            *v = self.impute(c, *v);
         }
     }
 

@@ -47,39 +47,39 @@ impl Model for FittedModel {
     }
 }
 
-/// A fitted model prepared for cache-friendly block scoring: tree-shaped
-/// models are flattened into array form (scored trees-outer over a
-/// contiguous row block), everything else falls back to per-row
-/// `predict_proba`. Scores are bit-identical to the source model on every
-/// input — the flat walk performs the same comparisons in the same order,
-/// and the forest mean uses the same left fold and single division.
+/// A fitted model prepared for scoring rows it does not hold: tree-shaped
+/// models (a constant model is a one-leaf tree) are flattened into array
+/// form and *pull* the features their walk tests, everything else reads a
+/// whole row through `predict_proba`. Scores are bit-identical to the
+/// source model on every input — the flat walk performs the same
+/// comparisons in the same order, and the forest mean uses the same left
+/// fold and single division.
 #[derive(Debug, Clone)]
 pub enum BlockScorer {
     /// A flattened decision tree (no mean fold — a bare walk per row).
     Tree(FlatTree),
-    /// A flattened forest, scored trees-outer / rows-inner.
+    /// A flattened forest, walked tree by tree.
     Forest(FlatForest),
-    /// Dense models (constant / linear / Bayes): per-row delegation.
+    /// Dense models (linear / Bayes): per-row delegation.
     Dense(FittedModel),
 }
 
 impl BlockScorer {
-    /// Scores every row of a row-major `block` (row `r` is
-    /// `block[r * stride..][..stride]`) into `out`; `out.len()` must equal
-    /// the row count.
-    pub fn score_block(&self, block: &[f64], stride: usize, out: &mut [f64]) {
-        debug_assert!(stride > 0 && block.len() == out.len() * stride);
+    /// Scores one row whose feature `k` is `feature(k)`. A tree-shaped
+    /// model asks for the split feature of every node it traverses and for
+    /// nothing else — a value no traversed node tests cannot reach the
+    /// score; a dense model asks for each of `0..dense_row.len()` once, in
+    /// order, and scores `dense_row` (which tree-shaped models leave alone).
+    #[inline]
+    pub fn score_with(&self, dense_row: &mut [f64], mut feature: impl FnMut(usize) -> f64) -> f64 {
         match self {
-            BlockScorer::Tree(t) => {
-                for (slot, row) in out.iter_mut().zip(block.chunks_exact(stride)) {
-                    *slot = t.score(row);
-                }
-            }
-            BlockScorer::Forest(f) => f.score_block(block, stride, out),
+            BlockScorer::Tree(t) => t.score_with(feature),
+            BlockScorer::Forest(f) => f.score_with(feature),
             BlockScorer::Dense(m) => {
-                for (slot, row) in out.iter_mut().zip(block.chunks_exact(stride)) {
-                    *slot = m.predict_proba(row);
+                for (k, slot) in dense_row.iter_mut().enumerate() {
+                    *slot = feature(k);
                 }
+                m.predict_proba(dense_row)
             }
         }
     }
@@ -93,15 +93,26 @@ impl BlockScorer {
             BlockScorer::Dense(m) => m.predict_proba(row),
         }
     }
+
+    /// Scores every row of a row-major `block` (row `r` is
+    /// `block[r * stride..][..stride]`) into `out`; `out.len()` must equal
+    /// the row count.
+    pub fn score_block(&self, block: &[f64], stride: usize, out: &mut [f64]) {
+        debug_assert!(stride > 0 && block.len() == out.len() * stride);
+        for (slot, row) in out.iter_mut().zip(block.chunks_exact(stride)) {
+            *slot = self.score_row(row);
+        }
+    }
 }
 
 impl FittedModel {
-    /// Prepares this model for [`BlockScorer::score_block`].
+    /// Prepares this model for [`BlockScorer::score_with`].
     pub fn block_scorer(&self) -> BlockScorer {
         match self {
+            FittedModel::Constant(m) => BlockScorer::Tree(FlatTree::leaf(m.proba)),
             FittedModel::Tree(t) => BlockScorer::Tree(t.flatten()),
             FittedModel::Forest(f) => BlockScorer::Forest(f.flatten()),
-            other => BlockScorer::Dense(other.clone()),
+            dense => BlockScorer::Dense(dense.clone()),
         }
     }
 }
@@ -345,6 +356,32 @@ mod tests {
             // Encoding is canonical: re-encoding the decoded model is a
             // fixed point.
             assert_eq!(text, back.encode(), "{}", learner.name());
+        }
+    }
+
+    #[test]
+    fn dense_models_pull_every_feature_and_constant_ones_none() {
+        let data = training_data();
+        let mut models: Vec<FittedModel> =
+            standard_learners(7).iter().map(|l| l.fit_model(&data).unwrap()).collect();
+        models.push(FittedModel::Constant(ConstantModel { proba: 0.1 + 0.2 }));
+        for model in &models {
+            let scorer = model.block_scorer();
+            for row in probe_rows() {
+                let mut asked = Vec::new();
+                let mut dense_row = [f64::NAN; 3];
+                let p = scorer.score_with(&mut dense_row, |k| {
+                    asked.push(k);
+                    row[k]
+                });
+                assert_eq!(p.to_bits(), model.predict_proba(&row).to_bits(), "{}", model.kind());
+                match model.referenced_features() {
+                    None => assert_eq!(asked, [0, 1, 2], "{} is dense", model.kind()),
+                    Some(can_read) => {
+                        assert!(asked.iter().all(|k| can_read.contains(k)), "{}", model.kind())
+                    }
+                }
+            }
         }
     }
 

@@ -92,9 +92,7 @@ impl Model for RandomForestModel {
     }
 }
 
-/// A forest flattened into [`FlatTree`]s for cache-friendly block scoring:
-/// trees on the outer loop, a contiguous row block on the inner loop, so
-/// each tree's node arrays stay hot while it sweeps the block.
+/// A forest flattened into [`FlatTree`]s.
 ///
 /// Bit-identity with [`RandomForestModel::predict_proba`]: per row the
 /// accumulator starts at `0.0` and absorbs tree probabilities in tree
@@ -112,41 +110,30 @@ impl FlatForest {
         self.trees.len()
     }
 
-    /// Scores every row of a row-major `block` (row `r` is
-    /// `block[r * stride..][..stride]`) into `out`. `out.len()` must equal
-    /// the row count; `stride` must divide `block.len()`.
-    pub fn score_block(&self, block: &[f64], stride: usize, out: &mut [f64]) {
-        debug_assert!(stride > 0 && block.len() == out.len() * stride);
-        out.fill(0.0);
-        if self.trees.is_empty() {
-            return;
-        }
-        for tree in &self.trees {
-            for (slot, row) in out.iter_mut().zip(block.chunks_exact(stride)) {
-                *slot += tree.score(row);
-            }
-        }
-        let n = self.trees.len() as f64;
-        for slot in out.iter_mut() {
-            *slot /= n;
-        }
-    }
-
-    /// Scores one row; bit-identical to the boxed forest's `predict_proba`.
-    pub fn score_row(&self, row: &[f64]) -> f64 {
+    /// Scores one row whose feature `k` is `feature(k)`: every tree's
+    /// [`FlatTree::score_with`] walk in tree order, so `feature` is asked
+    /// again for a feature two trees test — a source that pays per
+    /// computation keeps what it returned.
+    #[inline]
+    pub fn score_with(&self, mut feature: impl FnMut(usize) -> f64) -> f64 {
         if self.trees.is_empty() {
             return 0.0;
         }
         let mut sum = 0.0;
         for tree in &self.trees {
-            sum += tree.score(row);
+            sum += tree.score_with(&mut feature);
         }
         sum / self.trees.len() as f64
+    }
+
+    /// Scores one row; bit-identical to the boxed forest's `predict_proba`.
+    pub fn score_row(&self, row: &[f64]) -> f64 {
+        self.score_with(|k| row.get(k).copied().unwrap_or(0.0))
     }
 }
 
 impl RandomForestModel {
-    /// Flattens every member tree for [`FlatForest::score_block`].
+    /// Flattens every member tree for [`FlatForest::score_with`].
     pub fn flatten(&self) -> FlatForest {
         FlatForest { trees: self.trees.iter().map(DecisionTreeModel::flatten).collect() }
     }
@@ -290,7 +277,7 @@ mod tests {
             .collect();
         let n = block.len() / stride;
         let mut out = vec![0.0; n];
-        flat.score_block(&block, stride, &mut out);
+        crate::BlockScorer::Forest(flat).score_block(&block, stride, &mut out);
         for (r, got) in block.chunks_exact(stride).zip(&out) {
             assert_eq!(m.predict_proba(r).to_bits(), got.to_bits());
         }

@@ -74,11 +74,13 @@ impl Model for DecisionTreeModel {
 /// the split threshold, the left child is `n + 1` (pre-order), and the
 /// right child is `right[n]`.
 ///
-/// [`FlatTree::score`] walks exactly the same comparisons as
-/// [`DecisionTreeModel::predict_proba`] — `row.get(feature)` defaulting to
-/// `0.0`, `<= threshold` goes left — so scores are bit-identical,
-/// `NaN`/short rows included (a `NaN` comparison is false, taking the
-/// right branch in both).
+/// [`FlatTree::score_with`] is the one walk: it asks its feature source for
+/// the split feature of each node on the root-to-leaf path — once per node,
+/// never for a feature off the path — and performs exactly the comparisons
+/// of [`DecisionTreeModel::predict_proba`] (`<= threshold` goes left; a
+/// `NaN` comparison is false, taking the right branch in both), so scores
+/// are bit-identical. [`FlatTree::score`] is that walk over a slice, a
+/// missing column reading `0.0` as in the boxed tree.
 #[derive(Debug, Clone, Default)]
 pub struct FlatTree {
     feature: Vec<u32>,
@@ -90,21 +92,32 @@ pub struct FlatTree {
 const LEAF: u32 = u32::MAX;
 
 impl FlatTree {
-    /// Scores one row; bit-identical to the boxed tree's `predict_proba`.
+    /// A tree that is one leaf: what a constant model flattens to.
+    pub(crate) fn leaf(proba: f64) -> FlatTree {
+        FlatTree { feature: vec![LEAF], value: vec![proba], right: vec![0] }
+    }
+
+    /// Scores one row whose feature `k` is `feature(k)`.
     #[inline]
-    pub fn score(&self, row: &[f64]) -> f64 {
+    pub fn score_with(&self, mut feature: impl FnMut(usize) -> f64) -> f64 {
         let mut n = 0usize;
         loop {
             let f = self.feature[n];
             if f == LEAF {
                 return self.value[n];
             }
-            n = if row.get(f as usize).copied().unwrap_or(0.0) <= self.value[n] {
+            n = if feature(f as usize) <= self.value[n] {
                 n + 1
             } else {
                 self.right[n] as usize
             };
         }
+    }
+
+    /// Scores one row; bit-identical to the boxed tree's `predict_proba`.
+    #[inline]
+    pub fn score(&self, row: &[f64]) -> f64 {
+        self.score_with(|k| row.get(k).copied().unwrap_or(0.0))
     }
 
     /// Number of nodes (splits + leaves).

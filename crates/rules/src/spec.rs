@@ -152,21 +152,6 @@ impl RuleSetDesc {
         set
     }
 
-    /// The distinct `(left_attr, right_attr)` pairs any described rule's
-    /// predicate reads, in first-appearance order. Serving uses this to keep
-    /// features over rule-referenced attribute pairs alive when pruning the
-    /// feature plan to what the fitted model actually inspects.
-    pub fn referenced_attr_pairs(&self) -> Vec<(&str, &str)> {
-        let mut pairs: Vec<(&str, &str)> = Vec::new();
-        for r in &self.rules {
-            let p = (r.left_attr.as_str(), r.right_attr.as_str());
-            if !pairs.contains(&p) {
-                pairs.push(p);
-            }
-        }
-        pairs
-    }
-
     /// One line per rule: `polarity kind name left right`, fields
     /// tab-separated so names may contain spaces.
     pub fn encode(&self) -> String {

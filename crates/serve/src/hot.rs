@@ -13,35 +13,35 @@
 //!   filters prune rows whose best-possible overlap already fails the
 //!   plan's thresholds, and the result is property-tested equal to the two
 //!   unfiltered probes the service previously unioned.
-//! - **Features** go through the service's persistent
-//!   [`ServeExtractor`](em_features::ServeExtractor): the arriving record
-//!   is prepared once as the kernel's left row
-//!   ([`prepare`](em_features::ServeExtractor::prepare)), then each
-//!   surviving candidate is scored against the corpus caches by the
-//!   routine the batch paths use. A [`FeatureMask`](em_features::FeatureMask) derived from the
-//!   fitted model and the rule set ([`derive_feature_mask`]), bound when
-//!   the extractor is built, leaves features nothing downstream can read
-//!   without a cache; dead slots carry `NaN`, which mean-imputation
-//!   replaces with an unread column mean.
-//! - **Scoring** imputes and predicts in place over one reused feature
-//!   buffer; negative rules and id rendering run only for predicted
+//! - **Features and scoring** are one fused step per candidate. The
+//!   arriving record is prepared once as the kernel's left row
+//!   ([`prepare`](em_features::ServeExtractor::prepare)) against the
+//!   service's persistent [`ServeExtractor`](em_features::ServeExtractor);
+//!   each surviving candidate is then one [`score_pair`], the routine the
+//!   fused stream ends in: the flattened model walks its trees and pulls
+//!   the features its path tests from the corpus caches, imputing on read.
+//!   A [`FeatureMask`](em_features::FeatureMask) derived from the fitted
+//!   model ([`derive_feature_mask`]), bound when the extractor is built,
+//!   leaves features the model cannot read without a cache; a feature the
+//!   walk does not reach for a candidate is not computed for it.
+//! - **Rules**: negative rules and id rendering run only for predicted
 //!   matches.
 //!
 //! Bit-identity with the batch pipeline is preserved stage by stage: the
 //! filtered probe admits exactly the candidate set of the unfiltered scan
-//! (proptested in `em-blocking`), live features are extracted bit-equal to
-//! `Feature::compute` (pinned in `em-features`), and tree/forest models
-//! never read a masked slot by construction. Debug builds additionally
-//! sample candidates and assert the masked vector equals the full
-//! per-feature recomputation on every live slot.
+//! (proptested in `em-blocking`), pulled features are bit-equal to
+//! `Feature::compute` (pinned in `em-features`), and a value no traversed
+//! node tests cannot reach the score (see `em_core::stream`). Debug builds
+//! additionally sample candidates, pull every model-live feature and
+//! assert it equals the per-feature recomputation.
 
 use crate::error::ServeError;
 use crate::overload::ServeMode;
 use crate::service::{MatchOutcome, MatchService, RequestTimings, ACCESSION_COL, AWARD_COL, TITLE_COL};
 use em_blocking::SetMeasure;
+use em_core::stream::score_pair;
 use em_core::MatchIds;
 use em_features::BatchScratch;
-use em_ml::Model;
 use em_rules::award::award_suffix;
 use em_table::{Table, Value};
 use std::time::{Duration, Instant};
@@ -137,35 +137,39 @@ impl MatchService {
         }
         let t_rules = Instant::now();
 
-        // Featurize + score each candidate against the persistent corpus
-        // caches. The arriving record is normalized once; per candidate,
-        // live features are written into one reused buffer, imputed in
-        // place, and scored. Negative rules run on predicted matches only.
-        // The rules-only degraded mode stops here: sure matches are
-        // already decided, and everything below is the expensive part.
+        // Pull-and-score each candidate against the persistent corpus
+        // caches. The arriving record is normalized once; per candidate the
+        // scorer pulls the features its walk tests. Negative rules run on
+        // predicted matches only. The rules-only degraded mode stops here:
+        // sure matches are already decided, and everything below is the
+        // expensive part.
         let mut n_predicted = 0usize;
         let mut n_flipped = 0usize;
         let mut feature_time = Duration::ZERO;
         scratch.kept.clear();
         if mode == ServeMode::Full {
             self.extractor.prepare(arrivals, i, &mut scratch.extract)?;
-            scratch.feats.resize(self.extractor.features().len(), f64::NAN);
+            scratch.dense_row.resize(self.extractor.features().len(), f64::NAN);
         }
         for (c, &j) in scratch.candidates.iter().enumerate() {
             if mode == ServeMode::RulesOnly {
                 break;
             }
-            let t_pair = Instant::now();
-            self.extractor.extract_into(j, &mut scratch.extract, &mut scratch.feats);
             #[cfg(debug_assertions)]
             if c % 64 == 0 {
-                self.debug_assert_masked_matches_full(arrivals, i, j, &scratch.feats);
+                self.debug_assert_pulls_match_compute(arrivals, i, j, &mut scratch.extract);
             }
             #[cfg(not(debug_assertions))]
             let _ = c;
-            self.imputer.transform_row(&mut scratch.feats);
+            let t_pair = Instant::now();
+            let p = score_pair(
+                &self.scorer,
+                &self.imputer,
+                self.extractor.candidate(j, &mut scratch.extract),
+                &mut scratch.dense_row,
+            );
             feature_time += t_pair.elapsed();
-            if self.model.predict_proba(&scratch.feats) < self.threshold {
+            if p < self.threshold {
                 continue;
             }
             n_predicted += 1;
@@ -219,23 +223,25 @@ impl MatchService {
         })
     }
 
-    /// Debug-only oracle: recompute every **live** feature of the pair
-    /// through the batch path's per-pair function and assert bit-equality
-    /// with the masked extraction — pins masked ⊂ full on sampled pairs.
+    /// Debug-only oracle: pull every feature of the pair — all the model
+    /// could read — and assert each live one is bit-equal to the batch
+    /// path's per-pair function and each dead one `NaN`.
     #[cfg(debug_assertions)]
-    fn debug_assert_masked_matches_full(
+    fn debug_assert_pulls_match_compute(
         &self,
         arrivals: &Table,
         i: usize,
         j: usize,
-        feats: &[f64],
+        extract: &mut BatchScratch,
     ) {
         let (Some(ra), Some(rb)) = (arrivals.row(i), self.corpus.row(j)) else {
             return;
         };
+        let mut pair = self.extractor.candidate(j, extract);
         for (k, f) in self.extractor.features().features.iter().enumerate() {
+            let pulled = pair.pull(k);
             if !self.mask.is_live(k) {
-                debug_assert!(feats[k].is_nan(), "dead feature {k} ({}) not NaN", f.name);
+                debug_assert!(pulled.is_nan(), "dead feature {k} ({}) not NaN", f.name);
                 continue;
             }
             let (Some(a), Some(b)) = (ra.get(&f.left_attr), rb.get(&f.right_attr)) else {
@@ -243,10 +249,10 @@ impl MatchService {
             };
             let full = f.compute(a, b);
             debug_assert!(
-                full.to_bits() == feats[k].to_bits(),
-                "masked feature {k} ({}) diverged: serve {} vs batch {}",
+                full.to_bits() == pulled.to_bits(),
+                "pulled feature {k} ({}) diverged: serve {} vs batch {}",
                 f.name,
-                feats[k],
+                pulled,
                 full,
             );
         }
@@ -273,8 +279,9 @@ pub struct ProbeScratch {
     sure: Vec<usize>,
     /// `blocked − sure`, the matcher's input.
     candidates: Vec<usize>,
-    /// Feature vector of the candidate currently being scored.
-    feats: Vec<f64>,
+    /// Where a dense model's row is assembled (tree-shaped models pull
+    /// what they read and leave it alone).
+    dense_row: Vec<f64>,
     /// Predicted matches that survived the negative rules.
     kept: Vec<usize>,
 }
@@ -339,18 +346,29 @@ mod tests {
     }
 
     #[test]
-    fn dense_models_get_the_full_mask() {
-        use em_ml::model::ConstantModel;
+    fn dense_models_get_the_full_mask_and_constant_ones_an_empty_one() {
+        use em_ml::model::{ConstantModel, Learner};
         let a = artifacts();
-        // Constant models read nothing: the mask keeps only rule-referenced
-        // attribute pairs (possibly none).
-        let m = derive_feature_mask(
-            &a.matcher.features,
-            &FittedModel::Constant(ConstantModel { proba: 1.0 }),
-            &RuleSetDesc::new(),
-        );
-        assert_eq!(m.n_live(), 0);
-        assert_eq!(m.len(), a.matcher.features.len());
+        let features = &a.matcher.features;
+        // Constant models read nothing, so nothing is live — whatever the
+        // rules: they work on row keys, not on features.
+        let constant = FittedModel::Constant(ConstantModel { proba: 1.0 });
+        assert!(!a.rule_descs.rules.is_empty());
+        for rules in [&RuleSetDesc::new(), &a.rule_descs] {
+            let m = derive_feature_mask(features, &constant, rules);
+            assert_eq!(m.n_live(), 0);
+            assert_eq!(m.len(), features.len());
+        }
+        // Linear and Bayes models read every feature.
+        let data = em_ml::Dataset::new(
+            features.names(),
+            (0..8).map(|r| vec![f64::from(r); features.len()]).collect(),
+            (0..8).map(|r| r >= 4).collect(),
+        )
+        .unwrap();
+        let dense = em_ml::bayes::NaiveBayesLearner::default().fit_model(&data).unwrap();
+        assert_eq!(dense.kind(), "bayes");
+        assert_eq!(derive_feature_mask(features, &dense, &a.rule_descs).n_live(), features.len());
     }
 
     #[test]

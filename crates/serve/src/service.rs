@@ -35,7 +35,7 @@ use em_blocking::IncrementalIndex;
 use em_core::pipeline::ServingArtifacts;
 use em_core::{BlockingPlan, MatchIds};
 use em_features::{FeatureMask, ServeExtractor};
-use em_ml::{FittedModel, Imputer};
+use em_ml::{BlockScorer, FittedModel, Imputer};
 use em_parallel::Executor;
 use em_rules::{RuleSet, RuleSetDesc};
 use em_table::{Table, Value};
@@ -64,9 +64,10 @@ pub struct RequestTimings {
     pub blocking_ms: f64,
     /// Positive-rule probes and candidate-set subtraction.
     pub rules_ms: f64,
-    /// Feature extraction and imputation.
+    /// The fused pull-and-score loop: the model's walk, with the feature
+    /// extraction and imputation it pulls.
     pub features_ms: f64,
-    /// Model scoring, negative rules, and id rendering.
+    /// Negative rules and id rendering.
     pub predict_ms: f64,
     /// End-to-end request time.
     pub total_ms: f64,
@@ -216,6 +217,8 @@ pub struct MatchService {
     pub(crate) corpus: Table,
     pub(crate) imputer: Imputer,
     pub(crate) model: FittedModel,
+    /// `model`, flattened for the hot loop's pull-and-score step.
+    pub(crate) scorer: BlockScorer,
     learner_name: String,
     pub(crate) threshold: f64,
     pub(crate) plan: BlockingPlan,
@@ -229,7 +232,7 @@ pub struct MatchService {
     pub(crate) rule_indexes: Vec<HashMap<String, Vec<usize>>>,
     /// Persistent corpus-side feature caches for the serve hot path.
     pub(crate) extractor: ServeExtractor,
-    /// Which features the fitted model / rules can actually read.
+    /// Which features the fitted model can actually read.
     pub(crate) mask: FeatureMask,
     /// The declarative rule set the service was built from — kept so
     /// [`MatchService::to_snapshot`] can freeze live state back into an
@@ -298,6 +301,7 @@ impl MatchService {
             rule_indexes: vec![HashMap::new(); rules.positive.len()],
             corpus: empty_corpus,
             imputer,
+            scorer: model.block_scorer(),
             model,
             learner_name,
             threshold,

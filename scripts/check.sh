@@ -28,6 +28,13 @@ echo "==> cargo test --release -p em-blocking (debugger/join/incremental equival
 # (and over a doubled right corpus): zero.
 cargo test "${CARGO_FLAGS[@]}" --release -q -p em-blocking
 
+echo "==> cargo test --release -p em-ml -p em-rules (one scoring walk == predict_proba, rule binding)"
+# Neither crate is reached by tier-1. em-ml's suites pin the pull-based walk
+# (`score_with` over a closure == over a slice == the boxed model, asked
+# exactly for the split features on the path); em-rules' pin the bound
+# negative rules to the per-pair evaluators.
+cargo test "${CARGO_FLAGS[@]}" --release -q -p em-ml -p em-rules
+
 echo "==> scale pins (x4 consolidated 25 676 at 1/4 threads, join_stats == materialized plan, stream == workflow)"
 # Bit-identity where the unit fixtures do not reach: the x4 candidate count
 # and the x1 streamed checksum at 1 and 4 threads, the pinned scaling_match
