@@ -10,17 +10,27 @@
 //!   scorer pulled (features computed per pair: mean, histogram, each
 //!   model-live feature's share), then per model-live feature ns/pair over
 //!   the stream's own candidate order, with sequence-kernel calls vs
-//!   reused values.
+//!   reused values;
+//! - `--serve <factor>`: a served request's time by stage — the
+//!   `serve_read` benchmark's set-up (workflow trained at `<factor>`, the
+//!   `<factor>`-scaled corpus, every arrival once, one thread): the title
+//!   index probe on its own for a bulk-built and a row-by-row pushed index
+//!   (µs a probe, rows enumerated vs admitted, segments probed, tail rows
+//!   scanned, the layout), then the four `RequestTimings` stage means of a
+//!   service built each way.
 //!
 //! Everything goes to stderr; timers sit outside every checksum.
 
 use em_bench::fixtures_cfg;
-use em_blocking::{JoinIndex, JoinScratch, JoinSpec, Pair};
+use em_blocking::{IncrementalIndex, JoinIndex, JoinLayout, JoinScratch, JoinSpec, Pair};
 use em_core::blocking_plan::{c1_scheme, run_blocking, BlockingPlan};
 use em_core::pipeline::{CaseStudy, CaseStudyConfig};
+use em_core::preprocess::project_umetrics;
 use em_core::stream::StreamMatcher;
 use em_datagen::ScenarioConfig;
 use em_features::{auto_features, extract_vectors, BatchExtractor, FeatureMask, FeatureOptions};
+use em_serve::{MatchService, ProbeScratch, WorkflowSnapshot};
+use em_table::Table;
 use em_text::{TokenCache, TokenCorpus};
 use std::time::Instant;
 
@@ -199,21 +209,20 @@ fn stream(factor: f64) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+/// A bit-sliced layout's size and dense/sparse split, for the probe lines.
+fn split(l: &JoinLayout) -> String {
+    format!(
+        "{} right rows in {} size runs; dense tokens {} carrying {} postings, sparse tokens {} \
+         carrying {}",
+        l.positions, l.size_runs, l.dense_tokens, l.dense_postings, l.sparse_tokens,
+        l.sparse_postings
+    )
+}
+
 /// The stream's blocking stage alone: every left row probed under the
 /// plan's spec, one thread, on the footing of the feature lines.
 fn probe(left: &TokenCorpus, index: &JoinIndex, spec: &JoinSpec) {
-    let layout = index.layout();
-    eprintln!(
-        "\njoin probe alone ({} left rows x {} right rows in {} size runs; dense tokens {} \
-         carrying {} postings, sparse tokens {} carrying {}):",
-        left.len(),
-        layout.positions,
-        layout.size_runs,
-        layout.dense_tokens,
-        layout.dense_postings,
-        layout.sparse_tokens,
-        layout.sparse_postings
-    );
+    eprintln!("\njoin probe alone ({} left rows x {}):", left.len(), split(&index.layout()));
     let mut hits = Vec::new();
     for _ in 0..3 {
         let mut scratch = JoinScratch::for_index(index);
@@ -243,13 +252,100 @@ fn probe(left: &TokenCorpus, index: &JoinIndex, spec: &JoinSpec) {
     }
 }
 
+/// The title-index probe alone: every arrival's title under the plan's
+/// spec, on the footing of [`probe`].
+fn probe_titles(what: &str, index: &IncrementalIndex, arrivals: &Table, spec: &JoinSpec) {
+    let layout = index.layout();
+    eprintln!("\ntitle index, {what}: {} rows, {} in the tail", index.len(), layout.tail_rows);
+    for (rows, l) in &layout.segments {
+        eprintln!("  segment of {rows} rows: {}", split(l));
+    }
+    let n = arrivals.n_rows().max(1) as f64;
+    let mut hits = Vec::new();
+    for _ in 0..3 {
+        let mut scratch = JoinScratch::new();
+        let mut admitted = 0usize;
+        let t0 = Instant::now();
+        for row in arrivals.iter() {
+            index.probe_into(row.str("AwardTitle"), spec, &mut scratch, &mut hits);
+            admitted += hits.len();
+        }
+        let us = t0.elapsed().as_secs_f64() * 1e6;
+        let c = scratch.counters();
+        eprintln!(
+            "  {:.2} us a probe; per probe {:.1} rows enumerated, {:.2} admitted, {:.2} segments \
+             probed, {:.1} tail rows scanned",
+            us / n,
+            c.enumerated as f64 / n,
+            admitted as f64 / n,
+            c.slice_widths.iter().sum::<u64>() as f64 / n,
+            c.tail_scanned as f64 / n
+        );
+    }
+}
+
+fn serve(factor: f64) -> Result<(), Box<dyn std::error::Error>> {
+    let mut cs = CaseStudyConfig::paper();
+    cs.scenario = ScenarioConfig::scaled(factor).with_seed(SEED);
+    let art = CaseStudy::new(cs).train_serving_artifacts()?;
+    let fx = fixtures_cfg(ScenarioConfig::scaled(factor).with_seed(SEED));
+    // Every projected UMETRICS row, then the extra records.
+    let mut arrivals = fx.umetrics.clone();
+    let no_employees = Table::new("emp", fx.scenario.employees.schema().clone());
+    for row in project_umetrics(&fx.scenario.extra_award_agg, &no_employees)?.rows() {
+        arrivals.push_row(row.clone())?;
+    }
+    let titles = || fx.usda.iter().map(|r| r.str("AwardTitle"));
+    let spec = art.plan.union_spec();
+    probe_titles("bulk-built", &IncrementalIndex::from_texts(titles()), &arrivals, &spec);
+    let mut pushed = IncrementalIndex::new();
+    for (j, title) in titles().enumerate() {
+        pushed.insert(j, title);
+    }
+    probe_titles("pushed row by row", &pushed, &arrivals, &spec);
+
+    let mut snapshot = WorkflowSnapshot::from_artifacts(&art);
+    snapshot.corpus = Table::new(fx.usda.name(), fx.usda.schema().clone());
+    let mut grown = MatchService::from_snapshot(snapshot.clone())?;
+    for row in fx.usda.rows() {
+        grown.push_corpus_row(row.clone())?;
+    }
+    snapshot.corpus = fx.usda.clone();
+    let built = MatchService::from_snapshot(snapshot)?;
+    let n = arrivals.n_rows().max(1) as f64;
+    for (what, service) in [("built from the snapshot", &built), ("corpus pushed row by row", &grown)] {
+        eprintln!("\nservice, {what}: {} requests a pass, mean us a request", arrivals.n_rows());
+        let mut scratch = ProbeScratch::new();
+        for _ in 0..3 {
+            // Blocking, rules, features, predict, total; then candidates.
+            let mut sum = [0.0; 6];
+            for i in 0..arrivals.n_rows() {
+                let o = service.match_on_arrival_with(&arrivals, i, &mut scratch)?;
+                let t = o.timings;
+                let ms = [t.blocking_ms, t.rules_ms, t.features_ms, t.predict_ms, t.total_ms];
+                for (acc, ms) in sum.iter_mut().zip(ms) {
+                    *acc += ms * 1e3 / n;
+                }
+                sum[5] += o.n_candidates as f64 / n;
+            }
+            let [blocking, rules, features, predict, total, candidates] = sum;
+            eprintln!(
+                "  blocking {blocking:.2}, rules {rules:.2}, features {features:.2}, predict \
+                 {predict:.2}, total {total:.2}; {candidates:.2} candidates a request"
+            );
+        }
+    }
+    Ok(())
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     em_parallel::set_threads(1);
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.as_slice() {
         [] => {}
         [flag, factor] if flag == "--stream" => return stream(factor.parse()?),
-        _ => return Err("usage: profile_extract [--stream <factor>]".into()),
+        [flag, factor] if flag == "--serve" => return serve(factor.parse()?),
+        _ => return Err("usage: profile_extract [--stream <factor> | --serve <factor>]".into()),
     }
     let fx = fixtures_cfg(ScenarioConfig::small());
     let (u, s) = (&fx.umetrics, &fx.usda);

@@ -82,7 +82,8 @@
 
 use crate::blockers::SetMeasure;
 use em_parallel::Executor;
-use em_text::intern::TokenCorpus;
+use em_text::intern::{TokenCorpus, TokenQuery};
+use std::ops::Range;
 
 /// Minimum left rows per probing thread in the table-scale drivers.
 const JOIN_GRAIN: usize = 64;
@@ -190,15 +191,19 @@ struct SizeRun {
     end: u32,
 }
 
-/// Bit-sliced index over one tokenized column of the right table, built
-/// once per join (see the module docs for the layout). Owns the right
-/// [`TokenCorpus`] so callers verify against the rows the index describes.
+/// The bit-sliced layout (see the module docs) over one contiguous range
+/// of a [`TokenCorpus`]'s rows. It borrows nothing: whoever holds the corpus
+/// — a [`JoinIndex`] its one segment, the online
+/// [`IncrementalIndex`](crate::IncrementalIndex) one per sealed range —
+/// passes queries in that corpus's id space.
 #[derive(Debug, Clone)]
-pub struct JoinIndex {
+pub(crate) struct Segment {
+    /// The corpus rows indexed.
+    pub(crate) rows: Range<usize>,
     /// Size runs in ascending token count; their position ranges tile
     /// `0..row_at.len()` in order.
     runs: Vec<SizeRun>,
-    /// Bit position → right row index.
+    /// Bit position → corpus row index.
     row_at: Vec<u32>,
     /// Words per bitset: `row_at.len().div_ceil(64)`.
     words: usize,
@@ -207,10 +212,19 @@ pub struct JoinIndex {
     /// Dense bitsets back to back, `words` each.
     dense: Vec<u64>,
     /// Token id → its positions, `sparse[sparse_starts[t]..sparse_starts[t + 1]]`
-    /// (empty for dense tokens and for ids no right row contains).
+    /// (empty for dense tokens and for ids no indexed row contains).
     sparse_starts: Vec<u32>,
     sparse: Vec<u32>,
-    /// The indexed corpus; `row_at` entries point into it.
+}
+
+/// Bit-sliced index over one tokenized column of the right table, built
+/// once per join (see the module docs for the layout). Owns the right
+/// [`TokenCorpus`] so callers verify against the rows the index describes.
+#[derive(Debug, Clone)]
+pub struct JoinIndex {
+    /// All of `right`'s rows as one segment.
+    segment: Segment,
+    /// The indexed corpus; the segment's rows point into it.
     right: TokenCorpus,
 }
 
@@ -265,12 +279,30 @@ impl JoinIndex {
         scratch: &mut JoinScratch,
         outs: &mut [Vec<u32>],
     ) {
-        debug_assert_eq!(specs.len(), outs.len());
         for out in outs.iter_mut() {
             out.clear();
         }
+        self.segment.probe_append(query, specs, scratch, outs);
+        for out in outs.iter_mut() {
+            out.sort_unstable();
+        }
+    }
+}
+
+impl Segment {
+    /// The fused probe of [`JoinIndex::probe_multi_into`] over this
+    /// segment's rows: **appends** each spec's admissions to its entry of
+    /// `outs`, in position order — the caller clears before and sorts after.
+    pub(crate) fn probe_append(
+        &self,
+        query: &[u32],
+        specs: &[JoinSpec],
+        scratch: &mut JoinScratch,
+        outs: &mut [Vec<u32>],
+    ) {
+        debug_assert_eq!(specs.len(), outs.len());
         scratch.fit(self);
-        let JoinScratch { dense, slices, carry, ge, rare_count, rare_mask, touched, counters } =
+        let JoinScratch { dense, slices, carry, ge, rare_count, rare_mask, touched, counters, .. } =
             scratch;
         let la = query.len();
 
@@ -361,9 +393,6 @@ impl JoinIndex {
             rare_mask[pos as usize / 64] = 0;
         }
         touched.clear();
-        for out in outs.iter_mut() {
-            out.sort_unstable();
-        }
     }
 
     /// Adds words `w0..w0 + len` of every queued dense bitset into
@@ -407,16 +436,18 @@ impl JoinIndex {
         }
     }
 
-    // ---- scratch construction and index building (cold path) ------------
+    // ---- index building (cold path) -------------------------------------
 
-    /// Builds the index over the tokenized right column: a counting sort of
-    /// the rows by token count assigns the bit positions, one pass over the
-    /// tokens counts document frequencies, and a second sets bitset bits
-    /// and fills position lists.
-    pub fn build(right: TokenCorpus) -> JoinIndex {
-        let max_size = right.iter().map(|(_, ids)| ids.len()).max().unwrap_or(0);
+    /// Builds the layout over the rows `range` of `corpus`: a counting
+    /// sort of the rows by token count assigns the bit positions, one pass
+    /// over the tokens counts document frequencies, and a second sets
+    /// bitset bits and fills position lists.
+    pub(crate) fn build(corpus: &TokenCorpus, range: Range<usize>) -> Segment {
+        let start = range.start;
+        let rows = || range.clone().map(|j| (j, corpus.row(j)));
+        let max_size = rows().map(|(_, ids)| ids.len()).max().unwrap_or(0);
         let mut rows_of_size = vec![0u32; max_size + 1];
-        for (_, ids) in right.iter() {
+        for (_, ids) in rows() {
             rows_of_size[ids.len()] += 1;
         }
         let mut runs = Vec::new();
@@ -434,16 +465,17 @@ impl JoinIndex {
         let positions = positions as usize;
         let words = positions.div_ceil(64);
 
-        let n_tokens = right.max_id().map_or(0, |m| m as usize + 1);
+        // A row's ids are sorted: its last is its largest.
+        let n_tokens = rows().filter_map(|(_, ids)| ids.last()).max().map_or(0, |&m| m as usize + 1);
         let mut df = vec![0u32; n_tokens];
         let mut row_at = vec![0u32; positions];
-        let mut pos_of = vec![0u32; right.len()];
+        let mut pos_of = vec![0u32; range.len()];
         // Rows arrive in ascending index, so positions ascend with the row
         // inside each run.
-        for (j, ids) in right.iter().filter(|(_, ids)| !ids.is_empty()) {
+        for (j, ids) in rows().filter(|(_, ids)| !ids.is_empty()) {
             let pos = &mut cursor[ids.len()];
             row_at[*pos as usize] = j as u32;
-            pos_of[j] = *pos;
+            pos_of[j - start] = *pos;
             *pos += 1;
             for &t in ids {
                 df[t as usize] += 1;
@@ -466,8 +498,8 @@ impl JoinIndex {
         let mut dense = vec![0u64; n_dense as usize * words];
         let mut sparse = vec![0u32; sparse_starts[n_tokens] as usize];
         let mut fill = sparse_starts.clone();
-        for (j, ids) in right.iter() {
-            let pos = pos_of[j] as usize;
+        for (j, ids) in rows() {
+            let pos = pos_of[j - start] as usize;
             for &t in ids {
                 let t = t as usize;
                 if dense_slot[t] == NOT_DENSE {
@@ -478,7 +510,26 @@ impl JoinIndex {
                 }
             }
         }
-        JoinIndex { runs, row_at, words, dense_slot, dense, sparse_starts, sparse, right }
+        Segment { rows: range, runs, row_at, words, dense_slot, dense, sparse_starts, sparse }
+    }
+
+    /// Token and posting counts on each side of the dense rule.
+    pub(crate) fn layout(&self) -> JoinLayout {
+        JoinLayout {
+            positions: self.row_at.len(),
+            size_runs: self.runs.len(),
+            dense_tokens: self.dense_slot.iter().filter(|&&slot| slot != NOT_DENSE).count(),
+            dense_postings: self.dense.iter().map(|w| w.count_ones() as usize).sum(),
+            sparse_tokens: self.sparse_starts.windows(2).filter(|r| r[0] < r[1]).count(),
+            sparse_postings: self.sparse.len(),
+        }
+    }
+}
+
+impl JoinIndex {
+    /// Builds the index over the tokenized right column.
+    pub fn build(right: TokenCorpus) -> JoinIndex {
+        JoinIndex { segment: Segment::build(&right, 0..right.len()), right }
     }
 
     /// The indexed right corpus.
@@ -506,14 +557,7 @@ impl JoinIndex {
 
     /// Token and posting counts on each side of the dense rule.
     pub fn layout(&self) -> JoinLayout {
-        JoinLayout {
-            positions: self.row_at.len(),
-            size_runs: self.runs.len(),
-            dense_tokens: self.dense_slot.iter().filter(|&&slot| slot != NOT_DENSE).count(),
-            dense_postings: self.dense.iter().map(|w| w.count_ones() as usize).sum(),
-            sparse_tokens: self.sparse_starts.windows(2).filter(|r| r[0] < r[1]).count(),
-            sparse_postings: self.sparse.len(),
-        }
+        self.segment.layout()
     }
 }
 
@@ -551,13 +595,18 @@ pub struct ProbeCounters {
     /// Rows whose exact intersection size was read and put to `admits`.
     pub enumerated: u64,
     /// `slice_widths[w]` probes counted their dense tokens in `w` slices
-    /// (the entries sum to the probes run).
+    /// (the entries sum to the segment probes run: one a [`JoinIndex`]
+    /// probe, one per sealed segment an
+    /// [`IncrementalIndex`](crate::IncrementalIndex) probe).
     pub slice_widths: [u64; MAX_SLICES + 1],
+    /// Unsealed tail rows an [`IncrementalIndex`](crate::IncrementalIndex)
+    /// probe intersected with the query one by one.
+    pub tail_scanned: u64,
 }
 
 /// Reusable probe buffers for one worker thread. Between probes the sparse
-/// counts are all zero, so a scratch serves any index: it grows to the
-/// largest one it has met.
+/// counts are all zero, so a scratch serves any index and every segment of
+/// one: it grows to the largest it has met.
 #[derive(Debug)]
 pub struct JoinScratch {
     /// Bitset slots of the current query's dense tokens.
@@ -575,14 +624,18 @@ pub struct JoinScratch {
     rare_mask: Vec<u64>,
     /// Positions with a nonzero `rare_count`, in first-touch order.
     touched: Vec<u32>,
-    counters: ProbeCounters,
+    /// The text an [`IncrementalIndex`](crate::IncrementalIndex) probe was
+    /// given, tokenized.
+    pub(crate) query: TokenQuery,
+    /// That probe's admitted rows, before they are mapped to keys.
+    pub(crate) rows: Vec<u32>,
+    pub(crate) counters: ProbeCounters,
 }
 
 impl JoinScratch {
-    /// Scratch pre-sized for `index`, so its first probe allocates only
-    /// for lists that grow with the query.
-    pub fn for_index(index: &JoinIndex) -> JoinScratch {
-        let mut scratch = JoinScratch {
+    /// Scratch that has met no index yet; its first probes grow it.
+    pub fn new() -> JoinScratch {
+        JoinScratch {
             dense: Vec::new(),
             slices: vec![[0; BLOCK]; MAX_SLICES],
             carry: [0; BLOCK],
@@ -590,23 +643,41 @@ impl JoinScratch {
             rare_count: Vec::new(),
             rare_mask: Vec::new(),
             touched: Vec::new(),
-            counters: ProbeCounters { enumerated: 0, slice_widths: [0; MAX_SLICES + 1] },
-        };
-        scratch.fit(index);
+            query: TokenQuery::default(),
+            rows: Vec::new(),
+            counters: ProbeCounters {
+                enumerated: 0,
+                slice_widths: [0; MAX_SLICES + 1],
+                tail_scanned: 0,
+            },
+        }
+    }
+
+    /// Scratch pre-sized for `index`, so its first probe allocates only
+    /// for lists that grow with the query.
+    pub fn for_index(index: &JoinIndex) -> JoinScratch {
+        let mut scratch = JoinScratch::new();
+        scratch.fit(&index.segment);
         scratch
     }
 
-    /// Grows the per-position arrays to span `index`.
-    fn fit(&mut self, index: &JoinIndex) {
-        if self.rare_count.len() < index.row_at.len() {
-            self.rare_count.resize(index.row_at.len(), 0);
-            self.rare_mask.resize(index.words, 0);
+    /// Grows the per-position arrays to span `segment`.
+    fn fit(&mut self, segment: &Segment) {
+        if self.rare_count.len() < segment.row_at.len() {
+            self.rare_count.resize(segment.row_at.len(), 0);
+            self.rare_mask.resize(segment.words, 0);
         }
     }
 
     /// Work done by the probes this scratch has served.
     pub fn counters(&self) -> &ProbeCounters {
         &self.counters
+    }
+}
+
+impl Default for JoinScratch {
+    fn default() -> Self {
+        JoinScratch::new()
     }
 }
 
@@ -922,7 +993,7 @@ mod tests {
             &["w0 w7 w12", "w1 w8", "w6 w11 w22 w3", "w2 w2 w9 w13 nowhere", "w5"],
         );
         let index = JoinIndex::build(r.clone());
-        assert!(index.runs.iter().any(|run| (run.end - run.start) as usize > 2 * 64 * BLOCK));
+        assert!(index.segment.runs.iter().any(|run| (run.end - run.start) as usize > 2 * 64 * BLOCK));
         for spec in [
             JoinSpec::overlap(2),
             JoinSpec::overlap(3),

@@ -13,6 +13,9 @@
 //!   over size-ordered rows, counted 64 rows per word, with a length filter
 //!   and exact intersection sizes; the corpus-scale path behind the token
 //!   blockers.
+//! - [`incremental`]: the same index kept current under appends for the
+//!   serve tier — sealed bit-sliced segments plus a short scanned tail,
+//!   probed through `&self`.
 //! - [`debugger`]: a MatchCatcher-style audit that ranks the most
 //!   match-like pairs *excluded* by blocking.
 //!
@@ -45,7 +48,7 @@ pub use debugger::{debug_blocking, BlockingDebugger, DebugPair};
 #[doc(hidden)]
 pub use debugger::{debug_blocking_counted, DebugWork};
 pub use error::BlockError;
-pub use incremental::{IncrementalIndex, ProbeScratch};
+pub use incremental::{IncrementalIndex, IncrementalLayout, TAIL_ROWS};
 pub use join::{
     fnv_u64, join_pairs, join_pairs_multi, join_stats, JoinIndex, JoinLayout, JoinScratch, JoinSpec,
     JoinStats, ProbeCounters, FNV_OFFSET, JOIN_CHUNK,

@@ -1,200 +1,239 @@
-//! Property tests for [`em_blocking::IncrementalIndex`]: under ANY
-//! interleaving of inserts, removes, and upserts, probing the index yields
-//! exactly the candidate rows that from-scratch batch blocking produces over
-//! a table of the surviving rows.
+//! Property tests for [`em_blocking::IncrementalIndex`]: a probe's output
+//! is a function of the indexed rows alone. Whatever the history — pushed
+//! row by row through every seal and merge, bulk-built, or bulk-built and
+//! then pushed — it equals the nested-loop scan over the rows (computed
+//! here on token *strings*, so it shares nothing with the index but
+//! [`JoinSpec::admits`]) and [`JoinIndex::probe`] over the same rows, for
+//! overlap, set-similarity and union predicates with thresholds that land
+//! on float boundaries.
 
-use em_blocking::blockers::{Blocker, OverlapBlocker, SetSimBlocker};
-use em_blocking::{IncrementalIndex, ProbeScratch, SetMeasure};
-use em_table::{Schema, Table, Value};
+use em_blocking::{IncrementalIndex, JoinIndex, JoinScratch, JoinSpec, SetMeasure, TAIL_ROWS};
+use em_text::{AlphanumericTokenizer, Normalizer, TokenCache, TokenCorpus};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
-/// One mutation of the evolving corpus.
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(usize, Option<String>),
-    Remove(usize),
-    Upsert(usize, Option<String>),
+type Text = Option<String>;
+
+/// The distinct tokens of `text` under the blocking normalization.
+fn tokens(text: &Text) -> BTreeSet<String> {
+    let normalized = Normalizer::for_blocking().apply(text.as_deref().unwrap_or(""));
+    let mut set = BTreeSet::new();
+    AlphanumericTokenizer.for_each_token(&normalized, |t| {
+        set.insert(t.to_string());
+    });
+    set
 }
 
-fn title() -> impl Strategy<Value = Option<String>> {
-    // Small vocabulary so overlaps actually occur; None exercises null text.
+/// The oracle: every row against the query, one by one.
+fn scan(rows: &[Text], query: &Text, spec: &JoinSpec) -> Vec<usize> {
+    let a = tokens(query);
+    (0..rows.len())
+        .filter(|&j| {
+            let b = tokens(&rows[j]);
+            let inter = a.intersection(&b).count();
+            inter > 0 && spec.admits(inter, a.len(), b.len())
+        })
+        .collect()
+}
+
+/// The key row `j` is pushed under: ascending with gaps, so a probe that
+/// returned rows instead of keys would show.
+fn key(j: usize) -> usize {
+    3 * j + 1
+}
+
+/// One index history over a growing prefix of the same rows.
+struct History {
+    index: IncrementalIndex,
+    /// Row → key.
+    keys: Vec<usize>,
+}
+
+impl History {
+    /// The first `bulk` rows built in one go, the rest to be pushed.
+    fn new(rows: &[Text], bulk: usize) -> History {
+        let index = IncrementalIndex::from_texts(rows[..bulk].iter().map(|t| t.as_deref()));
+        History { index, keys: (0..bulk).collect() }
+    }
+
+    fn push(&mut self, text: &Text) {
+        let next = self.keys.last().map_or(0, |&last| last + 1).max(key(self.keys.len()));
+        assert!(self.index.insert(next, text.as_deref()));
+        self.keys.push(next);
+        // A key already present, and one below it, are refused.
+        assert!(!self.index.insert(next, Some("refused")));
+        assert!(!self.index.insert(next.saturating_sub(1), Some("refused")));
+        assert_eq!(self.index.len(), self.keys.len());
+    }
+
+    fn probe(&self, query: &Text, spec: &JoinSpec, scratch: &mut JoinScratch) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.index.probe_into(query.as_deref(), spec, scratch, &mut out);
+        out
+    }
+}
+
+/// Holds every history of `rows` to the oracle and to the batch join, for
+/// every query and spec, at each prefix length in `checkpoints`.
+fn assert_histories_agree(
+    rows: &[Text],
+    bulk: usize,
+    checkpoints: impl Fn(usize) -> bool,
+    queries: &[Text],
+    specs: &[JoinSpec],
+) {
+    let mut pushed = History::new(rows, 0);
+    let mut mixed = History::new(rows, bulk);
+    // One scratch for every index and probe: stale state would show.
+    let mut scratch = JoinScratch::new();
+    for n in 0..=rows.len() {
+        if n > 0 {
+            pushed.push(&rows[n - 1]);
+            if n > bulk {
+                mixed.push(&rows[n - 1]);
+            }
+        }
+        if !checkpoints(n) {
+            continue;
+        }
+        let rows = &rows[..n];
+        let built = History::new(rows, n);
+        let cache = TokenCache::for_blocking();
+        let join =
+            JoinIndex::build(TokenCorpus::from_column(&cache, rows.iter().map(|t| t.as_deref())));
+        for query in queries {
+            for spec in specs {
+                let want = scan(rows, query, spec);
+                let at = format!("{n} rows, query {query:?}, {spec:?}");
+                let keyed = |h: &History| want.iter().map(|&j| h.keys[j]).collect::<Vec<_>>();
+                assert_eq!(pushed.probe(query, spec, &mut scratch), keyed(&pushed), "pushed: {at}");
+                assert_eq!(built.probe(query, spec, &mut scratch), want, "bulk-built: {at}");
+                if n >= bulk {
+                    assert_eq!(mixed.probe(query, spec, &mut scratch), keyed(&mixed), "mixed: {at}");
+                }
+                let batch = join.probe(&cache.token_ids(query.as_deref()), spec);
+                assert_eq!(batch.iter().map(|&j| j as usize).collect::<Vec<_>>(), want, "{at}");
+            }
+        }
+    }
+}
+
+/// Titles over a small vocabulary so overlaps occur: repeated words,
+/// multi-byte scripts, punctuation-only words (which normalize away), the
+/// empty string and the null cell.
+fn title() -> impl Strategy<Value = Text> {
     prop_oneof![
         Just(None),
         proptest::collection::vec(
             proptest::sample::select(vec![
-                "corn", "fungicide", "guidelines", "lab", "supplies", "maize", "gene", "study",
+                "corn", "Corn", "fungicide", "guidelines", "lab", "supplies", "café", "σίτος",
+                "玉米", "42", "--", "",
             ]),
-            0..6,
+            0..7,
         )
         .prop_map(|ws| Some(ws.join(" "))),
     ]
 }
 
-fn op() -> impl Strategy<Value = Op> {
+/// Queries: titles, plus words no row has (alone, repeated, and mixed in).
+fn query() -> impl Strategy<Value = Text> {
     prop_oneof![
-        (0usize..10, title()).prop_map(|(k, t)| Op::Insert(k, t)),
-        (0usize..10).prop_map(Op::Remove),
-        (0usize..10, title()).prop_map(|(k, t)| Op::Upsert(k, t)),
+        title(),
+        Just(Some("absent1 absent2 absent1".to_string())),
+        title().prop_map(|t| Some(format!("{} absent1 ABSENT1 absent2", t.unwrap_or_default()))),
     ]
 }
 
-/// Applies the ops to both the index and a plain map (the reference model
-/// of the surviving corpus).
-fn run_ops(ops: &[Op]) -> (IncrementalIndex, BTreeMap<usize, Option<String>>) {
-    let mut idx = IncrementalIndex::new();
-    let mut model: BTreeMap<usize, Option<String>> = BTreeMap::new();
-    for op in ops {
-        match op {
-            Op::Insert(k, t) => {
-                let inserted = idx.insert(*k, t.as_deref());
-                assert_eq!(inserted, !model.contains_key(k));
-                model.entry(*k).or_insert_with(|| t.clone());
-            }
-            Op::Remove(k) => {
-                let removed = idx.remove(*k);
-                assert_eq!(removed, model.remove(k).is_some());
-            }
-            Op::Upsert(k, t) => {
-                idx.upsert(*k, t.as_deref());
-                model.insert(*k, t.clone());
-            }
+/// Thresholds on exact float boundaries of small-set similarities.
+fn threshold() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.25),
+        Just(1.0 / 3.0),
+        Just(0.5),
+        Just(2.0 / 3.0),
+        Just(0.7),
+        Just(0.75),
+        Just(1.0),
+    ]
+}
+
+fn spec() -> impl Strategy<Value = JoinSpec> {
+    (0usize..3, 1usize..5, threshold(), any::<bool>()).prop_map(|(kind, k, t, jaccard)| {
+        let measure = if jaccard { SetMeasure::Jaccard } else { SetMeasure::OverlapCoefficient };
+        match kind {
+            0 => JoinSpec::overlap(k),
+            1 => JoinSpec::set_sim(measure, t),
+            _ => JoinSpec::union(k, measure, t),
         }
-    }
-    (idx, model)
-}
-
-/// The surviving rows as a table (row position → key mapping returned
-/// alongside), for from-scratch batch blocking.
-fn model_table(model: &BTreeMap<usize, Option<String>>) -> (Table, Vec<usize>) {
-    let keys: Vec<usize> = model.keys().copied().collect();
-    let table = Table::from_rows(
-        "corpus",
-        Schema::of_strings(&["Title"]),
-        keys.iter()
-            .map(|k| vec![model[k].clone().map_or(Value::Null, Value::Str)])
-            .collect(),
-    )
-    .unwrap();
-    (table, keys)
-}
-
-fn probe_table(text: &Option<String>) -> Table {
-    Table::from_rows(
-        "probe",
-        Schema::of_strings(&["Title"]),
-        vec![vec![text.clone().map_or(Value::Null, Value::Str)]],
-    )
-    .unwrap()
+    })
 }
 
 proptest! {
-    /// Overlap probing after any edit interleaving equals from-scratch
-    /// `OverlapBlocker::block` with the probe as a one-row left table.
-    #[test]
-    fn overlap_probe_equals_from_scratch_blocking(
-        ops in proptest::collection::vec(op(), 0..25),
-        probe in title(),
-        k in 1usize..4,
-    ) {
-        let (idx, model) = run_ops(&ops);
-        let (corpus, keys) = model_table(&model);
-        let left = probe_table(&probe);
-        let batch = OverlapBlocker::new("Title", "Title", k).block(&left, &corpus).unwrap();
-        let expected: Vec<usize> = batch.iter().map(|p| keys[p.right]).collect();
-        prop_assert_eq!(idx.probe_overlap(probe.as_deref(), k), expected);
-    }
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Set-similarity probing equals from-scratch `SetSimBlocker::block`
-    /// for both measures across thresholds.
+    /// Random insert sequences long enough to seal and merge, probed after
+    /// every insert.
     #[test]
-    fn set_sim_probe_equals_from_scratch_blocking(
-        ops in proptest::collection::vec(op(), 0..25),
-        probe in title(),
-        t in prop_oneof![Just(0.3), Just(0.5), Just(0.7), Just(1.0)],
-        jaccard in any::<bool>(),
+    fn probe_is_a_function_of_the_rows(
+        rows in proptest::collection::vec(title(), 0..3 * TAIL_ROWS + 9),
+        bulk in 0usize..TAIL_ROWS + 2,
+        queries in proptest::collection::vec(query(), 1..3),
+        specs in proptest::collection::vec(spec(), 1..3),
     ) {
-        let (idx, model) = run_ops(&ops);
-        let (corpus, keys) = model_table(&model);
-        let left = probe_table(&probe);
-        let (blocker, measure) = if jaccard {
-            (SetSimBlocker::jaccard("Title", "Title", t), SetMeasure::Jaccard)
-        } else {
-            (
-                SetSimBlocker::overlap_coefficient("Title", "Title", t),
-                SetMeasure::OverlapCoefficient,
-            )
-        };
-        let batch = blocker.block(&left, &corpus).unwrap();
-        let expected: Vec<usize> = batch.iter().map(|p| keys[p.right]).collect();
-        prop_assert_eq!(idx.probe_set_sim(probe.as_deref(), measure, t), expected);
+        assert_histories_agree(&rows, bulk.min(rows.len()), |_| true, &queries, &specs);
     }
+}
 
-    /// The filtered postings probes (length + frequency-ordered prefix
-    /// filters over size-bucketed postings) return exactly the candidate set
-    /// of the unfiltered full scan, for both probe kinds, across thresholds
-    /// — including under a single reused [`ProbeScratch`].
-    #[test]
-    fn filtered_probes_equal_unfiltered_scan(
-        ops in proptest::collection::vec(op(), 0..25),
-        probes in proptest::collection::vec(title(), 1..4),
-        k in 1usize..5,
-        t in prop_oneof![Just(0.3), Just(0.5), Just(0.7), Just(1.0)],
-        jaccard in any::<bool>(),
-    ) {
-        let (idx, _) = run_ops(&ops);
-        let measure = if jaccard { SetMeasure::Jaccard } else { SetMeasure::OverlapCoefficient };
-        let mut scratch = ProbeScratch::new();
-        let mut out = Vec::new();
-        // Consecutive probes share one scratch: stale state would show up
-        // as a mismatch on the second or third probe.
-        for probe in &probes {
-            idx.probe_overlap_into(probe.as_deref(), k, &mut scratch, &mut out);
-            prop_assert_eq!(&out, &idx.probe_overlap_scan(probe.as_deref(), k));
-            idx.probe_set_sim_into(probe.as_deref(), measure, t, &mut scratch, &mut out);
-            prop_assert_eq!(&out, &idx.probe_set_sim_scan(probe.as_deref(), measure, t));
+/// Rows in the manner of `join_prop`'s word-edge tables: mixed lengths over
+/// eight frequent words, every third row with a word rare enough to be
+/// sparse in the larger segments, every 17th row null.
+fn edge_rows(n: usize) -> Vec<Text> {
+    (0..n)
+        .map(|i| {
+            let mut words: Vec<String> =
+                (0..1 + i % 6).map(|j| format!("f{}", (i + j) % 8)).collect();
+            if i % 3 == 0 {
+                words.push(format!("r{}", i % 64));
+            }
+            (i % 17 != 16).then(|| words.join(" "))
+        })
+        .collect()
+}
+
+/// Queries that meet those rows from every side: prefixes of the frequent
+/// words, rare words, mixes, absent words, a repeated word, no words.
+fn edge_queries() -> Vec<Text> {
+    let frequent = |n: usize| (0..n).map(|j| format!("f{j}")).collect::<Vec<_>>().join(" ");
+    let mut queries: Vec<Text> = [1, 2, 3, 4, 7, 8].into_iter().map(|n| Some(frequent(n))).collect();
+    queries.push(Some("r0 r3 r6 r63".to_string()));
+    queries.push(Some(format!("{} r0 r3", frequent(3))));
+    queries.push(Some(format!("{} absent1 absent2", frequent(2))));
+    queries.push(Some("absent1 absent2 absent3".to_string()));
+    queries.push(Some("F0 f0 f0".to_string()));
+    queries.push(Some(" !! ".to_string()));
+    queries.push(None);
+    queries
+}
+
+#[test]
+fn every_seal_and_merge_boundary() {
+    // Up to the seal that merges four tails into one segment, and one past.
+    let rows = edge_rows(4 * TAIL_ROWS + 1);
+    let at = |n: usize| {
+        // The tail one short of sealing, sealed, and one row into the next:
+        // for the first seal, the first merge (two tails), a seal that
+        // merges nothing (three) and the cascade (four) — and the word
+        // edges of `join_prop`, whatever `TAIL_ROWS` is.
+        (1..=4).any(|m| n + 1 == m * TAIL_ROWS || n == m * TAIL_ROWS || n == m * TAIL_ROWS + 1)
+            || [0, 1, 63, 64, 65, 128, 129].contains(&n)
+    };
+    let mut specs = Vec::new();
+    for (k, t) in [(1, 0.25), (2, 2.0 / 3.0), (3, 0.7), (4, 1.0)] {
+        specs.push(JoinSpec::overlap(k));
+        for measure in [SetMeasure::OverlapCoefficient, SetMeasure::Jaccard] {
+            specs.push(JoinSpec::set_sim(measure, t));
+            specs.push(JoinSpec::union(k, measure, t));
         }
     }
-
-    /// The single-walk union probe equals the union of the two individual
-    /// probes (the serve path replaces its two C2/C3 walks with one).
-    #[test]
-    fn union_probe_equals_union_of_individual_probes(
-        ops in proptest::collection::vec(op(), 0..25),
-        probe in title(),
-        k in 1usize..4,
-        t in prop_oneof![Just(0.3), Just(0.5), Just(0.7), Just(1.0)],
-        jaccard in any::<bool>(),
-    ) {
-        let (idx, _) = run_ops(&ops);
-        let measure = if jaccard { SetMeasure::Jaccard } else { SetMeasure::OverlapCoefficient };
-        let mut scratch = ProbeScratch::new();
-        let mut out = Vec::new();
-        idx.probe_union_into(probe.as_deref(), k, measure, t, &mut scratch, &mut out);
-        let mut expected = idx.probe_overlap(probe.as_deref(), k);
-        expected.extend(idx.probe_set_sim(probe.as_deref(), measure, t));
-        expected.sort_unstable();
-        expected.dedup();
-        prop_assert_eq!(out, expected);
-    }
-
-    /// An index rebuilt from the surviving rows is observationally equal to
-    /// the incrementally-maintained one.
-    #[test]
-    fn incremental_index_equals_rebuilt_index(
-        ops in proptest::collection::vec(op(), 0..25),
-        probe in title(),
-        k in 1usize..4,
-    ) {
-        let (idx, model) = run_ops(&ops);
-        let mut rebuilt = IncrementalIndex::new();
-        for (key, text) in &model {
-            rebuilt.insert(*key, text.as_deref());
-        }
-        prop_assert_eq!(idx.len(), rebuilt.len());
-        prop_assert_eq!(
-            idx.probe_overlap(probe.as_deref(), k),
-            rebuilt.probe_overlap(probe.as_deref(), k)
-        );
-    }
+    assert_histories_agree(&rows, TAIL_ROWS + TAIL_ROWS / 2, at, &edge_queries(), &specs);
 }

@@ -1,11 +1,13 @@
 //! The join probe runs on caller-owned buffers: once a [`JoinScratch`] and
 //! the output vectors have met an index, `probe_into` and
 //! `probe_multi_into` allocate nothing, however many right rows a probe
-//! meets. A counting global allocator measures it (this file holds one
-//! test, so nothing else allocates meanwhile).
+//! meets — and neither does the online index's `probe_into`, which also
+//! normalizes and tokenizes its text into the scratch and walks several
+//! segments and a tail. A counting global allocator measures it (this file
+//! holds one test, so nothing else allocates meanwhile).
 
 use em_blocking::blockers::SetMeasure;
-use em_blocking::{JoinIndex, JoinScratch, JoinSpec};
+use em_blocking::{IncrementalIndex, JoinIndex, JoinScratch, JoinSpec};
 use em_datagen::{Scenario, ScenarioConfig};
 use em_text::{TokenCache, TokenCorpus};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -105,4 +107,29 @@ fn warmed_probes_allocate_nothing() {
     eprintln!("{pairs} pairs -> {allocs} allocations, {pairs2} pairs -> {allocs2} allocations");
     assert_eq!(allocs, 0, "a warmed probe pass allocated");
     assert_eq!(allocs2, 0, "a warmed probe pass over the doubled corpus allocated");
+
+    // The same right column pushed row by row into the online index, and
+    // the left titles probed as text.
+    let mut online = IncrementalIndex::new();
+    for (j, title) in titles().enumerate() {
+        online.insert(j, title);
+    }
+    let layout = online.layout();
+    assert!(layout.segments.len() >= 3 && layout.tail_rows > 0, "{layout:?}");
+    let mut keys = Vec::new();
+    let mut text_pass = |scratch: &mut JoinScratch| {
+        let mut pairs = 0;
+        for row in s.award_agg.iter() {
+            online.probe_into(row.str("AwardTitle"), &specs[2], scratch, &mut keys);
+            pairs += keys.len();
+        }
+        pairs
+    };
+    let mut scratch3 = JoinScratch::new();
+    let warm3 = text_pass(&mut scratch3);
+    let (pairs3, allocs3) = allocations_in(|| text_pass(&mut scratch3));
+    eprintln!("{pairs3} pairs over {} segments and a tail -> {allocs3} allocations", layout.segments.len());
+    assert_eq!(pairs3, warm3);
+    assert!(pairs3 > 1_000, "the online index must probe real work ({pairs3} pairs)");
+    assert_eq!(allocs3, 0, "a warmed probe of the segmented index allocated");
 }

@@ -7,12 +7,12 @@
 //! featurize → score → rules loop runs without heap allocation once the
 //! scratch has warmed up:
 //!
-//! - **Blocking** issues one filtered postings walk
-//!   ([`IncrementalIndex::probe_union_into`](em_blocking::IncrementalIndex::probe_union_into))
-//!   that admits the C2 ∪ C3 candidates directly — the length and prefix
-//!   filters prune rows whose best-possible overlap already fails the
-//!   plan's thresholds, and the result is property-tested equal to the two
-//!   unfiltered probes the service previously unioned.
+//! - **Blocking** is one
+//!   [`IncrementalIndex::probe_into`](em_blocking::IncrementalIndex::probe_into)
+//!   under the plan's C2 ∪ C3 union spec: the arriving title is tokenized
+//!   into the scratch and looked up read-only, each sealed segment of the
+//!   title index is counted bit-sliced, 64 corpus rows a word, and the
+//!   short unsealed tail is scanned. Nothing shared is locked or written.
 //! - **Features and scoring** are one fused step per candidate. The
 //!   arriving record is prepared once as the kernel's left row
 //!   ([`prepare`](em_features::ServeExtractor::prepare)) against the
@@ -28,8 +28,9 @@
 //!   matches.
 //!
 //! Bit-identity with the batch pipeline is preserved stage by stage: the
-//! filtered probe admits exactly the candidate set of the unfiltered scan
-//! (proptested in `em-blocking`), pulled features are bit-equal to
+//! probe admits exactly the candidate set of the nested-loop scan, whatever
+//! the index's push/seal/merge history (proptested in `em-blocking`),
+//! pulled features are bit-equal to
 //! `Feature::compute` (pinned in `em-features`), and a value no traversed
 //! node tests cannot reach the score (see `em_core::stream`). Debug builds
 //! additionally sample candidates, pull every model-live feature and
@@ -38,7 +39,7 @@
 use crate::error::ServeError;
 use crate::overload::ServeMode;
 use crate::service::{MatchOutcome, MatchService, RequestTimings, ACCESSION_COL, AWARD_COL, TITLE_COL};
-use em_blocking::SetMeasure;
+use em_blocking::{JoinScratch, ProbeCounters};
 use em_core::stream::score_pair;
 use em_core::MatchIds;
 use em_features::BatchScratch;
@@ -90,7 +91,7 @@ impl MatchService {
 
         // Blocking: C1 (award-suffix attribute equivalence) ∪ C2 (token
         // overlap) ∪ C3 (overlap coefficient). C2 ∪ C3 come from a single
-        // filtered postings walk; the AE probe replicates the batch
+        // probe of the title index; the AE probe replicates the batch
         // pipeline's `TempAwardNumber` derived column.
         scratch.blocked.clear();
         if let Some(suffix) = row.str(AWARD_COL).and_then(award_suffix) {
@@ -99,11 +100,9 @@ impl MatchService {
             }
         }
         let title = row.str(TITLE_COL);
-        self.title_index.probe_union_into(
+        self.title_index.probe_into(
             title,
-            self.plan.overlap_k,
-            SetMeasure::OverlapCoefficient,
-            self.plan.oc_threshold,
+            &self.plan.union_spec(),
             &mut scratch.probe,
             &mut scratch.union_hits,
         );
@@ -267,8 +266,8 @@ impl MatchService {
 /// executor thread.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
-    /// Postings-walk state of the filtered index probe.
-    probe: em_blocking::ProbeScratch,
+    /// The title-index probe's tokenized query and bit-sliced counts.
+    probe: JoinScratch,
     /// The extractor's prepared arrival, value reuse table and kernel memory.
     extract: BatchScratch,
     /// Output of the C2 ∪ C3 union probe.
@@ -291,6 +290,11 @@ impl ProbeScratch {
     /// the first few requests and are then reused.
     pub fn new() -> ProbeScratch {
         ProbeScratch::default()
+    }
+
+    /// Work the title-index probes of this scratch's requests have done.
+    pub fn probe_counters(&self) -> &ProbeCounters {
+        self.probe.counters()
     }
 }
 

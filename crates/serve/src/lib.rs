@@ -14,8 +14,11 @@
 //!   ([`MatchService::match_on_arrival`]) or as deterministic
 //!   micro-batches ([`MatchService::match_batch`]), behind a bounded
 //!   admission queue, with per-request stage timings. Blocking probes an
-//!   [`em_blocking::IncrementalIndex`] plus hash-join indexes, which are
-//!   property-tested equal to from-scratch batch blocking.
+//!   [`em_blocking::IncrementalIndex`] — the batch join's bit-sliced index
+//!   as sealed segments plus a tail, read through `&self` with nothing
+//!   shared locked or written — plus hash-join indexes; the probe is
+//!   property-tested equal to the nested-loop scan and the batch join
+//!   whatever the index's push history.
 //! - [`ServeError`]: typed failures — a corrupt or truncated snapshot is
 //!   an error value (and is quarantined to `<path>.quarantined` by
 //!   [`WorkflowSnapshot::load_quarantining`]), never a panic.

@@ -10,9 +10,10 @@
 //!   an attribute-equivalence index over the corpus `AwardNumber` keyed by
 //!   [`Value::dedup_key`] (the hash join the batch AE blocker builds, with
 //!   the award-suffix temp column applied on the probe side), plus an
-//!   [`IncrementalIndex`] over the corpus `AwardTitle` whose
-//!   `probe_overlap` / `probe_set_sim` methods are property-tested equal
-//!   to the batch overlap and overlap-coefficient blockers.
+//!   [`IncrementalIndex`] over the corpus `AwardTitle` — the batch join's
+//!   bit-sliced index as sealed segments plus a scanned tail — whose
+//!   `probe_into` under the plan's union spec is property-tested equal to
+//!   the nested-loop scan and to the batch join over the same rows.
 //! - **Sure matches** probe one hash index per positive rule (the same
 //!   right-key join `EqualityRule::find_all` performs).
 //! - **Prediction** runs the identical `extract_vectors` → imputer →
@@ -31,7 +32,7 @@ use crate::hot::{derive_feature_mask, ProbeScratch};
 use crate::overload::{DrainOutcome, OverloadPolicy, PendingMeta, ServeMode};
 use crate::snapshot::WorkflowSnapshot;
 use crate::wal::{read_wal, WalWriter};
-use em_blocking::IncrementalIndex;
+use em_blocking::{IncrementalIndex, IncrementalLayout};
 use em_core::pipeline::ServingArtifacts;
 use em_core::{BlockingPlan, MatchIds};
 use em_features::{FeatureMask, ServeExtractor};
@@ -39,12 +40,10 @@ use em_ml::{BlockScorer, FittedModel, Imputer};
 use em_parallel::Executor;
 use em_rules::{RuleSet, RuleSetDesc};
 use em_table::{Table, Value};
-use em_text::TokenCache;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Rows per parallel work unit in [`MatchService::match_batch`] — small,
@@ -139,10 +138,9 @@ pub struct BatchOutcome {
 pub struct ServiceStats {
     /// Rows currently in the corpus.
     pub corpus_rows: usize,
-    /// Distinct tokens interned by the blocking token cache.
+    /// Distinct tokens in the title index's vocabulary. Corpus pushes grow
+    /// it; requests never do.
     pub cache_tokens: usize,
-    /// Distinct texts memoized by the blocking token cache.
-    pub cache_texts: usize,
     /// Arrivals waiting in the admission queue.
     pub queue_len: usize,
     /// Admission queue bound.
@@ -223,8 +221,7 @@ pub struct MatchService {
     pub(crate) threshold: f64,
     pub(crate) plan: BlockingPlan,
     pub(crate) rules: RuleSet,
-    cache: Arc<TokenCache>,
-    /// Inverted token index over the corpus blocking title column.
+    /// Segmented bit-sliced index over the corpus blocking title column.
     pub(crate) title_index: IncrementalIndex,
     /// `dedup_key(AwardNumber)` → corpus rows (the AE blocker's hash join).
     pub(crate) ae_index: HashMap<String, Vec<usize>>,
@@ -292,11 +289,12 @@ impl MatchService {
         }
         let mask = derive_feature_mask(&features, &model, &rule_descs);
         let rules = rule_descs.build();
-        let cache = Arc::new(TokenCache::for_blocking());
         let empty_corpus = Table::new(corpus.name(), corpus.schema().clone());
         let extractor = ServeExtractor::with_mask(&features, &empty_corpus, &mask)?;
         let mut service = MatchService {
-            title_index: IncrementalIndex::with_cache(Arc::clone(&cache)),
+            // The whole title column as one segment; rows pushed later
+            // gather in the index's tail.
+            title_index: IncrementalIndex::from_texts(corpus.iter().map(|r| r.str(TITLE_COL))),
             ae_index: HashMap::new(),
             rule_indexes: vec![HashMap::new(); rules.positive.len()],
             corpus: empty_corpus,
@@ -307,7 +305,6 @@ impl MatchService {
             threshold,
             plan,
             rules,
-            cache,
             extractor,
             mask,
             rule_descs,
@@ -321,7 +318,7 @@ impl MatchService {
             next_seq: 0,
         };
         for row in corpus.iter() {
-            service.push_corpus_row(row.values().to_vec())?;
+            service.append_row(row.values().to_vec())?;
         }
         Ok(service)
     }
@@ -359,6 +356,12 @@ impl MatchService {
         &self.mask
     }
 
+    /// What the title index holds: its sealed segments (rows and
+    /// dense/sparse split of each) and the rows still in its tail.
+    pub fn title_index_layout(&self) -> IncrementalLayout {
+        self.title_index.layout()
+    }
+
     /// Service counters. See [`ServiceStats`] for the admission identity
     /// the request counters satisfy.
     pub fn stats(&self) -> ServiceStats {
@@ -366,8 +369,7 @@ impl MatchService {
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         ServiceStats {
             corpus_rows: self.corpus.n_rows(),
-            cache_tokens: self.cache.n_tokens(),
-            cache_texts: self.cache.n_texts(),
+            cache_tokens: self.title_index.n_tokens(),
             queue_len: self.queue_len(),
             queue_capacity: self.queue_capacity,
             epoch: self.epoch,
@@ -417,6 +419,16 @@ impl MatchService {
             wal.append(&row)?;
             ServiceCounters::bump(&self.counters.wal_appended);
         }
+        let j = self.append_row(row)?;
+        let title = self.corpus.get(j, TITLE_COL).and_then(Value::as_str);
+        self.title_index.insert(j, title);
+        Ok(j)
+    }
+
+    /// Appends `row` to the corpus, the feature caches and the hash-join
+    /// indexes — everything [`MatchService::push_corpus_row`] updates but
+    /// the title index, which construction builds in bulk instead.
+    fn append_row(&mut self, row: Vec<Value>) -> Result<usize, ServeError> {
         self.corpus.push_row(row)?;
         let j = self.corpus.n_rows() - 1;
         let added = self
@@ -424,7 +436,6 @@ impl MatchService {
             .row(j)
             .ok_or_else(|| ServeError::Pipeline("pushed row vanished".into()))?;
         self.extractor.push_right_row(added.values());
-        self.title_index.insert(j, added.str(TITLE_COL));
         if let Some(v) = added.get(AWARD_COL) {
             if !v.is_null() {
                 self.ae_index.entry(v.dedup_key()).or_default().push(j);
@@ -900,7 +911,6 @@ pub(crate) mod tests {
         let s = service.stats();
         assert_eq!(s.corpus_rows, 4);
         assert!(s.cache_tokens > 0);
-        assert!(s.cache_texts > 0);
         assert_eq!(s.queue_len, 0);
     }
 

@@ -9,7 +9,11 @@
 //!   a mutex, so each distinct cell value is normalized + tokenized +
 //!   interned exactly once per cache, no matter how many pairs touch it.
 //! - [`TokenCorpus`] tokenizes a whole column up front into per-row id
-//!   lists (the "tokenize each column once" layout blockers consume).
+//!   lists (the "tokenize each column once" layout blockers consume), and
+//!   grows a row at a time under an online index.
+//! - [`TokenQuery`] tokenizes one text against a plain [`Interner`] into
+//!   reused buffers: interning on the write path, a read-only look-up —
+//!   no lock, no memo, nothing interned — on the read path.
 //! - The `*_sorted` set measures compute overlap/Jaccard/… on sorted id
 //!   slices with a linear merge — no hash sets, no string comparisons.
 //!
@@ -19,7 +23,7 @@
 
 use crate::fasthash::FastMap;
 use crate::normalize::Normalizer;
-use crate::tokenize::{AlphanumericTokenizer, Tokenizer};
+use crate::tokenize::AlphanumericTokenizer;
 use std::sync::{Arc, Mutex};
 
 /// Maps token strings to dense `u32` ids. Keyed with [`FastMap`]: token
@@ -28,7 +32,6 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug, Default)]
 pub struct Interner {
     map: FastMap<String, u32>,
-    strings: Vec<String>,
 }
 
 impl Interner {
@@ -42,9 +45,8 @@ impl Interner {
         if let Some(&id) = self.map.get(tok) {
             return id;
         }
-        let id = self.strings.len() as u32;
+        let id = self.map.len() as u32;
         self.map.insert(tok.to_string(), id);
-        self.strings.push(tok.to_string());
         id
     }
 
@@ -53,39 +55,82 @@ impl Interner {
         self.map.get(tok).copied()
     }
 
-    /// The string for an id assigned by this interner.
-    pub fn resolve(&self, id: u32) -> Option<&str> {
-        self.strings.get(id as usize).map(String::as_str)
-    }
-
     /// Number of distinct interned tokens.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.map.len()
     }
 
     /// True when nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.map.is_empty()
+    }
+}
+
+/// One text tokenized against an [`Interner`]: the normalized text and its
+/// sorted distinct token ids, in buffers that are reused from text to text,
+/// so a warmed instance tokenizes ASCII text without allocating (see
+/// [`Normalizer::apply_into`]).
+#[derive(Debug, Default)]
+pub struct TokenQuery {
+    normalized: String,
+    ids: Vec<u32>,
+    /// Byte ranges of `normalized` holding the distinct tokens of a look-up
+    /// that the interner has no id for.
+    unknown: Vec<(usize, usize)>,
+}
+
+impl TokenQuery {
+    /// Sorted distinct token ids of the last text tokenized.
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// Tokenizes `text` (`None` has no tokens), assigning ids to tokens
+    /// `vocab` has not seen — the write path.
+    pub fn intern(&mut self, normalizer: &Normalizer, vocab: &mut Interner, text: Option<&str>) {
+        let TokenQuery { normalized, ids, .. } = self;
+        ids.clear();
+        normalizer.apply_into(text.unwrap_or(""), normalized);
+        AlphanumericTokenizer.for_each_token(normalized, |tok| ids.push(vocab.intern(tok)));
+        ids.sort_unstable();
+        ids.dedup();
+    }
+
+    /// Tokenizes `text` without touching `vocab` — the read path. A token
+    /// `vocab` has no id for is deduplicated by its text and given an id
+    /// past every assigned one (`vocab.len()` and up, in first-seen order):
+    /// it matches no indexed row, and still counts toward the size of the
+    /// query's token set.
+    pub fn look_up(&mut self, normalizer: &Normalizer, vocab: &Interner, text: Option<&str>) {
+        let TokenQuery { normalized, ids, unknown } = self;
+        ids.clear();
+        unknown.clear();
+        normalizer.apply_into(text.unwrap_or(""), normalized);
+        AlphanumericTokenizer.for_each_token_range(normalized, |b, e| {
+            let tok = &normalized[b..e];
+            match vocab.get(tok) {
+                Some(id) => ids.push(id),
+                None if unknown.iter().any(|&(b, e)| normalized[b..e] == *tok) => {}
+                None => unknown.push((b, e)),
+            }
+        });
+        ids.sort_unstable();
+        ids.dedup();
+        ids.extend((vocab.len() as u32..).take(unknown.len()));
     }
 }
 
 /// Sorted distinct token ids of one text value. Cheap to clone and share.
 pub type TokenIds = Arc<[u32]>;
 
-/// Default cap on the text→ids memo of a [`TokenCache`]. When the memo
-/// reaches the cap it is cleared wholesale (an *epoch*), so long-running
-/// streams of distinct texts hold RSS flat instead of growing without
-/// bound. Interner ids are **never** evicted — they must stay stable for
-/// every [`TokenCorpus`] already built against the cache — and re-tokenized
-/// texts re-intern to the same ids, so eviction never changes results.
-pub const TEXT_MEMO_CAP: usize = 1 << 20;
-
 struct CacheInner {
     interner: Interner,
+    /// Raw text → its ids. Grows with the distinct cell values of the
+    /// tables a batch run tokenizes; the serve tier, whose stream of
+    /// arriving texts has no bound, tokenizes through [`TokenQuery`] and
+    /// keeps no memo.
     memo: FastMap<String, TokenIds>,
     empty: TokenIds,
-    memo_cap: usize,
-    memo_epochs: u64,
 }
 
 /// Memoizing normalizer + word tokenizer + interner.
@@ -111,24 +156,14 @@ impl std::fmt::Debug for TokenCache {
 }
 
 impl TokenCache {
-    /// A cache applying `normalizer` before word tokenization, with the
-    /// default [`TEXT_MEMO_CAP`] memo bound.
+    /// A cache applying `normalizer` before word tokenization.
     pub fn new(normalizer: Normalizer) -> TokenCache {
-        TokenCache::with_memo_cap(normalizer, TEXT_MEMO_CAP)
-    }
-
-    /// Like [`TokenCache::new`] with an explicit memo cap (tests exercise
-    /// tiny caps to pin eviction behavior). A cap of 0 disables memoization
-    /// entirely; interning is unaffected either way.
-    pub fn with_memo_cap(normalizer: Normalizer, memo_cap: usize) -> TokenCache {
         TokenCache {
             normalizer,
             inner: Mutex::new(CacheInner {
                 interner: Interner::new(),
                 memo: FastMap::default(),
                 empty: Arc::from(Vec::new()),
-                memo_cap,
-                memo_epochs: 0,
             }),
         }
     }
@@ -146,46 +181,17 @@ impl TokenCache {
         if let Some(ids) = inner.memo.get(text) {
             return Arc::clone(ids);
         }
-        let toks = AlphanumericTokenizer.tokenize(&self.normalizer.apply(text));
-        let mut ids: Vec<u32> = toks.iter().map(|t| inner.interner.intern(t)).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        let ids: TokenIds = Arc::from(ids);
-        if inner.memo_cap > 0 && inner.memo.len() >= inner.memo_cap {
-            // Size-capped epoch eviction: drop the whole memo rather than
-            // track per-entry recency. Ids are stable, so a re-miss just
-            // recomputes the identical value.
-            inner.memo.clear();
-            inner.memo_epochs += 1;
-        }
-        if inner.memo_cap > 0 {
-            inner.memo.insert(text.to_string(), Arc::clone(&ids));
-        }
+        let mut query = TokenQuery::default();
+        query.intern(&self.normalizer, &mut inner.interner, Some(text));
+        let ids: TokenIds = Arc::from(query.ids());
+        inner.memo.insert(text.to_string(), Arc::clone(&ids));
         ids
-    }
-
-    /// How many times the text memo hit its cap and was cleared.
-    pub fn memo_epochs(&self) -> u64 {
-        let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        inner.memo_epochs
-    }
-
-    /// The token string behind an id (allocates; debugging/reporting only).
-    pub fn resolve(&self, id: u32) -> Option<String> {
-        let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        inner.interner.resolve(id).map(str::to_string)
     }
 
     /// Number of distinct tokens interned so far.
     pub fn n_tokens(&self) -> usize {
         let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         inner.interner.len()
-    }
-
-    /// Number of distinct texts memoized so far (cache hit-surface size).
-    pub fn n_texts(&self) -> usize {
-        let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        inner.memo.len()
     }
 }
 
@@ -208,14 +214,27 @@ pub struct TokenCorpus {
 }
 
 impl TokenCorpus {
+    /// A corpus without rows, to be grown with [`TokenCorpus::push_row`].
+    pub fn new() -> TokenCorpus {
+        TokenCorpus { starts: vec![0], arena: Vec::new(), max_id: None }
+    }
+
+    /// Appends one row: its sorted distinct token ids.
+    pub fn push_row(&mut self, ids: &[u32]) {
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "row ids must be sorted distinct");
+        self.arena.extend_from_slice(ids);
+        self.starts.push(self.arena.len() as u32);
+        self.max_id = self.max_id.max(ids.last().copied());
+    }
+
     /// Tokenizes every row of a column (an iterator of optional cell texts)
     /// through `cache`, in row order — interning stays deterministic
     /// because this pass is sequential.
     ///
     /// This is the bulk path: the cache is locked **once** for the whole
     /// column, memoized texts are copied straight into the arena, and cache
-    /// misses tokenize via the borrowing tokenizer into a reusable id
-    /// buffer — no per-row `Arc`, token `String`, or memo-key allocation.
+    /// misses tokenize through one reused [`TokenQuery`] — no per-row
+    /// `Arc`, normalized or token `String`, or memo-key allocation.
     /// Misses are *not* inserted into the memo (the corpus itself is the
     /// artifact); interner ids come out identical either way because the
     /// intern sequence is unchanged.
@@ -225,30 +244,18 @@ impl TokenCorpus {
     {
         let mut inner = cache.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let inner = &mut *inner;
-        let mut starts: Vec<u32> = vec![0];
-        let mut arena: Vec<u32> = Vec::new();
-        let mut row_ids: Vec<u32> = Vec::new();
+        let mut corpus = TokenCorpus::new();
+        let mut query = TokenQuery::default();
         for text in column {
-            if let Some(text) = text {
-                if let Some(ids) = inner.memo.get(text) {
-                    arena.extend_from_slice(ids);
-                } else {
-                    row_ids.clear();
-                    let normalized = cache.normalizer.apply(text);
-                    AlphanumericTokenizer.for_each_token(&normalized, |tok| {
-                        row_ids.push(inner.interner.intern(tok));
-                    });
-                    row_ids.sort_unstable();
-                    row_ids.dedup();
-                    arena.extend_from_slice(&row_ids);
+            match text.and_then(|t| inner.memo.get(t)) {
+                Some(ids) => corpus.push_row(ids),
+                None => {
+                    query.intern(&cache.normalizer, &mut inner.interner, text);
+                    corpus.push_row(query.ids());
                 }
             }
-            starts.push(arena.len() as u32);
         }
-        // Rows are sorted ascending, so the corpus-wide max is the max over
-        // the arena — one O(total tokens) pass at build time.
-        let max_id = arena.iter().copied().max();
-        TokenCorpus { starts, arena, max_id }
+        corpus
     }
 
     /// Sorted distinct token ids of row `i`.
@@ -280,6 +287,12 @@ impl TokenCorpus {
     /// Iterates `(row_index, token_ids)`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &[u32])> {
         (0..self.len()).map(|i| (i, self.row(i)))
+    }
+}
+
+impl Default for TokenCorpus {
+    fn default() -> Self {
+        TokenCorpus::new()
     }
 }
 
@@ -395,37 +408,8 @@ mod tests {
         let b = i.intern("fungicide");
         assert_ne!(a, b);
         assert_eq!(i.intern("corn"), a, "re-interning is idempotent");
-        assert_eq!(i.resolve(a), Some("corn"));
         assert_eq!(i.get("fungicide"), Some(b));
         assert_eq!(i.len(), 2);
-    }
-
-    #[test]
-    fn capped_memo_evicts_in_epochs_without_changing_ids() {
-        let capped = TokenCache::with_memo_cap(crate::Normalizer::for_blocking(), 4);
-        let unbounded = TokenCache::for_blocking();
-        let texts: Vec<String> = (0..40).map(|i| format!("grant corn {i}")).collect();
-        // Two interleaved passes so evicted entries get re-missed.
-        for _ in 0..2 {
-            for t in &texts {
-                assert_eq!(
-                    capped.token_ids(Some(t)).as_ref(),
-                    unbounded.token_ids(Some(t)).as_ref(),
-                    "eviction must never change token ids"
-                );
-            }
-        }
-        assert!(capped.memo_epochs() > 0, "tiny cap must have cycled epochs");
-        assert!(capped.n_texts() <= 4, "memo stays within its cap");
-        assert_eq!(capped.n_tokens(), unbounded.n_tokens(), "interner is never evicted");
-        // Cap 0 disables memoization but still tokenizes correctly.
-        let off = TokenCache::with_memo_cap(crate::Normalizer::for_blocking(), 0);
-        let ids = off.token_ids(Some("Corn GRANT"));
-        let words: Vec<String> = ids.iter().map(|&id| off.resolve(id).unwrap()).collect();
-        assert_eq!(words, ["corn", "grant"]);
-        assert_eq!(off.token_ids(Some("Corn GRANT")).as_ref(), ids.as_ref());
-        assert_eq!(off.n_texts(), 0);
-        assert_eq!(off.memo_epochs(), 0);
     }
 
     #[test]
@@ -457,6 +441,43 @@ mod tests {
         assert!(corpus.row(1).is_empty());
         assert_eq!(overlap_size_sorted(corpus.row(0), corpus.row(2)), 1);
         assert!(corpus.max_id().is_some());
+    }
+
+    #[test]
+    fn pushed_corpus_equals_the_bulk_one() {
+        let cache = TokenCache::for_blocking();
+        let col = [Some("Corn Fungicide"), None, Some("corn"), Some("zebra apple")];
+        let bulk = TokenCorpus::from_column(&cache, col);
+        let mut grown = TokenCorpus::default();
+        assert!(grown.is_empty() && grown.max_id().is_none());
+        for (_, ids) in bulk.iter() {
+            grown.push_row(ids);
+        }
+        assert_eq!(grown.len(), bulk.len());
+        assert_eq!(grown.max_id(), bulk.max_id());
+        assert!(grown.iter().zip(bulk.iter()).all(|(a, b)| a == b));
+    }
+
+    #[test]
+    fn query_interns_like_the_cache_and_looks_up_without_interning() {
+        let normalizer = Normalizer::for_blocking();
+        let cache = TokenCache::for_blocking();
+        let mut vocab = Interner::new();
+        let mut q = TokenQuery::default();
+        for text in [Some("Zebra apple, MANGO"), Some("apple apple"), Some(" -- "), None] {
+            q.intern(&normalizer, &mut vocab, text);
+            // Same tokenizer, same first-seen id assignment.
+            assert_eq!(q.ids(), cache.token_ids(text).as_ref(), "{text:?}");
+        }
+        assert_eq!(vocab.len(), 3);
+        // Known tokens keep their ids; the two distinct unknown ones get
+        // ids past the vocabulary, once each, and nothing is interned.
+        q.look_up(&normalizer, &vocab, Some("Mango kiwi KIWI fig zebra"));
+        let (zebra, mango) = (vocab.get("zebra").unwrap(), vocab.get("mango").unwrap());
+        assert_eq!(q.ids(), [zebra, mango, 3, 4]);
+        assert_eq!((vocab.len(), vocab.get("kiwi")), (3, None));
+        q.look_up(&normalizer, &vocab, None);
+        assert!(q.ids().is_empty());
     }
 
     #[test]

@@ -42,38 +42,58 @@ impl Normalizer {
 
     /// Applies the configured steps.
     pub fn apply(&self, s: &str) -> String {
-        let mut out: String = if self.strip_specials {
-            s.chars()
-                .map(|c| if c.is_alphanumeric() || c.is_whitespace() { c } else { ' ' })
-                .collect()
-        } else {
-            s.to_string()
+        let mut out = String::with_capacity(s.len());
+        self.apply_into(s, &mut out);
+        out
+    }
+
+    /// [`apply`](Normalizer::apply) into a caller-owned buffer (cleared
+    /// first): one pass over the characters, and no allocation once `out`
+    /// has grown — except when lowercasing text that is not ASCII, where
+    /// `str::to_lowercase` is context-sensitive (final sigma) and the first
+    /// two steps need the whole string.
+    pub fn apply_into(&self, s: &str, out: &mut String) {
+        out.clear();
+        let strip = |c: char| {
+            if self.strip_specials && !c.is_alphanumeric() && !c.is_whitespace() {
+                ' '
+            } else {
+                c
+            }
         };
-        if self.lowercase {
+        let lowered;
+        let (s, per_char) = if self.lowercase && !s.is_ascii() {
             // Allow-listed: normalization is the once-per-value pipeline
             // stage, not a per-pair hot path.
             #[allow(clippy::disallowed_methods)]
             {
-                out = out.to_lowercase();
+                lowered = s.chars().map(strip).collect::<String>().to_lowercase();
             }
-        }
-        if self.collapse_whitespace {
-            let mut collapsed = String::with_capacity(out.len());
-            let mut prev_space = false;
-            for c in out.chars() {
-                if c.is_whitespace() {
-                    if !prev_space {
-                        collapsed.push(' ');
-                    }
-                    prev_space = true;
-                } else {
-                    collapsed.push(c);
-                    prev_space = false;
+            (lowered.as_str(), false)
+        } else {
+            (s, true)
+        };
+        let mut prev_space = false;
+        for mut c in s.chars() {
+            if per_char {
+                c = strip(c);
+                if self.lowercase {
+                    c = c.to_ascii_lowercase();
                 }
             }
-            out = collapsed;
+            if self.collapse_whitespace && c.is_whitespace() {
+                if !prev_space {
+                    out.push(' ');
+                }
+                prev_space = true;
+            } else {
+                out.push(c);
+                prev_space = false;
+            }
         }
-        out.trim().to_string()
+        out.truncate(out.trim_end().len());
+        let lead = out.len() - out.trim_start().len();
+        out.drain(..lead);
     }
 }
 
@@ -112,6 +132,69 @@ mod tests {
     fn collapse_handles_tabs_and_newlines() {
         let n = Normalizer { lowercase: false, strip_specials: false, collapse_whitespace: true };
         assert_eq!(n.apply("a\t\tb\n c"), "a b c");
+    }
+
+    /// The normalizer as first written, a string-level pass per step: the
+    /// reference the fused pass is held to.
+    #[allow(clippy::disallowed_methods)]
+    fn step_by_step(n: &Normalizer, s: &str) -> String {
+        let mut out: String = if n.strip_specials {
+            s.chars()
+                .map(|c| if c.is_alphanumeric() || c.is_whitespace() { c } else { ' ' })
+                .collect()
+        } else {
+            s.to_string()
+        };
+        if n.lowercase {
+            out = out.to_lowercase();
+        }
+        if n.collapse_whitespace {
+            let mut collapsed = String::with_capacity(out.len());
+            let mut prev_space = false;
+            for c in out.chars() {
+                if c.is_whitespace() {
+                    if !prev_space {
+                        collapsed.push(' ');
+                    }
+                    prev_space = true;
+                } else {
+                    collapsed.push(c);
+                    prev_space = false;
+                }
+            }
+            out = collapsed;
+        }
+        out.trim().to_string()
+    }
+
+    #[test]
+    fn fused_pass_equals_the_steps_under_every_configuration() {
+        // Every ASCII byte (so every whitespace and special character meets
+        // every step), runs of blanks at both ends, and non-ASCII text
+        // whose lowercase form depends on context.
+        let every_ascii: String = (0u8..128).map(|b| b as char).collect();
+        let inputs = [
+            "",
+            "   ",
+            "\t\x0b IPM-Based  Corn\r\n(2019)!\x0c ",
+            "a\u{1f}b",
+            every_ascii.as_str(),
+            " ΟΔΥΣΣΕΥΣ  İstanbul  CAFÉ #9 ",
+            "Σ.Σ ΑΣ! (玉米) \u{a0}x\u{2003}\u{2003}y\u{3000}",
+        ];
+        let mut out = String::from("stale");
+        for bits in 0..8 {
+            let n = Normalizer {
+                lowercase: bits & 1 != 0,
+                strip_specials: bits & 2 != 0,
+                collapse_whitespace: bits & 4 != 0,
+            };
+            for s in inputs {
+                n.apply_into(s, &mut out);
+                assert_eq!(out, step_by_step(&n, s), "{n:?} on {s:?}");
+                assert_eq!(n.apply(s), out);
+            }
+        }
     }
 
     #[test]

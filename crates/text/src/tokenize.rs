@@ -43,16 +43,22 @@ impl AlphanumericTokenizer {
     /// ([`Tokenizer::tokenize`] delegates to it), kept in one place so the
     /// allocating and borrowing views can never disagree.
     pub fn for_each_token<'a>(&self, s: &'a str, mut f: impl FnMut(&'a str)) {
+        self.for_each_token_range(s, |b, e| f(&s[b..e]));
+    }
+
+    /// [`for_each_token`](Self::for_each_token) by byte range `start..end`
+    /// of `s`, for callers that keep offsets into a buffer they own.
+    pub fn for_each_token_range(&self, s: &str, mut f: impl FnMut(usize, usize)) {
         let mut start = None;
         for (i, c) in s.char_indices() {
             if c.is_alphanumeric() {
                 start.get_or_insert(i);
             } else if let Some(b) = start.take() {
-                f(&s[b..i]);
+                f(b, i);
             }
         }
         if let Some(b) = start {
-            f(&s[b..]);
+            f(b, s.len());
         }
     }
 }

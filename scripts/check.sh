@@ -19,14 +19,17 @@ cargo build "${CARGO_FLAGS[@]}" --release
 echo "==> cargo test"
 cargo test "${CARGO_FLAGS[@]}" -q
 
-echo "==> cargo test --release -p em-blocking (debugger/join/incremental equivalence proptests, join probe allocations)"
+echo "==> cargo test --release -p em-blocking -p em-text (debugger/join/incremental equivalence proptests, join probe allocations)"
 # Tier-1 `cargo test` covers the root package only; the exact-top-k debugger
 # is pinned to its naive reference, and the join and incremental indexes to
-# their scans, by this crate's own property suites.
-# crates/blocking/tests/join_allocations.rs counts every allocation of a
-# warmed `probe_into` / `probe_multi_into` pass over the x1 title corpora
-# (and over a doubled right corpus): zero.
-cargo test "${CARGO_FLAGS[@]}" --release -q -p em-blocking
+# their scans (the segmented online index through every seal and merge, to
+# the batch join and a bulk-built twin as well), by this crate's own
+# property suites. crates/blocking/tests/join_allocations.rs counts every
+# allocation of a warmed `probe_into` / `probe_multi_into` pass over the x1
+# title corpora (and over a doubled right corpus), and of the online
+# index's text probe over four segments and a tail: zero. em-text holds the
+# read-only tokenizer they rest on (`apply_into` == `apply`).
+cargo test "${CARGO_FLAGS[@]}" --release -q -p em-blocking -p em-text
 
 echo "==> cargo test --release -p em-ml -p em-rules (one scoring walk == predict_proba, rule binding)"
 # Neither crate is reached by tier-1. em-ml's suites pin the pull-based walk
@@ -41,6 +44,14 @@ echo "==> scale pins (x4 consolidated 25 676 at 1/4 threads, join_stats == mater
 # rows, and the fused stream against the materialized workflow.
 cargo test "${CARGO_FLAGS[@]}" --release -q -p em-bench --test join_scale --test scaling_match_pinned
 cargo test "${CARGO_FLAGS[@]}" --release -q -p em-core --test stream_equivalence
+
+echo "==> benchmark harness builds against the crates; its unit tests"
+# benchmark/ is a workspace of its own that tier-1 never compiles: a crates/
+# change that breaks an API it calls (`IncrementalIndex::new`/`insert`,
+# `derive_feature_mask`/3, `ProbeScratch::new`, ...) would otherwise fail
+# only inside the BENCHMARK.json gate.
+CARGO_TARGET_DIR=benchmark/target cargo build "${CARGO_FLAGS[@]}" --release -q --manifest-path benchmark/Cargo.toml
+CARGO_TARGET_DIR=benchmark/target cargo test "${CARGO_FLAGS[@]}" --release -q --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy "${CARGO_FLAGS[@]}" --all-targets -- -D warnings
@@ -117,12 +128,13 @@ echo "==> match_stream criterion bench (smoke)"
 EM_BENCH_SMOKE=1 cargo bench "${CARGO_FLAGS[@]}" -p em-bench --bench match_stream >/dev/null
 echo "    match_stream bench ran"
 
-echo "==> em-serve suites (hot-loop allocations, snapshot round-trip, shard/WAL/patch-stage equivalence)"
+echo "==> em-serve suites (hot-loop allocations, snapshot round-trip, shard/WAL/patch-stage/index-history equivalence)"
 # crates/serve/tests/hot_allocations.rs counts every allocation of a warmed
 # `match_on_arrival_with` pass: a request pays for its keys and its rendered
 # match ids, never per candidate. The rest pins serving to the batch patch
-# stage, sharded to single-instance, recovery to the crashed service, and
-# snapshots to their save/load fixed point.
+# stage, sharded to single-instance, recovery to the crashed service,
+# pushed to bulk-built to recovered title indexes (which requests must
+# leave untouched), and snapshots to their save/load fixed point.
 cargo test "${CARGO_FLAGS[@]}" --release -q -p em-serve
 echo "    em-serve suites ok"
 
