@@ -135,12 +135,20 @@ fn title() -> impl Strategy<Value = Text> {
     ]
 }
 
-/// Queries: titles, plus words no row has (alone, repeated, and mixed in).
+/// `n` distinct words no row has, each twice and its twin far from it.
+fn absent_words(n: usize) -> String {
+    (0..n).chain((0..n).rev()).map(|i| format!("absent{i}")).collect::<Vec<_>>().join(" ")
+}
+
+/// Queries: titles, plus words no row has (alone, repeated, mixed in, and
+/// many at once — each still counts toward `|A|` exactly once).
 fn query() -> impl Strategy<Value = Text> {
     prop_oneof![
         title(),
         Just(Some("absent1 absent2 absent1".to_string())),
         title().prop_map(|t| Some(format!("{} absent1 ABSENT1 absent2", t.unwrap_or_default()))),
+        (title(), 1usize..80)
+            .prop_map(|(t, n)| Some(format!("{} {}", absent_words(n), t.unwrap_or_default()))),
     ]
 }
 
@@ -209,6 +217,9 @@ fn edge_queries() -> Vec<Text> {
     queries.push(Some(format!("{} r0 r3", frequent(3))));
     queries.push(Some(format!("{} absent1 absent2", frequent(2))));
     queries.push(Some("absent1 absent2 absent3".to_string()));
+    // Row 1 is "f1 f2": Jaccard 2/3 only if the absent word counts once.
+    queries.push(Some("f1 f2 absent1 ABSENT1".to_string()));
+    queries.push(Some(format!("f0 {} f1", absent_words(300))));
     queries.push(Some("F0 f0 f0".to_string()));
     queries.push(Some(" !! ".to_string()));
     queries.push(None);

@@ -32,6 +32,7 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug, Default)]
 pub struct Interner {
     map: FastMap<String, u32>,
+    strings: Vec<String>,
 }
 
 impl Interner {
@@ -45,8 +46,9 @@ impl Interner {
         if let Some(&id) = self.map.get(tok) {
             return id;
         }
-        let id = self.map.len() as u32;
+        let id = self.strings.len() as u32;
         self.map.insert(tok.to_string(), id);
+        self.strings.push(tok.to_string());
         id
     }
 
@@ -55,14 +57,19 @@ impl Interner {
         self.map.get(tok).copied()
     }
 
+    /// The string for an id assigned by this interner.
+    pub fn resolve(&self, id: u32) -> Option<&str> {
+        self.strings.get(id as usize).map(String::as_str)
+    }
+
     /// Number of distinct interned tokens.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.strings.len()
     }
 
     /// True when nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.strings.is_empty()
     }
 }
 
@@ -74,8 +81,8 @@ impl Interner {
 pub struct TokenQuery {
     normalized: String,
     ids: Vec<u32>,
-    /// Byte ranges of `normalized` holding the distinct tokens of a look-up
-    /// that the interner has no id for.
+    /// Byte ranges of `normalized` holding the tokens of a look-up that the
+    /// interner has no id for, deduplicated by text.
     unknown: Vec<(usize, usize)>,
 }
 
@@ -98,24 +105,25 @@ impl TokenQuery {
 
     /// Tokenizes `text` without touching `vocab` — the read path. A token
     /// `vocab` has no id for is deduplicated by its text and given an id
-    /// past every assigned one (`vocab.len()` and up, in first-seen order):
-    /// it matches no indexed row, and still counts toward the size of the
-    /// query's token set.
+    /// past every assigned one (`vocab.len()` and up): it matches no indexed
+    /// row, and still counts toward the size of the query's token set.
     pub fn look_up(&mut self, normalizer: &Normalizer, vocab: &Interner, text: Option<&str>) {
         let TokenQuery { normalized, ids, unknown } = self;
         ids.clear();
         unknown.clear();
         normalizer.apply_into(text.unwrap_or(""), normalized);
         AlphanumericTokenizer.for_each_token_range(normalized, |b, e| {
-            let tok = &normalized[b..e];
-            match vocab.get(tok) {
+            match vocab.get(&normalized[b..e]) {
                 Some(id) => ids.push(id),
-                None if unknown.iter().any(|&(b, e)| normalized[b..e] == *tok) => {}
                 None => unknown.push((b, e)),
             }
         });
         ids.sort_unstable();
         ids.dedup();
+        // The arriving text has no length limit: sort, not a quadratic scan.
+        let word = |&(b, e): &(usize, usize)| &normalized[b..e];
+        unknown.sort_unstable_by(|x, y| word(x).cmp(word(y)));
+        unknown.dedup_by(|x, y| word(x) == word(y));
         ids.extend((vocab.len() as u32..).take(unknown.len()));
     }
 }
@@ -123,14 +131,22 @@ impl TokenQuery {
 /// Sorted distinct token ids of one text value. Cheap to clone and share.
 pub type TokenIds = Arc<[u32]>;
 
+/// Default cap on the text→ids memo of a [`TokenCache`]. When the memo
+/// reaches the cap it is cleared wholesale (an *epoch*), so long-running
+/// streams of distinct texts hold RSS flat instead of growing without
+/// bound. Interner ids are **never** evicted — they must stay stable for
+/// every [`TokenCorpus`] already built against the cache — and re-tokenized
+/// texts re-intern to the same ids, so eviction never changes results.
+pub const TEXT_MEMO_CAP: usize = 1 << 20;
+
 struct CacheInner {
     interner: Interner,
-    /// Raw text → its ids. Grows with the distinct cell values of the
-    /// tables a batch run tokenizes; the serve tier, whose stream of
-    /// arriving texts has no bound, tokenizes through [`TokenQuery`] and
-    /// keeps no memo.
     memo: FastMap<String, TokenIds>,
     empty: TokenIds,
+    memo_cap: usize,
+    memo_epochs: u64,
+    /// Buffers every memo miss tokenizes through.
+    query: TokenQuery,
 }
 
 /// Memoizing normalizer + word tokenizer + interner.
@@ -156,14 +172,25 @@ impl std::fmt::Debug for TokenCache {
 }
 
 impl TokenCache {
-    /// A cache applying `normalizer` before word tokenization.
+    /// A cache applying `normalizer` before word tokenization, with the
+    /// default [`TEXT_MEMO_CAP`] memo bound.
     pub fn new(normalizer: Normalizer) -> TokenCache {
+        TokenCache::with_memo_cap(normalizer, TEXT_MEMO_CAP)
+    }
+
+    /// Like [`TokenCache::new`] with an explicit memo cap (tests exercise
+    /// tiny caps to pin eviction behavior). A cap of 0 disables memoization
+    /// entirely; interning is unaffected either way.
+    pub fn with_memo_cap(normalizer: Normalizer, memo_cap: usize) -> TokenCache {
         TokenCache {
             normalizer,
             inner: Mutex::new(CacheInner {
                 interner: Interner::new(),
                 memo: FastMap::default(),
                 empty: Arc::from(Vec::new()),
+                memo_cap,
+                memo_epochs: 0,
+                query: TokenQuery::default(),
             }),
         }
     }
@@ -181,17 +208,44 @@ impl TokenCache {
         if let Some(ids) = inner.memo.get(text) {
             return Arc::clone(ids);
         }
-        let mut query = TokenQuery::default();
-        query.intern(&self.normalizer, &mut inner.interner, Some(text));
+        let CacheInner { interner, query, .. } = &mut *inner;
+        query.intern(&self.normalizer, interner, Some(text));
         let ids: TokenIds = Arc::from(query.ids());
-        inner.memo.insert(text.to_string(), Arc::clone(&ids));
+        if inner.memo_cap > 0 && inner.memo.len() >= inner.memo_cap {
+            // Size-capped epoch eviction: drop the whole memo rather than
+            // track per-entry recency. Ids are stable, so a re-miss just
+            // recomputes the identical value.
+            inner.memo.clear();
+            inner.memo_epochs += 1;
+        }
+        if inner.memo_cap > 0 {
+            inner.memo.insert(text.to_string(), Arc::clone(&ids));
+        }
         ids
+    }
+
+    /// How many times the text memo hit its cap and was cleared.
+    pub fn memo_epochs(&self) -> u64 {
+        let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        inner.memo_epochs
+    }
+
+    /// The token string behind an id (allocates; debugging/reporting only).
+    pub fn resolve(&self, id: u32) -> Option<String> {
+        let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        inner.interner.resolve(id).map(str::to_string)
     }
 
     /// Number of distinct tokens interned so far.
     pub fn n_tokens(&self) -> usize {
         let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         inner.interner.len()
+    }
+
+    /// Number of distinct texts memoized so far (cache hit-surface size).
+    pub fn n_texts(&self) -> usize {
+        let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        inner.memo.len()
     }
 }
 
@@ -233,7 +287,7 @@ impl TokenCorpus {
     ///
     /// This is the bulk path: the cache is locked **once** for the whole
     /// column, memoized texts are copied straight into the arena, and cache
-    /// misses tokenize through one reused [`TokenQuery`] — no per-row
+    /// misses tokenize through the cache's reused [`TokenQuery`] — no per-row
     /// `Arc`, normalized or token `String`, or memo-key allocation.
     /// Misses are *not* inserted into the memo (the corpus itself is the
     /// artifact); interner ids come out identical either way because the
@@ -243,14 +297,13 @@ impl TokenCorpus {
         I: IntoIterator<Item = Option<&'a str>>,
     {
         let mut inner = cache.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let inner = &mut *inner;
+        let CacheInner { interner, memo, query, .. } = &mut *inner;
         let mut corpus = TokenCorpus::new();
-        let mut query = TokenQuery::default();
         for text in column {
-            match text.and_then(|t| inner.memo.get(t)) {
+            match text.and_then(|t| memo.get(t)) {
                 Some(ids) => corpus.push_row(ids),
                 None => {
-                    query.intern(&cache.normalizer, &mut inner.interner, text);
+                    query.intern(&cache.normalizer, interner, text);
                     corpus.push_row(query.ids());
                 }
             }
@@ -408,8 +461,37 @@ mod tests {
         let b = i.intern("fungicide");
         assert_ne!(a, b);
         assert_eq!(i.intern("corn"), a, "re-interning is idempotent");
+        assert_eq!(i.resolve(a), Some("corn"));
         assert_eq!(i.get("fungicide"), Some(b));
         assert_eq!(i.len(), 2);
+    }
+
+    #[test]
+    fn capped_memo_evicts_in_epochs_without_changing_ids() {
+        let capped = TokenCache::with_memo_cap(crate::Normalizer::for_blocking(), 4);
+        let unbounded = TokenCache::for_blocking();
+        let texts: Vec<String> = (0..40).map(|i| format!("grant corn {i}")).collect();
+        // Two interleaved passes so evicted entries get re-missed.
+        for _ in 0..2 {
+            for t in &texts {
+                assert_eq!(
+                    capped.token_ids(Some(t)).as_ref(),
+                    unbounded.token_ids(Some(t)).as_ref(),
+                    "eviction must never change token ids"
+                );
+            }
+        }
+        assert!(capped.memo_epochs() > 0, "tiny cap must have cycled epochs");
+        assert!(capped.n_texts() <= 4, "memo stays within its cap");
+        assert_eq!(capped.n_tokens(), unbounded.n_tokens(), "interner is never evicted");
+        // Cap 0 disables memoization but still tokenizes correctly.
+        let off = TokenCache::with_memo_cap(crate::Normalizer::for_blocking(), 0);
+        let ids = off.token_ids(Some("Corn GRANT"));
+        let words: Vec<String> = ids.iter().map(|&id| off.resolve(id).unwrap()).collect();
+        assert_eq!(words, ["corn", "grant"]);
+        assert_eq!(off.token_ids(Some("Corn GRANT")).as_ref(), ids.as_ref());
+        assert_eq!(off.n_texts(), 0);
+        assert_eq!(off.memo_epochs(), 0);
     }
 
     #[test]

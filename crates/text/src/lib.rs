@@ -49,7 +49,7 @@ pub mod tokenize;
 
 pub use corpus::TfIdfCorpus;
 pub use fasthash::{FastMap, FastSet};
-pub use intern::{Interner, TokenCache, TokenCorpus, TokenQuery};
+pub use intern::{TokenCache, TokenCorpus, TEXT_MEMO_CAP};
 pub use normalize::Normalizer;
 pub use scratch::{with_scratch, KernelScratch};
 pub use tokenize::{
