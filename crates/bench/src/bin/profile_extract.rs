@@ -17,7 +17,9 @@
 //!   index probe on its own for a bulk-built and a row-by-row pushed index
 //!   (µs a probe, rows enumerated vs admitted, segments probed, tail rows
 //!   scanned, the layout), then the four `RequestTimings` stage means of a
-//!   service built each way.
+//!   service built each way and what its requests pulled (features computed
+//!   a request and on the median candidate, each live feature's pulls, the
+//!   Monge-Elkan word matrices' pulls, columns and kernel cells).
 //!
 //! Everything goes to stderr; timers sit outside every checksum.
 
@@ -333,6 +335,30 @@ fn serve(factor: f64) -> Result<(), Box<dyn std::error::Error>> {
                 "  blocking {blocking:.2}, rules {rules:.2}, features {features:.2}, predict \
                  {predict:.2}, total {total:.2}; {candidates:.2} candidates a request"
             );
+        }
+        // What the three passes pulled, a request.
+        let pulled = scratch.pull_counts();
+        let requests = 3.0 * n;
+        let per_request = |count: u64| count as f64 / requests;
+        let median = pulled.by_pulled.iter().scan(0, |seen, &pairs| {
+            *seen += pairs;
+            Some(*seen)
+        });
+        eprintln!(
+            "  a request: {:.2} features computed over {:.2} candidates ({} on the median \
+             candidate); Monge-Elkan/Jaro-Winkler: {:.1} word-matrix pulls, {:.1} columns built, \
+             {:.1} Jaro-Winkler kernel cells",
+            per_request(pulled.pulls.iter().sum()),
+            per_request(pulled.pairs()),
+            median.take_while(|&seen| 2 * seen < pulled.pairs()).count(),
+            per_request(pulled.me_pulls),
+            per_request(pulled.me_columns),
+            per_request(pulled.me_cells)
+        );
+        for (f, &pulls) in art.matcher.features.features.iter().zip(&pulled.pulls) {
+            if pulls > 0 {
+                eprintln!("    {:<30} {:>7.2} pulls a request", f.name, per_request(pulls));
+            }
         }
     }
     Ok(())

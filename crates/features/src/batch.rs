@@ -35,7 +35,14 @@
 //!   value, as does a later pair with the same two strings (recurring
 //!   titles). The values live in a fixed direct-mapped table
 //!   ([`REUSE_SLOTS`] slots per measure, overwritten on collision — no
-//!   growth, no clearing); exact match is the sid comparison itself;
+//!   growth, no clearing); exact match is the sid comparison itself.
+//!   Monge-Elkan/Jaro-Winkler, the one measure whose kernel is a word ×
+//!   word product, keeps a dense word matrix per sequence plan for the
+//!   prepared left row's string — a column of inner Jaro-Winkler values
+//!   per distinct right word the row has met, the word's pattern masks
+//!   built once — so a pull is a lookup per right word and an
+//!   `f64::max` fold (`WordMatrix` in [`crate::extract`] has the argument
+//!   for why that is the per-pair computation to the bit);
 //! - numeric/date/boolean features: one load from a typed column.
 //!
 //! Any pair order and any pull order is correct — a shuffled pair order
@@ -47,12 +54,15 @@
 //! caches, one after another (a serving thread's scratch meets every shard
 //! and every epoch). It remembers the caches it last prepared a row for;
 //! meeting others, it drops the prepared row, resizes its per-plan state
-//! and starts a new *generation*. Reuse-table slots and word-pair memo
-//! entries carry the generation they were written in and are dead in any
-//! other, so ids that collide across caches never meet — and nothing is
-//! wiped. An arriving row starts a generation of its own for the same
-//! reason: the request-local ids of what the corpus has never produced
-//! restart with every request.
+//! and starts a new *generation*. Reuse-table slots carry the generation
+//! they were written in and are dead in any other, so ids that collide
+//! across caches never meet — and nothing is wiped. An arriving row starts
+//! a generation of its own for the same reason: the request-local ids of
+//! what the corpus has never produced restart with every request. What is
+//! keyed on the prepared left row itself — the word matrices' columns —
+//! carries the *left-row epoch*, which every newly prepared row bumps,
+//! arriving or not (a rebind drops the prepared row, so one follows it):
+//! one counter kills every column.
 //!
 //! **Set-up legs.** The caches are independent by construction — every set
 //! plan owns a private interner, the sequence plans share one sid space
@@ -64,9 +74,9 @@
 //! column per run, shared across stages) — see [`SharedWordColumns`].
 
 use crate::extract::{
-    borrow_set_plan, build_seq_caches, build_set_plan, seq_op, set_op, typed_op, BoundedMemo,
-    Scalar, SeqCaches, SeqKey, SeqOp, SeqSpace, SetKey, SetOp, SetPlan, Tiers, TypedOp, NULL_SID,
-    PARALLEL_THRESHOLD,
+    borrow_set_plan, build_seq_caches, build_set_plan, seq_op, set_op, typed_op, Scalar,
+    SeqCaches, SeqKey, SeqOp, SeqSpace, SetKey, SetOp, SetPlan, Tiers, TypedOp, WordMatrices,
+    NULL_SID, PARALLEL_THRESHOLD,
 };
 use crate::generate::FeatureSet;
 use crate::mask::FeatureMask;
@@ -75,10 +85,6 @@ use em_parallel::Executor;
 use em_table::{Schema, Table, TableError};
 use em_text::{seq, KernelScratch, TokenCorpus};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Default cap on the word-pair Jaro-Winkler memo (Monge-Elkan inner
-/// measure) of one [`BatchScratch`].
-pub const JW_MEMO_CAP: usize = 1 << 18;
 
 /// Fixed pair-chunk width of [`BatchExtractor::extract_matrix`]. Chunks
 /// are the parallel index space, so the split is independent of the thread
@@ -162,6 +168,14 @@ pub struct PullCounts {
     pub by_pulled: Vec<u64>,
     /// Set-plan intersection passes run.
     pub set_passes: u64,
+    /// Monge-Elkan/Jaro-Winkler values computed (not reused): word-matrix
+    /// pulls.
+    pub me_pulls: u64,
+    /// Word-matrix columns built: distinct right words a left string met.
+    pub me_columns: u64,
+    /// Jaro-Winkler kernel calls that filled them — two a cell, one in
+    /// each direction.
+    pub me_cells: u64,
 }
 
 impl PullCounts {
@@ -185,7 +199,7 @@ pub(crate) struct ArrivalBuffers {
 
 /// Per-worker extraction state: the prepared left row, the current pair's
 /// value slots, the fixed-size sequence-value reuse table, the Monge-Elkan
-/// word-pair memo and the kernels' working memory. Create one per worker
+/// word matrices and the kernels' working memory. Create one per worker
 /// and reuse it across any number of pairs, requests and extractors (see
 /// the module docs for the rebinding rule).
 #[derive(Debug)]
@@ -200,6 +214,12 @@ pub struct BatchScratch {
     /// What the prepared arriving row holds that the corpus never produced.
     pub(crate) local: SeqSpace,
     pub(crate) arrival: ArrivalBuffers,
+    /// Counts prepared left rows; what is keyed on the left row's strings
+    /// (the word matrices' columns) carries the epoch it was built in.
+    row_epoch: u32,
+    /// Per sequence plan: the Monge-Elkan/Jaro-Winkler word matrix of the
+    /// prepared left row's string.
+    words: WordMatrices,
     /// The right row of the current pair, and what has been computed of it:
     /// `slots[k]` holds feature `k` iff `slots[k].pair == pair_epoch`.
     right: usize,
@@ -211,7 +231,6 @@ pub struct BatchScratch {
     reuse: Vec<Slot>,
     reuse_mask: usize,
     generation: u32,
-    jw_words: BoundedMemo<(u32, u32)>,
     kernel: KernelScratch,
     kernel_calls: u64,
     reused: u64,
@@ -219,7 +238,7 @@ pub struct BatchScratch {
 
 impl Default for BatchScratch {
     fn default() -> BatchScratch {
-        BatchScratch::with_sizes(REUSE_SLOTS, JW_MEMO_CAP)
+        BatchScratch::with_reuse_slots(REUSE_SLOTS)
     }
 }
 
@@ -230,9 +249,8 @@ impl BatchScratch {
     }
 
     /// [`new`](BatchScratch::new) with an explicit reuse-table width per
-    /// measure (a power of two) and word-memo cap — tests pin that neither
-    /// can change a value.
-    pub(crate) fn with_sizes(reuse_slots: usize, jw_cap: usize) -> BatchScratch {
+    /// measure (a power of two) — tests pin that it cannot change a value.
+    pub(crate) fn with_reuse_slots(reuse_slots: usize) -> BatchScratch {
         debug_assert!(reuse_slots.is_power_of_two());
         BatchScratch {
             owner: u64::MAX,
@@ -242,6 +260,8 @@ impl BatchScratch {
             left_scalars: Vec::new(),
             local: SeqSpace::default(),
             arrival: ArrivalBuffers::default(),
+            row_epoch: 0,
+            words: WordMatrices::default(),
             right: 0,
             slots: Vec::new(),
             pair_epoch: 0,
@@ -250,15 +270,14 @@ impl BatchScratch {
             reuse: Vec::new(),
             reuse_mask: reuse_slots - 1,
             generation: 0,
-            jw_words: BoundedMemo::with_cap(jw_cap),
             kernel: KernelScratch::new(),
             kernel_calls: 0,
             reused: 0,
         }
     }
 
-    /// Kills every reuse-table slot and word-memo entry: the ids they are
-    /// keyed on are about to change meaning.
+    /// Kills every reuse-table slot: the ids they are keyed on are about
+    /// to change meaning.
     fn next_generation(&mut self) {
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
@@ -266,7 +285,16 @@ impl BatchScratch {
             self.reuse.fill(Slot::default());
             self.generation = 1;
         }
-        self.jw_words.clear();
+    }
+
+    /// Kills every word-matrix column: another left row is being prepared.
+    fn next_row(&mut self) {
+        self.row_epoch = self.row_epoch.wrapping_add(1);
+        if self.row_epoch == 0 {
+            // Wrapped: a column from 2³² rows ago would read as this row's.
+            self.words.forget_columns();
+            self.row_epoch = 1;
+        }
     }
 
     /// Starts an arriving row: no table row is prepared, nothing is local
@@ -275,6 +303,7 @@ impl BatchScratch {
         self.left = NO_ROW;
         self.local.clear();
         self.next_generation();
+        self.next_row();
     }
 
     /// `(kernel calls, reused values)` of the sequence measures so far —
@@ -290,14 +319,16 @@ impl BatchScratch {
         &self.counts
     }
 
-    /// Ages every stamp epoch, the pair epoch and the generation to their
-    /// last value, so the next left-row switch, pair and generation wrap —
-    /// test hook for the wrap paths, which otherwise need 2³² of each.
+    /// Ages every stamp epoch, the left-row epoch, the pair epoch and the
+    /// generation to their last value, so the next left-row switch, pair
+    /// and generation wrap — test hook for the wrap paths, which otherwise
+    /// need 2³² of each.
     #[doc(hidden)]
     pub fn force_epoch_wrap(&mut self) {
         for st in &mut self.stamps {
             st.epoch = u32::MAX;
         }
+        self.row_epoch = u32::MAX;
         self.pair_epoch = u32::MAX;
         self.generation = u32::MAX;
         self.left = NO_ROW;
@@ -473,6 +504,7 @@ impl FeatureCaches {
             scratch.stamps.resize_with(self.set_plans.len(), Stamps::default);
         }
         scratch.left_sids.resize(self.seq.columns.len(), NULL_SID);
+        scratch.words.grow(self.seq.columns.len());
         scratch.left_scalars.resize(self.typed_cols.len(), Scalar::Null);
         // A slot another caches' pair filled is older than any pair begun
         // from here on.
@@ -490,6 +522,7 @@ impl FeatureCaches {
 
     /// Makes left-table row `i` the scratch's prepared left row.
     fn prepare_left(&self, i: usize, scratch: &mut BatchScratch) {
+        scratch.next_row();
         for (plan, st) in self.set_plans.iter().zip(&mut scratch.stamps) {
             let span = plan.left[i];
             st.left_len = span.len();
@@ -515,12 +548,13 @@ impl FeatureCaches {
     /// same two sids in this generation, else from the kernel.
     fn seq_value(
         &self,
-        (op, partition): (SeqOp, usize),
+        (column, op, partition): (usize, SeqOp, usize),
         sids: (u32, u32),
         scratch: &mut BatchScratch,
     ) -> f64 {
         let BatchScratch {
-            reuse, reuse_mask, generation, local, jw_words, kernel, kernel_calls, reused, ..
+            reuse, reuse_mask, generation, local, row_epoch, words, counts, kernel, kernel_calls,
+            reused, ..
         } = scratch;
         let tiers = Tiers { corpus: &self.seq.space, local };
         let winkler = op == SeqOp::JaroWinkler;
@@ -532,7 +566,7 @@ impl FeatureCaches {
             f64::from_bits(slot.bits)
         } else {
             let kernel_op = if winkler { SeqOp::Jaro } else { op };
-            let v = kernel_op.score(tiers, sids, jw_words, kernel);
+            let v = kernel_op.score(tiers, sids, (words, column, *row_epoch), counts, kernel);
             *kernel_calls += 1;
             *slot = Slot { generation: *generation, sids, bits: v.to_bits() };
             v
@@ -597,7 +631,7 @@ impl FeatureCaches {
                     // Cells are interned: equal sids ⇔ equal strings.
                     f64::from(sids.0 == sids.1)
                 } else {
-                    self.seq_value((op, partition), sids, scratch)
+                    self.seq_value((column, op, partition), sids, scratch)
                 }
             }
             Route::Typed { column, op } => {
@@ -613,8 +647,9 @@ impl FeatureCaches {
 
 /// One candidate pair seen through the kernel: the scratch's prepared left
 /// row against one right row, each feature computed the first time it is
-/// pulled. Allocation-free apart from Monge-Elkan word-memo growth inside
-/// the scratch.
+/// pulled. Allocation-free once the scratch has met its strings: a
+/// warmed scratch's buffers are sized by the longest string and the widest
+/// word matrix it has seen, and kept.
 pub struct PairView<'s> {
     caches: &'s FeatureCaches,
     scratch: &'s mut BatchScratch,
@@ -1091,7 +1126,7 @@ mod tests {
     }
 
     #[test]
-    fn tiny_reuse_table_and_word_memo_change_nothing() {
+    fn tiny_reuse_table_changes_nothing() {
         let (a, b) = tables();
         let fs = every_measure(&a, &b);
         let pairs = all_pairs(&a, &b);
@@ -1099,23 +1134,20 @@ mod tests {
             BatchExtractor::for_pairs(&fs, &a, &b, &FeatureMask::full(fs.len()), &pairs).unwrap();
         let mut big = ex.scratch();
         // One slot a measure: every new string pair evicts the last one.
-        let mut tiny = BatchScratch::with_sizes(1, 1);
-        let mut no_memo = BatchScratch::with_sizes(2, 0);
+        let mut tiny = BatchScratch::with_reuse_slots(1);
         let mut o1 = vec![0.0; fs.len()];
         let mut o2 = vec![0.0; fs.len()];
-        let mut o3 = vec![0.0; fs.len()];
         for _ in 0..3 {
             for p in &pairs {
                 ex.extract_into(*p, &mut big, &mut o1);
                 ex.extract_into(*p, &mut tiny, &mut o2);
-                ex.extract_into(*p, &mut no_memo, &mut o3);
                 for (k, f) in fs.features.iter().enumerate() {
                     let direct = f.compute(
                         a.get(p.left, &f.left_attr).unwrap(),
                         b.get(p.right, &f.right_attr).unwrap(),
                     );
                     assert!(
-                        same(o1[k], direct) && same(o2[k], direct) && same(o3[k], direct),
+                        same(o1[k], direct) && same(o2[k], direct),
                         "reuse must be value-neutral ({} on {p:?})",
                         f.name
                     );
@@ -1129,9 +1161,106 @@ mod tests {
         assert!(tiny_calls > 2 * big_calls, "one slot must keep evicting");
         assert_eq!(tiny.reuse.len(), ex.caches.routes.n_partitions);
         assert_eq!(big.reuse.len(), ex.caches.routes.n_partitions * REUSE_SLOTS);
-        assert!(tiny.jw_words.epochs() > 0, "word memo of one entry must have cycled");
-        assert!(tiny.jw_words.len() <= 1);
-        assert_eq!(no_memo.jw_words.len(), 0);
+        // The word matrix is the reuse table's business only through the
+        // pulls that reach it: the one-slot run pulls Monge-Elkan in every
+        // pass, and each pass builds the columns the full-width run built
+        // in its first — a column a (left row, right word), never more.
+        let (big, tiny) = (big.pull_counts(), tiny.pull_counts());
+        assert!(tiny.me_pulls > 2 * big.me_pulls, "{} vs {}", tiny.me_pulls, big.me_pulls);
+        assert!(big.me_cells > 0);
+        assert_eq!((tiny.me_columns, tiny.me_cells), (3 * big.me_columns, 3 * big.me_cells));
+    }
+
+    /// Titles that exercise every shape a word-matrix column can take: a
+    /// word repeated inside a title, one-word, wordless, empty and NULL
+    /// cells, a word of 70 chars (two mask words), non-ASCII words whose
+    /// lowercase is another string (`İ`, `Σ`) or the same one (`玉米`),
+    /// titles that are their own lowercase (the `_lc` twin shares the sid),
+    /// and words only one side holds.
+    fn word_tables() -> (Table, Table) {
+        let long = "Pneumonoultramicroscopicsilicovolcanoconiosisandthensomemorelettersxyz";
+        assert_eq!(long.chars().count(), 70);
+        let a = format!(
+            "Title\ncorn corn fungicide corn\nCORN FUNGICIDE GUIDELINES\ncorn\n--\n\"\"\n\n\
+             {long} corn\nİpm Σίτος 玉米 café\nσίτος ίpm 玉米\nzebra quixotic zebra\n"
+        );
+        let b = format!(
+            "Title\nCorn Fungicide Guidelines\ncorn fungicide corn guidelines corn\nfungicide\n\
+             ??\n\n{long}\n{} corn\nΣΊΤΟΣ İPM 玉米\n玉米 σίτος\nguidelines guidelines\n",
+            long.to_uppercase()
+        );
+        (read_str("A", &a).unwrap(), read_str("B", &b).unwrap())
+    }
+
+    fn me_jw_features() -> FeatureSet {
+        use crate::feature::{Feature, FeatureKind::*};
+        let mut fs = FeatureSet::default();
+        for kind in [MongeElkanJw, JaroWinkler, MongeElkanSoundex] {
+            fs.push(Feature::new("Title", "Title", kind, false));
+            fs.push(Feature::new("Title", "Title", kind, true));
+        }
+        fs
+    }
+
+    #[test]
+    fn word_matrix_columns_equal_feature_compute() {
+        let (a, b) = word_tables();
+        let fs = me_jw_features();
+        let mask = FeatureMask::full(fs.len());
+        let check = |p: Pair, out: &[f64], what: &str| {
+            for (k, f) in fs.features.iter().enumerate() {
+                let direct = f.compute(
+                    a.get(p.left, &f.left_attr).unwrap(),
+                    b.get(p.right, &f.right_attr).unwrap(),
+                );
+                assert!(same(out[k], direct), "{what}: {} on {p:?}: {} vs {direct}", f.name, out[k]);
+            }
+        };
+        let grouped = all_pairs(&a, &b);
+        // Column-major: every pair switches the left row, and a left row
+        // comes back after the others' columns have been built and killed.
+        let mut alternating = grouped.clone();
+        alternating.sort_by_key(|p| (p.right, p.left));
+        let ex = BatchExtractor::new(&fs, &a, &b, &mask, None).unwrap();
+        // One reuse slot: nearly every pull reaches the matrix.
+        let mut scratch = BatchScratch::with_reuse_slots(1);
+        let mut out = vec![0.0; fs.len()];
+        for (n, p) in grouped.iter().chain(&alternating).chain(&grouped).enumerate() {
+            if n % 37 == 36 {
+                scratch.force_epoch_wrap();
+            }
+            ex.extract_into(*p, &mut scratch, &mut out);
+            check(*p, &out, "table row");
+        }
+        assert!(scratch.row_epoch < 64, "left-row epoch restarted after the wraps");
+        // Grouped order builds a column once per (left string, right
+        // word); a left string of n words costs 2n kernel calls a column.
+        let mut fresh = BatchScratch::with_reuse_slots(1);
+        for p in &grouped {
+            ex.extract_into(*p, &mut fresh, &mut out);
+        }
+        let counts = fresh.pull_counts().clone();
+        assert!(counts.me_pulls > 0 && counts.me_columns > 0);
+        assert!(counts.me_cells >= 2 * counts.me_columns, "a left word a column at least");
+        for p in &grouped {
+            ex.extract_into(*p, &mut fresh, &mut out);
+        }
+        // The second pass re-prepares every left row: columns are rebuilt,
+        // one for one.
+        assert_eq!(fresh.pull_counts().me_columns, 2 * counts.me_columns);
+
+        // The same pairs with `a`'s rows arriving: the corpus has never
+        // produced `zebra`, `quixotic`, `café` or the case-sensitive
+        // capitals, so their rows are request-local words.
+        let serve = crate::ServeExtractor::new(&fs, &b).unwrap();
+        for (n, p) in alternating.iter().enumerate() {
+            if n % 41 == 40 {
+                scratch.force_epoch_wrap();
+            }
+            serve.prepare(&a, p.left, &mut scratch).unwrap();
+            serve.candidate(p.right, &mut scratch).fill(&mut out);
+            check(*p, &out, "arrival");
+        }
     }
 
     #[test]

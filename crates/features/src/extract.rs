@@ -31,7 +31,7 @@
 //! [`Feature::compute`](crate::Feature::compute)'s own arithmetic to the
 //! same parsed scalars, and chunked results join in pair order.
 
-use crate::batch::BatchExtractor;
+use crate::batch::{BatchExtractor, PullCounts};
 use crate::feature::FeatureKind;
 use crate::generate::FeatureSet;
 use crate::mask::FeatureMask;
@@ -40,63 +40,12 @@ use em_parallel::Executor;
 use em_table::{Date, Table, TableError, Value};
 use em_text::intern;
 use em_text::tokenize::AlphanumericTokenizer;
-use em_text::{phonetic, seq, FastMap, KernelScratch, TokenCorpus};
+use em_text::{phonetic, seq, FastMap, KernelScratch, PatternMasks, TokenCorpus};
 use std::borrow::Cow;
 
 /// Below this many (pair × feature) computations, extraction stays
 /// single-threaded — thread setup would dominate.
 pub(crate) const PARALLEL_THRESHOLD: usize = 20_000;
-
-/// A memoized `f64` map with **size-capped epoch eviction**: when the map
-/// reaches its cap it is cleared wholesale and an epoch counter ticks, so
-/// long candidate streams hold memory flat instead of growing with the
-/// number of distinct keys. Values must be pure functions of their key
-/// (every memo here is), so eviction can only cost recomputation — never
-/// change a result. A cap of 0 disables memoization entirely.
-#[derive(Debug)]
-pub(crate) struct BoundedMemo<K> {
-    map: FastMap<K, f64>,
-    cap: usize,
-    epochs: u64,
-}
-
-impl<K: std::hash::Hash + Eq> BoundedMemo<K> {
-    pub(crate) fn with_cap(cap: usize) -> BoundedMemo<K> {
-        BoundedMemo { map: FastMap::default(), cap, epochs: 0 }
-    }
-
-    #[inline]
-    pub(crate) fn get(&self, k: &K) -> Option<f64> {
-        self.map.get(k).copied()
-    }
-
-    #[inline]
-    pub(crate) fn insert(&mut self, k: K, v: f64) {
-        if self.cap == 0 {
-            return;
-        }
-        if self.map.len() >= self.cap {
-            self.map.clear();
-            self.epochs += 1;
-        }
-        self.map.insert(k, v);
-    }
-
-    /// Forgets every entry (the keys are about to change meaning).
-    pub(crate) fn clear(&mut self) {
-        self.map.clear();
-    }
-
-    #[cfg(test)]
-    pub(crate) fn epochs(&self) -> u64 {
-        self.epochs
-    }
-
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.map.len()
-    }
-}
 
 /// The set measure an interned feature computes from intersection counts.
 #[derive(Debug, Clone, Copy)]
@@ -171,19 +120,162 @@ pub(crate) fn monge_elkan_ids(a: &[u32], b: &[u32], inner: &mut impl FnMut(u32, 
 
 /// Symmetric mean of both directed scores, mirroring
 /// `em_text::set::monge_elkan_sym` (argument order of the second direction
-/// included, so inner memo keys stay call-order faithful).
+/// included).
 pub(crate) fn monge_elkan_sym_ids(a: &[u32], b: &[u32], mut inner: impl FnMut(u32, u32) -> f64) -> f64 {
     (monge_elkan_ids(a, b, &mut inner) + monge_elkan_ids(b, a, &mut inner)) / 2.0
 }
 
+/// Monge-Elkan/Jaro-Winkler of one prepared left string against the
+/// strings it meets, as a dense word matrix: a row per word slot of the
+/// left string, a column per distinct right word met so far.
+///
+/// Column `y` holds the `n` forward values `JW(x_i, y)` — `y`'s pattern
+/// masks built once for all of them — and `max_i JW(y, x_i)`, each
+/// `JW(y, x_i)` run against `x_i`'s masks, built once per left string.
+/// Those are exactly the values `em_text::set::monge_elkan`'s inner closure
+/// returns for the word pair, and the backward maximum is its own
+/// `fold(NEG_INFINITY, f64::max)` over the left words in order, hoisted out
+/// of the pair: a pull looks its right words' columns up, folds the forward
+/// values with the same `f64::max` in the same order and takes the two sums
+/// as `monge_elkan` takes them, so the score is bit-equal to the per-pair
+/// computation. Rows are word *slots*, not word ids: a repeated word is two
+/// rows, a request-local word a row like any other.
+///
+/// Columns are found through an epoch-stamped array over the corpus word-id
+/// space (right strings are corpus strings); the epoch is the scratch's
+/// left-row epoch, so preparing another left row kills every column at
+/// once. Storage is sized by what a left string meets and is kept.
+#[derive(Debug, Default)]
+struct WordMatrix {
+    /// The left-row epoch the rows were built in (0: never).
+    row_epoch: u32,
+    /// Pattern masks of the left string's words, slot `i` in lane `i`.
+    left_masks: PatternMasks,
+    /// Per corpus word id: `(left-row epoch, column)`.
+    column_of: Vec<(u32, u32)>,
+    /// Column `c` is the `c`-th run of (word slots + 1) values: the forward
+    /// values by slot, then the backward maximum.
+    values: Vec<f64>,
+}
+
+/// The [`WordMatrix`] of each sequence plan, and the buffers one pull of
+/// any of them works in.
+#[derive(Debug, Default)]
+pub(crate) struct WordMatrices {
+    by_plan: Vec<WordMatrix>,
+    /// Pattern masks of the right word whose column is being built.
+    right_masks: PatternMasks,
+    /// Per slot, the best forward value over the current pair's columns.
+    best: Vec<f64>,
+}
+
+impl WordMatrices {
+    /// Makes room for `n_plans` sequence plans.
+    pub(crate) fn grow(&mut self, n_plans: usize) {
+        if self.by_plan.len() < n_plans {
+            self.by_plan.resize_with(n_plans, WordMatrix::default);
+        }
+    }
+
+    /// Kills every column keyed on an epoch before the wrap.
+    pub(crate) fn forget_columns(&mut self) {
+        for matrix in &mut self.by_plan {
+            matrix.column_of.fill((0, 0));
+            matrix.row_epoch = 0;
+        }
+    }
+
+    /// Symmetric Monge-Elkan/Jaro-Winkler of plan `plan`'s left string
+    /// `sa`, prepared in left-row epoch `row_epoch`, and the corpus string
+    /// `sb`.
+    fn score(
+        &mut self,
+        t: Tiers<'_>,
+        (sa, sb): (u32, u32),
+        (plan, row_epoch): (usize, u32),
+        counts: &mut PullCounts,
+        ks: &mut KernelScratch,
+    ) -> f64 {
+        let WordMatrices { by_plan, right_masks, best } = self;
+        let matrix = &mut by_plan[plan];
+        let (xs, ys) = (t.word_ids(sa), t.word_ids(sb));
+        counts.me_pulls += 1;
+        if xs.is_empty() || ys.is_empty() {
+            // Both directed scores are 1 for two wordless strings, 0 for one.
+            return if xs.is_empty() && ys.is_empty() { 1.0 } else { 0.0 };
+        }
+        if matrix.row_epoch != row_epoch {
+            matrix.row_epoch = row_epoch;
+            matrix.values.clear();
+            matrix.left_masks.build_each(xs.iter().map(|&x| t.word_chars(x)));
+        }
+        let n_words = t.corpus.word_sdx.len();
+        if matrix.column_of.len() < n_words {
+            // The first pull, or the corpus has produced new words since.
+            matrix.column_of.resize(n_words, (0, 0));
+        }
+        best.clear();
+        best.resize(xs.len(), f64::NEG_INFINITY);
+        // `monge_elkan(ys, xs)`'s sum, over the hoisted maxima.
+        let backward: f64 = ys
+            .iter()
+            .map(|&y| {
+                let column = matrix.column(t, xs, y, right_masks, counts, ks);
+                for (best, &forward) in best.iter_mut().zip(column) {
+                    *best = best.max(forward);
+                }
+                column[xs.len()]
+            })
+            .sum();
+        let forward: f64 = best.iter().sum();
+        (forward / xs.len() as f64 + backward / ys.len() as f64) / 2.0
+    }
+}
+
+impl WordMatrix {
+    /// The column of corpus word `y` against the left words `xs`, built if
+    /// this left string has not met `y` yet.
+    fn column(
+        &mut self,
+        t: Tiers<'_>,
+        xs: &[u32],
+        y: u32,
+        right_masks: &mut PatternMasks,
+        counts: &mut PullCounts,
+        ks: &mut KernelScratch,
+    ) -> &[f64] {
+        let stride = xs.len() + 1;
+        let (epoch, mut column) = self.column_of[y as usize];
+        if epoch != self.row_epoch {
+            column = offset(self.values.len() / stride);
+            self.column_of[y as usize] = (self.row_epoch, column);
+            let cy = t.word_chars(y);
+            right_masks.build(cy);
+            let mut backward = f64::NEG_INFINITY;
+            for (slot, &x) in xs.iter().enumerate() {
+                let cx = t.word_chars(x);
+                self.values.push(seq::jaro_winkler_chars_masked(ks, cx, cy, (right_masks, 0)));
+                let back = seq::jaro_winkler_chars_masked(ks, cy, cx, (&self.left_masks, slot));
+                backward = backward.max(back);
+            }
+            self.values.push(backward);
+            counts.me_columns += 1;
+            counts.me_cells += 2 * xs.len() as u64;
+        }
+        &self.values[column as usize * stride..][..stride]
+    }
+}
+
 impl SeqOp {
-    /// The measure on the two strings `sa` and `sb` name in `t`.
-    /// [`SeqOp::Exact`] never gets here — it is the sid comparison itself.
+    /// The measure on the two strings `sa` and `sb` name in `t`: `sa` the
+    /// prepared left row's, `sb` a corpus row's. [`SeqOp::Exact`] never
+    /// gets here — it is the sid comparison itself.
     pub(crate) fn score(
         self,
         t: Tiers<'_>,
         (sa, sb): (u32, u32),
-        jw_memo: &mut BoundedMemo<(u32, u32)>,
+        (words, plan, row_epoch): (&mut WordMatrices, usize, u32),
+        counts: &mut PullCounts,
         ks: &mut KernelScratch,
     ) -> f64 {
         use SeqOp::*;
@@ -197,20 +289,10 @@ impl SeqOp {
             NeedlemanWunsch => seq::needleman_wunsch_sim_chars(ks, ca, cb),
             SmithWaterman => seq::smith_waterman_sim_chars(ks, ca, cb),
             // Monge-Elkan runs on interned word ids: the inner
-            // Jaro-Winkler reads pre-decoded word chars (memoized per
-            // ordered word pair), the inner Soundex compares codes
-            // precomputed once per distinct word.
-            MongeElkanJw => {
-                let inner = |x: u32, y: u32| {
-                    if let Some(v) = jw_memo.get(&(x, y)) {
-                        return v;
-                    }
-                    let v = seq::jaro_winkler_chars(ks, t.word_chars(x), t.word_chars(y));
-                    jw_memo.insert((x, y), v);
-                    v
-                };
-                monge_elkan_sym_ids(t.word_ids(sa), t.word_ids(sb), inner)
-            }
+            // Jaro-Winkler values live in the left string's word matrix,
+            // the inner Soundex compares codes precomputed once per
+            // distinct word.
+            MongeElkanJw => words.score(t, (sa, sb), (plan, row_epoch), counts, ks),
             MongeElkanSoundex => {
                 // Exactly `phonetic::soundex_sim`: 1.0 iff both words have
                 // a code and the codes agree.

@@ -34,7 +34,7 @@ pub mod types;
 
 pub use batch::{
     BatchExtractor, BatchScratch, CacheLeg, ExtractorPlan, PairView, PullCounts,
-    SharedWordColumns, BATCH_CHUNK, JW_MEMO_CAP,
+    SharedWordColumns, BATCH_CHUNK,
 };
 pub use extract::extract_vectors;
 pub use feature::{Feature, FeatureKind};

@@ -433,8 +433,9 @@ mod tests {
     fn local_ids_do_not_outlive_their_request() {
         // Consecutive arrivals whose unknown strings and words differ but
         // get the same request-local ids (local sid 0, local words 0..3),
-        // scored against the same corpus rows — through a reuse table and
-        // a word memo of any size, across a generation wrap.
+        // scored against the same corpus rows — through a reuse table of
+        // any size (one slot a measure: every pull reaches the kernels and
+        // the word matrices), across a generation and left-row epoch wrap.
         let b = corpus();
         let a = read_str(
             "A",
@@ -450,9 +451,7 @@ mod tests {
         let fs = every_measure(&a, &b);
         let mask = FeatureMask::full(fs.len());
         let ex = ServeExtractor::new(&fs, &b).unwrap();
-        for mut scratch in
-            [BatchScratch::new(), BatchScratch::with_sizes(1, 1), BatchScratch::with_sizes(2, 0)]
-        {
+        for mut scratch in [BatchScratch::new(), BatchScratch::with_reuse_slots(1)] {
             for round in 0..2 {
                 for i in 0..a.n_rows() {
                     if round == 1 && i == 2 {

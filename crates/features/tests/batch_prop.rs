@@ -6,11 +6,11 @@
 //!
 //! Tables mix nulls, case, multi-byte scripts, strings shorter than a
 //! 3-gram, dirty dates that share a day number, ints stored where strings
-//! are measured and strings stored where numbers are. One scratch serves a
-//! whole case — grouped order, then shuffled, across many left-row
-//! switches and forced stamp-epoch wraps, then every left row again as an
-//! arrival against the grown corpus, which has never seen most of its
-//! tokens, words and strings. Every pair is also seen through the lazy
+//! are measured and strings stored where numbers are; titles repeat their
+//! own words. One scratch serves a whole case — grouped order, then
+//! shuffled, across many left-row switches and forced epoch wraps, then
+//! every left row again as an arrival against the grown corpus, which has
+//! never seen most of its tokens, words and strings. Every pair is also seen through the lazy
 //! [`PairView`] first: a random subset of its features pulled in a random
 //! order, some twice, on the scratch the pair before left its values in.
 
@@ -77,11 +77,22 @@ const SHARED_WORDS: [&str; 18] = [
 /// row brings tokens, words and strings its caches have never produced.
 const LEFT_WORDS: [&str; 5] = ["Zebra", "quixotic", "ΣΊΤΟΣ", "İ", "yz"];
 
+/// A title of up to four drawn words, then up to three of its own words
+/// again: a word repeated inside a title is two rows of the Monge-Elkan
+/// word matrix (and, on the right, one column met twice).
 fn title(words: Vec<&'static str>) -> impl Strategy<Value = Value> {
     let word = proptest::sample::select(words);
+    let repeats = proptest::collection::vec(0usize..4, 0..4);
     prop_oneof![
         Just(Value::Null),
-        proptest::collection::vec(word, 0..5).prop_map(|ws| Value::Str(ws.join(" "))),
+        (proptest::collection::vec(word, 0..5), repeats).prop_map(|(mut ws, repeats)| {
+            for r in repeats {
+                if !ws.is_empty() {
+                    ws.push(ws[r % ws.len()]);
+                }
+            }
+            Value::Str(ws.join(" "))
+        }),
     ]
 }
 

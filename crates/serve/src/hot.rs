@@ -42,7 +42,7 @@ use crate::service::{MatchOutcome, MatchService, RequestTimings, ACCESSION_COL, 
 use em_blocking::{JoinScratch, ProbeCounters};
 use em_core::stream::score_pair;
 use em_core::MatchIds;
-use em_features::BatchScratch;
+use em_features::{BatchScratch, PullCounts};
 use em_rules::award::award_suffix;
 use em_table::{Table, Value};
 use std::time::{Duration, Instant};
@@ -295,6 +295,13 @@ impl ProbeScratch {
     /// Work the title-index probes of this scratch's requests have done.
     pub fn probe_counters(&self) -> &ProbeCounters {
         self.probe.counters()
+    }
+
+    /// Which features this scratch's candidates pulled, and what the
+    /// Monge-Elkan word matrices built for them.
+    #[doc(hidden)]
+    pub fn pull_counts(&self) -> &PullCounts {
+        self.extract.pull_counts()
     }
 }
 

@@ -10,7 +10,8 @@
 //! - **Sequence similarity** ([`seq`]): Levenshtein, Damerau, Jaro,
 //!   Jaro-Winkler, Needleman-Wunsch, Smith-Waterman, affine gap — backed by
 //!   the similarity-kernel engine: Myers bit-parallel Levenshtein
-//!   ([`myers`]), a reusable per-thread scratch arena ([`scratch`]), and
+//!   ([`myers`]) and a bit-parallel Jaro over one pattern-mask table, a
+//!   reusable per-thread scratch arena ([`scratch`]), and
 //!   `*_chars` kernels over pre-decoded slices. The original per-cell DPs
 //!   live on in [`naive`] as the property-test reference.
 //! - **Set similarity** ([`set`]): Jaccard, overlap, overlap coefficient,
@@ -51,7 +52,7 @@ pub use corpus::TfIdfCorpus;
 pub use fasthash::{FastMap, FastSet};
 pub use intern::{TokenCache, TokenCorpus, TEXT_MEMO_CAP};
 pub use normalize::Normalizer;
-pub use scratch::{with_scratch, KernelScratch};
+pub use scratch::{with_scratch, KernelScratch, PatternMasks};
 pub use tokenize::{
     AlphanumericTokenizer, DelimiterTokenizer, QgramTokenizer, Tokenizer, WhitespaceTokenizer,
 };

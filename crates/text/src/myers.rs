@@ -15,12 +15,11 @@
 //! Two distance-preserving short-cuts run first: the common prefix and
 //! suffix are trimmed (they contribute no edits), and once either trimmed
 //! side is empty the length difference *is* the distance — the degenerate
-//! band where no alignment choice remains. All working memory (pattern
-//! masks, block vectors) lives in the caller's [`KernelScratch`].
+//! band where no alignment choice remains. All working memory (the
+//! [`PatternMasks`](crate::scratch::PatternMasks) table it shares with the
+//! bit-parallel Jaro, block vectors) lives in the caller's [`KernelScratch`].
 
-use crate::scratch::KernelScratch;
-
-const WORD: usize = 64;
+use crate::scratch::{KernelScratch, WORD};
 
 /// Exact Levenshtein distance between two char slices.
 ///
@@ -46,52 +45,18 @@ pub fn distance(scratch: &mut KernelScratch, a: &[char], b: &[char]) -> usize {
     }
 }
 
-/// Builds the pattern-mask table: for each char `c`, a bit per pattern
-/// position holding `c`. ASCII chars index a dense table; anything else
-/// goes through a small slot map. Layout: `masks[c_slot * words + w]`.
-fn build_peq(s: &mut KernelScratch, pat: &[char], words: usize) {
-    s.peq_ascii.clear();
-    s.peq_ascii.resize(128 * words, 0);
-    s.peq_other.clear();
-    s.peq_other_bits.clear();
-    for (i, &c) in pat.iter().enumerate() {
-        let (w, bit) = (i / WORD, 1u64 << (i % WORD));
-        let u = c as usize;
-        if u < 128 {
-            s.peq_ascii[u * words + w] |= bit;
-        } else {
-            let next = s.peq_other.len();
-            let slot = *s.peq_other.entry(c).or_insert(next);
-            if slot == next {
-                s.peq_other_bits.resize((next + 1) * words, 0);
-            }
-            s.peq_other_bits[slot * words + w] |= bit;
-        }
-    }
-}
-
-/// Pattern mask of `c` for block `w`.
-fn peq(s: &KernelScratch, c: char, words: usize, w: usize) -> u64 {
-    let u = c as usize;
-    if u < 128 {
-        s.peq_ascii[u * words + w]
-    } else {
-        s.peq_other.get(&c).map_or(0, |&slot| s.peq_other_bits[slot * words + w])
-    }
-}
-
 /// Patterns up to 64 chars: the original single-word recurrence. The top
 /// boundary (row 0 of the DP matrix) always increases rightward, realized
 /// by the `| 1` carried into `Ph` each column.
 fn single_block(s: &mut KernelScratch, pat: &[char], text: &[char]) -> usize {
-    build_peq(s, pat, 1);
+    s.masks.build(pat);
     let m = pat.len();
     let high = 1u64 << (m - 1);
     let mut vp = !0u64;
     let mut vn = 0u64;
     let mut score = m;
     for &c in text {
-        let eq = peq(s, c, 1, 0);
+        let eq = s.masks.get(c, 0);
         let xv = eq | vn;
         let xh = (((eq & vp).wrapping_add(vp)) ^ vp) | eq;
         let mut ph = vn | !(xh | vp);
@@ -119,7 +84,7 @@ fn single_block(s: &mut KernelScratch, pat: &[char], text: &[char]) -> usize {
 fn multi_block(s: &mut KernelScratch, pat: &[char], text: &[char]) -> usize {
     let m = pat.len();
     let words = m.div_ceil(WORD);
-    build_peq(s, pat, words);
+    s.masks.build(pat);
     s.vp.clear();
     s.vp.resize(words, !0u64);
     s.vn.clear();
@@ -130,7 +95,7 @@ fn multi_block(s: &mut KernelScratch, pat: &[char], text: &[char]) -> usize {
     for &c in text {
         let mut hin: i32 = 1; // row 0 grows rightward
         for w in 0..words {
-            let eq = peq(s, c, words, w);
+            let eq = s.masks.get(c, w);
             let vp = s.vp[w];
             let vn = s.vn[w];
             let xv = eq | vn;

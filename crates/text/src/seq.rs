@@ -16,13 +16,14 @@
 //!   slices, what the feature extractor's per-row normalization cache
 //!   feeds so per-pair work never decodes or allocates.
 //!
-//! Levenshtein runs on the Myers bit-parallel engine ([`crate::myers`]);
-//! the DP kernels reuse scratch rows instead of allocating. All of them
-//! are bit-for-bit equivalent to the retained reference implementations
+//! Levenshtein runs on the Myers bit-parallel engine ([`crate::myers`]),
+//! Jaro on a bit-parallel match scan over the same pattern-mask table; the
+//! DP kernels reuse scratch rows instead of allocating. All of them are
+//! bit-for-bit equivalent to the retained reference implementations
 //! in [`crate::naive`], enforced by the property suite in `tests/prop.rs`.
 
 use crate::myers;
-use crate::scratch::{with_scratch, KernelScratch};
+use crate::scratch::{with_scratch, KernelScratch, PatternMasks, WORD};
 
 /// Levenshtein edit distance (insert/delete/substitute, unit costs).
 /// Myers bit-parallel: `O(⌈min(n,m)/64⌉·max(n,m))` time after prefix/suffix
@@ -134,9 +135,46 @@ pub fn jaro_with(scratch: &mut KernelScratch, a: &str, b: &str) -> f64 {
     out
 }
 
-/// [`jaro`] on pre-decoded char slices, using scratch match flags/buffers.
-#[allow(clippy::needless_range_loop)] // windowed index scan reads more clearly than iterators
+/// [`jaro`] on pre-decoded char slices: bit-parallel and exact. The greedy
+/// scan of the reference implementation picks, for each `a[i]` in order,
+/// the lowest unmatched `j` in `[i − w, i + w]` with `b[j] == a[i]`; with
+/// `b`'s [`PatternMasks`] and the matched positions of `b` as a bitset that
+/// `j` is the lowest set bit of `masks[a[i]] & window & !matched` — no scan.
+/// The match sets, and so `m` and the transposition count, are the scan's,
+/// and the closing expression is its own: every value is bit-equal to
+/// [`crate::naive::jaro`].
 pub fn jaro_chars(scratch: &mut KernelScratch, a: &[char], b: &[char]) -> f64 {
+    let KernelScratch { masks, flags_a, flags_b, .. } = scratch;
+    masks.build(b);
+    jaro_on_masks((masks, 0), (flags_a, flags_b), a, b)
+}
+
+/// [`jaro_chars`] against a right-hand string whose masks the caller built
+/// — once, for any number of left-hand strings: `b` is the string `masks`
+/// holds in `lane` (lane 0 of a table [built](PatternMasks::build) from
+/// `b` alone).
+///
+/// # Panics
+/// If `masks` has no such lane, or one too narrow for `b`.
+pub fn jaro_chars_masked(
+    scratch: &mut KernelScratch,
+    a: &[char],
+    b: &[char],
+    (masks, lane): (&PatternMasks, usize),
+) -> f64 {
+    let first = masks.lane(lane, b.len());
+    jaro_on_masks((masks, first), (&mut scratch.flags_a, &mut scratch.flags_b), a, b)
+}
+
+/// Jaro of `a` and `b` given `b`'s masks (its lane starting at word
+/// `first`): one flag word a side while both strings fit one, `⌈len/64⌉`
+/// words a side (in `flags`) above.
+fn jaro_on_masks(
+    masks: (&PatternMasks, usize),
+    (fa, fb): (&mut Vec<u64>, &mut Vec<u64>),
+    a: &[char],
+    b: &[char],
+) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
@@ -144,31 +182,101 @@ pub fn jaro_chars(scratch: &mut KernelScratch, a: &[char], b: &[char]) -> f64 {
         return 0.0;
     }
     let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    scratch.flags.clear();
-    scratch.flags.resize(b.len(), false);
-    scratch.matches.clear();
-    for (i, ca) in a.iter().enumerate() {
+    let (m, mismatched) = if a.len() <= WORD && b.len() <= WORD {
+        single_word(masks, window, a, b)
+    } else {
+        multi_word(masks, window, (fa, fb), a, b)
+    };
+    if m == 0 {
+        return 0.0;
+    }
+    // The reference implementation's closing expression, operation for
+    // operation.
+    let transpositions = mismatched / 2;
+    let m = m as f64;
+    (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
+}
+
+/// The greedy match scan and the transposition walk for strings of at most
+/// 64 chars, the matched positions of each side in one word: the number of
+/// matches, and of matched chars that differ from their counterpart.
+fn single_word(
+    (masks, first): (&PatternMasks, usize),
+    window: usize,
+    a: &[char],
+    b: &[char],
+) -> (usize, usize) {
+    let (mut fa, mut fb) = (0u64, 0u64);
+    for (i, &c) in a.iter().enumerate() {
+        // Bits `i − w ..= i + w`; no mask has a bit past its string's end.
         let lo = i.saturating_sub(window);
-        let hi = (i + window + 1).min(b.len());
-        for j in lo..hi {
-            if !scratch.flags[j] && b[j] == *ca {
-                scratch.flags[j] = true;
-                scratch.matches.push(*ca);
+        let hi = (i + window).min(WORD - 1);
+        let in_window = (!0u64 << lo) & (!0u64 >> (WORD - 1 - hi));
+        let open = masks.get(c, first) & in_window & !fb;
+        // Branch-free: the lowest open bit, or none.
+        fb |= open & open.wrapping_neg();
+        fa |= u64::from(open != 0) << i;
+    }
+    // The `k`-th matched char of `a` meets the `k`-th matched char of `b`:
+    // the reference's `matches_a` zipped with `matches_b`.
+    let (m, mut mismatched) = (fb.count_ones() as usize, 0);
+    while fa != 0 {
+        let (i, j) = (fa.trailing_zeros() as usize, fb.trailing_zeros() as usize);
+        mismatched += usize::from(a[i] != b[j]);
+        fa &= fa - 1;
+        fb &= fb - 1;
+    }
+    (m, mismatched)
+}
+
+/// [`single_word`] for longer strings, the matched positions of `a` in
+/// `fa` and of `b` in `fb`.
+fn multi_word(
+    (masks, first): (&PatternMasks, usize),
+    window: usize,
+    (fa, fb): (&mut Vec<u64>, &mut Vec<u64>),
+    a: &[char],
+    b: &[char],
+) -> (usize, usize) {
+    fa.clear();
+    fa.resize(a.len().div_ceil(WORD), 0);
+    fb.clear();
+    fb.resize(b.len().div_ceil(WORD), 0);
+    for (i, &c) in a.iter().enumerate() {
+        let lo = i.saturating_sub(window);
+        if lo >= b.len() {
+            // The window has left `b`, and only moves right from here.
+            break;
+        }
+        let hi = (i + window).min(b.len() - 1);
+        let (w_lo, w_hi) = (lo / WORD, hi / WORD);
+        for (w, matched) in fb.iter_mut().enumerate().take(w_hi + 1).skip(w_lo) {
+            let mut open = masks.get(c, first + w) & !*matched;
+            if w == w_lo {
+                open &= !0u64 << (lo % WORD);
+            }
+            if w == w_hi {
+                open &= !0u64 >> (WORD - 1 - hi % WORD);
+            }
+            if open != 0 {
+                *matched |= open & open.wrapping_neg();
+                fa[i / WORD] |= 1 << (i % WORD);
                 break;
             }
         }
     }
-    let m = scratch.matches.len();
-    if m == 0 {
-        return 0.0;
-    }
-    // Matched chars of `b` in order, streamed off the flags — identical to
-    // materializing the reference implementation's `matches_b` vector.
-    let matches_b = b.iter().zip(&scratch.flags).filter(|(_, used)| **used).map(|(c, _)| *c);
-    let transpositions =
-        scratch.matches.iter().zip(matches_b).filter(|(x, y)| *x != y).count() / 2;
-    let m = m as f64;
-    (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
+    let m = fb.iter().map(|w| w.count_ones() as usize).sum();
+    let mismatched = ones(fa).zip(ones(fb)).filter(|&(i, j)| a[i] != b[j]).count();
+    (m, mismatched)
+}
+
+/// Positions of the set bits of `words`, ascending.
+fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &bits)| {
+        let rest = |r: &u64| Some(r & (r - 1)).filter(|&r| r != 0);
+        std::iter::successors(Some(bits).filter(|&r| r != 0), rest)
+            .map(move |r| w * WORD + r.trailing_zeros() as usize)
+    })
 }
 
 /// Jaro-Winkler similarity with the standard prefix scale `p = 0.1` and a
@@ -188,6 +296,17 @@ pub fn jaro_winkler_with(scratch: &mut KernelScratch, a: &str, b: &str) -> f64 {
 /// [`jaro_winkler`] on pre-decoded char slices.
 pub fn jaro_winkler_chars(scratch: &mut KernelScratch, a: &[char], b: &[char]) -> f64 {
     jaro_winkler_boost(jaro_chars(scratch, a, b), a, b)
+}
+
+/// [`jaro_winkler_chars`] against a right-hand string whose masks the
+/// caller built — see [`jaro_chars_masked`].
+pub fn jaro_winkler_chars_masked(
+    scratch: &mut KernelScratch,
+    a: &[char],
+    b: &[char],
+    masks: (&PatternMasks, usize),
+) -> f64 {
+    jaro_winkler_boost(jaro_chars_masked(scratch, a, b, masks), a, b)
 }
 
 /// The Winkler prefix boost applied to `j`, the Jaro similarity of `a` and
