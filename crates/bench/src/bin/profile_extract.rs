@@ -23,7 +23,7 @@
 //!
 //! Everything goes to stderr; timers sit outside every checksum.
 
-use em_bench::fixtures_cfg;
+use em_bench::{fixtures_cfg, scaled_fixtures};
 use em_blocking::{IncrementalIndex, JoinIndex, JoinLayout, JoinScratch, JoinSpec, Pair};
 use em_core::blocking_plan::{c1_scheme, run_blocking, BlockingPlan};
 use em_core::pipeline::{CaseStudy, CaseStudyConfig};
@@ -54,13 +54,7 @@ fn stream(factor: f64) -> Result<(), Box<dyn std::error::Error>> {
     cs.scenario = ScenarioConfig::scaled(1.0).with_seed(SEED);
     let art = CaseStudy::new(cs).train_serving_artifacts()?;
     // Auxiliary tables capped at paper size, as in `--scaling-match`.
-    let mut cfg = ScenarioConfig::scaled(factor).with_seed(SEED);
-    let paper = ScenarioConfig::paper();
-    cfg.n_employees = paper.n_employees;
-    cfg.n_vendors = paper.n_vendors;
-    cfg.n_subawards = paper.n_subawards;
-    cfg.n_object_codes = paper.n_object_codes;
-    let fx = fixtures_cfg(cfg);
+    let fx = scaled_fixtures(factor, SEED);
     let (u, d) = (&fx.umetrics, &fx.usda);
     let feats = &art.matcher.features;
 

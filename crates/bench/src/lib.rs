@@ -3,14 +3,15 @@
 //! - `cargo run -p em-bench --bin reproduce [-- --scale paper --section all]`
 //!   regenerates every table and figure of the paper (see EXPERIMENTS.md for
 //!   the paper-vs-measured record).
-//! - `cargo bench -p em-bench` runs the Criterion suites: tokenizer and
-//!   similarity microbenchmarks, set-similarity-join blocking (ablation
+//! - `cargo bench -p em-bench` runs the micro-kernel Criterion suites:
+//!   tokenizer and similarity kernels, set-similarity-join blocking (ablation
 //!   A-3 reduces to a no-op toggle now that the join engine always runs
 //!   its exact filters), feature extraction, matcher fit/predict, and the
-//!   blocking debugger.
+//!   blocking debugger. End-to-end and per-layer performance is measured and
+//!   gated by `benchmark/` (`BENCHMARK.json`), not here.
 //!
-//! This crate exposes small shared helpers for the benches; the binary
-//! lives in `src/bin/reproduce.rs`.
+//! This crate exposes small shared helpers for the benches; the binaries
+//! live in `src/bin/`.
 
 #![warn(missing_docs)]
 
@@ -43,6 +44,23 @@ pub fn fixtures_cfg(cfg: ScenarioConfig) -> Fixtures {
         .expect("generated tables are consistent");
     let usda = project_usda(&scenario.usda, true).expect("generated tables are consistent");
     Fixtures { umetrics, usda, scenario }
+}
+
+/// The corpus-scale fixtures `reproduce --scaling` / `--scaling-match`,
+/// `profile_extract --stream` and the two scale pins under `tests/` share:
+/// the scenario at `factor` with the auxiliary tables (employees, vendors,
+/// sub-awards, object codes) capped at paper size. Each table draws from its
+/// own RNG stream and none of the four feeds a blocking or matching column,
+/// so the projected tables are unchanged and generation stays proportional
+/// to what a corpus-scale run reads.
+pub fn scaled_fixtures(factor: f64, seed: u64) -> Fixtures {
+    let mut cfg = ScenarioConfig::scaled(factor).with_seed(seed);
+    let paper = ScenarioConfig::paper();
+    cfg.n_employees = paper.n_employees;
+    cfg.n_vendors = paper.n_vendors;
+    cfg.n_subawards = paper.n_subawards;
+    cfg.n_object_codes = paper.n_object_codes;
+    fixtures_cfg(cfg)
 }
 
 #[cfg(test)]

@@ -2,15 +2,14 @@
 //!
 //! The join rewrite must not move a single candidate pair: the x4
 //! consolidated count is pinned to the value the pre-rewrite pairwise path
-//! produced (and the committed `BENCH_pipeline.json` records), the result
-//! is bit-identical at 1 and 4 threads, the streaming `join_stats`
-//! accounting agrees with the materialized plan, and a sub-scale run
-//! cross-checks the whole plan against the naive pairwise scan.
+//! produced (the `|C1∪C2∪C3|` column of `reproduce --scaling 4`), the
+//! result is bit-identical at 1 and 4 threads, the streaming `join_stats`
+//! accounting `--scaling` prints agrees with the materialized plan, and a
+//! sub-scale run cross-checks the whole plan against the naive pairwise
+//! scan.
 
 use em_blocking::{block_pairwise, OverlapBlocker, SetSimBlocker};
 use em_core::blocking_plan::{c1_scheme, run_blocking, BlockingPlan};
-use em_core::preprocess::{project_umetrics, project_usda};
-use em_datagen::{Scenario, ScenarioConfig};
 use em_table::Table;
 use em_text::{TokenCache, TokenCorpus};
 
@@ -18,25 +17,16 @@ use em_text::{TokenCache, TokenCorpus};
 /// concurrently with each other.
 static THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// The scenario the committed bench artifact uses: x`factor` on the
-/// blocking tables, auxiliary tables capped at paper size (they never feed
-/// the blocking columns), seed 20190326.
+/// The scenario `reproduce --scaling` runs: x`factor` on the blocking
+/// tables, auxiliary tables capped at paper size (they never feed the
+/// blocking columns), seed 20190326.
 fn scaled_tables(factor: f64) -> (Table, Table) {
-    let mut cfg = ScenarioConfig::scaled(factor).with_seed(20190326);
-    let paper = ScenarioConfig::paper();
-    cfg.n_employees = paper.n_employees;
-    cfg.n_vendors = paper.n_vendors;
-    cfg.n_subawards = paper.n_subawards;
-    cfg.n_object_codes = paper.n_object_codes;
-    let s = Scenario::generate(cfg).unwrap();
-    let u = project_umetrics(&s.award_agg, &s.employees).unwrap();
-    let d = project_usda(&s.usda, true).unwrap();
-    (u, d)
+    let fx = em_bench::scaled_fixtures(factor, 20190326);
+    (fx.umetrics, fx.usda)
 }
 
 /// The x4 candidate set is pinned to the pre-rewrite pairwise path's count
-/// (the committed `BENCH_pipeline.json` baseline) and bit-identical at 1
-/// and 4 threads.
+/// and bit-identical at 1 and 4 threads.
 #[test]
 fn x4_candidates_pinned_and_thread_invariant() {
     let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());

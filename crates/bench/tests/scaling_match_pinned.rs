@@ -1,20 +1,18 @@
 //! Pins the fused streaming executor's x4 corpus-scale run: the exact
-//! accounting `reproduce --scaling-match` commits to
-//! `BENCH_pipeline.json` (candidates, predicted, flipped, matched, and
-//! the chunk-chained FNV checksum), thread-invariant at 1 and 4 threads,
-//! and bit-identical to the materialized blocking → extract → predict
-//! workflow. The setup mirrors `scaling_match_stages` in
-//! `src/bin/reproduce.rs`: the workflow trains once at x1 (uncapped),
-//! then streams over the x4 scenario with auxiliary tables capped at
-//! paper size.
+//! accounting `reproduce --scaling-match 4` prints (candidates,
+//! predicted, flipped, matched, and the chunk-chained FNV checksum),
+//! thread-invariant at 1 and 4 threads, and bit-identical to the
+//! materialized blocking → extract → predict workflow. The setup mirrors
+//! `scaling_match_sweep` in `src/bin/reproduce.rs`: the workflow trains
+//! once at x1 (uncapped), then streams over the x4 scenario with
+//! auxiliary tables capped at paper size.
 
 use em_core::pipeline::{CaseStudy, CaseStudyConfig};
-use em_core::preprocess::{project_umetrics, project_usda};
 use em_core::stream::StreamMatcher;
 use em_core::EmWorkflow;
-use em_datagen::{Scenario, ScenarioConfig};
+use em_datagen::ScenarioConfig;
 
-/// The committed bench seed (`reproduce --seed 20190326`).
+/// The default scenario seed (`reproduce --seed 20190326`).
 const SEED: u64 = 20190326;
 
 /// Tests that flip the global `em_parallel` thread override must not run
@@ -33,15 +31,8 @@ fn x4_stream_is_pinned_and_matches_materialized_workflow() {
     // x4 corpus with auxiliary tables capped at paper size, as in the
     // blocking scaling sweep: employees / vendors / sub-awards / object
     // codes never feed the matcher's columns.
-    let mut cfg = ScenarioConfig::scaled(4.0).with_seed(SEED);
-    let paper = ScenarioConfig::paper();
-    cfg.n_employees = paper.n_employees;
-    cfg.n_vendors = paper.n_vendors;
-    cfg.n_subawards = paper.n_subawards;
-    cfg.n_object_codes = paper.n_object_codes;
-    let scenario = Scenario::generate(cfg).unwrap();
-    let u = project_umetrics(&scenario.award_agg, &scenario.employees).unwrap();
-    let d = project_usda(&scenario.usda, true).unwrap();
+    let fx = em_bench::scaled_fixtures(4.0, SEED);
+    let (u, d) = (fx.umetrics, fx.usda);
 
     let sm = StreamMatcher::new(&u, &d, &artifacts.matcher, &artifacts.rule_descs, &artifacts.plan)
         .unwrap();
@@ -60,10 +51,10 @@ fn x4_stream_is_pinned_and_matches_materialized_workflow() {
     }
     assert_eq!(matches1, matches4);
 
-    // The committed x4 row of `BENCH_pipeline.json`'s `scaling_match`
-    // block, pinned value for value. A change here is a semantic change
-    // to blocking, features, imputation, the model, or the rules — not
-    // noise — and the committed artifact must be regenerated with it.
+    // The x4 row of `reproduce --scaling-match`, pinned value for value.
+    // A change here is a semantic change to blocking, features,
+    // imputation, the model, or the rules — not noise — and
+    // EXPERIMENTS.md's rows must be re-run with it.
     assert_eq!(o1.left_rows, 5344, "x4 left rows");
     assert_eq!(o1.right_rows, 7660, "x4 right rows");
     assert_eq!(o1.candidates, 23260, "x4 streamed candidates");

@@ -19,6 +19,8 @@
 //! without Jaro-Winkler), so the ranked list is bit-identical to scoring
 //! every surviving pair and sorting.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::blockers::tokenize_columns;
 use crate::candidate::{CandidateSet, Pair};
 use crate::error::BlockError;

@@ -22,7 +22,7 @@
 //! resumed curve equals the uninterrupted one to the last bit.
 
 #![warn(missing_docs)]
-#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod active;
 pub mod weak;

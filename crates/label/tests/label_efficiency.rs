@@ -23,6 +23,15 @@ use em_table::Table;
 /// concurrently with each other.
 static THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
+/// The generator's default scenario seed.
+const SCENARIO_SEED: u64 = 20190326;
+
+/// (scenario seed, experiment seed) pairs the two acceptance bounds hold at:
+/// the default scenario under experiment seed 7, and both seeds `reproduce
+/// --active --weak --seed <7|20190326>` runs (one seed for both there).
+const ACCEPTANCE_SEEDS: [(u64, u64); 3] =
+    [(SCENARIO_SEED, 7), (7, 7), (SCENARIO_SEED, SCENARIO_SEED)];
+
 struct Fixture {
     u: Table,
     s: Table,
@@ -36,8 +45,9 @@ struct Fixture {
 /// workflow's consolidated set random sampling is nearly as good as
 /// querying by committee — the whole point of active learning is pools
 /// where most candidates are easy negatives.
-fn fixture() -> Fixture {
-    let scenario = Scenario::generate(ScenarioConfig::scaled(0.25)).unwrap();
+fn fixture(scenario_seed: u64) -> Fixture {
+    let scenario =
+        Scenario::generate(ScenarioConfig::scaled(0.25).with_seed(scenario_seed)).unwrap();
     let u = project_umetrics(&scenario.award_agg, &scenario.employees).unwrap();
     let s = project_usda(&scenario.usda, false).unwrap();
     let plan = BlockingPlan { overlap_k: 2, oc_threshold: 0.5 };
@@ -92,7 +102,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 #[test]
 fn active_curve_is_thread_invariant() {
     let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let f = fixture();
+    let f = fixture(SCENARIO_SEED);
     let cfg = ActiveConfig::new(Strategy::Committee, 7);
     em_parallel::set_threads(1);
     let o1 = run(&f, &cfg, None);
@@ -111,7 +121,7 @@ fn active_curve_is_thread_invariant() {
 fn crashed_run_resumes_bit_identically() {
     let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     em_parallel::set_threads(2);
-    let f = fixture();
+    let f = fixture(SCENARIO_SEED);
     let baseline = run(&f, &ActiveConfig::new(Strategy::Committee, 7), None);
 
     let dir = temp_dir("resume");
@@ -148,51 +158,55 @@ fn crashed_run_resumes_bit_identically() {
 fn committee_halves_the_label_budget() {
     let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     em_parallel::set_threads(2);
-    let f = fixture();
-    let random = run(&f, &ActiveConfig::new(Strategy::Random, 7), None);
-    let active = run(&f, &ActiveConfig::new(Strategy::Committee, 7), None);
-    em_parallel::set_threads(0);
+    for (scenario_seed, seed) in ACCEPTANCE_SEEDS {
+        let f = fixture(scenario_seed);
+        let random = run(&f, &ActiveConfig::new(Strategy::Random, seed), None);
+        let active = run(&f, &ActiveConfig::new(Strategy::Committee, seed), None);
 
-    let target = random.final_f1();
-    assert!(target > 0.5, "random baseline should learn something: {target}");
-    let random_spent = random.budget.distinct_pairs();
-    let al_spent = active
-        .labels_to_reach(target)
-        .expect("active arm never reached the random baseline's final F1");
-    assert!(
-        (al_spent as f64) <= AL_TARGET_FRACTION * random_spent as f64,
-        "active learning spent {al_spent} labels to reach F1 {target:.3}; \
-         the bound is {AL_TARGET_FRACTION} x {random_spent}"
-    );
+        let target = random.final_f1();
+        assert!(target > 0.5, "seed {seed}: random baseline should learn something: {target}");
+        let random_spent = random.budget.distinct_pairs();
+        let al_spent = active
+            .labels_to_reach(target)
+            .expect("active arm never reached the random baseline's final F1");
+        assert!(
+            (al_spent as f64) <= AL_TARGET_FRACTION * random_spent as f64,
+            "seed {seed}: active learning spent {al_spent} labels to reach F1 {target:.3}; \
+             the bound is {AL_TARGET_FRACTION} x {random_spent}"
+        );
+    }
+    em_parallel::set_threads(0);
 }
 
 #[test]
 fn weak_supervision_needs_zero_oracle_labels() {
     let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let f = fixture();
-    let cfg = WeakConfig::standard(7);
-    em_parallel::set_threads(1);
-    let w1 = run_weak(&f.u, &f.s, &f.candidates, &f.truth, &cfg).unwrap();
-    em_parallel::set_threads(4);
-    let w4 = run_weak(&f.u, &f.s, &f.candidates, &f.truth, &cfg).unwrap();
-    em_parallel::set_threads(0);
+    for (scenario_seed, seed) in ACCEPTANCE_SEEDS {
+        let f = fixture(scenario_seed);
+        let cfg = WeakConfig::standard(seed);
+        em_parallel::set_threads(1);
+        let w1 = run_weak(&f.u, &f.s, &f.candidates, &f.truth, &cfg).unwrap();
+        em_parallel::set_threads(4);
+        let w4 = run_weak(&f.u, &f.s, &f.candidates, &f.truth, &cfg).unwrap();
+        em_parallel::set_threads(0);
 
-    assert_eq!(w1.oracle_labels, 0, "weak supervision must not touch the oracle");
-    assert_eq!(w1.f1.to_bits(), w4.f1.to_bits(), "weak F1 depends on thread count");
-    assert_eq!(w1, w4, "weak outcome depends on thread count");
-    assert!(w1.coverage > 0.5, "LF set should cover most candidates: {}", w1.coverage);
-    assert!(w1.kept > 0, "posterior band kept no training rows");
-    assert!(
-        w1.f1 > 0.6,
-        "zero-label matcher should still be useful: f1={} (majority {}, label model {})",
-        w1.f1,
-        w1.f1_majority,
-        w1.f1_label_model
-    );
-    assert!(
-        w1.f1_label_model >= w1.f1_majority - 0.05,
-        "the generative model should not fall far behind majority vote: {} vs {}",
-        w1.f1_label_model,
-        w1.f1_majority
-    );
+        assert_eq!(w1.oracle_labels, 0, "seed {seed}: weak supervision must not touch the oracle");
+        assert_eq!(w1.f1.to_bits(), w4.f1.to_bits(), "seed {seed}: weak F1 depends on threads");
+        assert_eq!(w1, w4, "seed {seed}: weak outcome depends on thread count");
+        assert!(w1.coverage > 0.5, "LF set should cover most candidates: {}", w1.coverage);
+        assert!(w1.kept > 0, "seed {seed}: posterior band kept no training rows");
+        assert!(
+            w1.f1 > 0.6,
+            "seed {seed}: zero-label matcher should still be useful: f1={} (majority {}, label model {})",
+            w1.f1,
+            w1.f1_majority,
+            w1.f1_label_model
+        );
+        assert!(
+            w1.f1_label_model >= w1.f1_majority - 0.05,
+            "seed {seed}: the generative model should not fall far behind majority vote: {} vs {}",
+            w1.f1_label_model,
+            w1.f1_majority
+        );
+    }
 }

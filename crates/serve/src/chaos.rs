@@ -33,6 +33,8 @@
 //! service's outcome for that arrival (full or rules-only, per its mode),
 //! and a final crash + recover reproduces the shadow's corpus and probes.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::error::ServeError;
 use crate::overload::{OverloadPolicy, ServeMode};
 use crate::service::{MatchService, ACCESSION_COL};
@@ -636,7 +638,7 @@ mod tests {
 
     #[test]
     fn chaos_run_reaches_terminal_outcomes_bit_identically() {
-        for seed in [1u64, 2, 20190326] {
+        for seed in [1u64, 2, 7, 20190326] {
             let dir = temp_dir(&format!("run-{seed}"));
             let _ = std::fs::remove_dir_all(&dir);
             let cfg = ChaosConfig::new(seed, dir.clone());

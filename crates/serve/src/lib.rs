@@ -42,7 +42,6 @@
 pub mod chaos;
 pub mod error;
 pub mod hot;
-pub mod loadgen;
 pub mod overload;
 pub mod sched;
 pub mod service;
@@ -56,7 +55,6 @@ pub mod wal;
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
 pub use error::ServeError;
 pub use hot::{derive_feature_mask, ProbeScratch};
-pub use loadgen::{run_open_loop, run_sweep, LoadConfig, LoadReport, SweepConfig, SweepReport};
 pub use overload::{DrainOutcome, OverloadPolicy, ServeMode};
 pub use sched::{BatchPolicy, BatchTrigger, ClosedBatch, MicroBatcher};
 pub use service::{

@@ -31,6 +31,8 @@
 //! sleeps and nothing reads wall time, so overload behavior is exactly
 //! reproducible from a seed and an arrival schedule.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::service::BatchOutcome;
 use em_core::resilience::RetryPolicy;
 

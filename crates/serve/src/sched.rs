@@ -27,6 +27,8 @@
 //! loop) executes them against a [`ShardedMatchService`]
 //! (crate::ShardedMatchService) and decides what "in flight" means.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::error::ServeError;
 use crate::overload::OverloadPolicy;
 use std::collections::VecDeque;

@@ -44,6 +44,8 @@
 //! clobber each other's quarantine evidence because their names never
 //! collide.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::error::ServeError;
 use crate::overload::ServeMode;
 use crate::service::{BatchOutcome, MatchOutcome, MatchService, RecoveryReport, RequestTimings};
@@ -252,8 +254,8 @@ impl ShardedMatchService {
 
     /// The scatter/gather core over an explicit row subset, returning the
     /// merged batch plus each shard's wall-clock service time in
-    /// milliseconds (observability and the load generator's virtual-time
-    /// model; excluded from every determinism guarantee).
+    /// milliseconds (observability and the benchmark's open loop; excluded
+    /// from every determinism guarantee).
     ///
     /// Scatter: each shard serves the full row list against its own
     /// partition on the `em-parallel` executor (one chunk per shard, so

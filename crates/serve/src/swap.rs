@@ -29,6 +29,8 @@
 //! [`ServiceStats`](crate::ServiceStats), so an auditor can attribute any
 //! served result to the exact snapshot generation that produced it.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::error::ServeError;
 use crate::overload::ServeMode;
 use crate::service::MatchService;

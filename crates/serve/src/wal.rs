@@ -46,6 +46,8 @@
 //! and is a typed [`ServeError::Corrupt`]. Recovery repairs a torn tail
 //! by truncating the file back to [`WalReplay::bytes_valid`].
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::error::ServeError;
 use crate::snapshot::{decode_cell, encode_cell};
 use em_table::Value;

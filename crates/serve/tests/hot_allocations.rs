@@ -90,7 +90,14 @@ fn replay(service: &MatchService, arrivals: &Table, scratch: &mut ProbeScratch) 
     Replay { allocations, candidates, sure, predicted }
 }
 
+/// Release builds only: with debug assertions on, `match_inner` runs the
+/// sampled `Feature::compute` oracle (`debug_assert_pulls_match_compute`)
+/// inside the measured loop, and the oracle allocates per sampled pair.
 #[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "the debug-only Feature::compute oracle allocates inside the measured loop; run with --release"
+)]
 fn warmed_request_allocates_per_match_not_per_candidate() {
     let artifacts = CaseStudy::new(CaseStudyConfig::small())
         .train_serving_artifacts()

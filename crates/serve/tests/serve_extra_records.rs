@@ -6,7 +6,7 @@
 
 use em_core::pipeline::{CaseStudy, CaseStudyConfig};
 use em_core::{standard_rules, EmWorkflow, MatchIds};
-use em_serve::{MatchService, WorkflowSnapshot};
+use em_serve::{MatchService, ProbeScratch, WorkflowSnapshot};
 
 #[test]
 fn serving_extra_records_equals_batch_patch_stage() {
@@ -79,10 +79,20 @@ fn serving_is_thread_count_invariant() {
     let extra = &artifacts.extra_umetrics;
     let service = MatchService::from_artifacts(&artifacts).expect("service");
 
+    // The steady-state request loop rides along: one reused scratch, cold at
+    // 1 thread and warm at 4, must give the micro-batch's verdict row by row.
+    let mut scratch = ProbeScratch::new();
+    let mut replay = || -> Vec<MatchIds> {
+        (0..extra.n_rows())
+            .map(|i| service.match_on_arrival_with(extra, i, &mut scratch).expect("request").ids)
+            .collect()
+    };
     em_parallel::set_threads(1);
     let single = service.match_batch(extra).expect("1-thread batch");
+    let hot_single = replay();
     em_parallel::set_threads(4);
     let multi = service.match_batch(extra).expect("4-thread batch");
+    let hot_multi = replay();
     em_parallel::set_threads(0);
 
     assert_eq!(single.ids, multi.ids, "thread count changed match ids");
@@ -92,5 +102,9 @@ fn serving_is_thread_count_invariant() {
         assert_eq!(a.n_blocked, b.n_blocked);
         assert_eq!(a.n_predicted, b.n_predicted);
         assert_eq!(a.n_flipped, b.n_flipped);
+    }
+    for (i, o) in single.outcomes.iter().enumerate() {
+        assert_eq!(hot_single[i], o.ids, "cold one-at-a-time request {i} vs the micro-batch");
+        assert_eq!(hot_multi[i], o.ids, "warm one-at-a-time request {i} at 4 threads");
     }
 }

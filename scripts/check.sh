@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Pre-PR gate: build, test, lint. All three must pass.
+# Pre-PR gate: build, test, lint. Everything it checks is a `cargo test` or a
+# `cargo clippy` finding; performance is gated separately, by the driver
+# running `benchmark/` (BENCHMARK.json) on the parent commit and the change.
 #
-#   scripts/check.sh [--offline]
+#   scripts/check.sh [--online]
 #
-# Mirrors what CI runs; `--offline` (the default in the dev container)
-# forbids registry access — all dependencies are vendored.
+# Offline by default (the dev container has no registry access; every
+# dependency is vendored).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,421 +18,40 @@ fi
 echo "==> cargo build --release"
 cargo build "${CARGO_FLAGS[@]}" --release
 
-echo "==> cargo test"
+echo "==> cargo test (tier-1: every workspace crate, debug build)"
+# `default-members` covers the workspace, so this is every crate's unit,
+# integration, property and doc tests with debug assertions on — the sampled
+# `Feature::compute` oracle inside the scoring kernel among them.
 cargo test "${CARGO_FLAGS[@]}" -q
 
-echo "==> cargo test --release -p em-blocking -p em-text (debugger/join/incremental equivalence proptests, join probe allocations, kernels == naive)"
-# Tier-1 `cargo test` covers the root package only; the exact-top-k debugger
-# is pinned to its naive reference, and the join and incremental indexes to
-# their scans (the segmented online index through every seal and merge, to
-# the batch join and a bulk-built twin as well), by this crate's own
-# property suites. crates/blocking/tests/join_allocations.rs counts every
-# allocation of a warmed `probe_into` / `probe_multi_into` pass over the x1
-# title corpora (and over a doubled right corpus), and of the online
-# index's text probe over four segments and a tail: zero. em-text holds the
-# read-only tokenizer they rest on (`apply_into` == `apply`) and the
-# sequence kernels: Myers Levenshtein and the bit-parallel Jaro against
-# `em_text::naive` to the bit, sampled and at hand-enumerated edges.
-cargo test "${CARGO_FLAGS[@]}" --release -q -p em-blocking -p em-text
-
-echo "==> cargo test --release -p em-ml -p em-rules (one scoring walk == predict_proba, rule binding)"
-# Neither crate is reached by tier-1. em-ml's suites pin the pull-based walk
-# (`score_with` over a closure == over a slice == the boxed model, asked
-# exactly for the split features on the path); em-rules' pin the bound
-# negative rules to the per-pair evaluators.
-cargo test "${CARGO_FLAGS[@]}" --release -q -p em-ml -p em-rules
-
-echo "==> scale pins (x4 consolidated 25 676 at 1/4 threads, join_stats == materialized plan, stream == workflow)"
-# Bit-identity where the unit fixtures do not reach: the x4 candidate count
-# and the x1 streamed checksum at 1 and 4 threads, the pinned scaling_match
-# rows, and the fused stream against the materialized workflow.
-cargo test "${CARGO_FLAGS[@]}" --release -q -p em-bench --test join_scale --test scaling_match_pinned
-cargo test "${CARGO_FLAGS[@]}" --release -q -p em-core --test stream_equivalence
+echo "==> cargo test --workspace --release"
+# The same suites as shipped: optimized, overflow checks and debug assertions
+# off. Also the only pass that runs crates/serve/tests/hot_allocations.rs,
+# whose allocation budget the debug build's oracle overruns. What used to be
+# a per-crate list here (scale pins, stream/workflow equivalence, counting
+# allocators, kernels == naive, serve equivalence suites) and the
+# `reproduce`-driven chaos and label-efficiency gates are all tests now.
+cargo test "${CARGO_FLAGS[@]}" --workspace --release -q
 
 echo "==> benchmark harness builds against the crates; its unit tests"
 # benchmark/ is a workspace of its own that tier-1 never compiles: a crates/
 # change that breaks an API it calls (`IncrementalIndex::new`/`insert`,
 # `derive_feature_mask`/3, `ProbeScratch::new`, ...) would otherwise fail
-# only inside the BENCHMARK.json gate.
-CARGO_TARGET_DIR=benchmark/target cargo build "${CARGO_FLAGS[@]}" --release -q --manifest-path benchmark/Cargo.toml
-CARGO_TARGET_DIR=benchmark/target cargo test "${CARGO_FLAGS[@]}" --release -q --manifest-path benchmark/Cargo.toml
+# only inside the BENCHMARK.json gate. `--locked`: its committed lockfile
+# must still resolve as it stands.
+CARGO_TARGET_DIR=benchmark/target cargo build "${CARGO_FLAGS[@]}" --locked --release -q --manifest-path benchmark/Cargo.toml
+CARGO_TARGET_DIR=benchmark/target cargo test "${CARGO_FLAGS[@]}" --locked --release -q --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo clippy --all-targets -- -D warnings"
+# Panic hygiene is a lint, not a grep: the em-serve fault modules (wal, swap,
+# overload, chaos, shard, sched), em-label and the blocking debugger deny
+# `unwrap_used` / `expect_used` / `panic` outside tests, so every failure on
+# those paths is a typed error.
 cargo clippy "${CARGO_FLAGS[@]}" --all-targets -- -D warnings
 
-echo "==> stream executor + scoring kernel allocations (counting allocator); scoring kernel == Feature::compute"
-# `StreamMatcher::run` may allocate per worker and per chunk, never per
-# candidate: crates/core/tests/stream_allocations.rs counts every allocation
-# of a run and of one with twice the candidates. The row-grouped extraction
-# kernel — left row a table row or an arriving record — is pinned bit for
-# bit to `Feature::compute` by em-features' suites, and
-# crates/features/tests/pair_allocations.rs counts what a warmed scratch
-# allocates scoring a pair with every measure live: nothing (a per-pair
-# decode or lowercase anywhere under `PairView::fill` is an allocation).
-cargo test "${CARGO_FLAGS[@]}" --release -q -p em-core --test stream_allocations
-cargo test "${CARGO_FLAGS[@]}" --release -q -p em-features
-
-echo "==> serve fault-path panic hygiene (no unwrap/expect/panic! outside tests)"
-# The WAL, swap, overload, and chaos modules are the crash-recovery
-# surface, and the shard/sched/loadgen modules sit on the same serving
-# path: every failure must be a typed ServeError, never a panic.
-for f in crates/serve/src/wal.rs crates/serve/src/swap.rs \
-         crates/serve/src/overload.rs crates/serve/src/chaos.rs \
-         crates/serve/src/shard.rs crates/serve/src/sched.rs \
-         crates/serve/src/loadgen.rs; do
-    # Non-test code only: stop at the #[cfg(test)] module.
-    if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" \
-        | grep -nE '\.unwrap\(|\.expect\(|panic!'; then
-        echo "    FAIL: panic path in fault-handling module $f" >&2
-        exit 1
-    fi
+echo "==> micro-kernel criterion benches (smoke)"
+for bench in debugger feature_kernels; do
+    EM_BENCH_SMOKE=1 cargo bench "${CARGO_FLAGS[@]}" -p em-bench --bench "$bench" >/dev/null
 done
-echo "    serve fault modules panic-free"
-
-echo "==> label subsystem panic hygiene (no unwrap/expect/panic! outside tests)"
-# Active learning and weak supervision sit on the fallible oracle path:
-# every failure must be a typed CoreError, never a panic.
-for f in crates/label/src/*.rs; do
-    # Non-test code only: stop at the #[cfg(test)] module.
-    if awk '/#\[cfg\(test\)\]/{exit} {print}' "$f" \
-        | grep -nE '\.unwrap\(|\.expect\(|panic!'; then
-        echo "    FAIL: panic path in label module $f" >&2
-        exit 1
-    fi
-done
-echo "    label modules panic-free"
-
-echo "==> blocking debugger panic hygiene (no unwrap/expect/panic! outside tests)"
-# The audit sits in the interactive block -> debug -> adjust loop: a bad
-# attribute or an odd table must come back as a typed BlockError.
-if awk '/#\[cfg\(test\)\]/{exit} {print}' crates/blocking/src/debugger.rs \
-    | grep -nE '\.unwrap\(|\.expect\(|panic!'; then
-    echo "    FAIL: panic path in crates/blocking/src/debugger.rs" >&2
-    exit 1
-fi
-echo "    blocking debugger panic-free"
-
-echo "==> debugger criterion bench (smoke)"
-EM_BENCH_SMOKE=1 cargo bench "${CARGO_FLAGS[@]}" -p em-bench --bench debugger >/dev/null
-echo "    debugger bench ran"
-
-echo "==> feature_kernels criterion bench (smoke)"
-EM_BENCH_SMOKE=1 cargo bench "${CARGO_FLAGS[@]}" -p em-bench --bench feature_kernels >/dev/null
-echo "    feature_kernels bench ran"
-
-echo "==> match_stream criterion bench (smoke)"
-EM_BENCH_SMOKE=1 cargo bench "${CARGO_FLAGS[@]}" -p em-bench --bench match_stream >/dev/null
-echo "    match_stream bench ran"
-
-echo "==> em-serve suites (hot-loop allocations, snapshot round-trip, shard/WAL/patch-stage/index-history equivalence)"
-# crates/serve/tests/hot_allocations.rs counts every allocation of a warmed
-# `match_on_arrival_with` pass: a request pays for its keys and its rendered
-# match ids, never per candidate. The rest pins serving to the batch patch
-# stage, sharded to single-instance, recovery to the crashed service,
-# pushed to bulk-built to recovered title indexes (which requests must
-# leave untouched), and snapshots to their save/load fixed point.
-cargo test "${CARGO_FLAGS[@]}" --release -q -p em-serve
-echo "    em-serve suites ok"
-
-echo "==> seeded serve-chaos gate (2 fixed seeds, bit-identity + zero panics)"
-# Each run must exit 0 (any panic or divergence is a nonzero exit) and
-# print the bit-identity marker line from the post-run audit.
-for seed in 7 20190326; do
-    CHAOS_OUT=$(target/release/reproduce --serve-chaos --seed "$seed" 2>/dev/null)
-    if ! grep -q "bit-identical to the fault-free run" <<<"$CHAOS_OUT"; then
-        echo "    FAIL: chaos run at seed $seed did not certify bit-identity" >&2
-        exit 1
-    fi
-done
-echo "    chaos schedules clean at both seeds"
-
-echo "==> label-efficiency gate (2 fixed seeds: AL budget bound + zero-label weak run)"
-# Each run must certify that query-by-committee reached the random arm's
-# final F1 within the 50% budget bound, and that the weak-supervision arm
-# never touched the oracle.
-for seed in 7 20190326; do
-    LABEL_OUT=$(target/release/reproduce --active --weak --seed "$seed" 2>/dev/null)
-    if ! grep -q "acceptance: PASS" <<<"$LABEL_OUT"; then
-        echo "    FAIL: active learning at seed $seed missed the label-budget bound" >&2
-        exit 1
-    fi
-    if ! grep -q "trained with 0 oracle labels" <<<"$LABEL_OUT"; then
-        echo "    FAIL: weak supervision at seed $seed consumed oracle labels" >&2
-        exit 1
-    fi
-done
-echo "    label-efficiency bounds hold at both seeds"
-
-echo "==> reproduce --bench --serve --serve-chaos --serve-load smoke (small scale, 2 threads)"
-BENCH_DIR=$(mktemp -d)
-trap 'rm -rf "$BENCH_DIR"' EXIT
-(cd "$BENCH_DIR" && "$OLDPWD/target/release/reproduce" --bench --serve --serve-chaos --serve-load --scaling 1 --scaling-match 1 --active --weak --threads 2 >/dev/null)
-python3 - "$BENCH_DIR/BENCH_pipeline.json" BENCH_pipeline.json <<'EOF'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-
-for key, kind in [("scale", str), ("seed", int), ("threads", int),
-                  ("available_parallelism", int), ("em_threads", int),
-                  ("candidate_pairs", int), ("stages", list),
-                  ("total_wall_ms_1t", float), ("total_wall_ms_nt", float),
-                  ("combined_speedup", float)]:
-    assert isinstance(doc.get(key), kind), f"bad/missing {key!r}"
-assert doc["available_parallelism"] >= 1 and doc["em_threads"] >= 1
-assert doc["stages"], "no stages timed"
-for stage in doc["stages"]:
-    for key, kind in [("name", str), ("items", int), ("wall_ms_1t", float),
-                      ("wall_ms_nt", float), ("speedup", float),
-                      ("throughput_per_s", float)]:
-        assert isinstance(stage.get(key), kind), f"stage missing {key!r}: {stage}"
-    assert stage["wall_ms_1t"] > 0 and stage["wall_ms_nt"] > 0, f"non-positive timing: {stage}"
-names = {stage["name"] for stage in doc["stages"]}
-for required in ("blocking", "feature_extraction", "feature_kernels", "serve_batch",
-                 "serve_single", "serve_single_hot"):
-    assert required in names, f"stage {required!r} missing from bench JSON (got {sorted(names)})"
-
-serve = doc.get("serve")
-assert isinstance(serve, dict), "missing serve summary block"
-for key, kind in [("mask_live", int), ("mask_total", int),
-                  ("cold_first_request_ms", float), ("warm_per_record_ms", float),
-                  ("candidates_total", int), ("candidates_max", int)]:
-    assert isinstance(serve.get(key), kind), f"serve block missing {key!r}"
-assert 0 < serve["mask_live"] <= serve["mask_total"], "feature mask out of range"
-
-chaos = doc.get("serve_chaos")
-assert isinstance(chaos, dict), "missing serve_chaos block"
-for key, kind in [("seed", int), ("arrivals", int), ("completed", int),
-                  ("shed", int), ("retried", int), ("queue_full", int),
-                  ("degraded", int), ("crashes", int), ("recoveries", int),
-                  ("wal_records_replayed", int), ("torn_tails_repaired", int),
-                  ("swaps", int), ("swap_rollbacks", int),
-                  ("snapshots_quarantined", int), ("recovery_ms_total", float),
-                  ("recovery_ms_max", float), ("swap_latency_ms_max", float),
-                  ("bit_identical", bool), ("terminal_outcomes", bool),
-                  ("final_epoch", int), ("shards", int), ("shard_probes", int),
-                  ("shard_identical", bool)]:
-    assert isinstance(chaos.get(key), kind), f"serve_chaos block missing {key!r}"
-assert chaos["bit_identical"], "chaos outcomes diverged from the fault-free run"
-assert chaos["terminal_outcomes"], "a chaos request never reached a terminal outcome"
-assert chaos["completed"] + chaos["shed"] == chaos["arrivals"], \
-    "chaos accounting identity violated: completed + shed != arrivals"
-assert chaos["recoveries"] == chaos["crashes"] + 1, \
-    "every crash plus the final audit must recover exactly once"
-assert chaos["shards"] >= 1 and chaos["shard_probes"] == chaos["arrivals"], \
-    "chaos sharded audit did not replay every arrival"
-assert chaos["shard_identical"], "chaos sharded replay diverged from the fault-free run"
-
-# Sharded serve-load sweep: both the smoke run (--serve-load) and the
-# committed artifact must carry a well-formed serve_load block — the
-# seeded open-loop rate sweep at shard counts 1/2/4 with virtual-time
-# latency percentiles and per-sweep saturation throughput.
-def check_serve_load(d, where):
-    sl = d.get("serve_load")
-    assert isinstance(sl, dict), f"missing serve_load block in {where}"
-    for key, kind in [("seed", int), ("requests_per_rate", int),
-                      ("available_parallelism", int), ("batch_max", int),
-                      ("batch_deadline_ms", float), ("shed_watermark", int),
-                      ("calibrated_1shard_per_s", float),
-                      ("speedup_4x_vs_1x", float), ("sweeps", list)]:
-        assert isinstance(sl.get(key), kind), f"serve_load block bad {key!r} in {where}"
-    assert sl["requests_per_rate"] > 0 and sl["calibrated_1shard_per_s"] > 0
-    shard_counts = []
-    for sw in sl["sweeps"]:
-        for key, kind in [("shards", int), ("saturation_per_s", float),
-                          ("size_closed", int), ("deadline_closed", int),
-                          ("occupancy_at_top_rate", list), ("runs", list)]:
-            assert isinstance(sw.get(key), kind), f"serve_load sweep bad {key!r} in {where}"
-        shard_counts.append(sw["shards"])
-        assert sw["saturation_per_s"] > 0, f"non-positive saturation in {where}"
-        assert len(sw["occupancy_at_top_rate"]) == sw["shards"], \
-            f"occupancy vector does not cover every shard in {where}"
-        assert sw["size_closed"] + sw["deadline_closed"] > 0, \
-            f"no batch-close triggers attributed in {where}"
-        for r in sw["runs"]:
-            for key, kind in [("offered_per_s", float), ("achieved_per_s", float),
-                              ("arrivals", int), ("completed", int), ("shed", int),
-                              ("p50_ms", float), ("p99_ms", float), ("p999_ms", float),
-                              ("max_ms", float), ("batches", int),
-                              ("mean_batch_rows", float), ("size_closed", int),
-                              ("deadline_closed", int), ("flush_closed", int)]:
-                assert isinstance(r.get(key), kind), f"serve_load run bad {key!r} in {where}: {r}"
-            assert r["completed"] + r["shed"] == r["arrivals"], \
-                f"serve_load admission ledger leaked in {where}: {r}"
-            assert r["p50_ms"] <= r["p99_ms"] <= r["p999_ms"] <= r["max_ms"], \
-                f"serve_load percentiles out of order in {where}: {r}"
-    assert shard_counts == [1, 2, 4], f"serve_load sweeps must cover shards 1/2/4 in {where}"
-    return sl
-def saturation(sl, shards):
-    return next(sw["saturation_per_s"] for sw in sl["sweeps"] if sw["shards"] == shards)
-
-# Throughput regression gate: the smoke run is *small* scale while the
-# committed JSON is x4, and per-record serving is strictly faster on the
-# smaller corpus — so requiring the smoke throughput to stay within 20%
-# of (in practice, far above) the committed x4 figure only ever fires on
-# a real serve-path regression, never on the scale difference.
-with open(sys.argv[2]) as f:
-    committed = json.load(f)
-
-smoke_sl = check_serve_load(doc, "smoke run")
-committed_sl = check_serve_load(committed, "committed BENCH_pipeline.json")
-# Sharding speedup gate on the committed x4 artifact: splitting the
-# corpus 4 ways must at least halve the per-request service time, i.e.
-# 4-shard saturation >= 2x the 1-shard value.
-sat1, sat4 = saturation(committed_sl, 1), saturation(committed_sl, 4)
-assert sat4 >= 2.0 * sat1, (
-    f"committed 4-shard saturation below 2x: {sat4:.0f}/s vs 1-shard {sat1:.0f}/s")
-assert committed_sl["speedup_4x_vs_1x"] >= 2.0, (
-    f"committed serve_load speedup_4x_vs_1x below 2x: {committed_sl['speedup_4x_vs_1x']:.2f}")
-# Saturation regression gate: same small-vs-x4 logic as serve_single —
-# the smoke tier is strictly faster per record, so staying above 0.95x
-# the committed x4 saturation only ever fires on a real regression.
-smoke_sat1 = saturation(smoke_sl, 1)
-assert smoke_sat1 >= 0.95 * sat1, (
-    f"serve_load saturation regressed: smoke 1-shard {smoke_sat1:.0f}/s "
-    f"vs committed {sat1:.0f}/s")
-def tp(d, name):
-    return next(s["throughput_per_s"] for s in d["stages"] if s["name"] == name)
-fresh, pinned = tp(doc, "serve_single"), tp(committed, "serve_single")
-assert fresh >= 0.8 * pinned, (
-    f"serve_single throughput regressed: {fresh:.0f}/s vs committed {pinned:.0f}/s")
-
-# Corpus-scale blocking: both the smoke run (--scaling 1) and the committed
-# artifact (x1..x256) must carry a well-formed scaling block with strictly
-# ascending factors.
-def check_scaling(d, where):
-    sc = d.get("scaling")
-    assert isinstance(sc, list) and sc, f"missing scaling block in {where}"
-    prev = 0.0
-    for st in sc:
-        for key, kind in [("factor", (int, float)), ("left_rows", int),
-                          ("right_rows", int), ("gen_ms", float), ("wall_ms", float),
-                          ("join_pairs", int), ("consolidated", int),
-                          ("checksum", str), ("cand_per_s", float),
-                          ("peak_rss_mib", float)]:
-            assert isinstance(st.get(key), kind), f"scaling stage bad {key!r} in {where}: {st}"
-        assert st["factor"] > prev, f"scaling factors not ascending in {where}"
-        prev = st["factor"]
-        assert st["checksum"].startswith("0x") and int(st["checksum"], 16) >= 0, \
-            f"malformed candidate-set checksum in {where}: {st['checksum']!r}"
-        assert st["left_rows"] > 0 and st["right_rows"] > 0
-        assert st["wall_ms"] > 0 and st["cand_per_s"] > 0 and st["peak_rss_mib"] > 0
-        assert st["consolidated"] >= st["join_pairs"], \
-            f"consolidated |C1∪C2∪C3| below the C2∪C3 join-pair count in {where}"
-check_scaling(doc, "smoke run")
-check_scaling(committed, "committed BENCH_pipeline.json")
-
-# Fused end-to-end streaming match: both the smoke run (--scaling-match 1)
-# and the committed artifact must carry a well-formed scaling_match block
-# with strictly ascending factors and non-trivial match output.
-def check_scaling_match(d, where):
-    sc = d.get("scaling_match")
-    assert isinstance(sc, list) and sc, f"missing scaling_match block in {where}"
-    prev = 0.0
-    for st in sc:
-        for key, kind in [("factor", (int, float)), ("left_rows", int),
-                          ("right_rows", int), ("gen_ms", float), ("wall_ms", float),
-                          ("candidates", int), ("predicted", int), ("flipped", int),
-                          ("matched", int), ("pairs_per_s", float), ("checksum", str),
-                          ("mask_live", int), ("mask_total", int),
-                          ("peak_rss_mib", float)]:
-            assert isinstance(st.get(key), kind), f"scaling_match stage bad {key!r} in {where}: {st}"
-        assert st["factor"] > prev, f"scaling_match factors not ascending in {where}"
-        prev = st["factor"]
-        assert st["checksum"].startswith("0x") and int(st["checksum"], 16) >= 0, \
-            f"malformed match checksum in {where}: {st['checksum']!r}"
-        assert st["left_rows"] > 0 and st["right_rows"] > 0
-        assert st["wall_ms"] > 0 and st["pairs_per_s"] > 0 and st["peak_rss_mib"] > 0
-        assert 0 < st["mask_live"] <= st["mask_total"], f"match feature mask out of range in {where}"
-        assert st["matched"] > 0, f"streaming match produced no matches in {where}: {st}"
-        assert st["predicted"] + st["flipped"] <= st["candidates"], \
-            f"scaling_match accounting out of range in {where}: {st}"
-    return sc
-check_scaling_match(doc, "smoke run")
-committed_match = check_scaling_match(committed, "committed BENCH_pipeline.json")
-
-# Label-efficient training: the smoke run carries --active --weak, so its
-# artifact must hold a well-formed label_efficiency block with both
-# 10-round curves, the budget-bound accounting, and a zero-oracle-label
-# weak-supervision summary. (The committed x4 artifact intentionally has
-# no block: the experiment runs on its own pinned quarter-scale pool.)
-le = doc.get("label_efficiency")
-assert isinstance(le, dict), "missing label_efficiency block in smoke run"
-for key, kind in [("seed", int), ("pool_scale", float), ("candidates", int),
-                  ("positives", int), ("target_f1", float),
-                  ("random_labels_total", int), ("al_labels_to_target", int),
-                  ("al_target_fraction", float), ("random", list),
-                  ("active", list), ("weak", dict)]:
-    assert isinstance(le.get(key), kind), f"label_efficiency block missing {key!r}"
-assert 0 < le["positives"] < le["candidates"], "degenerate label pool"
-for arm in ("random", "active"):
-    prev = -1
-    for row in le[arm]:
-        for key, kind in [("round", int), ("labels", int), ("queries", int),
-                          ("retries", int), ("degraded", int), ("f1", float),
-                          ("precision_lo", float), ("precision_hi", float),
-                          ("recall_lo", float), ("recall_hi", float)]:
-            assert isinstance(row.get(key), kind), f"{arm} curve row bad {key!r}: {row}"
-        assert row["round"] == prev + 1, f"{arm} curve rounds not contiguous"
-        prev = row["round"]
-        assert 0 < row["labels"] <= row["queries"], f"{arm} ledger identity violated: {row}"
-        assert 0.0 <= row["f1"] <= 1.0
-        assert row["precision_lo"] <= row["precision_hi"], f"inverted interval: {row}"
-        assert row["recall_lo"] <= row["recall_hi"], f"inverted interval: {row}"
-assert le["al_labels_to_target"] <= le["al_target_fraction"] * le["random_labels_total"], \
-    "active learning missed the label-budget bound in the smoke run"
-weak = le["weak"]
-for key, kind in [("n_lfs", int), ("coverage", float), ("conflicts", int),
-                  ("kept", int), ("oracle_labels", int), ("em_iterations", int),
-                  ("f1_majority", float), ("f1_label_model", float), ("f1", float),
-                  ("precision_lo", float), ("precision_hi", float),
-                  ("recall_lo", float), ("recall_hi", float)]:
-    assert isinstance(weak.get(key), kind), f"weak block missing {key!r}"
-assert weak["oracle_labels"] == 0, "weak supervision consumed oracle labels"
-assert weak["kept"] > 0 and weak["coverage"] > 0.0, "weak training set is empty"
-assert weak["n_lfs"] >= 2, "fewer than two labeling functions applied"
-
-# The tentpole memory bound: the committed artifact must carry an x64
-# end-to-end match row, streamed in bounded memory. (scaling_match runs
-# before the blocking sweep in-process, so VmHWM reflects the executor.)
-x64 = next((s for s in committed_match if s["factor"] == 64), None)
-assert x64 is not None, "committed scaling_match is missing the x64 row"
-assert x64["peak_rss_mib"] <= 2048.0, (
-    f"x64 streaming match exceeded the 2 GiB bound: {x64['peak_rss_mib']:.0f} MiB")
-
-# Blocking perf gates on the committed x4 artifact. The join rewrite must
-# hold >= 5x over the pre-rewrite 697.058 ms single-thread baseline, and
-# the deterministic parallel split must keep 2 threads within 5% of the
-# single-thread run (this box has one core, so speedup > 1 is unreachable;
-# the gate catches a split that *costs* more than it can ever win back).
-blocking = next(s for s in committed["stages"] if s["name"] == "blocking")
-assert blocking["wall_ms_1t"] <= 139.4, (
-    f"blocking regressed below 5x: {blocking['wall_ms_1t']:.1f} ms vs 139.4 ms budget")
-assert blocking["speedup"] >= 0.95, (
-    f"blocking 2-thread speedup gate: {blocking['speedup']:.3f} < 0.95")
-
-# Feature-extraction perf gate on the committed x4 artifact: the masked
-# batched path (BatchExtractor + derive_feature_mask) must hold >= 3x over
-# the pre-rework 604.969 ms single-thread full-46-feature baseline.
-feat = next(s for s in committed["stages"] if s["name"] == "feature_extraction")
-assert feat["wall_ms_1t"] <= 202.0, (
-    f"feature_extraction regressed below 3x: {feat['wall_ms_1t']:.1f} ms vs 202.0 ms budget")
-
-print(f"    BENCH_pipeline.json ok: {len(doc['stages'])} stages, "
-      f"combined speedup {doc['combined_speedup']:.2f}x at {doc['threads']} threads, "
-      f"mask {serve['mask_live']}/{serve['mask_total']}, "
-      f"serve_single {fresh:.0f}/s (committed {pinned:.0f}/s), "
-      f"blocking 1t {blocking['wall_ms_1t']:.1f} ms at x4, "
-      f"feature_extraction 1t {feat['wall_ms_1t']:.1f} ms at x4, "
-      f"scaling stages x{'/x'.join(str(s['factor']) for s in committed['scaling'])}, "
-      f"scaling_match x{'/x'.join(str(s['factor']) for s in committed_match)} "
-      f"(x64 match RSS {x64['peak_rss_mib']:.0f} MiB), "
-      f"AL {le['al_labels_to_target']}/{le['random_labels_total']} labels to target, "
-      f"weak f1 {weak['f1']:.2f} at 0 oracle labels, "
-      f"serve_load saturation 1/2/4 shards "
-      f"{saturation(committed_sl, 1):.0f}/{saturation(committed_sl, 2):.0f}/"
-      f"{saturation(committed_sl, 4):.0f} req/s "
-      f"({committed_sl['speedup_4x_vs_1x']:.2f}x at 4 shards)")
-EOF
 
 echo "==> all checks passed"
