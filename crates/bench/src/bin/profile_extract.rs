@@ -73,7 +73,7 @@ fn stream(factor: f64) -> Result<(), Box<dyn std::error::Error>> {
     }
     let sm = StreamMatcher::new(u, d, &art.matcher, &art.rule_descs, &art.plan)?;
     let mask = sm.mask().clone();
-    let pairs: Vec<Pair> = sm.run_collecting().1.iter().map(|(p, _)| *p).collect();
+    let pairs: Vec<Pair> = sm.run_collecting().1.scored.iter().map(|(p, _)| *p).collect();
     let pulled = sm.run_profiled().1;
     drop(sm);
     eprintln!(

@@ -444,7 +444,8 @@ fn scaling_sweep(factors: &[f64], seed: u64) -> Result<(), Box<dyn std::error::E
 /// candidates → masked batch features → mean imputation → blocked forest
 /// scoring → negative rules, keeping only streamed accounting in memory.
 /// `crates/bench/tests/scaling_match_pinned.rs` pins the x4 row and holds
-/// the stream equal to the materialized [`em_core::EmWorkflow`].
+/// [`em_core::EmWorkflow::run`] — the same stream, collecting — equal to the
+/// materialized chain of stage functions.
 fn scaling_match_sweep(factors: &[f64], seed: u64) -> Result<(), Box<dyn std::error::Error>> {
     use em_core::stream::StreamMatcher;
 
@@ -1038,9 +1039,11 @@ fn ablations(
     let ranking = select_matcher(&data, &stage)?;
     let matcher = train_matcher(features, imputer, &data, &ranking[0].learner, &stage)?;
 
-    let sure = rules.sure_matches(u, s)?;
-    let cand = out.consolidated.minus(&sure);
-    let probs = matcher.probabilities(u, s, &cand)?;
+    // One run with the negative rules applied carries both sides: every
+    // candidate's probability for the sweep, and the repaired matches.
+    let run =
+        em_core::EmWorkflow { rules, plan: BlockingPlan::default(), matcher: &matcher, apply_negative: true }
+            .run(u, s)?;
     let score = |matches: &em_blocking::CandidateSet| -> (f64, f64) {
         let mut tp = 0usize;
         for p in matches.iter() {
@@ -1056,8 +1059,8 @@ fn ablations(
     };
     println!("  {:<26} {:>10} {:>8} {:>8}", "strategy", "matches", "P", "R");
     for t in [0.5, 0.6, 0.7, 0.8, 0.9, 0.95] {
-        let mut m = sure.clone();
-        for (pair, p) in &probs {
+        let mut m = run.sure.clone();
+        for (pair, p) in &run.scored {
             if *p >= t {
                 m.add(*pair, "model");
             }
@@ -1071,20 +1074,11 @@ fn ablations(
             100.0 * rec
         );
     }
-    // Negative rules at the default threshold.
-    let mut predicted = em_blocking::CandidateSet::new("pred");
-    for (pair, p) in &probs {
-        if *p >= 0.5 {
-            predicted.add(*pair, "model");
-        }
-    }
-    let (kept, _flipped) = rules.apply_negative(u, s, &predicted)?;
-    let final_m = sure.union(&kept);
-    let (prec, rec) = score(&final_m);
+    let (prec, rec) = score(&run.matches);
     println!(
         "  {:<26} {:>10} {:>7.1}% {:>7.1}%",
         "negative rules @0.5",
-        final_m.len(),
+        run.matches.len(),
         100.0 * prec,
         100.0 * rec
     );

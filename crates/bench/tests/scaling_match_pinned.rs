@@ -1,11 +1,15 @@
 //! Pins the fused streaming executor's x4 corpus-scale run: the exact
 //! accounting `reproduce --scaling-match 4` prints (candidates,
 //! predicted, flipped, matched, and the chunk-chained FNV checksum),
-//! thread-invariant at 1 and 4 threads, and bit-identical to the
-//! materialized blocking → extract → predict workflow. The setup mirrors
-//! `scaling_match_sweep` in `src/bin/reproduce.rs`: the workflow trains
-//! once at x1 (uncapped), then streams over the x4 scenario with
-//! auxiliary tables capped at paper size.
+//! thread-invariant at 1 and 4 threads — and `EmWorkflow::run` on the same
+//! corpus bit-identical to the materialized blocking → extract → predict
+//! chain em-core's equivalence test composes from stage functions. The
+//! setup mirrors `scaling_match_sweep` in `src/bin/reproduce.rs`: the
+//! workflow trains once at x1 (uncapped), then streams over the x4 scenario
+//! with auxiliary tables capped at paper size.
+
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
 
 use em_core::pipeline::{CaseStudy, CaseStudyConfig};
 use em_core::stream::StreamMatcher;
@@ -37,19 +41,13 @@ fn x4_stream_is_pinned_and_matches_materialized_workflow() {
     let sm = StreamMatcher::new(&u, &d, &artifacts.matcher, &artifacts.rule_descs, &artifacts.plan)
         .unwrap();
     em_parallel::set_threads(1);
-    let (o1, scored1, matches1) = sm.run_collecting();
+    let o1 = sm.run();
     em_parallel::set_threads(4);
-    let (o4, scored4, matches4) = sm.run_collecting();
+    let o4 = sm.run();
     em_parallel::set_threads(0);
 
     // Thread invariance, checksum included.
     assert_eq!(o1, o4, "x4 outcome depends on thread count");
-    assert_eq!(scored1.len(), scored4.len());
-    for (a, b) in scored1.iter().zip(scored4.iter()) {
-        assert_eq!(a.0, b.0, "scored pair order depends on threads");
-        assert_eq!(a.1.to_bits(), b.1.to_bits(), "score depends on threads at {:?}", a.0);
-    }
-    assert_eq!(matches1, matches4);
 
     // The x4 row of `reproduce --scaling-match`, pinned value for value.
     // A change here is a semantic change to blocking, features,
@@ -64,24 +62,24 @@ fn x4_stream_is_pinned_and_matches_materialized_workflow() {
     assert_eq!(o1.checksum, 0xa59b_62b4_b38e_4195, "x4 match checksum");
     assert_eq!(o1.histogram.iter().sum::<u64>(), o1.candidates as u64);
 
-    // Bit-identity with the materialized path on the same corpus: same
-    // candidate probabilities in the same order, same final match list.
+    // `EmWorkflow::run` against the materialized chain on the same corpus:
+    // same sets, same candidate probabilities in the same order.
     let wf = EmWorkflow {
         rules: artifacts.rule_descs.build(),
         plan: artifacts.plan,
         matcher: &artifacts.matcher,
         apply_negative: true,
     };
-    let r = wf.run(&u, &d).unwrap();
-    let probs = artifacts.matcher.probabilities(&u, &d, &r.candidates).unwrap();
-    assert_eq!(o1.sure, r.sure.len(), "sure count");
-    assert_eq!(o1.candidates, r.candidates.len(), "candidate count");
-    assert_eq!(o1.predicted, r.predicted.len(), "predicted count");
-    assert_eq!(o1.flipped, r.flipped.len(), "flipped count");
-    assert_eq!(scored1.len(), probs.len(), "scored-pair count");
-    for ((sp, sv), (mp, mv)) in scored1.iter().zip(probs.iter()) {
-        assert_eq!(sp, mp, "scored pair order vs materialized");
-        assert_eq!(sv.to_bits(), mv.to_bits(), "probability mismatch at {sp:?}: {sv} vs {mv}");
+    let want = common::materialized(&wf, &u, &d);
+    assert_eq!(
+        (want.scored.len(), want.predicted.len(), want.flipped.len(), want.matches.len()),
+        (o1.candidates, o1.predicted, o1.flipped, o1.matched),
+        "materialized counts vs the pinned stream row"
+    );
+    for threads in [1, 4] {
+        em_parallel::set_threads(threads);
+        let r = wf.run(&u, &d);
+        em_parallel::set_threads(0);
+        common::assert_run_equals(&r.unwrap(), &want, &format!("x4, {threads} threads"));
     }
-    assert_eq!(matches1, r.matches.to_vec(), "match list vs materialized");
 }

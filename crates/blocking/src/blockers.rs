@@ -8,9 +8,9 @@
 //! [`Blocker::block_candidates`], PyMatcher's `block_candset`).
 //!
 //! The token blockers run on the shared performance layer: each attribute
-//! is tokenized **once** into interned `u32` id lists through a memoizing
+//! is tokenized **once** into interned `u32` id lists through a
 //! [`TokenCache`] (shareable across blockers, so a whole blocking plan
-//! tokenizes each column a single time), and table-level blocking runs the
+//! works in one id space), and table-level blocking runs the
 //! batch set-similarity join of [`crate::join`] — frequent tokens as
 //! bitsets over the size-ordered right rows, counted 64 rows per word,
 //! length-filtered, exact intersection sizes — fanned out over left-row

@@ -1,22 +1,20 @@
 //! The matching stage (Section 9): feature preparation, matcher selection
-//! by five-fold cross-validation, training, prediction, and the two
-//! debugging passes (label debugging via leave-one-out, matcher debugging
-//! via split-half mismatch mining).
+//! by five-fold cross-validation, training, and the two debugging passes
+//! (label debugging via leave-one-out, matcher debugging via split-half
+//! mismatch mining). Prediction is not here: a [`TrainedMatcher`] scores
+//! pairs inside the fused stream ([`crate::stream`]), which
+//! [`EmWorkflow::run`](crate::workflow::EmWorkflow::run) drives.
 
 use crate::error::CoreError;
 use crate::labeling::LabeledSet;
-use em_blocking::{CandidateSet, Pair};
+use em_blocking::Pair;
 use em_estimate::Label;
 use em_features::{extract_vectors, FeatureOptions, FeatureSet};
 use em_ml::cv::{cross_validate, leave_one_out_predictions, CvResult};
 use em_ml::dataset::{impute_mean, Dataset, Imputer};
-use em_ml::model::{Learner, Model};
-use em_parallel::Executor;
+use em_ml::model::Learner;
 use em_rules::RuleSet;
 use em_table::Table;
-
-/// Minimum feature rows per thread for batch prediction.
-const PREDICT_GRAIN: usize = 64;
 
 /// Configuration of the matching stage.
 #[derive(Debug, Clone)]
@@ -64,17 +62,15 @@ pub struct TrainedMatcher {
     pub feature_importance: Option<Vec<f64>>,
 }
 
-/// Builds the training dataset from labeled pairs, excluding `Unsure`
-/// labels and pairs any positive rule already decides ("removed the unsure
-/// and sure matches … from the labeled data"). Missing values are imputed
-/// in place; the fitted imputer is returned for prediction-time use.
-pub fn build_training_data(
+/// [`build_training_data`], also returning the pairs it kept: row `i` of the
+/// dataset is pair `i`. A labeled pair outside either table is an error.
+fn training_pairs(
     umetrics: &Table,
     usda: &Table,
     features: &FeatureSet,
     labeled: &LabeledSet,
     sure_rules: &RuleSet,
-) -> Result<(Dataset, Imputer), CoreError> {
+) -> Result<(Vec<Pair>, Dataset, Imputer), CoreError> {
     let mut pairs = Vec::new();
     let mut labels = Vec::new();
     for lp in labeled.iter() {
@@ -96,6 +92,21 @@ pub fn build_training_data(
     let x = extract_vectors(features, umetrics, usda, &pairs)?;
     let mut data = Dataset::new(features.names(), x, labels)?;
     let imputer = impute_mean(&mut data);
+    Ok((pairs, data, imputer))
+}
+
+/// Builds the training dataset from labeled pairs, excluding `Unsure`
+/// labels and pairs any positive rule already decides ("removed the unsure
+/// and sure matches … from the labeled data"). Missing values are imputed
+/// in place; the fitted imputer is returned for prediction-time use.
+pub fn build_training_data(
+    umetrics: &Table,
+    usda: &Table,
+    features: &FeatureSet,
+    labeled: &LabeledSet,
+    sure_rules: &RuleSet,
+) -> Result<(Dataset, Imputer), CoreError> {
+    let (_, data, imputer) = training_pairs(umetrics, usda, features, labeled, sure_rules)?;
     Ok((data, imputer))
 }
 
@@ -174,58 +185,6 @@ impl TrainedMatcher {
         ranked.truncate(k);
         Some(ranked)
     }
-
-    /// Predicts matches among `pairs`, returning the predicted-match set
-    /// (provenance `model:<learner>`).
-    pub fn predict(
-        &self,
-        umetrics: &Table,
-        usda: &Table,
-        pairs: &CandidateSet,
-    ) -> Result<CandidateSet, CoreError> {
-        let list: Vec<Pair> = pairs.to_vec();
-        let mut x = extract_vectors(&self.features, umetrics, usda, &list)?;
-        self.imputer.transform(&mut x);
-        let tag = format!("model:{}", self.learner_name);
-        // Rows predict independently; ordered merge keeps the set identical
-        // to the sequential loop at any thread count.
-        let verdicts = Executor::current()
-            .map_slice(&x, PREDICT_GRAIN, |row| self.model.predict(row));
-        let mut out = CandidateSet::new("predicted");
-        for (pair, hit) in list.iter().zip(verdicts) {
-            if hit {
-                out.add(*pair, &tag);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Match probabilities for every pair of a candidate set, in set order.
-    pub fn probabilities(
-        &self,
-        umetrics: &Table,
-        usda: &Table,
-        pairs: &CandidateSet,
-    ) -> Result<Vec<(Pair, f64)>, CoreError> {
-        let list: Vec<Pair> = pairs.to_vec();
-        let mut x = extract_vectors(&self.features, umetrics, usda, &list)?;
-        self.imputer.transform(&mut x);
-        let probas = Executor::current()
-            .map_slice(&x, PREDICT_GRAIN, |row| self.model.predict_proba(row));
-        Ok(list.into_iter().zip(probas).collect())
-    }
-
-    /// Match probability for one pair.
-    pub fn proba(
-        &self,
-        umetrics: &Table,
-        usda: &Table,
-        pair: Pair,
-    ) -> Result<f64, CoreError> {
-        let mut x = extract_vectors(&self.features, umetrics, usda, &[pair])?;
-        self.imputer.transform(&mut x);
-        Ok(self.model.predict_proba(&x[0]))
-    }
 }
 
 /// One label-debugging lead: a labeled pair whose held-out prediction
@@ -250,28 +209,17 @@ pub fn debug_labels(
     sure_rules: &RuleSet,
     learner: &dyn Learner,
 ) -> Result<Vec<LabelDebugHit>, CoreError> {
-    let mut pairs = Vec::new();
-    let mut labels = Vec::new();
-    for lp in labeled.iter() {
-        let Some(as_bool) = lp.label.as_bool() else { continue };
-        let (Some(u), Some(s)) = (umetrics.row(lp.pair.left), usda.row(lp.pair.right)) else {
-            continue;
-        };
-        if sure_rules.any_positive_fires(u, s) {
-            continue;
-        }
-        pairs.push((lp.pair, lp.label));
-        labels.push(as_bool);
-    }
-    let x = extract_vectors(features, umetrics, usda, &pairs.iter().map(|(p, _)| *p).collect::<Vec<_>>())?;
-    let mut data = Dataset::new(features.names(), x, labels)?;
-    let _ = impute_mean(&mut data);
+    let (pairs, data, _) = training_pairs(umetrics, usda, features, labeled, sure_rules)?;
     let preds = leave_one_out_predictions(learner, &data)?;
     Ok(pairs
-        .iter()
-        .zip(preds)
-        .filter(|((_, label), pred)| label.as_bool() != Some(*pred))
-        .map(|((pair, label), pred)| LabelDebugHit { pair: *pair, predicted: pred, labeled: *label })
+        .into_iter()
+        .zip(data.y.iter().zip(preds))
+        .filter(|(_, (label, pred))| *label != pred)
+        .map(|(pair, (&label, predicted))| LabelDebugHit {
+            pair,
+            predicted,
+            labeled: if label { Label::Yes } else { Label::No },
+        })
         .collect())
 }
 
@@ -282,6 +230,7 @@ mod tests {
     use crate::labeling::run_labeling;
     use crate::preprocess::{project_umetrics, project_usda};
     use em_datagen::{Oracle, OracleConfig, Scenario, ScenarioConfig};
+    use em_blocking::CandidateSet;
     use em_features::auto_features;
     use em_rules::EqualityRule;
 
@@ -372,7 +321,13 @@ mod tests {
         let ranking = select_matcher(&data, &stage).unwrap();
         let matcher =
             train_matcher(features, imputer, &data, &ranking[0].learner, &stage).unwrap();
-        let predicted = matcher.predict(&f.u, &f.s, &f.candidates).unwrap();
+        let workflow = crate::workflow::EmWorkflow {
+            rules: f.rules.clone(),
+            plan: BlockingPlan::default(),
+            matcher: &matcher,
+            apply_negative: false,
+        };
+        let predicted = workflow.run(&f.u, &f.s).unwrap().predicted;
         assert!(!predicted.is_empty());
         assert!(predicted.len() < f.candidates.len());
         // Predictions should be mostly true matches.
@@ -396,6 +351,21 @@ mod tests {
         let (data, imputer) =
             build_training_data(&f.u, &f.s, &features, &f.labeled, &f.rules).unwrap();
         assert!(train_matcher(features, imputer, &data, "Oracle", &stage).is_err());
+    }
+
+    #[test]
+    fn label_debug_rejects_an_out_of_range_pair_like_training_does() {
+        let f = fixture();
+        let features = auto_features(&f.u, &f.s, &MatcherStage::new(1).feature_opts);
+        let mut labeled = f.labeled.clone();
+        labeled.insert(Pair::new(f.u.n_rows(), 0), Label::Yes);
+        let tree = em_ml::tree::DecisionTreeLearner::default();
+        for err in [
+            build_training_data(&f.u, &f.s, &features, &labeled, &f.rules).err(),
+            debug_labels(&f.u, &f.s, &features, &labeled, &f.rules, &tree).err(),
+        ] {
+            assert!(matches!(err, Some(CoreError::Pipeline(_))), "{err:?}");
+        }
     }
 
     #[test]

@@ -1233,17 +1233,25 @@ impl CaseStudy {
             rule2_predicted =
                 rule2_all.iter().filter(|p| initial.predicted.contains(p)).count();
 
-            // ---- Figure 9: patched workflow, full rules + extra data. ----
+            // ---- Figures 9 and 10 from one pair of runs: the patched
+            // workflow (full rules + extra data) with its negative rules
+            // applied. Figure 9's matches are what it had before the flips,
+            // `sure ∪ predicted`; Figure 10's are its `matches`. ----
             let patched_wf = EmWorkflow {
                 rules: standard_rules(),
                 plan: cfg.plan,
                 matcher: &matcher,
-                apply_negative: false,
+                apply_negative: true,
             };
             let (orig, patch) = patched_wf.run_patched(&u, &u_extra, &s)?;
-            let ids_orig = MatchIds::from_candidates(&u, &s, &orig.matches)?;
-            let ids_patch = MatchIds::from_candidates(&u_extra, &s, &patch.matches)?;
-            let combined = ids_orig.union(&ids_patch);
+            let ids = |of_orig: &CandidateSet, of_patch: &CandidateSet| {
+                Ok::<_, CoreError>(
+                    MatchIds::from_candidates(&u, &s, of_orig)?
+                        .union(&MatchIds::from_candidates(&u_extra, &s, of_patch)?),
+                )
+            };
+            let combined =
+                ids(&orig.sure.union(&orig.predicted), &patch.sure.union(&patch.predicted))?;
             patched = PatchedCounts {
                 sure_original: orig.sure.len(),
                 sure_extra: patch.sure.len(),
@@ -1273,11 +1281,8 @@ impl CaseStudy {
             let iris_ids = MatchIds::from_candidates(&u_all, &s, &iris.predict(&u_all, &s)?)?;
 
             // ---- Section 12: negative rules (Figure 10). ----
-            let final_wf = EmWorkflow { apply_negative: true, ..patched_wf };
-            let (forig, fpatch) = final_wf.run_patched(&u, &u_extra, &s)?;
-            let fids = MatchIds::from_candidates(&u, &s, &forig.matches)?
-                .union(&MatchIds::from_candidates(&u_extra, &s, &fpatch.matches)?);
-            flipped = forig.flipped.len() + fpatch.flipped.len();
+            let fids = ids(&orig.matches, &patch.matches)?;
+            flipped = orig.flipped.len() + patch.flipped.len();
             final_total = fids.len();
             universe_orig = orig.universe().to_vec();
             universe_patch = patch.universe().to_vec();

@@ -1,37 +1,40 @@
-//! Fused streaming match executor: blocking → features → scoring → rules
-//! without materializing the candidate set.
+//! Fused streaming match executor — the one batch driver: blocking →
+//! features → scoring → rules without materializing the candidate set.
 //!
-//! The batch path ([`EmWorkflow::run`](crate::workflow::EmWorkflow::run))
-//! materializes three full intermediates — the consolidated candidate set,
-//! the feature matrix, and the prediction vector — before a single match
-//! emerges. At corpus scale (x64–x256) the candidate set alone dominates
-//! memory. [`StreamMatcher`] fuses the stages instead: each left row's
-//! candidates come straight off the [`join`] index probe and are scored one
-//! by one through [`score_pair`] — the scorer walks the model and *pulls*
-//! the features its path tests from the masked extraction kernel, imputed
-//! as they are read — and only the above-threshold survivors (minus
-//! negative-rule flips, plus the rule-driven sure matches) are counted
-//! into the streamed accounting. Nothing proportional to the candidate
-//! count is ever resident, and no feature the model does not read for a
-//! pair is ever computed for it.
+//! A materialized chain of the stage functions holds three full
+//! intermediates — the consolidated candidate set, the feature matrix, and
+//! the prediction vector — before a single match emerges, and at corpus
+//! scale (x64–x256) the candidate set alone dominates memory.
+//! [`StreamMatcher`] fuses the stages instead: each left row's candidates
+//! come straight off the [`join`] index probe and are scored one by one
+//! through [`score_pair`] — the scorer walks the model and *pulls* the
+//! features its path tests from the masked extraction kernel, imputed as
+//! they are read — and only the above-threshold survivors (minus
+//! negative-rule flips, plus the rule-driven sure matches) are counted into
+//! the streamed accounting. Nothing proportional to the candidate count is
+//! ever resident, and no feature the model does not read for a pair is ever
+//! computed for it. [`EmWorkflow::run`](crate::workflow::EmWorkflow::run) is
+//! the same stream run [collecting](StreamMatcher::run_collecting): it keeps
+//! the sets behind the counts, a separate monomorphization of the row loop.
 //!
-//! **Bit identity.** The stream is not an approximation: every stage
-//! reuses the exact batch kernels, so counts, per-pair probabilities, and
-//! the final match set equal the materialized workflow bit for bit.
-//! Candidate equality holds because the join-spec union is proptested
-//! equal to `C2 ∪ C3` in `em-blocking` and `C1`/sure sets come from the
-//! same code paths ([`c1_scheme`], [`RuleSet::sure_matches`]). Score
-//! equality rests on one argument: *a value no traversed node tests cannot
-//! reach the score*. A pulled feature is the bits [`BatchExtractor`] is
-//! pinned to (`extract_vectors`, `Feature::compute`), imputed by the
-//! [`Imputer`]'s own test; the walk ([`BlockScorer::score_with`]) makes the
-//! comparisons of `predict_proba` in the same order, with the same left
-//! fold and single division for a forest; what it never asks for — a
-//! feature off its paths, or one the [mask](derive_feature_mask) left
-//! without a cache — would have been read by no comparison of the
-//! materialized path either. Rules never read a feature vector: they work
-//! on row keys. A dense model (linear, Bayes) reads everything, so it pulls
-//! everything and scores the same imputed row the batch path builds.
+//! **Bit identity.** The stream is not an approximation: counts, per-pair
+//! probabilities, and the final match set equal the materialized chain of
+//! stage functions bit for bit (`tests/stream_equivalence.rs` composes that
+//! chain as its oracle). Candidate equality holds because the join-spec
+//! union is proptested equal to `C2 ∪ C3` in `em-blocking` and `C1`/sure
+//! sets come from the same code paths ([`c1_scheme`],
+//! [`RuleSet::sure_matches`]). Score equality rests on one argument: *a
+//! value no traversed node tests cannot reach the score*. A pulled feature
+//! is the bits [`BatchExtractor`] is pinned to (`extract_vectors`,
+//! `Feature::compute`), imputed by the [`Imputer`]'s own test; the walk
+//! ([`BlockScorer::score_with`]) makes the comparisons of `predict_proba` in
+//! the same order, with the same left fold and single division for a
+//! forest; what it never asks for — a feature off its paths, or one the
+//! [mask](derive_feature_mask) left without a cache — would have been read
+//! by no comparison of the materialized chain either. Rules never read a
+//! feature vector: they work on row keys. A dense model (linear, Bayes)
+//! reads everything, so it pulls everything and scores the same imputed row
+//! the chain builds.
 //!
 //! **Thread invariance.** Left rows are processed in fixed
 //! [`STREAM_CHUNK`]-row chunks — the chunk grid is the parallel index
@@ -53,7 +56,7 @@ use em_features::{
 use em_ml::dataset::Imputer;
 use em_ml::{BlockScorer, FittedModel};
 use em_parallel::Executor;
-use em_rules::{BoundNegativeRules, RuleSetDesc};
+use em_rules::{BoundNegativeRules, RuleSet, RuleSetDesc};
 use em_table::Table;
 use em_text::{TokenCache, TokenCorpus};
 
@@ -66,7 +69,7 @@ pub const STREAM_CHUNK: usize = 1024;
 pub const HIST_BINS: usize = 20;
 
 /// The model decision threshold (`predict` = `predict_proba >= 0.5`).
-const MATCH_THRESHOLD: f64 = 0.5;
+pub(crate) const MATCH_THRESHOLD: f64 = 0.5;
 
 /// The blocking column both join schemes read (fixed by the case study's
 /// plan, as in [`run_blocking`](crate::blocking_plan::run_blocking)).
@@ -98,6 +101,23 @@ pub struct StreamOutcome {
     /// Score histogram over all scored candidates ([`HIST_BINS`] bins of
     /// width `1/HIST_BINS`; the last bin also catches `p = 1.0`).
     pub histogram: [u64; HIST_BINS],
+}
+
+/// The sets behind a [`StreamOutcome`]'s counts, each in `(left, right)`
+/// order — what [`StreamMatcher::run_collecting`] keeps and
+/// [`EmWorkflow::run`](crate::workflow::EmWorkflow::run) assembles a
+/// `WorkflowResult` from. `flipped` is not carried: it is the scored pairs
+/// at or above the threshold that are not in `matches`.
+#[derive(Debug, Default)]
+pub struct Collected {
+    /// The rule-driven sure matches.
+    pub sure: Vec<Pair>,
+    /// Every blocked pair, sure matches included (`C1 ∪ C2 ∪ C3`).
+    pub blocked: Vec<Pair>,
+    /// Every scored candidate (`blocked − sure`) with its probability.
+    pub scored: Vec<(Pair, f64)>,
+    /// The final matches: `sure ∪ (predicted − flipped)`.
+    pub matches: Vec<Pair>,
 }
 
 /// A frozen workflow fused into a streaming executor over one table pair.
@@ -156,8 +176,7 @@ struct ChunkResult {
     matched: usize,
     digest: u64,
     histogram: [u64; HIST_BINS],
-    scored: Vec<(Pair, f64)>,
-    matches: Vec<Pair>,
+    collected: Collected,
 }
 
 /// The one pull-and-score step the fused stream and the serve hot loop
@@ -226,8 +245,10 @@ impl StreamMatcher<'_> {
     /// Streams one [`STREAM_CHUNK`] of left rows: probe, merge, pull and
     /// score, apply negative rules, digest. Pure function of the chunk
     /// index (given the frozen matcher), which is what makes the
-    /// chunk-ordered fold thread-invariant.
-    fn run_chunk(&self, c: usize, ws: &mut StreamScratch, collect: bool) -> ChunkResult {
+    /// chunk-ordered fold thread-invariant. `COLLECT` is a compile-time
+    /// switch, so the accounting-only stream carries no trace of the
+    /// collecting one.
+    fn run_chunk<const COLLECT: bool>(&self, c: usize, ws: &mut StreamScratch) -> ChunkResult {
         let lo = c * STREAM_CHUNK;
         let hi = ((c + 1) * STREAM_CHUNK).min(self.u.n_rows());
         let mut res = ChunkResult { digest: FNV_OFFSET, ..ChunkResult::default() };
@@ -238,7 +259,10 @@ impl StreamMatcher<'_> {
             merge_union(self.c1.row(i), &ws.hits, &mut ws.blocked);
             merge_difference(&ws.blocked, self.sure.row(i), &mut ws.candidates);
             res.candidates += ws.candidates.len();
-            self.score_candidates(i, ws, &mut res, collect);
+            if COLLECT {
+                res.collected.blocked.extend(ws.blocked.iter().map(|&j| Pair::new(i, j as usize)));
+            }
+            self.score_candidates::<COLLECT>(i, ws, &mut res);
         }
         // Digest the chunk's final matches — sure ∪ kept, merged per left
         // row in (left, right) order. The two streams are disjoint (kept ⊆
@@ -275,8 +299,8 @@ impl StreamMatcher<'_> {
                 };
                 res.digest = fnv_u64(fnv_u64(res.digest, i as u64), u64::from(j));
                 res.matched += 1;
-                if collect {
-                    res.matches.push(Pair::new(i, j as usize));
+                if COLLECT {
+                    res.collected.matches.push(Pair::new(i, j as usize));
                 }
             }
         }
@@ -287,15 +311,15 @@ impl StreamMatcher<'_> {
     /// the row once, each candidate is one [`score_pair`] — folding
     /// verdicts into `res` and surviving matches into the worker's `kept`
     /// list.
-    fn score_candidates(&self, i: usize, ws: &mut StreamScratch, res: &mut ChunkResult, collect: bool) {
+    fn score_candidates<const COLLECT: bool>(&self, i: usize, ws: &mut StreamScratch, res: &mut ChunkResult) {
         let StreamScratch { candidates, dense_row, batch, kept, .. } = ws;
         for &j in candidates.iter() {
             let pair = Pair::new(i, j as usize);
             let p = score_pair(&self.scorer, self.imputer, self.extractor.pair(pair, batch), dense_row);
             let bin = ((p * HIST_BINS as f64) as usize).min(HIST_BINS - 1);
             res.histogram[bin] += 1;
-            if collect {
-                res.scored.push((pair, p));
+            if COLLECT {
+                res.collected.scored.push((pair, p));
             }
             if p >= MATCH_THRESHOLD {
                 res.predicted += 1;
@@ -323,14 +347,29 @@ impl<'a> StreamMatcher<'a> {
         rule_descs: &RuleSetDesc,
         plan: &BlockingPlan,
     ) -> Result<StreamMatcher<'a>, CoreError> {
+        let rules = rule_descs.build();
+        StreamMatcher::with_rules(umetrics, usda, matcher, &rules, &rules, plan)
+    }
+
+    /// [`new`](StreamMatcher::new) over built rules: `positive`'s sure-match
+    /// rules and `negative`'s negative rules. A workflow that does not apply
+    /// its negative rules binds an empty set here, so the stream itself has
+    /// one behaviour.
+    pub(crate) fn with_rules(
+        umetrics: &'a Table,
+        usda: &'a Table,
+        matcher: &'a TrainedMatcher,
+        positive: &RuleSet,
+        negative: &RuleSet,
+        plan: &BlockingPlan,
+    ) -> Result<StreamMatcher<'a>, CoreError> {
         if matcher.features.is_empty() {
             return Err(CoreError::Pipeline("streaming matcher needs a non-empty feature set".to_string()));
         }
         check_row_ids(umetrics.n_rows(), usda.n_rows())?;
         umetrics.schema().require(BLOCK_COL)?;
         usda.schema().require(BLOCK_COL)?;
-        let rules = rule_descs.build();
-        let mask = derive_feature_mask(&matcher.features, &matcher.model, rule_descs);
+        let mask = derive_feature_mask(&matcher.features, &matcher.model, &RuleSetDesc::new());
         // The set-up legs share nothing but the tables, so they fork: the
         // extractor's cache legs (heaviest first), the two small CSR
         // adjacencies, the negative rules' per-row keys, and the blocking
@@ -350,10 +389,10 @@ impl<'a> StreamMatcher<'a> {
             Ok(match t.checked_sub(n_cache) {
                 None => SetUp::Cache(cache_plan.build_leg(t)),
                 Some(0) => {
-                    SetUp::Sure(Csr::from_set(&rules.sure_matches(umetrics, usda)?, umetrics.n_rows()))
+                    SetUp::Sure(Csr::from_set(&positive.sure_matches(umetrics, usda)?, umetrics.n_rows()))
                 }
                 Some(1) => SetUp::C1(Csr::from_set(&c1_scheme(umetrics, usda)?, umetrics.n_rows())),
-                Some(2) => SetUp::Negatives(rules.bind_negative(umetrics, usda)),
+                Some(2) => SetUp::Negatives(negative.bind_negative(umetrics, usda)),
                 Some(_) => {
                     // One tokenization pass per column feeds both the join
                     // probes and the word-level set features, which copy
@@ -417,17 +456,18 @@ impl<'a> StreamMatcher<'a> {
     /// stays bounded by `workers × scratch` regardless of how many
     /// candidates the blocking admits.
     pub fn run(&self) -> StreamOutcome {
-        self.run_inner(false).0
+        self.run_chunks::<false>().0
     }
 
-    /// [`run`](StreamMatcher::run), additionally collecting every scored
-    /// `(pair, probability)` and the final match list, both in
-    /// `(left, right)` order — the equivalence tests' hook for bit-exact
-    /// comparison against the materialized workflow. Memory is
-    /// proportional to the candidate count again, so this is for tests
-    /// and small factors, not the scaling path.
-    pub fn run_collecting(&self) -> (StreamOutcome, Vec<(Pair, f64)>, Vec<Pair>) {
-        self.run_inner(true)
+    /// [`run`](StreamMatcher::run), additionally keeping the sets behind
+    /// the counts. Memory is proportional to the candidate count again:
+    /// this is the batch workflow's driver, not the scaling path.
+    pub fn run_collecting(&self) -> (StreamOutcome, Collected) {
+        let (out, mut collected) = self.run_chunks::<true>();
+        collected.sure = (0..self.u.n_rows())
+            .flat_map(|i| self.sure.row(i).iter().map(move |&j| Pair::new(i, j as usize)))
+            .collect();
+        (out, collected)
     }
 
     /// [`run`](StreamMatcher::run) on the calling thread, additionally
@@ -437,23 +477,23 @@ impl<'a> StreamMatcher<'a> {
     pub fn run_profiled(&self) -> (StreamOutcome, PullCounts) {
         let mut ws = StreamScratch::for_matcher(self);
         let chunks = self.u.n_rows().div_ceil(STREAM_CHUNK);
-        let results = (0..chunks).map(|c| self.run_chunk(c, &mut ws, false)).collect();
+        let results = (0..chunks).map(|c| self.run_chunk::<false>(c, &mut ws)).collect();
         (self.merge(results).0, ws.batch.pull_counts().clone())
     }
 
     /// Chunked parallel drive.
-    fn run_inner(&self, collect: bool) -> (StreamOutcome, Vec<(Pair, f64)>, Vec<Pair>) {
+    fn run_chunks<const COLLECT: bool>(&self) -> (StreamOutcome, Collected) {
         let chunks = self.u.n_rows().div_ceil(STREAM_CHUNK);
         self.merge(Executor::current().map_indexed_with(
             chunks,
             1,
             || StreamScratch::for_matcher(self),
-            |ws, c| self.run_chunk(c, ws, collect),
+            |ws, c| self.run_chunk::<COLLECT>(c, ws),
         ))
     }
 
     /// Chunk-ordered merge.
-    fn merge(&self, results: Vec<ChunkResult>) -> (StreamOutcome, Vec<(Pair, f64)>, Vec<Pair>) {
+    fn merge(&self, results: Vec<ChunkResult>) -> (StreamOutcome, Collected) {
         let mut out = StreamOutcome {
             left_rows: self.u.n_rows(),
             right_rows: self.s.n_rows(),
@@ -465,8 +505,7 @@ impl<'a> StreamMatcher<'a> {
             checksum: FNV_OFFSET,
             histogram: [0; HIST_BINS],
         };
-        let mut scored = Vec::new();
-        let mut matches = Vec::new();
+        let mut collected = Collected::default();
         for r in results {
             out.candidates += r.candidates;
             out.predicted += r.predicted;
@@ -476,10 +515,11 @@ impl<'a> StreamMatcher<'a> {
             for (h, c) in out.histogram.iter_mut().zip(r.histogram.iter()) {
                 *h += c;
             }
-            scored.extend(r.scored);
-            matches.extend(r.matches);
+            collected.blocked.extend(r.collected.blocked);
+            collected.scored.extend(r.collected.scored);
+            collected.matches.extend(r.collected.matches);
         }
-        (out, scored, matches)
+        (out, collected)
     }
 }
 

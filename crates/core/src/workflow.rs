@@ -1,25 +1,33 @@
 //! The EM workflows of Figures 8, 9, and 10, and workflow patching.
 //!
-//! A workflow run over a `(UMETRICS, USDA)` table pair proceeds:
+//! A workflow run over a `(UMETRICS, USDA)` table pair computes:
 //!
-//! 1. apply the positive sure-match rules to the whole tables → `C1`;
-//! 2. run the blocking plan → `C2`; the learning matcher's input is
+//! 1. the positive sure-match rules over the whole tables → `C1`;
+//! 2. the blocking plan → `C2`; the learning matcher's input is
 //!    `C = C2 − C1`;
-//! 3. predict `C` with the trained matcher → `R`;
-//! 4. optionally apply the negative rules to `R` → `S` (Figure 10);
+//! 3. the trained matcher's score for each pair of `C` → `R` at 0.5;
+//! 4. optionally the negative rules over `R` → `S` (Figure 10);
 //! 5. matches = `C1 ∪ S`.
+//!
+//! There is one executor for that: [`EmWorkflow::run`] is a collecting run
+//! of the fused [`StreamMatcher`] — masked, pull-scored, thread-invariant —
+//! with the sets it kept assembled into a [`WorkflowResult`]. The stage
+//! functions (`run_blocking`, `RuleSet::sure_matches`, `extract_vectors`,
+//! `Imputer::transform`, `FittedModel::predict_proba`,
+//! `RuleSet::any_negative_fires`) stay public as the reference the
+//! equivalence tests compose their oracle from.
 //!
 //! Section 10's patching strategy — "leave the current EM workflow alone
 //! and create a new EM workflow … a 'patch' of the current EM workflow" —
 //! is [`EmWorkflow::run_patched`]: the same workflow runs over the extra
-//! table against the whole USDA table, and the results are unioned (with
-//! the patch winning on overlap, which union with provenance-merge makes
-//! explicit).
+//! table against the whole USDA table, and the caller unions the two
+//! results by business identifier ([`MatchIds::union`]).
 
-use crate::blocking_plan::{run_blocking, BlockingPlan};
+use crate::blocking_plan::BlockingPlan;
 use crate::error::CoreError;
 use crate::matcher::TrainedMatcher;
-use em_blocking::CandidateSet;
+use crate::stream::{Collected, StreamMatcher, MATCH_THRESHOLD};
+use em_blocking::{CandidateSet, Pair};
 use em_rules::RuleSet;
 use em_table::Table;
 
@@ -46,7 +54,11 @@ pub struct WorkflowResult {
     pub blocked: CandidateSet,
     /// The matcher's input: `blocked − sure` (`C` / `D`).
     pub candidates: CandidateSet,
-    /// Model-predicted matches over `candidates` (`R1` / `R2`).
+    /// Every pair of `candidates` with the matcher's probability, in
+    /// `(left, right)` order.
+    pub scored: Vec<(Pair, f64)>,
+    /// Model-predicted matches over `candidates` (`R1` / `R2`): the
+    /// `scored` pairs at or above 0.5.
     pub predicted: CandidateSet,
     /// Predictions flipped to non-match by the negative rules.
     pub flipped: CandidateSet,
@@ -65,30 +77,43 @@ impl WorkflowResult {
 }
 
 impl<'m> EmWorkflow<'m> {
-    /// Runs the workflow over one table pair.
+    /// Runs the workflow over one table pair: one collecting run of the
+    /// fused stream, assembled into sets once the matcher is dropped. A
+    /// pair's provenance tag is the stage that produced it (`rule`,
+    /// `blocked`, `model:<learner>`, `match`), not the individual rule or
+    /// blocker: the stream does not track which scheme admitted a pair.
     pub fn run(&self, umetrics: &Table, usda: &Table) -> Result<WorkflowResult, CoreError> {
-        let mut sure = self.rules.sure_matches(umetrics, usda)?;
-        sure.set_name("sure");
-        let blocked = run_blocking(umetrics, usda, &self.plan)?.consolidated;
-        let mut candidates = blocked.minus(&sure);
-        candidates.set_name("C");
-        let predicted = self.matcher.predict(umetrics, usda, &candidates)?;
-        let (kept, flipped) = if self.apply_negative {
-            self.rules.apply_negative(umetrics, usda, &predicted)?
-        } else {
-            (predicted.clone(), CandidateSet::new("flipped"))
-        };
-        let mut matches = sure.union(&kept);
-        matches.set_name("matches");
-        Ok(WorkflowResult { sure, blocked, candidates, predicted, flipped, matches })
+        let unapplied = RuleSet::default();
+        let negative = if self.apply_negative { &self.rules } else { &unapplied };
+        let Collected { sure, blocked, scored, matches } =
+            StreamMatcher::with_rules(umetrics, usda, self.matcher, &self.rules, negative, &self.plan)?
+                .run_collecting()
+                .1;
+        let model = format!("model:{}", self.matcher.learner_name);
+        let matches = CandidateSet::from_pairs("matches", matches, "match");
+        let predicted = CandidateSet::from_pairs(
+            "predicted",
+            scored.iter().filter(|(_, p)| *p >= MATCH_THRESHOLD).map(|(pair, _)| *pair),
+            &model,
+        );
+        let mut flipped = predicted.minus(&matches);
+        flipped.set_name("flipped");
+        Ok(WorkflowResult {
+            sure: CandidateSet::from_pairs("sure", sure, "rule"),
+            blocked: CandidateSet::from_pairs("blocked", blocked, "blocked"),
+            candidates: CandidateSet::from_pairs("C", scored.iter().map(|(pair, _)| *pair), "blocked"),
+            scored,
+            predicted,
+            flipped,
+            matches,
+        })
     }
 
-    /// Runs the original workflow untouched and a patch workflow over the
-    /// extra records, returning `(original, patch, combined matches)` —
-    /// Figure 9's composition. The patch's predictions win on overlap by
-    /// construction (identical pairs cannot conflict; distinct row spaces
-    /// cannot overlap at all, which this encodes by unioning match *id*
-    /// sets downstream).
+    /// Runs the workflow over the original table and again, as its own
+    /// patch, over the extra records, returning `(original, patch)` —
+    /// Figure 9's composition. The two runs work in distinct row spaces, so
+    /// their matches combine downstream by identifier
+    /// ([`MatchIds::union`]), where identical pairs cannot conflict.
     pub fn run_patched(
         &self,
         umetrics: &Table,
@@ -295,6 +320,34 @@ mod tests {
         let p0 = tp0 as f64 / n0.max(1) as f64;
         let p1 = tp1 as f64 / n1.max(1) as f64;
         assert!(p1 >= p0, "negative rules reduced precision: {p0} -> {p1}");
+    }
+
+    #[test]
+    fn degenerate_inputs_are_empty_results_or_typed_errors() {
+        let f = fixture();
+        let wf = EmWorkflow {
+            rules: rules(),
+            plan: BlockingPlan::default(),
+            matcher: &f.matcher,
+            apply_negative: true,
+        };
+        let no_rows = Table::new("U", f.u.schema().clone());
+        let r = wf.run(&no_rows, &f.s).unwrap();
+        assert!(r.universe().is_empty() && r.scored.is_empty() && r.matches.is_empty());
+
+        let untitled = f.u.drop_column("AwardTitle").unwrap();
+        assert!(wf.run(&untitled, &f.s).is_err());
+        assert!(wf.run(&f.u, &f.s.drop_column("AwardTitle").unwrap()).is_err());
+
+        let featureless = TrainedMatcher {
+            features: em_features::FeatureSet::default(),
+            imputer: f.matcher.imputer.clone(),
+            model: f.matcher.model.clone(),
+            learner_name: f.matcher.learner_name.clone(),
+            feature_importance: None,
+        };
+        let wf = EmWorkflow { matcher: &featureless, ..wf };
+        assert!(matches!(wf.run(&f.u, &f.s), Err(CoreError::Pipeline(_))));
     }
 
     #[test]

@@ -1,10 +1,14 @@
-//! The fused streaming executor is the materialized workflow, bit for bit:
-//! same counts, same per-pair probabilities (`f64::to_bits` equality),
-//! same final match list — and all of it thread-invariant, checksum
-//! included. And it computes no feature the model does not read for the
-//! pair: what the scorer pulled is exactly the distinct split features on
-//! the traversed paths.
+//! The fused stream — the one batch executor, under `EmWorkflow::run` and
+//! as the accounting-only `StreamMatcher::run` — is the materialized chain
+//! of stage functions, bit for bit: same sets, same per-pair probabilities
+//! (`f64::to_bits` equality), same order, at any thread count, with the
+//! negative rules applied or not. And it computes no feature the model does
+//! not read for the pair: what the scorer pulled is exactly the distinct
+//! split features on the traversed paths.
 
+mod common;
+
+use common::{assert_run_equals, materialized};
 use em_core::blocking_plan::{run_blocking, BlockingPlan};
 use em_core::labeling::run_labeling;
 use em_core::matcher::{build_training_data, train_matcher, MatcherStage, TrainedMatcher};
@@ -21,12 +25,16 @@ use std::collections::BTreeSet;
 /// concurrently with each other.
 static THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// Small-scenario tables plus a matcher trained with the named learner
-/// (forced, not CV-selected, so both the masked tree/forest path and the
-/// dense-model path get exercised deterministically).
-fn fixture(learner: &str) -> (Table, Table, TrainedMatcher) {
-    let scenario = Scenario::generate(ScenarioConfig::small().with_seed(5)).unwrap();
+/// Small-scenario tables — original, extra (no employee rows), USDA — plus
+/// a matcher trained with the named learner (forced, not CV-selected, so
+/// both the masked tree/forest path and the dense-model path get exercised
+/// deterministically). At this seed the negative rules flip predictions of
+/// all three learners, on the original table and on the extra one.
+fn fixture(learner: &str) -> (Table, Table, Table, TrainedMatcher) {
+    let scenario = Scenario::generate(ScenarioConfig::small().with_seed(1)).unwrap();
     let u = project_umetrics(&scenario.award_agg, &scenario.employees).unwrap();
+    let no_employees = Table::new("emp", scenario.employees.schema().clone());
+    let extra_u = project_umetrics(&scenario.extra_award_agg, &no_employees).unwrap();
     let s = project_usda(&scenario.usda, true).unwrap();
     let candidates = run_blocking(&u, &s, &BlockingPlan::default()).unwrap().consolidated;
     let oracle = Oracle::new(&scenario.truth, OracleConfig::default());
@@ -36,7 +44,7 @@ fn fixture(learner: &str) -> (Table, Table, TrainedMatcher) {
     let rules = standard_rule_descs().build();
     let (data, imputer) = build_training_data(&u, &s, &features, &labeled, &rules).unwrap();
     let matcher = train_matcher(features, imputer, &data, learner, &stage).unwrap();
-    (u, s, matcher)
+    (u, extra_u, s, matcher)
 }
 
 #[test]
@@ -46,77 +54,60 @@ fn fused_stream_matches_materialized_workflow_bitwise() {
     // flattened walk that pulls from it; Logistic Regression exercises the
     // dense (full-mask, pull-everything) path.
     for learner in ["Decision Tree", "Random Forest", "Logistic Regression"] {
-        let (u, s, matcher) = fixture(learner);
+        let (u, _, s, matcher) = fixture(learner);
         let descs = standard_rule_descs();
         let plan = BlockingPlan::default();
-        let wf = EmWorkflow {
-            rules: descs.build(),
-            plan: BlockingPlan::default(),
-            matcher: &matcher,
-            apply_negative: true,
-        };
-        let r = wf.run(&u, &s).unwrap();
-        let probs = matcher.probabilities(&u, &s, &r.candidates).unwrap();
 
+        // `EmWorkflow::run` against the materialized chain.
+        let [want, _] = [true, false].map(|apply_negative| {
+            let wf = EmWorkflow { rules: descs.build(), plan, matcher: &matcher, apply_negative };
+            let want = materialized(&wf, &u, &s);
+            // The fixture must be non-trivial for the comparison to mean much.
+            assert!(!want.scored.is_empty(), "[{learner}] no candidates");
+            assert!(!want.matches.is_empty(), "[{learner}] no matches");
+            assert_eq!(want.flipped.is_empty(), !apply_negative, "[{learner}] flips");
+            for threads in [1, 4] {
+                em_parallel::set_threads(threads);
+                let r = wf.run(&u, &s);
+                em_parallel::set_threads(0);
+                let ctx = format!("{learner}, negative {apply_negative}, {threads} threads");
+                assert_run_equals(&r.unwrap(), &want, &ctx);
+            }
+            want
+        });
+
+        // The accounting-only stream against the same chain (negative rules
+        // applied), and its own thread invariance, checksum included.
         let sm = StreamMatcher::new(&u, &s, &matcher, &descs, &plan).unwrap();
         em_parallel::set_threads(1);
-        let (o1, scored1, matches1) = sm.run_collecting();
+        let o1 = sm.run();
         em_parallel::set_threads(4);
-        let (o4, scored4, matches4) = sm.run_collecting();
+        let o4 = sm.run();
         em_parallel::set_threads(0);
-
-        // Thread invariance: accounting (checksum included), scores, and
-        // matches identical at 1 and 4 threads.
         assert_eq!(o1, o4, "[{learner}] outcome depends on thread count");
-        assert_eq!(scored1.len(), scored4.len());
-        for (a, b) in scored1.iter().zip(scored4.iter()) {
-            assert_eq!(a.0, b.0);
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "[{learner}] score depends on threads");
-        }
-        assert_eq!(matches1, matches4);
-
-        // The fixture must be non-trivial for the comparison to mean much.
-        assert!(o1.candidates > 0, "[{learner}] no candidates streamed");
-        assert!(o1.matched > 0, "[{learner}] no matches streamed");
-
-        // Accounting equals the materialized workflow's set sizes.
-        assert_eq!(o1.sure, r.sure.len(), "[{learner}] sure count");
-        assert_eq!(o1.candidates, r.candidates.len(), "[{learner}] candidate count");
-        assert_eq!(o1.predicted, r.predicted.len(), "[{learner}] predicted count");
-        assert_eq!(o1.flipped, r.flipped.len(), "[{learner}] flipped count");
-        assert_eq!(o1.matched, r.matches.len(), "[{learner}] match count");
+        assert_eq!(o1, sm.run_collecting().0, "[{learner}] collecting changes the accounting");
+        assert_eq!(o1.sure, want.sure.len(), "[{learner}] sure count");
+        assert_eq!(o1.candidates, want.scored.len(), "[{learner}] candidate count");
+        assert_eq!(o1.predicted, want.predicted.len(), "[{learner}] predicted count");
+        assert_eq!(o1.flipped, want.flipped.len(), "[{learner}] flipped count");
+        assert_eq!(o1.matched, want.matches.len(), "[{learner}] match count");
         assert_eq!(
             o1.histogram.iter().sum::<u64>(),
             o1.candidates as u64,
             "[{learner}] histogram does not cover every scored candidate"
         );
 
-        // Per-pair probabilities: same pairs in the same (left, right)
-        // order, bit-identical scores.
-        assert_eq!(scored1.len(), probs.len(), "[{learner}] scored-pair count");
-        for ((sp, sv), (mp, mv)) in scored1.iter().zip(probs.iter()) {
-            assert_eq!(sp, mp, "[{learner}] scored pair order");
-            assert_eq!(
-                sv.to_bits(),
-                mv.to_bits(),
-                "[{learner}] probability mismatch at {sp:?}: {sv} vs {mv}"
-            );
-        }
-
-        // The final match list is the workflow's, pair for pair.
-        assert_eq!(matches1, r.matches.to_vec(), "[{learner}] match list");
-
         // Features computed per pair: walk the model over each pair's full,
         // imputed row and note which features the walk asks for. The stream
         // must have computed those and no others — per feature over all
         // pairs, and pair by pair in how many.
-        let pairs: Vec<_> = scored1.iter().map(|(p, _)| *p).collect();
+        let pairs: Vec<_> = want.scored.iter().map(|(p, _)| *p).collect();
         let mut rows = extract_vectors(&matcher.features, &u, &s, &pairs).unwrap();
         matcher.imputer.transform(&mut rows);
         let nf = matcher.features.len();
         let scorer = matcher.model.block_scorer();
         let (mut pulls, mut by_pulled) = (vec![0u64; nf], vec![0u64; nf + 1]);
-        for (row, (_, p)) in rows.iter().zip(&scored1) {
+        for (row, (_, p)) in rows.iter().zip(&want.scored) {
             let mut read = BTreeSet::new();
             let walked = scorer.score_with(&mut vec![0.0; nf], |k| {
                 read.insert(k);
@@ -135,5 +126,29 @@ fn fused_stream_matches_materialized_workflow_bitwise() {
         let can_read = matcher.model.referenced_features().map_or(nf, |live| live.len());
         assert_eq!(sm.mask().n_live(), can_read, "[{learner}] mask is what the model can read");
         assert!(by_pulled[can_read + 1..].iter().all(|&n| n == 0));
+    }
+}
+
+/// What `CaseStudy` relies on to read Figures 9 and 10 off one run each of
+/// the original and the patch: without the negative rules a run's matches
+/// are `sure ∪ predicted` of the run that applies them, and `flipped` is
+/// what that run took out.
+#[test]
+fn unapplied_run_is_sure_plus_predicted_of_the_applied_run() {
+    let (u, extra_u, s, matcher) = fixture("Decision Tree");
+    let wf = |apply_negative| EmWorkflow {
+        rules: standard_rule_descs().build(),
+        plan: BlockingPlan::default(),
+        matcher: &matcher,
+        apply_negative,
+    };
+    for left in [&u, &extra_u] {
+        let unapplied = wf(false).run(left, &s).unwrap();
+        let applied = wf(true).run(left, &s).unwrap();
+        assert!(!applied.flipped.is_empty(), "{}: nothing flipped", left.name());
+        assert!(unapplied.flipped.is_empty());
+        assert_eq!(unapplied.predicted.to_vec(), applied.predicted.to_vec());
+        assert_eq!(unapplied.matches.to_vec(), applied.sure.union(&applied.predicted).to_vec());
+        assert_eq!(applied.flipped.to_vec(), applied.predicted.minus(&applied.matches).to_vec());
     }
 }

@@ -16,11 +16,16 @@
 //!   the nested-loop scan and to the batch join over the same rows.
 //! - **Sure matches** probe one hash index per positive rule (the same
 //!   right-key join `EqualityRule::find_all` performs).
-//! - **Prediction** runs the identical `extract_vectors` → imputer →
-//!   `predict_proba ≥ threshold` chain; feature values are pure functions
-//!   of the two cell values, so a one-row probe extracts the same floats
-//!   the whole-table batch extraction does.
-//! - **Negative rules** apply per pair exactly as `apply_negative`.
+//! - **Prediction** ends in the routine the batch stream ends in,
+//!   `em_core::stream::score_pair`: the scorer walks the model and pulls
+//!   each feature it tests from the masked serve extractor, imputed as it
+//!   is read. Feature values are pure functions of the two cell values, so
+//!   a one-row probe yields the floats `extract_vectors` would, and a
+//!   feature the walk never asks for would have reached no comparison of
+//!   `predict_proba ≥ threshold` either.
+//! - **Negative rules** run on predicted matches only, per pair, through
+//!   `RuleSet::any_negative_fires` — the test the batch stream's bound
+//!   rules are held equal to.
 //!
 //! Because every arriving row is scored independently and
 //! [`MatchService::match_batch`] merges per-row results in row order

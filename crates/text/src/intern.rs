@@ -5,9 +5,8 @@
 //! heap-allocated tokens. This module fixes both costs:
 //!
 //! - [`Interner`] maps each distinct token string to a dense `u32` id.
-//! - [`TokenCache`] memoizes *raw text → sorted distinct token ids* behind
-//!   a mutex, so each distinct cell value is normalized + tokenized +
-//!   interned exactly once per cache, no matter how many pairs touch it.
+//! - [`TokenCache`] is a normalizer and an [`Interner`] behind a mutex:
+//!   one id space shared by every column tokenized through it.
 //! - [`TokenCorpus`] tokenizes a whole column up front into per-row id
 //!   lists (the "tokenize each column once" layout blockers consume), and
 //!   grows a row at a time under an online index.
@@ -131,30 +130,17 @@ impl TokenQuery {
 /// Sorted distinct token ids of one text value. Cheap to clone and share.
 pub type TokenIds = Arc<[u32]>;
 
-/// Default cap on the text→ids memo of a [`TokenCache`]. When the memo
-/// reaches the cap it is cleared wholesale (an *epoch*), so long-running
-/// streams of distinct texts hold RSS flat instead of growing without
-/// bound. Interner ids are **never** evicted — they must stay stable for
-/// every [`TokenCorpus`] already built against the cache — and re-tokenized
-/// texts re-intern to the same ids, so eviction never changes results.
-pub const TEXT_MEMO_CAP: usize = 1 << 20;
-
 struct CacheInner {
     interner: Interner,
-    memo: FastMap<String, TokenIds>,
-    empty: TokenIds,
-    memo_cap: usize,
-    memo_epochs: u64,
-    /// Buffers every memo miss tokenizes through.
+    /// Buffers every text tokenizes through.
     query: TokenQuery,
 }
 
-/// Memoizing normalizer + word tokenizer + interner.
+/// Normalizer + word tokenizer + interner.
 ///
-/// `token_ids` returns the **sorted distinct** token ids of a text value,
-/// computing them at most once per distinct input string. Shareable across
-/// blockers via `Arc` so one table column is tokenized once for the whole
-/// blocking plan.
+/// `token_ids` returns the **sorted distinct** token ids of a text value.
+/// Shareable across blockers so the columns of one blocking plan are
+/// tokenized into one id space.
 pub struct TokenCache {
     normalizer: Normalizer,
     inner: Mutex<CacheInner>,
@@ -165,33 +151,17 @@ impl std::fmt::Debug for TokenCache {
         let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         f.debug_struct("TokenCache")
             .field("normalizer", &self.normalizer)
-            .field("distinct_texts", &inner.memo.len())
             .field("distinct_tokens", &inner.interner.len())
             .finish()
     }
 }
 
 impl TokenCache {
-    /// A cache applying `normalizer` before word tokenization, with the
-    /// default [`TEXT_MEMO_CAP`] memo bound.
+    /// A cache applying `normalizer` before word tokenization.
     pub fn new(normalizer: Normalizer) -> TokenCache {
-        TokenCache::with_memo_cap(normalizer, TEXT_MEMO_CAP)
-    }
-
-    /// Like [`TokenCache::new`] with an explicit memo cap (tests exercise
-    /// tiny caps to pin eviction behavior). A cap of 0 disables memoization
-    /// entirely; interning is unaffected either way.
-    pub fn with_memo_cap(normalizer: Normalizer, memo_cap: usize) -> TokenCache {
         TokenCache {
             normalizer,
-            inner: Mutex::new(CacheInner {
-                interner: Interner::new(),
-                memo: FastMap::default(),
-                empty: Arc::from(Vec::new()),
-                memo_cap,
-                memo_epochs: 0,
-                query: TokenQuery::default(),
-            }),
+            inner: Mutex::new(CacheInner { interner: Interner::new(), query: TokenQuery::default() }),
         }
     }
 
@@ -200,34 +170,13 @@ impl TokenCache {
         TokenCache::new(Normalizer::for_blocking())
     }
 
-    /// Sorted distinct token ids for `text`; `None` and empty inputs map to
-    /// the shared empty list.
+    /// Sorted distinct token ids for `text`, tokenized on every call; `None`
+    /// has no tokens. Whole columns go through [`TokenCorpus::from_column`].
     pub fn token_ids(&self, text: Option<&str>) -> TokenIds {
         let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let Some(text) = text else { return Arc::clone(&inner.empty) };
-        if let Some(ids) = inner.memo.get(text) {
-            return Arc::clone(ids);
-        }
-        let CacheInner { interner, query, .. } = &mut *inner;
-        query.intern(&self.normalizer, interner, Some(text));
-        let ids: TokenIds = Arc::from(query.ids());
-        if inner.memo_cap > 0 && inner.memo.len() >= inner.memo_cap {
-            // Size-capped epoch eviction: drop the whole memo rather than
-            // track per-entry recency. Ids are stable, so a re-miss just
-            // recomputes the identical value.
-            inner.memo.clear();
-            inner.memo_epochs += 1;
-        }
-        if inner.memo_cap > 0 {
-            inner.memo.insert(text.to_string(), Arc::clone(&ids));
-        }
-        ids
-    }
-
-    /// How many times the text memo hit its cap and was cleared.
-    pub fn memo_epochs(&self) -> u64 {
-        let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        inner.memo_epochs
+        let CacheInner { interner, query } = &mut *inner;
+        query.intern(&self.normalizer, interner, text);
+        Arc::from(query.ids())
     }
 
     /// The token string behind an id (allocates; debugging/reporting only).
@@ -240,12 +189,6 @@ impl TokenCache {
     pub fn n_tokens(&self) -> usize {
         let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         inner.interner.len()
-    }
-
-    /// Number of distinct texts memoized so far (cache hit-surface size).
-    pub fn n_texts(&self) -> usize {
-        let inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        inner.memo.len()
     }
 }
 
@@ -286,27 +229,18 @@ impl TokenCorpus {
     /// because this pass is sequential.
     ///
     /// This is the bulk path: the cache is locked **once** for the whole
-    /// column, memoized texts are copied straight into the arena, and cache
-    /// misses tokenize through the cache's reused [`TokenQuery`] — no per-row
-    /// `Arc`, normalized or token `String`, or memo-key allocation.
-    /// Misses are *not* inserted into the memo (the corpus itself is the
-    /// artifact); interner ids come out identical either way because the
-    /// intern sequence is unchanged.
+    /// column and every row tokenizes through the cache's reused
+    /// [`TokenQuery`] — no per-row `Arc`, normalized or token `String`.
     pub fn from_column<'a, I>(cache: &TokenCache, column: I) -> TokenCorpus
     where
         I: IntoIterator<Item = Option<&'a str>>,
     {
         let mut inner = cache.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let CacheInner { interner, memo, query, .. } = &mut *inner;
+        let CacheInner { interner, query } = &mut *inner;
         let mut corpus = TokenCorpus::new();
         for text in column {
-            match text.and_then(|t| memo.get(t)) {
-                Some(ids) => corpus.push_row(ids),
-                None => {
-                    query.intern(&cache.normalizer, interner, text);
-                    corpus.push_row(query.ids());
-                }
-            }
+            query.intern(&cache.normalizer, interner, text);
+            corpus.push_row(query.ids());
         }
         corpus
     }
@@ -467,40 +401,14 @@ mod tests {
     }
 
     #[test]
-    fn capped_memo_evicts_in_epochs_without_changing_ids() {
-        let capped = TokenCache::with_memo_cap(crate::Normalizer::for_blocking(), 4);
-        let unbounded = TokenCache::for_blocking();
-        let texts: Vec<String> = (0..40).map(|i| format!("grant corn {i}")).collect();
-        // Two interleaved passes so evicted entries get re-missed.
-        for _ in 0..2 {
-            for t in &texts {
-                assert_eq!(
-                    capped.token_ids(Some(t)).as_ref(),
-                    unbounded.token_ids(Some(t)).as_ref(),
-                    "eviction must never change token ids"
-                );
-            }
-        }
-        assert!(capped.memo_epochs() > 0, "tiny cap must have cycled epochs");
-        assert!(capped.n_texts() <= 4, "memo stays within its cap");
-        assert_eq!(capped.n_tokens(), unbounded.n_tokens(), "interner is never evicted");
-        // Cap 0 disables memoization but still tokenizes correctly.
-        let off = TokenCache::with_memo_cap(crate::Normalizer::for_blocking(), 0);
-        let ids = off.token_ids(Some("Corn GRANT"));
-        let words: Vec<String> = ids.iter().map(|&id| off.resolve(id).unwrap()).collect();
-        assert_eq!(words, ["corn", "grant"]);
-        assert_eq!(off.token_ids(Some("Corn GRANT")).as_ref(), ids.as_ref());
-        assert_eq!(off.n_texts(), 0);
-        assert_eq!(off.memo_epochs(), 0);
-    }
-
-    #[test]
-    fn cache_memoizes_and_dedups() {
+    fn cache_dedups_and_re_tokenizes_to_the_same_ids() {
         let cache = TokenCache::for_blocking();
         let a = ids_of(&cache, "Corn corn CORN fungicide");
         assert_eq!(a.len(), 2, "distinct after lowercasing: {a:?}");
-        let b = ids_of(&cache, "Corn corn CORN fungicide");
-        assert!(Arc::ptr_eq(&a, &b), "second lookup must hit the memo");
+        let words: Vec<String> = a.iter().map(|&id| cache.resolve(id).unwrap()).collect();
+        assert_eq!(words, ["corn", "fungicide"]);
+        assert_eq!(ids_of(&cache, "Corn corn CORN fungicide"), a, "ids are stable across calls");
+        assert_eq!(cache.n_tokens(), 2);
         assert!(cache.token_ids(None).is_empty());
     }
 

@@ -50,7 +50,7 @@ pub mod tokenize;
 
 pub use corpus::TfIdfCorpus;
 pub use fasthash::{FastMap, FastSet};
-pub use intern::{TokenCache, TokenCorpus, TEXT_MEMO_CAP};
+pub use intern::{TokenCache, TokenCorpus};
 pub use normalize::Normalizer;
 pub use scratch::{with_scratch, KernelScratch, PatternMasks};
 pub use tokenize::{
