@@ -1,12 +1,5 @@
 //! T-block / A-3: blocking performance at paper scale — attribute
 //! equivalence, the overlap blocker, and the overlap-coefficient blocker.
-//!
-//! Historical note on the footnote-4 "string filtering techniques"
-//! ablation: the `use_prefix_filter` toggle is retained for API
-//! compatibility, but the set-similarity join engine always runs the
-//! (provably exact) length + prefix filters, so the `*_prefix_filter` /
-//! `*_no_filter` pairs below now pin that the toggle changes neither the
-//! output nor, within noise, the timing.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use em_bench::fixtures;
@@ -26,24 +19,12 @@ fn bench_blockers(c: &mut Criterion) {
         b.iter(|| blocker.block(u, s).unwrap())
     });
 
-    g.bench_function("overlap_k3_prefix_filter", |b| {
-        let blocker = OverlapBlocker::new("AwardTitle", "AwardTitle", 3).with_prefix_filter();
-        b.iter(|| blocker.block(u, s).unwrap())
-    });
-
-    g.bench_function("overlap_k3_no_filter", |b| {
+    g.bench_function("overlap_k3", |b| {
         let blocker = OverlapBlocker::new("AwardTitle", "AwardTitle", 3);
         b.iter(|| blocker.block(u, s).unwrap())
     });
 
-    // At K = 6 each record's canonical prefix is only a few rare tokens, so
-    // filtering should start to pay (the classic prefix-filter regime).
-    g.bench_function("overlap_k6_prefix_filter", |b| {
-        let blocker = OverlapBlocker::new("AwardTitle", "AwardTitle", 6).with_prefix_filter();
-        b.iter(|| blocker.block(u, s).unwrap())
-    });
-
-    g.bench_function("overlap_k6_no_filter", |b| {
+    g.bench_function("overlap_k6", |b| {
         let blocker = OverlapBlocker::new("AwardTitle", "AwardTitle", 6);
         b.iter(|| blocker.block(u, s).unwrap())
     });

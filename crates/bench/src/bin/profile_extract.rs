@@ -117,8 +117,12 @@ fn stream(factor: f64) -> Result<(), Box<dyn std::error::Error>> {
     let c1 = c1_scheme(u, d)?;
     eprintln!("  C1 scheme             {:8.1} ms ({} pairs)", ms(t0), c1.len());
     let t0 = Instant::now();
-    let bound = rules.bind_negative(u, d);
-    eprintln!("  negative rules bound  {:8.1} ms", ms(t0));
+    let bound = rules.bind_negative(d)?;
+    let mut left_keys = Vec::new();
+    for row in u.iter() {
+        bound.bind_left(row, &mut left_keys);
+    }
+    eprintln!("  negative rules bound  {:8.1} ms ({} left keys)", ms(t0), left_keys.len());
     std::hint::black_box(&bound);
     let t0 = Instant::now();
     let cache = TokenCache::for_blocking();

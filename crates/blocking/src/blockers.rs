@@ -275,10 +275,6 @@ pub struct OverlapBlocker {
     pub right_attr: String,
     /// Minimum number of shared distinct tokens (≥ 1).
     pub threshold: usize,
-    /// Retained for API compatibility; the join engine has one execution
-    /// path, so this flag no longer changes it (and never changed
-    /// results).
-    pub use_prefix_filter: bool,
     cache: Arc<TokenCache>,
     validated: OnceLock<Result<(), String>>,
 }
@@ -294,17 +290,9 @@ impl OverlapBlocker {
             left_attr: left_attr.into(),
             right_attr: right_attr.into(),
             threshold,
-            use_prefix_filter: false,
             cache: Arc::new(TokenCache::for_blocking()),
             validated: OnceLock::new(),
         }
-    }
-
-    /// Historical builder for the opt-in prefix-filter path; kept so
-    /// existing call sites compile. The join engine filters always.
-    pub fn with_prefix_filter(mut self) -> Self {
-        self.use_prefix_filter = true;
-        self
     }
 
     /// This blocker's join predicate, validated — for plan-level batching
@@ -652,18 +640,6 @@ mod tests {
         assert!(c.contains(&Pair::new(1, 1)), "dodder titles share >= 3 tokens");
         assert!(!c.contains(&Pair::new(2, 2)), "'lab supplies' shares only 2 tokens");
         assert!(!c.contains(&Pair::new(0, 3)));
-    }
-
-    #[test]
-    fn overlap_blocker_filter_matches_unfiltered() {
-        let (a, b) = (left(), right());
-        for k in 1..=4 {
-            let fast = OverlapBlocker::new("AwardTitle", "AwardTitle", k).with_prefix_filter();
-            let slow = OverlapBlocker::new("AwardTitle", "AwardTitle", k);
-            let cf = fast.block(&a, &b).unwrap();
-            let cs = slow.block(&a, &b).unwrap();
-            assert_eq!(cf.to_vec(), cs.to_vec(), "K={k}");
-        }
     }
 
     #[test]

@@ -36,17 +36,15 @@ fn cset(name: &str, ps: &[(usize, usize)]) -> CandidateSet {
 
 proptest! {
     /// Index-based overlap blocking equals the Cartesian scan with
-    /// `accepts`, with and without the prefix filter.
+    /// `accepts`.
     #[test]
     fn overlap_block_equals_cartesian(
         la in proptest::collection::vec(title(), 1..8),
         lb in proptest::collection::vec(title(), 1..8),
         k in 1usize..4,
-        filter in any::<bool>(),
     ) {
         let (a, b) = (table(la), table(lb));
-        let mut blocker = OverlapBlocker::new("Title", "Title", k);
-        blocker.use_prefix_filter = filter;
+        let blocker = OverlapBlocker::new("Title", "Title", k);
         let fast = blocker.block(&a, &b).unwrap();
         for i in 0..a.n_rows() {
             for j in 0..b.n_rows() {

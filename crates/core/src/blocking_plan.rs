@@ -78,16 +78,17 @@ impl BlockingOutcome {
     }
 }
 
-/// The temporary column used for the C1 scheme (removed afterwards, as in
-/// the paper).
+/// The temporary column used for the C1 scheme (it lives on a copy that is
+/// dropped afterwards, as the paper removes it).
 const TEMP_COL: &str = "TempAwardNumber";
 
 /// Runs the C1 attribute-equivalence scheme alone: suffix-extract the M1
-/// key into a temporary column, AE-block it against the USDA
-/// `AwardNumber`, drop the column (pair indices are row indices, so they
-/// remain valid after the drop). Shared by [`run_blocking`] and the
-/// streaming scaling harness, which combines it with a [`join`]-engine
-/// count of `C2 ∪ C3` instead of materialized candidate sets.
+/// key into a temporary column of a copy of `umetrics` and AE-block it
+/// against the USDA `AwardNumber` (pair indices are row indices, so they
+/// hold for the borrowed table the copy was made from). Shared by
+/// [`run_blocking`] and the streaming scaling harness, which combines it
+/// with a [`join`]-engine count of `C2 ∪ C3` instead of materialized
+/// candidate sets.
 ///
 /// [`join`]: em_blocking::join
 pub fn c1_scheme(umetrics: &Table, usda: &Table) -> Result<CandidateSet, CoreError> {
@@ -97,7 +98,6 @@ pub fn c1_scheme(umetrics: &Table, usda: &Table) -> Result<CandidateSet, CoreErr
     let ae = AttrEquivalenceBlocker::new(TEMP_COL, "AwardNumber");
     let mut c1 = ae.block(&with_temp, usda)?;
     c1.set_name("C1");
-    let _restored = with_temp.drop_column(TEMP_COL)?; // paper step: remove temp
     Ok(c1)
 }
 

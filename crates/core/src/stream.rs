@@ -138,6 +138,9 @@ pub struct StreamMatcher<'a> {
     s: &'a Table,
     imputer: &'a Imputer,
     negatives: BoundNegativeRules,
+    /// Each left row's keys under the negative rules, `n_negative` a row.
+    left_keys: Vec<Option<(u32, u32)>>,
+    n_negative: usize,
     scorer: BlockScorer,
     extractor: BatchExtractor,
     join: JoinIndex,
@@ -163,7 +166,7 @@ struct StreamScratch {
     blocked: Vec<u32>,
     candidates: Vec<u32>,
     dense_row: Vec<f64>,
-    kept: Vec<(u32, u32)>,
+    kept: Vec<u32>,
     batch: BatchScratch,
 }
 
@@ -203,7 +206,7 @@ impl Csr {
 }
 
 /// Sorted-set union of two ascending id slices into `out`.
-fn merge_union(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+pub fn merge_union<T: Copy + Ord>(a: &[T], b: &[T], out: &mut Vec<T>) {
     out.clear();
     let (mut x, mut y) = (0usize, 0usize);
     while x < a.len() && y < b.len() {
@@ -228,7 +231,7 @@ fn merge_union(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 }
 
 /// Sorted-set difference `a − b` of two ascending id slices into `out`.
-fn merge_difference(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+pub fn merge_difference<T: Copy + Ord>(a: &[T], b: &[T], out: &mut Vec<T>) {
     out.clear();
     let mut y = 0usize;
     for &v in a {
@@ -252,7 +255,6 @@ impl StreamMatcher<'_> {
         let lo = c * STREAM_CHUNK;
         let hi = ((c + 1) * STREAM_CHUNK).min(self.u.n_rows());
         let mut res = ChunkResult { digest: FNV_OFFSET, ..ChunkResult::default() };
-        ws.kept.clear();
         for i in lo..hi {
             // blocked(i) = C1(i) ∪ join-probe(i); candidates = blocked − sure.
             self.join.probe_into(self.left_corpus.row(i), &self.spec, &mut ws.probe, &mut ws.hits);
@@ -263,56 +265,28 @@ impl StreamMatcher<'_> {
                 res.collected.blocked.extend(ws.blocked.iter().map(|&j| Pair::new(i, j as usize)));
             }
             self.score_candidates::<COLLECT>(i, ws, &mut res);
-        }
-        // Digest the chunk's final matches — sure ∪ kept, merged per left
-        // row in (left, right) order. The two streams are disjoint (kept ⊆
-        // blocked − sure) and each is sorted, so this is a plain merge.
-        let mut k = 0usize;
-        for i in lo..hi {
-            let sure_row = self.sure.row(i);
-            let start = k;
-            while k < ws.kept.len() && ws.kept[k].0 == i as u32 {
-                k += 1;
-            }
-            let kept_row = &ws.kept[start..k];
-            let (mut x, mut y) = (0usize, 0usize);
-            while x < sure_row.len() || y < kept_row.len() {
-                let j = match (sure_row.get(x), kept_row.get(y)) {
-                    (Some(&a), Some(&(_, b))) => {
-                        if a < b {
-                            x += 1;
-                            a
-                        } else {
-                            y += 1;
-                            b
-                        }
-                    }
-                    (Some(&a), None) => {
-                        x += 1;
-                        a
-                    }
-                    (None, Some(&(_, b))) => {
-                        y += 1;
-                        b
-                    }
-                    (None, None) => break,
-                };
+            // Digest the row's final matches, sure ∪ kept, in (left, right)
+            // order (the two are disjoint: kept ⊆ blocked − sure).
+            merge_union(self.sure.row(i), &ws.kept, &mut ws.hits);
+            for &j in &ws.hits {
                 res.digest = fnv_u64(fnv_u64(res.digest, i as u64), u64::from(j));
-                res.matched += 1;
                 if COLLECT {
                     res.collected.matches.push(Pair::new(i, j as usize));
                 }
             }
+            res.matched += ws.hits.len();
         }
         res
     }
 
     /// Scores left row `i`'s candidates against it — the extractor prepares
     /// the row once, each candidate is one [`score_pair`] — folding
-    /// verdicts into `res` and surviving matches into the worker's `kept`
-    /// list.
+    /// verdicts into `res` and the row's surviving matches into the worker's
+    /// `kept` list.
     fn score_candidates<const COLLECT: bool>(&self, i: usize, ws: &mut StreamScratch, res: &mut ChunkResult) {
         let StreamScratch { candidates, dense_row, batch, kept, .. } = ws;
+        let keys = &self.left_keys[i * self.n_negative..(i + 1) * self.n_negative];
+        kept.clear();
         for &j in candidates.iter() {
             let pair = Pair::new(i, j as usize);
             let p = score_pair(&self.scorer, self.imputer, self.extractor.pair(pair, batch), dense_row);
@@ -323,10 +297,10 @@ impl StreamMatcher<'_> {
             }
             if p >= MATCH_THRESHOLD {
                 res.predicted += 1;
-                if self.negatives.any_fires(pair.left, pair.right) {
+                if self.negatives.any_fires(keys, pair.right) {
                     res.flipped += 1;
                 } else {
-                    kept.push((i as u32, j));
+                    kept.push(j);
                 }
             }
         }
@@ -370,13 +344,13 @@ impl<'a> StreamMatcher<'a> {
         umetrics.schema().require(BLOCK_COL)?;
         usda.schema().require(BLOCK_COL)?;
         let mask = derive_feature_mask(&matcher.features, &matcher.model, &RuleSetDesc::new());
-        // The set-up legs share nothing but the tables, so they fork: the
-        // extractor's cache legs (heaviest first), the two small CSR
-        // adjacencies, the negative rules' per-row keys, and the blocking
-        // column's tokenization + join index.
-        // Each leg is a pure function of the tables — ids are assigned
-        // inside one leg, never across legs — so what comes back does not
-        // depend on the thread count.
+        // The set-up legs share nothing but the tables and the bound right
+        // side of the negative rules, so they fork: the extractor's cache
+        // legs (heaviest first), the two small CSR adjacencies, the left
+        // rows' negative-rule keys, and the blocking column's tokenization +
+        // join index. Each leg is a pure function of those — ids are
+        // assigned inside one leg, never across legs — so what comes back
+        // does not depend on the thread count.
         let cache_plan = BatchExtractor::plan(
             &matcher.features,
             umetrics,
@@ -385,6 +359,10 @@ impl<'a> StreamMatcher<'a> {
             Some((BLOCK_COL, BLOCK_COL)),
         )?;
         let n_cache = cache_plan.n_legs();
+        // Bound here, not in a leg: the binder keeps a small allocation per
+        // distinct right key for as long as the matcher lives, and those
+        // belong in this thread's heap, not scattered through a worker's.
+        let negatives = negative.bind_negative(usda)?;
         let legs = Executor::current().map_tasks(n_cache + 4, |t| -> Result<SetUp, CoreError> {
             Ok(match t.checked_sub(n_cache) {
                 None => SetUp::Cache(cache_plan.build_leg(t)),
@@ -392,7 +370,13 @@ impl<'a> StreamMatcher<'a> {
                     SetUp::Sure(Csr::from_set(&positive.sure_matches(umetrics, usda)?, umetrics.n_rows()))
                 }
                 Some(1) => SetUp::C1(Csr::from_set(&c1_scheme(umetrics, usda)?, umetrics.n_rows())),
-                Some(2) => SetUp::Negatives(negative.bind_negative(umetrics, usda)),
+                Some(2) => {
+                    let mut left_keys = Vec::with_capacity(umetrics.n_rows() * negative.negative.len());
+                    for row in umetrics.iter() {
+                        negatives.bind_left(row, &mut left_keys);
+                    }
+                    SetUp::Negatives(left_keys)
+                }
                 Some(_) => {
                     // One tokenization pass per column feeds both the join
                     // probes and the word-level set features, which copy
@@ -407,18 +391,18 @@ impl<'a> StreamMatcher<'a> {
             })
         });
         let mut cache_legs = Vec::with_capacity(n_cache);
-        let (mut sure, mut c1, mut negatives, mut joined) = (None, None, None, None);
+        let (mut sure, mut c1, mut left_keys, mut joined) = (None, None, None, None);
         for leg in legs {
             match leg? {
                 SetUp::Cache(leg) => cache_legs.push(leg),
                 SetUp::Sure(csr) => sure = Some(csr),
                 SetUp::C1(csr) => c1 = Some(csr),
-                SetUp::Negatives(bound) => negatives = Some(bound),
+                SetUp::Negatives(keys) => left_keys = Some(keys),
                 SetUp::Join(left, index) => joined = Some((left, index)),
             }
         }
-        let (Some(sure), Some(c1), Some(negatives), Some((left_corpus, join))) =
-            (sure, c1, negatives, joined)
+        let (Some(sure), Some(c1), Some(left_keys), Some((left_corpus, join))) =
+            (sure, c1, left_keys, joined)
         else {
             return Err(CoreError::Pipeline("a streaming set-up leg went missing".to_string()));
         };
@@ -436,6 +420,8 @@ impl<'a> StreamMatcher<'a> {
             s: usda,
             imputer: &matcher.imputer,
             negatives,
+            left_keys,
+            n_negative: negative.negative.len(),
             scorer: matcher.model.block_scorer(),
             extractor,
             join,
@@ -528,7 +514,7 @@ enum SetUp {
     Cache(CacheLeg),
     Sure(Csr),
     C1(Csr),
-    Negatives(BoundNegativeRules),
+    Negatives(Vec<Option<(u32, u32)>>),
     Join(TokenCorpus, JoinIndex),
 }
 
@@ -619,10 +605,30 @@ mod tests {
         s
     }
 
-    fn sorted_set(v: Vec<u32>) -> (BTreeSet<u32>, Vec<u32>) {
-        let set: BTreeSet<u32> = v.into_iter().collect();
+    fn sorted_set<T: Copy + Ord>(v: Vec<T>) -> (BTreeSet<T>, Vec<T>) {
+        let set: BTreeSet<T> = v.into_iter().collect();
         let flat = set.iter().copied().collect();
         (set, flat)
+    }
+
+    /// One of the two merges against `BTreeSet`'s own, at the caller's id
+    /// type.
+    fn merge_matches<T: Copy + Ord + std::fmt::Debug>(
+        merge: fn(&[T], &[T], &mut Vec<T>),
+        want: fn(&BTreeSet<T>, &BTreeSet<T>) -> Vec<T>,
+        a: Vec<T>,
+        b: Vec<T>,
+    ) {
+        let (aset, av) = sorted_set(a);
+        let (bset, bv) = sorted_set(b);
+        let mut out = Vec::new();
+        merge(&av, &bv, &mut out);
+        assert_eq!(out, want(&aset, &bset));
+    }
+
+    /// The stream's ids as the serve loop's.
+    fn widen(v: &[u32]) -> Vec<usize> {
+        v.iter().map(|&id| id as usize).collect()
     }
 
     #[test]
@@ -640,12 +646,8 @@ mod tests {
             a in proptest::collection::vec(0u32..64, 0..24),
             b in proptest::collection::vec(0u32..64, 0..24),
         ) {
-            let (aset, av) = sorted_set(a);
-            let (bset, bv) = sorted_set(b);
-            let mut out = Vec::new();
-            merge_union(&av, &bv, &mut out);
-            let want: Vec<u32> = aset.union(&bset).copied().collect();
-            prop_assert_eq!(out, want);
+            merge_matches(merge_union, |a, b| a.union(b).copied().collect(), widen(&a), widen(&b));
+            merge_matches(merge_union, |a, b| a.union(b).copied().collect(), a, b);
         }
 
         #[test]
@@ -653,12 +655,8 @@ mod tests {
             a in proptest::collection::vec(0u32..64, 0..24),
             b in proptest::collection::vec(0u32..64, 0..24),
         ) {
-            let (aset, av) = sorted_set(a);
-            let (bset, bv) = sorted_set(b);
-            let mut out = Vec::new();
-            merge_difference(&av, &bv, &mut out);
-            let want: Vec<u32> = aset.difference(&bset).copied().collect();
-            prop_assert_eq!(out, want);
+            merge_matches(merge_difference, |a, b| a.difference(b).copied().collect(), widen(&a), widen(&b));
+            merge_matches(merge_difference, |a, b| a.difference(b).copied().collect(), a, b);
         }
 
         #[test]

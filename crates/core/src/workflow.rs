@@ -185,6 +185,13 @@ impl MatchIds {
         MatchIds { pairs: self.pairs.union(&other.pairs).cloned().collect() }
     }
 
+    /// [`union`](MatchIds::union) in place, moving `other`'s pairs in — how
+    /// a gather folds per-shard or per-row results without copying the
+    /// set it has built so far.
+    pub fn absorb(&mut self, mut other: MatchIds) {
+        self.pairs.append(&mut other.pairs);
+    }
+
     /// Iterates `(award, accession)` pairs in order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
         self.pairs.iter().map(|(a, b)| (a.as_str(), b.as_str()))
@@ -201,6 +208,18 @@ mod tests {
     use em_datagen::{Oracle, OracleConfig, Scenario, ScenarioConfig};
     use em_features::auto_features;
     use em_rules::{EqualityRule, NegativeRule};
+
+    #[test]
+    fn absorb_is_union_in_place() {
+        let ids = |pairs: &[(&str, &str)]| {
+            MatchIds::from_pairs(pairs.iter().map(|(a, b)| (a.to_string(), b.to_string())))
+        };
+        let (a, b) = (ids(&[("A", "1"), ("B", "2")]), ids(&[("B", "2"), ("C", "3")]));
+        let mut acc = a.clone();
+        acc.absorb(b.clone());
+        assert_eq!(acc, a.union(&b));
+        assert_eq!(acc.len(), 3);
+    }
 
     struct Fixture {
         u: Table,

@@ -9,6 +9,9 @@ pub enum RuleError {
     BadPair(usize, usize),
     /// A serialized rule description did not parse.
     BadRuleDesc(String),
+    /// The named negative rule met more distinct keys than a `u32` id
+    /// space holds.
+    TooManyKeys(String),
     /// Underlying table error.
     Table(em_table::TableError),
 }
@@ -18,6 +21,9 @@ impl fmt::Display for RuleError {
         match self {
             RuleError::BadPair(l, r) => write!(f, "pair ({l}, {r}) is out of range"),
             RuleError::BadRuleDesc(detail) => write!(f, "bad rule description: {detail}"),
+            RuleError::TooManyKeys(rule) => {
+                write!(f, "negative rule {rule:?} has more than {} distinct keys", u32::MAX)
+            }
             RuleError::Table(e) => write!(f, "table error: {e}"),
         }
     }

@@ -15,35 +15,23 @@
 /// to a plausible year (1900–2099) become `YYYY`, other digits become `#`,
 /// letters become `X`, and everything else is kept literally.
 pub fn infer(value: &str) -> String {
-    let chars: Vec<char> = value.chars().collect();
-    let mut out = String::with_capacity(chars.len());
-    let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
+    // A pattern is never longer than its value, so this is the one
+    // allocation: `infer` runs once per arriving record on the serve path.
+    let mut out = String::with_capacity(value.len());
+    let mut rest = value;
+    while let Some(c) = rest.chars().next() {
         if c.is_ascii_digit() {
-            let mut j = i;
-            while j < chars.len() && chars[j].is_ascii_digit() {
-                j += 1;
+            let run = rest.bytes().take_while(u8::is_ascii_digit).count();
+            let year = run == 4 && rest[..4].parse().is_ok_and(|y: u32| (1900..=2099).contains(&y));
+            if year {
+                out.push_str("YYYY");
+            } else {
+                (0..run).for_each(|_| out.push('#'));
             }
-            let run: String = chars[i..j].iter().collect();
-            if run.len() == 4 {
-                let year: u32 = run.parse().unwrap_or(0);
-                if (1900..=2099).contains(&year) {
-                    out.push_str("YYYY");
-                    i = j;
-                    continue;
-                }
-            }
-            for _ in i..j {
-                out.push('#');
-            }
-            i = j;
-        } else if c.is_ascii_alphabetic() {
-            out.push('X');
-            i += 1;
+            rest = &rest[run..];
         } else {
-            out.push(c);
-            i += 1;
+            out.push(if c.is_ascii_alphabetic() { 'X' } else { c });
+            rest = &rest[c.len_utf8()..];
         }
     }
     out

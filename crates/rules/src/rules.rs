@@ -185,33 +185,94 @@ impl NegativeRule {
     }
 }
 
-/// One side of a bound negative rule, per row: the interned pattern of the
+/// One row's key under one bound negative rule: the interned pattern of the
 /// trimmed key and the interned key itself; `None` when the row has no key
 /// or only whitespace (never comparable, so the rule cannot fire).
-type BoundKeys = Vec<Option<(u32, u32)>>;
+type BoundKey = Option<(u32, u32)>;
 
-/// The negative rules of a [`RuleSet`] bound to one table pair: every key
-/// is derived, pattern-inferred and interned **once per row**, so the
-/// per-pair check of a long candidate stream is two loads and two integer
-/// comparisons — no key strings, no pattern strings.
-/// [`any_fires`](BoundNegativeRules::any_fires) equals
+/// The key id no right row carries: what a left key the right side never
+/// produced binds to. It differs from every right key, which is all a
+/// comparison asks of an id.
+const UNSEEN_KEY: u32 = u32::MAX;
+
+/// One negative rule with its right side bound.
+#[derive(Debug)]
+struct BoundRule {
+    rule: NegativeRule,
+    /// Pattern ids, one id space for both sides.
+    patterns: Interner,
+    /// Every right key seen so far, as stored; its pattern is inferred the
+    /// first time it is seen.
+    keys: FastMap<String, BoundKey>,
+    /// Per right row.
+    right: Vec<BoundKey>,
+}
+
+/// The negative rules of a [`RuleSet`] bound to a right table: every key is
+/// derived, pattern-inferred and interned **once per row**, so the per-pair
+/// check of a long candidate stream is two loads and two integer
+/// comparisons — no key strings, no pattern strings. The right side grows
+/// row by row; a left row is bound read-only — once per table row by the
+/// batch stream, once per request by the serve loop — and
+/// [`any_fires`](BoundNegativeRules::any_fires) on its keys equals
 /// [`RuleSet::any_negative_fires`] on the same rows.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BoundNegativeRules {
-    rules: Vec<(BoundKeys, BoundKeys)>,
+    rules: Vec<BoundRule>,
 }
 
 impl BoundNegativeRules {
-    /// True when any negative rule fires on rows `(left, right)`: the two
-    /// keys are comparable (same pattern) but different.
-    ///
-    /// # Panics
-    /// If a row index is past the table it was bound to.
+    /// Binds one more right row, the next row index.
+    pub fn push_right_row(&mut self, row: RowRef<'_>) -> Result<(), RuleError> {
+        for bound in &mut self.rules {
+            let key = match (bound.rule.right_key)(row) {
+                None => None,
+                Some(k) => {
+                    let next = u32::try_from(bound.keys.len())
+                        .ok()
+                        .filter(|&id| id != UNSEEN_KEY)
+                        .ok_or_else(|| RuleError::TooManyKeys(bound.rule.name.clone()))?;
+                    let patterns = &mut bound.patterns;
+                    *bound.keys.entry(k).or_insert_with_key(|k| {
+                        let trimmed = k.trim();
+                        (!trimmed.is_empty()).then(|| (patterns.intern(&infer(trimmed)), next))
+                    })
+                }
+            };
+            bound.right.push(key);
+        }
+        Ok(())
+    }
+
+    /// Appends `row`'s key under each rule to `out`, in rule order. A key no
+    /// right row has gets a row-local id and a pattern no right row has
+    /// binds to `None`: neither can change a comparison against a right
+    /// row, so nothing is interned.
+    pub fn bind_left(&self, row: RowRef<'_>, out: &mut Vec<Option<(u32, u32)>>) {
+        out.extend(self.rules.iter().map(|bound| {
+            let k = (bound.rule.left_key)(row)?;
+            if let Some(&seen) = bound.keys.get(&k) {
+                return seen;
+            }
+            let trimmed = k.trim();
+            if trimmed.is_empty() {
+                return None;
+            }
+            bound.patterns.get(&infer(trimmed)).map(|pattern| (pattern, UNSEEN_KEY))
+        }));
+    }
+
+    /// True when any negative rule fires between a left row's
+    /// [bound](BoundNegativeRules::bind_left) keys and right row `right`:
+    /// the two keys are comparable (same pattern) but different. A right
+    /// row never pushed fires nothing.
     #[inline]
-    pub fn any_fires(&self, left: usize, right: usize) -> bool {
-        self.rules.iter().any(|(l, r)| match (l[left], r[right]) {
-            (Some((lp, lk)), Some((rp, rk))) => lp == rp && lk != rk,
-            _ => false,
+    pub fn any_fires(&self, left: &[Option<(u32, u32)>], right: usize) -> bool {
+        self.rules.iter().zip(left).any(|(bound, l)| {
+            match (l, bound.right.get(right).copied().flatten()) {
+                (Some((lp, lk)), Some((rp, rk))) => *lp == rp && *lk != rk,
+                _ => false,
+            }
         })
     }
 }
@@ -248,38 +309,26 @@ impl RuleSet {
         self.negative.iter().any(|r| r.fires(a, b))
     }
 
-    /// Binds the negative rules to a table pair (see
-    /// [`BoundNegativeRules`]) — the set-up step of a streaming matcher,
-    /// which asks about far more pairs than the tables have rows.
-    pub fn bind_negative(&self, a: &Table, b: &Table) -> BoundNegativeRules {
-        let rules = self
-            .negative
-            .iter()
-            .map(|rule| {
-                // One id space per rule, shared by both sides, so ids
-                // compare across tables. A key's pattern is inferred the
-                // first time the key is seen.
-                let mut patterns = Interner::new();
-                let mut keys: FastMap<String, Option<(u32, u32)>> = FastMap::default();
-                let mut side = |t: &Table, key: &KeyFn| -> BoundKeys {
-                    t.iter()
-                        .map(|row| {
-                            let k = key(row)?;
-                            let next = u32::try_from(keys.len())
-                                .expect("more than u32::MAX distinct rule keys");
-                            *keys.entry(k).or_insert_with_key(|k| {
-                                let trimmed = k.trim();
-                                (!trimmed.is_empty())
-                                    .then(|| (patterns.intern(&infer(trimmed)), next))
-                            })
-                        })
-                        .collect()
-                };
-                let left = side(a, &rule.left_key);
-                (left, side(b, &rule.right_key))
-            })
-            .collect();
-        BoundNegativeRules { rules }
+    /// Binds the negative rules to a right table (see
+    /// [`BoundNegativeRules`]) — the set-up step of a matcher that asks
+    /// about far more pairs than the tables have rows.
+    pub fn bind_negative(&self, right: &Table) -> Result<BoundNegativeRules, RuleError> {
+        let mut bound = BoundNegativeRules {
+            rules: self
+                .negative
+                .iter()
+                .map(|rule| BoundRule {
+                    rule: rule.clone(),
+                    patterns: Interner::new(),
+                    keys: FastMap::default(),
+                    right: Vec::with_capacity(right.n_rows()),
+                })
+                .collect(),
+        };
+        for row in right.iter() {
+            bound.push_right_row(row)?;
+        }
+        Ok(bound)
     }
 
     /// Applies the negative rules to a set of predicted matches, splitting
@@ -431,17 +480,23 @@ mod tests {
                 NegativeRule::new("neg-raw", raw_key("Other"), raw_key("Other")),
             ],
         };
-        let bound = rules.bind_negative(&u, &s);
+        let bound = rules.bind_negative(&s).unwrap();
         let mut fired = 0;
+        let mut left = Vec::new();
         for i in 0..u.n_rows() {
+            left.clear();
+            bound.bind_left(u.row(i).unwrap(), &mut left);
+            assert_eq!(left.len(), rules.negative.len());
             for j in 0..s.n_rows() {
                 let want = rules.any_negative_fires(u.row(i).unwrap(), s.row(j).unwrap());
-                assert_eq!(bound.any_fires(i, j), want, "({i},{j})");
+                assert_eq!(bound.any_fires(&left, j), want, "({i},{j})");
                 fired += usize::from(want);
             }
+            // A right row the binder never saw fires nothing.
+            assert!(!bound.any_fires(&left, s.n_rows()));
         }
         assert!(fired > 0 && fired < u.n_rows() * s.n_rows());
-        assert!(!RuleSet::default().bind_negative(&u, &s).any_fires(0, 0));
+        assert!(!RuleSet::default().bind_negative(&s).unwrap().any_fires(&[], 0));
     }
 
     /// The attribute as stored: padding and blanks reach the rule.

@@ -36,6 +36,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::error::ServeError;
+use crate::hot::ProbeScratch;
 use crate::overload::{OverloadPolicy, ServeMode};
 use crate::service::{MatchService, ACCESSION_COL};
 use crate::shard::ShardedMatchService;
@@ -310,9 +311,10 @@ pub fn run_chaos(
     let n = arrivals.n_rows();
     let mut full_expect = Vec::with_capacity(n);
     let mut rules_expect = Vec::with_capacity(n);
+    let mut scratch = ProbeScratch::new();
     for i in 0..n {
-        full_expect.push(shadow.match_row_uncounted(arrivals, i, ServeMode::Full)?.ids);
-        rules_expect.push(shadow.match_row_uncounted(arrivals, i, ServeMode::RulesOnly)?.ids);
+        full_expect.push(shadow.match_inner(arrivals, i, &mut scratch, ServeMode::Full)?.ids);
+        rules_expect.push(shadow.match_inner(arrivals, i, &mut scratch, ServeMode::RulesOnly)?.ids);
     }
 
     // Golden probes: the first arrivals with non-empty outcomes (capped at

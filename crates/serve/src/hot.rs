@@ -1,11 +1,15 @@
 //! The serve-path hot loop: filtered probes, model-aware feature pruning,
 //! and zero-alloc scoring.
 //!
-//! [`MatchService::match_on_arrival_with`] is the steady-state request
-//! path. Everything a request needs beyond the immutable service state
-//! lives in a caller-owned [`ProbeScratch`], so the probe → block →
-//! featurize → score → rules loop runs without heap allocation once the
-//! scratch has warmed up:
+//! `MatchService::match_inner` is the one read path: every entry point —
+//! [`match_on_arrival_with`](MatchService::match_on_arrival_with) on a
+//! caller-owned [`ProbeScratch`], the pooled
+//! [`match_on_arrival`](MatchService::match_on_arrival) /
+//! [`match_batch`](MatchService::match_batch) / `drain`, the sharded tier's
+//! scatter, the swap probes — is a thin caller of it. Everything a request
+//! needs beyond the immutable service state lives in the scratch, so the
+//! probe → block → featurize → score → rules loop runs without heap
+//! allocation once the scratch has warmed up:
 //!
 //! - **Blocking** is one
 //!   [`IncrementalIndex::probe_into`](em_blocking::IncrementalIndex::probe_into)
@@ -13,6 +17,9 @@
 //!   into the scratch and looked up read-only, each sealed segment of the
 //!   title index is counted bit-sliced, 64 corpus rows a word, and the
 //!   short unsealed tail is scanned. Nothing shared is locked or written.
+//!   The hash-join lists (C1, the positive rules) and the probe's hits are
+//!   each ascending, so `blocked` and `candidates = blocked − sure` are the
+//!   stream's own [`merge_union`] / [`merge_difference`].
 //! - **Features and scoring** are one fused step per candidate. The
 //!   arriving record is prepared once as the kernel's left row
 //!   ([`prepare`](em_features::ServeExtractor::prepare)) against the
@@ -24,28 +31,35 @@
 //!   model ([`derive_feature_mask`]), bound when the extractor is built,
 //!   leaves features the model cannot read without a cache; a feature the
 //!   walk does not reach for a candidate is not computed for it.
-//! - **Rules**: negative rules and id rendering run only for predicted
-//!   matches.
+//! - **Negative rules** are the stream's
+//!   [`BoundNegativeRules`](em_rules::BoundNegativeRules), grown with the
+//!   corpus: the arriving row's keys are bound once, read-only, at the
+//!   request's first predicted match, and each predicted match is then two
+//!   integer compares. Id rendering runs for final matches only.
 //!
 //! Bit-identity with the batch pipeline is preserved stage by stage: the
 //! probe admits exactly the candidate set of the nested-loop scan, whatever
 //! the index's push/seal/merge history (proptested in `em-blocking`),
 //! pulled features are bit-equal to
-//! `Feature::compute` (pinned in `em-features`), and a value no traversed
-//! node tests cannot reach the score (see `em_core::stream`). Debug builds
+//! `Feature::compute` (pinned in `em-features`), a value no traversed
+//! node tests cannot reach the score (see `em_core::stream`), and the bound
+//! rules equal the pair-level `NegativeRule::fires` whatever order the
+//! corpus grew in (proptested in `em-rules`). Debug builds
 //! additionally sample candidates, pull every model-live feature and
 //! assert it equals the per-feature recomputation.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::error::ServeError;
 use crate::overload::ServeMode;
 use crate::service::{MatchOutcome, MatchService, RequestTimings, ACCESSION_COL, AWARD_COL, TITLE_COL};
 use em_blocking::{JoinScratch, ProbeCounters};
-use em_core::stream::score_pair;
+use em_core::stream::{merge_difference, merge_union, score_pair};
 use em_core::MatchIds;
 use em_features::{BatchScratch, PullCounts};
 use em_rules::award::award_suffix;
 use em_table::{Table, Value};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Derives the serve-time [`FeatureMask`](em_features::FeatureMask) from a
 /// frozen workflow. The definition is shared with the streaming match
@@ -55,10 +69,10 @@ pub use em_core::stream::derive_feature_mask;
 impl MatchService {
     /// Matches one arriving record through the allocation-free hot loop,
     /// reusing `scratch` across calls. Equivalent to
-    /// [`MatchService::match_on_arrival`] (which wraps this over a
-    /// per-thread scratch) — callers that own a request loop should hold
-    /// one [`ProbeScratch`] and pass it here directly. Counts as one
-    /// admitted + completed request.
+    /// [`MatchService::match_on_arrival`] (which runs this on a scratch
+    /// from the service's pool) — callers that own a request loop should
+    /// hold one [`ProbeScratch`] and pass it here directly: no lock is
+    /// taken. Counts as one admitted + completed request.
     pub fn match_on_arrival_with(
         &self,
         arrivals: &Table,
@@ -92,96 +106,70 @@ impl MatchService {
         // Blocking: C1 (award-suffix attribute equivalence) ∪ C2 (token
         // overlap) ∪ C3 (overlap coefficient). C2 ∪ C3 come from a single
         // probe of the title index; the AE probe replicates the batch
-        // pipeline's `TempAwardNumber` derived column.
-        scratch.blocked.clear();
-        if let Some(suffix) = row.str(AWARD_COL).and_then(award_suffix) {
-            if let Some(js) = self.ae_index.get(&Value::from(suffix).dedup_key()) {
-                scratch.blocked.extend_from_slice(js);
-            }
-        }
-        let title = row.str(TITLE_COL);
+        // pipeline's `TempAwardNumber` derived column. Both lists ascend.
+        let c1 = row
+            .str(AWARD_COL)
+            .and_then(award_suffix)
+            .and_then(|suffix| self.ae_index.get(&Value::from(suffix).dedup_key()));
         self.title_index.probe_into(
-            title,
+            row.str(TITLE_COL),
             &self.plan.union_spec(),
             &mut scratch.probe,
-            &mut scratch.union_hits,
+            &mut scratch.hits,
         );
-        scratch.blocked.extend_from_slice(&scratch.union_hits);
-        scratch.blocked.sort_unstable();
-        scratch.blocked.dedup();
+        merge_union(c1.map_or(&[][..], Vec::as_slice), &scratch.hits, &mut scratch.blocked);
         let t_blocked = Instant::now();
 
         // Sure matches: union of per-rule hash-join probes, then
-        // `candidates = blocked − sure` (the workflow's `C = C2 − C1`) as
-        // a sorted-merge difference over the reused buffers.
+        // `candidates = blocked − sure` (the workflow's `C = C2 − C1`).
         scratch.sure.clear();
         for (rule, index) in self.rules.positive.iter().zip(&self.rule_indexes) {
-            if let Some(key) = rule.left_key(row) {
-                if let Some(js) = index.get(&key) {
-                    scratch.sure.extend_from_slice(js);
-                }
+            if let Some(js) = rule.left_key(row).and_then(|key| index.get(&key)) {
+                merge_union(&scratch.sure, js, &mut scratch.hits);
+                std::mem::swap(&mut scratch.sure, &mut scratch.hits);
             }
         }
-        scratch.sure.sort_unstable();
-        scratch.sure.dedup();
-        scratch.candidates.clear();
-        let mut su = scratch.sure.iter().copied().peekable();
-        for &j in &scratch.blocked {
-            while su.peek().is_some_and(|&s| s < j) {
-                su.next();
-            }
-            if su.peek() != Some(&j) {
-                scratch.candidates.push(j);
-            }
-        }
+        merge_difference(&scratch.blocked, &scratch.sure, &mut scratch.candidates);
         let t_rules = Instant::now();
 
         // Pull-and-score each candidate against the persistent corpus
         // caches. The arriving record is normalized once; per candidate the
         // scorer pulls the features its walk tests. Negative rules run on
-        // predicted matches only. The rules-only degraded mode stops here:
-        // sure matches are already decided, and everything below is the
-        // expensive part.
+        // predicted matches only, on keys bound at the first of them. The
+        // rules-only degraded mode skips all of it: sure matches are
+        // already decided, and this is the expensive part.
         let mut n_predicted = 0usize;
         let mut n_flipped = 0usize;
-        let mut feature_time = Duration::ZERO;
         scratch.kept.clear();
         if mode == ServeMode::Full {
             self.extractor.prepare(arrivals, i, &mut scratch.extract)?;
             scratch.dense_row.resize(self.extractor.features().len(), f64::NAN);
-        }
-        for (c, &j) in scratch.candidates.iter().enumerate() {
-            if mode == ServeMode::RulesOnly {
-                break;
-            }
-            #[cfg(debug_assertions)]
-            if c % 64 == 0 {
-                self.debug_assert_pulls_match_compute(arrivals, i, j, &mut scratch.extract);
-            }
-            #[cfg(not(debug_assertions))]
-            let _ = c;
-            let t_pair = Instant::now();
-            let p = score_pair(
-                &self.scorer,
-                &self.imputer,
-                self.extractor.candidate(j, &mut scratch.extract),
-                &mut scratch.dense_row,
-            );
-            feature_time += t_pair.elapsed();
-            if p < self.threshold {
-                continue;
-            }
-            n_predicted += 1;
-            let rb = self
-                .corpus
-                .row(j)
-                .ok_or_else(|| ServeError::Pipeline(format!("corpus row {j} vanished")))?;
-            if self.rules.any_negative_fires(row, rb) {
-                n_flipped += 1;
-            } else {
-                scratch.kept.push(j);
+            for (c, &j) in scratch.candidates.iter().enumerate() {
+                if cfg!(debug_assertions) && c % 64 == 0 {
+                    self.debug_assert_pulls_match_compute(arrivals, i, j, &mut scratch.extract);
+                }
+                let p = score_pair(
+                    &self.scorer,
+                    &self.imputer,
+                    self.extractor.candidate(j, &mut scratch.extract),
+                    &mut scratch.dense_row,
+                );
+                if p < self.threshold {
+                    continue;
+                }
+                if n_predicted == 0 {
+                    scratch.left_keys.clear();
+                    self.negatives.bind_left(row, &mut scratch.left_keys);
+                }
+                n_predicted += 1;
+                if self.negatives.any_fires(&scratch.left_keys, j) {
+                    n_flipped += 1;
+                } else {
+                    scratch.kept.push(j);
+                }
             }
         }
+        let t_scored = Instant::now();
 
         // Deliverable ids: `sure ∪ kept`, keyed exactly as
         // `MatchIds::from_candidates`. Id rendering allocates — it runs
@@ -202,7 +190,6 @@ impl MatchService {
         let t_end = Instant::now();
 
         let ms = |a: Instant, b: Instant| (b - a).as_secs_f64() * 1e3;
-        let features_ms = feature_time.as_secs_f64() * 1e3;
         Ok(MatchOutcome {
             ids: MatchIds::from_pairs(id_pairs),
             n_blocked: scratch.blocked.len(),
@@ -215,8 +202,8 @@ impl MatchService {
             timings: RequestTimings {
                 blocking_ms: ms(t_start, t_blocked),
                 rules_ms: ms(t_blocked, t_rules),
-                features_ms,
-                predict_ms: ms(t_rules, t_end) - features_ms,
+                features_ms: ms(t_rules, t_scored),
+                predict_ms: ms(t_scored, t_end),
                 total_ms: ms(t_start, t_end),
             },
         })
@@ -225,7 +212,6 @@ impl MatchService {
     /// Debug-only oracle: pull every feature of the pair — all the model
     /// could read — and assert each live one is bit-equal to the batch
     /// path's per-pair function and each dead one `NaN`.
-    #[cfg(debug_assertions)]
     fn debug_assert_pulls_match_compute(
         &self,
         arrivals: &Table,
@@ -262,25 +248,29 @@ impl MatchService {
 
 /// Reusable per-request buffers for the serve hot loop — the service-level
 /// mirror of `em_text`'s `KernelScratch`. One instance serves any number
-/// of sequential requests; [`MatchService::match_batch`] keeps one per
-/// executor thread.
+/// of sequential requests; a [`MatchService`] pools its own for the reads
+/// that do not bring one.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     /// The title-index probe's tokenized query and bit-sliced counts.
     probe: JoinScratch,
     /// The extractor's prepared arrival, value reuse table and kernel memory.
     extract: BatchScratch,
-    /// Output of the C2 ∪ C3 union probe.
-    union_hits: Vec<usize>,
-    /// Blocked corpus rows (sorted, deduped).
+    /// Output of the C2 ∪ C3 union probe; once `blocked` is merged, the
+    /// spare side of the sure-match unions.
+    hits: Vec<usize>,
+    /// Blocked corpus rows (ascending).
     blocked: Vec<usize>,
-    /// Sure-match corpus rows (sorted, deduped).
+    /// Sure-match corpus rows (ascending).
     sure: Vec<usize>,
     /// `blocked − sure`, the matcher's input.
     candidates: Vec<usize>,
     /// Where a dense model's row is assembled (tree-shaped models pull
     /// what they read and leave it alone).
     dense_row: Vec<f64>,
+    /// The arriving row's keys under the negative rules, bound at the
+    /// request's first predicted match.
+    left_keys: Vec<Option<(u32, u32)>>,
     /// Predicted matches that survived the negative rules.
     kept: Vec<usize>,
 }

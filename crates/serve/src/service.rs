@@ -23,14 +23,24 @@
 //!   a one-row probe yields the floats `extract_vectors` would, and a
 //!   feature the walk never asks for would have reached no comparison of
 //!   `predict_proba ≥ threshold` either.
-//! - **Negative rules** run on predicted matches only, per pair, through
-//!   `RuleSet::any_negative_fires` — the test the batch stream's bound
-//!   rules are held equal to.
+//! - **Negative rules** run on predicted matches only, through the batch
+//!   stream's evaluator, `em_rules::BoundNegativeRules`: its right side grows
+//!   with the corpus, the arriving row's keys are bound once per request.
+//!
+//! There is one read path, `MatchService::match_inner` (`hot.rs`), under
+//! thin counted callers: [`MatchService::match_on_arrival_with`] on a
+//! scratch the caller owns (no lock), and
+//! [`MatchService::match_on_arrival`], [`MatchService::match_batch`] and
+//! [`MatchService::drain_at`] on scratches the service owns — a pool a read
+//! borrows from and returns to, so a scratch stays warm whichever thread
+//! the executor forks for the read.
 //!
 //! Because every arriving row is scored independently and
 //! [`MatchService::match_batch`] merges per-row results in row order
 //! through [`Executor::map_indexed`], results are bit-identical across
 //! thread counts and across one-at-a-time vs. batched replay.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::error::ServeError;
 use crate::hot::{derive_feature_mask, ProbeScratch};
@@ -43,12 +53,12 @@ use em_core::{BlockingPlan, MatchIds};
 use em_features::{FeatureMask, ServeExtractor};
 use em_ml::{BlockScorer, FittedModel, Imputer};
 use em_parallel::Executor;
-use em_rules::{RuleSet, RuleSetDesc};
+use em_rules::{BoundNegativeRules, RuleSet, RuleSetDesc};
 use em_table::{Table, Value};
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Rows per parallel work unit in [`MatchService::match_batch`] — small,
@@ -68,10 +78,11 @@ pub struct RequestTimings {
     pub blocking_ms: f64,
     /// Positive-rule probes and candidate-set subtraction.
     pub rules_ms: f64,
-    /// The fused pull-and-score loop: the model's walk, with the feature
-    /// extraction and imputation it pulls.
+    /// Preparing the arriving record and the fused pull-and-score loop over
+    /// its candidates: the model's walk, the feature extraction and
+    /// imputation it pulls, the negative rules on predicted matches.
     pub features_ms: f64,
-    /// Negative rules and id rendering.
+    /// Rendering the final matches' ids.
     pub predict_ms: f64,
     /// End-to-end request time.
     pub total_ms: f64,
@@ -122,6 +133,17 @@ pub struct BatchOutcome {
     pub ids: MatchIds,
     /// Per-row outcomes, in arrival (row) order.
     pub outcomes: Vec<MatchOutcome>,
+}
+
+impl BatchOutcome {
+    /// The batch of `outcomes` (row order) under the union of their ids.
+    pub(crate) fn of(outcomes: Vec<MatchOutcome>) -> BatchOutcome {
+        let mut ids = MatchIds::default();
+        for outcome in &outcomes {
+            ids.absorb(outcome.ids.clone());
+        }
+        BatchOutcome { ids, outcomes }
+    }
 }
 
 /// Service health/size counters.
@@ -226,6 +248,8 @@ pub struct MatchService {
     pub(crate) threshold: f64,
     pub(crate) plan: BlockingPlan,
     pub(crate) rules: RuleSet,
+    /// `rules.negative` bound to the corpus, one right row a corpus row.
+    pub(crate) negatives: BoundNegativeRules,
     /// Segmented bit-sliced index over the corpus blocking title column.
     pub(crate) title_index: IncrementalIndex,
     /// `dedup_key(AwardNumber)` → corpus rows (the AE blocker's hash join).
@@ -256,6 +280,9 @@ pub struct MatchService {
     pub(crate) counters: ServiceCounters,
     /// Next submission sequence number.
     pub(crate) next_seq: u64,
+    /// Warm scratches for the reads that do not bring their own (see
+    /// [`MatchService::with_scratch`]).
+    scratches: Mutex<Vec<ProbeScratch>>,
 }
 
 /// Left/right blocking and id columns — fixed by the case-study workflow
@@ -264,13 +291,6 @@ pub struct MatchService {
 pub(crate) const AWARD_COL: &str = "AwardNumber";
 pub(crate) const TITLE_COL: &str = "AwardTitle";
 pub(crate) const ACCESSION_COL: &str = "AccessionNumber";
-
-thread_local! {
-    /// Per-thread hot-path scratch, so [`MatchService::match_on_arrival`]
-    /// and every executor worker in [`MatchService::match_batch`] reuse
-    /// buffers across requests instead of allocating per record.
-    static HOT_SCRATCH: RefCell<ProbeScratch> = RefCell::new(ProbeScratch::new());
-}
 
 impl MatchService {
     /// Builds a service from a (loaded or freshly frozen) snapshot.
@@ -295,6 +315,7 @@ impl MatchService {
         let mask = derive_feature_mask(&features, &model, &rule_descs);
         let rules = rule_descs.build();
         let empty_corpus = Table::new(corpus.name(), corpus.schema().clone());
+        let negatives = rules.bind_negative(&empty_corpus)?;
         let extractor = ServeExtractor::with_mask(&features, &empty_corpus, &mask)?;
         let mut service = MatchService {
             // The whole title column as one segment; rows pushed later
@@ -310,6 +331,7 @@ impl MatchService {
             threshold,
             plan,
             rules,
+            negatives,
             extractor,
             mask,
             rule_descs,
@@ -321,6 +343,7 @@ impl MatchService {
             policy: OverloadPolicy::unbounded(),
             counters: ServiceCounters::default(),
             next_seq: 0,
+            scratches: Mutex::default(),
         };
         for row in corpus.iter() {
             service.append_row(row.values().to_vec())?;
@@ -430,8 +453,9 @@ impl MatchService {
         Ok(j)
     }
 
-    /// Appends `row` to the corpus, the feature caches and the hash-join
-    /// indexes — everything [`MatchService::push_corpus_row`] updates but
+    /// Appends `row` to the corpus, the feature caches, the hash-join
+    /// indexes and the bound negative rules — everything
+    /// [`MatchService::push_corpus_row`] updates but
     /// the title index, which construction builds in bulk instead.
     fn append_row(&mut self, row: Vec<Value>) -> Result<usize, ServeError> {
         self.corpus.push_row(row)?;
@@ -441,6 +465,7 @@ impl MatchService {
             .row(j)
             .ok_or_else(|| ServeError::Pipeline("pushed row vanished".into()))?;
         self.extractor.push_right_row(added.values());
+        self.negatives.push_right_row(added)?;
         if let Some(v) = added.get(AWARD_COL) {
             if !v.is_null() {
                 self.ae_index.entry(v.dedup_key()).or_default().push(j);
@@ -563,33 +588,33 @@ impl MatchService {
         self.epoch
     }
 
+    /// Runs `read` on a scratch from the service's pool and returns the
+    /// scratch to it: one uncontended lock either side of the read, none
+    /// during it, and the buffers stay warm across reads whichever thread
+    /// runs them. The pool grows to the most reads ever in flight at once.
+    /// A poisoned lock is recovered: a list of scratches has no invariant
+    /// a panicking reader could have broken.
+    pub(crate) fn with_scratch<R>(&self, read: impl FnOnce(&mut ProbeScratch) -> R) -> R {
+        let pool = || self.scratches.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut scratch = pool().pop().unwrap_or_default();
+        let out = read(&mut scratch);
+        pool().push(scratch);
+        out
+    }
+
     /// Matches one arriving record (row `i` of `arrivals`) against the
     /// corpus, reproducing the batch workflow's verdict for that row
     /// bit-identically. Counts as one admitted + completed request.
     ///
-    /// Delegates to [`MatchService::match_on_arrival_with`] over a
-    /// per-thread [`ProbeScratch`], so repeated calls (and every executor
-    /// worker inside [`MatchService::match_batch`]) run allocation-free in
-    /// the steady state.
+    /// [`MatchService::match_on_arrival_with`] over a pooled
+    /// [`ProbeScratch`], so repeated calls run allocation-free in the
+    /// steady state.
     pub fn match_on_arrival(
         &self,
         arrivals: &Table,
         i: usize,
     ) -> Result<MatchOutcome, ServeError> {
-        HOT_SCRATCH.with(|s| self.match_on_arrival_with(arrivals, i, &mut s.borrow_mut()))
-    }
-
-    /// The uncounted core of the match path: one row, caller-chosen mode,
-    /// per-thread scratch. Swap validation probes
-    /// ([`crate::swap::GoldenProbeSet`]) and the drain path use this so
-    /// accounting stays a property of the public entry points.
-    pub(crate) fn match_row_uncounted(
-        &self,
-        arrivals: &Table,
-        i: usize,
-        mode: ServeMode,
-    ) -> Result<MatchOutcome, ServeError> {
-        HOT_SCRATCH.with(|s| self.match_inner(arrivals, i, &mut s.borrow_mut(), mode))
+        self.with_scratch(|scratch| self.match_on_arrival_with(arrivals, i, scratch))
     }
 
     /// Matches a whole table of arrivals as one deterministic micro-batch:
@@ -598,30 +623,22 @@ impl MatchService {
     /// equal to replaying [`MatchService::match_on_arrival`] row by row.
     /// Each row counts as one admitted + completed request.
     pub fn match_batch(&self, arrivals: &Table) -> Result<BatchOutcome, ServeError> {
-        let batch = self.match_batch_uncounted(arrivals, ServeMode::Full)?;
+        let batch = self.match_rows(arrivals, ServeMode::Full)?;
         let n = batch.outcomes.len() as u64;
         self.counters.admitted.fetch_add(n, Ordering::Relaxed);
         self.counters.completed.fetch_add(n, Ordering::Relaxed);
         Ok(batch)
     }
 
-    /// Uncounted executor fan-out over all rows of `arrivals` in `mode`.
-    pub(crate) fn match_batch_uncounted(
-        &self,
-        arrivals: &Table,
-        mode: ServeMode,
-    ) -> Result<BatchOutcome, ServeError> {
+    /// The executor fan-out [`MatchService::match_batch`] and
+    /// [`MatchService::drain_at`] count around: every row of `arrivals`
+    /// through [`MatchService::match_inner`] in `mode`, each on a pooled
+    /// scratch.
+    fn match_rows(&self, arrivals: &Table, mode: ServeMode) -> Result<BatchOutcome, ServeError> {
         let results = Executor::current().map_indexed(arrivals.n_rows(), SERVE_GRAIN, |i| {
-            self.match_row_uncounted(arrivals, i, mode)
+            self.with_scratch(|scratch| self.match_inner(arrivals, i, scratch, mode))
         });
-        let mut ids = MatchIds::default();
-        let mut outcomes = Vec::with_capacity(results.len());
-        for r in results {
-            let outcome = r?;
-            ids = ids.union(&outcome.ids);
-            outcomes.push(outcome);
-        }
-        Ok(BatchOutcome { ids, outcomes })
+        results.into_iter().collect::<Result<Vec<_>, _>>().map(BatchOutcome::of)
     }
 
     /// Arrivals waiting in the admission queue.
@@ -727,7 +744,7 @@ impl MatchService {
         let meta = std::mem::take(&mut self.pending_meta);
         let Some(pending) = self.pending.take() else {
             return Ok(DrainOutcome {
-                batch: BatchOutcome { ids: MatchIds::default(), outcomes: Vec::new() },
+                batch: BatchOutcome::of(Vec::new()),
                 served: Vec::new(),
                 shed: Vec::new(),
                 degraded: false,
@@ -752,7 +769,7 @@ impl MatchService {
         self.counters.shed.fetch_add(shed.len() as u64, Ordering::Relaxed);
         let degraded = served.len() >= self.policy.degrade_watermark;
         let mode = if degraded { ServeMode::RulesOnly } else { ServeMode::Full };
-        let batch = self.match_batch_uncounted(&kept, mode)?;
+        let batch = self.match_rows(&kept, mode)?;
         self.counters.completed.fetch_add(served.len() as u64, Ordering::Relaxed);
         if degraded {
             self.counters.degraded.fetch_add(served.len() as u64, Ordering::Relaxed);

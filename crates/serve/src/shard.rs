@@ -13,9 +13,11 @@
 //! ## Determinism
 //!
 //! A request scatters to **all** shards (any shard may hold matching
-//! corpus rows) and gathers with a chunk-ordered merge: per-shard
-//! outcomes are combined in shard order, match ids are unioned into the
-//! key-ordered [`MatchIds`] set (duplicate pairs — impossible while
+//! corpus rows) and gathers with a chunk-ordered merge — one scatter and
+//! one gather, in [`ShardedMatchService::match_rows_timed`], whatever the
+//! entry point: per-shard outcomes are consumed in shard order, each row's
+//! match ids moved into the row's key-ordered
+//! [`MatchIds`](em_core::MatchIds) set (duplicate pairs — impossible while
 //! shards partition the corpus, but harmless — dedup by pair key), and
 //! per-row counters are summed. Because every corpus row lives in exactly
 //! one shard and the frozen model, imputer, rules, and threshold are
@@ -48,12 +50,11 @@
 
 use crate::error::ServeError;
 use crate::overload::ServeMode;
-use crate::service::{BatchOutcome, MatchOutcome, MatchService, RecoveryReport, RequestTimings};
+use crate::service::{BatchOutcome, MatchOutcome, MatchService, RecoveryReport};
 use crate::service::ACCESSION_COL;
 use crate::snapshot::{quarantine_path, WorkflowSnapshot};
 use crate::swap::{GoldenProbeSet, SnapshotCell, SwapReport};
 use crate::wal::{fnv1a64, read_wal};
-use em_core::MatchIds;
 use em_parallel::Executor;
 use em_table::{Table, Value};
 use std::path::{Path, PathBuf};
@@ -229,17 +230,8 @@ impl ShardedMatchService {
         arrivals: &Table,
         i: usize,
     ) -> Result<MatchOutcome, ServeError> {
-        let per_shard = Executor::current().map_indexed(self.cells.len(), 1, |s| {
-            self.cells[s].service().match_row_uncounted(arrivals, i, ServeMode::Full)
-        });
-        let mut merged: Option<MatchOutcome> = None;
-        for r in per_shard {
-            let o = r?;
-            merged = Some(match merged {
-                None => o,
-                Some(acc) => merge_outcomes(acc, &o),
-            });
-        }
+        let (mut batch, _) = self.match_rows_timed(arrivals, &[i])?;
+        let merged = batch.outcomes.pop();
         merged.ok_or_else(|| ServeError::Pipeline("sharded service has no shards".into()))
     }
 
@@ -248,8 +240,7 @@ impl ShardedMatchService {
     /// bit-identical to the single-instance [`MatchService::match_batch`].
     pub fn match_batch(&self, arrivals: &Table) -> Result<BatchOutcome, ServeError> {
         let rows: Vec<usize> = (0..arrivals.n_rows()).collect();
-        let (batch, _) = self.match_rows_timed(arrivals, &rows)?;
-        Ok(batch)
+        self.match_rows_timed(arrivals, &rows).map(|(batch, _)| batch)
     }
 
     /// The scatter/gather core over an explicit row subset, returning the
@@ -259,9 +250,10 @@ impl ShardedMatchService {
     ///
     /// Scatter: each shard serves the full row list against its own
     /// partition on the `em-parallel` executor (one chunk per shard, so
-    /// the merge is chunk-ordered by construction). Gather: per row, the
-    /// shard outcomes merge in shard order — ids union into the key-ordered
-    /// pair set, counts sum.
+    /// the merge is chunk-ordered by construction), on one scratch from
+    /// its own pool. Gather: the first shard's outcomes become the rows'
+    /// accumulators and every later shard's are folded into them in shard
+    /// order — ids move into the key-ordered pair set, counts sum.
     pub fn match_rows_timed(
         &self,
         arrivals: &Table,
@@ -271,36 +263,27 @@ impl ShardedMatchService {
             Executor::current().map_indexed(self.cells.len(), 1, |s| {
                 let t0 = Instant::now();
                 let service = self.cells[s].service();
-                let mut outs = Vec::with_capacity(rows.len());
-                for &i in rows {
-                    outs.push(service.match_row_uncounted(arrivals, i, ServeMode::Full)?);
-                }
-                Ok((outs, t0.elapsed().as_secs_f64() * 1e3))
+                let outs: Result<Vec<MatchOutcome>, ServeError> = service.with_scratch(|scratch| {
+                    rows.iter()
+                        .map(|&i| service.match_inner(arrivals, i, scratch, ServeMode::Full))
+                        .collect()
+                });
+                Ok((outs?, t0.elapsed().as_secs_f64() * 1e3))
             });
         let mut shard_ms = Vec::with_capacity(self.cells.len());
-        let mut columns: Vec<Vec<MatchOutcome>> = Vec::with_capacity(self.cells.len());
-        for r in per_shard {
+        let mut outcomes: Vec<MatchOutcome> = Vec::new();
+        for (s, r) in per_shard.into_iter().enumerate() {
             let (outs, ms) = r?;
-            columns.push(outs);
             shard_ms.push(ms);
-        }
-        let mut ids = MatchIds::default();
-        let mut outcomes: Vec<MatchOutcome> = Vec::with_capacity(rows.len());
-        for ri in 0..rows.len() {
-            let mut merged: Option<MatchOutcome> = None;
-            for col in &columns {
-                let o = &col[ri];
-                merged = Some(match merged {
-                    None => o.clone(),
-                    Some(acc) => merge_outcomes(acc, o),
-                });
+            if s == 0 {
+                outcomes = outs;
+                continue;
             }
-            let merged = merged
-                .ok_or_else(|| ServeError::Pipeline("sharded service has no shards".into()))?;
-            ids = ids.union(&merged.ids);
-            outcomes.push(merged);
+            for (acc, o) in outcomes.iter_mut().zip(outs) {
+                merge_outcome(acc, o);
+            }
         }
-        Ok((BatchOutcome { ids, outcomes }, shard_ms))
+        Ok((BatchOutcome::of(outcomes), shard_ms))
     }
 
     /// Freezes the tier's *current* behavior over `arrivals` as every
@@ -447,28 +430,24 @@ impl ShardedMatchService {
     }
 }
 
-/// Shard-order merge of two per-row outcomes: ids union by pair key
-/// (the [`MatchIds`] set is key-ordered, so the union is independent of
-/// merge order), counts sum, degraded ORs, stage timings sum. The epoch
-/// is common to all shards by the publish protocol.
-fn merge_outcomes(acc: MatchOutcome, o: &MatchOutcome) -> MatchOutcome {
-    MatchOutcome {
-        ids: acc.ids.union(&o.ids),
-        n_blocked: acc.n_blocked + o.n_blocked,
-        n_sure: acc.n_sure + o.n_sure,
-        n_candidates: acc.n_candidates + o.n_candidates,
-        n_predicted: acc.n_predicted + o.n_predicted,
-        n_flipped: acc.n_flipped + o.n_flipped,
-        degraded: acc.degraded || o.degraded,
-        epoch: acc.epoch,
-        timings: RequestTimings {
-            blocking_ms: acc.timings.blocking_ms + o.timings.blocking_ms,
-            rules_ms: acc.timings.rules_ms + o.timings.rules_ms,
-            features_ms: acc.timings.features_ms + o.timings.features_ms,
-            predict_ms: acc.timings.predict_ms + o.timings.predict_ms,
-            total_ms: acc.timings.total_ms + o.timings.total_ms,
-        },
-    }
+/// Shard-order merge of a later shard's outcome for a row into the row's
+/// accumulator: ids move in by pair key (the [`em_core::MatchIds`] set is
+/// key-ordered, so the union is independent of merge order), counts sum,
+/// degraded ORs, stage timings sum. The epoch is common to all shards by
+/// the publish protocol.
+fn merge_outcome(acc: &mut MatchOutcome, o: MatchOutcome) {
+    acc.ids.absorb(o.ids);
+    acc.n_blocked += o.n_blocked;
+    acc.n_sure += o.n_sure;
+    acc.n_candidates += o.n_candidates;
+    acc.n_predicted += o.n_predicted;
+    acc.n_flipped += o.n_flipped;
+    acc.degraded |= o.degraded;
+    acc.timings.blocking_ms += o.timings.blocking_ms;
+    acc.timings.rules_ms += o.timings.rules_ms;
+    acc.timings.features_ms += o.timings.features_ms;
+    acc.timings.predict_ms += o.timings.predict_ms;
+    acc.timings.total_ms += o.timings.total_ms;
 }
 
 #[cfg(test)]

@@ -68,11 +68,12 @@ impl GoldenProbeSet {
     /// Probes run on the uncounted path, so recording does not perturb
     /// [`ServiceStats`](crate::ServiceStats).
     pub fn record(service: &MatchService, arrivals: Table) -> Result<GoldenProbeSet, ServeError> {
-        let mut expected = Vec::with_capacity(arrivals.n_rows());
-        for i in 0..arrivals.n_rows() {
-            expected.push(service.match_row_uncounted(&arrivals, i, ServeMode::Full)?.ids);
-        }
-        Ok(GoldenProbeSet { arrivals, expected })
+        let expected: Result<Vec<MatchIds>, ServeError> = service.with_scratch(|scratch| {
+            (0..arrivals.n_rows())
+                .map(|i| Ok(service.match_inner(&arrivals, i, scratch, ServeMode::Full)?.ids))
+                .collect()
+        });
+        Ok(GoldenProbeSet { expected: expected?, arrivals })
     }
 
     /// Number of probes.
@@ -91,7 +92,7 @@ impl GoldenProbeSet {
     pub fn validate(&self, candidate: &MatchService) -> Result<(), ServeError> {
         for (i, want) in self.expected.iter().enumerate() {
             let got = candidate
-                .match_row_uncounted(&self.arrivals, i, ServeMode::Full)
+                .with_scratch(|scratch| candidate.match_inner(&self.arrivals, i, scratch, ServeMode::Full))
                 .map_err(|e| ServeError::SwapRejected {
                     probe: i,
                     detail: format!("probe failed to serve: {e}"),

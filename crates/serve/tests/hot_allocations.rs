@@ -45,22 +45,22 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations a request may make whatever it matches: the award-suffix and
-/// positive-rule probe keys, the rendered award number, the id list, and
-/// one lowercased or rendered copy of the arriving cell per cache plan
-/// whose cell is not already its own normal form. The title probe adds
-/// none: it tokenizes into the scratch and neither locks, clones nor
-/// memoizes anything shared. Measured: the 1 336 paper-scale arrivals make
-/// 25 058 allocations, of which their matches account for 6 000 (what a
-/// doubled corpus's extra matches add) — 14.27 a request.
+/// positive-rule probe keys, the rendered award number, the id list, one
+/// lowercased or rendered copy of the arriving cell per cache plan whose
+/// cell is not already its own normal form, and — once, at its first
+/// predicted match — its key and that key's pattern under each negative
+/// rule. The title probe adds none: it tokenizes into the scratch and
+/// neither locks, clones nor memoizes anything shared. Measured: the 1 336
+/// paper-scale arrivals make 23 628 allocations; a doubled corpus's 962
+/// extra matches add 3 524, 3.66 a match, which at [`PER_MATCH`] leaves
+/// 14.8 a request.
 const PER_REQUEST: u64 = 15;
 
-/// Allocations a sure match may add: its rendered accession number, its
-/// copy of the award number, its share of the id set's nodes.
-const PER_SURE: u64 = 3;
-
-/// Allocations a predicted match may add on top of that: the keys and
-/// patterns the negative rules derive from the pair.
-const PER_PREDICTED: u64 = 13;
+/// Allocations a match may add, sure or predicted alike (a predicted match
+/// is two integer compares against keys its request already bound): its
+/// rendered accession number, its copy of the award number, its share of
+/// the id set's nodes.
+const PER_MATCH: u64 = 4;
 
 /// What replaying every arrival once cost and produced.
 struct Replay {
@@ -73,7 +73,7 @@ struct Replay {
 impl Replay {
     /// The allocations the request and match counts account for.
     fn budget(&self, requests: u64) -> u64 {
-        requests * PER_REQUEST + self.sure as u64 * PER_SURE + self.predicted as u64 * PER_PREDICTED
+        requests * PER_REQUEST + (self.sure + self.predicted) as u64 * PER_MATCH
     }
 }
 
