@@ -20,6 +20,15 @@
 //!   service built each way and what its requests pulled (features computed
 //!   a request and on the median candidate, each live feature's pulls, the
 //!   Monge-Elkan word matrices' pulls, columns and kernel cells).
+//! - `--train`: the case study's training loops at paper scale
+//!   ([`em_bench::paper_training_sets`], one thread) — leave-one-out label
+//!   debugging with the random forest, then five-fold selection per
+//!   learner — by leg: view build, bootstrap draws, feature shuffles, split
+//!   search, partition, held-out predict; with trees, nodes a tree, distinct
+//!   rows a searched node, histogram vs sorted-key sweeps and thresholds
+//!   scored. Each loop runs once with the per-leg timers off (its wall time)
+//!   and once with them on; the held-out predictions are folded into a
+//!   checksum that must not move across a perf PR.
 //!
 //! Everything goes to stderr; timers sit outside every checksum.
 
@@ -362,14 +371,130 @@ fn serve(factor: f64) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+/// One line of tree-fit legs and counts off a scratch's profile.
+fn print_train_profile(p: &em_ml::view::TrainProfile) {
+    let ms = |ns: u64| ns as f64 / 1e6;
+    eprintln!(
+        "    legs: draws {:.1} ms, feature shuffles {:.1} ms, split search {:.1} ms, partition {:.1} ms",
+        ms(p.draw_ns),
+        ms(p.shuffle_ns),
+        ms(p.search_ns),
+        ms(p.partition_ns)
+    );
+    eprintln!(
+        "    {} trees, {:.1} nodes a tree, {} searched nodes of {:.1} distinct rows, \
+         {} histogram + {} sorted-key sweeps, {} thresholds scored",
+        p.trees,
+        p.nodes as f64 / p.trees.max(1) as f64,
+        p.searched,
+        p.searched_rows as f64 / p.searched.max(1) as f64,
+        p.hist_sweeps,
+        p.key_sweeps,
+        p.candidates
+    );
+}
+
+fn train() -> Result<(), Box<dyn std::error::Error>> {
+    use em_ml::cv::{leave_one_out_predictions, select_matcher, stratified_kfold_indices};
+    use em_ml::forest::RandomForestLearner;
+    use em_ml::{Learner, Model, TrainView};
+
+    let (plain, folded) = em_bench::paper_training_sets(SEED);
+    eprintln!(
+        "training sets at seed {SEED}: {} rows x {} features (label debugging), x {} (selection)",
+        plain.len(),
+        plain.n_features(),
+        folded.n_features()
+    );
+
+    // ---- Label debugging: one forest per held-out row. ----
+    let forest = RandomForestLearner { seed: SEED, ..Default::default() };
+    let t0 = Instant::now();
+    let reference = leave_one_out_predictions(&forest, &plain)?;
+    eprintln!("\nleave_one_out_predictions (forest, {} fits): {:.1} ms", plain.len(), ms(t0));
+    let t0 = Instant::now();
+    let view = TrainView::new(&plain)?;
+    eprintln!("  view build: {:.3} ms", ms(t0));
+    for timed in [false, true] {
+        let mut scratch = view.scratch();
+        scratch.set_timed(timed);
+        let (mut fit_ms, mut predict_ms, mut leads) = (0.0, 0.0, 0usize);
+        let mut train = Vec::with_capacity(plain.len());
+        for (i, &expected) in reference.iter().enumerate() {
+            train.clear();
+            train.extend((0..plain.len()).filter(|&j| j != i));
+            let t0 = Instant::now();
+            let model = forest.fit_forest_rows(&view, &train, &mut scratch)?;
+            fit_ms += ms(t0);
+            let t0 = Instant::now();
+            let predicted = model.predict(&plain.x[i]);
+            predict_ms += ms(t0);
+            assert_eq!(predicted, expected, "held-out row {i}");
+            leads += usize::from(predicted != plain.y[i]);
+        }
+        eprintln!(
+            "  timers {}: fits {fit_ms:.1} ms, held-out predict {predict_ms:.2} ms, {leads} leads",
+            if timed { "on" } else { "off" }
+        );
+        if timed {
+            print_train_profile(&scratch.profile());
+        }
+    }
+
+    // ---- Selection: five folds per learner. ----
+    let learners = em_ml::standard_learners(SEED);
+    let refs: Vec<&dyn Learner> = learners.iter().map(|l| l.as_ref()).collect();
+    let t0 = Instant::now();
+    let ranking = select_matcher(&refs, &folded, 5, SEED)?;
+    eprintln!("\nselect_matcher (6 learners x 5 folds): {:.1} ms", ms(t0));
+    let folds = stratified_kfold_indices(&folded.y, 5, SEED)?;
+    let t0 = Instant::now();
+    let view = TrainView::new(&folded)?;
+    eprintln!("  view build: {:.3} ms", ms(t0));
+    for learner in &learners {
+        let mut scratch = view.scratch();
+        scratch.set_timed(true);
+        let (mut fit_ms, mut predict_ms, mut wrong) = (0.0, 0.0, 0usize);
+        for (k, held_out) in folds.iter().enumerate() {
+            let train: Vec<usize> = folds
+                .iter()
+                .enumerate()
+                .filter(|&(f, _)| f != k)
+                .flat_map(|(_, rows)| rows.iter().copied())
+                .collect();
+            let t0 = Instant::now();
+            let model = learner.fit_rows(&view, &train, &mut scratch)?;
+            fit_ms += ms(t0);
+            let t0 = Instant::now();
+            wrong += held_out.iter().filter(|&&i| model.predict(&folded.x[i]) != folded.y[i]).count();
+            predict_ms += ms(t0);
+        }
+        let row = ranking.iter().find(|r| r.learner == learner.name()).ok_or("unranked learner")?;
+        let errors: usize = row.folds.iter().map(|c| c.fp + c.fn_).sum();
+        assert_eq!(wrong, errors, "{}: by-hand folds vs select_matcher", learner.name());
+        eprintln!(
+            "  {:<20} fits {fit_ms:>7.2} ms, held-out predict {predict_ms:.2} ms, F1 {:.4}",
+            learner.name(),
+            row.f1()
+        );
+        if scratch.profile().trees > 0 {
+            print_train_profile(&scratch.profile());
+        }
+    }
+    Ok(())
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     em_parallel::set_threads(1);
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.as_slice() {
         [] => {}
+        [flag] if flag == "--train" => return train(),
         [flag, factor] if flag == "--stream" => return stream(factor.parse()?),
         [flag, factor] if flag == "--serve" => return serve(factor.parse()?),
-        _ => return Err("usage: profile_extract [--stream <factor> | --serve <factor>]".into()),
+        _ => {
+            return Err("usage: profile_extract [--stream <factor> | --serve <factor> | --train]".into())
+        }
     }
     let fx = fixtures_cfg(ScenarioConfig::small());
     let (u, s) = (&fx.umetrics, &fx.usda);

@@ -607,6 +607,15 @@ fn label_efficiency_section(args: &Args, seed: u64) -> Result<(), Box<dyn std::e
 }
 
 fn print_label_curve(tag: &str, out: &em_label::ActiveOutcome) {
+    // Per-round training and selection latency: stderr, like every timing.
+    for l in &out.latency {
+        eprintln!(
+            "  {tag:<10} round {:>2}: committee fit {:>7.3} ms, selection {:>7.3} ms",
+            l.round,
+            l.fit_s * 1e3,
+            l.select_s * 1e3
+        );
+    }
     println!(
         "  {:<10} {:>5} {:>7} {:>8} {:>7} {:>8} {:>7} {:>19} {:>19}",
         "arm", "round", "labels", "queries", "retries", "degraded", "F1", "precision (95%)", "recall (95%)"

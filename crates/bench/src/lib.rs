@@ -63,6 +63,35 @@ pub fn scaled_fixtures(factor: f64, seed: u64) -> Fixtures {
     fixtures_cfg(cfg)
 }
 
+/// The labeled training sets of the case study's Sections 8–9 at paper
+/// scale: the scenario at `seed`, the default blocking plan, the paper's
+/// 100 + 100 + 100 labels drawn with `seed`, `Unsure` labels and M1 sure
+/// matches removed, means imputed. The first set carries the case-sensitive
+/// features label debugging runs on, the second the case-insensitive
+/// variants the final selection runs on. `profile_extract --train` and
+/// `tests/training_pinned.rs` share it.
+pub fn paper_training_sets(seed: u64) -> (em_ml::Dataset, em_ml::Dataset) {
+    use em_core::blocking_plan::{run_blocking, BlockingPlan};
+    use em_core::matcher::{build_training_data, MatcherStage};
+    let fx = fixtures_cfg(ScenarioConfig::paper().with_seed(seed));
+    let (u, s) = (&fx.umetrics, &fx.usda);
+    let candidates =
+        run_blocking(u, s, &BlockingPlan::default()).expect("default plan blocks").consolidated;
+    let oracle = em_datagen::Oracle::new(&fx.scenario.truth, em_datagen::OracleConfig::default());
+    let (labeled, _) =
+        em_core::labeling::run_labeling(u, s, &candidates, &oracle, &[100, 100, 100], seed)
+            .expect("labeling over generated tables");
+    let m1 = em_rules::RuleSet {
+        positive: vec![em_rules::EqualityRule::suffix_equals("M1", "AwardNumber", "AwardNumber")],
+        negative: vec![],
+    };
+    let set = |stage: MatcherStage| {
+        let features = em_features::auto_features(u, s, &stage.feature_opts);
+        build_training_data(u, s, &features, &labeled, &m1).expect("labeled pairs are in range").0
+    };
+    (set(MatcherStage::new(seed)), set(MatcherStage::new(seed).with_case_insensitive()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

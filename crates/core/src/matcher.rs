@@ -10,7 +10,7 @@ use crate::labeling::LabeledSet;
 use em_blocking::Pair;
 use em_estimate::Label;
 use em_features::{extract_vectors, FeatureOptions, FeatureSet};
-use em_ml::cv::{cross_validate, leave_one_out_predictions, CvResult};
+use em_ml::cv::{leave_one_out_predictions, CvResult};
 use em_ml::dataset::{impute_mean, Dataset, Imputer};
 use em_ml::model::Learner;
 use em_rules::RuleSet;
@@ -117,17 +117,8 @@ pub fn select_matcher(
     stage: &MatcherStage,
 ) -> Result<Vec<CvResult>, CoreError> {
     let learners = em_ml::standard_learners(stage.seed);
-    let mut rows: Vec<CvResult> = learners
-        .iter()
-        .map(|l| cross_validate(l.as_ref(), data, stage.cv_folds, stage.seed))
-        .collect::<Result<_, _>>()?;
-    rows.sort_by(|a, b| {
-        b.f1()
-            .partial_cmp(&a.f1())
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.learner.cmp(&b.learner))
-    });
-    Ok(rows)
+    let learners: Vec<&dyn Learner> = learners.iter().map(|l| l.as_ref()).collect();
+    Ok(em_ml::cv::select_matcher(&learners, data, stage.cv_folds, stage.seed)?)
 }
 
 /// Trains the named learner (one of the standard six) on the full training

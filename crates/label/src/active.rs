@@ -29,6 +29,7 @@ use em_parallel::Executor;
 use em_table::Table;
 use std::collections::HashMap;
 use std::path::Path;
+use std::time::Instant;
 
 /// Feature rows per parallel work item for pool scoring and evaluation.
 const EVAL_GRAIN: usize = 64;
@@ -146,11 +147,29 @@ pub struct ActiveRound {
     pub distinct: usize,
 }
 
+/// Wall time of one computed round's training and selection — the AL
+/// benchmark framework's per-round latency, reported beside label
+/// efficiency. Kept apart from [`ActiveRound`], which is compared and
+/// checkpointed bit for bit: a timing never enters either.
+#[derive(Debug, Clone, Copy)]
+pub struct RoundLatency {
+    /// Round index.
+    pub round: usize,
+    /// Seconds fitting the committee on the labels so far.
+    pub fit_s: f64,
+    /// Seconds choosing the round's batch (pool scoring and ranking for
+    /// [`Strategy::Committee`], sampling otherwise).
+    pub select_s: f64,
+}
+
 /// What a full active-learning run produced.
 #[derive(Debug, Clone)]
 pub struct ActiveOutcome {
     /// The curve, one row per round.
     pub rounds: Vec<ActiveRound>,
+    /// One row per round computed in this run (none for a round restored
+    /// from a checkpoint).
+    pub latency: Vec<RoundLatency>,
     /// Every label acquired.
     pub labeled: LabeledSet,
     /// The label-budget ledger.
@@ -414,6 +433,7 @@ pub fn run_active(
     let mut labeled = LabeledSet::new();
     let mut budget = LabelBudget::new();
     let mut rounds: Vec<ActiveRound> = Vec::with_capacity(cfg.rounds);
+    let mut latency: Vec<RoundLatency> = Vec::with_capacity(cfg.rounds);
     let mut resumed_rounds = 0usize;
     // The committee carried across rounds: fit at the end of round r, used
     // to select round r+1's batch. Dropped on resume and lazily refit — the
@@ -435,11 +455,15 @@ pub fn run_active(
         }
 
         // Select this round's batch.
+        let mut fit_s = 0.0;
+        let select_started = Instant::now();
         let batch: Vec<Pair> = if r == 0 {
             sample_unlabeled(candidates, &labeled, cfg.seed_batch, cfg.seed)
         } else {
             if model.is_none() {
+                let t = Instant::now();
                 model = fit_committee(&features, &x_all, &index, &labeled, cfg)?;
+                fit_s += t.elapsed().as_secs_f64();
             }
             match (cfg.strategy, model.as_ref()) {
                 (Strategy::Committee, Some((m, imputer))) => {
@@ -478,6 +502,8 @@ pub fn run_active(
             }
         };
 
+        let select_s = select_started.elapsed().as_secs_f64() - fit_s;
+
         // Query the oracle for the batch under the retry policy; the ledger
         // charges each distinct pair once no matter how flaky the oracle.
         let views: Vec<PairView<'_>> = batch
@@ -502,7 +528,10 @@ pub fn run_active(
         }
 
         // Refit on everything labeled so far and score the curve point.
+        let t = Instant::now();
         model = fit_committee(&features, &x_all, &index, &labeled, cfg)?;
+        fit_s += t.elapsed().as_secs_f64();
+        latency.push(RoundLatency { round: r, fit_s, select_s });
         let (f1, precision, recall) = evaluate(model.as_ref(), &x_all, &truth_flags);
         let row = ActiveRound {
             round: r,
@@ -526,5 +555,5 @@ pub fn run_active(
         }
     }
 
-    Ok(ActiveOutcome { rounds, labeled, budget, resumed_rounds })
+    Ok(ActiveOutcome { rounds, latency, labeled, budget, resumed_rounds })
 }

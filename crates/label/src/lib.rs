@@ -28,7 +28,8 @@ pub mod active;
 pub mod weak;
 
 pub use active::{
-    run_active, ActiveConfig, ActiveOutcome, ActiveRound, Strategy, AL_TARGET_FRACTION,
+    run_active, ActiveConfig, ActiveOutcome, ActiveRound, RoundLatency, Strategy,
+    AL_TARGET_FRACTION,
 };
 pub use weak::{
     majority_vote, run_weak, standard_lfs, GenerativeModel, LabelingFunction, LfMatrix, Vote,

@@ -4,9 +4,9 @@
 //! variance smoothing (`var + ε·max_var`) so constant features do not
 //! produce degenerate densities.
 
-use crate::dataset::Dataset;
 use crate::error::MlError;
-use crate::model::{validate_training, ConstantModel, Learner, Model};
+use crate::model::{ConstantModel, Learner, Model};
+use crate::view::{positive_rate, TrainScratch, TrainView};
 
 /// Gaussian naive Bayes learner.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,7 +64,7 @@ impl Model for NaiveBayesModel {
     }
 }
 
-fn class_stats(x: &[Vec<f64>], idx: &[usize], d: usize, prior: f64, smoothing: f64) -> ClassStats {
+fn class_stats(x: &[&[f64]], idx: &[usize], d: usize, prior: f64, smoothing: f64) -> ClassStats {
     let n = idx.len() as f64;
     let mut means = vec![0.0; d];
     for &i in idx {
@@ -92,23 +92,28 @@ impl Learner for NaiveBayesLearner {
         "Naive Bayes".to_string()
     }
 
-    fn fit_model(&self, data: &Dataset) -> Result<crate::fitted::FittedModel, MlError> {
+    fn fit_rows(
+        &self,
+        view: &TrainView<'_>,
+        rows: &[usize],
+        _scratch: &mut TrainScratch,
+    ) -> Result<crate::fitted::FittedModel, MlError> {
         use crate::fitted::FittedModel;
-        let pos_rate = validate_training(data)?;
+        let (x, y) = view.gather(rows)?;
+        let pos_rate = positive_rate(&y);
         if pos_rate == 0.0 || pos_rate == 1.0 {
             return Ok(FittedModel::Constant(ConstantModel { proba: pos_rate }));
         }
-        let d = data.n_features();
-        let pos_idx: Vec<usize> = (0..data.len()).filter(|&i| data.y[i]).collect();
-        let neg_idx: Vec<usize> = (0..data.len()).filter(|&i| !data.y[i]).collect();
+        let d = view.n_features();
+        let (pos_idx, neg_idx): (Vec<usize>, Vec<usize>) = (0..x.len()).partition(|&i| y[i]);
         // Global smoothing scale: var_smoothing * max feature variance.
-        let all: Vec<usize> = (0..data.len()).collect();
-        let global = class_stats(&data.x, &all, d, 1.0, 0.0);
+        let all: Vec<usize> = (0..x.len()).collect();
+        let global = class_stats(&x, &all, d, 1.0, 0.0);
         let max_var = global.vars.iter().cloned().fold(0.0f64, f64::max);
         let smoothing = (self.var_smoothing * max_var).max(1e-12);
         Ok(FittedModel::Bayes(NaiveBayesModel {
-            pos: class_stats(&data.x, &pos_idx, d, pos_rate, smoothing),
-            neg: class_stats(&data.x, &neg_idx, d, 1.0 - pos_rate, smoothing),
+            pos: class_stats(&x, &pos_idx, d, pos_rate, smoothing),
+            neg: class_stats(&x, &neg_idx, d, 1.0 - pos_rate, smoothing),
         }))
     }
 }
@@ -116,6 +121,7 @@ impl Learner for NaiveBayesLearner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Dataset;
 
     fn gaussian_blobs() -> Dataset {
         let mut x = Vec::new();

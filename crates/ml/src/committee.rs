@@ -16,13 +16,16 @@
 //! bit-identical to the sequential order at any thread count, so the
 //! selection order (and therefore every downstream label) is deterministic.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::dataset::Dataset;
 use crate::error::MlError;
-use crate::forest::tree_seed;
-use crate::model::{validate_training, Model};
-use crate::tree::{seeded_rng, DecisionTreeLearner, DecisionTreeModel};
+use crate::fitted::FittedModel;
+use crate::forest::{Bagging, RandomForestModel};
+use crate::model::Model;
+use crate::tree::{DecisionTreeLearner, DecisionTreeModel};
+use crate::view::TrainView;
 use em_parallel::Executor;
-use rand::Rng;
 
 /// Hyper-parameters of a query-by-committee ensemble.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,6 +129,12 @@ impl CommitteeModel {
         }
     }
 
+    /// The committee as the forest it is: its members behind one mean
+    /// probability ([`CommitteeModel::mean_proba`]), in serializable form.
+    pub fn as_forest(&self) -> FittedModel {
+        FittedModel::Forest(RandomForestModel::from_trees(self.members.clone()))
+    }
+
     /// Scores every row of a pool in parallel, in pool order, bit-identical
     /// at any thread count.
     pub fn score_pool(&self, pool: &[Vec<f64>]) -> Vec<CommitteeScore> {
@@ -139,48 +148,23 @@ impl CommitteeLearner {
     /// of `(seed, member index)`, so the parallel fan-out reproduces the
     /// sequential fit bit for bit.
     pub fn fit(&self, data: &Dataset) -> Result<CommitteeModel, MlError> {
-        validate_training(data)?;
-        if self.n_members == 0 {
-            return Err(MlError::BadParameter("n_members must be >= 1".to_string()));
-        }
-        let d = data.n_features();
-        let mtry = self
-            .mtry
-            .unwrap_or_else(|| (d as f64).sqrt().ceil() as usize)
-            .clamp(1, d.max(1));
-        let n = data.len();
-        let strata: Option<(Vec<usize>, Vec<usize>)> = self.stratified.then(|| {
-            (0..n).partition(|&i| data.y[i])
-        });
-        const SPAWN_CELLS: usize = 10_000;
-        let min_members = SPAWN_CELLS.div_ceil(n.max(1));
-        let members =
-            Executor::current().with_min_items(min_members).map_indexed(self.n_members, 1, |t| {
-                let mut rng = seeded_rng(tree_seed(self.seed, t));
-                let idx: Vec<usize> = match &strata {
-                    Some((pos, neg)) => {
-                        // Resample each class onto itself: every member
-                        // trains on exactly the original class counts.
-                        let mut idx = Vec::with_capacity(n);
-                        for stratum in [pos, neg] {
-                            idx.extend(
-                                (0..stratum.len())
-                                    .map(|_| stratum[rng.gen_range(0..stratum.len())]),
-                            );
-                        }
-                        idx
-                    }
-                    None => (0..n).map(|_| rng.gen_range(0..n)).collect(),
-                };
-                self.tree.fit_on_indices(&data.x, &data.y, &idx, mtry, &mut rng)
-            });
-        Ok(CommitteeModel { members })
+        let view = TrainView::new(data)?;
+        let bagging = Bagging {
+            tree: &self.tree,
+            mtry: self.mtry,
+            seed: self.seed,
+            n_members: self.n_members,
+            stratified: self.stratified,
+        };
+        Ok(CommitteeModel { members: bagging.fit(&view, &view.all_rows(), None)? })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::seeded_rng;
+    use rand::Rng;
 
     fn threshold_data(n: usize, seed: u64) -> Dataset {
         let mut rng = seeded_rng(seed);

@@ -7,18 +7,17 @@
 //! step, which flags labeled pairs whose held-out prediction disagrees with
 //! the expert label.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::dataset::Dataset;
 use crate::error::MlError;
 use crate::metrics::Confusion;
-use crate::model::Learner;
+use crate::model::{Learner, Model};
+use crate::view::{spawn_floor, TrainView};
 use em_parallel::Executor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-/// Minimum total work (work items × training rows each re-scans) worth
-/// paying thread spawn cost for; below it the loop runs inline.
-const SPAWN_CELLS: usize = 10_000;
 
 /// Splits `0..n` into `k` near-equal shuffled folds.
 pub fn kfold_indices(n: usize, k: usize, seed: u64) -> Result<Vec<Vec<usize>>, MlError> {
@@ -104,6 +103,59 @@ fn mean(it: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
+/// Cross-validates every learner on the same stratified folds of one
+/// shared [`TrainView`], in learner order.
+///
+/// The learner × fold grid is one executor call. Tasks run fold-major —
+/// task `t` is learner `t % L` on fold `t / L` — so a worker's contiguous
+/// share of the grid holds every learner about equally often, whatever the
+/// learners cost. Each task is a pure function of its index (a fit on the
+/// other folds' rows, in fold order, through the worker's scratch), so the
+/// grid is bit-identical to the sequential double loop at any thread count;
+/// errors surface in learner order, then fold order.
+fn cv_grid(
+    learners: &[&dyn Learner],
+    data: &Dataset,
+    k: usize,
+    seed: u64,
+) -> Result<Vec<CvResult>, MlError> {
+    let folds = stratified_kfold_indices(&data.y, k, seed)?;
+    let view = TrainView::new(data)?;
+    let n_learners = learners.len();
+    let cells: Vec<Result<Confusion, MlError>> = Executor::current()
+        .with_min_items(spawn_floor(data.len()))
+        .map_indexed_with(
+            n_learners * folds.len(),
+            1,
+            || (view.scratch(), Vec::with_capacity(data.len())),
+            |(scratch, train), t| {
+                let (fold, learner) = (t / n_learners, learners[t % n_learners]);
+                train.clear();
+                for (f, rows) in folds.iter().enumerate() {
+                    if f != fold {
+                        train.extend_from_slice(rows);
+                    }
+                }
+                let model = learner.fit_rows(&view, train, scratch)?;
+                let held_out = &folds[fold];
+                let predicted: Vec<bool> =
+                    held_out.iter().map(|&i| model.predict(&data.x[i])).collect();
+                let actual: Vec<bool> = held_out.iter().map(|&i| data.y[i]).collect();
+                Ok(Confusion::from_predictions(&predicted, &actual))
+            },
+        );
+    learners
+        .iter()
+        .enumerate()
+        .map(|(l, learner)| {
+            let folds = (0..folds.len())
+                .map(|fold| cells[fold * n_learners + l].clone())
+                .collect::<Result<_, _>>()?;
+            Ok(CvResult { learner: learner.name(), folds })
+        })
+        .collect()
+}
+
 /// Runs stratified k-fold cross-validation for one learner.
 pub fn cross_validate(
     learner: &dyn Learner,
@@ -111,30 +163,8 @@ pub fn cross_validate(
     k: usize,
     seed: u64,
 ) -> Result<CvResult, MlError> {
-    let folds = stratified_kfold_indices(&data.y, k, seed)?;
-    // Folds are independent fits over precomputed index sets, so they fan
-    // out one fold per work item; collecting in fold order (and surfacing
-    // the first error in fold order) keeps output identical to the
-    // sequential loop. Each fold fits on ~the whole set, so the spawn
-    // floor scales inversely with the training-set size.
-    let min_folds = SPAWN_CELLS.div_ceil(data.len().max(1));
-    let results: Vec<Result<Confusion, MlError>> =
-        Executor::current().with_min_items(min_folds).map_indexed(folds.len(), 1, |fold| {
-            let test_fold = &folds[fold];
-            let train_idx: Vec<usize> = folds
-                .iter()
-                .enumerate()
-                .filter(|&(f, _)| f != fold)
-                .flat_map(|(_, idx)| idx.iter().copied())
-                .collect();
-            let model = learner.fit(&data.subset(&train_idx))?;
-            let predicted: Vec<bool> =
-                test_fold.iter().map(|&i| model.predict(&data.x[i])).collect();
-            let actual: Vec<bool> = test_fold.iter().map(|&i| data.y[i]).collect();
-            Ok(Confusion::from_predictions(&predicted, &actual))
-        });
-    let results: Vec<Confusion> = results.into_iter().collect::<Result<_, _>>()?;
-    Ok(CvResult { learner: learner.name(), folds: results })
+    let mut rows = cv_grid(&[learner], data, k, seed)?;
+    rows.pop().ok_or(MlError::EmptyTrainingSet)
 }
 
 /// Cross-validates every learner and ranks by mean F1 (descending,
@@ -145,10 +175,7 @@ pub fn select_matcher(
     k: usize,
     seed: u64,
 ) -> Result<Vec<CvResult>, MlError> {
-    let mut rows: Vec<CvResult> = learners
-        .iter()
-        .map(|l| cross_validate(*l, data, k, seed))
-        .collect::<Result<_, _>>()?;
+    let mut rows = cv_grid(learners, data, k, seed)?;
     rows.sort_by(|a, b| {
         b.f1()
             .partial_cmp(&a.f1())
@@ -161,25 +188,32 @@ pub fn select_matcher(
 /// For every example, trains on all the others and predicts it — the
 /// leave-one-out pass used to debug labels in Section 8.
 ///
-/// `O(n)` model fits: intended for the small labeled sets it is used on
-/// (hundreds of pairs).
+/// `O(n)` model fits over one shared [`TrainView`]: a held-out row is a
+/// hole in the row list, not a copy of the matrix without it.
 pub fn leave_one_out_predictions(
     learner: &dyn Learner,
     data: &Dataset,
 ) -> Result<Vec<bool>, MlError> {
-    if data.len() < 2 {
+    let n = data.len();
+    if n < 2 {
         return Err(MlError::BadParameter("leave-one-out needs >= 2 examples".to_string()));
     }
+    let view = TrainView::new(data)?;
     // One independent fit per held-out example — the heaviest trivially
-    // parallel loop in the crate. Each item refits on n-1 rows, so the
-    // spawn floor is SPAWN_CELLS total refitted rows.
-    let min_fits = SPAWN_CELLS.div_ceil(data.len().max(1));
-    let out: Vec<Result<bool, MlError>> =
-        Executor::current().with_min_items(min_fits).map_indexed(data.len(), 1, |i| {
-            let train_idx: Vec<usize> = (0..data.len()).filter(|&j| j != i).collect();
-            let model = learner.fit(&data.subset(&train_idx))?;
-            Ok(model.predict(&data.x[i]))
-        });
+    // parallel loop in the crate — each on its worker's scratch.
+    let out: Vec<Result<bool, MlError>> = Executor::current()
+        .with_min_items(spawn_floor(n))
+        .map_indexed_with(
+            n,
+            1,
+            || (view.scratch(), Vec::with_capacity(n)),
+            |(scratch, train), i| {
+                train.clear();
+                train.extend((0..n).filter(|&j| j != i));
+                let model = learner.fit_rows(&view, train, scratch)?;
+                Ok(model.predict(&data.x[i]))
+            },
+        );
     out.into_iter().collect()
 }
 
@@ -271,6 +305,43 @@ mod tests {
     fn loo_needs_two_examples() {
         let d = Dataset::new(vec!["f".into()], vec![vec![0.0]], vec![true]).unwrap();
         assert!(leave_one_out_predictions(&DecisionTreeLearner::default(), &d).is_err());
+    }
+
+    #[test]
+    fn non_finite_value_is_reported_at_its_own_row() {
+        let mut d = dataset(60);
+        d.x[17][0] = f64::NAN;
+        let want = MlError::NonFiniteFeature { row: 17, col: 0 };
+        for learner in crate::standard_learners(3) {
+            let name = learner.name();
+            assert_eq!(cross_validate(learner.as_ref(), &d, 5, 1).unwrap_err(), want, "{name}");
+            assert_eq!(leave_one_out_predictions(learner.as_ref(), &d).unwrap_err(), want, "{name}");
+            // A fit that does not list the row never reads it.
+            let view = TrainView::new(&d).unwrap();
+            let rest: Vec<usize> = (0..60).filter(|&i| i != 17).collect();
+            learner.fit_rows(&view, &rest, &mut view.scratch()).unwrap();
+            assert_eq!(
+                learner.fit_rows(&view, &[3, 17], &mut view.scratch()).unwrap_err(),
+                want,
+                "{name}"
+            );
+        }
+        assert_eq!(
+            crate::debug::mine_mismatches(&DecisionTreeLearner::default(), &d, 1).unwrap_err(),
+            want
+        );
+    }
+
+    #[test]
+    fn grid_equals_one_learner_at_a_time() {
+        let d = dataset(100);
+        let learners = crate::standard_learners(5);
+        let refs: Vec<&dyn Learner> = learners.iter().map(|l| l.as_ref()).collect();
+        let grid = cv_grid(&refs, &d, 5, 2).unwrap();
+        for (row, learner) in grid.iter().zip(&refs) {
+            let alone = cross_validate(*learner, &d, 5, 2).unwrap();
+            assert_eq!((&row.learner, &row.folds), (&alone.learner, &alone.folds));
+        }
     }
 
     #[test]

@@ -65,15 +65,6 @@ impl Dataset {
         self.y.iter().filter(|&&b| b).count()
     }
 
-    /// A new dataset containing the given row indices, in order.
-    pub fn subset(&self, indices: &[usize]) -> Dataset {
-        Dataset {
-            feature_names: self.feature_names.clone(),
-            x: indices.iter().map(|&i| self.x[i].clone()).collect(),
-            y: indices.iter().map(|&i| self.y[i]).collect(),
-        }
-    }
-
     /// Verifies every value is finite (call after imputation, before fit).
     pub fn check_finite(&self) -> Result<(), MlError> {
         for (r, row) in self.x.iter().enumerate() {
@@ -209,19 +200,6 @@ mod tests {
         assert!(Dataset::new(names(2), vec![vec![1.0]], vec![true]).is_err());
         assert!(Dataset::new(names(1), vec![vec![1.0]], vec![true, false]).is_err());
         assert!(Dataset::new(names(1), vec![vec![1.0]], vec![true]).is_ok());
-    }
-
-    #[test]
-    fn subset_picks_rows() {
-        let d = Dataset::new(
-            names(1),
-            vec![vec![0.0], vec![1.0], vec![2.0]],
-            vec![false, true, false],
-        )
-        .unwrap();
-        let s = d.subset(&[2, 0]);
-        assert_eq!(s.x, vec![vec![2.0], vec![0.0]]);
-        assert_eq!(s.y, vec![false, false]);
     }
 
     #[test]

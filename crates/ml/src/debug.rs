@@ -7,9 +7,12 @@
 //! the distinction (the case study found the latter — missing
 //! case-insensitive features).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::dataset::Dataset;
 use crate::error::MlError;
-use crate::model::Learner;
+use crate::model::{Learner, Model};
+use crate::view::TrainView;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -44,9 +47,11 @@ pub fn mine_mismatches(
     order.shuffle(&mut StdRng::seed_from_u64(seed));
     let (first, second) = order.split_at(order.len() / 2);
 
+    let view = TrainView::new(data)?;
+    let mut scratch = view.scratch();
     let mut mismatches = Vec::new();
     for (train_idx, test_idx) in [(first, second), (second, first)] {
-        let model = learner.fit(&data.subset(train_idx))?;
+        let model = learner.fit_rows(&view, train_idx, &mut scratch)?;
         for &i in test_idx {
             let proba = model.predict_proba(&data.x[i]);
             let predicted = proba >= 0.5;

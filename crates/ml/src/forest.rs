@@ -2,10 +2,13 @@
 //! the matcher that won the case study's first selection round before the
 //! case-insensitive feature fix (Section 9).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::dataset::Dataset;
 use crate::error::MlError;
-use crate::model::{validate_training, Learner, Model};
-use crate::tree::{seeded_rng, DecisionTreeLearner, DecisionTreeModel, FlatTree};
+use crate::model::{Learner, Model};
+use crate::tree::{load_sample, seeded_rng, DecisionTreeLearner, DecisionTreeModel, FlatTree};
+use crate::view::{spawn_floor, TrainScratch, TrainView};
 use em_parallel::Executor;
 use rand::Rng;
 
@@ -139,42 +142,114 @@ impl RandomForestModel {
     }
 }
 
-impl RandomForestLearner {
-    /// Like [`Learner::fit`] but returns the concrete model, for callers
-    /// that need [`RandomForestModel::feature_importance`].
-    pub fn fit_forest(&self, data: &Dataset) -> Result<RandomForestModel, MlError> {
-        validate_training(data)?;
-        if self.n_trees == 0 {
-            return Err(MlError::BadParameter("n_trees must be >= 1".to_string()));
+/// A bagged ensemble of CART trees over a row list — what a forest and a
+/// query-by-committee ensemble both are.
+///
+/// Member `t` owns the RNG stream [`tree_seed`]`(seed, t)` and consumes it
+/// in a fixed order: one draw per resampled row, then one feature shuffle
+/// per node that searches for a split, in pre-order. A member is therefore
+/// a pure function of its index, and fitting members on several workers
+/// gives the sequential result bit for bit.
+pub(crate) struct Bagging<'a> {
+    pub tree: &'a DecisionTreeLearner,
+    pub mtry: Option<usize>,
+    pub seed: u64,
+    pub n_members: usize,
+    /// Resample matches and non-matches separately, each onto itself.
+    pub stratified: bool,
+}
+
+impl Bagging<'_> {
+    /// Fits the members on `rows` of `view`: in member order on `scratch`
+    /// when the caller — itself a worker of some outer loop — lends one,
+    /// else fanned out over workers that each build their own.
+    pub(crate) fn fit(
+        &self,
+        view: &TrainView<'_>,
+        rows: &[usize],
+        scratch: Option<&mut TrainScratch>,
+    ) -> Result<Vec<DecisionTreeModel>, MlError> {
+        view.check_rows(rows)?;
+        if self.n_members == 0 {
+            return Err(MlError::BadParameter("an ensemble needs at least one member".to_string()));
         }
-        let d = data.n_features();
+        let d = view.n_features();
         let mtry = self
             .mtry
             .unwrap_or_else(|| (d as f64).sqrt().ceil() as usize)
             .clamp(1, d.max(1));
-        let n = data.len();
-        // Each tree draws its bootstrap and splits from its own derived RNG
-        // stream — a pure function of (forest seed, tree index) — so the
-        // fan-out is bit-identical to a sequential fit at any thread count.
-        // A tree costs O(n) per work item, so the spawn floor is expressed
-        // in trees-per-training-set-size: spawn only when the forest scans
-        // at least SPAWN_CELLS training rows in total.
-        const SPAWN_CELLS: usize = 10_000;
-        let min_trees = SPAWN_CELLS.div_ceil(n.max(1));
-        let trees =
-            Executor::current().with_min_items(min_trees).map_indexed(self.n_trees, 1, |t| {
-                let mut rng = seeded_rng(tree_seed(self.seed, t));
-                // Bootstrap sample: n draws with replacement.
-                let idx: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-                self.tree.fit_on_indices(&data.x, &data.y, &idx, mtry, &mut rng)
+        let labels = &view.data().y;
+        let strata: Option<(Vec<usize>, Vec<usize>)> =
+            self.stratified.then(|| rows.iter().partition(|&&r| labels[r]));
+        let (first, second): (&[usize], &[usize]) = match &strata {
+            Some((pos, neg)) => (pos, neg),
+            None => (rows, &[]),
+        };
+        let member = |scratch: &mut TrainScratch, t: usize| {
+            let mut rng = seeded_rng(tree_seed(self.seed, t));
+            // One draw per listed row, each stratum resampled onto itself.
+            let draws = (0..rows.len()).map(|k| {
+                let stratum = if k < first.len() { first } else { second };
+                stratum[rng.gen_range(0..stratum.len())]
             });
-        Ok(RandomForestModel { trees })
+            let counts = load_sample(view, draws, scratch);
+            self.tree.grow(view, counts, Some((mtry, &mut rng)), scratch)
+        };
+        Ok(match scratch {
+            Some(scratch) => (0..self.n_members).map(|t| member(scratch, t)).collect(),
+            None => Executor::current().with_min_items(spawn_floor(rows.len())).map_indexed_with(
+                self.n_members,
+                1,
+                || view.scratch(),
+                member,
+            ),
+        })
+    }
+}
+
+impl RandomForestLearner {
+    fn bagging(&self) -> Bagging<'_> {
+        Bagging {
+            tree: &self.tree,
+            mtry: self.mtry,
+            seed: self.seed,
+            n_members: self.n_trees,
+            stratified: false,
+        }
+    }
+
+    /// Like [`Learner::fit`] but returns the concrete model, for callers
+    /// that need [`RandomForestModel::feature_importance`]. Trees fit in
+    /// parallel when the forest is large enough to pay for the threads.
+    pub fn fit_forest(&self, data: &Dataset) -> Result<RandomForestModel, MlError> {
+        let view = TrainView::new(data)?;
+        Ok(RandomForestModel { trees: self.bagging().fit(&view, &view.all_rows(), None)? })
+    }
+
+    /// [`Learner::fit_rows`] returning the concrete model: every tree in
+    /// turn on the caller's scratch.
+    pub fn fit_forest_rows(
+        &self,
+        view: &TrainView<'_>,
+        rows: &[usize],
+        scratch: &mut TrainScratch,
+    ) -> Result<RandomForestModel, MlError> {
+        Ok(RandomForestModel { trees: self.bagging().fit(view, rows, Some(scratch))? })
     }
 }
 
 impl Learner for RandomForestLearner {
     fn name(&self) -> String {
         "Random Forest".to_string()
+    }
+
+    fn fit_rows(
+        &self,
+        view: &TrainView<'_>,
+        rows: &[usize],
+        scratch: &mut TrainScratch,
+    ) -> Result<crate::fitted::FittedModel, MlError> {
+        Ok(crate::fitted::FittedModel::Forest(self.fit_forest_rows(view, rows, scratch)?))
     }
 
     fn fit_model(&self, data: &Dataset) -> Result<crate::fitted::FittedModel, MlError> {

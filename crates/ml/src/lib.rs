@@ -18,6 +18,12 @@
 //! ([`cv::leave_one_out_predictions`]), and split-half mismatch mining
 //! ([`debug::mine_mismatches`]).
 //!
+//! Everything that trains — a tree, a forest's or a committee's members, a
+//! CV fold, a held-out fit — reads one [`view::TrainView`] of its dataset
+//! (column-major values and per-column dense ranks, built once) through
+//! [`Learner::fit_rows`]: a training set is a list of rows of the view,
+//! never a copy of them.
+//!
 //! ```
 //! use em_ml::dataset::Dataset;
 //! use em_ml::model::Learner;
@@ -46,6 +52,7 @@ pub mod linear;
 pub mod metrics;
 pub mod model;
 pub mod tree;
+pub mod view;
 
 pub use committee::{CommitteeLearner, CommitteeModel, CommitteeScore};
 pub use dataset::{dataset_from_probabilistic, impute_mean, Dataset, Imputer};
@@ -55,6 +62,7 @@ pub use forest::FlatForest;
 pub use tree::FlatTree;
 pub use metrics::Confusion;
 pub use model::{Learner, Model};
+pub use view::{TrainScratch, TrainView};
 
 /// The six matchers of the Section 9 bake-off, with default
 /// hyper-parameters, in the order the paper lists them.

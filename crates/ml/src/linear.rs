@@ -6,9 +6,9 @@
 //! statistics) so learning rates and regularization behave uniformly across
 //! feature scales; the fitted standardizer travels with the model.
 
-use crate::dataset::Dataset;
 use crate::error::MlError;
-use crate::model::{validate_training, ConstantModel, Learner, Model};
+use crate::model::{ConstantModel, Learner, Model};
+use crate::view::{positive_rate, TrainScratch, TrainView};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -21,7 +21,7 @@ pub(crate) struct Standardizer {
 }
 
 impl Standardizer {
-    pub(crate) fn fit(x: &[Vec<f64>], n_features: usize) -> Standardizer {
+    pub(crate) fn fit(x: &[&[f64]], n_features: usize) -> Standardizer {
         let n = x.len().max(1) as f64;
         let mut means = vec![0.0; n_features];
         for row in x {
@@ -117,23 +117,28 @@ impl Learner for LogisticRegressionLearner {
         "Logistic Regression".to_string()
     }
 
-    fn fit_model(&self, data: &Dataset) -> Result<crate::fitted::FittedModel, MlError> {
+    fn fit_rows(
+        &self,
+        view: &TrainView<'_>,
+        rows: &[usize],
+        _scratch: &mut TrainScratch,
+    ) -> Result<crate::fitted::FittedModel, MlError> {
         use crate::fitted::FittedModel;
-        let pos_rate = validate_training(data)?;
+        let (x, y) = view.gather(rows)?;
+        let pos_rate = positive_rate(&y);
         if pos_rate == 0.0 || pos_rate == 1.0 {
             return Ok(FittedModel::Constant(ConstantModel { proba: pos_rate }));
         }
-        let d = data.n_features();
-        let standardizer = Standardizer::fit(&data.x, d);
-        let z: Vec<Vec<f64>> =
-            data.x.iter().map(|r| standardizer.transform_row(r)).collect();
+        let d = view.n_features();
+        let standardizer = Standardizer::fit(&x, d);
+        let z: Vec<Vec<f64>> = x.iter().map(|r| standardizer.transform_row(r)).collect();
         let n = z.len() as f64;
         let mut weights = vec![0.0f64; d];
         let mut bias = 0.0f64;
         for _ in 0..self.iterations {
             let mut gw = vec![0.0f64; d];
             let mut gb = 0.0f64;
-            for (row, &label) in z.iter().zip(&data.y) {
+            for (row, &label) in z.iter().zip(&y) {
                 let p = sigmoid(
                     weights.iter().zip(row).map(|(w, v)| w * v).sum::<f64>() + bias,
                 );
@@ -215,21 +220,26 @@ impl Learner for LinearRegressionLearner {
     }
 
     #[allow(clippy::needless_range_loop)] // symmetric-matrix assembly is index-based
-    fn fit_model(&self, data: &Dataset) -> Result<crate::fitted::FittedModel, MlError> {
+    fn fit_rows(
+        &self,
+        view: &TrainView<'_>,
+        rows: &[usize],
+        _scratch: &mut TrainScratch,
+    ) -> Result<crate::fitted::FittedModel, MlError> {
         use crate::fitted::FittedModel;
-        let pos_rate = validate_training(data)?;
+        let (x, y) = view.gather(rows)?;
+        let pos_rate = positive_rate(&y);
         if pos_rate == 0.0 || pos_rate == 1.0 {
             return Ok(FittedModel::Constant(ConstantModel { proba: pos_rate }));
         }
-        let d = data.n_features();
-        let standardizer = Standardizer::fit(&data.x, d);
-        let z: Vec<Vec<f64>> =
-            data.x.iter().map(|r| standardizer.transform_row(r)).collect();
+        let d = view.n_features();
+        let standardizer = Standardizer::fit(&x, d);
+        let z: Vec<Vec<f64>> = x.iter().map(|r| standardizer.transform_row(r)).collect();
         // Augmented design: [z | 1] → solve (XᵀX + λI) w = Xᵀ y.
         let dim = d + 1;
         let mut xtx = vec![vec![0.0f64; dim]; dim];
         let mut xty = vec![0.0f64; dim];
-        for (row, &label) in z.iter().zip(&data.y) {
+        for (row, &label) in z.iter().zip(&y) {
             let y = f64::from(label);
             for i in 0..dim {
                 let xi = if i < d { row[i] } else { 1.0 };
@@ -277,18 +287,22 @@ impl Learner for LinearSvmLearner {
         "SVM".to_string()
     }
 
-    fn fit_model(&self, data: &Dataset) -> Result<crate::fitted::FittedModel, MlError> {
+    fn fit_rows(
+        &self,
+        view: &TrainView<'_>,
+        rows: &[usize],
+        _scratch: &mut TrainScratch,
+    ) -> Result<crate::fitted::FittedModel, MlError> {
         use crate::fitted::FittedModel;
-        let pos_rate = validate_training(data)?;
+        let (x, y) = view.gather(rows)?;
+        let pos_rate = positive_rate(&y);
         if pos_rate == 0.0 || pos_rate == 1.0 {
             return Ok(FittedModel::Constant(ConstantModel { proba: pos_rate }));
         }
-        let d = data.n_features();
-        let standardizer = Standardizer::fit(&data.x, d);
-        let z: Vec<Vec<f64>> =
-            data.x.iter().map(|r| standardizer.transform_row(r)).collect();
-        let labels: Vec<f64> =
-            data.y.iter().map(|&b| if b { 1.0 } else { -1.0 }).collect();
+        let d = view.n_features();
+        let standardizer = Standardizer::fit(&x, d);
+        let z: Vec<Vec<f64>> = x.iter().map(|r| standardizer.transform_row(r)).collect();
+        let labels: Vec<f64> = y.iter().map(|&b| if b { 1.0 } else { -1.0 }).collect();
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut order: Vec<usize> = (0..z.len()).collect();
         let mut weights = vec![0.0f64; d];
@@ -321,6 +335,7 @@ impl Learner for LinearSvmLearner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Dataset;
 
     fn linearly_separable(n: usize) -> Dataset {
         // matches cluster near (1, 1); non-matches near (0, 0)

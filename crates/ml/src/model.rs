@@ -2,12 +2,15 @@
 //!
 //! PyMatcher wraps six scikit-learn classifiers behind one interface; this
 //! module is the Rust equivalent. A [`Learner`] is a (hyper-)parameterized
-//! algorithm; [`Learner::fit`] produces an immutable [`Model`] that scores
-//! feature rows. Keeping learners stateless makes cross-validation trivial:
-//! the same learner is fitted independently per fold.
+//! algorithm; [`Learner::fit_rows`] produces an immutable [`Model`] that
+//! scores feature rows. Keeping learners stateless makes cross-validation
+//! trivial: the same learner is fitted independently per fold, each fold a
+//! row list over one shared [`TrainView`].
 
 use crate::dataset::Dataset;
 use crate::error::MlError;
+use crate::fitted::FittedModel;
+use crate::view::{TrainScratch, TrainView};
 
 /// A trained binary classifier.
 pub trait Model: Send + Sync {
@@ -26,13 +29,27 @@ pub trait Learner: Send + Sync {
     /// Short display name ("Decision Tree", "RF", …).
     fn name(&self) -> String;
 
-    /// Fits a model on the dataset, returning the concrete fitted form —
-    /// the serializable [`FittedModel`](crate::fitted::FittedModel) enum —
-    /// so callers that need to persist the artifact (workflow snapshots)
-    /// get it without downcasting. Implementations must not mutate `data`;
-    /// they may assume `check_finite` would pass (and should fail with
-    /// [`MlError::NonFiniteFeature`] otherwise).
-    fn fit_model(&self, data: &Dataset) -> Result<crate::fitted::FittedModel, MlError>;
+    /// Fits a model on the rows of `view` that `rows` lists — each as many
+    /// times as it is listed, in list order where order matters — writing
+    /// only into `scratch`. This is the one way anything in the crate
+    /// trains: a fit on a whole dataset lists every row once, a CV fold
+    /// lists the other folds, a leave-one-out fit lists all rows but one.
+    /// Returns the concrete, serializable [`FittedModel`]; fails with
+    /// [`MlError::NonFiniteFeature`] naming the dataset's own row if a
+    /// listed row holds a non-finite value (rows not listed may).
+    fn fit_rows(
+        &self,
+        view: &TrainView<'_>,
+        rows: &[usize],
+        scratch: &mut TrainScratch,
+    ) -> Result<FittedModel, MlError>;
+
+    /// [`Learner::fit_rows`] on every row of `data`, for callers that fit
+    /// once: builds the view and the scratch it needs.
+    fn fit_model(&self, data: &Dataset) -> Result<FittedModel, MlError> {
+        let view = TrainView::new(data)?;
+        self.fit_rows(&view, &view.all_rows(), &mut view.scratch())
+    }
 
     /// Fits and type-erases — the ergonomic entry point for callers that
     /// only score rows.
@@ -60,17 +77,6 @@ impl Model for ConstantModel {
     }
 }
 
-/// Shared guard used by learners: non-empty, finite, returns the positive
-/// rate (learners that need both classes can then handle 0.0/1.0 by
-/// returning a [`ConstantModel`]).
-pub(crate) fn validate_training(data: &Dataset) -> Result<f64, MlError> {
-    if data.is_empty() {
-        return Err(MlError::EmptyTrainingSet);
-    }
-    data.check_finite()?;
-    Ok(data.n_positive() as f64 / data.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,24 +93,5 @@ mod tests {
     fn predict_all_maps_rows() {
         let m = ConstantModel { proba: 1.0 };
         assert_eq!(predict_all(&m, &[vec![0.0], vec![1.0]]), vec![true, true]);
-    }
-
-    #[test]
-    fn validate_rejects_empty_and_nan() {
-        let d = Dataset::new(vec!["f".into()], vec![], vec![]).unwrap();
-        assert_eq!(validate_training(&d), Err(MlError::EmptyTrainingSet));
-        let d = Dataset::new(vec!["f".into()], vec![vec![f64::NAN]], vec![true]).unwrap();
-        assert!(matches!(validate_training(&d), Err(MlError::NonFiniteFeature { .. })));
-    }
-
-    #[test]
-    fn validate_returns_positive_rate() {
-        let d = Dataset::new(
-            vec!["f".into()],
-            vec![vec![0.0], vec![1.0], vec![2.0], vec![3.0]],
-            vec![true, false, false, false],
-        )
-        .unwrap();
-        assert_eq!(validate_training(&d), Ok(0.25));
     }
 }

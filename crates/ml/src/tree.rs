@@ -5,9 +5,12 @@
 //! The builder also supports per-split random feature subsetting so
 //! [`crate::forest`] can reuse it for random forests.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::dataset::Dataset;
 use crate::error::MlError;
-use crate::model::{validate_training, Learner, Model};
+use crate::model::{Learner, Model};
+use crate::view::{lap, Meter, TrainScratch, TrainView};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -245,111 +248,240 @@ fn gini(pos: usize, total: usize) -> f64 {
 
 struct BestSplit {
     feature: usize,
+    /// The midpoint of the two adjacent distinct values the split falls
+    /// between, and the lower of the two.
     threshold: f64,
+    lo: f64,
     gain: f64,
 }
 
-/// Finds the Gini-gain-maximizing threshold split over `features`,
-/// considering only rows in `idx`. Ties break toward the lower feature
-/// index, then lower threshold, for determinism.
-fn best_split(
-    x: &[Vec<f64>],
-    y: &[bool],
-    idx: &[usize],
-    features: &[usize],
-    min_leaf: usize,
-) -> Option<BestSplit> {
-    let total = idx.len();
-    let total_pos = idx.iter().filter(|&&i| y[i]).count();
-    let parent = gini(total_pos, total);
-    let mut best: Option<BestSplit> = None;
-
-    let mut pairs: Vec<(f64, bool)> = Vec::with_capacity(total);
-    for &f in features {
-        pairs.clear();
-        pairs.extend(idx.iter().map(|&i| (x[i][f], y[i])));
-        pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-
-        let mut left_n = 0usize;
-        let mut left_pos = 0usize;
-        for k in 0..total - 1 {
-            left_n += 1;
-            if pairs[k].1 {
-                left_pos += 1;
-            }
-            if pairs[k].0 == pairs[k + 1].0 {
-                continue; // can't split between equal values
-            }
-            let right_n = total - left_n;
-            if left_n < min_leaf || right_n < min_leaf {
-                continue;
-            }
-            let right_pos = total_pos - left_pos;
-            let weighted = (left_n as f64 * gini(left_pos, left_n)
-                + right_n as f64 * gini(right_pos, right_n))
-                / total as f64;
-            let gain = parent - weighted;
-            let threshold = (pairs[k].0 + pairs[k + 1].0) / 2.0;
-            // Zero-gain splits are admissible on impure nodes (XOR-style
-            // interactions only pay off one level deeper); recursion still
-            // terminates because children are strictly smaller.
-            let better = match &best {
-                None => gain >= -1e-12,
-                Some(b) => gain > b.gain + 1e-12,
-            };
-            if better {
-                best = Some(BestSplit { feature: f, threshold, gain });
-            }
-        }
-    }
-    best
+/// How many rows a node trains on, bootstrap repeats counted, and how many
+/// of them are matches.
+#[derive(Clone, Copy)]
+pub(crate) struct Counts {
+    total: usize,
+    pos: usize,
 }
 
-/// Recursive CART builder. `mtry` with an RNG enables random-forest-style
-/// feature subsetting at every split.
-fn build_tree(
-    x: &[Vec<f64>],
-    y: &[bool],
-    idx: &[usize],
-    depth: usize,
-    params: &DecisionTreeLearner,
-    mtry: Option<usize>,
-    rng: &mut Option<&mut StdRng>,
-) -> Node {
-    let n_features = x.first().map_or(0, Vec::len);
-    let pos = idx.iter().filter(|&&i| y[i]).count();
-    let proba = if idx.is_empty() { 0.0 } else { pos as f64 / idx.len() as f64 };
+/// A node sweeps a candidate feature by rank histogram unless the column
+/// has more than this many distinct values per row of the node; then
+/// sorting the node's own rank keys is cheaper than walking ranks it does
+/// not hold. Measured on one thread: a depth-30 tree over 20 000 rows of 10
+/// continuous columns takes 257 ms by histogram alone and 50 ms with any
+/// crossover from 4 to 16; at the paper's 255 rows no node is small enough
+/// for the choice to show.
+const HIST_RANKS_PER_ROW: usize = 16;
 
-    let pure = pos == 0 || pos == idx.len();
-    if pure || depth >= params.max_depth || idx.len() < params.min_samples_split {
-        return Node::Leaf { proba };
+/// The presorted CART builder: one tree over the rows loaded into a
+/// [`TrainScratch`].
+///
+/// A node is a slice of distinct rows, each weighted by its multiplicity
+/// (`weights[row]`). Per candidate feature the search fills a `(weight,
+/// match weight)` histogram over the column's dense ranks in one pass and
+/// sweeps the occupied ranks ascending (or, for a node much smaller than
+/// the column's rank range, sorts one packed key per row and sweeps runs of
+/// equal rank). Either way it sees what a sort of the node's `(value,
+/// label)` pairs would show: the same boundaries between adjacent distinct
+/// values in the same order, the same counts to their left — so the same
+/// `gini` and gain floats, the same `1e-12` tie rule, the same winner. The
+/// children are then cut by the real `value <= threshold` comparison.
+struct Builder<'v, 's> {
+    params: &'s DecisionTreeLearner,
+    view: &'v TrainView<'v>,
+    weights: &'s [[u32; 2]],
+    hist: &'s mut [[u32; 2]],
+    keys: &'s mut Vec<u64>,
+    features: &'s mut Vec<usize>,
+    /// Forest-style feature subsetting: `(mtry, rng)`.
+    sampler: Option<(usize, &'s mut StdRng)>,
+    meter: &'s mut Meter,
+}
+
+impl Builder<'_, '_> {
+    fn node(&mut self, rows: &mut [u32], counts: Counts, depth: usize) -> Node {
+        self.meter.profile.nodes += 1;
+        let Counts { total, pos } = counts;
+        let proba = pos as f64 / total as f64;
+        let pure = pos == 0 || pos == total;
+        if pure || depth >= self.params.max_depth || total < self.params.min_samples_split {
+            return Node::Leaf { proba };
+        }
+
+        let d = self.view.n_features();
+        self.features.clear();
+        self.features.extend(0..d);
+        if let Some((mtry, rng)) = &mut self.sampler {
+            if *mtry < d {
+                let t = self.meter.clock();
+                self.features.shuffle(&mut **rng);
+                self.features.truncate(*mtry);
+                self.features.sort_unstable(); // determinism of tie-breaking
+                self.meter.profile.shuffle_ns += lap(t);
+            }
+        }
+
+        let t = self.meter.clock();
+        self.meter.profile.searched += 1;
+        self.meter.profile.searched_rows += rows.len() as u64;
+        let split = self.best_split(rows, counts);
+        self.meter.profile.search_ns += lap(t);
+        let Some(split) = split else {
+            return Node::Leaf { proba };
+        };
+
+        let t = self.meter.clock();
+        let mut threshold = split.threshold;
+        let (mut cut, mut left) = self.partition(rows, split.feature, threshold);
+        if cut == 0 || cut == rows.len() {
+            // The midpoint of two adjacent floats rounds onto the upper one,
+            // and of two huge ones overflows: a cut that separates nothing
+            // would repeat itself down to `max_depth`. The lower value
+            // always separates.
+            threshold = split.lo;
+            (cut, left) = self.partition(rows, split.feature, threshold);
+        }
+        self.meter.profile.partition_ns += lap(t);
+        let right = Counts { total: total - left.total, pos: pos - left.pos };
+        let (left_rows, right_rows) = rows.split_at_mut(cut);
+        let left = self.node(left_rows, left, depth + 1);
+        let right = self.node(right_rows, right, depth + 1);
+        Node::Split {
+            feature: split.feature,
+            threshold,
+            weighted_gain: total as f64 * split.gain,
+            left: Box::new(left),
+            right: Box::new(right),
+        }
     }
 
-    let mut all_features: Vec<usize> = (0..n_features).collect();
-    let features: Vec<usize> = match (mtry, rng.as_deref_mut()) {
-        (Some(m), Some(r)) if m < n_features => {
-            all_features.shuffle(r);
-            let mut chosen = all_features[..m].to_vec();
-            chosen.sort_unstable(); // determinism of tie-breaking
-            chosen
+    /// Moves the rows whose `feature` is `<= threshold` to the front of
+    /// `rows`; returns how many there are and what they weigh.
+    fn partition(&self, rows: &mut [u32], feature: usize, threshold: f64) -> (usize, Counts) {
+        let col = self.view.col(feature);
+        let mut left = Counts { total: 0, pos: 0 };
+        let mut cut = 0usize;
+        for j in 0..rows.len() {
+            let r = rows[j] as usize;
+            if col[r] <= threshold {
+                rows.swap(cut, j);
+                cut += 1;
+                left.total += self.weights[r][0] as usize;
+                left.pos += self.weights[r][1] as usize;
+            }
         }
-        _ => all_features,
-    };
+        (cut, left)
+    }
 
-    let Some(split) = best_split(x, y, idx, &features, params.min_samples_leaf) else {
-        return Node::Leaf { proba };
-    };
+    /// Finds the Gini-gain-maximizing threshold split over the drawn
+    /// features. Ties break toward the lower feature index, then lower
+    /// threshold, for determinism.
+    fn best_split(&mut self, rows: &[u32], counts: Counts) -> Option<BestSplit> {
+        let view = self.view;
+        let parent = gini(counts.pos, counts.total);
+        let mut best: Option<BestSplit> = None;
+        for k in 0..self.features.len() {
+            let f = self.features[k];
+            let values = view.distinct(f);
+            if values.len() < 2 {
+                continue; // a constant column has no boundary
+            }
+            let ranks = view.ranks(f);
+            let mut sweep = Sweep {
+                f,
+                values,
+                counts,
+                parent,
+                min_leaf: self.params.min_samples_leaf,
+                left: Counts { total: 0, pos: 0 },
+                last: None,
+                evaluated: 0,
+            };
+            if values.len() > HIST_RANKS_PER_ROW * rows.len() {
+                self.meter.profile.key_sweeps += 1;
+                self.keys.clear();
+                self.keys.extend(rows.iter().map(|&r| {
+                    let [w, p] = self.weights[r as usize];
+                    u64::from(ranks[r as usize]) << 32 | u64::from(w) << 1 | u64::from(p != 0)
+                }));
+                self.keys.sort_unstable();
+                for &key in self.keys.iter() {
+                    let w = (key as u32 >> 1) as usize;
+                    sweep.absorb((key >> 32) as u32, w, if key & 1 == 1 { w } else { 0 }, &mut best);
+                }
+            } else {
+                self.meter.profile.hist_sweeps += 1;
+                let (mut lo, mut hi) = (u32::MAX, 0u32);
+                for &r in rows {
+                    let rank = ranks[r as usize];
+                    let [w, p] = self.weights[r as usize];
+                    let slot = &mut self.hist[rank as usize];
+                    slot[0] += w;
+                    slot[1] += p;
+                    lo = lo.min(rank);
+                    hi = hi.max(rank);
+                }
+                for rank in lo..=hi {
+                    let [w, p] = std::mem::take(&mut self.hist[rank as usize]);
+                    if w != 0 {
+                        sweep.absorb(rank, w as usize, p as usize, &mut best);
+                    }
+                }
+            }
+            self.meter.profile.candidates += sweep.evaluated;
+        }
+        best
+    }
+}
 
-    let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
-        idx.iter().partition(|&&i| x[i][split.feature] <= split.threshold);
-    let left = build_tree(x, y, &left_idx, depth + 1, params, mtry, rng);
-    let right = build_tree(x, y, &right_idx, depth + 1, params, mtry, rng);
-    Node::Split {
-        feature: split.feature,
-        threshold: split.threshold,
-        weighted_gain: idx.len() as f64 * split.gain,
-        left: Box::new(left),
-        right: Box::new(right),
+/// One candidate feature's ascending sweep: rows arrive grouped by rank,
+/// ranks ascending, and every step up from one occupied rank to the next is
+/// a boundary scored with everything absorbed so far on its left.
+struct Sweep<'v> {
+    f: usize,
+    values: &'v [f64],
+    counts: Counts,
+    parent: f64,
+    min_leaf: usize,
+    left: Counts,
+    last: Option<u32>,
+    evaluated: u64,
+}
+
+impl Sweep<'_> {
+    #[inline]
+    fn absorb(&mut self, rank: u32, weight: usize, pos: usize, best: &mut Option<BestSplit>) {
+        if let Some(last) = self.last.filter(|&last| last != rank) {
+            self.boundary(last, rank, best);
+        }
+        self.left.total += weight;
+        self.left.pos += pos;
+        self.last = Some(rank);
+    }
+
+    fn boundary(&mut self, below: u32, above: u32, best: &mut Option<BestSplit>) {
+        let Counts { total, pos } = self.counts;
+        let (left_n, left_pos) = (self.left.total, self.left.pos);
+        let right_n = total - left_n;
+        if left_n < self.min_leaf || right_n < self.min_leaf {
+            return;
+        }
+        self.evaluated += 1;
+        let right_pos = pos - left_pos;
+        let weighted = (left_n as f64 * gini(left_pos, left_n)
+            + right_n as f64 * gini(right_pos, right_n))
+            / total as f64;
+        let gain = self.parent - weighted;
+        // Zero-gain splits are admissible on impure nodes (XOR-style
+        // interactions only pay off one level deeper); recursion still
+        // terminates because children are strictly smaller.
+        let better = match best {
+            None => gain >= -1e-12,
+            Some(b) => gain > b.gain + 1e-12,
+        };
+        if better {
+            let (lo, hi) = (self.values[below as usize], self.values[above as usize]);
+            *best = Some(BestSplit { feature: self.f, threshold: (lo + hi) / 2.0, lo, gain });
+        }
     }
 }
 
@@ -358,8 +490,13 @@ impl Learner for DecisionTreeLearner {
         "Decision Tree".to_string()
     }
 
-    fn fit_model(&self, data: &Dataset) -> Result<crate::fitted::FittedModel, MlError> {
-        Ok(crate::fitted::FittedModel::Tree(self.fit_tree(data)?))
+    fn fit_rows(
+        &self,
+        view: &TrainView<'_>,
+        rows: &[usize],
+        scratch: &mut TrainScratch,
+    ) -> Result<crate::fitted::FittedModel, MlError> {
+        Ok(crate::fitted::FittedModel::Tree(self.fit_tree_rows(view, rows, scratch)?))
     }
 }
 
@@ -367,24 +504,80 @@ impl DecisionTreeLearner {
     /// Like [`Learner::fit`] but returns the concrete model, for callers
     /// that need [`DecisionTreeModel::describe`] / [`DecisionTreeModel::n_splits`].
     pub fn fit_tree(&self, data: &Dataset) -> Result<DecisionTreeModel, MlError> {
-        validate_training(data)?;
-        let idx: Vec<usize> = (0..data.len()).collect();
-        let root = build_tree(&data.x, &data.y, &idx, 0, self, None, &mut None);
-        Ok(DecisionTreeModel { root })
+        let view = TrainView::new(data)?;
+        self.fit_tree_rows(&view, &view.all_rows(), &mut view.scratch())
     }
 
-    /// Forest hook: fit on a bootstrap index set with feature subsetting.
-    pub(crate) fn fit_on_indices(
+    /// [`Learner::fit_rows`] returning the concrete model: one tree on the
+    /// listed rows, every feature a candidate at every node.
+    pub fn fit_tree_rows(
         &self,
-        x: &[Vec<f64>],
-        y: &[bool],
-        idx: &[usize],
-        mtry: usize,
-        rng: &mut StdRng,
+        view: &TrainView<'_>,
+        rows: &[usize],
+        scratch: &mut TrainScratch,
+    ) -> Result<DecisionTreeModel, MlError> {
+        view.check_rows(rows)?;
+        let counts = load_sample(view, rows.iter().copied(), scratch);
+        Ok(self.grow(view, counts, None, scratch))
+    }
+
+    /// Grows one tree on the sample [`load_sample`] left in `scratch`, with
+    /// forest-style feature subsetting when `sampler` is `(mtry, rng)`, and
+    /// leaves the scratch clean for the next sample.
+    pub(crate) fn grow(
+        &self,
+        view: &TrainView<'_>,
+        counts: Counts,
+        sampler: Option<(usize, &mut StdRng)>,
+        scratch: &mut TrainScratch,
     ) -> DecisionTreeModel {
-        let root = build_tree(x, y, idx, 0, self, Some(mtry), &mut Some(rng));
+        let TrainScratch { weights, rows, hist, keys, features, meter } = scratch;
+        meter.profile.trees += 1;
+        let mut builder = Builder {
+            params: self,
+            view,
+            weights,
+            hist,
+            keys,
+            features,
+            sampler,
+            meter,
+        };
+        let root = builder.node(rows, counts, 0);
+        for &r in rows.iter() {
+            weights[r as usize] = [0, 0];
+        }
+        rows.clear();
         DecisionTreeModel { root }
     }
+}
+
+/// Loads a training sample into `scratch`: `sample` yields rows of `view`,
+/// a repeat meaning weight (a bootstrap draws the same row twice; a row
+/// list may name it twice), in any order — the builder reads counts, never
+/// positions. The caller has checked the rows ([`TrainView::check_rows`])
+/// and `sample` yields at least one.
+pub(crate) fn load_sample(
+    view: &TrainView<'_>,
+    sample: impl Iterator<Item = usize>,
+    scratch: &mut TrainScratch,
+) -> Counts {
+    let t = scratch.meter.clock();
+    let labels = &view.data().y;
+    let mut counts = Counts { total: 0, pos: 0 };
+    for r in sample {
+        let slot = &mut scratch.weights[r];
+        if slot[0] == 0 {
+            scratch.rows.push(r as u32);
+        }
+        let is_match = u32::from(labels[r]);
+        slot[0] += 1;
+        slot[1] += is_match;
+        counts.total += 1;
+        counts.pos += is_match as usize;
+    }
+    scratch.meter.profile.draw_ns += lap(t);
+    counts
 }
 
 /// Convenience for forest code: a seeded RNG (kept here so seeding policy
@@ -575,6 +768,41 @@ mod tests {
         let m = DecisionTreeLearner::default().fit_tree(&d).unwrap();
         let s = m.describe(&d.feature_names);
         assert!(s.contains("if f0 <= 0.5"), "{s}");
+    }
+
+    #[test]
+    fn adjacent_floats_are_cut_once_at_the_lower_value() {
+        // The midpoint of 1 + ε and 1 + 2ε rounds (ties to even) onto
+        // 1 + 2ε: taken as the threshold it sends both rows left, and the
+        // same split repeats down to `max_depth` over an empty right leaf.
+        let lo = 1.0 + f64::EPSILON;
+        let hi = 1.0 + 2.0 * f64::EPSILON;
+        assert_eq!((lo + hi) / 2.0, hi);
+        let d = data(&[(&[lo], false), (&[hi], true)]);
+        let m = DecisionTreeLearner::default().fit_tree(&d).unwrap();
+        assert_eq!(m.n_splits(), 1);
+        assert_eq!(m.predict_proba(&[lo]), 0.0);
+        assert_eq!(m.predict_proba(&[hi]), 1.0);
+        // Same for a midpoint that overflows.
+        let d = data(&[(&[f64::MAX / 2.0 * 1.5], false), (&[f64::MAX], true)]);
+        let m = DecisionTreeLearner::default().fit_tree(&d).unwrap();
+        assert_eq!(m.n_splits(), 1);
+        assert_eq!(m.predict_proba(&[f64::MAX]), 1.0);
+    }
+
+    #[test]
+    fn repeated_rows_weigh_like_copies() {
+        let d = data(&[(&[0.0], false), (&[1.0], true), (&[2.0], false), (&[3.0], true)]);
+        let view = TrainView::new(&d).unwrap();
+        let mut scratch = view.scratch();
+        let learner = DecisionTreeLearner { max_depth: 1, ..Default::default() };
+        // Row 1 three times outweighs row 2: the stump isolates row 0.
+        let m = learner.fit_tree_rows(&view, &[2, 1, 0, 1, 1], &mut scratch).unwrap();
+        assert_eq!(m.predict_proba(&[0.0]), 0.0);
+        assert_eq!(m.predict_proba(&[1.5]), 0.75);
+        // The scratch comes back clean: the same fit again is the same tree.
+        let again = learner.fit_tree_rows(&view, &[2, 1, 0, 1, 1], &mut scratch).unwrap();
+        assert_eq!(m.describe(&d.feature_names), again.describe(&d.feature_names));
     }
 
     #[test]

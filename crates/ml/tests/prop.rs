@@ -251,3 +251,353 @@ proptest! {
         }
     }
 }
+
+// ---- presorted fit == naive fit -----------------------------------------
+
+/// The sort-per-node CART builder the presorted training engine replaced,
+/// kept as its oracle: it trains on a *copy* of the listed rows, collects
+/// and sorts `(value, label)` pairs for every candidate feature at every
+/// node, and writes the node lines `FittedModel::encode` writes. It shares
+/// no code with `em_ml::tree`; what it shares is the contract — candidate
+/// order, the `gini`/gain float operations, the `1e-12` tie rule, the
+/// midpoint threshold with its fall-back to the lower value when the
+/// midpoint separates nothing, the per-member seed, and the order in which a
+/// member consumes its RNG.
+mod naive {
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    #[derive(Clone, Copy)]
+    pub struct Params {
+        pub max_depth: usize,
+        pub min_samples_split: usize,
+        pub min_samples_leaf: usize,
+    }
+
+    fn gini(pos: usize, total: usize) -> f64 {
+        if total == 0 {
+            return 0.0;
+        }
+        let p = pos as f64 / total as f64;
+        2.0 * p * (1.0 - p)
+    }
+
+    /// `(feature, midpoint, lower value, gain)` of the best split.
+    fn best_split(
+        x: &[Vec<f64>],
+        y: &[bool],
+        idx: &[usize],
+        features: &[usize],
+        min_leaf: usize,
+    ) -> Option<(usize, f64, f64, f64)> {
+        let total = idx.len();
+        let total_pos = idx.iter().filter(|&&i| y[i]).count();
+        let parent = gini(total_pos, total);
+        let mut best: Option<(usize, f64, f64, f64)> = None;
+        for &f in features {
+            let mut pairs: Vec<(f64, bool)> = idx.iter().map(|&i| (x[i][f], y[i])).collect();
+            pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+            let (mut left_n, mut left_pos) = (0usize, 0usize);
+            for k in 0..total - 1 {
+                left_n += 1;
+                left_pos += usize::from(pairs[k].1);
+                if pairs[k].0 == pairs[k + 1].0 {
+                    continue;
+                }
+                let right_n = total - left_n;
+                if left_n < min_leaf || right_n < min_leaf {
+                    continue;
+                }
+                let right_pos = total_pos - left_pos;
+                let weighted = (left_n as f64 * gini(left_pos, left_n)
+                    + right_n as f64 * gini(right_pos, right_n))
+                    / total as f64;
+                let gain = parent - weighted;
+                let better = match &best {
+                    None => gain >= -1e-12,
+                    Some(b) => gain > b.3 + 1e-12,
+                };
+                if better {
+                    best = Some((f, (pairs[k].0 + pairs[k + 1].0) / 2.0, pairs[k].0, gain));
+                }
+            }
+        }
+        best
+    }
+
+    fn build(
+        x: &[Vec<f64>],
+        y: &[bool],
+        idx: &[usize],
+        depth: usize,
+        params: Params,
+        sampler: &mut Option<(usize, &mut StdRng)>,
+        out: &mut String,
+    ) {
+        let d = x[0].len();
+        let pos = idx.iter().filter(|&&i| y[i]).count();
+        let proba = pos as f64 / idx.len() as f64;
+        if pos == 0
+            || pos == idx.len()
+            || depth >= params.max_depth
+            || idx.len() < params.min_samples_split
+        {
+            out.push_str(&format!("L {proba:?}\n"));
+            return;
+        }
+        let mut features: Vec<usize> = (0..d).collect();
+        if let Some((mtry, rng)) = sampler {
+            if *mtry < d {
+                features.shuffle(&mut **rng);
+                features.truncate(*mtry);
+                features.sort_unstable();
+            }
+        }
+        let Some((feature, mid, lo, gain)) =
+            best_split(x, y, idx, &features, params.min_samples_leaf)
+        else {
+            out.push_str(&format!("L {proba:?}\n"));
+            return;
+        };
+        let cut = |t: f64| -> (Vec<usize>, Vec<usize>) {
+            idx.iter().partition(|&&i| x[i][feature] <= t)
+        };
+        let mut threshold = mid;
+        let (mut left, mut right) = cut(threshold);
+        if left.is_empty() || right.is_empty() {
+            threshold = lo;
+            (left, right) = cut(threshold);
+        }
+        let weighted_gain = idx.len() as f64 * gain;
+        out.push_str(&format!("S {feature} {threshold:?} {weighted_gain:?}\n"));
+        build(x, y, &left, depth + 1, params, sampler, out);
+        build(x, y, &right, depth + 1, params, sampler, out);
+    }
+
+    /// `FittedModel::encode` of one tree fitted on a copy of `rows`.
+    pub fn tree(x: &[Vec<f64>], y: &[bool], rows: &[usize], params: Params) -> String {
+        let (x, y) = copy(x, y, rows);
+        let idx: Vec<usize> = (0..x.len()).collect();
+        let mut out = String::from("tree\n");
+        build(&x, &y, &idx, 0, params, &mut None, &mut out);
+        out
+    }
+
+    /// The listed rows as their own little dataset.
+    fn copy(x: &[Vec<f64>], y: &[bool], rows: &[usize]) -> (Vec<Vec<f64>>, Vec<bool>) {
+        (rows.iter().map(|&r| x[r].clone()).collect(), rows.iter().map(|&r| y[r]).collect())
+    }
+
+    /// `FittedModel::encode` of a bagged ensemble fitted on a copy of `rows`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn ensemble(
+        x: &[Vec<f64>],
+        y: &[bool],
+        rows: &[usize],
+        params: Params,
+        n_members: usize,
+        mtry: Option<usize>,
+        seed: u64,
+        stratified: bool,
+    ) -> String {
+        let (x, y) = copy(x, y, rows);
+        let (n, d) = (x.len(), x[0].len());
+        let mtry = mtry.unwrap_or_else(|| (d as f64).sqrt().ceil() as usize).clamp(1, d.max(1));
+        let (pos, neg): (Vec<usize>, Vec<usize>) = (0..n).partition(|&i| y[i]);
+        let mut out = format!("forest\ntrees {n_members}\n");
+        for t in 0..n_members {
+            let mut rng =
+                StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t as u64 + 1));
+            let idx: Vec<usize> = if stratified {
+                let mut idx = Vec::new();
+                for stratum in [&pos, &neg] {
+                    for _ in 0..stratum.len() {
+                        idx.push(stratum[rng.gen_range(0..stratum.len())]);
+                    }
+                }
+                idx
+            } else {
+                (0..n).map(|_| rng.gen_range(0..n)).collect()
+            };
+            build(&x, &y, &idx, 0, params, &mut Some((mtry, &mut rng)), &mut out);
+        }
+        out
+    }
+}
+
+/// A training set built to stress the rank engine: per column one of —
+/// a constant, a two-value flag, a five-value palette with `-0.0` beside
+/// `0.0`, values one ulp apart, a short grid (heavy ties), or a continuum
+/// (every value distinct, so small nodes take the sorted-key sweep).
+fn engine_dataset(rng: &mut rand::rngs::StdRng) -> Dataset {
+    use rand::Rng;
+    let n = rng.gen_range(2..90usize);
+    let d = rng.gen_range(1..7usize);
+    let kinds: Vec<u8> = (0..d).map(|_| rng.gen_range(0..6u8)).collect();
+    let ulps = [1.0, 1.0 + f64::EPSILON, 1.0 + 2.0 * f64::EPSILON, 1.0 + 3.0 * f64::EPSILON];
+    let x: Vec<Vec<f64>> = (0..n)
+        .map(|_| {
+            kinds
+                .iter()
+                .map(|kind| match kind {
+                    0 => 4.25,
+                    1 => f64::from(rng.gen_range(0..2u8)),
+                    2 => [-0.0, 0.0, -1.5, 2.0, 1e300][rng.gen_range(0..5usize)],
+                    3 => ulps[rng.gen_range(0..4usize)],
+                    4 => f64::from(rng.gen_range(0..8u8)) / 8.0,
+                    _ => rng.gen_range(-3.0..3.0),
+                })
+                .collect()
+        })
+        .collect();
+    // Labels lean on column 0 and are otherwise noise, so trees go deep.
+    let y: Vec<bool> = x.iter().map(|r| (r[0] > 0.4) ^ (rng.gen_range(0..4u8) == 0)).collect();
+    Dataset::new((0..d).map(|i| format!("f{i}")).collect(), x, y).unwrap()
+}
+
+fn tree_params(rng: &mut rand::rngs::StdRng) -> (DecisionTreeLearner, naive::Params) {
+    use rand::Rng;
+    let learner = DecisionTreeLearner {
+        max_depth: [0, 1, 2, 3, 12, 40][rng.gen_range(0..6usize)],
+        min_samples_split: [0, 2, 5][rng.gen_range(0..3usize)],
+        min_samples_leaf: [0, 1, 2, 4][rng.gen_range(0..4usize)],
+    };
+    let params = naive::Params {
+        max_depth: learner.max_depth,
+        min_samples_split: learner.min_samples_split,
+        min_samples_leaf: learner.min_samples_leaf,
+    };
+    (learner, params)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// A tree, a forest and a committee (plain and stratified) fitted over
+    /// a row list of a shared view — repeats, holes, any order — encode to
+    /// the bytes the sort-per-node oracle writes for a copy of those rows.
+    #[test]
+    fn presorted_fit_equals_naive_fit(case in any::<u64>()) {
+        use em_ml::forest::RandomForestLearner;
+        use em_ml::{CommitteeLearner, TrainView};
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(case);
+        let data = engine_dataset(&mut rng);
+        let (n, d) = (data.len(), data.n_features());
+        let (tree, params) = tree_params(&mut rng);
+        let view = TrainView::new(&data).unwrap();
+        let mut scratch = view.scratch();
+
+        // Three lists: every row once, a strict subset, and draws with
+        // repeats (possibly longer than the dataset).
+        let all: Vec<usize> = (0..n).collect();
+        let holes: Vec<usize> = (0..n).filter(|_| rng.gen_range(0..3u8) > 0).rev().collect();
+        let repeats: Vec<usize> =
+            (0..rng.gen_range(1..2 * n + 1)).map(|_| rng.gen_range(0..n)).collect();
+        for rows in [&all, &holes, &repeats] {
+            if rows.is_empty() {
+                continue;
+            }
+            let got = FittedModel::Tree(tree.fit_tree_rows(&view, rows, &mut scratch).unwrap());
+            prop_assert_eq!(got.encode(), naive::tree(&data.x, &data.y, rows, params));
+
+            let mtry = [None, Some(1), Some(2), Some(d)][rng.gen_range(0..4usize)];
+            let forest = RandomForestLearner {
+                n_trees: rng.gen_range(1..6usize),
+                tree,
+                mtry,
+                seed: rng.gen(),
+            };
+            let got = forest.fit_rows(&view, rows, &mut scratch).unwrap();
+            let want = naive::ensemble(
+                &data.x, &data.y, rows, params, forest.n_trees, mtry, forest.seed, false,
+            );
+            prop_assert_eq!(got.encode(), want);
+        }
+
+        // A committee fits whole datasets only; both resampling schemes.
+        for stratified in [false, true] {
+            let committee = CommitteeLearner {
+                n_members: rng.gen_range(1..6usize),
+                tree,
+                mtry: None,
+                seed: rng.gen(),
+                stratified,
+            };
+            let got = committee.fit(&data).unwrap().as_forest();
+            let want = naive::ensemble(
+                &data.x, &data.y, &all, params, committee.n_members, None, committee.seed,
+                stratified,
+            );
+            prop_assert_eq!(got.encode(), want);
+        }
+    }
+}
+
+/// Large enough that trees, members, held-out rows and CV cells all fork:
+/// the same bytes at 1, 2 and 4 threads, and the oracle's.
+#[test]
+fn forked_fits_equal_the_naive_fit_at_any_thread_count() {
+    use em_ml::cv::{cross_validate, leave_one_out_predictions, stratified_kfold_indices};
+    use em_ml::forest::RandomForestLearner;
+    use em_ml::CommitteeLearner;
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(20190326);
+    let n = 420;
+    let x: Vec<Vec<f64>> = (0..n)
+        .map(|_| {
+            vec![
+                f64::from(rng.gen_range(0..6u8)) / 4.0,
+                rng.gen_range(0.0..1.0),
+                [-0.0, 0.0, 1.0][rng.gen_range(0..3usize)],
+                3.5,
+            ]
+        })
+        .collect();
+    let y: Vec<bool> = x.iter().map(|r| (r[0] + r[1] > 1.1) ^ (rng.gen_range(0..5u8) == 0)).collect();
+    let data = Dataset::new((0..4).map(|i| format!("f{i}")).collect(), x, y).unwrap();
+    let all: Vec<usize> = (0..n).collect();
+    let tree = DecisionTreeLearner::default();
+    let params = naive::Params { max_depth: 12, min_samples_split: 2, min_samples_leaf: 1 };
+    let forest = RandomForestLearner { n_trees: 30, tree, mtry: Some(2), seed: 11 };
+    let small = RandomForestLearner { n_trees: 3, ..forest };
+    let committee = CommitteeLearner { n_members: 30, tree, mtry: None, seed: 5, stratified: true };
+
+    let want_forest = naive::ensemble(&data.x, &data.y, &all, params, 30, Some(2), 11, false);
+    let want_committee = naive::ensemble(&data.x, &data.y, &all, params, 30, None, 5, true);
+    // Leave-one-out and five-fold by the oracle: fit on a copy, decode, predict.
+    let oracle_predict = |train: &[usize], row: usize| {
+        let text = naive::ensemble(&data.x, &data.y, train, params, 3, Some(2), 11, false);
+        FittedModel::decode(&text).unwrap().predict(&data.x[row])
+    };
+    let held_out: Vec<usize> = (0..n).step_by(7).collect();
+    let want_loo: Vec<bool> = held_out
+        .iter()
+        .map(|&i| oracle_predict(&all.iter().copied().filter(|&j| j != i).collect::<Vec<_>>(), i))
+        .collect();
+    let folds = stratified_kfold_indices(&data.y, 5, 9).unwrap();
+    let want_cv: Vec<Confusion> = (0..5)
+        .map(|f| {
+            let train: Vec<usize> =
+                (0..5).filter(|&g| g != f).flat_map(|g| folds[g].iter().copied()).collect();
+            let predicted: Vec<bool> = folds[f].iter().map(|&i| oracle_predict(&train, i)).collect();
+            let actual: Vec<bool> = folds[f].iter().map(|&i| data.y[i]).collect();
+            Confusion::from_predictions(&predicted, &actual)
+        })
+        .collect();
+
+    for threads in [1, 2, 4] {
+        em_parallel::set_threads(threads);
+        let got_forest = forest.fit_model(&data).unwrap().encode();
+        let got_committee = committee.fit(&data).unwrap().as_forest().encode();
+        let loo = leave_one_out_predictions(&small, &data).unwrap();
+        let cv = cross_validate(&small, &data, 5, 9).unwrap();
+        em_parallel::set_threads(0);
+        assert_eq!(got_forest, want_forest, "forest at {threads} threads");
+        assert_eq!(got_committee, want_committee, "committee at {threads} threads");
+        let got_loo: Vec<bool> = held_out.iter().map(|&i| loo[i]).collect();
+        assert_eq!(got_loo, want_loo, "leave-one-out at {threads} threads");
+        assert_eq!(cv.folds, want_cv, "five-fold at {threads} threads");
+    }
+}

@@ -3,8 +3,9 @@
 //! Every parallel hot path of the pipeline (overlap-index probing, feature
 //! extraction, random-forest tree fitting, cross-validation folds, batch
 //! prediction) fans out through [`Executor::map_indexed`]: the index space
-//! `0..n` is split into contiguous chunks, one scoped thread per chunk, and
-//! the per-index results are joined back **in index order**. Because every
+//! `0..n` is split into contiguous chunks — the calling thread takes the
+//! first, one scoped thread each of the others — and the per-index results
+//! are joined back **in index order**. Because every
 //! work item is a pure function of its index, output is bit-identical to
 //! the single-threaded run at any thread count — parallelism only changes
 //! wall time, never results.
@@ -165,7 +166,7 @@ impl Executor {
         let init = &init;
         let mut results: Vec<Vec<R>> = Vec::with_capacity(ranges.len());
         crossbeam::scope(|scope| {
-            let handles: Vec<_> = ranges
+            let handles: Vec<_> = ranges[1..]
                 .iter()
                 .map(|r| {
                     let r = r.clone();
@@ -175,6 +176,13 @@ impl Executor {
                     })
                 })
                 .collect();
+            // The caller works its share instead of sleeping in `join`: one
+            // thread fewer to start per fork, and one allocator arena fewer
+            // for a stage's worker-built results to strand memory in (glibc
+            // gives every new thread its own; what a worker leaves behind in
+            // one is reusable only by the next thread that happens to get it).
+            let mut state = init();
+            results.push(ranges[0].clone().map(|i| f(&mut state, i)).collect());
             for h in handles {
                 results.push(h.join().expect("parallel worker panicked"));
             }
@@ -204,20 +212,18 @@ impl Executor {
         let (f, next) = (&f, &next);
         let mut done: Vec<(usize, R)> = Vec::with_capacity(n);
         crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move |_| {
-                        let mut mine = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                return mine;
-                            }
-                            mine.push((i, f(i)));
-                        }
-                    })
-                })
-                .collect();
+            let pull = move || {
+                let mut mine = Vec::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        return mine;
+                    }
+                    mine.push((i, f(i)));
+                }
+            };
+            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(move |_| pull())).collect();
+            done.extend(pull());
             for h in handles {
                 done.extend(h.join().expect("parallel worker panicked"));
             }

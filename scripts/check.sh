@@ -44,7 +44,8 @@ CARGO_TARGET_DIR=benchmark/target cargo test "${CARGO_FLAGS[@]}" --locked --rele
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 # Panic hygiene is a lint, not a grep: the em-serve fault modules (wal, swap,
-# overload, chaos, shard, sched), em-label and the blocking debugger deny
+# overload, chaos, shard, sched), em-label, the blocking debugger and em-ml's
+# training path (view, tree, forest, committee, cv, debug) deny
 # `unwrap_used` / `expect_used` / `panic` outside tests, so every failure on
 # those paths is a typed error.
 cargo clippy "${CARGO_FLAGS[@]}" --all-targets -- -D warnings
