@@ -10,9 +10,16 @@
 //! batch on whichever trigger fires first:
 //!
 //! - **size**: the batch reached [`BatchPolicy::max_batch`] rows;
-//! - **deadline**: [`BatchPolicy::close_deadline_ms`] virtual ms elapsed
-//!   since the batch opened — a lone arrival never waits longer than the
-//!   deadline for company.
+//! - **deadline**: the earlier of two instants — the consumer asking for
+//!   work ([`MicroBatcher::pop_closed`] with no closed batch ready takes
+//!   the open one, stamped at the latest virtual time the batcher has
+//!   seen), or [`BatchPolicy::close_deadline_ms`] virtual ms after the
+//!   batch opened, which only a busy consumer ever reaches;
+//! - **flush**: the caller ends the stream ([`MicroBatcher::flush`]).
+//!
+//! So the scheduler is work-conserving: an idle tier never waits for
+//! company, and batch size follows load — one row at a trickle,
+//! `max_batch` under a flood.
 //!
 //! Admission reuses the overload machinery from the single-instance
 //! queue: the scheduler sheds when the **per-shard** backlog — open rows
@@ -23,11 +30,12 @@
 //! backoff as [`MatchService::submit_at`](crate::MatchService::submit_at).
 //!
 //! The batcher never runs matches itself: it turns an arrival stream into
-//! [`ClosedBatch`]es, and the caller (the load generator, a real serving
-//! loop) executes them against a [`ShardedMatchService`]
-//! (crate::ShardedMatchService) and decides what "in flight" means.
+//! [`ClosedBatch`]es, and the caller (a serving loop; in this repository
+//! the `benchmark/` harness's open-loop driver) executes them against a
+//! [`ShardedMatchService`](crate::ShardedMatchService) and decides what
+//! "in flight" means.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
 
 use crate::error::ServeError;
 use crate::overload::OverloadPolicy;
@@ -38,14 +46,17 @@ use std::collections::VecDeque;
 pub struct BatchPolicy {
     /// Close as soon as the open batch holds this many rows.
     pub max_batch: usize,
-    /// Close this many virtual ms after the batch opened, full or not.
+    /// Close this many virtual ms after the batch opened, full or not —
+    /// the bound for a busy consumer; an idle one takes the open batch
+    /// sooner.
     pub close_deadline_ms: f64,
 }
 
 impl Default for BatchPolicy {
-    /// Eight rows or two virtual milliseconds, whichever comes first —
-    /// one grain of the serve executor, a small multiple of the warm
-    /// per-record latency.
+    /// Eight rows (one grain of the serve executor) or two virtual
+    /// milliseconds. The deadline is about 40× the warm per-record
+    /// latency: it bounds how long a consumer that is busy with earlier
+    /// batches lets a partial one age, not how long an idle one waits.
     fn default() -> BatchPolicy {
         BatchPolicy { max_batch: 8, close_deadline_ms: 2.0 }
     }
@@ -56,7 +67,8 @@ impl Default for BatchPolicy {
 pub enum BatchTrigger {
     /// The batch filled to [`BatchPolicy::max_batch`].
     Size,
-    /// The batch aged out at [`BatchPolicy::close_deadline_ms`].
+    /// An idle consumer pulled the batch, or it aged out at
+    /// [`BatchPolicy::close_deadline_ms`], whichever came first.
     Deadline,
     /// The caller flushed at end of stream.
     Flush,
@@ -74,6 +86,7 @@ pub struct ClosedBatch {
     /// Virtual time the batch opened (first admission).
     pub opened_ms: f64,
     /// Virtual time the batch closed: the closing arrival's time (size),
+    /// the latest time the batcher had seen when it was pulled, capped at
     /// `opened_ms + close_deadline_ms` (deadline), or the flush time.
     pub closed_ms: f64,
     /// What closed it.
@@ -99,6 +112,9 @@ pub struct MicroBatcher {
     n_shards: usize,
     open: Vec<(usize, u64, f64)>,
     opened_ms: f64,
+    /// The latest virtual time passed to `submit_at`, `tick` or `flush`:
+    /// where a pulled batch closes.
+    seen_ms: f64,
     ready: VecDeque<ClosedBatch>,
     next_seq: u64,
     counters: SchedCounters,
@@ -114,6 +130,7 @@ impl MicroBatcher {
             n_shards: n_shards.max(1),
             open: Vec::new(),
             opened_ms: 0.0,
+            seen_ms: f64::NEG_INFINITY,
             ready: VecDeque::new(),
             next_seq: 0,
             counters: SchedCounters::default(),
@@ -135,7 +152,7 @@ impl MicroBatcher {
         self.counters.size_closed
     }
 
-    /// Batches closed by the deadline trigger so far.
+    /// Batches closed by the deadline trigger (aged out or pulled) so far.
     pub fn deadline_closed(&self) -> u64 {
         self.counters.deadline_closed
     }
@@ -176,8 +193,8 @@ impl MicroBatcher {
     /// On admission the arrival joins the open batch (opening one at
     /// `now_ms` if none is open) and the batch closes immediately when it
     /// reaches the size trigger. Call [`MicroBatcher::tick`] with a later
-    /// virtual time to fire deadline closes, then drain
-    /// [`MicroBatcher::pop_closed`].
+    /// virtual time to fire deadline closes, and
+    /// [`MicroBatcher::pop_closed`] whenever the consumer is free.
     pub fn submit_at(
         &mut self,
         row: usize,
@@ -219,6 +236,7 @@ impl MicroBatcher {
     /// the close happened when the clock passed it, regardless of when the
     /// caller noticed).
     pub fn tick(&mut self, now_ms: f64) {
+        self.seen_ms = self.seen_ms.max(now_ms);
         if let Some(deadline) = self.deadline_at() {
             if deadline <= now_ms {
                 self.close(deadline, BatchTrigger::Deadline);
@@ -235,8 +253,17 @@ impl MicroBatcher {
         }
     }
 
-    /// Takes the oldest closed batch, if any.
+    /// The consumer asking for work: takes the oldest closed batch, or,
+    /// with none ready, closes the open batch and takes that — stamped at
+    /// the latest virtual time the batcher has seen and counted as a
+    /// [`BatchTrigger::Deadline`] close. `None` only when nothing is
+    /// admitted and untaken.
     pub fn pop_closed(&mut self) -> Option<ClosedBatch> {
+        if self.ready.is_empty() {
+            if let Some(deadline) = self.deadline_at() {
+                self.close(self.seen_ms.min(deadline), BatchTrigger::Deadline);
+            }
+        }
         self.ready.pop_front()
     }
 
@@ -305,12 +332,81 @@ mod tests {
         b.submit_at(7, 1.0, 0, 0).unwrap();
         assert_eq!(b.deadline_at(), Some(11.0));
         b.tick(5.0);
-        assert!(b.pop_closed().is_none(), "closed before the deadline");
+        assert_eq!((b.ready_len(), b.open_len()), (0, 1), "closed before the deadline");
         b.tick(50.0);
+        assert_eq!((b.ready_len(), b.open_len()), (1, 0), "tick past the deadline must close");
         let batch = b.pop_closed().expect("deadline close");
         assert_eq!(batch.trigger, BatchTrigger::Deadline);
         assert_eq!(batch.closed_ms, 11.0, "must close at the deadline, not the tick");
         assert_eq!(b.deadline_closed(), 1);
+    }
+
+    #[test]
+    fn an_idle_pull_closes_at_the_last_time_seen() {
+        let mut b = unbounded();
+        b.submit_at(1, 1.0, 0, 0).unwrap();
+        b.submit_at(2, 2.0, 0, 0).unwrap();
+        b.tick(4.5);
+        let batch = b.pop_closed().expect("pulled batch");
+        assert_eq!(batch.trigger, BatchTrigger::Deadline);
+        assert_eq!(batch.rows, vec![1, 2]);
+        assert_eq!(batch.opened_ms, 1.0);
+        assert_eq!(batch.closed_ms, 4.5, "closes when pulled, not at the 11.0 deadline");
+        assert_eq!((b.size_closed(), b.deadline_closed(), b.flush_closed()), (0, 1, 0));
+        assert_eq!(b.open_len(), 0);
+        assert_eq!(b.deadline_at(), None);
+    }
+
+    #[test]
+    fn pop_on_an_empty_batcher_returns_none_and_counts_nothing() {
+        let mut b = unbounded();
+        assert!(b.pop_closed().is_none());
+        b.tick(3.0);
+        assert!(b.pop_closed().is_none());
+        b.submit_at(0, 4.0, 0, 0).unwrap();
+        assert!(b.pop_closed().is_some());
+        assert!(b.pop_closed().is_none(), "a drained batcher has nothing to pull");
+        assert_eq!((b.size_closed(), b.deadline_closed(), b.flush_closed()), (0, 1, 0));
+        assert_eq!(b.admitted(), 1);
+    }
+
+    #[test]
+    fn ready_batches_drain_fifo_before_the_open_batch_is_pulled() {
+        let mut b = unbounded();
+        for k in 0..4 {
+            b.submit_at(k, k as f64, 0, 0).unwrap(); // size close at 3.0
+        }
+        b.submit_at(4, 4.0, 0, 0).unwrap();
+        b.tick(20.0); // ages out at 14.0
+        b.submit_at(5, 21.0, 0, 0).unwrap();
+        let order: Vec<(Vec<usize>, BatchTrigger, f64)> =
+            std::iter::from_fn(|| b.pop_closed().map(|c| (c.rows, c.trigger, c.closed_ms)))
+                .collect();
+        assert_eq!(
+            order,
+            vec![
+                (vec![0, 1, 2, 3], BatchTrigger::Size, 3.0),
+                (vec![4], BatchTrigger::Deadline, 14.0),
+                (vec![5], BatchTrigger::Deadline, 21.0),
+            ]
+        );
+    }
+
+    #[test]
+    fn the_open_batch_keeps_filling_while_ready_batches_wait() {
+        let mut b = unbounded();
+        for k in 0..4 {
+            b.submit_at(k, 0.0, 0, 0).unwrap();
+        }
+        b.submit_at(4, 5.0, 0, 0).unwrap();
+        b.submit_at(5, 6.0, 0, 0).unwrap();
+        assert_eq!((b.ready_len(), b.open_len()), (1, 2));
+        assert_eq!(b.pop_closed().map(|c| c.trigger), Some(BatchTrigger::Size));
+        assert_eq!(b.open_len(), 2, "a ready batch was taken; the open one stays open");
+        b.submit_at(6, 7.0, 0, 0).unwrap();
+        let pulled = b.pop_closed().expect("pulled batch");
+        assert_eq!(pulled.rows, vec![4, 5, 6]);
+        assert_eq!((pulled.opened_ms, pulled.closed_ms), (5.0, 7.0));
     }
 
     #[test]

@@ -567,6 +567,70 @@ mod tests {
         assert!(matches!(WorkflowSnapshot::decode(&bad), Err(ServeError::Corrupt(_))), "{bad}");
     }
 
+    /// `decode` of hostile bytes is a typed error or a snapshot whose
+    /// encoding is a fixed point — never a panic. Returns whether it was
+    /// accepted.
+    fn assert_decodes_or_errs(text: &str, what: &str) -> bool {
+        let outcome = std::panic::catch_unwind(|| match WorkflowSnapshot::decode(text) {
+            Err(_) => None,
+            Ok(snap) => {
+                let once = snap.encode();
+                Some((WorkflowSnapshot::decode(&once).map(|s| s.encode()), once))
+            }
+        });
+        match outcome {
+            Err(_) => panic!("decode panicked on {what}"),
+            Ok(Some((again, once))) => {
+                assert_eq!(again, Ok(once), "{what}: accepted, but encode is not a fixed point");
+                true
+            }
+            Ok(None) => false,
+        }
+    }
+
+    #[test]
+    fn hostile_bytes_are_typed_errors_or_fixed_points() {
+        let good = sample_snapshot().encode();
+        assert!(good.is_ascii());
+        let (header, body) = good.split_once('\n').unwrap();
+        let magic_version = header.rsplit_once(' ').unwrap().0;
+        for cut in 0..good.len() {
+            assert_decodes_or_errs(&good[..cut], &format!("truncation at {cut}"));
+        }
+        // The same cuts with the envelope re-stamped, so the body parser
+        // (not the length check) sees every torn body.
+        for cut in 0..body.len() {
+            let body = &body[..cut];
+            let text = format!("{magic_version} {}\n{body}", body.len());
+            assert_decodes_or_errs(&text, &format!("re-enveloped body cut at {cut}"));
+        }
+        // Seeded single-byte ASCII mutations (splitmix64), tab and newline
+        // included; the length is unchanged, so most reach the body parser.
+        let mut state = 20190326u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as usize
+        };
+        let alphabet: Vec<u8> = (b' '..=b'~').chain([b'\t', b'\n']).collect();
+        let mut accepted = 0;
+        for _ in 0..4_000 {
+            let at = next() % good.len();
+            let byte = alphabet[next() % alphabet.len()];
+            let mut bytes = good.clone().into_bytes();
+            bytes[at] = byte;
+            let text = String::from_utf8(bytes).unwrap();
+            if assert_decodes_or_errs(&text, &format!("byte {at} set to {:?}", byte as char)) {
+                accepted += 1;
+            }
+        }
+        // Both outcomes occur: some mutations land in free text (a cell, a
+        // name) and decode, most break the structure.
+        assert!((1..4_000).contains(&accepted), "{accepted} of 4000 mutations accepted");
+    }
+
     #[test]
     fn save_load_round_trips_and_quarantines_corruption() {
         let dir = std::env::temp_dir().join(format!("em-serve-snap-{}", std::process::id()));

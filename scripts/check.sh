@@ -47,7 +47,8 @@ echo "==> cargo clippy --all-targets -- -D warnings"
 # overload, chaos, shard, sched), em-label, the blocking debugger and em-ml's
 # training path (view, tree, forest, committee, cv, debug) deny
 # `unwrap_used` / `expect_used` / `panic` outside tests, so every failure on
-# those paths is a typed error.
+# those paths is a typed error. `sched` also denies `indexing_slicing` (tests
+# included): no `v[i]` that could panic on a bad index.
 cargo clippy "${CARGO_FLAGS[@]}" --all-targets -- -D warnings
 
 echo "==> micro-kernel criterion benches (smoke)"
