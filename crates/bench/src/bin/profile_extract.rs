@@ -1,7 +1,13 @@
 //! Quick breakdown of where feature-extraction time goes. Development aid
 //! for the similarity-kernel engine; not part of the reproduction output.
 //!
-//! - no arguments: per feature kind, at the small-scale bench fixture;
+//! - no arguments: the five sequence kernels the title features run
+//!   (Levenshtein, Jaro, Jaro-Winkler, Needleman-Wunsch and Smith-Waterman
+//!   similarity), ns/pair over the paper-scale `AwardTitle` candidates of an
+//!   overlap blocker at K = 3 — the `naive` reference, the engine's `&str`
+//!   entry point, the engine on pre-decoded chars, and all five on chars
+//!   together (what extraction runs). Every value is asserted bit-equal to
+//!   the reference's;
 //! - `--stream <factor>`: the fused stream's extraction at corpus scale —
 //!   the frozen x1 workflow (as `reproduce --scaling-match` trains it) over
 //!   the `<factor>`-scaled tables, one thread: `StreamMatcher::new` broken
@@ -33,16 +39,18 @@
 //! Everything goes to stderr; timers sit outside every checksum.
 
 use em_bench::{fixtures_cfg, scaled_fixtures};
-use em_blocking::{IncrementalIndex, JoinIndex, JoinLayout, JoinScratch, JoinSpec, Pair};
-use em_core::blocking_plan::{c1_scheme, run_blocking, BlockingPlan};
+use em_blocking::{
+    Blocker, IncrementalIndex, JoinIndex, JoinLayout, JoinScratch, JoinSpec, OverlapBlocker, Pair,
+};
+use em_core::blocking_plan::c1_scheme;
 use em_core::pipeline::{CaseStudy, CaseStudyConfig};
 use em_core::preprocess::project_umetrics;
 use em_core::stream::StreamMatcher;
 use em_datagen::ScenarioConfig;
-use em_features::{auto_features, extract_vectors, BatchExtractor, FeatureMask, FeatureOptions};
+use em_features::{BatchExtractor, FeatureMask};
 use em_serve::{MatchService, ProbeScratch, WorkflowSnapshot};
 use em_table::Table;
-use em_text::{TokenCache, TokenCorpus};
+use em_text::{naive, seq, KernelScratch, TokenCache, TokenCorpus};
 use std::time::Instant;
 
 /// The committed bench seed (`reproduce --seed 20190326`).
@@ -56,6 +64,121 @@ fn ms(t0: Instant) -> f64 {
 /// with another build's without printing them.
 fn fold(h: u64, v: f64) -> u64 {
     h.wrapping_mul(31).wrapping_add(v.to_bits())
+}
+
+/// Each row's `AwardTitle`, lowercased once, as a string and as chars.
+#[allow(clippy::disallowed_methods)] // cache-build site: lowercase once per row
+fn decoded_titles(t: &Table) -> (Vec<String>, Vec<Vec<char>>) {
+    let strings: Vec<String> = t
+        .iter()
+        .map(|r| r.str("AwardTitle").unwrap_or_default().to_lowercase())
+        .collect();
+    let chars = strings.iter().map(|s| s.chars().collect()).collect();
+    (strings, chars)
+}
+
+/// Best of five passes of `f` over `pairs`, in ns/pair; every pass must
+/// give `expected`, value for value.
+fn ns_per_pair(
+    what: &str,
+    pairs: &[Pair],
+    expected: &[u64],
+    mut f: impl FnMut(Pair) -> u64,
+) -> f64 {
+    let mut best = f64::INFINITY;
+    let mut got = Vec::with_capacity(pairs.len());
+    for _ in 0..5 {
+        got.clear();
+        let t0 = Instant::now();
+        got.extend(pairs.iter().map(|&p| f(p)));
+        best = best.min(t0.elapsed().as_secs_f64());
+        if let Some(k) = (0..pairs.len()).find(|&k| got[k] != expected[k]) {
+            panic!("{what}: pair {:?} differs from naive", pairs[k]);
+        }
+    }
+    best * 1e9 / pairs.len().max(1) as f64
+}
+
+fn kernels() -> Result<(), Box<dyn std::error::Error>> {
+    type StrKernel = fn(&str, &str) -> f64;
+    type CharKernel = fn(&mut KernelScratch, &[char], &[char]) -> f64;
+    let kernels: [(&str, StrKernel, StrKernel, CharKernel); 5] = [
+        (
+            "levenshtein_sim",
+            naive::levenshtein_sim,
+            seq::levenshtein_sim,
+            seq::levenshtein_sim_chars,
+        ),
+        ("jaro", naive::jaro, seq::jaro, seq::jaro_chars),
+        (
+            "jaro_winkler",
+            naive::jaro_winkler,
+            seq::jaro_winkler,
+            seq::jaro_winkler_chars,
+        ),
+        (
+            "needleman_wunsch_sim",
+            naive::needleman_wunsch_sim,
+            seq::needleman_wunsch_sim,
+            seq::needleman_wunsch_sim_chars,
+        ),
+        (
+            "smith_waterman_sim",
+            naive::smith_waterman_sim,
+            seq::smith_waterman_sim,
+            seq::smith_waterman_sim_chars,
+        ),
+    ];
+    let fx = fixtures_cfg(ScenarioConfig::paper());
+    let (u, s) = (&fx.umetrics, &fx.usda);
+    let pairs = OverlapBlocker::new("AwardTitle", "AwardTitle", 3)
+        .block(u, s)?
+        .to_vec();
+    let ((us, uc), (ss, sc)) = (decoded_titles(u), decoded_titles(s));
+    eprintln!(
+        "{} AwardTitle pairs (overlap K=3, paper scale), lowercased; ns/pair, best of 5 passes, \
+         every value bit-equal to naive",
+        pairs.len()
+    );
+    eprintln!(
+        "  {:<22} {:>9} {:>9} {:>9} {:>12}",
+        "kernel", "naive", "&str", "chars", "naive/chars"
+    );
+    let mut scratch = KernelScratch::new();
+    // Per pair, the fold of all five naive values: what the chars row must give.
+    let mut folded = vec![0u64; pairs.len()];
+    let (mut naive_sum, mut str_sum) = (0.0, 0.0);
+    for (name, naive_fn, str_fn, chars_fn) in kernels {
+        let naive_bits = |p: Pair| naive_fn(&us[p.left], &ss[p.right]).to_bits();
+        let expected: Vec<u64> = pairs.iter().map(|&p| naive_bits(p)).collect();
+        for (h, &e) in folded.iter_mut().zip(&expected) {
+            *h = fold(*h, f64::from_bits(e));
+        }
+        let naive_ns = ns_per_pair(name, &pairs, &expected, naive_bits);
+        let str_ns = ns_per_pair(name, &pairs, &expected, |p| {
+            str_fn(&us[p.left], &ss[p.right]).to_bits()
+        });
+        let chars_ns = ns_per_pair(name, &pairs, &expected, |p| {
+            chars_fn(&mut scratch, &uc[p.left], &sc[p.right]).to_bits()
+        });
+        (naive_sum, str_sum) = (naive_sum + naive_ns, str_sum + str_ns);
+        eprintln!(
+            "  {name:<22} {naive_ns:>9.0} {str_ns:>9.0} {chars_ns:>9.0} {:>11.1}x",
+            naive_ns / chars_ns
+        );
+    }
+    let all_ns = ns_per_pair("all five", &pairs, &folded, |p| {
+        let (a, b) = (&uc[p.left], &sc[p.right]);
+        kernels
+            .iter()
+            .fold(0, |h, (.., chars_fn)| fold(h, chars_fn(&mut scratch, a, b)))
+    });
+    eprintln!(
+        "  {:<22} {naive_sum:>9.0} {str_sum:>9.0} {all_ns:>9.0} {:>11.1}x",
+        "all five, one pass",
+        naive_sum / all_ns
+    );
+    Ok(())
 }
 
 fn stream(factor: f64) -> Result<(), Box<dyn std::error::Error>> {
@@ -488,73 +611,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     em_parallel::set_threads(1);
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.as_slice() {
-        [] => {}
-        [flag] if flag == "--train" => return train(),
-        [flag, factor] if flag == "--stream" => return stream(factor.parse()?),
-        [flag, factor] if flag == "--serve" => return serve(factor.parse()?),
-        _ => {
-            return Err("usage: profile_extract [--stream <factor> | --serve <factor> | --train]".into())
-        }
+        [] => kernels(),
+        [flag] if flag == "--train" => train(),
+        [flag, factor] if flag == "--stream" => stream(factor.parse()?),
+        [flag, factor] if flag == "--serve" => serve(factor.parse()?),
+        _ => Err("usage: profile_extract [--stream <factor> | --serve <factor> | --train]".into()),
     }
-    let fx = fixtures_cfg(ScenarioConfig::small());
-    let (u, s) = (&fx.umetrics, &fx.usda);
-    let pairs: Vec<Pair> = run_blocking(u, s, &BlockingPlan::default())?.consolidated.to_vec();
-    let features = auto_features(
-        u,
-        s,
-        &FeatureOptions::excluding(&["RecordId", "AccessionNumber"]).with_case_insensitive(),
-    );
-    eprintln!("{} pairs, {} features, tables {}x{}", pairs.len(), features.len(), u.n_rows(), s.n_rows());
-
-    // Whole extraction, repeated to stabilize.
-    for _ in 0..3 {
-        let t0 = std::time::Instant::now();
-        let x = extract_vectors(&features, u, s, &pairs)?;
-        eprintln!("extract_vectors: {:.2} ms ({} rows)", t0.elapsed().as_secs_f64() * 1e3, x.len());
-    }
-
-    // One-pair call: near-pure cache-build cost for the used rows of one pair.
-    let one = [pairs[0]];
-    let t0 = std::time::Instant::now();
-    let _ = extract_vectors(&features, u, s, &one)?;
-    eprintln!("one pair: {:.2} ms", t0.elapsed().as_secs_f64() * 1e3);
-
-    // Doubled pairs: marginal per-pair cost is memoized away, so the delta
-    // vs the 73-pair call shows memo-hit overhead only.
-    let mut doubled = pairs.clone();
-    doubled.extend(pairs.iter().copied());
-    let t0 = std::time::Instant::now();
-    let _ = extract_vectors(&features, u, s, &doubled)?;
-    eprintln!("doubled pairs ({}): {:.2} ms", doubled.len(), t0.elapsed().as_secs_f64() * 1e3);
-
-    // Empty-pairs call: isolates the cache-build cost.
-    let t0 = std::time::Instant::now();
-    let _ = extract_vectors(&features, u, s, &[])?;
-    eprintln!("cache build only (0 pairs): {:.2} ms", t0.elapsed().as_secs_f64() * 1e3);
-
-    // Per-kind: direct Feature::compute over all pairs, one kind at a time.
-    let mut by_kind: Vec<(String, f64)> = Vec::new();
-    for f in &features.features {
-        let t0 = std::time::Instant::now();
-        let mut acc = 0.0;
-        for p in &pairs {
-            let va = u.row(p.left).unwrap().get(&f.left_attr).unwrap();
-            let vb = s.row(p.right).unwrap().get(&f.right_attr).unwrap();
-            let v = f.compute(va, vb);
-            if v.is_finite() {
-                acc += v;
-            }
-        }
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        std::hint::black_box(acc);
-        by_kind.push((f.name.clone(), ms));
-    }
-    by_kind.sort_by(|a, b| b.1.total_cmp(&a.1));
-    eprintln!("\ndirect Feature::compute per feature (top 15):");
-    for (name, ms) in by_kind.iter().take(15) {
-        eprintln!("  {name:<40} {ms:>8.3} ms");
-    }
-    let total: f64 = by_kind.iter().map(|(_, ms)| ms).sum();
-    eprintln!("  total direct: {total:.2} ms");
-    Ok(())
 }

@@ -1,17 +1,16 @@
-//! # em-bench — the paper-reproduction harness and benchmarks
+//! # em-bench — the paper-reproduction harness and profiling binaries
 //!
 //! - `cargo run -p em-bench --bin reproduce [-- --scale paper --section all]`
 //!   regenerates every table and figure of the paper (see EXPERIMENTS.md for
 //!   the paper-vs-measured record).
-//! - `cargo bench -p em-bench` runs the micro-kernel Criterion suites:
-//!   tokenizer and similarity kernels, set-similarity-join blocking (ablation
-//!   A-3 reduces to a no-op toggle now that the join engine always runs
-//!   its exact filters), feature extraction, matcher fit/predict, and the
-//!   blocking debugger. End-to-end and per-layer performance is measured and
-//!   gated by `benchmark/` (`BENCHMARK.json`), not here.
+//! - `cargo run --release -p em-bench --bin profile_extract [-- <mode>]`
+//!   breaks one layer's time down on stderr: the sequence kernels naive vs
+//!   engine (no arguments), the fused stream (`--stream`), a served request
+//!   (`--serve`) or the training loops (`--train`).
 //!
-//! This crate exposes small shared helpers for the benches; the binaries
-//! live in `src/bin/`.
+//! End-to-end and per-layer performance is measured and gated by
+//! `benchmark/` (`BENCHMARK.json`), not here. This crate exposes the
+//! fixtures the binaries and the pinned tests under `tests/` share.
 
 #![warn(missing_docs)]
 
@@ -19,8 +18,8 @@ use em_core::preprocess::{project_umetrics, project_usda};
 use em_datagen::{Scenario, ScenarioConfig};
 use em_table::Table;
 
-/// A prepared pair of projected tables plus the scenario behind them, used
-/// by benches so each bench does not re-derive the fixtures.
+/// A prepared pair of projected tables plus the scenario behind them, so
+/// each binary and pinned test does not re-derive the fixtures.
 pub struct Fixtures {
     /// Projected UMETRICS table.
     pub umetrics: Table,
@@ -28,12 +27,6 @@ pub struct Fixtures {
     pub usda: Table,
     /// The full scenario.
     pub scenario: Scenario,
-}
-
-/// Builds fixtures at the given scale (`true` = paper scale).
-pub fn fixtures(paper_scale: bool) -> Fixtures {
-    let cfg = if paper_scale { ScenarioConfig::paper() } else { ScenarioConfig::small() };
-    fixtures_cfg(cfg)
 }
 
 /// Builds fixtures from an explicit scenario config — e.g. one produced by
@@ -98,7 +91,7 @@ mod tests {
 
     #[test]
     fn fixtures_build_at_small_scale() {
-        let f = fixtures(false);
+        let f = fixtures_cfg(ScenarioConfig::small());
         assert!(f.umetrics.n_rows() > 0);
         assert!(f.usda.schema().contains("ProjectNumber"));
     }

@@ -413,6 +413,72 @@ mod tests {
         assert_eq!(s.get("W3", "300", "a"), Some(Label::Unsure));
     }
 
+    /// [`LabelStore::load`]'s parse of a file's text.
+    fn load_str(text: &str) -> Result<LabelStore, CoreError> {
+        LabelStore::from_table(&csv::read_str("labels", text)?)
+    }
+
+    /// Loading hostile bytes is a typed error or a store whose saved text
+    /// is a fixed point of load-then-save — never a panic. Returns whether
+    /// it was accepted.
+    fn assert_loads_or_errs(text: &str, what: &str) -> bool {
+        let save = |s: &LabelStore| csv::write_str(&s.to_table());
+        let outcome = std::panic::catch_unwind(|| {
+            load_str(text).ok().map(|store| {
+                let once = save(&store);
+                (load_str(&once).map(|s| save(&s)), once)
+            })
+        });
+        match outcome {
+            Err(_) => panic!("load panicked on {what}"),
+            Ok(Some((again, once))) => {
+                assert_eq!(again, Ok(once), "{what}: accepted, but save is not a fixed point");
+                true
+            }
+            Ok(None) => false,
+        }
+    }
+
+    #[test]
+    fn hostile_bytes_are_typed_errors_or_fixed_points() {
+        let mut s = LabelStore::new();
+        s.record(rec("10.200 2008-1-2", "200001", Label::Yes, "experts"));
+        s.record(rec("10.200 2008-1-2", "200001", Label::No, "em-team"));
+        s.record(rec("10.203 WIS01040", "200002", Label::Unsure, "Smith, J"));
+        s.record(rec("W1", "100", Label::No, "experts"));
+        let good = csv::write_str(&s.to_table());
+        assert!(good.is_ascii());
+        assert!(assert_loads_or_errs(&good, "the saved store"));
+        for cut in 0..good.len() {
+            assert_loads_or_errs(&good[..cut], &format!("truncation at {cut}"));
+        }
+        // Seeded single-byte ASCII mutations (splitmix64), tab and newline
+        // included.
+        let mut state = 20190326u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as usize
+        };
+        let alphabet: Vec<u8> = (b' '..=b'~').chain([b'\t', b'\n']).collect();
+        let mut accepted = 0;
+        for _ in 0..4_000 {
+            let at = next() % good.len();
+            let byte = alphabet[next() % alphabet.len()];
+            let mut bytes = good.clone().into_bytes();
+            bytes[at] = byte;
+            let text = String::from_utf8(bytes).unwrap();
+            if assert_loads_or_errs(&text, &format!("byte {at} set to {:?}", byte as char)) {
+                accepted += 1;
+            }
+        }
+        // Both outcomes occur: a mutation inside a name or number loads, one
+        // in a label, a header or the quoting does not.
+        assert!((1..4_000).contains(&accepted), "{accepted} of 4000 mutations accepted");
+    }
+
     #[test]
     fn to_labeled_set_resolves_rows() {
         let u = csv::read_str("u", "AwardNumber\nW1\nW2\n").unwrap();

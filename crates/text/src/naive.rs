@@ -4,8 +4,9 @@
 //! before the similarity-kernel engine (bit-parallel Levenshtein + scratch
 //! arena) replaced them on the hot path. They are kept — unoptimized and
 //! allocation-happy — as the ground truth the fast kernels are
-//! property-tested against: for every input, `seq::f == naive::f` must hold
-//! bit for bit. Nothing outside tests and benches should call them.
+//! property-tested (`tests/prop.rs`) and timed (`profile_extract` with no
+//! arguments) against: for every input, `seq::f == naive::f` must hold bit
+//! for bit. No match path calls them.
 
 /// Levenshtein edit distance, classic two-row DP. `O(|a|·|b|)` time.
 pub fn levenshtein(a: &str, b: &str) -> usize {
@@ -34,38 +35,6 @@ pub fn levenshtein_sim(a: &str, b: &str) -> f64 {
         return 1.0;
     }
     1.0 - levenshtein(a, b) as f64 / max_len as f64
-}
-
-/// Restricted Damerau-Levenshtein distance, full-matrix DP.
-#[allow(clippy::needless_range_loop)] // index DP reads more clearly than zipped iterators
-pub fn damerau_levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let (n, m) = (a.len(), b.len());
-    if n == 0 {
-        return m;
-    }
-    if m == 0 {
-        return n;
-    }
-    let mut d = vec![vec![0usize; m + 1]; n + 1];
-    for (i, row) in d.iter_mut().enumerate() {
-        row[0] = i;
-    }
-    for j in 0..=m {
-        d[0][j] = j;
-    }
-    for i in 1..=n {
-        for j in 1..=m {
-            let cost = usize::from(a[i - 1] != b[j - 1]);
-            let mut best = (d[i - 1][j] + 1).min(d[i][j - 1] + 1).min(d[i - 1][j - 1] + cost);
-            if i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1] {
-                best = best.min(d[i - 2][j - 2] + 1);
-            }
-            d[i][j] = best;
-        }
-    }
-    d[n][m]
 }
 
 /// Jaro similarity, allocating match and flag buffers per call.
@@ -169,40 +138,6 @@ pub fn smith_waterman_sim(a: &str, b: &str) -> f64 {
     smith_waterman(a, b, 1.0) / min_len as f64
 }
 
-/// Affine-gap global alignment score (Gotoh), fresh rows per iteration.
-#[allow(clippy::needless_range_loop)] // index DP reads more clearly than zipped iterators
-pub fn affine_gap(a: &str, b: &str, open: f64, extend: f64) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let neg = f64::NEG_INFINITY;
-    let n = a.len();
-    let m = b.len();
-    // m_[j]: best score ending in a match/mismatch; x: gap in b; y: gap in a.
-    let mut m_prev = vec![neg; m + 1];
-    let mut x_prev = vec![neg; m + 1];
-    let mut y_prev = vec![neg; m + 1];
-    m_prev[0] = 0.0;
-    for j in 1..=m {
-        y_prev[j] = -open - (j - 1) as f64 * extend;
-    }
-    for i in 1..=n {
-        let mut m_cur = vec![neg; m + 1];
-        let mut x_cur = vec![neg; m + 1];
-        let mut y_cur = vec![neg; m + 1];
-        x_cur[0] = -open - (i - 1) as f64 * extend;
-        for j in 1..=m {
-            let score = if a[i - 1] == b[j - 1] { 1.0 } else { 0.0 };
-            m_cur[j] = score + m_prev[j - 1].max(x_prev[j - 1]).max(y_prev[j - 1]);
-            x_cur[j] = (m_prev[j] - open).max(x_prev[j] - extend);
-            y_cur[j] = (m_cur[j - 1] - open).max(y_cur[j - 1] - extend);
-        }
-        m_prev = m_cur;
-        x_prev = x_cur;
-        y_prev = y_cur;
-    }
-    m_prev[m].max(x_prev[m]).max(y_prev[m])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,10 +145,8 @@ mod tests {
     #[test]
     fn reference_known_values() {
         assert_eq!(levenshtein("kitten", "sitting"), 3);
-        assert_eq!(damerau_levenshtein("ca", "ac"), 1);
         assert!((jaro("MARTHA", "MARHTA") - 0.9444444444444445).abs() < 1e-12);
         assert!((needleman_wunsch("ab", "axb", 1.0) - 1.0).abs() < 1e-12);
         assert!((smith_waterman("xxhelloyy", "zzhellozz", 1.0) - 5.0).abs() < 1e-12);
-        assert!((affine_gap("abcd", "ad", 1.0, 0.5) - 0.5).abs() < 1e-12);
     }
 }

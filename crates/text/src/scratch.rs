@@ -25,7 +25,7 @@
 //! - Buffers only grow; dropping the scratch frees everything. One scratch
 //!   sized by the longest string seen is the steady state.
 //! - `KernelScratch` is `Send` but not `Sync`: share one per thread, never
-//!   across threads. [`with_scratch`] hands out the calling thread's
+//!   across threads. `with_scratch` hands out the calling thread's
 //!   instance; re-entrant use (a kernel invoked from inside another
 //!   kernel's closure, e.g. a Monge-Elkan inner measure) falls back to a
 //!   fresh arena instead of panicking.
@@ -125,24 +125,17 @@ impl PatternMasks {
 }
 
 /// Reusable working memory for the sequence kernels. See the module docs
-/// for lifetime rules; construct one per thread (or use [`with_scratch`]).
+/// for lifetime rules; construct one per thread (the `&str` entry points of
+/// [`crate::seq`] share the calling thread's own).
 #[derive(Debug, Default)]
 pub struct KernelScratch {
-    /// Decoded-char buffers backing the `&str` kernel wrappers.
+    /// Decoded-char buffers backing the `&str` entry points.
     chars_a: Vec<char>,
     chars_b: Vec<char>,
-    /// Integer DP rows (Damerau-Levenshtein keeps three alive).
-    pub(crate) urow0: Vec<usize>,
-    pub(crate) urow1: Vec<usize>,
-    pub(crate) urow2: Vec<usize>,
-    /// Float DP rows (Needleman-Wunsch/Smith-Waterman use two, the affine
-    /// gap kernel all six: previous + current of the M/X/Y matrices).
+    /// Float DP rows of Needleman-Wunsch and Smith-Waterman: previous and
+    /// current.
     pub(crate) frow0: Vec<f64>,
     pub(crate) frow1: Vec<f64>,
-    pub(crate) frow2: Vec<f64>,
-    pub(crate) frow3: Vec<f64>,
-    pub(crate) frow4: Vec<f64>,
-    pub(crate) frow5: Vec<f64>,
     /// Pattern masks of the string the running kernel built them from
     /// (Myers: the trimmed shorter side; Jaro: the right-hand string).
     pub(crate) masks: PatternMasks,
@@ -190,7 +183,7 @@ thread_local! {
 ///
 /// Re-entrant calls (e.g. a composite measure whose inner function is a
 /// kernel wrapper) get a fresh, short-lived arena rather than a panic.
-pub fn with_scratch<R>(f: impl FnOnce(&mut KernelScratch) -> R) -> R {
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut KernelScratch) -> R) -> R {
     SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut scratch) => f(&mut scratch),
         Err(_) => f(&mut KernelScratch::new()),

@@ -1,20 +1,20 @@
 //! Sequence (character-level) similarity measures: edit distances and
 //! alignment scores. These back the string features PyMatcher generates
 //! automatically (edit distance, Jaro, Jaro-Winkler, Needleman-Wunsch,
-//! Smith-Waterman, affine gap).
+//! Smith-Waterman).
 //!
 //! All `*_sim` functions return a similarity in `[0, 1]` with `1` meaning
 //! identical; two empty strings are defined to have similarity `1`.
 //!
-//! Every measure comes in three tiers of the similarity-kernel engine:
+//! Every measure comes in two tiers of the similarity-kernel engine:
 //!
-//! - `f(a: &str, b: &str)` — the original signature, now a thin wrapper
-//!   that borrows the calling thread's [`KernelScratch`];
-//! - `f_with(scratch, a, b)` — same inputs, explicit scratch, for callers
-//!   holding their own arena (parallel workers, benches);
 //! - `f_chars(scratch, a, b)` — the real kernel on pre-decoded `&[char]`
-//!   slices, what the feature extractor's per-row normalization cache
-//!   feeds so per-pair work never decodes or allocates.
+//!   slices and a caller-held [`KernelScratch`], what the feature
+//!   extractor's per-row normalization cache feeds so per-pair work never
+//!   decodes or allocates;
+//! - `f(a: &str, b: &str)` — the same kernel behind one private decode
+//!   step into the calling thread's scratch: what `Feature::compute`, the
+//!   reference feature path, and the tests call.
 //!
 //! Levenshtein runs on the Myers bit-parallel engine ([`crate::myers`]),
 //! Jaro on a bit-parallel match scan over the same pattern-mask table; the
@@ -25,19 +25,27 @@
 use crate::myers;
 use crate::scratch::{with_scratch, KernelScratch, PatternMasks, WORD};
 
+/// Runs `kernel` on the chars of `a` and `b`, decoded into the calling
+/// thread's [`KernelScratch`]: the one step between every `&str` entry
+/// point and its `*_chars` kernel.
+fn on_chars<R>(
+    a: &str,
+    b: &str,
+    kernel: impl FnOnce(&mut KernelScratch, &[char], &[char]) -> R,
+) -> R {
+    with_scratch(|s| {
+        let (ca, cb) = s.take_decoded(a, b);
+        let out = kernel(s, &ca, &cb);
+        s.return_decoded(ca, cb);
+        out
+    })
+}
+
 /// Levenshtein edit distance (insert/delete/substitute, unit costs).
 /// Myers bit-parallel: `O(⌈min(n,m)/64⌉·max(n,m))` time after prefix/suffix
 /// trimming, no allocation on the hot path.
 pub fn levenshtein(a: &str, b: &str) -> usize {
-    with_scratch(|s| levenshtein_with(s, a, b))
-}
-
-/// [`levenshtein`] with an explicit scratch arena.
-pub fn levenshtein_with(scratch: &mut KernelScratch, a: &str, b: &str) -> usize {
-    let (ca, cb) = scratch.take_decoded(a, b);
-    let out = levenshtein_chars(scratch, &ca, &cb);
-    scratch.return_decoded(ca, cb);
-    out
+    on_chars(a, b, levenshtein_chars)
 }
 
 /// [`levenshtein`] on pre-decoded char slices.
@@ -47,15 +55,7 @@ pub fn levenshtein_chars(scratch: &mut KernelScratch, a: &[char], b: &[char]) ->
 
 /// Levenshtein similarity: `1 - dist / max_len` (1.0 for two empty strings).
 pub fn levenshtein_sim(a: &str, b: &str) -> f64 {
-    with_scratch(|s| levenshtein_sim_with(s, a, b))
-}
-
-/// [`levenshtein_sim`] with an explicit scratch arena.
-pub fn levenshtein_sim_with(scratch: &mut KernelScratch, a: &str, b: &str) -> f64 {
-    let (ca, cb) = scratch.take_decoded(a, b);
-    let out = levenshtein_sim_chars(scratch, &ca, &cb);
-    scratch.return_decoded(ca, cb);
-    out
+    on_chars(a, b, levenshtein_sim_chars)
 }
 
 /// [`levenshtein_sim`] on pre-decoded char slices.
@@ -67,72 +67,9 @@ pub fn levenshtein_sim_chars(scratch: &mut KernelScratch, a: &[char], b: &[char]
     1.0 - levenshtein_chars(scratch, a, b) as f64 / max_len as f64
 }
 
-/// Damerau-Levenshtein distance (restricted: adjacent transpositions count
-/// as one edit, no substring may be edited twice).
-pub fn damerau_levenshtein(a: &str, b: &str) -> usize {
-    with_scratch(|s| damerau_levenshtein_with(s, a, b))
-}
-
-/// [`damerau_levenshtein`] with an explicit scratch arena.
-pub fn damerau_levenshtein_with(scratch: &mut KernelScratch, a: &str, b: &str) -> usize {
-    let (ca, cb) = scratch.take_decoded(a, b);
-    let out = damerau_levenshtein_chars(scratch, &ca, &cb);
-    scratch.return_decoded(ca, cb);
-    out
-}
-
-/// [`damerau_levenshtein`] on pre-decoded char slices: three rotating
-/// scratch rows instead of the reference implementation's full matrix.
-pub fn damerau_levenshtein_chars(scratch: &mut KernelScratch, a: &[char], b: &[char]) -> usize {
-    let (n, m) = (a.len(), b.len());
-    if n == 0 {
-        return m;
-    }
-    if m == 0 {
-        return n;
-    }
-    // prev2 = row i-2, prev = row i-1, cur = row i of the reference DP.
-    let mut prev2 = std::mem::take(&mut scratch.urow0);
-    let mut prev = std::mem::take(&mut scratch.urow1);
-    let mut cur = std::mem::take(&mut scratch.urow2);
-    prev2.clear();
-    prev2.resize(m + 1, 0);
-    prev.clear();
-    prev.extend(0..=m);
-    cur.clear();
-    cur.resize(m + 1, 0);
-    for i in 1..=n {
-        cur[0] = i;
-        for j in 1..=m {
-            let cost = usize::from(a[i - 1] != b[j - 1]);
-            let mut best = (prev[j] + 1).min(cur[j - 1] + 1).min(prev[j - 1] + cost);
-            if i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1] {
-                best = best.min(prev2[j - 2] + 1);
-            }
-            cur[j] = best;
-        }
-        // Rotate: i-1 becomes i-2, i becomes i-1, the old i-2 row is reused.
-        std::mem::swap(&mut prev2, &mut prev);
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    let out = prev[m];
-    scratch.urow0 = prev2;
-    scratch.urow1 = prev;
-    scratch.urow2 = cur;
-    out
-}
-
 /// Jaro similarity.
 pub fn jaro(a: &str, b: &str) -> f64 {
-    with_scratch(|s| jaro_with(s, a, b))
-}
-
-/// [`jaro`] with an explicit scratch arena.
-pub fn jaro_with(scratch: &mut KernelScratch, a: &str, b: &str) -> f64 {
-    let (ca, cb) = scratch.take_decoded(a, b);
-    let out = jaro_chars(scratch, &ca, &cb);
-    scratch.return_decoded(ca, cb);
-    out
+    on_chars(a, b, jaro_chars)
 }
 
 /// [`jaro`] on pre-decoded char slices: bit-parallel and exact. The greedy
@@ -282,15 +219,7 @@ fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 /// Jaro-Winkler similarity with the standard prefix scale `p = 0.1` and a
 /// maximum rewarded prefix of 4 characters.
 pub fn jaro_winkler(a: &str, b: &str) -> f64 {
-    with_scratch(|s| jaro_winkler_with(s, a, b))
-}
-
-/// [`jaro_winkler`] with an explicit scratch arena.
-pub fn jaro_winkler_with(scratch: &mut KernelScratch, a: &str, b: &str) -> f64 {
-    let (ca, cb) = scratch.take_decoded(a, b);
-    let out = jaro_winkler_chars(scratch, &ca, &cb);
-    scratch.return_decoded(ca, cb);
-    out
+    on_chars(a, b, jaro_winkler_chars)
 }
 
 /// [`jaro_winkler`] on pre-decoded char slices.
@@ -325,15 +254,7 @@ pub fn jaro_winkler_boost(j: f64, a: &[char], b: &[char]) -> f64 {
 /// Needleman-Wunsch global alignment score with unit match reward,
 /// zero mismatch reward, and linear gap cost `gap`. Can be negative.
 pub fn needleman_wunsch(a: &str, b: &str, gap: f64) -> f64 {
-    with_scratch(|s| needleman_wunsch_with(s, a, b, gap))
-}
-
-/// [`needleman_wunsch`] with an explicit scratch arena.
-pub fn needleman_wunsch_with(scratch: &mut KernelScratch, a: &str, b: &str, gap: f64) -> f64 {
-    let (ca, cb) = scratch.take_decoded(a, b);
-    let out = needleman_wunsch_chars(scratch, &ca, &cb, gap);
-    scratch.return_decoded(ca, cb);
-    out
+    on_chars(a, b, |s, a, b| needleman_wunsch_chars(s, a, b, gap))
 }
 
 /// [`needleman_wunsch`] on pre-decoded char slices using scratch DP rows.
@@ -366,15 +287,7 @@ pub fn needleman_wunsch_chars(
 /// Needleman-Wunsch similarity: score with `gap = 1`, clamped at 0 and
 /// normalized by the longer length (1.0 for two empty strings).
 pub fn needleman_wunsch_sim(a: &str, b: &str) -> f64 {
-    with_scratch(|s| needleman_wunsch_sim_with(s, a, b))
-}
-
-/// [`needleman_wunsch_sim`] with an explicit scratch arena.
-pub fn needleman_wunsch_sim_with(scratch: &mut KernelScratch, a: &str, b: &str) -> f64 {
-    let (ca, cb) = scratch.take_decoded(a, b);
-    let out = needleman_wunsch_sim_chars(scratch, &ca, &cb);
-    scratch.return_decoded(ca, cb);
-    out
+    on_chars(a, b, needleman_wunsch_sim_chars)
 }
 
 /// [`needleman_wunsch_sim`] on pre-decoded char slices.
@@ -389,15 +302,7 @@ pub fn needleman_wunsch_sim_chars(scratch: &mut KernelScratch, a: &[char], b: &[
 /// Smith-Waterman local alignment score with unit match reward, zero
 /// mismatch reward, and linear gap cost `gap`. Non-negative by construction.
 pub fn smith_waterman(a: &str, b: &str, gap: f64) -> f64 {
-    with_scratch(|s| smith_waterman_with(s, a, b, gap))
-}
-
-/// [`smith_waterman`] with an explicit scratch arena.
-pub fn smith_waterman_with(scratch: &mut KernelScratch, a: &str, b: &str, gap: f64) -> f64 {
-    let (ca, cb) = scratch.take_decoded(a, b);
-    let out = smith_waterman_chars(scratch, &ca, &cb, gap);
-    scratch.return_decoded(ca, cb);
-    out
+    on_chars(a, b, |s, a, b| smith_waterman_chars(s, a, b, gap))
 }
 
 /// [`smith_waterman`] on pre-decoded char slices using scratch DP rows.
@@ -425,15 +330,7 @@ pub fn smith_waterman_chars(scratch: &mut KernelScratch, a: &[char], b: &[char],
 /// Smith-Waterman similarity: score with `gap = 1` normalized by the shorter
 /// length — the best local alignment cannot exceed it (1.0 for two empties).
 pub fn smith_waterman_sim(a: &str, b: &str) -> f64 {
-    with_scratch(|s| smith_waterman_sim_with(s, a, b))
-}
-
-/// [`smith_waterman_sim`] with an explicit scratch arena.
-pub fn smith_waterman_sim_with(scratch: &mut KernelScratch, a: &str, b: &str) -> f64 {
-    let (ca, cb) = scratch.take_decoded(a, b);
-    let out = smith_waterman_sim_chars(scratch, &ca, &cb);
-    scratch.return_decoded(ca, cb);
-    out
+    on_chars(a, b, smith_waterman_sim_chars)
 }
 
 /// [`smith_waterman_sim`] on pre-decoded char slices.
@@ -443,85 +340,6 @@ pub fn smith_waterman_sim_chars(scratch: &mut KernelScratch, a: &[char], b: &[ch
         return if a.is_empty() && b.is_empty() { 1.0 } else { 0.0 };
     }
     smith_waterman_chars(scratch, a, b, 1.0) / min_len as f64
-}
-
-/// Affine-gap global alignment score (Gotoh): gap opening cost `open`,
-/// per-character continuation cost `extend`, unit match, zero mismatch.
-pub fn affine_gap(a: &str, b: &str, open: f64, extend: f64) -> f64 {
-    with_scratch(|s| affine_gap_with(s, a, b, open, extend))
-}
-
-/// [`affine_gap`] with an explicit scratch arena.
-pub fn affine_gap_with(
-    scratch: &mut KernelScratch,
-    a: &str,
-    b: &str,
-    open: f64,
-    extend: f64,
-) -> f64 {
-    let (ca, cb) = scratch.take_decoded(a, b);
-    let out = affine_gap_chars(scratch, &ca, &cb, open, extend);
-    scratch.return_decoded(ca, cb);
-    out
-}
-
-/// [`affine_gap`] on pre-decoded char slices: six scratch rows (previous +
-/// current of the M/X/Y matrices) instead of fresh vectors per row.
-#[allow(clippy::needless_range_loop)] // index DP reads more clearly than zipped iterators
-pub fn affine_gap_chars(
-    scratch: &mut KernelScratch,
-    a: &[char],
-    b: &[char],
-    open: f64,
-    extend: f64,
-) -> f64 {
-    let neg = f64::NEG_INFINITY;
-    let n = a.len();
-    let m = b.len();
-    // m_[j]: best score ending in a match/mismatch; x: gap in b; y: gap in a.
-    let mut m_prev = std::mem::take(&mut scratch.frow0);
-    let mut x_prev = std::mem::take(&mut scratch.frow1);
-    let mut y_prev = std::mem::take(&mut scratch.frow2);
-    let mut m_cur = std::mem::take(&mut scratch.frow3);
-    let mut x_cur = std::mem::take(&mut scratch.frow4);
-    let mut y_cur = std::mem::take(&mut scratch.frow5);
-    for row in [&mut m_prev, &mut x_prev, &mut y_prev] {
-        row.clear();
-        row.resize(m + 1, neg);
-    }
-    m_prev[0] = 0.0;
-    for j in 1..=m {
-        y_prev[j] = -open - (j - 1) as f64 * extend;
-    }
-    for i in 1..=n {
-        for row in [&mut m_cur, &mut x_cur, &mut y_cur] {
-            row.clear();
-            row.resize(m + 1, neg);
-        }
-        x_cur[0] = -open - (i - 1) as f64 * extend;
-        for j in 1..=m {
-            let score = if a[i - 1] == b[j - 1] { 1.0 } else { 0.0 };
-            m_cur[j] = score + m_prev[j - 1].max(x_prev[j - 1]).max(y_prev[j - 1]);
-            x_cur[j] = (m_prev[j] - open).max(x_prev[j] - extend);
-            y_cur[j] = (m_cur[j - 1] - open).max(y_cur[j - 1] - extend);
-        }
-        std::mem::swap(&mut m_prev, &mut m_cur);
-        std::mem::swap(&mut x_prev, &mut x_cur);
-        std::mem::swap(&mut y_prev, &mut y_cur);
-    }
-    let out = m_prev[m].max(x_prev[m]).max(y_prev[m]);
-    scratch.frow0 = m_prev;
-    scratch.frow1 = x_prev;
-    scratch.frow2 = y_prev;
-    scratch.frow3 = m_cur;
-    scratch.frow4 = x_cur;
-    scratch.frow5 = y_cur;
-    out
-}
-
-/// Exact string equality as a 0/1 similarity.
-pub fn exact_sim(a: &str, b: &str) -> f64 {
-    f64::from(a == b)
 }
 
 #[cfg(test)]
@@ -538,6 +356,7 @@ mod tests {
         assert_eq!(levenshtein("", "abc"), 3);
         assert_eq!(levenshtein("abc", "abc"), 0);
         assert_eq!(levenshtein("flaw", "lawn"), 2);
+        assert_eq!(levenshtein("ca", "ac"), 2);
     }
 
     #[test]
@@ -545,13 +364,6 @@ mod tests {
         close(levenshtein_sim("", ""), 1.0);
         close(levenshtein_sim("abc", "abc"), 1.0);
         close(levenshtein_sim("abc", "xyz"), 0.0);
-    }
-
-    #[test]
-    fn damerau_counts_transposition_once() {
-        assert_eq!(levenshtein("ca", "ac"), 2);
-        assert_eq!(damerau_levenshtein("ca", "ac"), 1);
-        assert_eq!(damerau_levenshtein("a cat", "a abct"), 3);
     }
 
     #[test]
@@ -593,27 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn affine_gap_prefers_one_long_gap() {
-        // "abcd" vs "ad": the two middle chars are one gap.
-        let one_gap = affine_gap("abcd", "ad", 1.0, 0.5);
-        close(one_gap, 2.0 - 1.0 - 0.5); // 2 matches - open - one extension
-        // identical strings score their length
-        close(affine_gap("abc", "abc", 1.0, 0.5), 3.0);
-    }
-
-    #[test]
-    fn affine_gap_empty_cases() {
-        close(affine_gap("", "", 1.0, 0.5), 0.0);
-        close(affine_gap("ab", "", 1.0, 0.5), -1.5);
-    }
-
-    #[test]
-    fn exact_sim_cases() {
-        close(exact_sim("a", "a"), 1.0);
-        close(exact_sim("a", "A"), 0.0);
-    }
-
-    #[test]
     fn all_sims_symmetric() {
         for (a, b) in [("grant title", "grant titel"), ("WIS01040", "WIS04059"), ("", "x")] {
             close(levenshtein_sim(a, b), levenshtein_sim(b, a));
@@ -630,25 +421,26 @@ mod tests {
         assert!(jaro("naïve", "naive") > 0.8);
     }
 
+    /// The `*_chars` kernels on one caller-held scratch, reused across
+    /// inputs, agree with the `&str` entry points on the thread's own.
     #[test]
     fn explicit_scratch_matches_wrappers() {
         let mut s = KernelScratch::new();
         for (a, b) in [("corn fungicide", "corn fungicides"), ("", "x"), ("Lab Supplies", "Lab Supplies")] {
-            assert_eq!(levenshtein_with(&mut s, a, b), levenshtein(a, b));
-            assert_eq!(damerau_levenshtein_with(&mut s, a, b), damerau_levenshtein(a, b));
-            assert_eq!(jaro_with(&mut s, a, b).to_bits(), jaro(a, b).to_bits());
-            assert_eq!(jaro_winkler_with(&mut s, a, b).to_bits(), jaro_winkler(a, b).to_bits());
+            let (ca, cb): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+            assert_eq!(levenshtein_chars(&mut s, &ca, &cb), levenshtein(a, b));
+            assert_eq!(jaro_chars(&mut s, &ca, &cb).to_bits(), jaro(a, b).to_bits());
             assert_eq!(
-                needleman_wunsch_sim_with(&mut s, a, b).to_bits(),
+                jaro_winkler_chars(&mut s, &ca, &cb).to_bits(),
+                jaro_winkler(a, b).to_bits()
+            );
+            assert_eq!(
+                needleman_wunsch_sim_chars(&mut s, &ca, &cb).to_bits(),
                 needleman_wunsch_sim(a, b).to_bits()
             );
             assert_eq!(
-                smith_waterman_sim_with(&mut s, a, b).to_bits(),
+                smith_waterman_sim_chars(&mut s, &ca, &cb).to_bits(),
                 smith_waterman_sim(a, b).to_bits()
-            );
-            assert_eq!(
-                affine_gap_with(&mut s, a, b, 1.0, 0.5).to_bits(),
-                affine_gap(a, b, 1.0, 0.5).to_bits()
             );
         }
     }

@@ -1,5 +1,5 @@
 //! Token-set similarity measures: Jaccard, overlap, overlap coefficient,
-//! Dice, cosine, Tversky, and Monge-Elkan.
+//! Dice, cosine, and Monge-Elkan.
 //!
 //! These operate on pre-tokenized inputs (slices of tokens) using **set**
 //! semantics — duplicates are collapsed, matching py_stringmatching and the
@@ -82,25 +82,6 @@ pub fn cosine(a: &[String], b: &[String]) -> f64 {
     }
     let (sa, sb) = sets(a, b);
     intersection_size(&sa, &sb) as f64 / ((sa.len() * sb.len()) as f64).sqrt()
-}
-
-/// Tversky index with parameters `alpha`, `beta`:
-/// `|A∩B| / (|A∩B| + α|A−B| + β|B−A|)`. Jaccard is `α = β = 1`; Dice is
-/// `α = β = 0.5`.
-pub fn tversky(a: &[String], b: &[String], alpha: f64, beta: f64) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let (sa, sb) = sets(a, b);
-    let inter = intersection_size(&sa, &sb) as f64;
-    let only_a = (sa.len() - inter as usize) as f64;
-    let only_b = (sb.len() - inter as usize) as f64;
-    let denom = inter + alpha * only_a + beta * only_b;
-    if denom == 0.0 {
-        1.0
-    } else {
-        inter / denom
-    }
 }
 
 /// Monge-Elkan: mean over tokens of `a` of the best `inner` similarity to
@@ -194,13 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn tversky_generalizes() {
-        let (a, b) = (toks("a b c"), toks("b c d"));
-        close(tversky(&a, &b, 1.0, 1.0), jaccard(&a, &b));
-        close(tversky(&a, &b, 0.5, 0.5), dice(&a, &b));
-    }
-
-    #[test]
     fn monge_elkan_exact_inner() {
         let inner = |x: &str, y: &str| f64::from(x == y);
         close(monge_elkan(&toks("a b"), &toks("a z"), inner), 0.5);
@@ -232,7 +206,6 @@ mod tests {
                 overlap_coefficient(&toks(x), &toks(y)),
                 dice(&toks(x), &toks(y)),
                 cosine(&toks(x), &toks(y)),
-                tversky(&toks(x), &toks(y), 0.7, 0.3),
             ] {
                 assert!((0.0..=1.0).contains(&v), "{v} out of range for ({x}, {y})");
             }

@@ -1,33 +1,14 @@
 //! Tokenizers: word-level and q-gram, the two shapes the case study uses
 //! (word tokens for overlap blocking, 3-grams for Jaccard features).
 
-use std::collections::HashSet;
-
 /// Splits text into tokens.
 ///
 /// Implementations are value types (cheap to copy) so feature generators can
-/// embed them. Tokens are returned in order with duplicates preserved;
-/// callers that need set semantics use [`token_set`].
+/// embed them. Tokens are returned in order with duplicates preserved; the
+/// [`crate::set`] measures collapse them.
 pub trait Tokenizer {
     /// Tokenizes `s`. Empty inputs yield no tokens.
     fn tokenize(&self, s: &str) -> Vec<String>;
-
-    /// A short stable name for reports and feature labels (e.g. `"ws"`,
-    /// `"qgm_3"`).
-    fn name(&self) -> String;
-}
-
-/// Whitespace tokenizer: splits on Unicode whitespace.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WhitespaceTokenizer;
-
-impl Tokenizer for WhitespaceTokenizer {
-    fn tokenize(&self, s: &str) -> Vec<String> {
-        s.split_whitespace().map(str::to_string).collect()
-    }
-    fn name(&self) -> String {
-        "ws".to_string()
-    }
 }
 
 /// Alphanumeric (word) tokenizer: maximal runs of alphanumeric characters.
@@ -69,36 +50,22 @@ impl Tokenizer for AlphanumericTokenizer {
         self.for_each_token(s, |t| tokens.push(t.to_string()));
         tokens
     }
-    fn name(&self) -> String {
-        "alnum".to_string()
-    }
 }
 
-/// Character q-gram tokenizer.
-///
-/// With `padded = true` the string is framed with `q - 1` copies of `#` and
-/// `$` (py_stringmatching's convention), so short strings still produce
-/// discriminative grams; with `padded = false` strings shorter than `q`
-/// produce a single whole-string token rather than nothing, which keeps
-/// set similarities defined on short identifiers.
+/// Character q-gram tokenizer, unpadded: strings shorter than `q` produce a
+/// single whole-string token rather than nothing, which keeps set
+/// similarities defined on short identifiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QgramTokenizer {
     /// Gram length (≥ 1).
     pub q: usize,
-    /// Whether to frame the input with boundary padding characters.
-    pub padded: bool,
 }
 
 impl QgramTokenizer {
-    /// Unpadded q-grams of length `q` (the common feature-generation
-    /// default: "Jaccard over 3-grams").
+    /// Q-grams of length `q` (the feature-generation default: "Jaccard over
+    /// 3-grams").
     pub fn new(q: usize) -> QgramTokenizer {
-        QgramTokenizer { q: q.max(1), padded: false }
-    }
-
-    /// Padded q-grams of length `q`.
-    pub fn padded(q: usize) -> QgramTokenizer {
-        QgramTokenizer { q: q.max(1), padded: true }
+        QgramTokenizer { q: q.max(1) }
     }
 }
 
@@ -107,65 +74,17 @@ impl Tokenizer for QgramTokenizer {
         if s.is_empty() {
             return Vec::new();
         }
-        let chars: Vec<char> = if self.padded {
-            let pad = self.q - 1;
-            std::iter::repeat_n('#', pad)
-                .chain(s.chars())
-                .chain(std::iter::repeat_n('$', pad))
-                .collect()
-        } else {
-            s.chars().collect()
-        };
+        let chars: Vec<char> = s.chars().collect();
         if chars.len() < self.q {
             return vec![chars.iter().collect()];
         }
         chars.windows(self.q).map(|w| w.iter().collect()).collect()
     }
-    fn name(&self) -> String {
-        if self.padded {
-            format!("qgm_{}p", self.q)
-        } else {
-            format!("qgm_{}", self.q)
-        }
-    }
-}
-
-/// Delimiter tokenizer: splits on one specific character, preserving empty
-/// interior segments' neighbours but dropping empty tokens. Used for the
-/// `|`-separated employee-name lists of Section 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DelimiterTokenizer {
-    /// The delimiter character.
-    pub delim: char,
-}
-
-impl Tokenizer for DelimiterTokenizer {
-    fn tokenize(&self, s: &str) -> Vec<String> {
-        s.split(self.delim)
-            .map(str::trim)
-            .filter(|t| !t.is_empty())
-            .map(str::to_string)
-            .collect()
-    }
-    fn name(&self) -> String {
-        format!("delim_{}", self.delim)
-    }
-}
-
-/// Deduplicated token set (the view set-similarity measures consume).
-pub fn token_set(tokens: &[String]) -> HashSet<&str> {
-    tokens.iter().map(String::as_str).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn whitespace_splits() {
-        assert_eq!(WhitespaceTokenizer.tokenize("a  b\tc"), vec!["a", "b", "c"]);
-        assert!(WhitespaceTokenizer.tokenize("  ").is_empty());
-    }
 
     #[test]
     fn alnum_splits_on_punctuation() {
@@ -195,30 +114,6 @@ mod tests {
     fn qgrams_short_string_yields_whole() {
         assert_eq!(QgramTokenizer::new(3).tokenize("ab"), vec!["ab"]);
         assert!(QgramTokenizer::new(3).tokenize("").is_empty());
-    }
-
-    #[test]
-    fn qgrams_padded() {
-        let toks = QgramTokenizer::padded(2).tokenize("ab");
-        assert_eq!(toks, vec!["#a", "ab", "b$"]);
-    }
-
-    #[test]
-    fn qgram_names() {
-        assert_eq!(QgramTokenizer::new(3).name(), "qgm_3");
-        assert_eq!(QgramTokenizer::padded(3).name(), "qgm_3p");
-    }
-
-    #[test]
-    fn delimiter_trims_and_drops_empties() {
-        let t = DelimiterTokenizer { delim: '|' };
-        assert_eq!(t.tokenize("Smith, J | Doe, K ||"), vec!["Smith, J", "Doe, K"]);
-    }
-
-    #[test]
-    fn token_set_dedups() {
-        let toks = WhitespaceTokenizer.tokenize("a b a");
-        assert_eq!(token_set(&toks).len(), 2);
     }
 
     #[test]

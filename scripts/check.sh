@@ -51,9 +51,4 @@ echo "==> cargo clippy --all-targets -- -D warnings"
 # included): no `v[i]` that could panic on a bad index.
 cargo clippy "${CARGO_FLAGS[@]}" --all-targets -- -D warnings
 
-echo "==> micro-kernel criterion benches (smoke)"
-for bench in debugger feature_kernels; do
-    EM_BENCH_SMOKE=1 cargo bench "${CARGO_FLAGS[@]}" -p em-bench --bench "$bench" >/dev/null
-done
-
 echo "==> all checks passed"
