@@ -38,6 +38,8 @@
 //!
 //! Everything goes to stderr; timers sit outside every checksum.
 
+#![deny(unsafe_code)]
+
 use em_bench::{fixtures_cfg, scaled_fixtures};
 use em_blocking::{
     Blocker, IncrementalIndex, JoinIndex, JoinLayout, JoinScratch, JoinSpec, OverlapBlocker, Pair,

@@ -28,6 +28,8 @@
 //! are the x64/x256 record until those rows are benchmark workloads. Every
 //! run ends with its total wall time and thread count on stderr.
 
+#![deny(unsafe_code)]
+
 use em_bench::{fixtures_cfg, scaled_fixtures, Fixtures};
 use em_blocking::{debug_blocking_counted, Blocker, BlockingDebugger, OverlapBlocker, Pair};
 use em_core::blocking_plan::{run_blocking, BlockingPlan};

@@ -13,6 +13,7 @@
 //! fixtures the binaries and the pinned tests under `tests/` share.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 use em_core::preprocess::{project_umetrics, project_usda};
 use em_datagen::{Scenario, ScenarioConfig};

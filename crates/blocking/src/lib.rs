@@ -30,6 +30,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod blockers;

@@ -17,6 +17,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod config;
 pub mod flaky;

@@ -16,6 +16,7 @@
 //! shrinks the intervals — [`AccuracyEstimate`] preserves that behaviour.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 use std::fmt;
 

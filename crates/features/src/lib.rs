@@ -23,6 +23,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod batch;
 pub mod extract;

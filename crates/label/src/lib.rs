@@ -22,6 +22,7 @@
 //! resumed curve equals the uninterrupted one to the last bit.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod active;

@@ -39,6 +39,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod bayes;
 pub mod committee;

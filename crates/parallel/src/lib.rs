@@ -3,12 +3,21 @@
 //! Every parallel hot path of the pipeline (overlap-index probing, feature
 //! extraction, random-forest tree fitting, cross-validation folds, batch
 //! prediction) fans out through [`Executor::map_indexed`]: the index space
-//! `0..n` is split into contiguous chunks — the calling thread takes the
-//! first, one scoped thread each of the others — and the per-index results
-//! are joined back **in index order**. Because every
+//! `0..n` is split into contiguous chunks, the calling thread and parked
+//! worker threads claim chunks from a shared counter, and the per-index
+//! results are joined back **in index order**. Because every
 //! work item is a pure function of its index, output is bit-identical to
 //! the single-threaded run at any thread count — parallelism only changes
 //! wall time, never results.
+//!
+//! The workers are one process-wide set, started on first use and grown
+//! when an executor asks for more; between maps they sleep on a condvar,
+//! so a map costs a wake-up, not a thread start and join. A map issued
+//! from inside another map's chunk runs inline on the thread that issued
+//! it: parallelism happens only at the outermost map. Maps from different
+//! threads take turns on the workers, so a chunk must not wait for a map
+//! that another thread issues. A panic in any chunk reaches the caller,
+//! with its payload, once every chunk has finished.
 //!
 //! The thread count is a process-wide knob, deliberately *outside* every
 //! config struct that is serialized into checkpoints: resuming a checkpoint
@@ -24,9 +33,12 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
+
+mod pool;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// Process-wide thread-count override; 0 means "not set, use the default".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -99,12 +111,12 @@ impl Executor {
         Executor::new(threads())
     }
 
-    /// Sets a floor on the input size worth spawning for: any map over
-    /// fewer than `min_items` items runs inline on the calling thread,
+    /// Sets a floor on the input size worth going parallel for: any map
+    /// over fewer than `min_items` items runs inline on the calling thread,
     /// regardless of grain. Call sites whose per-item cost varies with the
     /// workload (e.g. tree fitting, where each item scans the whole
-    /// training set) use this to express "spawn only if the total work
-    /// covers thread start-up cost".
+    /// training set) use this to express "hand work to the workers only if
+    /// the total covers the hand-off cost".
     pub fn with_min_items(self, min_items: usize) -> Executor {
         Executor { min_items, ..self }
     }
@@ -118,7 +130,7 @@ impl Executor {
     ///
     /// `grain` is the minimum number of indices worth one thread: the
     /// effective worker count is `min(threads, n / grain)`, so small inputs
-    /// run inline without spawn overhead (see also
+    /// run inline without hand-off overhead (see also
     /// [`Executor::with_min_items`]). `f` must be a pure function of its
     /// index for the bit-identical-at-any-thread-count guarantee to hold
     /// (shared read-only state is fine).
@@ -130,70 +142,51 @@ impl Executor {
         self.map_indexed_with(n, grain, || (), |(), i| f(i))
     }
 
-    /// [`Executor::map_indexed`] with a per-worker scratch state: each
-    /// worker thread calls `init` exactly once and threads the resulting
-    /// state through every index it owns. This is the chunked join driver
+    /// [`Executor::map_indexed`] with a per-chunk scratch state: each
+    /// contiguous chunk calls `init` exactly once and threads the resulting
+    /// state through every index it holds. This is the chunked join driver
     /// the batch set-similarity join runs on — probe scratch (dense seen
-    /// arrays, token-order buffers) is allocated once per worker instead of
+    /// arrays, token-order buffers) is allocated once per chunk instead of
     /// once per row, while the output stays a pure function of the index.
     ///
     /// `f` must produce a result that depends only on its index and
     /// read-only captures, never on the state's history — the state is for
     /// buffer *reuse*, not for carrying information between indices. Under
     /// that contract the output is bit-identical at any thread count, even
-    /// though worker chunk boundaries move with the worker count.
+    /// though chunk boundaries move with the worker count.
     pub fn map_indexed_with<S, R, I, F>(&self, n: usize, grain: usize, init: I, f: F) -> Vec<R>
     where
         R: Send,
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize) -> R + Sync,
     {
-        if n < self.min_items {
-            let mut state = init();
-            return (0..n).map(|i| f(&mut state, i)).collect();
-        }
-        let workers = self.threads.min(n / grain.max(1)).max(1);
+        let workers = if n < self.min_items || pool::nested() {
+            1
+        } else {
+            self.threads.min(n / grain.max(1)).max(1)
+        };
         if workers < 2 {
             let mut state = init();
             return (0..n).map(|i| f(&mut state, i)).collect();
         }
         let chunk = n.div_ceil(workers);
-        let ranges: Vec<std::ops::Range<usize>> = (0..workers)
-            .map(|w| (w * chunk).min(n)..((w + 1) * chunk).min(n))
-            .filter(|r| !r.is_empty())
-            .collect();
-        let f = &f;
-        let init = &init;
-        let mut results: Vec<Vec<R>> = Vec::with_capacity(ranges.len());
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = ranges[1..]
-                .iter()
-                .map(|r| {
-                    let r = r.clone();
-                    scope.spawn(move |_| {
-                        let mut state = init();
-                        r.map(|i| f(&mut state, i)).collect::<Vec<R>>()
-                    })
-                })
-                .collect();
-            // The caller works its share instead of sleeping in `join`: one
-            // thread fewer to start per fork, and one allocator arena fewer
-            // for a stage's worker-built results to strand memory in (glibc
-            // gives every new thread its own; what a worker leaves behind in
-            // one is reusable only by the next thread that happens to get it).
+        let chunks = n.div_ceil(chunk);
+        let slots: Vec<Mutex<Vec<R>>> = (0..chunks).map(|_| Mutex::default()).collect();
+        pool::run(chunks, chunks - 1, &|c| {
             let mut state = init();
-            results.push(ranges[0].clone().map(|i| f(&mut state, i)).collect());
-            for h in handles {
-                results.push(h.join().expect("parallel worker panicked"));
-            }
-        })
-        .expect("crossbeam scope");
-        results.into_iter().flatten().collect()
+            let out = (c * chunk..((c + 1) * chunk).min(n)).map(|i| f(&mut state, i)).collect();
+            *slots[c].lock().expect("a chunk's slot is written once") = out;
+        });
+        let mut out = Vec::with_capacity(n);
+        for slot in slots {
+            out.extend(slot.into_inner().expect("every chunk ran"));
+        }
+        out
     }
 
     /// Maps `f` over `0..n` for a **handful of coarse tasks of unequal
-    /// cost** (set-up legs, not rows): workers pull the next index from a
-    /// shared counter instead of owning a contiguous range, so one long
+    /// cost** (set-up legs, not rows): each index is its own chunk, which
+    /// the caller and the workers pull from the shared counter, so one long
     /// task does not strand the tasks queued behind it. Results come back
     /// in index order, and — `f` being a pure function of its index — are
     /// the same at any thread count.
@@ -202,35 +195,15 @@ impl Executor {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        let workers = self.threads.min(n);
+        let workers = if pool::nested() { 1 } else { self.threads.min(n) };
         if workers < 2 {
             return (0..n).map(f).collect();
         }
-        // Relaxed: the counter only hands out indices; results travel
-        // through the joins.
-        let next = AtomicUsize::new(0);
-        let (f, next) = (&f, &next);
-        let mut done: Vec<(usize, R)> = Vec::with_capacity(n);
-        crossbeam::scope(|scope| {
-            let pull = move || {
-                let mut mine = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        return mine;
-                    }
-                    mine.push((i, f(i)));
-                }
-            };
-            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(move |_| pull())).collect();
-            done.extend(pull());
-            for h in handles {
-                done.extend(h.join().expect("parallel worker panicked"));
-            }
-        })
-        .expect("crossbeam scope");
-        done.sort_by_key(|&(i, _)| i);
-        done.into_iter().map(|(_, r)| r).collect()
+        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::default()).collect();
+        pool::run(n, workers - 1, &|i| {
+            *slots[i].lock().expect("a task's slot is written once") = Some(f(i));
+        });
+        slots.into_iter().map(|s| s.into_inner().ok().flatten().expect("every task ran")).collect()
     }
 
     /// Maps `f` over a slice, returning results in element order. Chunking
@@ -268,7 +241,7 @@ mod tests {
 
     #[test]
     fn grain_keeps_small_inputs_inline() {
-        // 10 items at grain 100 → one worker, no spawn; result still correct.
+        // 10 items at grain 100 → one worker, inline; result still correct.
         let out = Executor::new(8).map_indexed(10, 100, |i| i + 1);
         assert_eq!(out, (1..=10).collect::<Vec<_>>());
     }
@@ -300,6 +273,21 @@ mod tests {
         let words = vec!["a".to_string(), "bb".to_string(), "ccc".to_string()];
         let lens = Executor::new(2).map_slice(&words, 1, |w| w.len());
         assert_eq!(lens, vec![1, 2, 3]);
+        // Every call through the borrowed data has returned before the map
+        // does, so the data can be dropped right after it.
+        for round in 0..50 {
+            let words: Vec<String> =
+                (0..64).map(|i| format!("{round}:{}", "w".repeat(i))).collect();
+            let finished = AtomicUsize::new(0);
+            let lens = Executor::new(4).map_slice(&words, 1, |w| {
+                let len = w.len();
+                finished.fetch_add(1, Ordering::SeqCst);
+                len
+            });
+            assert_eq!(finished.load(Ordering::SeqCst), words.len(), "round {round}");
+            assert_eq!(lens, words.iter().map(String::len).collect::<Vec<_>>());
+            drop(words);
+        }
     }
 
     #[test]
@@ -323,6 +311,80 @@ mod tests {
         assert_eq!(LOCAL.with(Cell::get), 50, "all 50 items must run inline");
         let out = ex.map_indexed(200, 1, |i| i * 3);
         assert_eq!(out, (0..200).map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    /// A panic payload the test can tell apart from any other.
+    #[derive(Debug, PartialEq)]
+    struct Boom(&'static str);
+
+    #[test]
+    fn panics_reach_the_caller_with_their_payload_and_the_pool_survives() {
+        use std::sync::Barrier;
+        for (on_caller, what) in [(false, "worker"), (true, "caller")] {
+            let caller = std::thread::current().id();
+            // The barrier holds each chunk until the other has started, so
+            // one runs on the caller and one on a worker.
+            let barrier = Barrier::new(2);
+            let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Executor::new(2).map_indexed(2, 1, |i| {
+                    barrier.wait();
+                    if (std::thread::current().id() == caller) == on_caller {
+                        std::panic::panic_any(Boom(what));
+                    }
+                    i
+                })
+            }));
+            let payload = got.expect_err("the chunk's panic must reach the caller");
+            assert_eq!(payload.downcast_ref::<Boom>(), Some(&Boom(what)), "{what} chunk");
+            let out = Executor::new(2).map_indexed(100, 1, |i| i + 1);
+            assert_eq!(out, (1..=100).collect::<Vec<_>>(), "the next map after a {what} panic");
+        }
+    }
+
+    #[test]
+    fn nested_maps_run_on_the_thread_that_issued_them() {
+        use std::cell::Cell;
+        use std::sync::Barrier;
+        thread_local! { static LOCAL: Cell<usize> = const { Cell::new(0) }; }
+        let caller = std::thread::current().id();
+        let barrier = Barrier::new(2);
+        let outer = Executor::new(2).map_indexed(2, 1, |o| {
+            barrier.wait();
+            LOCAL.with(|c| c.set(0));
+            let count = |i: usize| {
+                LOCAL.with(|c| c.set(c.get() + 1));
+                o * 1000 + i
+            };
+            let rows = Executor::new(4).map_indexed(50, 1, count);
+            let tasks = Executor::new(4).map_tasks(7, count);
+            assert_eq!(rows, (0..50).map(|i| o * 1000 + i).collect::<Vec<_>>());
+            assert_eq!(tasks, (0..7).map(|i| o * 1000 + i).collect::<Vec<_>>());
+            (LOCAL.with(Cell::get), std::thread::current().id() == caller)
+        });
+        assert_eq!(outer.iter().map(|&(n, _)| n).collect::<Vec<_>>(), [57, 57], "inline");
+        let on_caller = outer.iter().filter(|&&(_, c)| c).count();
+        assert_eq!(on_caller, 1, "one outer chunk on the caller, one on a worker");
+    }
+
+    #[test]
+    fn concurrent_callers_each_get_their_own_results() {
+        use std::sync::Barrier;
+        let start = Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4usize {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    for round in 0..200 {
+                        let f = |i: usize| i * (t + 1) + round;
+                        let want: Vec<usize> = (0..97).map(f).collect();
+                        let ex = Executor::new(2 + (t + round) % 3);
+                        assert_eq!(ex.map_indexed(97, 1, f), want, "thread {t} round {round}");
+                        assert_eq!(ex.map_tasks(5, f), want[..5], "thread {t} round {round}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod award;
 pub mod error;

@@ -33,7 +33,7 @@
 //! [`MatchService::match_on_arrival`], [`MatchService::match_batch`] and
 //! [`MatchService::drain_at`] on scratches the service owns — a pool a read
 //! borrows from and returns to, so a scratch stays warm whichever thread
-//! the executor forks for the read.
+//! runs the read: the caller or one of the executor's parked workers.
 //!
 //! Because every arriving row is scored independently and
 //! [`MatchService::match_batch`] merges per-row results in row order

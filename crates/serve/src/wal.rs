@@ -396,6 +396,95 @@ mod tests {
         assert!(torn_header.torn_tail && torn_header.records.is_empty());
     }
 
+    /// Reads `text`; a typed error is fine, an accepted log must be a fixed
+    /// point: its records written again by [`WalWriter`] read back to the
+    /// same records, and written once more give the same bytes. Returns
+    /// whether `text` was accepted. A panic fails the test naming `what`.
+    fn assert_reads_or_errs(text: &str, path: &Path, what: &str) -> bool {
+        let write = |records: &[Vec<Value>]| {
+            let mut w = WalWriter::create(path).unwrap();
+            for row in records {
+                w.append(row).unwrap();
+            }
+            std::fs::read_to_string(path).unwrap()
+        };
+        let outcome = std::panic::catch_unwind(|| read_wal_text(text).ok());
+        match outcome {
+            Err(_) => panic!("read_wal_text panicked on {what}"),
+            Ok(None) => false,
+            Ok(Some(replay)) => {
+                let once = write(&replay.records);
+                let back = read_wal_text(&once)
+                    .unwrap_or_else(|e| panic!("{what}: rewrite unreadable: {e}"));
+                assert_eq!(back.records.len(), replay.records.len(), "{what}: record count");
+                assert!(!back.torn_tail, "{what}: a rewritten log has no torn tail");
+                assert_eq!(write(&back.records), once, "{what}: accepted, but not a fixed point");
+                true
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_bytes_are_typed_errors_or_fixed_points() {
+        let path = temp_wal("hostile");
+        let mut w = WalWriter::create(&path).unwrap();
+        for row in rows().iter().chain(&rows()) {
+            w.append(row).unwrap();
+        }
+        let good = std::fs::read_to_string(&path).unwrap();
+        assert!(good.is_ascii());
+        let scratch = temp_wal("hostile-rewrite");
+        for cut in 0..good.len() {
+            assert_reads_or_errs(&good[..cut], &scratch, &format!("truncation at {cut}"));
+        }
+        // Seeded single-byte ASCII mutations (splitmix64), tab and newline
+        // included. Raw, most break a checksum; with every record's
+        // checksum stamped again, the payload decoder sees each of them.
+        let mut state = 20190326u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as usize
+        };
+        let restamp = |text: &str| -> String {
+            let mut out = String::with_capacity(text.len());
+            for line in text.split_inclusive('\n') {
+                let body = line.strip_suffix('\n').unwrap_or(line);
+                let mut fields = body.splitn(3, ' ');
+                match (fields.next(), fields.next(), fields.next()) {
+                    (Some(seq), Some(_), Some(payload)) if seq.parse::<u64>().is_ok() => {
+                        let sum = fnv1a64(format!("{seq} {payload}").as_bytes());
+                        out.push_str(&format!("{seq} {sum:016x} {payload}"));
+                        out.push_str(&line[body.len()..]);
+                    }
+                    _ => out.push_str(line),
+                }
+            }
+            out
+        };
+        let alphabet: Vec<u8> = (b' '..=b'~').chain([b'\t', b'\n']).collect();
+        let (mut raw_ok, mut stamped_ok) = (0, 0);
+        for _ in 0..4_000 {
+            let at = next() % good.len();
+            let byte = alphabet[next() % alphabet.len()];
+            let mut bytes = good.clone().into_bytes();
+            bytes[at] = byte;
+            let text = String::from_utf8(bytes).unwrap();
+            let what = format!("byte {at} set to {:?}", byte as char);
+            raw_ok += usize::from(assert_reads_or_errs(&text, &scratch, &what));
+            let what = format!("{what}, checksums restamped");
+            stamped_ok += usize::from(assert_reads_or_errs(&restamp(&text), &scratch, &what));
+        }
+        // Both outcomes occur on the restamped logs: a mutation inside a
+        // cell's text decodes, one in a tag, a seq or the framing does not.
+        assert!((1..4_000).contains(&stamped_ok), "{stamped_ok} of 4000 restamped accepted");
+        assert!(raw_ok < stamped_ok, "{raw_ok} raw vs {stamped_ok} restamped accepted");
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&scratch);
+    }
+
     #[test]
     fn resume_repairs_torn_tail_and_continues_the_sequence() {
         let path = temp_wal("resume");

@@ -1,9 +1,10 @@
-//! A sharded read runs on scratches its shards own: the executor forks
-//! fresh threads for every scatter, and a warmed tier must find its buffers
-//! warm on them anyway. A cold [`ProbeScratch`](em_serve::ProbeScratch)
+//! A sharded read runs on scratches its shards own: a shard's leg of the
+//! scatter runs on whichever thread claims it — the caller or one of the
+//! executor's parked workers — and a warmed tier must find its buffers warm
+//! on either. A cold [`ProbeScratch`](em_serve::ProbeScratch)
 //! zero-fills a 96 KiB reuse-table partition per live sequence measure
 //! before it scores anything, so "under one partition a batch" separates a
-//! pooled scratch from one built per fork. A counting global allocator
+//! pooled scratch from one built per read. A counting global allocator
 //! measures it (this file holds one test, so nothing else allocates
 //! meanwhile).
 
@@ -59,7 +60,7 @@ const BATCH_ROWS: usize = 6;
     debug_assertions,
     ignore = "the debug-only Feature::compute oracle allocates inside the measured loop; run with --release"
 )]
-fn warmed_forked_scatter_allocates_under_one_reuse_partition_a_batch() {
+fn warmed_scatter_allocates_under_one_reuse_partition_a_batch() {
     let artifacts = CaseStudy::new(CaseStudyConfig::small())
         .train_serving_artifacts()
         .expect("training the serving artifacts");
@@ -100,6 +101,6 @@ fn warmed_forked_scatter_allocates_under_one_reuse_partition_a_batch() {
     assert!(candidates > 200, "the fixture must score real work ({candidates} candidates)");
     assert!(
         per_batch < REUSE_PARTITION_BYTES,
-        "{per_batch} bytes a batch: a forked read is building its scratch again"
+        "{per_batch} bytes a batch: a shard read is building its scratch again"
     );
 }

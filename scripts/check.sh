@@ -48,7 +48,11 @@ echo "==> cargo clippy --all-targets -- -D warnings"
 # training path (view, tree, forest, committee, cv, debug) deny
 # `unwrap_used` / `expect_used` / `panic` outside tests, so every failure on
 # those paths is a typed error. `sched` also denies `indexing_slicing` (tests
-# included): no `v[i]` that could panic on a bad index.
+# included): no `v[i]` that could panic on a bad index. Every crate root under
+# crates/ (libraries and the two em-bench binaries) and src/lib.rs denies
+# `unsafe_code`; the one `#[allow(unsafe_code)]` is em-parallel's
+# `pool::run`, which erases a closure's lifetime for the parked workers. The
+# counting allocators in the *_allocations.rs tests are the only other unsafe.
 cargo clippy "${CARGO_FLAGS[@]}" --all-targets -- -D warnings
 
 echo "==> all checks passed"

@@ -37,6 +37,7 @@
 //! paper-reproduction harness (`cargo run -p em-bench --bin reproduce`).
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub use em_blocking as blocking;
 pub use em_core as core;
