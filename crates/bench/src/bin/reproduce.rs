@@ -40,7 +40,7 @@ use em_core::resilience::FaultPlan;
 use em_datagen::{Oracle, OracleConfig, ScenarioConfig};
 use em_features::{auto_features, extract_vectors, FeatureOptions};
 use em_ml::dataset::{impute_mean, Dataset};
-use em_ml::model::Learner;
+use em_ml::model::{Learner, Model};
 use em_ml::tree::DecisionTreeLearner;
 use em_rules::award::award_suffix;
 use em_rules::{EqualityRule, RuleSet};
@@ -725,7 +725,7 @@ fn fig1() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     let mut data = Dataset::new(features.names(), x, labeled.iter().map(|(_, y)| *y).collect())?;
     let imputer = impute_mean(&mut data);
-    let model = DecisionTreeLearner::default().fit(&data)?;
+    let model = DecisionTreeLearner::default().fit_model(&data)?;
     let mut out = Vec::new();
     for p in candidates.iter() {
         let mut row = extract_vectors(&features, &a, &b, &[p])?.remove(0);

@@ -12,6 +12,8 @@
 //! guarantees round-trips through `parse::<f64>()` exactly — checkpointed
 //! and recomputed numbers are bit-identical, not merely close.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::error::CoreError;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};

@@ -137,19 +137,7 @@ pub fn train_matcher(
         .ok_or_else(|| CoreError::Pipeline(format!("unknown learner {learner_name:?}")))?;
     let model = learner.fit_model(data)?;
     // Tree-based winners expose Gini importances for the debugging view.
-    let feature_importance = match learner_name {
-        "Decision Tree" => Some(
-            em_ml::tree::DecisionTreeLearner::default()
-                .fit_tree(data)?
-                .feature_importance(data.n_features()),
-        ),
-        "Random Forest" => Some(
-            em_ml::forest::RandomForestLearner { seed: stage.seed, ..Default::default() }
-                .fit_forest(data)?
-                .feature_importance(data.n_features()),
-        ),
-        _ => None,
-    };
+    let feature_importance = model.feature_importance(data.n_features());
     Ok(TrainedMatcher {
         features,
         imputer,
@@ -332,6 +320,34 @@ mod tests {
         }
         let precision = tp as f64 / predicted.len() as f64;
         assert!(precision > 0.5, "model precision {precision} too low");
+    }
+
+    #[test]
+    fn importances_are_read_from_the_fitted_winner() {
+        let f = fixture();
+        let stage = MatcherStage::new(1).with_case_insensitive();
+        let features = auto_features(&f.u, &f.s, &stage.feature_opts);
+        let (data, imputer) =
+            build_training_data(&f.u, &f.s, &features, &f.labeled, &f.rules).unwrap();
+        let n = data.n_features();
+        // What a second, separate fit of the same learner computes.
+        let tree = em_ml::tree::DecisionTreeLearner::default().fit_tree(&data).unwrap();
+        let forest = em_ml::forest::RandomForestLearner { seed: stage.seed, ..Default::default() }
+            .fit_forest(&data)
+            .unwrap();
+        for (name, want) in [
+            ("Decision Tree", tree.feature_importance(n)),
+            ("Random Forest", forest.feature_importance(n)),
+        ] {
+            let matcher =
+                train_matcher(features.clone(), imputer.clone(), &data, name, &stage).unwrap();
+            let got = matcher.feature_importance.unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{name}");
+        }
+        let linear =
+            train_matcher(features, imputer, &data, "Logistic Regression", &stage).unwrap();
+        assert!(linear.feature_importance.is_none());
     }
 
     #[test]

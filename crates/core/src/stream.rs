@@ -7,9 +7,9 @@
 //! scale (x64–x256) the candidate set alone dominates memory.
 //! [`StreamMatcher`] fuses the stages instead: each left row's candidates
 //! come straight off the [`join`] index probe and are scored one by one
-//! through [`score_pair`] — the scorer walks the model and *pulls* the
-//! features its path tests from the masked extraction kernel, imputed as
-//! they are read — and only the above-threshold survivors (minus
+//! through [`score_pair`] — the fitted model walks its trees and *pulls*
+//! the features its path tests from the masked extraction kernel, imputed
+//! as they are read — and only the above-threshold survivors (minus
 //! negative-rule flips, plus the rule-driven sure matches) are counted into
 //! the streamed accounting. Nothing proportional to the candidate count is
 //! ever resident, and no feature the model does not read for a pair is ever
@@ -27,9 +27,9 @@
 //! value no traversed node tests cannot reach the score*. A pulled feature
 //! is the bits [`BatchExtractor`] is pinned to (`extract_vectors`,
 //! `Feature::compute`), imputed by the [`Imputer`]'s own test; the walk
-//! ([`BlockScorer::score_with`]) makes the comparisons of `predict_proba` in
-//! the same order, with the same left fold and single division for a
-//! forest; what it never asks for — a feature off its paths, or one the
+//! ([`FittedModel::score_with`]) is the walk of `predict_proba` over the
+//! same pre-order arrays, with the same left fold and single division for
+//! a forest; what it never asks for — a feature off its paths, or one the
 //! [mask](derive_feature_mask) left without a cache — would have been read
 //! by no comparison of the materialized chain either. Rules never read a
 //! feature vector: they work on row keys. A dense model (linear, Bayes)
@@ -54,7 +54,7 @@ use em_features::{
     SharedWordColumns,
 };
 use em_ml::dataset::Imputer;
-use em_ml::{BlockScorer, FittedModel};
+use em_ml::FittedModel;
 use em_parallel::Executor;
 use em_rules::{BoundNegativeRules, RuleSet, RuleSetDesc};
 use em_table::Table;
@@ -126,8 +126,7 @@ pub struct Collected {
 /// candidate count: tokenize the blocking column once into shared corpora
 /// (reused by both the join probes and the word-level set features),
 /// build the join index, derive the model's feature mask, build the
-/// masked [`BatchExtractor`], flatten the fitted model into a
-/// [`BlockScorer`], bind the negative rules' keys to the rows, and
+/// masked [`BatchExtractor`], bind the negative rules' keys to the rows, and
 /// materialize the two *small* per-left-row adjacencies (C1 scheme, rule
 /// sure matches) as CSR — the independent pieces forked over
 /// `em_parallel`. [`run`] then streams the unbounded part.
@@ -137,11 +136,11 @@ pub struct StreamMatcher<'a> {
     u: &'a Table,
     s: &'a Table,
     imputer: &'a Imputer,
+    model: &'a FittedModel,
     negatives: BoundNegativeRules,
     /// Each left row's keys under the negative rules, `n_negative` a row.
     left_keys: Vec<Option<(u32, u32)>>,
     n_negative: usize,
-    scorer: BlockScorer,
     extractor: BatchExtractor,
     join: JoinIndex,
     left_corpus: TokenCorpus,
@@ -183,18 +182,18 @@ struct ChunkResult {
 }
 
 /// The one pull-and-score step the fused stream and the serve hot loop
-/// both end in: `scorer` walks its model over `pair`, pulling each feature
-/// it tests from the extraction kernel and imputing it as it is read.
-/// `dense_row` (one slot per feature) is where a dense model's row is
-/// assembled; tree-shaped models leave it alone.
+/// both end in: `model` walks over `pair`, pulling each feature it tests
+/// from the extraction kernel and imputing it as it is read. `dense_row`
+/// (one slot per feature) is where a dense model's row is assembled;
+/// tree-shaped models leave it alone.
 #[inline]
 pub fn score_pair(
-    scorer: &BlockScorer,
+    model: &FittedModel,
     imputer: &Imputer,
     mut pair: PairView<'_>,
     dense_row: &mut [f64],
 ) -> f64 {
-    scorer.score_with(dense_row, |k| imputer.impute(k, pair.pull(k)))
+    model.score_with(dense_row, |k| imputer.impute(k, pair.pull(k)))
 }
 
 impl Csr {
@@ -289,7 +288,7 @@ impl StreamMatcher<'_> {
         kept.clear();
         for &j in candidates.iter() {
             let pair = Pair::new(i, j as usize);
-            let p = score_pair(&self.scorer, self.imputer, self.extractor.pair(pair, batch), dense_row);
+            let p = score_pair(self.model, self.imputer, self.extractor.pair(pair, batch), dense_row);
             let bin = ((p * HIST_BINS as f64) as usize).min(HIST_BINS - 1);
             res.histogram[bin] += 1;
             if COLLECT {
@@ -419,10 +418,10 @@ impl<'a> StreamMatcher<'a> {
             u: umetrics,
             s: usda,
             imputer: &matcher.imputer,
+            model: &matcher.model,
             negatives,
             left_keys,
             n_negative: negative.negative.len(),
-            scorer: matcher.model.block_scorer(),
             extractor,
             join,
             left_corpus,

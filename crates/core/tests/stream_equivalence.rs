@@ -51,7 +51,7 @@ fn fixture(learner: &str) -> (Table, Table, Table, TrainedMatcher) {
 fn fused_stream_matches_materialized_workflow_bitwise() {
     let _guard = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Decision Tree and Random Forest exercise the masked extraction + the
-    // flattened walk that pulls from it; Logistic Regression exercises the
+    // tree walk that pulls from it; Logistic Regression exercises the
     // dense (full-mask, pull-everything) path.
     for learner in ["Decision Tree", "Random Forest", "Logistic Regression"] {
         let (u, _, s, matcher) = fixture(learner);

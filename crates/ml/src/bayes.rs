@@ -139,14 +139,14 @@ mod tests {
 
     #[test]
     fn separates_blobs() {
-        let m = NaiveBayesLearner::default().fit(&gaussian_blobs()).unwrap();
+        let m = NaiveBayesLearner::default().fit_model(&gaussian_blobs()).unwrap();
         assert!(m.predict(&[1.0, 1.0]));
         assert!(!m.predict(&[0.0, 0.0]));
     }
 
     #[test]
     fn probabilities_in_unit_interval_even_far_away() {
-        let m = NaiveBayesLearner::default().fit(&gaussian_blobs()).unwrap();
+        let m = NaiveBayesLearner::default().fit_model(&gaussian_blobs()).unwrap();
         for p in [
             m.predict_proba(&[1e6, 1e6]),
             m.predict_proba(&[-1e6, -1e6]),
@@ -164,7 +164,7 @@ mod tests {
             vec![false, true, false, true],
         )
         .unwrap();
-        let m = NaiveBayesLearner::default().fit(&d).unwrap();
+        let m = NaiveBayesLearner::default().fit_model(&d).unwrap();
         assert!(m.predict(&[2.0, 0.95]));
         assert!(!m.predict(&[2.0, 0.05]));
     }
@@ -179,7 +179,7 @@ mod tests {
             vec![true, true, true, false],
         )
         .unwrap();
-        let m = NaiveBayesLearner::default().fit(&d).unwrap();
+        let m = NaiveBayesLearner::default().fit_model(&d).unwrap();
         assert!(m.predict_proba(&[0.5]) > 0.5);
     }
 
@@ -187,7 +187,7 @@ mod tests {
     fn single_class_degenerates() {
         let d = Dataset::new(vec!["f".into()], vec![vec![1.0], vec![2.0]], vec![false, false])
             .unwrap();
-        let m = NaiveBayesLearner::default().fit(&d).unwrap();
+        let m = NaiveBayesLearner::default().fit_model(&d).unwrap();
         assert!(!m.predict(&[1.5]));
     }
 }

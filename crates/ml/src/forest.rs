@@ -1,13 +1,14 @@
 //! Random forests: bagged CART trees with per-split feature subsetting —
 //! the matcher that won the case study's first selection round before the
-//! case-insensitive feature fix (Section 9).
+//! case-insensitive feature fix (Section 9). A fitted forest is its member
+//! trees' arrays; [`RandomForestModel::score_with`] folds their walks.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::dataset::Dataset;
 use crate::error::MlError;
 use crate::model::{Learner, Model};
-use crate::tree::{load_sample, seeded_rng, DecisionTreeLearner, DecisionTreeModel, FlatTree};
+use crate::tree::{load_sample, seeded_rng, DecisionTreeLearner, DecisionTreeModel};
 use crate::view::{spawn_floor, TrainScratch, TrainView};
 use em_parallel::Executor;
 use rand::Rng;
@@ -83,40 +84,13 @@ impl RandomForestModel {
         }
         acc
     }
-}
-
-impl Model for RandomForestModel {
-    fn predict_proba(&self, row: &[f64]) -> f64 {
-        if self.trees.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = self.trees.iter().map(|t| t.predict_proba(row)).sum();
-        sum / self.trees.len() as f64
-    }
-}
-
-/// A forest flattened into [`FlatTree`]s.
-///
-/// Bit-identity with [`RandomForestModel::predict_proba`]: per row the
-/// accumulator starts at `0.0` and absorbs tree probabilities in tree
-/// order — the same left fold as `iter().sum::<f64>()` — then divides by
-/// the tree count once. An empty forest scores `0.0`, matching the
-/// explicit empty branch above.
-#[derive(Debug, Clone)]
-pub struct FlatForest {
-    trees: Vec<FlatTree>,
-}
-
-impl FlatForest {
-    /// Number of member trees.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
 
     /// Scores one row whose feature `k` is `feature(k)`: every tree's
-    /// [`FlatTree::score_with`] walk in tree order, so `feature` is asked
-    /// again for a feature two trees test — a source that pays per
-    /// computation keeps what it returned.
+    /// [`DecisionTreeModel::score_with`] walk in tree order, so `feature`
+    /// is asked again for a feature two trees test — a source that pays
+    /// per computation keeps what it returned. The accumulator starts at
+    /// `0.0` and absorbs tree probabilities in tree order, then divides by
+    /// the tree count once; an empty forest scores `0.0`.
     #[inline]
     pub fn score_with(&self, mut feature: impl FnMut(usize) -> f64) -> f64 {
         if self.trees.is_empty() {
@@ -128,17 +102,11 @@ impl FlatForest {
         }
         sum / self.trees.len() as f64
     }
-
-    /// Scores one row; bit-identical to the boxed forest's `predict_proba`.
-    pub fn score_row(&self, row: &[f64]) -> f64 {
-        self.score_with(|k| row.get(k).copied().unwrap_or(0.0))
-    }
 }
 
-impl RandomForestModel {
-    /// Flattens every member tree for [`FlatForest::score_with`].
-    pub fn flatten(&self) -> FlatForest {
-        FlatForest { trees: self.trees.iter().map(DecisionTreeModel::flatten).collect() }
+impl Model for RandomForestModel {
+    fn predict_proba(&self, row: &[f64]) -> f64 {
+        self.score_with(|k| row.get(k).copied().unwrap_or(0.0))
     }
 }
 
@@ -218,9 +186,9 @@ impl RandomForestLearner {
         }
     }
 
-    /// Like [`Learner::fit`] but returns the concrete model, for callers
-    /// that need [`RandomForestModel::feature_importance`]. Trees fit in
-    /// parallel when the forest is large enough to pay for the threads.
+    /// Like [`Learner::fit_model`] but returns the concrete model, for
+    /// callers that need [`RandomForestModel::feature_importance`]. Trees
+    /// fit in parallel when the forest is large enough to pay for them.
     pub fn fit_forest(&self, data: &Dataset) -> Result<RandomForestModel, MlError> {
         let view = TrainView::new(data)?;
         Ok(RandomForestModel { trees: self.bagging().fit(&view, &view.all_rows(), None)? })
@@ -280,7 +248,7 @@ mod tests {
     #[test]
     fn forest_learns_noisy_threshold() {
         let d = noisy_threshold_data(300, 1);
-        let m = RandomForestLearner::default().fit(&d).unwrap();
+        let m = RandomForestLearner::default().fit_model(&d).unwrap();
         assert!(m.predict(&[0.95, 0.5]));
         assert!(!m.predict(&[0.05, 0.5]));
     }
@@ -288,7 +256,7 @@ mod tests {
     #[test]
     fn forest_probability_is_mean_of_trees() {
         let d = noisy_threshold_data(100, 2);
-        let m = RandomForestLearner { n_trees: 5, ..Default::default() }.fit(&d).unwrap();
+        let m = RandomForestLearner { n_trees: 5, ..Default::default() }.fit_model(&d).unwrap();
         let p = m.predict_proba(&[0.9, 0.0]);
         assert!((0.0..=1.0).contains(&p));
         assert!(p > 0.5);
@@ -298,8 +266,8 @@ mod tests {
     fn deterministic_in_seed() {
         let d = noisy_threshold_data(120, 3);
         let l = RandomForestLearner { seed: 42, ..Default::default() };
-        let m1 = l.fit(&d).unwrap();
-        let m2 = l.fit(&d).unwrap();
+        let m1 = l.fit_model(&d).unwrap();
+        let m2 = l.fit_model(&d).unwrap();
         for v in [0.1, 0.4, 0.6, 0.9] {
             assert_eq!(m1.predict_proba(&[v, 0.3]), m2.predict_proba(&[v, 0.3]));
         }
@@ -310,9 +278,9 @@ mod tests {
         let d = noisy_threshold_data(120, 5);
         let l = RandomForestLearner { seed: 11, ..Default::default() };
         em_parallel::set_threads(1);
-        let m1 = l.fit(&d).unwrap();
+        let m1 = l.fit_model(&d).unwrap();
         em_parallel::set_threads(4);
-        let m4 = l.fit(&d).unwrap();
+        let m4 = l.fit_model(&d).unwrap();
         em_parallel::set_threads(0);
         for i in 0..=20 {
             let v = i as f64 / 20.0;
@@ -325,12 +293,12 @@ mod tests {
     }
 
     #[test]
-    fn flat_forest_matches_boxed_forest_bitwise() {
+    fn score_with_matches_predict_proba_bitwise() {
         let d = noisy_threshold_data(200, 7);
         let m = RandomForestLearner { n_trees: 7, ..Default::default() }.fit_forest(&d).unwrap();
-        let flat = m.flatten();
         // Random rows, plus NaN, short, long, and empty rows: every input
-        // predict_proba accepts must score bit-identically.
+        // predict_proba accepts must score bit-identically through a
+        // closure that reads a missing column as `0.0`.
         let mut rng = seeded_rng(99);
         let mut rows: Vec<Vec<f64>> = (0..64)
             .map(|_| vec![rng.gen_range(-1.0..2.0), rng.gen_range(-1.0..2.0)])
@@ -340,8 +308,12 @@ mod tests {
         rows.push(vec![0.5]);
         rows.push(vec![0.5, 0.5, 9.0]);
         rows.push(vec![]);
+        let fitted = crate::FittedModel::Forest(m.clone());
         for row in &rows {
-            assert_eq!(m.predict_proba(row).to_bits(), flat.score_row(row).to_bits());
+            let want = m.predict_proba(row).to_bits();
+            let read = |k: usize| row.get(k).copied().unwrap_or(0.0);
+            assert_eq!(m.score_with(read).to_bits(), want);
+            assert_eq!(fitted.score_with(&mut [], read).to_bits(), want);
         }
         // Block scoring over a uniform-stride slab agrees too.
         let stride = 2;
@@ -352,20 +324,21 @@ mod tests {
             .collect();
         let n = block.len() / stride;
         let mut out = vec![0.0; n];
-        crate::BlockScorer::Forest(flat).score_block(&block, stride, &mut out);
+        fitted.score_block(&block, stride, &mut out);
         for (r, got) in block.chunks_exact(stride).zip(&out) {
             assert_eq!(m.predict_proba(r).to_bits(), got.to_bits());
         }
-        // Empty forest convention: score 0.0, matching predict_proba.
+        // Empty forest convention: score 0.0 either way.
         let empty = RandomForestModel::from_trees(Vec::new());
-        assert_eq!(empty.predict_proba(&[0.5]).to_bits(), empty.flatten().score_row(&[0.5]).to_bits());
+        assert_eq!(empty.predict_proba(&[0.5]).to_bits(), 0.0f64.to_bits());
+        assert_eq!(empty.score_with(|_| 0.5).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
     fn different_seeds_differ_somewhere() {
         let d = noisy_threshold_data(120, 3);
-        let m1 = RandomForestLearner { seed: 1, ..Default::default() }.fit(&d).unwrap();
-        let m2 = RandomForestLearner { seed: 2, ..Default::default() }.fit(&d).unwrap();
+        let m1 = RandomForestLearner { seed: 1, ..Default::default() }.fit_model(&d).unwrap();
+        let m2 = RandomForestLearner { seed: 2, ..Default::default() }.fit_model(&d).unwrap();
         let differs = (0..100).any(|i| {
             let v = i as f64 / 100.0;
             (m1.predict_proba(&[v, 0.5]) - m2.predict_proba(&[v, 0.5])).abs() > 1e-12
@@ -387,7 +360,7 @@ mod tests {
     fn zero_trees_is_an_error() {
         let d = noisy_threshold_data(10, 4);
         let l = RandomForestLearner { n_trees: 0, ..Default::default() };
-        assert!(l.fit(&d).is_err());
+        assert!(l.fit_model(&d).is_err());
     }
 
     #[test]
@@ -398,7 +371,7 @@ mod tests {
             vec![true, true, true],
         )
         .unwrap();
-        let m = RandomForestLearner::default().fit(&d).unwrap();
+        let m = RandomForestLearner::default().fit_model(&d).unwrap();
         assert!(m.predict(&[7.0]));
     }
 }

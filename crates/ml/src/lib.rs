@@ -26,7 +26,7 @@
 //!
 //! ```
 //! use em_ml::dataset::Dataset;
-//! use em_ml::model::Learner;
+//! use em_ml::model::{Learner, Model};
 //! use em_ml::tree::DecisionTreeLearner;
 //!
 //! let data = Dataset::new(
@@ -34,7 +34,7 @@
 //!     vec![vec![0.9], vec![0.1], vec![0.8], vec![0.2]],
 //!     vec![true, false, true, false],
 //! ).unwrap();
-//! let model = DecisionTreeLearner::default().fit(&data).unwrap();
+//! let model = DecisionTreeLearner::default().fit_model(&data).unwrap();
 //! assert!(model.predict(&[0.95]));
 //! ```
 
@@ -58,9 +58,7 @@ pub mod view;
 pub use committee::{CommitteeLearner, CommitteeModel, CommitteeScore};
 pub use dataset::{dataset_from_probabilistic, impute_mean, Dataset, Imputer};
 pub use error::MlError;
-pub use fitted::{BlockScorer, FittedModel};
-pub use forest::FlatForest;
-pub use tree::FlatTree;
+pub use fitted::FittedModel;
 pub use metrics::Confusion;
 pub use model::{Learner, Model};
 pub use view::{TrainScratch, TrainView};
@@ -110,7 +108,7 @@ mod tests {
         )
         .unwrap();
         for l in standard_learners(3) {
-            let m = l.fit(&data).unwrap();
+            let m = l.fit_model(&data).unwrap();
             assert!(m.predict(&[0.9, 1.0]), "{} failed high", l.name());
             assert!(!m.predict(&[0.0, 1.0]), "{} failed low", l.name());
         }

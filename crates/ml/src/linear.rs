@@ -354,7 +354,7 @@ mod tests {
     #[test]
     fn logistic_separates() {
         let d = linearly_separable(30);
-        let m = LogisticRegressionLearner::default().fit(&d).unwrap();
+        let m = LogisticRegressionLearner::default().fit_model(&d).unwrap();
         assert!(m.predict(&[1.0, 1.0]));
         assert!(!m.predict(&[0.0, 0.0]));
         assert!(m.predict_proba(&[1.0, 1.0]) > 0.9);
@@ -363,7 +363,7 @@ mod tests {
     #[test]
     fn linear_regression_separates() {
         let d = linearly_separable(30);
-        let m = LinearRegressionLearner::default().fit(&d).unwrap();
+        let m = LinearRegressionLearner::default().fit_model(&d).unwrap();
         assert!(m.predict(&[1.0, 1.0]));
         assert!(!m.predict(&[0.0, 0.0]));
         let p = m.predict_proba(&[100.0, 100.0]);
@@ -373,7 +373,7 @@ mod tests {
     #[test]
     fn svm_separates() {
         let d = linearly_separable(30);
-        let m = LinearSvmLearner::default().fit(&d).unwrap();
+        let m = LinearSvmLearner::default().fit_model(&d).unwrap();
         assert!(m.predict(&[1.0, 1.0]));
         assert!(!m.predict(&[0.0, 0.0]));
     }
@@ -391,7 +391,7 @@ mod tests {
             Box::new(LinearRegressionLearner::default()),
             Box::new(LinearSvmLearner::default()),
         ] {
-            let m = learner.fit(&d).unwrap();
+            let m = learner.fit_model(&d).unwrap();
             assert!(m.predict(&[9.9]), "{} failed", learner.name());
         }
     }
@@ -404,7 +404,7 @@ mod tests {
             vec![false, true, false, true],
         )
         .unwrap();
-        let m = LogisticRegressionLearner::default().fit(&d).unwrap();
+        let m = LogisticRegressionLearner::default().fit_model(&d).unwrap();
         assert!(m.predict(&[3.0, 1.0]));
         assert!(!m.predict(&[3.0, 0.0]));
     }
@@ -434,8 +434,8 @@ mod tests {
     #[test]
     fn svm_deterministic_in_seed() {
         let d = linearly_separable(20);
-        let m1 = LinearSvmLearner { seed: 5, ..Default::default() }.fit(&d).unwrap();
-        let m2 = LinearSvmLearner { seed: 5, ..Default::default() }.fit(&d).unwrap();
+        let m1 = LinearSvmLearner { seed: 5, ..Default::default() }.fit_model(&d).unwrap();
+        let m2 = LinearSvmLearner { seed: 5, ..Default::default() }.fit_model(&d).unwrap();
         assert_eq!(m1.predict_proba(&[0.5, 0.5]), m2.predict_proba(&[0.5, 0.5]));
     }
 }

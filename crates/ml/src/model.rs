@@ -50,17 +50,6 @@ pub trait Learner: Send + Sync {
         let view = TrainView::new(data)?;
         self.fit_rows(&view, &view.all_rows(), &mut view.scratch())
     }
-
-    /// Fits and type-erases — the ergonomic entry point for callers that
-    /// only score rows.
-    fn fit(&self, data: &Dataset) -> Result<Box<dyn Model>, MlError> {
-        Ok(Box::new(self.fit_model(data)?))
-    }
-}
-
-/// Applies a trained model to many rows.
-pub fn predict_all(model: &dyn Model, x: &[Vec<f64>]) -> Vec<bool> {
-    x.iter().map(|r| model.predict(r)).collect()
 }
 
 /// A constant-probability model; useful as a baseline and for degenerate
@@ -87,11 +76,5 @@ mod tests {
         assert!(m.predict(&[1.0, 2.0]));
         assert_eq!(m.predict_proba(&[]), 0.7);
         assert!(!ConstantModel { proba: 0.3 }.predict(&[]));
-    }
-
-    #[test]
-    fn predict_all_maps_rows() {
-        let m = ConstantModel { proba: 1.0 };
-        assert_eq!(predict_all(&m, &[vec![0.0], vec![1.0]]), vec![true, true]);
     }
 }

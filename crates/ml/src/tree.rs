@@ -3,7 +3,10 @@
 //! the best with 97% precision, 95% recall").
 //!
 //! The builder also supports per-split random feature subsetting so
-//! [`crate::forest`] can reuse it for random forests.
+//! [`crate::forest`] can reuse it for random forests. A fitted tree has one
+//! form, [`DecisionTreeModel`]'s pre-order arrays: the builder writes them
+//! node by node, and training, the text codec, the fused stream and the
+//! serve loop all read those same arrays.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -32,74 +35,36 @@ impl Default for DecisionTreeLearner {
     }
 }
 
-/// A fitted tree.
+/// A fitted tree, as the pre-order arrays every scorer walks. Node `n` is
+/// a leaf when `feature[n] == LEAF`; then `value[n]` is its probability.
+/// Otherwise `value[n]` is the split threshold, the left child is `n + 1`
+/// and the right child is `right[n]`; `gain[n]` is the split's `n_samples
+/// × Gini gain`, for feature importance (`0.0` at a leaf).
+///
+/// [`DecisionTreeModel::score_with`] is the one walk: it asks its feature
+/// source for the split feature of each node on the root-to-leaf path —
+/// once per node, never for a feature off the path — and `<= threshold`
+/// goes left, so a `NaN` takes the right branch.
+/// [`Model::predict_proba`] is that walk over a slice, a missing column
+/// reading `0.0`.
 #[derive(Debug, Clone)]
 pub struct DecisionTreeModel {
-    root: Node,
-}
-
-#[derive(Debug, Clone)]
-enum Node {
-    Leaf {
-        proba: f64,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        /// `n_samples × Gini gain` of this split, for feature importance.
-        weighted_gain: f64,
-        left: Box<Node>,
-        right: Box<Node>,
-    },
-}
-
-impl Model for DecisionTreeModel {
-    fn predict_proba(&self, row: &[f64]) -> f64 {
-        let mut node = &self.root;
-        loop {
-            match node {
-                Node::Leaf { proba } => return *proba,
-                Node::Split { feature, threshold, left, right, .. } => {
-                    node = if row.get(*feature).copied().unwrap_or(0.0) <= *threshold {
-                        left
-                    } else {
-                        right
-                    };
-                }
-            }
-        }
-    }
-}
-
-/// A decision tree flattened into pre-order parallel arrays for
-/// cache-friendly block scoring. Node `n` is a leaf when `feature[n] ==
-/// LEAF`; then `value[n]` is the leaf probability. Otherwise `value[n]` is
-/// the split threshold, the left child is `n + 1` (pre-order), and the
-/// right child is `right[n]`.
-///
-/// [`FlatTree::score_with`] is the one walk: it asks its feature source for
-/// the split feature of each node on the root-to-leaf path — once per node,
-/// never for a feature off the path — and performs exactly the comparisons
-/// of [`DecisionTreeModel::predict_proba`] (`<= threshold` goes left; a
-/// `NaN` comparison is false, taking the right branch in both), so scores
-/// are bit-identical. [`FlatTree::score`] is that walk over a slice, a
-/// missing column reading `0.0` as in the boxed tree.
-#[derive(Debug, Clone, Default)]
-pub struct FlatTree {
     feature: Vec<u32>,
     value: Vec<f64>,
     right: Vec<u32>,
+    gain: Vec<f64>,
 }
 
-/// Sentinel in `FlatTree::feature` marking a leaf node.
+/// Sentinel in `DecisionTreeModel::feature` marking a leaf node.
 const LEAF: u32 = u32::MAX;
 
-impl FlatTree {
-    /// A tree that is one leaf: what a constant model flattens to.
-    pub(crate) fn leaf(proba: f64) -> FlatTree {
-        FlatTree { feature: vec![LEAF], value: vec![proba], right: vec![0] }
+impl Model for DecisionTreeModel {
+    fn predict_proba(&self, row: &[f64]) -> f64 {
+        self.score_with(|k| row.get(k).copied().unwrap_or(0.0))
     }
+}
 
+impl DecisionTreeModel {
     /// Scores one row whose feature `k` is `feature(k)`.
     #[inline]
     pub fn score_with(&self, mut feature: impl FnMut(usize) -> f64) -> f64 {
@@ -117,71 +82,65 @@ impl FlatTree {
         }
     }
 
-    /// Scores one row; bit-identical to the boxed tree's `predict_proba`.
-    #[inline]
-    pub fn score(&self, row: &[f64]) -> f64 {
-        self.score_with(|k| row.get(k).copied().unwrap_or(0.0))
-    }
-
-    /// Number of nodes (splits + leaves).
-    pub fn n_nodes(&self) -> usize {
-        self.feature.len()
-    }
-
-    fn push(&mut self, node: &Node) {
-        match node {
-            Node::Leaf { proba } => {
-                self.feature.push(LEAF);
-                self.value.push(*proba);
-                self.right.push(0);
-            }
-            Node::Split { feature, threshold, left, right, .. } => {
-                debug_assert!(*feature < LEAF as usize, "feature index collides with sentinel");
-                let slot = self.feature.len();
-                self.feature.push(*feature as u32);
-                self.value.push(*threshold);
-                self.right.push(0);
-                self.push(left);
-                self.right[slot] = self.feature.len() as u32;
-                self.push(right);
-            }
+    /// An empty tree with room for `nodes` nodes, for the builder or the
+    /// decoder to fill (an empty tree does not score).
+    pub(crate) fn with_capacity(nodes: usize) -> DecisionTreeModel {
+        DecisionTreeModel {
+            feature: Vec::with_capacity(nodes),
+            value: Vec::with_capacity(nodes),
+            right: Vec::with_capacity(nodes),
+            gain: Vec::with_capacity(nodes),
         }
     }
-}
 
-impl DecisionTreeModel {
-    /// Flattens the boxed node tree into a [`FlatTree`] for block scoring.
-    pub fn flatten(&self) -> FlatTree {
-        let mut flat = FlatTree::default();
-        flat.push(&self.root);
-        flat
+    /// Appends a leaf.
+    fn push_leaf(&mut self, proba: f64) {
+        self.push(LEAF, proba, 0.0);
     }
-}
 
-impl DecisionTreeModel {
+    /// Appends a node and returns its slot; a split's `right` is patched
+    /// once its left subtree is in place.
+    fn push(&mut self, feature: u32, value: f64, gain: f64) -> usize {
+        let slot = self.feature.len();
+        self.feature.push(feature);
+        self.value.push(value);
+        self.right.push(0);
+        self.gain.push(gain);
+        slot
+    }
+
+    /// Empties the arrays, keeping their capacity.
+    fn clear(&mut self) {
+        self.feature.clear();
+        self.value.clear();
+        self.right.clear();
+        self.gain.clear();
+    }
+
+    /// Points split `slot` at the node appended next.
+    fn patch_right(&mut self, slot: usize) {
+        self.right[slot] = self.feature.len() as u32;
+    }
+
+    /// The split nodes' `(feature, gain)`, in pre-order.
+    fn splits(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.feature
+            .iter()
+            .zip(&self.gain)
+            .filter(|(&f, _)| f != LEAF)
+            .map(|(&f, &g)| (f as usize, g))
+    }
+
     /// Number of decision (split) nodes — used by tests and the tree
     /// debugger to reason about model complexity.
     pub fn n_splits(&self) -> usize {
-        fn count(n: &Node) -> usize {
-            match n {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + count(left) + count(right),
-            }
-        }
-        count(&self.root)
+        self.splits().count()
     }
 
-    /// Adds the feature indices read by any split of this tree to `acc` —
-    /// the exhaustive set of features `predict_proba` can ever inspect.
-    pub fn collect_split_features(&self, acc: &mut std::collections::BTreeSet<usize>) {
-        fn walk(n: &Node, acc: &mut std::collections::BTreeSet<usize>) {
-            if let Node::Split { feature, left, right, .. } = n {
-                acc.insert(*feature);
-                walk(left, acc);
-                walk(right, acc);
-            }
-        }
-        walk(&self.root, acc);
+    /// The feature index of every split, in pre-order — the features
+    /// `predict_proba` can ever inspect.
+    pub fn split_features(&self) -> impl Iterator<Item = usize> + '_ {
+        self.splits().map(|(f, _)| f)
     }
 
     /// Gini feature importances, normalized to sum to 1 (all zeros for a
@@ -190,17 +149,12 @@ impl DecisionTreeModel {
     /// view PyMatcher's matcher debugger offers to explain which features a
     /// selected matcher actually relies on.
     pub fn feature_importance(&self, n_features: usize) -> Vec<f64> {
-        fn walk(n: &Node, acc: &mut [f64]) {
-            if let Node::Split { feature, weighted_gain, left, right, .. } = n {
-                if let Some(slot) = acc.get_mut(*feature) {
-                    *slot += weighted_gain.max(0.0);
-                }
-                walk(left, acc);
-                walk(right, acc);
+        let mut acc = vec![0.0; n_features];
+        for (f, gain) in self.splits() {
+            if let Some(slot) = acc.get_mut(f) {
+                *slot += gain.max(0.0);
             }
         }
-        let mut acc = vec![0.0; n_features];
-        walk(&self.root, &mut acc);
         let total: f64 = acc.iter().sum();
         if total > 0.0 {
             for v in &mut acc {
@@ -208,33 +162,6 @@ impl DecisionTreeModel {
             }
         }
         acc
-    }
-
-    /// Renders the tree as indented `if/else` pseudocode over the supplied
-    /// feature names (the PyMatcher decision-tree debugger shows the same
-    /// view).
-    pub fn describe(&self, feature_names: &[String]) -> String {
-        fn go(n: &Node, names: &[String], depth: usize, out: &mut String) {
-            let pad = "  ".repeat(depth);
-            match n {
-                Node::Leaf { proba } => {
-                    out.push_str(&format!("{pad}predict match_proba={proba:.3}\n"));
-                }
-                Node::Split { feature, threshold, left, right, .. } => {
-                    let name = names
-                        .get(*feature)
-                        .map(String::as_str)
-                        .unwrap_or("?");
-                    out.push_str(&format!("{pad}if {name} <= {threshold:.4}:\n"));
-                    go(left, names, depth + 1, out);
-                    out.push_str(&format!("{pad}else:\n"));
-                    go(right, names, depth + 1, out);
-                }
-            }
-        }
-        let mut s = String::new();
-        go(&self.root, feature_names, 0, &mut s);
-        s
     }
 }
 
@@ -295,16 +222,18 @@ struct Builder<'v, 's> {
     /// Forest-style feature subsetting: `(mtry, rng)`.
     sampler: Option<(usize, &'s mut StdRng)>,
     meter: &'s mut Meter,
+    /// The tree being grown, node by node in pre-order.
+    tree: &'s mut DecisionTreeModel,
 }
 
 impl Builder<'_, '_> {
-    fn node(&mut self, rows: &mut [u32], counts: Counts, depth: usize) -> Node {
+    fn node(&mut self, rows: &mut [u32], counts: Counts, depth: usize) {
         self.meter.profile.nodes += 1;
         let Counts { total, pos } = counts;
         let proba = pos as f64 / total as f64;
         let pure = pos == 0 || pos == total;
         if pure || depth >= self.params.max_depth || total < self.params.min_samples_split {
-            return Node::Leaf { proba };
+            return self.tree.push_leaf(proba);
         }
 
         let d = self.view.n_features();
@@ -326,7 +255,7 @@ impl Builder<'_, '_> {
         let split = self.best_split(rows, counts);
         self.meter.profile.search_ns += lap(t);
         let Some(split) = split else {
-            return Node::Leaf { proba };
+            return self.tree.push_leaf(proba);
         };
 
         let t = self.meter.clock();
@@ -343,15 +272,11 @@ impl Builder<'_, '_> {
         self.meter.profile.partition_ns += lap(t);
         let right = Counts { total: total - left.total, pos: pos - left.pos };
         let (left_rows, right_rows) = rows.split_at_mut(cut);
-        let left = self.node(left_rows, left, depth + 1);
-        let right = self.node(right_rows, right, depth + 1);
-        Node::Split {
-            feature: split.feature,
-            threshold,
-            weighted_gain: total as f64 * split.gain,
-            left: Box::new(left),
-            right: Box::new(right),
-        }
+        debug_assert!(split.feature < LEAF as usize, "feature index collides with sentinel");
+        let slot = self.tree.push(split.feature as u32, threshold, total as f64 * split.gain);
+        self.node(left_rows, left, depth + 1);
+        self.tree.patch_right(slot);
+        self.node(right_rows, right, depth + 1);
     }
 
     /// Moves the rows whose `feature` is `<= threshold` to the front of
@@ -501,8 +426,8 @@ impl Learner for DecisionTreeLearner {
 }
 
 impl DecisionTreeLearner {
-    /// Like [`Learner::fit`] but returns the concrete model, for callers
-    /// that need [`DecisionTreeModel::describe`] / [`DecisionTreeModel::n_splits`].
+    /// Like [`Learner::fit_model`] but returns the concrete model, for
+    /// callers that need [`DecisionTreeModel::n_splits`].
     pub fn fit_tree(&self, data: &Dataset) -> Result<DecisionTreeModel, MlError> {
         let view = TrainView::new(data)?;
         self.fit_tree_rows(&view, &view.all_rows(), &mut view.scratch())
@@ -531,7 +456,7 @@ impl DecisionTreeLearner {
         sampler: Option<(usize, &mut StdRng)>,
         scratch: &mut TrainScratch,
     ) -> DecisionTreeModel {
-        let TrainScratch { weights, rows, hist, keys, features, meter } = scratch;
+        let TrainScratch { weights, rows, hist, keys, features, meter, tree } = scratch;
         meter.profile.trees += 1;
         let mut builder = Builder {
             params: self,
@@ -542,13 +467,18 @@ impl DecisionTreeLearner {
             features,
             sampler,
             meter,
+            tree,
         };
-        let root = builder.node(rows, counts, 0);
+        builder.node(rows, counts, 0);
         for &r in rows.iter() {
             weights[r as usize] = [0, 0];
         }
         rows.clear();
-        DecisionTreeModel { root }
+        // One exact-size copy per array; the scratch's arrays stay for the
+        // next tree.
+        let fitted = tree.clone();
+        tree.clear();
+        fitted
     }
 }
 
@@ -588,32 +518,29 @@ pub(crate) fn seeded_rng(seed: u64) -> StdRng {
 
 // ---- Serialization (pre-order node lines) -------------------------------
 //
-// The node format lives here because `Node` is private to this module.
-// Pre-order with fixed arity is self-delimiting, so a forest can decode N
-// trees from one shared line iterator. Floats use `{:?}`, which round-trips
-// every f64 bit pattern through `parse::<f64>()`.
+// One node a line, in storage order, which is pre-order. Pre-order with
+// fixed arity is self-delimiting, so a forest can decode N trees from one
+// shared line iterator. Floats use `{:?}`, which round-trips every f64 bit
+// pattern through `parse::<f64>()`.
 
 impl DecisionTreeModel {
     /// Appends the tree's pre-order node lines to `out` (one node per
     /// line: `L <proba>` / `S <feature> <threshold> <weighted_gain>`).
     pub(crate) fn encode_lines(&self, out: &mut String) {
-        fn go(n: &Node, out: &mut String) {
-            match n {
-                Node::Leaf { proba } => {
-                    out.push_str(&format!("L {proba:?}\n"));
-                }
-                Node::Split { feature, threshold, weighted_gain, left, right } => {
-                    out.push_str(&format!("S {feature} {threshold:?} {weighted_gain:?}\n"));
-                    go(left, out);
-                    go(right, out);
-                }
+        for n in 0..self.feature.len() {
+            let (f, v) = (self.feature[n], self.value[n]);
+            if f == LEAF {
+                out.push_str(&format!("L {v:?}\n"));
+            } else {
+                out.push_str(&format!("S {f} {v:?} {:?}\n", self.gain[n]));
             }
         }
-        go(&self.root, out);
     }
 
     /// Decodes one pre-order tree from `lines`, consuming exactly the lines
     /// of this tree (so callers can decode several trees from one iterator).
+    /// Iterative: `open` holds the splits whose left subtree is still being
+    /// read, so a tree of any depth decodes without recursion.
     pub(crate) fn decode_from<'a>(
         lines: &mut impl Iterator<Item = &'a str>,
     ) -> Result<DecisionTreeModel, MlError> {
@@ -625,23 +552,38 @@ impl DecisionTreeModel {
                 .parse::<T>()
                 .map_err(|_| bad(&format!("unparsable {what}")))
         }
-        fn node<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Result<Node, MlError> {
+        let mut tree = DecisionTreeModel::with_capacity(0);
+        let mut open = Vec::new();
+        loop {
             let line = lines.next().ok_or_else(|| bad("unexpected end of node lines"))?;
+            if tree.feature.len() >= LEAF as usize {
+                return Err(bad("more nodes than a u32 child index addresses"));
+            }
             let mut toks = line.split_whitespace();
             match toks.next() {
-                Some("L") => Ok(Node::Leaf { proba: num(toks.next(), "leaf proba")? }),
-                Some("S") => {
-                    let feature = num(toks.next(), "split feature")?;
-                    let threshold = num(toks.next(), "split threshold")?;
-                    let weighted_gain = num(toks.next(), "split gain")?;
-                    let left = Box::new(node(lines)?);
-                    let right = Box::new(node(lines)?);
-                    Ok(Node::Split { feature, threshold, weighted_gain, left, right })
+                Some("L") => {
+                    tree.push_leaf(num(toks.next(), "leaf proba")?);
+                    // A leaf closes the innermost open split's left subtree;
+                    // with none open, the tree is complete.
+                    match open.pop() {
+                        Some(slot) => tree.patch_right(slot),
+                        None => break,
+                    }
                 }
-                other => Err(bad(&format!("unknown node tag {other:?}"))),
+                Some("S") => {
+                    let feature: u64 = num(toks.next(), "split feature")?;
+                    let feature = u32::try_from(feature)
+                        .ok()
+                        .filter(|&f| f != LEAF)
+                        .ok_or_else(|| bad(&format!("split feature {feature} is not below {LEAF}")))?;
+                    let threshold = num(toks.next(), "split threshold")?;
+                    let gain = num(toks.next(), "split gain")?;
+                    open.push(tree.push(feature, threshold, gain));
+                }
+                other => return Err(bad(&format!("unknown node tag {other:?}"))),
             }
         }
-        Ok(DecisionTreeModel { root: node(lines)? })
+        Ok(tree)
     }
 }
 
@@ -659,6 +601,13 @@ mod tests {
         .unwrap()
     }
 
+    /// The tree's node lines, for comparing two fits.
+    fn lines(m: &DecisionTreeModel) -> String {
+        let mut out = String::new();
+        m.encode_lines(&mut out);
+        out
+    }
+
     #[test]
     fn learns_a_threshold() {
         let d = data(&[
@@ -668,7 +617,7 @@ mod tests {
             (&[0.8], true),
             (&[0.9], true),
         ]);
-        let m = DecisionTreeLearner::default().fit(&d).unwrap();
+        let m = DecisionTreeLearner::default().fit_model(&d).unwrap();
         assert!(!m.predict(&[0.0]));
         assert!(m.predict(&[1.0]));
         assert!(!m.predict(&[0.25]));
@@ -734,9 +683,7 @@ mod tests {
             (&[0.5, 9.0], true),
         ]);
         let l = DecisionTreeLearner::default();
-        let a = l.fit_tree(&d).unwrap().describe(&d.feature_names);
-        let b = l.fit_tree(&d).unwrap().describe(&d.feature_names);
-        assert_eq!(a, b);
+        assert_eq!(lines(&l.fit_tree(&d).unwrap()), lines(&l.fit_tree(&d).unwrap()));
     }
 
     #[test]
@@ -760,14 +707,6 @@ mod tests {
         let d = data(&[(&[1.0], true), (&[2.0], true)]);
         let m = DecisionTreeLearner::default().fit_tree(&d).unwrap();
         assert_eq!(m.feature_importance(1), vec![0.0]);
-    }
-
-    #[test]
-    fn describe_names_features() {
-        let d = data(&[(&[0.0], false), (&[1.0], true)]);
-        let m = DecisionTreeLearner::default().fit_tree(&d).unwrap();
-        let s = m.describe(&d.feature_names);
-        assert!(s.contains("if f0 <= 0.5"), "{s}");
     }
 
     #[test]
@@ -802,12 +741,12 @@ mod tests {
         assert_eq!(m.predict_proba(&[1.5]), 0.75);
         // The scratch comes back clean: the same fit again is the same tree.
         let again = learner.fit_tree_rows(&view, &[2, 1, 0, 1, 1], &mut scratch).unwrap();
-        assert_eq!(m.describe(&d.feature_names), again.describe(&d.feature_names));
+        assert_eq!(lines(&m), lines(&again));
     }
 
     #[test]
     fn rejects_nan() {
         let d = Dataset::new(vec!["f".into()], vec![vec![f64::NAN]], vec![true]).unwrap();
-        assert!(DecisionTreeLearner::default().fit(&d).is_err());
+        assert!(DecisionTreeLearner::default().fit_model(&d).is_err());
     }
 }

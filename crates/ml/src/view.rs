@@ -22,6 +22,7 @@
 
 use crate::dataset::Dataset;
 use crate::error::MlError;
+use crate::tree::DecisionTreeModel;
 
 /// Minimum total work — items × training rows each item re-scans — worth
 /// paying thread start-up for.
@@ -140,6 +141,8 @@ impl<'a> TrainView<'a> {
             keys: Vec::with_capacity(self.len()),
             features: Vec::with_capacity(self.n_features()),
             meter: Meter::default(),
+            // Every leaf holds a distinct row, so no tree outgrows this.
+            tree: DecisionTreeModel::with_capacity(2 * self.len()),
         }
     }
 
@@ -225,6 +228,9 @@ pub struct TrainScratch {
     /// The per-node feature draw.
     pub(crate) features: Vec<usize>,
     pub(crate) meter: Meter,
+    /// The nodes of the tree being built, copied out at exact size when it
+    /// is done.
+    pub(crate) tree: DecisionTreeModel,
 }
 
 impl TrainScratch {

@@ -5,7 +5,7 @@ use em_ml::dataset::{Dataset, Imputer};
 use em_ml::metrics::Confusion;
 use em_ml::model::Learner;
 use em_ml::tree::DecisionTreeLearner;
-use em_ml::{BlockScorer, FittedModel, Model};
+use em_ml::{FittedModel, Model};
 use proptest::prelude::*;
 
 fn labeled_rows() -> impl Strategy<Value = Vec<(Vec<f64>, bool)>> {
@@ -90,7 +90,7 @@ proptest! {
             y.clone(),
         ).unwrap();
         let learner = DecisionTreeLearner { max_depth: 64, ..Default::default() };
-        let model = learner.fit(&data).unwrap();
+        let model = learner.fit_model(&data).unwrap();
         for (row, label) in x.iter().zip(&y) {
             let p = model.predict_proba(row);
             prop_assert!((0.0..=1.0).contains(&p));
@@ -119,9 +119,9 @@ proptest! {
 /// A tree the test owns, so it can say which splits a row's walk crosses
 /// without asking the code under test.
 #[derive(Debug, Clone)]
-enum Node {
+enum OracleNode {
     Leaf(f64),
-    Split(usize, f64, Box<Node>, Box<Node>),
+    Split(usize, f64, Box<OracleNode>, Box<OracleNode>),
 }
 
 /// Values rows and thresholds both draw from, so `value == threshold`,
@@ -136,24 +136,24 @@ const N_FEATURES: usize = 6;
 /// Builds a tree pre-order from a list of draws `(kind, feature,
 /// threshold, leaf)`; runs out of draws, or depth, into leaves. No draws at
 /// all is the leaf-only tree.
-fn grow(draws: &[(u8, usize, usize, usize)], at: &mut usize, depth: usize) -> Node {
+fn grow(draws: &[(u8, usize, usize, usize)], at: &mut usize, depth: usize) -> OracleNode {
     let Some(&(kind, feature, threshold, leaf)) = draws.get(*at) else {
-        return Node::Leaf(0.5);
+        return OracleNode::Leaf(0.5);
     };
     *at += 1;
     if kind % 3 == 0 || depth >= 6 {
-        return Node::Leaf(leaf as f64 / 8.0);
+        return OracleNode::Leaf(leaf as f64 / 8.0);
     }
     let left = grow(draws, at, depth + 1);
     let right = grow(draws, at, depth + 1);
-    Node::Split(feature % N_FEATURES, PALETTE[threshold % PALETTE.len()], left.into(), right.into())
+    OracleNode::Split(feature % N_FEATURES, PALETTE[threshold % PALETTE.len()], left.into(), right.into())
 }
 
 /// The node lines `FittedModel::decode` reads.
-fn encode(node: &Node, out: &mut String) {
+fn encode(node: &OracleNode, out: &mut String) {
     match node {
-        Node::Leaf(p) => out.push_str(&format!("L {p:?}\n")),
-        Node::Split(f, t, l, r) => {
+        OracleNode::Leaf(p) => out.push_str(&format!("L {p:?}\n")),
+        OracleNode::Split(f, t, l, r) => {
             out.push_str(&format!("S {f} {t:?} 0.0\n"));
             encode(l, out);
             encode(r, out);
@@ -163,11 +163,11 @@ fn encode(node: &Node, out: &mut String) {
 
 /// The split features on `row`'s root-to-leaf path, in walk order, and
 /// the leaf reached.
-fn walk(mut node: &Node, row: &[f64], path: &mut Vec<usize>) -> f64 {
+fn walk(mut node: &OracleNode, row: &[f64], path: &mut Vec<usize>) -> f64 {
     loop {
         match node {
-            Node::Leaf(p) => return *p,
-            Node::Split(f, t, l, r) => {
+            OracleNode::Leaf(p) => return *p,
+            OracleNode::Split(f, t, l, r) => {
                 path.push(*f);
                 node = if row.get(*f).copied().unwrap_or(0.0) <= *t { l } else { r };
             }
@@ -185,9 +185,9 @@ fn row() -> impl Strategy<Value = Vec<f64>> {
 
 /// `score_with` over a recording closure: the score, and every feature it
 /// asked for, in order.
-fn pulled(scorer: &BlockScorer, row: &[f64]) -> (f64, Vec<usize>) {
+fn pulled(model: &FittedModel, row: &[f64]) -> (f64, Vec<usize>) {
     let mut asked = Vec::new();
-    let p = scorer.score_with(&mut [], |k| {
+    let p = model.score_with(&mut [], |k| {
         asked.push(k);
         row.get(k).copied().unwrap_or(0.0)
     });
@@ -195,27 +195,29 @@ fn pulled(scorer: &BlockScorer, row: &[f64]) -> (f64, Vec<usize>) {
 }
 
 proptest! {
-    /// A flattened tree scores by one walk: through a closure, over a
-    /// slice and in the boxed model the bits are the same, and the closure
-    /// is asked once per split on the path — never for a feature off it.
+    /// A tree scores by one walk: through a closure, over a slice and over
+    /// a block the bits are the oracle walk's, and the closure is asked
+    /// once per split on the path — never for a feature off it.
     #[test]
     fn tree_walk_is_one_walk(draws in draws(), rows in proptest::collection::vec(row(), 1..8)) {
         let tree = grow(&draws, &mut 0, 0);
         let mut text = String::from("tree\n");
         encode(&tree, &mut text);
         let model = FittedModel::decode(&text).expect("well-formed tree");
-        let scorer = model.block_scorer();
-        let BlockScorer::Tree(flat) = &scorer else { panic!("a tree flattens to a tree") };
+        prop_assert_eq!(model.encode(), text);
         for row in &rows {
             let mut path = Vec::new();
             let leaf = walk(&tree, row, &mut path);
             let want = model.predict_proba(row);
             prop_assert_eq!(want.to_bits(), leaf.to_bits());
-            prop_assert_eq!(flat.score(row).to_bits(), want.to_bits());
-            prop_assert_eq!(scorer.score_row(row).to_bits(), want.to_bits());
-            let (got, asked) = pulled(&scorer, row);
+            let (got, asked) = pulled(&model, row);
             prop_assert_eq!(got.to_bits(), want.to_bits());
             prop_assert_eq!(asked, path);
+            if !row.is_empty() {
+                let mut out = [0.0, 0.0];
+                model.block_scorer().score_block(&[row.as_slice(), row.as_slice()].concat(), row.len(), &mut out);
+                prop_assert_eq!(out.map(f64::to_bits), [want.to_bits(); 2]);
+            }
         }
     }
 
@@ -227,25 +229,24 @@ proptest! {
         forest in proptest::collection::vec(draws(), 1..33),
         rows in proptest::collection::vec(row(), 1..6),
     ) {
-        let trees: Vec<Node> = forest.iter().map(|d| grow(d, &mut 0, 0)).collect();
+        let trees: Vec<OracleNode> = forest.iter().map(|d| grow(d, &mut 0, 0)).collect();
         let mut text = format!("forest\ntrees {}\n", trees.len());
         for t in &trees {
             encode(t, &mut text);
         }
         let model = FittedModel::decode(&text).expect("well-formed forest");
-        let scorer = model.block_scorer();
+        prop_assert_eq!(model.encode(), text);
         for row in &rows {
             let mut path = Vec::new();
             let sum: f64 = trees.iter().map(|t| walk(t, row, &mut path)).sum();
             let want = model.predict_proba(row);
             prop_assert_eq!(want.to_bits(), (sum / trees.len() as f64).to_bits());
-            prop_assert_eq!(scorer.score_row(row).to_bits(), want.to_bits());
-            let (got, asked) = pulled(&scorer, row);
+            let (got, asked) = pulled(&model, row);
             prop_assert_eq!(got.to_bits(), want.to_bits());
             prop_assert_eq!(asked, path);
             if !row.is_empty() {
                 let mut out = [0.0, 0.0];
-                scorer.score_block(&[row.as_slice(), row.as_slice()].concat(), row.len(), &mut out);
+                model.block_scorer().score_block(&[row.as_slice(), row.as_slice()].concat(), row.len(), &mut out);
                 prop_assert_eq!(out.map(f64::to_bits), [want.to_bits(); 2]);
             }
         }

@@ -25,8 +25,8 @@
 //!   ([`prepare`](em_features::ServeExtractor::prepare)) against the
 //!   service's persistent [`ServeExtractor`](em_features::ServeExtractor);
 //!   each surviving candidate is then one [`score_pair`], the routine the
-//!   fused stream ends in: the flattened model walks its trees and pulls
-//!   the features its path tests from the corpus caches, imputing on read.
+//!   fused stream ends in: the fitted model walks its trees and pulls the
+//!   features its path tests from the corpus caches, imputing on read.
 //!   A [`FeatureMask`](em_features::FeatureMask) derived from the fitted
 //!   model ([`derive_feature_mask`]), bound when the extractor is built,
 //!   leaves features the model cannot read without a cache; a feature the
@@ -149,7 +149,7 @@ impl MatchService {
                     self.debug_assert_pulls_match_compute(arrivals, i, j, &mut scratch.extract);
                 }
                 let p = score_pair(
-                    &self.scorer,
+                    &self.model,
                     &self.imputer,
                     self.extractor.candidate(j, &mut scratch.extract),
                     &mut scratch.dense_row,

@@ -17,12 +17,12 @@
 //! - **Sure matches** probe one hash index per positive rule (the same
 //!   right-key join `EqualityRule::find_all` performs).
 //! - **Prediction** ends in the routine the batch stream ends in,
-//!   `em_core::stream::score_pair`: the scorer walks the model and pulls
-//!   each feature it tests from the masked serve extractor, imputed as it
-//!   is read. Feature values are pure functions of the two cell values, so
-//!   a one-row probe yields the floats `extract_vectors` would, and a
-//!   feature the walk never asks for would have reached no comparison of
-//!   `predict_proba ≥ threshold` either.
+//!   `em_core::stream::score_pair`: the fitted model walks its trees and
+//!   pulls each feature it tests from the masked serve extractor, imputed
+//!   as it is read. Feature values are pure functions of the two cell
+//!   values, so a one-row probe yields the floats `extract_vectors` would,
+//!   and a feature the walk never asks for would have reached no
+//!   comparison of `predict_proba ≥ threshold` either.
 //! - **Negative rules** run on predicted matches only, through the batch
 //!   stream's evaluator, `em_rules::BoundNegativeRules`: its right side grows
 //!   with the corpus, the arriving row's keys are bound once per request.
@@ -51,7 +51,7 @@ use em_blocking::{IncrementalIndex, IncrementalLayout};
 use em_core::pipeline::ServingArtifacts;
 use em_core::{BlockingPlan, MatchIds};
 use em_features::{FeatureMask, ServeExtractor};
-use em_ml::{BlockScorer, FittedModel, Imputer};
+use em_ml::{FittedModel, Imputer};
 use em_parallel::Executor;
 use em_rules::{BoundNegativeRules, RuleSet, RuleSetDesc};
 use em_table::{Table, Value};
@@ -242,8 +242,6 @@ pub struct MatchService {
     pub(crate) corpus: Table,
     pub(crate) imputer: Imputer,
     pub(crate) model: FittedModel,
-    /// `model`, flattened for the hot loop's pull-and-score step.
-    pub(crate) scorer: BlockScorer,
     learner_name: String,
     pub(crate) threshold: f64,
     pub(crate) plan: BlockingPlan,
@@ -325,7 +323,6 @@ impl MatchService {
             rule_indexes: vec![HashMap::new(); rules.positive.len()],
             corpus: empty_corpus,
             imputer,
-            scorer: model.block_scorer(),
             model,
             learner_name,
             threshold,

@@ -26,6 +26,8 @@
 //! renames bad artifacts to `<path>.quarantined` so a corrupt snapshot
 //! can never be retried in a crash loop.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::error::ServeError;
 use em_core::checkpoint::Checkpoint;
 use em_core::pipeline::ServingArtifacts;
@@ -333,6 +335,17 @@ impl WorkflowSnapshot {
             // drift from the (attrs, kind, lowercase) triple.
             features.features.push(Feature::new(left.clone(), right.clone(), kind, lowercase));
         }
+        // The model and the imputer index rows of the feature plan: a width
+        // that disagrees would surface as an out-of-range read at the first
+        // request, so it is refused here.
+        model.check_width(features.len()).map_err(corrupt)?;
+        if means.len() != features.len() {
+            return Err(corrupt(format!(
+                "imputer has {} means for {} features",
+                means.len(),
+                features.len()
+            )));
+        }
         let corpus = decode_table(&cp, "corpus")?;
         Ok(WorkflowSnapshot {
             corpus,
@@ -629,6 +642,23 @@ mod tests {
         // Both outcomes occur: some mutations land in free text (a cell, a
         // name) and decode, most break the structure.
         assert!((1..4_000).contains(&accepted), "{accepted} of 4000 mutations accepted");
+    }
+
+    #[test]
+    fn a_model_or_imputer_off_the_feature_plan_width_is_corrupt() {
+        let tree = FittedModel::decode("tree\nS 5 0.5 0.0\nL 0.0\nL 1.0\n").unwrap();
+        let wide_model = WorkflowSnapshot { model: tree, ..crate::testkit::snapshot(0.9) };
+        let short_imputer =
+            WorkflowSnapshot { imputer: Imputer { means: Vec::new() }, ..crate::testkit::snapshot(0.9) };
+        for snap in [wide_model, short_imputer] {
+            let text = snap.encode();
+            assert!(
+                matches!(WorkflowSnapshot::decode(&text), Err(ServeError::Corrupt(_))),
+                "accepted {text}"
+            );
+        }
+        // The testkit's own snapshot, one feature wide throughout, loads.
+        assert!(WorkflowSnapshot::decode(&crate::testkit::snapshot(0.9).encode()).is_ok());
     }
 
     #[test]

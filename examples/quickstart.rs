@@ -7,7 +7,7 @@
 use umetrics_em::blocking::{Blocker, OverlapBlocker, Pair};
 use umetrics_em::features::{auto_features, extract_vectors, FeatureOptions};
 use umetrics_em::ml::dataset::{impute_mean, Dataset};
-use umetrics_em::ml::model::Learner;
+use umetrics_em::ml::model::{Learner, Model};
 use umetrics_em::ml::tree::DecisionTreeLearner;
 use umetrics_em::table::csv;
 
@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let imputer = impute_mean(&mut data);
 
     // Train and predict every candidate pair.
-    let model = DecisionTreeLearner::default().fit(&data)?;
+    let model = DecisionTreeLearner::default().fit_model(&data)?;
     println!("\npredicted matches:");
     for pair in candidates.iter() {
         let mut row = extract_vectors(&features, &a, &b, &[pair])?.remove(0);

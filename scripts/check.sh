@@ -44,10 +44,12 @@ CARGO_TARGET_DIR=benchmark/target cargo test "${CARGO_FLAGS[@]}" --locked --rele
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 # Panic hygiene is a lint, not a grep: the em-serve fault modules (wal, swap,
-# overload, chaos, shard, sched), em-label, the blocking debugger and em-ml's
-# training path (view, tree, forest, committee, cv, debug) deny
-# `unwrap_used` / `expect_used` / `panic` outside tests, so every failure on
-# those paths is a typed error. `sched` also denies `indexing_slicing` (tests
+# overload, chaos, shard, sched), em-label, the blocking debugger, em-ml's
+# training path (view, tree, forest, committee, cv, debug) and the
+# `em-snapshot v1` decode chain (em-serve's snapshot, em-ml's fitted, the
+# em-core checkpoint codec it is framed in) deny `unwrap_used` /
+# `expect_used` / `panic` outside tests, so every failure on those paths is
+# a typed error. `sched` also denies `indexing_slicing` (tests
 # included): no `v[i]` that could panic on a bad index. Every crate root under
 # crates/ (libraries and the two em-bench binaries) and src/lib.rs denies
 # `unsafe_code`; the one `#[allow(unsafe_code)]` is em-parallel's

@@ -76,9 +76,9 @@ fn blocker_on_missing_column_reports_it() {
 #[test]
 fn learner_rejects_nan_features_and_empty_data() {
     let nan = Dataset::new(vec!["f".into()], vec![vec![f64::NAN]], vec![true]).unwrap();
-    assert!(DecisionTreeLearner::default().fit(&nan).is_err());
+    assert!(DecisionTreeLearner::default().fit_model(&nan).is_err());
     let empty = Dataset::new(vec!["f".into()], vec![], vec![]).unwrap();
-    assert!(DecisionTreeLearner::default().fit(&empty).is_err());
+    assert!(DecisionTreeLearner::default().fit_model(&empty).is_err());
 }
 
 #[test]
