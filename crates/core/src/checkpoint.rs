@@ -11,10 +11,16 @@
 //! tab-separated fields. Floats are written with `{:?}`, which Rust
 //! guarantees round-trips through `parse::<f64>()` exactly — checkpointed
 //! and recomputed numbers are bit-identical, not merely close.
+//!
+//! Typed values go through [`Codec`] (a value under a key) and [`Record`]
+//! (fields of one record line); `codec_struct!` / `record_struct!` derive
+//! both directions from one list of a struct's fields. A case-study stage
+//! output and `config.ckpt` are each one [`Checkpoint::of`] a value.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::error::CoreError;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -76,54 +82,12 @@ impl Checkpoint {
         self.entries.insert(key.to_string(), value.as_ref().to_string());
     }
 
-    /// Stores any `Display` value (integers, bools).
-    pub fn put_display(&mut self, key: &str, value: impl std::fmt::Display) {
-        self.put(key, value.to_string());
-    }
-
-    /// Stores a float via `{:?}` so it round-trips bit-exactly.
-    pub fn put_f64(&mut self, key: &str, value: f64) {
-        self.put(key, format!("{value:?}"));
-    }
-
-    /// Stores a list of records, each a slice of tab-joined fields.
-    /// Fields must not contain tabs (escaping handles newlines).
-    pub fn put_records(&mut self, key: &str, records: &[Vec<String>]) {
-        let text =
-            records.iter().map(|r| r.join("\t")).collect::<Vec<_>>().join("\n");
-        self.put(key, text);
-    }
-
     /// The raw string under `key`, or a checkpoint error naming it.
     pub fn get(&self, key: &str) -> Result<&str, CoreError> {
         self.entries
             .get(key)
             .map(String::as_str)
             .ok_or_else(|| CoreError::Checkpoint(format!("missing key {key:?}")))
-    }
-
-    /// Parses the value under `key` with `FromStr`.
-    pub fn get_parsed<T>(&self, key: &str) -> Result<T, CoreError>
-    where
-        T: std::str::FromStr,
-    {
-        let raw = self.get(key)?;
-        raw.parse::<T>().map_err(|_| {
-            CoreError::Checkpoint(format!("key {key:?} holds unparseable value {raw:?}"))
-        })
-    }
-
-    /// The records stored by [`Checkpoint::put_records`], split back into
-    /// fields. An empty value decodes as zero records.
-    pub fn get_records(&self, key: &str) -> Result<Vec<Vec<String>>, CoreError> {
-        let raw = self.get(key)?;
-        if raw.is_empty() {
-            return Ok(Vec::new());
-        }
-        Ok(raw
-            .split('\n')
-            .map(|line| line.split('\t').map(String::from).collect())
-            .collect())
     }
 
     /// Serializes to `key = value` text (escaped, sorted by key).
@@ -151,6 +115,18 @@ impl Checkpoint {
             entries.insert(k.to_string(), unescape(v)?);
         }
         Ok(Checkpoint { entries })
+    }
+
+    /// A checkpoint holding `value` at its top level.
+    pub fn of<T: Codec>(value: &T) -> Checkpoint {
+        let mut cp = Checkpoint::new();
+        value.put(&mut cp, "");
+        cp
+    }
+
+    /// The value [`Checkpoint::of`] stored.
+    pub fn decode<T: Codec>(&self) -> Result<T, CoreError> {
+        T::get(self, "")
     }
 
     /// The checkpoint file path for a stage.
@@ -185,6 +161,214 @@ impl Checkpoint {
     }
 }
 
+/// The key of field `field` of a value stored under `key` (the empty key
+/// is a checkpoint's top level).
+pub fn subkey(key: &str, field: &str) -> String {
+    if key.is_empty() {
+        field.to_string()
+    } else {
+        format!("{key}.{field}")
+    }
+}
+
+/// A value stored in a [`Checkpoint`] under a key: a scalar as one entry, a
+/// list as one record a line ([`Record`]), a struct as one entry a field,
+/// under `key.field`. Decoding never panics: a missing or malformed entry
+/// is a [`CoreError::Checkpoint`] naming its key.
+pub trait Codec: Sized {
+    /// Stores `self` under `key`.
+    fn put(&self, cp: &mut Checkpoint, key: &str);
+    /// Reads back what [`Codec::put`] stored under `key`.
+    fn get(cp: &Checkpoint, key: &str) -> Result<Self, CoreError>;
+}
+
+/// The fields of one record line, in order.
+pub type Fields<'a> = std::str::Split<'a, char>;
+
+/// A value stored as consecutive tab-separated fields of one record line.
+pub trait Record: Sized {
+    /// Appends this value's fields (text it holds is borrowed, not copied).
+    fn put_fields<'a>(&'a self, out: &mut Vec<Cow<'a, str>>);
+    /// Consumes this value's fields, or says what was wrong with them.
+    fn take_fields(fields: &mut Fields<'_>) -> Result<Self, String>;
+}
+
+/// A value that is one field: its text out, `FromStr` back.
+pub trait Scalar: std::str::FromStr {
+    /// The text stored for the value.
+    fn text(&self) -> Cow<'_, str>;
+}
+
+macro_rules! display_scalar {
+    ($($ty:ty),*) => {$(
+        impl Scalar for $ty {
+            fn text(&self) -> Cow<'_, str> {
+                Cow::Owned(self.to_string())
+            }
+        }
+    )*};
+}
+display_scalar!(usize, u32, u64);
+
+impl Scalar for String {
+    fn text(&self) -> Cow<'_, str> {
+        Cow::Borrowed(self)
+    }
+}
+
+/// Floats go through `{:?}`, which parses back bit-exactly.
+impl Scalar for f64 {
+    fn text(&self) -> Cow<'_, str> {
+        Cow::Owned(format!("{self:?}"))
+    }
+}
+
+impl<T: Scalar> Codec for T {
+    fn put(&self, cp: &mut Checkpoint, key: &str) {
+        cp.put(key, self.text());
+    }
+    fn get(cp: &Checkpoint, key: &str) -> Result<Self, CoreError> {
+        let raw = cp.get(key)?;
+        let bad = || CoreError::Checkpoint(format!("key {key:?} holds unparseable value {raw:?}"));
+        raw.parse().map_err(|_| bad())
+    }
+}
+
+impl<T: Scalar> Record for T {
+    fn put_fields<'a>(&'a self, out: &mut Vec<Cow<'a, str>>) {
+        out.push(self.text());
+    }
+    fn take_fields(fields: &mut Fields<'_>) -> Result<Self, String> {
+        let raw = fields.next().ok_or("too few fields")?;
+        raw.parse().map_err(|_| format!("unparseable field {raw:?}"))
+    }
+}
+
+/// `None` is the empty string.
+impl Codec for Option<String> {
+    fn put(&self, cp: &mut Checkpoint, key: &str) {
+        cp.put(key, self.as_deref().unwrap_or_default());
+    }
+    fn get(cp: &Checkpoint, key: &str) -> Result<Self, CoreError> {
+        let raw = cp.get(key)?;
+        Ok((!raw.is_empty()).then(|| raw.to_string()))
+    }
+}
+
+/// A list is one record a line, its fields tab-separated (so a field must
+/// not hold a tab); an empty value is the empty list. A record with fields
+/// left over is an error.
+impl<T: Record> Codec for Vec<T> {
+    fn put(&self, cp: &mut Checkpoint, key: &str) {
+        let line = |v: &T| {
+            let mut fields = Vec::new();
+            v.put_fields(&mut fields);
+            fields.join("\t")
+        };
+        cp.put(key, self.iter().map(line).collect::<Vec<_>>().join("\n"));
+    }
+    fn get(cp: &Checkpoint, key: &str) -> Result<Self, CoreError> {
+        let raw = cp.get(key)?;
+        let lines = raw.split('\n').filter(|_| !raw.is_empty());
+        lines
+            .enumerate()
+            .map(|(i, line)| {
+                let mut fields = line.split('\t');
+                let value = T::take_fields(&mut fields).and_then(|v| match fields.next() {
+                    None => Ok(v),
+                    Some(_) => Err("too many fields".to_string()),
+                });
+                value.map_err(|e| CoreError::Checkpoint(format!("record {i} under {key:?}: {e}")))
+            })
+            .collect()
+    }
+}
+
+/// A variable-length record: every field left on the line.
+impl Record for Vec<String> {
+    fn put_fields<'a>(&'a self, out: &mut Vec<Cow<'a, str>>) {
+        out.extend(self.iter().map(|s| Cow::Borrowed(s.as_str())));
+    }
+    fn take_fields(fields: &mut Fields<'_>) -> Result<Self, String> {
+        Ok(fields.map(String::from).collect())
+    }
+}
+
+/// A pair is its two halves under `key.0` and `key.1`.
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    fn put(&self, cp: &mut Checkpoint, key: &str) {
+        self.0.put(cp, &subkey(key, "0"));
+        self.1.put(cp, &subkey(key, "1"));
+    }
+    fn get(cp: &Checkpoint, key: &str) -> Result<Self, CoreError> {
+        Ok((A::get(cp, &subkey(key, "0"))?, B::get(cp, &subkey(key, "1"))?))
+    }
+}
+
+/// A tuple is its members' fields, in order.
+macro_rules! tuple_record {
+    ($($t:ident . $i:tt),*) => {
+        impl<$($t: Record),*> Record for ($($t,)*) {
+            fn put_fields<'a>(&'a self, out: &mut Vec<Cow<'a, str>>) {
+                $(self.$i.put_fields(out);)*
+            }
+            fn take_fields(fields: &mut Fields<'_>) -> Result<Self, String> {
+                Ok(($($t::take_fields(fields)?,)*))
+            }
+        }
+    };
+}
+tuple_record!(A.0, B.1);
+tuple_record!(A.0, B.1, C.2);
+
+/// Implements [`Codec`] for a struct by listing each field once: field `f`
+/// of the value under `key` is stored under `key.f`. Encoding destructures
+/// and decoding builds the struct without `..`, so a field left off the
+/// list does not compile.
+macro_rules! codec_struct {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::checkpoint::Codec for $ty {
+            fn put(&self, cp: &mut $crate::checkpoint::Checkpoint, key: &str) {
+                let $ty { $($field),* } = self;
+                $($crate::checkpoint::Codec::put(
+                    $field,
+                    cp,
+                    &$crate::checkpoint::subkey(key, stringify!($field)),
+                );)*
+            }
+            fn get(
+                cp: &$crate::checkpoint::Checkpoint,
+                key: &str,
+            ) -> Result<Self, $crate::error::CoreError> {
+                Ok($ty {$(
+                    $field: $crate::checkpoint::Codec::get(
+                        cp,
+                        &$crate::checkpoint::subkey(key, stringify!($field)),
+                    )?,
+                )*})
+            }
+        }
+    };
+}
+
+/// Implements [`Record`] for a struct by listing each field once, in field
+/// order; the same compile-time completeness as [`codec_struct!`].
+macro_rules! record_struct {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::checkpoint::Record for $ty {
+            fn put_fields<'a>(&'a self, out: &mut Vec<std::borrow::Cow<'a, str>>) {
+                let $ty { $($field),* } = self;
+                $($crate::checkpoint::Record::put_fields($field, out);)*
+            }
+            fn take_fields(fields: &mut $crate::checkpoint::Fields<'_>) -> Result<Self, String> {
+                Ok($ty {$($field: $crate::checkpoint::Record::take_fields(fields)?,)*})
+            }
+        }
+    };
+}
+
+pub(crate) use {codec_struct, record_struct};
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,31 +385,29 @@ mod tests {
         let mut cp = Checkpoint::new();
         cp.put("plain", "hello world");
         cp.put("tricky", "line1\nline2\ttabbed\\slashed\r");
-        cp.put_display("count", 42usize);
-        cp.put_f64("pi", std::f64::consts::PI);
-        cp.put_f64("tiny", 1e-300);
-        cp.put_records(
-            "pairs",
-            &[vec!["10.200 W1".into(), "100".into()], vec!["10.203 X2".into(), "200".into()]],
-        );
+        42usize.put(&mut cp, "count");
+        std::f64::consts::PI.put(&mut cp, "pi");
+        1e-300f64.put(&mut cp, "tiny");
+        vec![("10.200 W1".to_string(), 100usize), ("10.203 X2".to_string(), 200)].put(&mut cp, "pairs");
         let back = Checkpoint::from_text(&cp.to_text()).unwrap();
         assert_eq!(back, cp);
         assert_eq!(back.get("tricky").unwrap(), "line1\nline2\ttabbed\\slashed\r");
-        assert_eq!(back.get_parsed::<usize>("count").unwrap(), 42);
-        let pi: f64 = back.get_parsed("pi").unwrap();
+        assert_eq!(usize::get(&back, "count").unwrap(), 42);
+        let pi = f64::get(&back, "pi").unwrap();
         assert_eq!(pi.to_bits(), std::f64::consts::PI.to_bits(), "bit-exact float round-trip");
-        let tiny: f64 = back.get_parsed("tiny").unwrap();
+        let tiny = f64::get(&back, "tiny").unwrap();
         assert_eq!(tiny.to_bits(), 1e-300f64.to_bits());
-        assert_eq!(back.get_records("pairs").unwrap().len(), 2);
-        assert_eq!(back.get_records("pairs").unwrap()[0][0], "10.200 W1");
+        let pairs = Vec::<(String, usize)>::get(&back, "pairs").unwrap();
+        assert_eq!(pairs.len(), 2);
+        assert_eq!(pairs[0].0, "10.200 W1");
     }
 
     #[test]
     fn empty_records_round_trip() {
         let mut cp = Checkpoint::new();
-        cp.put_records("none", &[]);
+        Vec::<usize>::new().put(&mut cp, "none");
         let back = Checkpoint::from_text(&cp.to_text()).unwrap();
-        assert!(back.get_records("none").unwrap().is_empty());
+        assert!(Vec::<usize>::get(&back, "none").unwrap().is_empty());
     }
 
     #[test]
@@ -235,7 +417,7 @@ mod tests {
         assert!(err.to_string().contains("absent"), "{err}");
         let mut cp = Checkpoint::new();
         cp.put("n", "not-a-number");
-        assert!(cp.get_parsed::<usize>("n").is_err());
+        assert!(usize::get(&cp, "n").is_err());
         assert!(Checkpoint::from_text("no separator here\n").is_err());
     }
 

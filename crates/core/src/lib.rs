@@ -34,7 +34,6 @@ pub mod analysis;
 pub mod blocking_plan;
 pub mod checkpoint;
 pub mod error;
-pub mod guide;
 pub mod labeling;
 pub mod labelstore;
 pub mod matcher;
@@ -43,12 +42,12 @@ pub mod pipeline;
 pub mod preprocess;
 pub mod resilience;
 pub mod spec;
+mod stages;
 pub mod stream;
 pub mod workflow;
 
 pub use blocking_plan::{run_blocking, BlockingOutcome, BlockingPlan};
 pub use error::CoreError;
-pub use guide::{how_to_guide, GuideProgress, GuideStep};
 pub use labeling::{LabeledPair, LabeledSet, LabelingRound};
 pub use labelstore::{LabelConflict, LabelRecord, LabelStore, MergePolicy};
 pub use matcher::{MatcherStage, TrainedMatcher};

@@ -57,9 +57,6 @@ pub struct TrainedMatcher {
     pub model: em_ml::FittedModel,
     /// Which learner won selection.
     pub learner_name: String,
-    /// Normalized Gini feature importances, when the winning learner is
-    /// tree-based (the PyMatcher debugger's "which features matter" view).
-    pub feature_importance: Option<Vec<f64>>,
 }
 
 /// [`build_training_data`], also returning the pairs it kept: row `i` of the
@@ -136,22 +133,20 @@ pub fn train_matcher(
         .find(|l| l.name() == learner_name)
         .ok_or_else(|| CoreError::Pipeline(format!("unknown learner {learner_name:?}")))?;
     let model = learner.fit_model(data)?;
-    // Tree-based winners expose Gini importances for the debugging view.
-    let feature_importance = model.feature_importance(data.n_features());
-    Ok(TrainedMatcher {
-        features,
-        imputer,
-        model,
-        learner_name: learner_name.to_string(),
-        feature_importance,
-    })
+    Ok(TrainedMatcher { features, imputer, model, learner_name: learner_name.to_string() })
 }
 
 impl TrainedMatcher {
+    /// Normalized Gini feature importances, when the winning learner is
+    /// tree-based (the PyMatcher debugger's "which features matter" view).
+    pub fn feature_importance(&self) -> Option<Vec<f64>> {
+        self.model.feature_importance(self.features.len())
+    }
+
     /// The `k` most important features with their normalized importances,
     /// when the winning learner exposes them.
     pub fn top_features(&self, k: usize) -> Option<Vec<(String, f64)>> {
-        let imp = self.feature_importance.as_ref()?;
+        let imp = self.feature_importance()?;
         let mut ranked: Vec<(String, f64)> = self
             .features
             .names()
@@ -341,13 +336,13 @@ mod tests {
         ] {
             let matcher =
                 train_matcher(features.clone(), imputer.clone(), &data, name, &stage).unwrap();
-            let got = matcher.feature_importance.unwrap();
+            let got = matcher.feature_importance().unwrap();
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got), bits(&want), "{name}");
         }
         let linear =
             train_matcher(features, imputer, &data, "Logistic Regression", &stage).unwrap();
-        assert!(linear.feature_importance.is_none());
+        assert!(linear.feature_importance().is_none());
     }
 
     #[test]

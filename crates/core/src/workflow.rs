@@ -363,7 +363,6 @@ mod tests {
             imputer: f.matcher.imputer.clone(),
             model: f.matcher.model.clone(),
             learner_name: f.matcher.learner_name.clone(),
-            feature_importance: None,
         };
         let wf = EmWorkflow { matcher: &featureless, ..wf };
         assert!(matches!(wf.run(&f.u, &f.s), Err(CoreError::Pipeline(_))));

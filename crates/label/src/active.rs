@@ -16,7 +16,7 @@
 //! tests at 1, 2, and 4 threads).
 
 use em_blocking::{CandidateSet, Pair};
-use em_core::checkpoint::Checkpoint;
+use em_core::checkpoint::{Checkpoint, Codec};
 use em_core::labeling::{accession_of, award_of, sample_unlabeled, LabeledSet};
 use em_core::pipeline::al_stage_name;
 use em_core::{CoreError, RetryPolicy};
@@ -191,23 +191,6 @@ impl ActiveOutcome {
     }
 }
 
-fn label_tag(label: Label) -> &'static str {
-    match label {
-        Label::Yes => "yes",
-        Label::No => "no",
-        Label::Unsure => "unsure",
-    }
-}
-
-fn label_from_tag(tag: &str) -> Result<Label, CoreError> {
-    match tag {
-        "yes" => Ok(Label::Yes),
-        "no" => Ok(Label::No),
-        "unsure" => Ok(Label::Unsure),
-        other => Err(CoreError::Checkpoint(format!("unknown label tag {other:?}"))),
-    }
-}
-
 /// The committee fit on the current labeled set: training rows are the
 /// Yes/No labels (Unsure drops out, as in the batch pipeline), imputed
 /// in place; `None` until both classes are present.
@@ -308,71 +291,46 @@ fn save_round(
     budget: &LabelBudget,
 ) -> Result<(), CoreError> {
     let mut cp = Checkpoint::new();
-    cp.put_display("round", r);
-    cp.put_display("queried", row.queried);
-    cp.put_display("labels_total", row.labels_total);
-    cp.put_f64("f1", row.f1);
-    cp.put_f64("precision_lo", row.precision.lo);
-    cp.put_f64("precision_hi", row.precision.hi);
-    cp.put_f64("recall_lo", row.recall.lo);
-    cp.put_f64("recall_hi", row.recall.hi);
-    cp.put_display("queries", budget.queries());
-    cp.put_display("retries", budget.retries());
-    cp.put_display("degraded", budget.degraded());
-    let labeled_records: Vec<Vec<String>> = labeled
-        .iter()
-        .map(|lp| {
-            vec![lp.pair.left.to_string(), lp.pair.right.to_string(), label_tag(lp.label).into()]
-        })
-        .collect();
-    cp.put_records("labeled", &labeled_records);
-    let charged: Vec<Vec<String>> =
-        budget.distinct_iter().map(|(a, b)| vec![a.clone(), b.clone()]).collect();
-    cp.put_records("charged", &charged);
+    r.put(&mut cp, "round");
+    row.queried.put(&mut cp, "queried");
+    row.labels_total.put(&mut cp, "labels_total");
+    row.f1.put(&mut cp, "f1");
+    row.precision.lo.put(&mut cp, "precision_lo");
+    row.precision.hi.put(&mut cp, "precision_hi");
+    row.recall.lo.put(&mut cp, "recall_lo");
+    row.recall.hi.put(&mut cp, "recall_hi");
+    budget.queries().put(&mut cp, "queries");
+    budget.retries().put(&mut cp, "retries");
+    budget.degraded().put(&mut cp, "degraded");
+    labeled.put(&mut cp, "labeled");
+    budget.distinct_iter().cloned().collect::<Vec<_>>().put(&mut cp, "charged");
     cp.save(dir, &al_stage_name(r))
 }
 
 /// Restores round `r` from its checkpoint: the curve point, the cumulative
 /// labeled set, and the budget ledger.
 fn load_round(cp: &Checkpoint, r: usize) -> Result<(ActiveRound, LabeledSet, LabelBudget), CoreError> {
-    let stored: usize = cp.get_parsed("round")?;
+    let stored = usize::get(cp, "round")?;
     if stored != r {
         return Err(CoreError::Checkpoint(format!(
             "checkpoint stage {} holds round {stored}",
             al_stage_name(r)
         )));
     }
-    let mut labeled = LabeledSet::new();
-    for rec in cp.get_records("labeled")? {
-        let [left, right, tag] = rec.as_slice() else {
-            return Err(CoreError::Checkpoint(format!("malformed labeled record {rec:?}")));
-        };
-        let pair = Pair::new(
-            left.parse().map_err(|_| CoreError::Checkpoint(format!("bad row index {left:?}")))?,
-            right.parse().map_err(|_| CoreError::Checkpoint(format!("bad row index {right:?}")))?,
-        );
-        labeled.insert(pair, label_from_tag(tag)?);
-    }
-    let mut charged = Vec::new();
-    for rec in cp.get_records("charged")? {
-        let [award, accession] = rec.as_slice() else {
-            return Err(CoreError::Checkpoint(format!("malformed charged record {rec:?}")));
-        };
-        charged.push((award.clone(), accession.clone()));
-    }
+    let labeled: LabeledSet = Codec::get(cp, "labeled")?;
     let budget = LabelBudget::restore(
-        cp.get_parsed("queries")?,
-        cp.get_parsed("retries")?,
-        cp.get_parsed("degraded")?,
-        charged,
+        Codec::get(cp, "queries")?,
+        Codec::get(cp, "retries")?,
+        Codec::get(cp, "degraded")?,
+        Vec::<(String, String)>::get(cp, "charged")?,
     );
     let row = ActiveRound {
         round: r,
-        queried: cp.get_parsed("queried")?,
-        labels_total: cp.get_parsed("labels_total")?,
-        f1: cp.get_parsed("f1")?,
-        precision: Interval::new(cp.get_parsed("precision_lo")?, cp.get_parsed("precision_hi")?),
-        recall: Interval::new(cp.get_parsed("recall_lo")?, cp.get_parsed("recall_hi")?),
+        queried: Codec::get(cp, "queried")?,
+        labels_total: Codec::get(cp, "labels_total")?,
+        f1: Codec::get(cp, "f1")?,
+        precision: Interval::new(Codec::get(cp, "precision_lo")?, Codec::get(cp, "precision_hi")?),
+        recall: Interval::new(Codec::get(cp, "recall_lo")?, Codec::get(cp, "recall_hi")?),
         queries: budget.queries(),
         retries: budget.retries(),
         degraded: budget.degraded(),

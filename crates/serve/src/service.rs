@@ -793,7 +793,6 @@ pub(crate) mod tests {
             imputer: snap.imputer.clone(),
             model: snap.model.clone(),
             learner_name: snap.learner_name.clone(),
-            feature_importance: None,
         };
         let wf = EmWorkflow {
             rules: snap.rules.build(),

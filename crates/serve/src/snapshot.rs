@@ -29,10 +29,10 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::error::ServeError;
-use em_core::checkpoint::Checkpoint;
+use em_core::checkpoint::{Checkpoint, Codec};
 use em_core::pipeline::ServingArtifacts;
 use em_core::BlockingPlan;
-use em_features::{Feature, FeatureKind, FeatureSet};
+use em_features::FeatureSet;
 use em_ml::{FittedModel, Imputer};
 use em_rules::RuleSetDesc;
 use em_table::{Column, DataType, Date, Schema, Table, Value};
@@ -173,31 +173,25 @@ pub(crate) fn decode_cell(s: &str) -> Result<Value, ServeError> {
 
 fn encode_table(cp: &mut Checkpoint, prefix: &str, table: &Table) {
     cp.put(&format!("{prefix}.name"), table.name());
-    let schema: Vec<Vec<String>> = table
-        .schema()
-        .columns()
-        .iter()
-        .map(|c| vec![c.name.clone(), dtype_tag(c.dtype).to_string()])
-        .collect();
-    cp.put_records(&format!("{prefix}.schema"), &schema);
+    let columns = table.schema().columns().iter();
+    let schema: Vec<(String, String)> =
+        columns.map(|c| (c.name.clone(), dtype_tag(c.dtype).to_string())).collect();
+    schema.put(cp, &format!("{prefix}.schema"));
     let rows: Vec<Vec<String>> =
         table.iter().map(|r| r.values().iter().map(encode_cell).collect()).collect();
-    cp.put_records(&format!("{prefix}.rows"), &rows);
+    rows.put(cp, &format!("{prefix}.rows"));
 }
 
 fn decode_table(cp: &Checkpoint, prefix: &str) -> Result<Table, ServeError> {
     let name = cp.get(&format!("{prefix}.name")).map_err(corrupt)?;
     let mut columns = Vec::new();
-    for rec in cp.get_records(&format!("{prefix}.schema")).map_err(corrupt)? {
-        let [col, tag] = rec.as_slice() else {
-            return Err(corrupt(format!("schema record must have 2 fields, got {}", rec.len())));
-        };
-        columns.push(Column::new(col.clone(), dtype_from_tag(tag)?));
+    for (col, tag) in Vec::<(String, String)>::get(cp, &format!("{prefix}.schema")).map_err(corrupt)? {
+        columns.push(Column::new(col, dtype_from_tag(&tag)?));
     }
     let schema = Schema::new(columns).map_err(|e| corrupt(format!("bad schema: {e}")))?;
     let n_cols = schema.len();
     let mut table = Table::new(name, schema);
-    for rec in cp.get_records(&format!("{prefix}.rows")).map_err(corrupt)? {
+    for rec in Vec::<Vec<String>>::get(cp, &format!("{prefix}.rows")).map_err(corrupt)? {
         // A row of all-empty cells (all nulls) serializes as N-1 tabs; an
         // entirely-null single-column row is the empty string, which
         // `split` still yields as one field — arity stays consistent.
@@ -235,27 +229,13 @@ impl WorkflowSnapshot {
     pub fn encode(&self) -> String {
         let mut cp = Checkpoint::new();
         cp.put("learner_name", &self.learner_name);
-        cp.put_f64("threshold", self.threshold);
-        cp.put_display("plan.overlap_k", self.plan.overlap_k);
-        cp.put_f64("plan.oc_threshold", self.plan.oc_threshold);
+        self.threshold.put(&mut cp, "threshold");
+        self.plan.put(&mut cp, "plan");
         cp.put("model", self.model.encode());
         cp.put("rules", self.rules.encode());
         let means: Vec<String> = self.imputer.means.iter().map(|m| format!("{m:?}")).collect();
         cp.put("imputer.means", means.join(" "));
-        let features: Vec<Vec<String>> = self
-            .features
-            .features
-            .iter()
-            .map(|f| {
-                vec![
-                    f.left_attr.clone(),
-                    f.right_attr.clone(),
-                    f.kind.tag().to_string(),
-                    if f.lowercase { "1".into() } else { "0".into() },
-                ]
-            })
-            .collect();
-        cp.put_records("features", &features);
+        self.features.features.put(&mut cp, "features");
         encode_table(&mut cp, "corpus", &self.corpus);
         let body = cp.to_text();
         format!("{MAGIC} v{SNAPSHOT_VERSION} {}\n{body}", body.len())
@@ -300,11 +280,8 @@ impl WorkflowSnapshot {
         }
         let cp = Checkpoint::from_text(body).map_err(corrupt)?;
         let learner_name = cp.get("learner_name").map_err(corrupt)?.to_string();
-        let threshold: f64 = cp.get_parsed("threshold").map_err(corrupt)?;
-        let plan = BlockingPlan {
-            overlap_k: cp.get_parsed("plan.overlap_k").map_err(corrupt)?,
-            oc_threshold: cp.get_parsed("plan.oc_threshold").map_err(corrupt)?,
-        };
+        let threshold = f64::get(&cp, "threshold").map_err(corrupt)?;
+        let plan = BlockingPlan::get(&cp, "plan").map_err(corrupt)?;
         let model = FittedModel::decode(cp.get("model").map_err(corrupt)?)?;
         let rules = RuleSetDesc::decode(cp.get("rules").map_err(corrupt)?)?;
         let means_raw = cp.get("imputer.means").map_err(corrupt)?;
@@ -316,25 +293,7 @@ impl WorkflowSnapshot {
                 .map(|t| t.parse::<f64>().map_err(|_| corrupt(format!("bad mean {t:?}"))))
                 .collect::<Result<Vec<_>, _>>()?
         };
-        let mut features = FeatureSet::default();
-        for rec in cp.get_records("features").map_err(corrupt)? {
-            let [left, right, tag, lc] = rec.as_slice() else {
-                return Err(corrupt(format!(
-                    "feature record must have 4 fields, got {}",
-                    rec.len()
-                )));
-            };
-            let kind = FeatureKind::from_tag(tag)
-                .ok_or_else(|| corrupt(format!("unknown feature tag {tag:?}")))?;
-            let lowercase = match lc.as_str() {
-                "1" => true,
-                "0" => false,
-                other => return Err(corrupt(format!("bad lowercase flag {other:?}"))),
-            };
-            // Feature::new regenerates the canonical name, so names never
-            // drift from the (attrs, kind, lowercase) triple.
-            features.features.push(Feature::new(left.clone(), right.clone(), kind, lowercase));
-        }
+        let features = FeatureSet { features: Codec::get(&cp, "features").map_err(corrupt)? };
         // The model and the imputer index rows of the feature plan: a width
         // that disagrees would surface as an out-of-range read at the first
         // request, so it is refused here.
@@ -440,6 +399,7 @@ pub fn quarantine_path(path: &Path) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_features::{Feature, FeatureKind};
     use em_ml::model::ConstantModel;
     use em_ml::Model;
     use em_rules::RuleKeyKind;

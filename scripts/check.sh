@@ -47,7 +47,8 @@ echo "==> cargo clippy --all-targets -- -D warnings"
 # overload, chaos, shard, sched), em-label, the blocking debugger, em-ml's
 # training path (view, tree, forest, committee, cv, debug) and the
 # `em-snapshot v1` decode chain (em-serve's snapshot, em-ml's fitted, the
-# em-core checkpoint codec it is framed in) deny `unwrap_used` /
+# em-core checkpoint codec it is framed in) and em-core's case-study stage
+# and config codecs (`stages`, `pipeline`) deny `unwrap_used` /
 # `expect_used` / `panic` outside tests, so every failure on those paths is
 # a typed error. `sched` also denies `indexing_slicing` (tests
 # included): no `v[i]` that could panic on a bad index. Every crate root under
