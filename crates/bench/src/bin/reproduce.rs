@@ -563,7 +563,7 @@ fn label_efficiency_section(args: &Args, seed: u64) -> Result<(), Box<dyn std::e
         print_label_curve("random", &random);
         print_label_curve("committee", &committee);
         let target = random.final_f1();
-        let random_spent = random.budget.distinct_pairs();
+        let random_spent = random.rounds.last().map_or(0, |r| r.distinct);
         let bound = (em_label::AL_TARGET_FRACTION * random_spent as f64).floor() as usize;
         match committee.labels_to_reach(target) {
             Some(al_spent) if al_spent <= bound => println!(

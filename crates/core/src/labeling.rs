@@ -1,6 +1,11 @@
 //! Sampling and labeling (Section 8): iterative sampling from the candidate
 //! set, simulated expert labeling with a first-round cross-check, and the
 //! bookkeeping of label counts per round.
+//!
+//! [`label_round`] is the one oracle call: the case study's rounds
+//! ([`run_labeling_resilient`]), `em_label`'s active-learning rounds and
+//! the monitor's samples all label through it, with one retry path and one
+//! [`ResilienceReport`] ledger.
 
 use crate::error::CoreError;
 use crate::resilience::{ResilienceReport, RetryPolicy};
@@ -82,7 +87,7 @@ impl LabeledSet {
 }
 
 /// What one labeling round produced.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LabelingRound {
     /// Pairs sampled and labeled this round.
     pub sampled: usize,
@@ -136,55 +141,78 @@ pub fn sample_unlabeled(
     pool
 }
 
-/// Labels one pair through a [`LabelSource`], retrying transient faults per
-/// the [`RetryPolicy`] (backoff is *recorded* in virtual milliseconds, not
-/// slept). When retries are exhausted the labeling degrades gracefully: the
-/// pair is labeled `Unsure` — the safe "don't know" of this domain — and
-/// the degradation is recorded in the [`ResilienceReport`].
-pub(crate) fn label_with_retries(
-    source: &dyn LabelSource,
+/// Labels one round of `pairs` through a [`LabelSource`] into `labeled`:
+/// the one oracle call of every labeling loop (the case study's rounds,
+/// active learning's rounds, the monitor's samples).
+///
+/// Each pair's call is retried per the [`RetryPolicy`] (backoff is
+/// *recorded* in virtual milliseconds, not slept). When retries run out
+/// the pair degrades to `Unsure` — the safe "don't know" of this domain.
+/// Faults, retries, backoff and degraded pairs go into `ledger`. In the
+/// first round the experts' mistake-prone first pass is cross-checked
+/// against the settled labels, which stand; the returned counts say how
+/// often they disagreed.
+#[allow(clippy::too_many_arguments)]
+pub fn label_round(
     umetrics: &Table,
     usda: &Table,
-    pair: Pair,
-    first_round: bool,
+    source: &dyn LabelSource,
     retry: &RetryPolicy,
-    resilience: &mut ResilienceReport,
-) -> Result<(Label, Label), CoreError> {
-    let u = umetrics
-        .row(pair.left)
-        .ok_or_else(|| CoreError::Pipeline(format!("pair row {} outside UMETRICS", pair.left)))?;
-    let s = usda
-        .row(pair.right)
-        .ok_or_else(|| CoreError::Pipeline(format!("pair row {} outside USDA", pair.right)))?;
-    let accession = accession_of(usda, pair.right);
-    let view = PairView {
-        award_number: u.str("AwardNumber").unwrap_or(""),
-        accession: &accession,
-        left_title: u.str("AwardTitle").unwrap_or(""),
-        right_title: s.str("AwardTitle").unwrap_or(""),
-        right_award_number: s.str("AwardNumber"),
-        right_project_number: s.str("ProjectNumber"),
-    };
-    let backoff_key = format!("{}/{}", view.award_number, accession);
-    let mut attempt = 0u32;
-    loop {
-        match source.try_label(&view, first_round, attempt) {
-            Ok(labels) => return Ok(labels),
-            Err(_fault) => {
-                resilience.oracle_faults += 1;
-                if attempt >= retry.max_retries {
-                    resilience.degraded_labels += 1;
-                    resilience
-                        .degraded_pairs
-                        .push((view.award_number.to_string(), accession.clone()));
-                    return Ok((Label::Unsure, Label::Unsure));
+    pairs: &[Pair],
+    first_round: bool,
+    labeled: &mut LabeledSet,
+    ledger: &mut ResilienceReport,
+) -> Result<LabelingRound, CoreError> {
+    let mut round = LabelingRound { sampled: pairs.len(), ..LabelingRound::default() };
+    for &pair in pairs {
+        let u = umetrics.row(pair.left).ok_or_else(|| {
+            CoreError::Pipeline(format!("pair row {} outside UMETRICS", pair.left))
+        })?;
+        let s = usda
+            .row(pair.right)
+            .ok_or_else(|| CoreError::Pipeline(format!("pair row {} outside USDA", pair.right)))?;
+        let accession = accession_of(usda, pair.right);
+        let view = PairView {
+            award_number: u.str("AwardNumber").unwrap_or(""),
+            accession: &accession,
+            left_title: u.str("AwardTitle").unwrap_or(""),
+            right_title: s.str("AwardTitle").unwrap_or(""),
+            right_award_number: s.str("AwardNumber"),
+            right_project_number: s.str("ProjectNumber"),
+        };
+        let backoff_key = format!("{}/{}", view.award_number, accession);
+        let mut attempt = 0u32;
+        let (first, settled) = loop {
+            match source.try_label(&view, first_round, attempt) {
+                Ok(labels) => break labels,
+                Err(_fault) => {
+                    ledger.oracle_faults += 1;
+                    if attempt >= retry.max_retries {
+                        ledger.degraded_labels += 1;
+                        ledger.degraded_pairs.push((view.award_number.to_string(), accession));
+                        break (Label::Unsure, Label::Unsure);
+                    }
+                    ledger.oracle_retries += 1;
+                    ledger.total_backoff_ms += retry.backoff_ms(&backoff_key, attempt);
+                    attempt += 1;
                 }
-                resilience.oracle_retries += 1;
-                resilience.total_backoff_ms += retry.backoff_ms(&backoff_key, attempt);
-                attempt += 1;
+            }
+        };
+        if first_round && first != settled {
+            round.crosscheck_mismatches += 1;
+            if settled == Label::Yes {
+                round.corrections += 1;
             }
         }
+        // After the cross-check discussion the settled label stands.
+        labeled.insert(pair, settled);
+        match settled {
+            Label::Yes => round.yes += 1,
+            Label::No => round.no += 1,
+            Label::Unsure => round.unsure += 1,
+        }
     }
+    Ok(round)
 }
 
 /// Runs the Section 8 labeling loop: one round per entry of `round_sizes`.
@@ -214,8 +242,10 @@ pub fn run_labeling(
     Ok((labeled, rounds))
 }
 
-/// [`run_labeling`] against a fallible [`LabelSource`]: every labeling call
-/// is retried per `retry` and degrades to `Unsure` when retries run out.
+/// [`run_labeling`] against a fallible [`LabelSource`]: each round is
+/// [`sample_unlabeled`] at seed `seed + round` (wrapping), then
+/// [`label_round`], so every labeling call is retried per `retry` and
+/// degrades to `Unsure` when retries run out.
 /// The third return value is the ledger of faults, retries, virtual backoff,
 /// and degraded pairs. With an infallible source (the plain [`Oracle`]) the
 /// ledger stays empty and the labels are identical to [`run_labeling`]'s.
@@ -229,48 +259,15 @@ pub fn run_labeling_resilient(
     retry: &RetryPolicy,
 ) -> Result<(LabeledSet, Vec<LabelingRound>, ResilienceReport), CoreError> {
     let mut labeled = LabeledSet::new();
+    let mut ledger = ResilienceReport::default();
     let mut rounds = Vec::with_capacity(round_sizes.len());
-    let mut resilience = ResilienceReport::default();
-    for (round_idx, &n) in round_sizes.iter().enumerate() {
-        let first_round = round_idx == 0;
-        let pairs = sample_unlabeled(candidates, &labeled, n, seed.wrapping_add(round_idx as u64));
-        let mut mismatches = 0usize;
-        let mut corrections = 0usize;
-        let (mut yes, mut no, mut unsure) = (0usize, 0usize, 0usize);
-        for pair in pairs.iter().copied() {
-            let (first, settled) = label_with_retries(
-                source,
-                umetrics,
-                usda,
-                pair,
-                first_round,
-                retry,
-                &mut resilience,
-            )?;
-            if first != settled {
-                mismatches += 1;
-                if settled == Label::Yes {
-                    corrections += 1;
-                }
-            }
-            // After the cross-check discussion the settled label stands.
-            labeled.insert(pair, settled);
-            match settled {
-                Label::Yes => yes += 1,
-                Label::No => no += 1,
-                Label::Unsure => unsure += 1,
-            }
-        }
-        rounds.push(LabelingRound {
-            sampled: pairs.len(),
-            yes,
-            no,
-            unsure,
-            crosscheck_mismatches: if first_round { mismatches } else { 0 },
-            corrections: if first_round { corrections } else { 0 },
-        });
+    for (r, &n) in round_sizes.iter().enumerate() {
+        let pairs = sample_unlabeled(candidates, &labeled, n, seed.wrapping_add(r as u64));
+        let round =
+            label_round(umetrics, usda, source, retry, &pairs, r == 0, &mut labeled, &mut ledger)?;
+        rounds.push(round);
     }
-    Ok((labeled, rounds, resilience))
+    Ok((labeled, rounds, ledger))
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 
 use crate::blocking_plan::BlockingPlan;
 use crate::error::CoreError;
-use crate::labeling::label_with_retries;
+use crate::labeling::{label_round, LabeledSet};
 use crate::matcher::TrainedMatcher;
 use crate::resilience::{ResilienceReport, RetryPolicy};
 use crate::workflow::EmWorkflow;
@@ -128,19 +128,10 @@ impl<'m> AccuracyMonitor<'m> {
         matches.truncate(self.config.sample_size);
 
         let mut resilience = ResilienceReport::default();
-        let mut sample: Vec<SampleItem> = Vec::with_capacity(matches.len());
-        for p in &matches {
-            let (_, settled) = label_with_retries(
-                source,
-                umetrics,
-                usda,
-                *p,
-                false,
-                retry,
-                &mut resilience,
-            )?;
-            sample.push(SampleItem { predicted: true, label: settled });
-        }
+        let mut labeled = LabeledSet::new();
+        label_round(umetrics, usda, source, retry, &matches, false, &mut labeled, &mut resilience)?;
+        let sample: Vec<SampleItem> =
+            labeled.iter().map(|lp| SampleItem { predicted: true, label: lp.label }).collect();
         let estimate = estimate_accuracy(&sample, Z95);
         // With every sampled pair predicted, the precision interval is the
         // fraction labeled Yes; an empty sample stays vacuous (no alert).

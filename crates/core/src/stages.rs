@@ -712,6 +712,35 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Every truncation and 4 000 seeded single-byte mutations of a small
+    /// USDA CSV (the header and six rows of the small scenario's table, the
+    /// text `Context::new` ingests when the fault plan corrupts rows) are a
+    /// typed `TableError` or a `QuarantineOutcome` — never a panic.
+    #[test]
+    fn hostile_usda_csv_is_quarantined_or_a_typed_error() {
+        let usda = Scenario::generate(em_datagen::ScenarioConfig::small()).unwrap().usda;
+        let full = csv::write_str(&usda);
+        let good: String = full.split_inclusive('\n').take(7).collect();
+        assert!(good.is_ascii());
+        let ingest = |text: &str| csv::read_quarantine("USDA", text, 1.0);
+        assert_eq!(ingest(&good).unwrap().table.n_rows(), 6);
+        let (mut accepted, mut rejected) = (0, 0);
+        let mut run = |text: &str, what: &dyn Fn() -> String| {
+            match std::panic::catch_unwind(|| ingest(text).map(|out| out.total_rows())) {
+                Err(_) => panic!("{} panicked", what()),
+                Ok(Ok(_)) => accepted += 1,
+                Ok(Err(_)) => rejected += 1,
+            }
+        };
+        for cut in 0..good.len() {
+            run(&good[..cut], &|| format!("truncation at {cut}"));
+        }
+        for (at, byte) in mutations(good.len(), 20190326).take(4_000) {
+            run(&mutate(&good, at, byte), &|| format!("byte {at} set to {:?}", byte as char));
+        }
+        assert!(accepted > 0 && rejected > 0, "{accepted} accepted, {rejected} rejected");
+    }
+
     /// Full resumes over mutated stage files: the directory holds the
     /// stages up to the mutated one, so the later stages run on what it
     /// decoded to. Each resume is a report or a typed error.

@@ -8,13 +8,13 @@
 //! deterministically in the fault seed and the pair identity, so that
 //! retry/backoff logic upstream can be tested without real flakiness.
 //!
-//! [`LabelSource`] is the abstraction the pipeline labels through: the
-//! plain [`Oracle`] implements it infallibly; [`FlakyOracle`] implements it
-//! with injected faults.
+//! [`LabelSource`] is the abstraction every labeling loop labels through:
+//! the plain [`Oracle`] implements it infallibly; [`FlakyOracle`] implements
+//! it with injected faults. Retrying, degrading and the ledger of what was
+//! absorbed live in one place upstream, `em_core::labeling::label_round`.
 
 use crate::oracle::{pair_draw, Oracle, PairView};
 use em_estimate::Label;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// A transient fault raised by a labeling backend.
@@ -72,80 +72,6 @@ impl LabelSource for Oracle<'_> {
         let settled = self.label(view);
         let first = if first_round { self.label_initial(view) } else { settled };
         Ok((first, settled))
-    }
-}
-
-/// A monotonic ledger of oracle label spending.
-///
-/// Active-learning loops query the oracle in batches across many rounds;
-/// the budget they report (and that label-efficiency curves are plotted
-/// against) must count each *distinct* pair exactly once, no matter how
-/// many transient faults were retried on the way. Counters only ever grow;
-/// there is no reset — a fresh experiment starts a fresh ledger.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LabelBudget {
-    queries: u64,
-    retries: u64,
-    degraded: u64,
-    distinct: BTreeSet<(String, String)>,
-}
-
-impl LabelBudget {
-    /// An empty ledger.
-    pub fn new() -> LabelBudget {
-        LabelBudget::default()
-    }
-
-    /// Labeling calls that produced an answer (including degraded ones).
-    pub fn queries(&self) -> u64 {
-        self.queries
-    }
-
-    /// Faulted attempts that were retried.
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// Pairs whose retries ran out and degraded to `Unsure`.
-    pub fn degraded(&self) -> u64 {
-        self.degraded
-    }
-
-    /// Distinct `(award, accession)` pairs ever submitted — the number a
-    /// label-efficiency curve charges, independent of retries and
-    /// re-submissions.
-    pub fn distinct_pairs(&self) -> usize {
-        self.distinct.len()
-    }
-
-    /// Iterates the distinct charged `(award, accession)` pairs in sorted
-    /// order — the serialization order for checkpoints.
-    pub fn distinct_iter(&self) -> impl Iterator<Item = &(String, String)> {
-        self.distinct.iter()
-    }
-
-    /// Reconstructs a ledger from checkpointed counters, for crash/resume.
-    /// A ledger restored from a checkpoint and one carried live through the
-    /// same rounds are equal, so resumed runs keep charging correctly.
-    pub fn restore(
-        queries: u64,
-        retries: u64,
-        degraded: u64,
-        distinct: impl IntoIterator<Item = (String, String)>,
-    ) -> LabelBudget {
-        LabelBudget { queries, retries, degraded, distinct: distinct.into_iter().collect() }
-    }
-
-    /// Records one resolved labeling call. `retries` is the number of
-    /// faulted attempts spent before resolution; `degraded` marks a pair
-    /// whose retry budget ran out.
-    pub(crate) fn record(&mut self, award: &str, accession: &str, retries: u64, degraded: bool) {
-        self.queries += 1;
-        self.retries += retries;
-        if degraded {
-            self.degraded += 1;
-        }
-        self.distinct.insert((award.to_string(), accession.to_string()));
     }
 }
 
@@ -210,45 +136,6 @@ impl<'a> FlakyOracle<'a> {
             return Some(OracleFault::Timeout { attempt });
         }
         None
-    }
-}
-
-impl FlakyOracle<'_> {
-    /// Labels a batch of pairs, retrying each pair's transient faults up to
-    /// `max_retries` extra attempts. Every pair resolves: when retries run
-    /// out the label degrades to `Unsure` — the safe "don't know" of this
-    /// domain. Spending is recorded in `budget`: one query per view, one
-    /// retry per faulted-then-retried attempt, and each distinct
-    /// `(award, accession)` pair at most once across the ledger's lifetime.
-    ///
-    /// Deterministic: faults are a pure function of `(pair, attempt)`, so
-    /// identical batches against identical configs resolve identically.
-    pub fn label_batch(
-        &self,
-        views: &[PairView<'_>],
-        first_round: bool,
-        max_retries: u32,
-        budget: &mut LabelBudget,
-    ) -> Vec<(Label, Label)> {
-        let mut out = Vec::with_capacity(views.len());
-        for view in views {
-            let mut attempt = 0u32;
-            let mut retries = 0u64;
-            let resolved = loop {
-                match self.try_label(view, first_round, attempt) {
-                    Ok(labels) => break Some(labels),
-                    Err(_fault) if attempt < max_retries => {
-                        retries += 1;
-                        attempt += 1;
-                    }
-                    Err(_fault) => break None,
-                }
-            };
-            let degraded = resolved.is_none();
-            budget.record(view.award_number, view.accession, retries, degraded);
-            out.push(resolved.unwrap_or((Label::Unsure, Label::Unsure)));
-        }
-        out
     }
 }
 
@@ -329,79 +216,6 @@ mod tests {
             assert!(flaky.try_label(&v, false, attempt).is_err());
         }
         assert!(flaky.try_label(&v, false, 3).is_ok(), "attempts past the cap must succeed");
-    }
-
-    #[test]
-    fn batch_budget_counts_distinct_pairs_once() {
-        let t = GroundTruth::default();
-        let o = Oracle::new(&t, OracleConfig::default());
-        let flaky = FlakyOracle::new(
-            o,
-            FlakyConfig { p_unavailable: 0.3, p_timeout: 0.1, ..Default::default() },
-        );
-        let awards: Vec<String> = (0..20).map(|i| format!("10.200 W{i}")).collect();
-        let views: Vec<PairView<'_>> = awards.iter().map(|a| view(a, "100")).collect();
-        let mut budget = LabelBudget::new();
-        let first = flaky.label_batch(&views, false, 8, &mut budget);
-        assert_eq!(first.len(), 20);
-        assert_eq!(budget.queries(), 20);
-        assert_eq!(budget.distinct_pairs(), 20);
-        assert!(budget.retries() > 0, "these rates must exercise the retry path");
-        assert_eq!(budget.degraded(), 0, "8 retries beat the default fault cap");
-        // Re-submitting the same batch spends more queries and retries but
-        // no new distinct pairs — AL rounds charge each label exactly once.
-        let second = flaky.label_batch(&views, false, 8, &mut budget);
-        assert_eq!(first, second, "batch labeling must be deterministic");
-        assert_eq!(budget.queries(), 40);
-        assert_eq!(budget.distinct_pairs(), 20);
-    }
-
-    #[test]
-    fn batch_budget_accounts_degradation_under_total_failure() {
-        let t = GroundTruth::default();
-        let o = Oracle::new(&t, OracleConfig::default());
-        // Always faulting and never capped: every pair exhausts its retries.
-        let flaky = FlakyOracle::new(
-            o,
-            FlakyConfig {
-                p_unavailable: 1.0,
-                p_timeout: 1.0,
-                max_fault_attempts: u32::MAX,
-                ..Default::default()
-            },
-        );
-        let awards: Vec<String> = (0..5).map(|i| format!("10.200 W{i}")).collect();
-        let views: Vec<PairView<'_>> = awards.iter().map(|a| view(a, "100")).collect();
-        let mut budget = LabelBudget::new();
-        let labels = flaky.label_batch(&views, false, 3, &mut budget);
-        assert!(labels.iter().all(|&l| l == (Label::Unsure, Label::Unsure)));
-        assert_eq!(budget.queries(), 5);
-        assert_eq!(budget.retries(), 15, "3 retries per pair before degrading");
-        assert_eq!(budget.degraded(), 5);
-        assert_eq!(budget.distinct_pairs(), 5);
-    }
-
-    #[test]
-    fn batch_ledger_is_monotonic() {
-        let t = GroundTruth::default();
-        let o = Oracle::new(&t, OracleConfig::default());
-        let flaky = FlakyOracle::new(
-            o,
-            FlakyConfig { p_unavailable: 0.5, p_timeout: 0.2, ..Default::default() },
-        );
-        let mut budget = LabelBudget::new();
-        let mut last = (0u64, 0u64, 0usize);
-        for i in 0..10 {
-            let award = format!("10.200 W{i}");
-            let views = [view(&award, "100")];
-            flaky.label_batch(&views, false, 8, &mut budget);
-            let now = (budget.queries(), budget.retries(), budget.distinct_pairs());
-            assert!(now.0 > last.0, "queries must strictly grow");
-            assert!(now.1 >= last.1 && now.2 >= last.2, "ledger must never shrink");
-            last = now;
-        }
-        assert_eq!(last.0, 10);
-        assert_eq!(last.2, 10);
     }
 
     #[test]

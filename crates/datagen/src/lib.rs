@@ -27,7 +27,7 @@ pub mod truth;
 pub mod vocab;
 
 pub use config::ScenarioConfig;
-pub use flaky::{FlakyConfig, FlakyOracle, LabelBudget, LabelSource, OracleFault};
+pub use flaky::{FlakyConfig, FlakyOracle, LabelSource, OracleFault};
 pub use oracle::{Oracle, OracleConfig, PairView};
 pub use scenario::Scenario;
 pub use truth::GroundTruth;

@@ -751,32 +751,6 @@ impl Scenario {
         })
     }
 
-    /// The initial and extra award tables combined (what UMETRICS should
-    /// have delivered in the first place).
-    pub fn all_award_agg(&self) -> Table {
-        let mut t = self.award_agg.union(&self.extra_award_agg).expect("same schema");
-        t.set_name("UMETRICSAwardAggAll");
-        t
-    }
-
-    /// Writes the seven raw tables plus the extra batch as CSV files into
-    /// `dir` (created if absent) — the "Google Drive folder" form the raw
-    /// data arrives in. Returns the file paths written.
-    pub fn write_csv_dir(
-        &self,
-        dir: impl AsRef<std::path::Path>,
-    ) -> Result<Vec<std::path::PathBuf>, em_table::TableError> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir).map_err(em_table::TableError::from)?;
-        let mut written = Vec::new();
-        for t in self.raw_tables().into_iter().chain([&self.extra_award_agg]) {
-            let path = dir.join(format!("{}.csv", t.name()));
-            em_table::csv::write_path(t, &path)?;
-            written.push(path);
-        }
-        Ok(written)
-    }
-
     /// All seven raw tables with their paper names, for Figure 2.
     pub fn raw_tables(&self) -> Vec<&Table> {
         vec![
@@ -820,7 +794,7 @@ mod tests {
         let s = small();
         s.award_agg.check_key("UniqueAwardNumber").unwrap();
         s.usda.check_key("AccessionNumber").unwrap();
-        s.all_award_agg().check_key("UniqueAwardNumber").unwrap();
+        s.award_agg.union(&s.extra_award_agg).unwrap().check_key("UniqueAwardNumber").unwrap();
     }
 
     #[test]
@@ -845,7 +819,7 @@ mod tests {
     #[test]
     fn truth_pairs_reference_real_rows() {
         let s = small();
-        let all = s.all_award_agg();
+        let all = s.award_agg.union(&s.extra_award_agg).unwrap();
         let awards: std::collections::HashSet<String> = all
             .iter()
             .filter_map(|r| r.str("UniqueAwardNumber").map(str::to_string))
@@ -948,18 +922,6 @@ mod tests {
         // healthy match density: several hundred true pairs
         assert!(s.truth.len() > 500, "only {} true matches", s.truth.len());
         assert!(s.truth.len() < 1915);
-    }
-
-    #[test]
-    fn csv_dir_round_trip() {
-        let s = Scenario::generate(ScenarioConfig::small().with_seed(8)).unwrap();
-        let dir = std::env::temp_dir().join(format!("em-scenario-{}", std::process::id()));
-        let written = s.write_csv_dir(&dir).unwrap();
-        assert_eq!(written.len(), 8);
-        let reloaded = em_table::csv::read_path(&written[0]).unwrap();
-        assert_eq!(reloaded.n_rows(), s.award_agg.n_rows());
-        assert_eq!(reloaded.n_cols(), s.award_agg.n_cols());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

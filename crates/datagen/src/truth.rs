@@ -13,7 +13,6 @@ use std::collections::{BTreeMap, BTreeSet};
 pub struct GroundTruth {
     matches: BTreeSet<(String, String)>,
     by_award: BTreeMap<String, Vec<String>>,
-    by_accession: BTreeMap<String, Vec<String>>,
     extra_awards: BTreeSet<String>,
 }
 
@@ -25,10 +24,6 @@ impl GroundTruth {
                 .entry(award.to_string())
                 .or_default()
                 .push(accession.to_string());
-            self.by_accession
-                .entry(accession.to_string())
-                .or_default()
-                .push(award.to_string());
         }
     }
 
@@ -62,11 +57,6 @@ impl GroundTruth {
         self.by_award.get(award).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Awards matching one accession number.
-    pub fn awards_for(&self, accession: &str) -> &[String] {
-        self.by_accession.get(accession).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// True when the award was withheld into the extra batch.
     pub fn is_extra_award(&self, award: &str) -> bool {
         self.extra_awards.contains(award)
@@ -92,7 +82,6 @@ mod tests {
         assert!(!t.is_match("10.200 A1", "102"));
         assert_eq!(t.len(), 3);
         assert_eq!(t.accessions_for("10.200 A1"), &["100", "101"]);
-        assert_eq!(t.awards_for("101"), &["10.200 A1"]);
     }
 
     #[test]

@@ -42,7 +42,7 @@ proptest! {
         prop_assert_eq!(s.usda.n_cols(), 78);
 
         // Keys.
-        s.all_award_agg().check_key("UniqueAwardNumber").unwrap();
+        s.award_agg.union(&s.extra_award_agg).unwrap().check_key("UniqueAwardNumber").unwrap();
         s.usda.check_key("AccessionNumber").unwrap();
 
         // Truth references real identifiers only, and never exceeds the

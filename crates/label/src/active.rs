@@ -1,33 +1,39 @@
 //! The active-learning loop: seed batch → committee fit → query-by-committee
-//! selection → oracle query under retry/backoff → refit, with per-round
-//! checkpoints.
+//! selection → one labeling round → refit, with per-round checkpoints.
 //!
 //! Selection ranks the unlabeled pool by **vote entropy** (descending — the
 //! committee splits hardest) breaking ties by **margin** (ascending — the
 //! mean probability sits closest to the 0.5 boundary) and finally by pair
 //! order, so the queried batch is a pure function of the committee state.
-//! The same harness with [`Strategy::Random`] is the uniform-sampling
-//! baseline every label-efficiency curve is plotted against.
+//! The strategy only picks pairs: every round is labeled by
+//! [`em_core::labeling::label_round`], the call the case study's labeling
+//! stage makes, under the same retry policy and into the same
+//! [`ResilienceReport`] ledger. [`Strategy::Random`] draws each round with
+//! [`sample_unlabeled`] at the case study's seeds, so the uniform baseline
+//! every label-efficiency curve is plotted against *is* the case study's
+//! labeling loop.
 //!
-//! Every round checkpoints its cumulative labeled set, budget ledger, and
-//! curve point through [`Checkpoint`]'s bit-exact float round-trip; a run
-//! that crashes mid-loop resumes from the last completed round and produces
-//! the same remaining rounds bit for bit (pinned by the crate's integration
+//! Every round checkpoints its cumulative labeled set, ledger, and curve
+//! point through [`Checkpoint`]'s bit-exact float round-trip; a run that
+//! crashes mid-loop resumes from the last completed round and produces the
+//! same remaining rounds bit for bit (pinned by the crate's integration
 //! tests at 1, 2, and 4 threads).
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use em_blocking::{CandidateSet, Pair};
 use em_core::checkpoint::{Checkpoint, Codec};
-use em_core::labeling::{accession_of, award_of, sample_unlabeled, LabeledSet};
+use em_core::labeling::{accession_of, award_of, label_round, sample_unlabeled, LabeledSet};
 use em_core::pipeline::al_stage_name;
-use em_core::{CoreError, RetryPolicy};
-use em_datagen::{FlakyOracle, GroundTruth, LabelBudget, PairView};
+use em_core::{CoreError, ResilienceReport, RetryPolicy};
+use em_datagen::{GroundTruth, LabelSource};
 use em_estimate::{estimate_accuracy, Interval, Label, SampleItem, Z95};
 use em_features::{auto_features, extract_vectors, FeatureOptions, FeatureSet};
 use em_ml::dataset::{impute_mean, Dataset, Imputer};
 use em_ml::{CommitteeLearner, CommitteeModel};
 use em_parallel::Executor;
 use em_table::Table;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::time::Instant;
 
@@ -106,19 +112,19 @@ impl ActiveConfig {
     }
 
     /// The config guard written next to the round checkpoints: resuming
-    /// with any different value is refused rather than silently mixing two
-    /// experiments. The crash hook is deliberately excluded.
-    fn fingerprint(&self) -> String {
-        format!(
-            "strategy={};seed_batch={};batch_size={};rounds={};members={};seed={};max_retries={}",
-            self.strategy.tag(),
-            self.seed_batch,
-            self.batch_size,
-            self.rounds,
-            self.members,
-            self.seed,
-            self.retry.max_retries,
-        )
+    /// with any different value — the whole retry policy included, since
+    /// the ledger carries its backoff — is refused rather than silently
+    /// mixing two experiments. The crash hook is deliberately excluded.
+    fn guard(&self) -> Checkpoint {
+        let mut cp = Checkpoint::new();
+        self.strategy.tag().to_string().put(&mut cp, "strategy");
+        self.seed_batch.put(&mut cp, "seed_batch");
+        self.batch_size.put(&mut cp, "batch_size");
+        self.rounds.put(&mut cp, "rounds");
+        self.members.put(&mut cp, "members");
+        self.seed.put(&mut cp, "seed");
+        self.retry.put(&mut cp, "retry");
+        cp
     }
 }
 
@@ -137,13 +143,15 @@ pub struct ActiveRound {
     pub precision: Interval,
     /// Recall interval of the committee over the candidates.
     pub recall: Interval,
-    /// Cumulative oracle queries (ledger snapshot).
+    /// Cumulative oracle queries: one a labeled pair, since no round
+    /// re-offers a labeled pair.
     pub queries: u64,
-    /// Cumulative faulted attempts retried.
+    /// Cumulative faulted attempts retried (the ledger's `oracle_retries`).
     pub retries: u64,
-    /// Cumulative pairs degraded to `Unsure` after exhausted retries.
+    /// Cumulative pairs degraded to `Unsure` after exhausted retries (the
+    /// ledger's `degraded_labels`).
     pub degraded: u64,
-    /// Cumulative distinct pairs charged to the label budget.
+    /// Cumulative distinct `(award, accession)` keys over the labeled set.
     pub distinct: usize,
 }
 
@@ -172,8 +180,8 @@ pub struct ActiveOutcome {
     pub latency: Vec<RoundLatency>,
     /// Every label acquired.
     pub labeled: LabeledSet,
-    /// The label-budget ledger.
-    pub budget: LabelBudget,
+    /// The ledger of oracle faults, retries, backoff and degraded pairs.
+    pub ledger: ResilienceReport,
     /// Rounds restored from checkpoint rather than recomputed.
     pub resumed_rounds: usize,
 }
@@ -281,35 +289,59 @@ fn evaluate(
     score_predictions(&predicted, truth_flags)
 }
 
-/// Saves round `r`'s cumulative state: the curve point, the labeled set so
-/// far, and the budget ledger, all in bit-exact text form.
-fn save_round(
-    dir: &Path,
+/// Round `r`'s curve row: the committee's scores, and the label columns
+/// read off the labeled set and the ledger after the round.
+fn curve_row(
     r: usize,
-    row: &ActiveRound,
+    queried: usize,
+    (f1, precision, recall): (f64, Interval, Interval),
     labeled: &LabeledSet,
-    budget: &LabelBudget,
-) -> Result<(), CoreError> {
+    ledger: &ResilienceReport,
+    umetrics: &Table,
+    usda: &Table,
+) -> ActiveRound {
+    let distinct: HashSet<(String, String)> = labeled
+        .iter()
+        .map(|lp| (award_of(umetrics, lp.pair.left), accession_of(usda, lp.pair.right)))
+        .collect();
+    ActiveRound {
+        round: r,
+        queried,
+        labels_total: labeled.len(),
+        f1,
+        precision,
+        recall,
+        queries: labeled.len() as u64,
+        retries: ledger.oracle_retries as u64,
+        degraded: ledger.degraded_labels as u64,
+        distinct: distinct.len(),
+    }
+}
+
+/// Round `r`'s checkpoint: the round's own figures, the labeled set so far
+/// and the ledger, all in bit-exact text form.
+fn encode_round(row: &ActiveRound, labeled: &LabeledSet, ledger: &ResilienceReport) -> Checkpoint {
     let mut cp = Checkpoint::new();
-    r.put(&mut cp, "round");
+    row.round.put(&mut cp, "round");
     row.queried.put(&mut cp, "queried");
-    row.labels_total.put(&mut cp, "labels_total");
     row.f1.put(&mut cp, "f1");
     row.precision.lo.put(&mut cp, "precision_lo");
     row.precision.hi.put(&mut cp, "precision_hi");
     row.recall.lo.put(&mut cp, "recall_lo");
     row.recall.hi.put(&mut cp, "recall_hi");
-    budget.queries().put(&mut cp, "queries");
-    budget.retries().put(&mut cp, "retries");
-    budget.degraded().put(&mut cp, "degraded");
     labeled.put(&mut cp, "labeled");
-    budget.distinct_iter().cloned().collect::<Vec<_>>().put(&mut cp, "charged");
-    cp.save(dir, &al_stage_name(r))
+    ledger.put(&mut cp, "ledger");
+    cp
 }
 
 /// Restores round `r` from its checkpoint: the curve point, the cumulative
-/// labeled set, and the budget ledger.
-fn load_round(cp: &Checkpoint, r: usize) -> Result<(ActiveRound, LabeledSet, LabelBudget), CoreError> {
+/// labeled set, and the ledger.
+fn decode_round(
+    cp: &Checkpoint,
+    r: usize,
+    umetrics: &Table,
+    usda: &Table,
+) -> Result<(ActiveRound, LabeledSet, ResilienceReport), CoreError> {
     let stored = usize::get(cp, "round")?;
     if stored != r {
         return Err(CoreError::Checkpoint(format!(
@@ -318,56 +350,42 @@ fn load_round(cp: &Checkpoint, r: usize) -> Result<(ActiveRound, LabeledSet, Lab
         )));
     }
     let labeled: LabeledSet = Codec::get(cp, "labeled")?;
-    let budget = LabelBudget::restore(
-        Codec::get(cp, "queries")?,
-        Codec::get(cp, "retries")?,
-        Codec::get(cp, "degraded")?,
-        Vec::<(String, String)>::get(cp, "charged")?,
+    let ledger: ResilienceReport = Codec::get(cp, "ledger")?;
+    let scores = (
+        Codec::get(cp, "f1")?,
+        Interval::new(Codec::get(cp, "precision_lo")?, Codec::get(cp, "precision_hi")?),
+        Interval::new(Codec::get(cp, "recall_lo")?, Codec::get(cp, "recall_hi")?),
     );
-    let row = ActiveRound {
-        round: r,
-        queried: Codec::get(cp, "queried")?,
-        labels_total: Codec::get(cp, "labels_total")?,
-        f1: Codec::get(cp, "f1")?,
-        precision: Interval::new(Codec::get(cp, "precision_lo")?, Codec::get(cp, "precision_hi")?),
-        recall: Interval::new(Codec::get(cp, "recall_lo")?, Codec::get(cp, "recall_hi")?),
-        queries: budget.queries(),
-        retries: budget.retries(),
-        degraded: budget.degraded(),
-        distinct: budget.distinct_pairs(),
-    };
-    Ok((row, labeled, budget))
+    let row = curve_row(r, Codec::get(cp, "queried")?, scores, &labeled, &ledger, umetrics, usda);
+    Ok((row, labeled, ledger))
 }
 
 /// Runs the active-learning loop end to end.
 ///
 /// With `ckpt_dir` set, each completed round writes a checkpoint and a rerun
 /// resumes from the last completed round — the resumed curve, labeled set,
-/// and budget are bit-identical to the uninterrupted run's. A directory
-/// holding a different config fingerprint is refused.
+/// and ledger are bit-identical to the uninterrupted run's. A directory
+/// holding a different configuration is refused.
 pub fn run_active(
     umetrics: &Table,
     usda: &Table,
     candidates: &CandidateSet,
-    oracle: &FlakyOracle<'_>,
+    source: &dyn LabelSource,
     truth: &GroundTruth,
     cfg: &ActiveConfig,
     ckpt_dir: Option<&Path>,
 ) -> Result<ActiveOutcome, CoreError> {
     // Config guard: a checkpoint directory is bound to one experiment.
     if let Some(dir) = ckpt_dir {
+        let guard = cfg.guard();
         match Checkpoint::load(dir, CONFIG_STAGE)? {
-            Some(stored) if stored.get("fingerprint")? != cfg.fingerprint() => {
+            Some(stored) if stored != guard => {
                 return Err(CoreError::Checkpoint(format!(
                     "checkpoint dir {dir:?} holds a different active-learning configuration"
                 )));
             }
             Some(_) => {}
-            None => {
-                let mut cp = Checkpoint::new();
-                cp.put("fingerprint", cfg.fingerprint());
-                cp.save(dir, CONFIG_STAGE)?;
-            }
+            None => guard.save(dir, CONFIG_STAGE)?,
         }
     }
 
@@ -382,14 +400,13 @@ pub fn run_active(
     let x_all = extract_vectors(&features, umetrics, usda, &all_pairs)?;
     let index: HashMap<Pair, usize> =
         all_pairs.iter().enumerate().map(|(i, p)| (*p, i)).collect();
-    let keys: Vec<(String, String)> = all_pairs
+    let truth_flags: Vec<bool> = all_pairs
         .iter()
-        .map(|p| (award_of(umetrics, p.left), accession_of(usda, p.right)))
+        .map(|p| truth.is_match(&award_of(umetrics, p.left), &accession_of(usda, p.right)))
         .collect();
-    let truth_flags: Vec<bool> = keys.iter().map(|(a, c)| truth.is_match(a, c)).collect();
 
     let mut labeled = LabeledSet::new();
-    let mut budget = LabelBudget::new();
+    let mut ledger = ResilienceReport::default();
     let mut rounds: Vec<ActiveRound> = Vec::with_capacity(cfg.rounds);
     let mut latency: Vec<RoundLatency> = Vec::with_capacity(cfg.rounds);
     let mut resumed_rounds = 0usize;
@@ -402,10 +419,9 @@ pub fn run_active(
     for r in 0..cfg.rounds {
         if let Some(dir) = ckpt_dir {
             if let Some(cp) = Checkpoint::load(dir, &al_stage_name(r))? {
-                let (row, l, b) = load_round(&cp, r)?;
+                let row;
+                (row, labeled, ledger) = decode_round(&cp, r, umetrics, usda)?;
                 rounds.push(row);
-                labeled = l;
-                budget = b;
                 model = None;
                 resumed_rounds += 1;
                 continue;
@@ -415,103 +431,266 @@ pub fn run_active(
         // Select this round's batch.
         let mut fit_s = 0.0;
         let select_started = Instant::now();
-        let batch: Vec<Pair> = if r == 0 {
-            sample_unlabeled(candidates, &labeled, cfg.seed_batch, cfg.seed)
-        } else {
-            if model.is_none() {
-                let t = Instant::now();
-                model = fit_committee(&features, &x_all, &index, &labeled, cfg)?;
-                fit_s += t.elapsed().as_secs_f64();
+        if r > 0 && model.is_none() {
+            let t = Instant::now();
+            model = fit_committee(&features, &x_all, &index, &labeled, cfg)?;
+            fit_s += t.elapsed().as_secs_f64();
+        }
+        let batch: Vec<Pair> = match (cfg.strategy, model.as_ref()) {
+            (Strategy::Committee, Some((m, imputer))) => {
+                let pool: Vec<usize> = (0..all_pairs.len())
+                    .filter(|&i| !labeled.contains(&all_pairs[i]))
+                    .collect();
+                let mut x_pool: Vec<Vec<f64>> =
+                    pool.iter().map(|&i| x_all[i].clone()).collect();
+                imputer.transform(&mut x_pool);
+                let scores = m.score_pool(&x_pool);
+                let mut ranked: Vec<usize> = (0..pool.len()).collect();
+                ranked.sort_by(|&a, &b| {
+                    scores[b]
+                        .vote_entropy
+                        .partial_cmp(&scores[a].vote_entropy)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then_with(|| {
+                            scores[a]
+                                .margin
+                                .partial_cmp(&scores[b].margin)
+                                .unwrap_or(std::cmp::Ordering::Equal)
+                        })
+                        .then_with(|| all_pairs[pool[a]].cmp(&all_pairs[pool[b]]))
+                });
+                let mut batch: Vec<Pair> = ranked
+                    .iter()
+                    .take(cfg.batch_size)
+                    .map(|&k| all_pairs[pool[k]])
+                    .collect();
+                batch.sort(); // deterministic presentation order
+                batch
             }
-            match (cfg.strategy, model.as_ref()) {
-                (Strategy::Committee, Some((m, imputer))) => {
-                    let pool: Vec<usize> = (0..all_pairs.len())
-                        .filter(|&i| !labeled.contains(&all_pairs[i]))
-                        .collect();
-                    let mut x_pool: Vec<Vec<f64>> =
-                        pool.iter().map(|&i| x_all[i].clone()).collect();
-                    imputer.transform(&mut x_pool);
-                    let scores = m.score_pool(&x_pool);
-                    let mut ranked: Vec<usize> = (0..pool.len()).collect();
-                    ranked.sort_by(|&a, &b| {
-                        scores[b]
-                            .vote_entropy
-                            .partial_cmp(&scores[a].vote_entropy)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then_with(|| {
-                                scores[a]
-                                    .margin
-                                    .partial_cmp(&scores[b].margin)
-                                    .unwrap_or(std::cmp::Ordering::Equal)
-                            })
-                            .then_with(|| all_pairs[pool[a]].cmp(&all_pairs[pool[b]]))
-                    });
-                    let mut batch: Vec<Pair> = ranked
-                        .iter()
-                        .take(cfg.batch_size)
-                        .map(|&k| all_pairs[pool[k]])
-                        .collect();
-                    batch.sort(); // deterministic presentation order
-                    batch
-                }
-                // Random arm, or no committee yet (single-class labels so
-                // far): uniform sampling keeps the loop moving.
-                _ => sample_unlabeled(candidates, &labeled, cfg.batch_size, cfg.seed + r as u64),
+            // Random arm, seed round, or no committee yet (single-class
+            // labels so far): the case study's uniform round.
+            _ => {
+                let n = if r == 0 { cfg.seed_batch } else { cfg.batch_size };
+                sample_unlabeled(candidates, &labeled, n, cfg.seed.wrapping_add(r as u64))
             }
         };
 
         let select_s = select_started.elapsed().as_secs_f64() - fit_s;
 
-        // Query the oracle for the batch under the retry policy; the ledger
-        // charges each distinct pair once no matter how flaky the oracle.
-        let views: Vec<PairView<'_>> = batch
-            .iter()
-            .map(|p| {
-                let i = index[p];
-                let u = umetrics.row(p.left);
-                let s = usda.row(p.right);
-                PairView {
-                    award_number: &keys[i].0,
-                    accession: &keys[i].1,
-                    left_title: u.and_then(|r| r.str("AwardTitle")).unwrap_or(""),
-                    right_title: s.and_then(|r| r.str("AwardTitle")).unwrap_or(""),
-                    right_award_number: s.and_then(|r| r.str("AwardNumber")),
-                    right_project_number: s.and_then(|r| r.str("ProjectNumber")),
-                }
-            })
-            .collect();
-        let labels = oracle.label_batch(&views, r == 0, cfg.retry.max_retries, &mut budget);
-        for (pair, (_first, settled)) in batch.iter().zip(&labels) {
-            labeled.insert(*pair, *settled);
-        }
+        label_round(umetrics, usda, source, &cfg.retry, &batch, r == 0, &mut labeled, &mut ledger)?;
 
         // Refit on everything labeled so far and score the curve point.
         let t = Instant::now();
         model = fit_committee(&features, &x_all, &index, &labeled, cfg)?;
         fit_s += t.elapsed().as_secs_f64();
         latency.push(RoundLatency { round: r, fit_s, select_s });
-        let (f1, precision, recall) = evaluate(model.as_ref(), &x_all, &truth_flags);
-        let row = ActiveRound {
-            round: r,
-            queried: batch.len(),
-            labels_total: labeled.len(),
-            f1,
-            precision,
-            recall,
-            queries: budget.queries(),
-            retries: budget.retries(),
-            degraded: budget.degraded(),
-            distinct: budget.distinct_pairs(),
-        };
+        let scores = evaluate(model.as_ref(), &x_all, &truth_flags);
+        let row = curve_row(r, batch.len(), scores, &labeled, &ledger, umetrics, usda);
         rounds.push(row.clone());
 
         if let Some(dir) = ckpt_dir {
-            save_round(dir, r, &row, &labeled, &budget)?;
+            encode_round(&row, &labeled, &ledger).save(dir, &al_stage_name(r))?;
             if cfg.crash_after_round == Some(r) {
                 return Err(CoreError::InjectedCrash(al_stage_name(r)));
             }
         }
     }
 
-    Ok(ActiveOutcome { rounds, latency, labeled, budget, resumed_rounds })
+    Ok(ActiveOutcome { rounds, latency, labeled, ledger, resumed_rounds })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use em_core::blocking_plan::{run_blocking, BlockingPlan};
+    use em_core::labeling::run_labeling_resilient;
+    use em_core::preprocess::{project_umetrics, project_usda};
+    use em_datagen::{FlakyConfig, FlakyOracle, Oracle, OracleConfig, Scenario, ScenarioConfig};
+    use std::path::PathBuf;
+
+    struct Fixture {
+        u: Table,
+        s: Table,
+        truth: GroundTruth,
+        candidates: CandidateSet,
+    }
+
+    fn fixture() -> Fixture {
+        let scenario = Scenario::generate(ScenarioConfig::small()).unwrap();
+        let u = project_umetrics(&scenario.award_agg, &scenario.employees).unwrap();
+        let s = project_usda(&scenario.usda, false).unwrap();
+        let candidates = run_blocking(&u, &s, &BlockingPlan::default()).unwrap().consolidated;
+        Fixture { u, s, truth: scenario.truth, candidates }
+    }
+
+    fn flaky(truth: &GroundTruth) -> FlakyOracle<'_> {
+        FlakyOracle::new(
+            Oracle::new(truth, OracleConfig::default()),
+            FlakyConfig { p_unavailable: 0.4, p_timeout: 0.2, ..Default::default() },
+        )
+    }
+
+    /// Three rounds of eight pairs, a five-member committee.
+    fn small_cfg(strategy: Strategy, seed: u64) -> ActiveConfig {
+        ActiveConfig {
+            seed_batch: 8,
+            batch_size: 8,
+            rounds: 3,
+            members: 5,
+            ..ActiveConfig::new(strategy, seed)
+        }
+    }
+
+    fn run(f: &Fixture, cfg: &ActiveConfig, dir: Option<&Path>) -> Result<ActiveOutcome, CoreError> {
+        run_active(&f.u, &f.s, &f.candidates, &flaky(&f.truth), &f.truth, cfg, dir)
+    }
+
+    fn tmpdir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("em-active-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// The uniform arm with equal batches is the case study's labeling
+    /// loop: the same pairs, labels and ledger, at a seed whose round seeds
+    /// wrap past `u64::MAX`.
+    #[test]
+    fn uniform_arm_is_the_case_study_loop() {
+        let f = fixture();
+        let (n, rounds, seed) = (10, 3, u64::MAX - 1);
+        let retry = RetryPolicy { max_retries: 1, ..RetryPolicy::default() };
+        let cfg = ActiveConfig {
+            seed_batch: n,
+            batch_size: n,
+            rounds,
+            members: 5,
+            retry,
+            ..ActiveConfig::new(Strategy::Random, seed)
+        };
+        let active = run(&f, &cfg, None).unwrap();
+        let oracle = flaky(&f.truth);
+        let (labeled, _, ledger) =
+            run_labeling_resilient(&f.u, &f.s, &f.candidates, &oracle, &[n; 3], seed, &retry)
+                .unwrap();
+        let pairs = |l: &LabeledSet| l.iter().collect::<Vec<_>>();
+        assert_eq!(pairs(&active.labeled), pairs(&labeled));
+        let a = &active.ledger;
+        assert!(a.oracle_retries > 0 && a.degraded_labels > 0, "{a:?}");
+        assert_eq!(a.oracle_faults, ledger.oracle_faults);
+        assert_eq!(a.oracle_retries, ledger.oracle_retries);
+        assert_eq!(a.degraded_labels, ledger.degraded_labels);
+        assert_eq!(a.degraded_pairs, ledger.degraded_pairs);
+        assert_eq!(a.total_backoff_ms, ledger.total_backoff_ms);
+        assert_eq!(a.quarantined_rows, ledger.quarantined_rows);
+        assert_eq!(a.resumed_stages, ledger.resumed_stages);
+        let last = active.rounds.last().unwrap();
+        assert_eq!(last.queries, (n * rounds) as u64);
+        assert_eq!(last.retries, ledger.oracle_retries as u64);
+        assert_eq!(last.degraded, ledger.degraded_labels as u64);
+    }
+
+    /// The ledger carries the backoff, so a resume under another backoff
+    /// base is a different experiment.
+    #[test]
+    fn resume_under_another_retry_policy_is_refused() {
+        let f = fixture();
+        let dir = tmpdir("guard");
+        let mut crashing = small_cfg(Strategy::Random, 7);
+        crashing.crash_after_round = Some(0);
+        assert!(matches!(run(&f, &crashing, Some(&dir)), Err(CoreError::InjectedCrash(_))));
+        let mut other = small_cfg(Strategy::Random, 7);
+        other.retry.base_delay_ms += 1;
+        let err = run(&f, &other, Some(&dir)).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Checkpoint(ref m) if m.contains("different active-learning configuration")),
+            "{err:?}"
+        );
+        let resumed = run(&f, &small_cfg(Strategy::Random, 7), Some(&dir)).unwrap();
+        assert_eq!(resumed.resumed_rounds, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Seeded single-byte ASCII mutations (splitmix64), tab and newline
+    /// included: `(position, byte)` pairs over a text of `len` bytes.
+    fn mutations(len: usize, seed: u64) -> impl Iterator<Item = (usize, u8)> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as usize
+        };
+        let alphabet: Vec<u8> = (b' '..=b'~').chain([b'\t', b'\n']).collect();
+        std::iter::from_fn(move || Some((next() % len, alphabet[next() % alphabet.len()])))
+    }
+
+    fn mutate(text: &str, at: usize, byte: u8) -> String {
+        let mut bytes = text.as_bytes().to_vec();
+        bytes[at] = byte;
+        String::from_utf8(bytes).expect("the checkpoints are ASCII")
+    }
+
+    /// Decodes `text` as round 1 and checks that re-encoding what it
+    /// decoded to is a fixed point; `Err` when the bytes do not decode.
+    fn round_fixed_point(f: &Fixture, text: &str) -> Result<(), CoreError> {
+        let decode = |cp: &Checkpoint| decode_round(cp, 1, &f.u, &f.s);
+        let (row, labeled, ledger) = decode(&Checkpoint::from_text(text)?)?;
+        let once = encode_round(&row, &labeled, &ledger);
+        let (row, labeled, ledger) = decode(&once).expect("an encoding decodes");
+        assert_eq!(encode_round(&row, &labeled, &ledger), once, "not a fixed point");
+        Ok(())
+    }
+
+    /// Every truncation, 3 000 seeded single-byte mutations and every byte
+    /// set to each of a digit, a sign and the separators of one round file
+    /// are typed errors or fixed points, never a panic; then two full
+    /// resumes over mutated files the decoder accepts are outcomes or typed
+    /// errors.
+    #[test]
+    fn hostile_round_bytes_are_typed_errors_or_fixed_points() {
+        let f = fixture();
+        let source = tmpdir("hostile-source");
+        let cfg = small_cfg(Strategy::Committee, 7);
+        run(&f, &cfg, Some(&source)).unwrap();
+        let name = al_stage_name(1);
+        let good = std::fs::read_to_string(Checkpoint::path_for(&source, &name)).unwrap();
+        assert!(good.is_ascii());
+        round_fixed_point(&f, &good).unwrap();
+        let (mut accepted, mut rejected) = (0, 0);
+        let mut check = |text: &str, what: &dyn Fn() -> String| {
+            match std::panic::catch_unwind(|| round_fixed_point(&f, text)) {
+                Err(_) => panic!("{} panicked", what()),
+                Ok(Ok(())) => accepted += 1,
+                Ok(Err(_)) => rejected += 1,
+            }
+        };
+        for cut in 0..good.len() {
+            check(&good[..cut], &|| format!("truncation at {cut}"));
+        }
+        let every_byte = (0..good.len()).flat_map(|at| b"9-\t\n\\=".map(|byte| (at, byte)));
+        for (at, byte) in mutations(good.len(), 20190326).take(3_000).chain(every_byte) {
+            check(&mutate(&good, at, byte), &|| format!("byte {at} set to {:?}", byte as char));
+        }
+        assert!(accepted > 0 && rejected > 0, "{accepted} accepted, {rejected} rejected");
+
+        let dir = tmpdir("hostile-resume");
+        let resumable = mutations(good.len(), 7)
+            .map(|(at, byte)| mutate(&good, at, byte))
+            .filter(|text| *text != good && round_fixed_point(&f, text).is_ok())
+            .take(2);
+        for text in resumable {
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            for kept in [CONFIG_STAGE.to_string(), al_stage_name(0)] {
+                let from = Checkpoint::path_for(&source, &kept);
+                std::fs::copy(from, Checkpoint::path_for(&dir, &kept)).unwrap();
+            }
+            std::fs::write(Checkpoint::path_for(&dir, &name), &text).unwrap();
+            let resumed = std::panic::catch_unwind(|| run(&f, &cfg, Some(&dir)));
+            assert!(resumed.is_ok(), "resume panicked over\n{text}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&source);
+    }
 }

@@ -6,13 +6,16 @@
 //!
 //! - **Active learning** ([`active`]): an iterative
 //!   query-by-committee loop — seed batch, committee fit, vote-entropy +
-//!   margin selection, oracle query under the existing retry/backoff
-//!   policy, refit — with per-round checkpoints so a crash mid-loop
-//!   resumes bit-identically, and a label-efficiency curve (F1 vs #labels,
-//!   with [`em_estimate`] intervals) against a random-sampling baseline.
+//!   margin selection, refit — with per-round checkpoints so a crash
+//!   mid-loop resumes bit-identically, and a label-efficiency curve (F1 vs
+//!   #labels, with [`em_estimate`] intervals) against a random-sampling
+//!   baseline. The strategy only picks pairs: each round is labeled by
+//!   [`em_core::labeling::label_round`], the case study's own labeling call,
+//!   with its retry policy and its [`em_core::ResilienceReport`] ledger, and
+//!   the random arm is the case study's uniform loop.
 //! - **Weak supervision** ([`weak`]): a labeling-function DSL layered on
-//!   [`em_rules::spec`] predicates (threshold, pattern, and
-//!   attr-equivalence LFs voting MATCH / NO-MATCH / ABSTAIN), resolved by
+//!   [`em_rules::spec`] predicates (threshold and pattern LFs voting
+//!   MATCH / NO-MATCH / ABSTAIN), resolved by
 //!   majority vote and by a seeded generative accuracy-weighted label
 //!   model fit with EM — training a matcher with **zero** oracle labels.
 //!

@@ -5,8 +5,8 @@
 //! candidate pair. The DSL layers directly on the predicates the repo
 //! already trusts:
 //!
-//! - **attr-equivalence** and **pattern** LFs wrap [`em_rules::spec`]
-//!   descriptions — the same declarative records the workflow snapshots
+//! - **pattern** LFs wrap [`em_rules::spec`] rule
+//!   descriptions (any [`LabelingFunction::Rule`] does) — the same declarative records the workflow snapshots
 //!   persist — materialized through [`RuleSetDesc::build`]: a positive rule
 //!   firing votes MATCH, a negative rule firing votes NO-MATCH, anything
 //!   else abstains;
@@ -81,21 +81,6 @@ impl LabelingFunction {
             no_max,
             yes_min,
         }
-    }
-
-    /// An attr-equivalence LF: trimmed attribute equality votes MATCH.
-    pub fn attr_equivalence(
-        name: impl Into<String>,
-        left_attr: impl Into<String>,
-        right_attr: impl Into<String>,
-    ) -> LabelingFunction {
-        LabelingFunction::Rule(RuleDesc {
-            polarity: RulePolarity::Positive,
-            kind: RuleKeyKind::Attr,
-            name: name.into(),
-            left_attr: left_attr.into(),
-            right_attr: right_attr.into(),
-        })
     }
 
     /// A pattern LF: the award-suffix pattern extracted on the left equals
@@ -611,11 +596,5 @@ mod tests {
             LabelingFunction::Rule(d) if d.polarity == RulePolarity::Negative
         ));
         assert!(matches!(&lfs[4], LabelingFunction::Threshold { .. }));
-        let attr = LabelingFunction::attr_equivalence("eq", "A", "B");
-        assert!(matches!(
-            &attr,
-            LabelingFunction::Rule(d)
-                if d.kind == RuleKeyKind::Attr && d.polarity == RulePolarity::Positive
-        ));
     }
 }

@@ -89,8 +89,7 @@ fn assert_curves_bit_identical(a: &ActiveOutcome, b: &ActiveOutcome, what: &str)
     for lp in a.labeled.iter() {
         assert_eq!(b.labeled.get(&lp.pair), Some(lp.label), "{what}: label for {:?}", lp.pair);
     }
-    assert_eq!(a.budget.queries(), b.budget.queries(), "{what}: ledger queries");
-    assert_eq!(a.budget.distinct_pairs(), b.budget.distinct_pairs(), "{what}: ledger distinct");
+    assert_eq!(a.ledger, b.ledger, "{what}: ledger");
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -165,7 +164,7 @@ fn committee_halves_the_label_budget() {
 
         let target = random.final_f1();
         assert!(target > 0.5, "seed {seed}: random baseline should learn something: {target}");
-        let random_spent = random.budget.distinct_pairs();
+        let random_spent = random.rounds.last().map_or(0, |r| r.distinct);
         let al_spent = active
             .labels_to_reach(target)
             .expect("active arm never reached the random baseline's final F1");

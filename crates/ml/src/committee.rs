@@ -20,8 +20,7 @@
 
 use crate::dataset::Dataset;
 use crate::error::MlError;
-use crate::fitted::FittedModel;
-use crate::forest::{Bagging, RandomForestModel};
+use crate::forest::Bagging;
 use crate::model::Model;
 use crate::tree::{DecisionTreeLearner, DecisionTreeModel};
 use crate::view::TrainView;
@@ -74,7 +73,8 @@ pub struct CommitteeScore {
 /// A fitted committee.
 #[derive(Debug, Clone)]
 pub struct CommitteeModel {
-    members: Vec<DecisionTreeModel>,
+    /// The members, in member order.
+    pub members: Vec<DecisionTreeModel>,
 }
 
 /// `−(p ln p + (1−p) ln(1−p))` with the `0 ln 0 = 0` convention.
@@ -89,16 +89,6 @@ fn binary_entropy(p: f64) -> f64 {
 }
 
 impl CommitteeModel {
-    /// Number of members.
-    pub fn n_members(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Each member's match probability for `row`, in member order.
-    pub fn member_probas(&self, row: &[f64]) -> Vec<f64> {
-        self.members.iter().map(|m| m.predict_proba(row)).collect()
-    }
-
     /// Mean member probability — the committee's point prediction.
     pub fn mean_proba(&self, row: &[f64]) -> f64 {
         if self.members.is_empty() {
@@ -127,12 +117,6 @@ impl CommitteeModel {
             margin: (mean - 0.5).abs(),
             mean_proba: mean,
         }
-    }
-
-    /// The committee as the forest it is: its members behind one mean
-    /// probability ([`CommitteeModel::mean_proba`]), in serializable form.
-    pub fn as_forest(&self) -> FittedModel {
-        FittedModel::Forest(RandomForestModel::from_trees(self.members.clone()))
     }
 
     /// Scores every row of a pool in parallel, in pool order, bit-identical
@@ -185,7 +169,7 @@ mod tests {
         let m = CommitteeLearner::default().fit(&d).unwrap();
         let easy_yes = m.score(&[0.95, 0.5]);
         let easy_no = m.score(&[0.05, 0.5]);
-        assert_eq!(easy_yes.votes_yes, m.n_members());
+        assert_eq!(easy_yes.votes_yes, m.members.len());
         assert_eq!(easy_no.votes_yes, 0);
         assert_eq!(easy_yes.vote_entropy, 0.0);
         let hard = m.score(&[0.5, 0.5]);
@@ -221,7 +205,8 @@ mod tests {
         let d = threshold_data(150, 5);
         let m = CommitteeLearner::default().fit(&d).unwrap();
         let differs = (0..100).any(|i| {
-            let probas = m.member_probas(&[i as f64 / 100.0, 0.5]);
+            let row = [i as f64 / 100.0, 0.5];
+            let probas: Vec<f64> = m.members.iter().map(|t| t.predict_proba(&row)).collect();
             probas.iter().any(|p| (p - probas[0]).abs() > 1e-12)
         });
         assert!(differs, "bootstrap members should not all be identical");
@@ -246,8 +231,8 @@ mod tests {
         let d = Dataset::new(vec!["f".into()], x, y).unwrap();
         let learner = CommitteeLearner { stratified: true, seed: 11, ..Default::default() };
         let m = learner.fit(&d).unwrap();
-        for (t, p) in m.member_probas(&[0.95]).iter().enumerate() {
-            assert!(*p > 0.5, "stratified member {t} lost the positive class: proba {p}");
+        for (t, p) in m.members.iter().map(|t| t.predict_proba(&[0.95])).enumerate() {
+            assert!(p > 0.5, "stratified member {t} lost the positive class: proba {p}");
         }
         // Deterministic in the seed, like the plain bootstrap.
         let m2 = learner.fit(&d).unwrap();

@@ -12,6 +12,8 @@
 //! value parses as that type, otherwise it stays `Str` (mixed columns get
 //! `Str`, never `Any`, mirroring how pandas reads these files as `object`).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::error::TableError;
 use crate::schema::{Column, DataType, Schema};
 use crate::table::Table;

@@ -44,11 +44,13 @@ CARGO_TARGET_DIR=benchmark/target cargo test "${CARGO_FLAGS[@]}" --locked --rele
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 # Panic hygiene is a lint, not a grep: the em-serve fault modules (wal, swap,
-# overload, chaos, shard, sched), em-label, the blocking debugger, em-ml's
-# training path (view, tree, forest, committee, cv, debug) and the
+# overload, chaos, shard, sched), em-label (its active-learning loop and
+# round decoder, `active`, by a file-level deny), the blocking debugger,
+# em-ml's training path (view, tree, forest, committee, cv, debug), the
 # `em-snapshot v1` decode chain (em-serve's snapshot, em-ml's fitted, the
-# em-core checkpoint codec it is framed in) and em-core's case-study stage
-# and config codecs (`stages`, `pipeline`) deny `unwrap_used` /
+# em-core checkpoint codec it is framed in), em-core's case-study stage
+# and config codecs (`stages`, `pipeline`) and em-table's CSV reader with
+# its quarantine ingest (`csv`) deny `unwrap_used` /
 # `expect_used` / `panic` outside tests, so every failure on those paths is
 # a typed error. `sched` also denies `indexing_slicing` (tests
 # included): no `v[i]` that could panic on a bad index. Every crate root under
